@@ -52,9 +52,10 @@
 // lineage-linked version "demo-v2" with N runs of its own, so a fresh
 // service can be exercised immediately — including the cross-version
 // endpoints (CI smoke-tests do exactly this).
-// -preload (default on) boots warm: parsed runs are decoded from the
-// store's binary snapshot layer, missing snapshots are materialized,
-// and cohort matrices are prebuilt, so a restarted service answers
+// -preload (default on) boots warm: every stored run is decoded from
+// its frame, a repository written in the older one-XML-file-per-run
+// layout is migrated, and cohort matrices are prebuilt, so a restarted
+// service answers
 // its first diff at steady-state speed. SIGINT/SIGTERM trigger a
 // graceful drain before exit.
 package main
@@ -153,9 +154,8 @@ func main() {
 }
 
 // warmStart rebuilds the in-memory caches before the listener opens:
-// every stored run is loaded (from its binary snapshot where one is
-// fresh, with XML fallback and snapshot repair otherwise), snapshots
-// are materialized for runs that lacked them, and the per-spec cohort
+// every stored run is decoded from its frame, repositories written in
+// the older layout are migrated (Snapshot), and the per-spec cohort
 // matrices are built — so the first request after a restart is as
 // fast as the thousandth before it. Failures only cost warmth, never
 // availability.
@@ -165,11 +165,9 @@ func warmStart(st *store.Store, handler *server.Server) {
 	if err != nil {
 		log.Printf("provserved: preload: %v", err)
 	}
-	var runs, fromSnap, fromXML int
+	var runs int
 	for _, ps := range stats {
 		runs += ps.Runs
-		fromSnap += ps.FromSnapshot
-		fromXML += ps.FromXML
 		if _, err := st.Snapshot(ps.Spec); err != nil {
 			log.Printf("provserved: snapshot %s: %v", ps.Spec, err)
 		}
@@ -177,8 +175,8 @@ func warmStart(st *store.Store, handler *server.Server) {
 	if err := handler.Warm(); err != nil {
 		log.Printf("provserved: cohort warm-up: %v", err)
 	}
-	log.Printf("provserved: warm start: %d specs, %d runs (%d from snapshots, %d re-parsed) in %s",
-		len(stats), runs, fromSnap, fromXML, time.Since(t0).Round(time.Millisecond))
+	log.Printf("provserved: warm start: %d specs, %d runs in %s",
+		len(stats), runs, time.Since(t0).Round(time.Millisecond))
 }
 
 // seedDemo populates the repository with the protein annotation

@@ -27,8 +27,9 @@
 // append, one coalesced change notification. "export" writes a spec
 // and all its runs as a tar archive that round-trips through
 // import-dir or the service's POST /specs/{spec}/runs:bulk endpoint.
-// "snapshot" materializes the store's binary snapshot layer so the
-// next cold open (or provserved boot) skips XML parsing entirely.
+// "snapshot" writes each spec's binary frame and migrates a
+// repository written in the older layout (one XML file per run) to
+// frames, reporting the segment's live and dead bytes.
 // "verify" re-hashes every live snapshot frame against the Merkle
 // provenance ledger and exits nonzero naming the first divergent
 // batch if anything — a flipped byte, a rewritten record, a dropped
@@ -250,8 +251,8 @@ func snapshot(st *store.Store, args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(stdout, "%s: %d runs snapshotted (%d written, %d fresh, %d live bytes)\n",
-			name, stats.Runs, stats.Written, stats.Fresh, stats.LiveBytes)
+		fmt.Fprintf(stdout, "%s: %d runs snapshotted (%d live bytes, %d dead bytes)\n",
+			name, stats.Runs, stats.LiveBytes, stats.DeadBytes)
 	}
 }
 

@@ -198,9 +198,9 @@ const (
 // Provenance repository (the prototype's store/import/export layer).
 
 // Store is an on-disk repository of specifications and runs. Beyond
-// save/load/diff/cohort it carries the snapshot layer (Preload,
-// PreloadAll, Snapshot — cold starts decode binary frames instead of
-// re-parsing XML) and streaming bulk I/O (ImportRuns, ImportDir,
+// save/load/diff/cohort it carries warm starts (Preload, PreloadAll,
+// Snapshot — runs are stored as binary frames, so cold starts decode
+// instead of re-parsing XML) and streaming bulk I/O (ImportRuns, ImportDir,
 // ExportSpec) with coalesced change notifications (OnRunsBulkChange).
 type Store = store.Store
 
@@ -212,9 +212,9 @@ type (
 	RunData = store.RunData
 	// ImportStats summarizes a bulk import.
 	ImportStats = store.ImportStats
-	// SnapshotStats reports what a Store.Snapshot pass did.
+	// SnapshotStats reports what a Store.Snapshot pass found.
 	SnapshotStats = store.SnapshotStats
-	// PreloadStats reports where a Store.Preload got its runs from.
+	// PreloadStats reports what a Store.Preload loaded.
 	PreloadStats = store.PreloadStats
 )
 

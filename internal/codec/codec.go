@@ -1,20 +1,22 @@
 // Package codec is the versioned binary serialization of SP-workflow
-// specifications and runs that backs the store's snapshot layer. Where
-// the XML format (package wfxml) is the authoritative, interchange
+// specifications and runs, and the form in which the store keeps every
+// run. The XML format (package wfxml) is the interchange
 // representation — parsed through full validation and the tree
-// execution function f″ of Algorithms 2 and 5 — the binary format is a
-// faithful snapshot of the *result* of that parse: the run graph, its
+// execution function f″ of Algorithms 2 and 5; the binary format is a
+// faithful record of the *result* of that parse: the run graph, its
 // implicit loop edges, and the derived annotated SP-tree with every
 // node's alignment into the specification tree recorded as a preorder
 // ID. Decoding therefore rebuilds a Run without re-running flow-network
 // checks, SP decomposition or derivation, which is what makes a cold
-// repository boot several times faster than re-parsing XML.
+// repository boot several times faster than re-parsing XML. For a run
+// parsed from XML, encoding, exporting the decoded run as XML and
+// re-parsing it yields the same frame byte for byte, so XML can be
+// rendered from a stored frame on demand.
 //
 // Safety does not rest on trusting the bytes: every frame carries a
-// CRC-32 checksum and a format version, decoders bound every count
-// against the frame they are reading, and the store treats any decode
-// failure as a cache miss that falls back to the XML re-parse. A
-// snapshot can be deleted at any time without losing data.
+// CRC-32 checksum and a format version, and decoders bound every count
+// against the frame they are reading. A frame that fails any check is
+// an error; the store reports it naming the run and its ledger batch.
 package codec
 
 import (
@@ -32,8 +34,8 @@ import (
 )
 
 // Version is the current binary format version. Decoders reject frames
-// carrying any other version, which the store treats as "re-encode
-// from XML" — bumping it is how an incompatible format change ships.
+// carrying any other version; since stored runs exist only as frames,
+// bumping it must ship with a migration of stored segments.
 const Version = 1
 
 // Frame layout: magic (4 bytes), version (1 byte), payload length
@@ -492,9 +494,9 @@ func encodeTree(w *writer, n *sptree.Node, edgeIdx map[graph.Edge]int) error {
 // the graph and the annotated tree directly — no flow-network checks,
 // no SP decomposition, no derivation. The checksum plus the structural
 // bounds below (every spec ID in range and of the expected node type,
-// every edge index valid) keep a corrupt or mismatched snapshot from
-// producing a malformed Run; the store falls back to the XML parse
-// whenever this returns an error.
+// every edge index valid) keep a corrupt or mismatched frame from
+// producing a malformed Run; the store reports any error it returns
+// as damage to the stored run.
 func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 	if sp == nil || sp.Tree == nil {
 		return nil, fmt.Errorf("codec: nil specification")

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/evolve"
 	"repro/internal/gen"
+	"repro/internal/spec"
 	"repro/internal/sptree"
 	"repro/internal/wfrun"
 	"repro/internal/wfxml"
@@ -47,11 +49,16 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunRoundTripMatchesXMLParse is the property the store's snapshot
-// fast path rests on: for a run parsed from XML, encoding it to the
-// binary format and decoding it back yields a run indistinguishable
-// from the XML parse — same tree (exactly, not just up to ≡), same
-// graph, same implicit edges, distance zero under differencing.
+// TestRunRoundTripMatchesXMLParse is the property the store rests on:
+// for a run parsed from XML, encoding it to the binary format and
+// decoding it back yields a run indistinguishable from the XML parse —
+// same tree (exactly, not just up to ≡), same graph, same implicit
+// edges, distance zero under differencing. And the frame is the only
+// stored copy of a run, exported as XML on demand, so the frame must
+// survive that export and a re-import byte for byte:
+// EncodeRun(wfxml.DecodeRun(wfxml.EncodeRun(DecodeRun(f)))) == f. This
+// must hold for the frames every write path stores — parses of
+// imported XML and live-completed runs — across every catalog workflow.
 func TestRunRoundTripMatchesXMLParse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	eng := core.NewEngine(cost.Unit{})
@@ -65,8 +72,8 @@ func TestRunRoundTripMatchesXMLParse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Canonical reference: the XML round trip (what the store
-			// serves from disk).
+			// Canonical reference: the XML round trip (what an import
+			// stores).
 			var xmlBuf bytes.Buffer
 			if err := wfxml.EncodeRun(&xmlBuf, executed, "r"); err != nil {
 				t.Fatal(err)
@@ -87,7 +94,53 @@ func TestRunRoundTripMatchesXMLParse(t *testing.T) {
 			if d, err := eng.Distance(ref, got); err != nil || d != 0 {
 				t.Errorf("%s/%d: distance(ref, decoded) = %v, %v; want 0, nil", name, i, d, err)
 			}
+			assertFrameSurvivesExport(t, fmt.Sprintf("%s/%d", name, i), data, sp)
+
+			// The frame live completion stores: the run assembled from
+			// its event stream, not re-parsed.
+			if i == 0 {
+				lv := wfrun.NewLive(sp)
+				for _, ev := range wfrun.Events(executed) {
+					if err := lv.Append(ev); err != nil {
+						t.Fatalf("%s: live append: %v", name, err)
+					}
+				}
+				completed, err := lv.Complete()
+				if err != nil {
+					t.Fatalf("%s: live complete: %v", name, err)
+				}
+				live, err := EncodeRun(completed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertFrameSurvivesExport(t, name+"/live", live, sp)
+			}
 		}
+	}
+}
+
+// assertFrameSurvivesExport checks that a stored frame, exported as
+// XML and imported again, is the same frame byte for byte.
+func assertFrameSurvivesExport(t *testing.T, label string, frame []byte, sp *spec.Spec) {
+	t.Helper()
+	r, err := DecodeRun(frame, sp)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+	var doc bytes.Buffer
+	if err := wfxml.EncodeRun(&doc, r, "r"); err != nil {
+		t.Fatalf("%s: export: %v", label, err)
+	}
+	reimported, err := wfxml.DecodeRun(&doc, sp)
+	if err != nil {
+		t.Fatalf("%s: re-import: %v", label, err)
+	}
+	again, err := EncodeRun(reimported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, frame) {
+		t.Errorf("%s: frame changed across export and re-import (%d → %d bytes)", label, len(frame), len(again))
 	}
 }
 

@@ -35,8 +35,7 @@ type Result struct {
 	Nodes int
 	Edges int
 	// Hash is the hex content hash of the committed codec frame, as
-	// attested to the provenance ledger (empty when the snapshot layer
-	// is disabled).
+	// attested to the provenance ledger.
 	Hash string
 }
 

@@ -2,9 +2,9 @@ package server
 
 // Differential test for the group-commit pipeline: a set of runs
 // ingested through the batched async path must leave the store
-// byte-identical — run XML, snapshot segment, manifest — to the same
-// runs imported sequentially through the direct (pre-pipeline) path,
-// and both servers must give the same analytic answers.
+// byte-identical — snapshot segment, manifest layout — to the same
+// runs imported sequentially as one-run store commits, and both
+// servers must give the same analytic answers.
 
 import (
 	"bytes"
@@ -23,8 +23,7 @@ import (
 	"repro/internal/wfxml"
 )
 
-// encodeRunNamed is encodeRun with the run's own name in the document,
-// so the direct path's decode→re-encode round trip is byte-stable.
+// encodeRunNamed is encodeRun with the run's own name in the document.
 func encodeRunNamed(tb testing.TB, st *store.Store, seed int64, name string) []byte {
 	tb.Helper()
 	sp, err := st.LoadSpec("pa")
@@ -42,8 +41,9 @@ func encodeRunNamed(tb testing.TB, st *store.Store, seed int64, name string) []b
 	return buf.Bytes()
 }
 
-// manifestShape mirrors the snapshot manifest for comparison, with
-// the one legitimately divergent field (XML mod time) normalised out.
+// manifestShape mirrors the snapshot manifest's layout fields for
+// comparison; the ledger batch of each entry legitimately differs
+// (one pipeline batch against one batch per sequential import).
 type manifestShape struct {
 	Version   int                      `json:"version"`
 	LiveBytes int64                    `json:"live_bytes"`
@@ -52,13 +52,12 @@ type manifestShape struct {
 }
 
 type manifestEntry struct {
-	Offset      int64 `json:"offset"`
-	Length      int64 `json:"length"`
-	Codec       int   `json:"codec"`
-	Nodes       int   `json:"nodes"`
-	Edges       int   `json:"edges"`
-	XMLSize     int64 `json:"xml_size"`
-	XMLModNanos int64 `json:"xml_mod_nanos"`
+	Offset int64  `json:"offset"`
+	Length int64  `json:"length"`
+	Codec  int    `json:"codec"`
+	Nodes  int    `json:"nodes"`
+	Edges  int    `json:"edges"`
+	Hash   string `json:"hash"`
 }
 
 func readManifest(t *testing.T, dir string) manifestShape {
@@ -71,10 +70,6 @@ func readManifest(t *testing.T, dir string) manifestShape {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range m.Runs {
-		e.XMLModNanos = 0
-		m.Runs[name] = e
-	}
 	return m
 }
 
@@ -82,7 +77,7 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	const k = 6
 	dirP, dirD := t.TempDir(), t.TempDir()
 	srvP, stP := seedServerAt(t, dirP, 0, Options{IngestBatch: k, IngestMaxWait: 100 * time.Millisecond})
-	srvD, stD := seedServerAt(t, dirD, 0, Options{DirectIngest: true})
+	srvD, stD := seedServerAt(t, dirD, 0, Options{})
 
 	bodies := make([][]byte, k)
 	names := make([]string, k)
@@ -108,35 +103,19 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 		}
 	}
 
-	// Direct arm: the same bodies, sequential synchronous posts.
+	// Sequential arm: the same bodies, parsed and committed one run per
+	// store commit.
+	sp, err := stD.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, name := range names {
-		if rec := do(t, srvD, "POST", "/v1/specs/pa/runs/"+name, bodies[i], nil); rec.Code != http.StatusCreated {
-			t.Fatalf("direct post %s = %d %q", name, rec.Code, rec.Body.String())
-		}
-	}
-
-	// Align the snapshot layer: idempotent for the pipeline arm (its
-	// frames landed at commit), materialising for the direct arm (its
-	// frames were deferred).
-	if _, err := stP.Snapshot("pa"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stD.Snapshot("pa"); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, name := range names {
-		rel := filepath.Join("pa", "runs", name+".xml")
-		xp, err := os.ReadFile(filepath.Join(dirP, rel))
+		r, err := wfxml.DecodeRun(bytes.NewReader(bodies[i]), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xd, err := os.ReadFile(filepath.Join(dirD, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(xp, xd) {
-			t.Errorf("%s differs between pipeline and direct stores", rel)
+		if _, err := stD.ImportParsed("pa", []store.ParsedRun{{Name: name, Run: r}}); err != nil {
+			t.Fatalf("sequential import %s: %v", name, err)
 		}
 	}
 
@@ -150,7 +129,7 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	}
 	mp, md := readManifest(t, dirP), readManifest(t, dirD)
 	if !bytes.Equal(segP, segD) {
-		t.Errorf("snapshot segments differ: pipeline %d bytes, direct %d bytes", len(segP), len(segD))
+		t.Errorf("snapshot segments differ: pipeline %d bytes, sequential %d bytes", len(segP), len(segD))
 		// Attribute the divergence to frames via the manifest layout.
 		for _, name := range names {
 			ep, ed := mp.Runs[name], md.Runs[name]
@@ -165,14 +144,14 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 				for i < len(fp) && fp[i] == fd[i] {
 					i++
 				}
-				t.Errorf("  %s: frame differs at byte %d of %d (pipeline % x | direct % x)",
+				t.Errorf("  %s: frame differs at byte %d of %d (pipeline % x | sequential % x)",
 					name, i, len(fp), fp[max(0, i-4):min(len(fp), i+8)], fd[max(0, i-4):min(len(fd), i+8)])
 			}
 		}
 	}
 
 	if !reflect.DeepEqual(mp, md) {
-		t.Errorf("manifests differ (mod times normalised):\npipeline: %+v\ndirect:   %+v", mp, md)
+		t.Errorf("manifests differ:\npipeline:   %+v\nsequential: %+v", mp, md)
 	}
 
 	// Same analytic answers from both servers.
@@ -186,11 +165,11 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 		rp := do(t, srvP, "GET", target, nil, nil)
 		rd := do(t, srvD, "GET", target, nil, nil)
 		if rp.Code != http.StatusOK || rd.Code != http.StatusOK {
-			t.Errorf("%s: pipeline %d, direct %d", target, rp.Code, rd.Code)
+			t.Errorf("%s: pipeline %d, sequential %d", target, rp.Code, rd.Code)
 			continue
 		}
 		if !bytes.Equal(rp.Body.Bytes(), rd.Body.Bytes()) {
-			t.Errorf("%s answers differ:\npipeline: %q\ndirect:   %q", target, truncate(rp.Body.String()), truncate(rd.Body.String()))
+			t.Errorf("%s answers differ:\npipeline:   %q\nsequential: %q", target, truncate(rp.Body.String()), truncate(rd.Body.String()))
 		}
 	}
 	srvP.Close()

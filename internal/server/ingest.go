@@ -76,12 +76,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.opts.DirectIngest {
-		t0 = time.Now()
-		s.directImport(w, specName, runName, body)
-		observeStage(r.Context(), stageStore, t0)
-		return
-	}
 	if s.query(r).flag("async") {
 		t := s.tickets.New(specName, []string{runName})
 		if err := s.ingest.Enqueue(&ingest.Job{Spec: specName, Run: runName, XML: body, Ticket: t}); err != nil {
@@ -118,34 +112,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		body201["hash"] = res.Hash
 	}
 	writeJSON(w, body201)
-}
-
-// directImport is the pre-pipeline synchronous path, selected by
-// Options.DirectIngest: parse and SaveRun inline, one manifest touch
-// per request. Kept for the sustained-ingest benchmark's baseline and
-// for the differential test proving the pipeline's on-disk result is
-// byte-identical to it.
-func (s *Server) directImport(w http.ResponseWriter, specName, runName string, body []byte) {
-	sp, err := s.st.LoadSpec(specName)
-	if err != nil {
-		s.storeError(w, err)
-		return
-	}
-	run, err := wfxml.DecodeRun(bytes.NewReader(body), sp)
-	if err != nil {
-		s.httpError(w, err, http.StatusBadRequest)
-		return
-	}
-	if err := s.st.SaveRun(specName, runName, run); err != nil {
-		s.storeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{
-		"spec": specName, "run": runName,
-		"nodes": run.NumNodes(), "edges": run.NumEdges(),
-	})
 }
 
 // enqueueError reports a job the pipeline would not take: 429 with a
@@ -186,8 +152,8 @@ func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
 // commitBatch is the pipeline's CommitFunc. Parse errors are
 // per-item: one malformed document fails only its own job, unlike the
 // all-or-nothing runs:bulk endpoint. Commit errors from the store are
-// wrapped as commitError so they surface as 500s, except the runs
-// that bulkAbort reports as landed.
+// wrapped as commitError so they surface as 500s; a store commit is
+// all-or-nothing, so a failed one fails every job of its wave.
 func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 	results := make([]ingest.Result, len(jobs))
 	parsed := make([]*wfrun.Run, len(jobs))
@@ -256,23 +222,15 @@ func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 			}
 			prs := make([]store.ParsedRun, len(wave))
 			for k, i := range wave {
-				prs[k] = store.ParsedRun{Name: jobs[i].Run, XML: jobs[i].XML, Run: parsed[i]}
+				prs[k] = store.ParsedRun{Name: jobs[i].Run, Run: parsed[i]}
 			}
 			stats, err := s.st.ImportParsed(specName, prs)
-			landed := make(map[string]bool, len(stats.Imported))
-			hashes := make(map[string]string, len(stats.Hashes))
-			for k, name := range stats.Imported {
-				landed[name] = true
-				if k < len(stats.Hashes) {
-					hashes[name] = stats.Hashes[k]
-				}
-			}
-			for _, i := range wave {
-				if err == nil || landed[jobs[i].Run] {
-					results[i] = ingest.Result{Nodes: parsed[i].NumNodes(), Edges: parsed[i].NumEdges(), Hash: hashes[jobs[i].Run]}
-				} else {
+			for k, i := range wave {
+				if err != nil {
 					results[i].Err = commitError{err}
+					continue
 				}
+				results[i] = ingest.Result{Nodes: parsed[i].NumNodes(), Edges: parsed[i].NumEdges(), Hash: stats.Hashes[k]}
 			}
 			pending = rest
 		}

@@ -114,10 +114,6 @@ type Options struct {
 	// TicketRetention bounds resolved async tickets kept for polling;
 	// <= 0 means ingest.DefaultTicketRetention.
 	TicketRetention int
-	// DirectIngest bypasses the group-commit pipeline and imports
-	// synchronously inline (the pre-pipeline behavior) — the baseline
-	// arm of the sustained-ingest benchmark and differential tests.
-	DirectIngest bool
 	// OnRequestTiming, when set, receives every finished request's
 	// stage-timing record after the handler returns (provserved wires
 	// it to the -timing-log CSV sink). Must be safe for concurrent

@@ -139,8 +139,8 @@ func TestShardedServerByteIdenticalToSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srvSingle := New(stSingle, Options{DirectIngest: true})
-			srvSharded := New(stSharded, Options{DirectIngest: true})
+			srvSingle := New(stSingle, Options{})
+			srvSharded := New(stSharded, Options{})
 
 			seedAll(t, []*store.Store{stSingle, stSharded}, []*Server{srvSingle, srvSharded})
 			requireSameAnswers(t, kind+"/warm", srvSingle, srvSharded)
@@ -156,7 +156,7 @@ func TestShardedServerByteIdenticalToSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srvSharded = New(stSharded, Options{DirectIngest: true})
+			srvSharded = New(stSharded, Options{})
 			requireSameAnswers(t, kind+"/restarted", srvSingle, srvSharded)
 
 			// And with the shard order reversed: discovery pins every
@@ -171,7 +171,7 @@ func TestShardedServerByteIdenticalToSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srvSharded = New(stSharded, Options{DirectIngest: true})
+			srvSharded = New(stSharded, Options{})
 			requireSameAnswers(t, kind+"/reversed", srvSingle, srvSharded)
 
 			srvSingle.Close()
@@ -197,7 +197,7 @@ func TestShardedStatsAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(stSharded, Options{DirectIngest: true})
+	srv := New(stSharded, Options{})
 	defer srv.Close()
 	stores := []*store.Store{stSharded}
 	seedAll(t, stores, []*Server{srv})

@@ -10,11 +10,10 @@ import (
 // Backend is the store's entire persistence surface, abstracted to a
 // small blob interface so the repository can live on a local directory
 // tree, in memory, or in an object store. Keys are slash-separated
-// logical paths mirroring the classic on-disk layout:
+// logical paths mirroring the on-disk layout:
 //
 //	<spec>/spec.xml                     authoritative specification XML
-//	<spec>/runs/<run>.xml               authoritative run XML
-//	<spec>/snapshot/manifest.json       snapshot index
+//	<spec>/snapshot/manifest.json       run index: name → frame
 //	<spec>/snapshot/runs.seg            append-only run frames
 //	<spec>/snapshot/spec.bin            binary specification frame
 //	<spec>/snapshot/ledger.log          Merkle ledger (JSON lines)
@@ -22,19 +21,28 @@ import (
 //	<spec>/lineage.json                 lineage link
 //	<spec>/live/<run>.events            live-run event journal
 //
+// Repositories written before runs were stored only as frames also
+// hold <spec>/runs/<run>.xml; the store migrates and removes them.
+//
 // Contract, shared by every implementation and enforced by the
 // conformance suite (internal/store/conformance):
 //
 //   - WriteFile is atomic: readers observe either the old bytes or the
-//     new bytes, never a prefix. Parent "directories" are implicit.
-//   - Append appends exactly the given bytes; with sync set the data
-//     is durable before Append returns (the group-commit fsync point).
-//     Appending to a missing key creates it.
+//     new bytes, never a prefix, also with concurrent writers of the
+//     same key. Parent "directories" are implicit.
+//   - Durability, for backends that persist at all: WriteFile is
+//     durable when it returns (the manifest is the only index of
+//     stored runs, so a torn or lost manifest would lose them).
+//     Append is durable when it returns only with sync set (the
+//     group-commit fsync point); without it a crash may drop a suffix
+//     of the appended bytes. Remove is not synced: after a crash a
+//     removed key may reappear.
+//   - Append appends exactly the given bytes. Appending to a missing
+//     key creates it.
 //   - A missing key surfaces as an error satisfying
 //     errors.Is(err, fs.ErrNotExist) — and os.IsNotExist — from
 //     ReadFile, ReadAt, Stat and Remove.
-//   - List of a missing directory returns (nil, nil), matching the
-//     store's historical "no runs yet" tolerance.
+//   - List of a missing directory returns (nil, nil).
 //
 // Implementations must be safe for concurrent use; the store
 // serializes writers per spec but readers run concurrently.

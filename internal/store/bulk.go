@@ -30,12 +30,11 @@ type RunData struct {
 // once; HTTP callers map it onto 409 Conflict.
 var ErrDuplicateRun = errors.New("store: duplicate run name in batch")
 
-// ParsedRun is one pre-parsed run of a batched commit: the
-// authoritative XML bytes together with the run decoded from exactly
-// those bytes (the parsed-run cache invariant).
+// ParsedRun is one pre-parsed run of a batched commit. Run must be
+// what wfxml.DecodeRun produced from the run's XML: the store keeps
+// its frame as the run, and caches Run as its decoded form.
 type ParsedRun struct {
 	Name string
-	XML  []byte
 	Run  *wfrun.Run
 }
 
@@ -46,18 +45,14 @@ type ImportStats struct {
 	Nodes    int      // total run-graph nodes imported
 	Edges    int      // total run-graph edges imported
 	// Hashes holds the hex content hash of each imported run's codec
-	// frame, aligned with Imported — the run's ledger identity. Empty
-	// when the snapshot layer is disabled or its write failed.
+	// frame, aligned with Imported — the run's ledger identity.
 	Hashes []string
 }
 
 // ImportRuns imports a batch of runs into a specification in one
 // pass: every document is parsed and derived concurrently (workers
-// goroutines; <= 0 means GOMAXPROCS), written as authoritative XML,
-// snapshotted into the segment, and published to the parsed-run cache
-// — the parse happened from exactly the bytes now stored, so the
-// cache invariant ("only ever serve what a fresh parse would
-// produce") holds without eviction.
+// goroutines; <= 0 means GOMAXPROCS), committed as frames in one
+// segment append, and published to the decoded-run cache.
 //
 // Change notification is coalesced: the per-run OnRunChange hooks do
 // NOT fire; instead every OnRunsBulkChange hook fires exactly once
@@ -130,24 +125,32 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 	// Phase 2 is the shared batched commit.
 	batch := make([]ParsedRun, len(runs))
 	for i, rd := range runs {
-		batch[i] = ParsedRun{Name: rd.Name, XML: rd.XML, Run: parsed[i]}
+		batch[i] = ParsedRun{Name: rd.Name, Run: parsed[i]}
 	}
 	return s.ImportParsed(specName, batch)
 }
 
 // ImportParsed is the group-commit half of the bulk import, shared
-// with the server's ingest pipeline: runs that are already parsed
-// (each Run decoded from exactly its XML bytes) are written as
-// authoritative XML, snapshotted in ONE synced segment append + ONE
-// manifest save, published to the parsed-run cache, and announced
-// with ONE coalesced OnRunsBulkChange notification — the per-run
-// OnRunChange hooks do not fire.
+// with the server's ingest pipeline and live-run completion: runs that
+// are already parsed are committed in ONE synced segment append, ONE
+// ledger record and ONE manifest save, published to the decoded-run
+// cache, and announced with ONE coalesced OnRunsBulkChange
+// notification — the per-run OnRunChange hooks do not fire.
 //
 // Names are validated and checked for duplicates (ErrDuplicateRun) up
-// front. A mid-write failure keeps the runs already fully written
-// (they are individually valid), snapshots and announces them, and
-// returns the error alongside the partial ImportStats.
+// front. The commit is all-or-nothing: on error no run of the batch
+// is stored and nothing is announced.
 func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, error) {
+	stats, err := s.commitRuns(specName, runs)
+	if err == nil && len(stats.Imported) > 0 {
+		s.notifyBulkChange(specName, stats.Imported)
+	}
+	return stats, err
+}
+
+// commitRuns validates and commits a batch of parsed runs, without
+// change notification.
+func (s *Store) commitRuns(specName string, runs []ParsedRun) (ImportStats, error) {
 	stats := ImportStats{Spec: specName}
 	if err := validName(specName); err != nil {
 		return stats, err
@@ -156,7 +159,8 @@ func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, er
 		return stats, nil
 	}
 	seen := make(map[string]bool, len(runs))
-	for _, pr := range runs {
+	items := make([]snapBatchItem, len(runs))
+	for i, pr := range runs {
 		if err := validName(pr.Name); err != nil {
 			return stats, err
 		}
@@ -167,51 +171,22 @@ func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, er
 		if pr.Run == nil {
 			return stats, fmt.Errorf("store: run %q has no parsed form", pr.Name)
 		}
+		items[i] = snapBatchItem{name: pr.Name, run: pr.Run}
 	}
 	if _, err := s.LoadSpec(specName); err != nil {
 		return stats, err
 	}
-	batch := make([]snapBatchItem, 0, len(runs))
+	hashes, err := s.writeRunSnapshotBatch(specName, items)
+	if err != nil {
+		return stats, fmt.Errorf("store: committing %d runs of %q: %w", len(runs), specName, err)
+	}
 	for _, pr := range runs {
-		key := runXMLKey(specName, pr.Name)
-		if err := s.be.WriteFile(key, pr.XML); err != nil {
-			// WriteFile is atomic, but stay defensive: drop whatever the
-			// backend may have left so the run cannot poison later
-			// listings and cohorts.
-			_ = s.be.Remove(key)
-			return s.bulkAbort(stats, specName, batch, err)
-		}
-		fp, err := s.fingerprintXML(specName, pr.Name, pr.XML)
-		if err != nil {
-			_ = s.be.Remove(key)
-			return s.bulkAbort(stats, specName, batch, fmt.Errorf("store: %w", err))
-		}
-		batch = append(batch, snapBatchItem{name: pr.Name, run: pr.Run, fp: fp})
-		s.mu.Lock()
-		s.runs[runKey(specName, pr.Name)] = pr.Run
-		s.mu.Unlock()
 		stats.Imported = append(stats.Imported, pr.Name)
 		stats.Nodes += pr.Run.NumNodes()
 		stats.Edges += pr.Run.NumEdges()
 	}
-	// The segment append is synced: for pipeline clients the batch
-	// commit IS the durability point they were promised. Snapshot
-	// failures stay best-effort (the stored XML is authoritative).
-	stats.Hashes, _ = s.writeRunSnapshotBatch(specName, batch, true)
-	s.notifyBulkChange(specName, stats.Imported)
+	stats.Hashes = hashes
 	return stats, nil
-}
-
-// bulkAbort reports a mid-write failure. Runs already fully written
-// stay stored (they are individually valid); their snapshots are
-// written and one coalesced notification covers them so subscribers
-// cannot miss the partial import.
-func (s *Store) bulkAbort(stats ImportStats, specName string, batch []snapBatchItem, err error) (ImportStats, error) {
-	if len(stats.Imported) > 0 {
-		stats.Hashes, _ = s.writeRunSnapshotBatch(specName, batch, true)
-		s.notifyBulkChange(specName, stats.Imported)
-	}
-	return stats, err
 }
 
 // ImportDir bulk-imports every *.xml file of a local directory as runs
@@ -240,7 +215,10 @@ func (s *Store) ImportDir(specName, dir string, workers int) (ImportStats, error
 
 // ExportSpec streams a specification and all (or the named subset of)
 // its runs as a tar archive: spec.xml at the root, runs under runs/.
-// The archive round-trips through ImportTar / the runs:bulk endpoint.
+// Each run is rendered from its stored frame with wfxml.EncodeRun, so
+// the archive carries canonical XML rather than the bytes a client
+// once imported; it round-trips through ImportTar / the runs:bulk
+// endpoint to identical frames.
 func (s *Store) ExportSpec(specName string, runNames []string, w io.Writer) error {
 	if err := validName(specName); err != nil {
 		return err
@@ -256,11 +234,7 @@ func (s *Store) ExportSpec(specName string, runNames []string, w io.Writer) erro
 		}
 	}
 	tw := tar.NewWriter(w)
-	addFile := func(name, key string) error {
-		data, err := s.be.ReadFile(key)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+	addFile := func(name string, data []byte) error {
 		hdr := &tar.Header{
 			Name:    name,
 			Mode:    0o644,
@@ -275,14 +249,24 @@ func (s *Store) ExportSpec(specName string, runNames []string, w io.Writer) erro
 		}
 		return nil
 	}
-	if err := addFile("spec.xml", specXMLKey(specName)); err != nil {
+	specXML, err := s.be.ReadFile(specXMLKey(specName))
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := addFile("spec.xml", specXML); err != nil {
 		return err
 	}
+	var buf bytes.Buffer
 	for _, name := range runNames {
-		if err := validName(name); err != nil {
+		r, err := s.LoadRun(specName, name)
+		if err != nil {
 			return err
 		}
-		if err := addFile("runs/"+name+".xml", runXMLKey(specName, name)); err != nil {
+		buf.Reset()
+		if err := wfxml.EncodeRun(&buf, r, name); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if err := addFile("runs/"+name+".xml", buf.Bytes()); err != nil {
 			return err
 		}
 	}

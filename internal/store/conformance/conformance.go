@@ -23,13 +23,14 @@
 // identity, append-exactly semantics, ReadAt windows, listing,
 // canonical not-exist errors (errors.Is(err, fs.ErrNotExist) AND
 // os.IsNotExist), atomic WriteFile visibility under concurrent
-// readers, and persistence across reopen. The repository layer, run
-// through a *store.Store over the backend: import→read byte identity,
-// exactly-one coalesced bulk notification, snapshot freshness
-// demotion after overwrite, ledger proof round-trips across reopen,
-// all-or-nothing bulk validation, and tolerance of torn trailing
-// writes in both the ledger log and live-run event journals (the
-// crash shapes a power loss mid-append leaves behind).
+// readers and concurrent writers of one key, and persistence across
+// reopen. The repository layer, run through a *store.Store over the
+// backend: import→read frame identity, no run documents stored by
+// any write path, exactly-one coalesced bulk notification, an
+// overwrite replacing the stored frame, ledger proof round-trips
+// across reopen, all-or-nothing bulk validation, and tolerance of
+// torn trailing writes in both the ledger log and live-run event
+// journals (the crash shapes a power loss mid-append leaves behind).
 package conformance
 
 import (
@@ -43,6 +44,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/gen"
 	"repro/internal/store"
 	"repro/internal/wfrun"
@@ -62,7 +64,9 @@ func RunConformance(t *testing.T, open func() store.Backend) {
 	t.Run("BlobList", func(t *testing.T) { testBlobList(t, open) })
 	t.Run("BlobNotExist", func(t *testing.T) { testBlobNotExist(t, open) })
 	t.Run("WriteFileAtomic", func(t *testing.T) { testWriteFileAtomic(t, open) })
+	t.Run("WriteFileSameKeyConcurrent", func(t *testing.T) { testWriteFileSameKey(t, open) })
 	t.Run("ImportReadIdentity", func(t *testing.T) { testImportReadIdentity(t, open) })
+	t.Run("NoRunDocumentsStored", func(t *testing.T) { testNoRunDocuments(t, open) })
 	t.Run("ExactlyOneNotification", func(t *testing.T) { testExactlyOneNotification(t, open) })
 	t.Run("SnapshotFreshnessDemotion", func(t *testing.T) { testSnapshotFreshness(t, open) })
 	t.Run("LedgerProofAcrossReopen", func(t *testing.T) { testLedgerProofReopen(t, open) })
@@ -292,6 +296,48 @@ func testWriteFileAtomic(t *testing.T, open func() store.Backend) {
 	}
 }
 
+// testWriteFileSameKey races several writers of one key, each with
+// its own payload: every write must succeed (no shared temp file), and
+// the key must end holding exactly one writer's complete payload.
+func testWriteFileSameKey(t *testing.T, open func() store.Backend) {
+	be := open()
+	const key = "c-samekey/snapshot/manifest.json"
+	const writers, rounds = 4, 20
+	payload := func(w int) []byte { return bytes.Repeat([]byte{byte('a' + w)}, 1<<14+w) }
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*rounds)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := be.WriteFile(key, payload(w)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent WriteFile of one key: %v", err)
+	}
+	for _, b := range []store.Backend{be, open()} {
+		got, err := b.ReadFile(key)
+		if err != nil || len(got) == 0 || got[0] < 'a' || !bytes.Equal(got, payload(int(got[0]-'a'))) {
+			t.Fatalf("key holds %d bytes (%v), not one writer's payload", len(got), err)
+		}
+	}
+	entries, err := be.List("c-samekey/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name != "manifest.json" {
+		t.Fatalf("List after concurrent writes = %v, want only manifest.json", entries)
+	}
+}
+
 // --- repository layer ----------------------------------------------
 
 // seedSpec saves the PA catalog workflow under specName and returns
@@ -340,23 +386,29 @@ func testImportReadIdentity(t *testing.T, open func() store.Backend) {
 	if _, err := st.ImportRuns(spec, batch, 2); err != nil {
 		t.Fatal(err)
 	}
-	// A cold store over the same state serves byte-identical XML and
-	// parses every run.
+	// A cold store over the same state decodes, frame for frame, what
+	// parsing each imported document produces.
 	cold := store.OpenBackend(open())
+	sp, err := cold.LoadSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rd := range batch {
-		got, err := cold.Backend().ReadFile(spec + "/runs/" + rd.Name + ".xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, rd.XML) {
-			t.Fatalf("stored XML of %s differs from imported bytes", rd.Name)
-		}
 		r, err := cold.LoadRun(spec, rd.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Validate(); err != nil {
 			t.Fatalf("run %s invalid after round-trip: %v", rd.Name, err)
+		}
+		parsed, err := wfxml.DecodeRun(bytes.NewReader(rd.XML), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err1 := codec.EncodeRun(r)
+		want, err2 := codec.EncodeRun(parsed)
+		if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+			t.Fatalf("stored frame of %s differs from the parse of the imported document", rd.Name)
 		}
 	}
 	names, err := cold.ListRuns(spec)
@@ -365,6 +417,62 @@ func testImportReadIdentity(t *testing.T, open func() store.Backend) {
 	}
 	if len(names) != 3 {
 		t.Fatalf("ListRuns = %v, want 3 runs", names)
+	}
+}
+
+// testNoRunDocuments drives every write path — a one-run commit (the
+// sync import), a bulk import, SaveRun and live completion — and
+// requires that none leaves a key under <spec>/runs/: the frame is the
+// only stored copy of a run.
+func testNoRunDocuments(t *testing.T, open func() store.Backend) {
+	const spec = "c-nodocs"
+	st := store.OpenBackend(open())
+	seedSpec(t, st, spec)
+	sp, err := st.LoadSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := genRuns(t, st, spec, 1, 21, "sync")[0]
+	r, err := wfxml.DecodeRun(bytes.NewReader(one.XML), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ImportParsed(spec, []store.ParsedRun{{Name: one.Name, Run: r}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ImportRuns(spec, genRuns(t, st, spec, 3, 22, "bulk"), 2); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	saved, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveRun(spec, "saved", saved); err != nil {
+		t.Fatal(err)
+	}
+	liveRun, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendLiveEvents(spec, "live", wfrun.Events(liveRun)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.CompleteLiveRun(spec, "live"); err != nil {
+		t.Fatal(err)
+	}
+	cold := store.OpenBackend(open())
+	if names, err := cold.ListRuns(spec); err != nil || len(names) != 6 {
+		t.Fatalf("ListRuns = %v, %v; want 6 runs", names, err)
+	}
+	for _, be := range []store.Backend{st.Backend(), cold.Backend()} {
+		entries, err := be.List(spec + "/runs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("write paths left run documents behind: %v", entries)
+		}
 	}
 }
 
@@ -395,6 +503,9 @@ func testExactlyOneNotification(t *testing.T, open func() store.Backend) {
 	}
 }
 
+// testSnapshotFreshness: an overwrite replaces the stored frame — a
+// cold store serves the new run, never the superseded frame, and the
+// old frame's bytes are dead.
 func testSnapshotFreshness(t *testing.T, open func() store.Backend) {
 	const spec = "c-fresh"
 	st := store.OpenBackend(open())
@@ -402,11 +513,10 @@ func testSnapshotFreshness(t *testing.T, open func() store.Backend) {
 	if _, err := st.ImportRuns(spec, genRuns(t, st, spec, 1, 3, "r"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Snapshot(spec); err != nil {
+	before, err := st.RunProof(spec, "r0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite r0 with different content; a cold store must serve the
-	// new run, not the stale snapshot frame.
 	fresh := genRuns(t, st, spec, 1, 99, "r")
 	if _, err := st.ImportRuns(spec, fresh, 1); err != nil {
 		t.Fatal(err)
@@ -425,7 +535,21 @@ func testSnapshotFreshness(t *testing.T, open func() store.Backend) {
 		t.Fatal(err)
 	}
 	if got.Tree.LabelSignature() != want.Tree.LabelSignature() {
-		t.Fatal("cold store served the pre-overwrite snapshot")
+		t.Fatal("cold store served the pre-overwrite frame")
+	}
+	after, err := cold.RunProof(spec, "r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Hash == before.Hash || after.Batch <= before.Batch {
+		t.Fatalf("overwrite kept frame %s of batch %d", before.Hash, before.Batch)
+	}
+	stats, err := cold.Snapshot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Runs != 1 || stats.DeadBytes == 0 {
+		t.Fatalf("after overwrite Snapshot = %+v, want 1 run and the old frame dead", stats)
 	}
 }
 

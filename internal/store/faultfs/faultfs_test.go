@@ -77,10 +77,28 @@ func makeBatch(t *testing.T, sp *spec.Spec, n int, seed int64, prefix string) []
 
 const specName = "crash"
 
+// exported returns every run document ExportSpec renders for the spec.
+func exported(t *testing.T, st *store.Store) map[string][]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := st.ExportSpec(specName, nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := store.ReadRunTar(&buf, 1<<24, 1<<28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(runs))
+	for _, rd := range runs {
+		out[rd.Name] = rd.XML
+	}
+	return out
+}
+
 // requireEqualToPristine asserts the recovered repository serves
 // exactly what a never-faulted twin ingesting the same batches
-// serves: identical run sets, byte-identical XML, valid parses, and
-// a green ledger.
+// serves: identical run sets, byte-identical exported XML, valid
+// decodes, and a green ledger.
 func requireEqualToPristine(t *testing.T, recovered *store.Store, batches ...[]store.RunData) {
 	t.Helper()
 	pristine := store.OpenBackend(store.NewMemoryBackend())
@@ -103,19 +121,12 @@ func requireEqualToPristine(t *testing.T, recovered *store.Store, batches ...[]s
 	if len(got) != len(want) {
 		t.Fatalf("recovered runs %v, pristine %v", got, want)
 	}
+	docsGot, docsWant := exported(t, recovered), exported(t, pristine)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("recovered runs %v, pristine %v", got, want)
 		}
-		a, err := recovered.Backend().ReadFile(specName + "/runs/" + want[i] + ".xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pristine.Backend().ReadFile(specName + "/runs/" + want[i] + ".xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(docsGot[want[i]], docsWant[want[i]]) {
 			t.Fatalf("run %s differs between recovered and pristine repositories", want[i])
 		}
 		r, err := recovered.LoadRun(specName, want[i])
@@ -135,10 +146,39 @@ func requireEqualToPristine(t *testing.T, recovered *store.Store, batches ...[]s
 	}
 }
 
-// TestSegmentAppendENOSPC: the snapshot segment append hits a full
-// disk mid-commit. The snapshot layer is best-effort, so the import
-// itself survives on the authoritative XML, and after reboot the
-// repository equals the never-faulted twin.
+// requireFailedCommit asserts an import failed with the injected fault
+// and left none of its runs visible.
+func requireFailedCommit(t *testing.T, st *store.Store, fb *faultfs.Backend, batch []store.RunData, stats store.ImportStats, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("import with a failed commit reported success")
+	}
+	if !faultfs.IsInjected(err) && !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("error %v does not unwrap to the injected fault", err)
+	}
+	if len(fb.Injected()) == 0 {
+		t.Fatal("the scheduled fault never fired")
+	}
+	if len(stats.Imported) != 0 {
+		t.Fatalf("failed commit reports %d imported runs", len(stats.Imported))
+	}
+	names, lerr := st.ListRuns(specName)
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	for _, n := range names {
+		for _, rd := range batch {
+			if n == rd.Name {
+				t.Fatalf("run %s of a failed commit is listed", n)
+			}
+		}
+	}
+}
+
+// TestSegmentAppendENOSPC: the segment append hits a full disk
+// mid-commit. The segment holds the only copy of each run, so the
+// import fails and stores nothing; after reboot the client's retry
+// converges on the never-faulted twin.
 func TestSegmentAppendENOSPC(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
@@ -154,22 +194,22 @@ func TestSegmentAppendENOSPC(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "runs.seg", N: 1, Mode: faultfs.ENOSPC})
-		if _, err := st.ImportRuns(specName, b, 2); err != nil {
-			t.Fatalf("import must survive a best-effort snapshot failure, got %v", err)
-		}
-		if len(fb.Injected()) == 0 {
-			t.Fatal("the scheduled fault never fired")
-		}
+		stats, err := st.ImportRuns(specName, b, 2)
+		requireFailedCommit(t, st, fb, b, stats, err)
 
-		fb.Clear() // reboot
-		requireEqualToPristine(t, store.OpenBackend(fb), a, b)
+		fb.Clear() // reboot; the client retries the batch
+		recovered := store.OpenBackend(fb)
+		if _, err := recovered.ImportRuns(specName, b, 2); err != nil {
+			t.Fatal(err)
+		}
+		requireEqualToPristine(t, recovered, a, b)
 	})
 }
 
 // TestLedgerTornAppend: power dies halfway through the ledger-line
-// append — the torn-tail crash shape. Recovery must truncate the
-// fragment, keep the chain verifiable, and keep attesting new
-// batches.
+// append — the torn-tail crash shape. The import fails; recovery must
+// truncate the fragment, keep the chain verifiable, and keep
+// attesting new batches.
 func TestLedgerTornAppend(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
@@ -186,18 +226,20 @@ func TestLedgerTornAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "ledger.log", N: 1, Mode: faultfs.PartialThenErr})
-		if _, err := st.ImportRuns(specName, b, 2); err != nil {
-			t.Fatalf("import must survive a best-effort ledger failure, got %v", err)
-		}
+		stats, err := st.ImportRuns(specName, b, 2)
+		requireFailedCommit(t, st, fb, b, stats, err)
 
-		fb.Clear() // reboot
+		fb.Clear() // reboot; the client retries the batch
 		recovered := store.OpenBackend(fb)
 		// The chain must keep extending over the repaired log.
+		if _, err := recovered.ImportRuns(specName, b, 2); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := recovered.ImportRuns(specName, c, 2); err != nil {
 			t.Fatal(err)
 		}
 		requireEqualToPristine(t, recovered, a, b, c)
-		for _, run := range []string{"c0", "c1"} {
+		for _, run := range []string{"b0", "c0", "c1"} {
 			p, err := recovered.RunProof(specName, run)
 			if err != nil {
 				t.Fatal(err)
@@ -209,9 +251,10 @@ func TestLedgerTornAppend(t *testing.T) {
 	})
 }
 
-// TestRunWriteFailsMidBatch: the 2nd run document of a batch fails to
-// write. The batch errors, the prefix stays (individually valid), and
-// the client's retry after reboot converges on the pristine state.
+// TestRunWriteFailsMidBatch: the batch's last write — the manifest
+// save, after the segment and ledger appends — fails. The batch
+// errors and none of it is visible; the client's retry after reboot
+// converges on the pristine state.
 func TestRunWriteFailsMidBatch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
@@ -226,17 +269,9 @@ func TestRunWriteFailsMidBatch(t *testing.T) {
 		if _, err := st.ImportRuns(specName, a, 2); err != nil {
 			t.Fatal(err)
 		}
-		fb.Fail(faultfs.Rule{Op: faultfs.OpWrite, KeySuffix: "b1.xml", N: 1, Mode: faultfs.ErrIO})
+		fb.Fail(faultfs.Rule{Op: faultfs.OpWrite, KeySuffix: "manifest.json", N: 1, Mode: faultfs.ErrIO})
 		stats, err := st.ImportRuns(specName, b, 1)
-		if err == nil {
-			t.Fatal("import with a failed run write reported success")
-		}
-		if !faultfs.IsInjected(err) {
-			t.Fatalf("error %v does not unwrap to the injected fault", err)
-		}
-		if len(stats.Imported) >= len(b) {
-			t.Fatalf("partial stats report %d imports of a failed batch of %d", len(stats.Imported), len(b))
-		}
+		requireFailedCommit(t, st, fb, b, stats, err)
 
 		fb.Clear() // reboot; the client retries the whole batch
 		recovered := store.OpenBackend(fb)

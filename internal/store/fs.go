@@ -33,23 +33,55 @@ func (b *fsBackend) ReadFile(key string) ([]byte, error) {
 	return os.ReadFile(b.path(key))
 }
 
-// WriteFile is atomic: temp file in the destination directory, then
-// rename. Readers racing the write see old or new bytes, never a
-// prefix — the manifest and compaction paths depend on it.
+// WriteFile is atomic and durable: the data goes to a uniquely named
+// temp file in the destination directory, which is fsynced, renamed
+// over the key, and followed by an fsync of the directory so the
+// rename itself survives a power cut. Readers racing the write see
+// old or new bytes, never a prefix, and concurrent writers of one key
+// never share a temp file.
 func (b *fsBackend) WriteFile(key string, data []byte) error {
 	path := b.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries renamed or created in
+// it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (b *fsBackend) Append(key string, data []byte, sync bool) error {

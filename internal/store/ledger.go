@@ -49,33 +49,7 @@ type SpecLedger struct {
 	Batches int64  `json:"batches"`
 }
 
-// snapEntryFor returns a run's manifest entry, forcing the run
-// through LoadRun first when no hashed entry exists yet (which
-// write-behind-snapshots it, attesting it to the ledger).
-func (s *Store) snapEntryFor(specName, runName string) (snapEntry, error) {
-	lookup := func() (snapEntry, bool) {
-		st := s.snap(specName)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		s.loadManifestLocked(specName, st)
-		e, ok := st.manifest.Runs[runName]
-		return e, ok && e.Codec == codec.Version && e.Hash != "" && e.Batch > 0
-	}
-	if e, ok := lookup(); ok {
-		return e, nil
-	}
-	if _, err := s.LoadRun(specName, runName); err != nil {
-		return snapEntry{}, err
-	}
-	if e, ok := lookup(); ok {
-		return e, nil
-	}
-	return snapEntry{}, fmt.Errorf("store: run %q of %q has no ledger entry (snapshot layer disabled?)", runName, specName)
-}
-
-// RunProof builds the inclusion proof of one run's current frame. The
-// run is loaded (and thus attested) first if it has never been
-// snapshotted.
+// RunProof builds the inclusion proof of one run's current frame.
 func (s *Store) RunProof(specName, runName string) (*RunProof, error) {
 	if err := ValidateName(specName); err != nil {
 		return nil, err
@@ -83,7 +57,7 @@ func (s *Store) RunProof(specName, runName string) (*RunProof, error) {
 	if err := ValidateName(runName); err != nil {
 		return nil, err
 	}
-	e, err := s.snapEntryFor(specName, runName)
+	e, err := s.manifestEntry(specName, runName)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +261,11 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 
 	st := s.snap(specName)
 	st.mu.Lock()
-	s.loadManifestLocked(specName, st)
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		st.mu.Unlock()
+		report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Detail: err.Error()})
+		return
+	}
 	entries := make(map[string]snapEntry, len(st.manifest.Runs))
 	for name, e := range st.manifest.Runs {
 		entries[name] = e
@@ -304,7 +282,7 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 	// present anywhere in the segment; built on the first offset miss
 	// so stale offsets (a compaction that crashed before its manifest
 	// save) fall back to content, not position.
-	var scanned map[string]map[string]bool
+	var scanned map[string]map[string]segLoc
 	for _, name := range names {
 		e := entries[name]
 		report.Runs++
@@ -338,19 +316,24 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 			seg, _ := s.be.ReadFile(segmentKey(specName))
 			scanned = scanSegment(seg)
 		}
-		if scanned[name][e.Hash] {
+		if _, ok := scanned[name][e.Hash]; ok {
 			continue // frame intact, just at a different offset
 		}
 		issue(fmt.Sprintf("segment frame does not hash to attested %s", e.Hash))
 	}
 }
 
-// scanSegment walks segment bytes record by record, collecting every
-// (run name, frame content hash) it can parse. Used as the verifier's
-// fallback when manifest offsets are stale; a malformed region ends
-// the scan (later records are unreachable without valid framing).
-func scanSegment(data []byte) map[string]map[string]bool {
-	out := map[string]map[string]bool{}
+// segLoc is where scanSegment found a record: its offset and length
+// in the segment, header included.
+type segLoc struct{ Offset, Length int64 }
+
+// scanSegment walks segment bytes record by record, collecting where
+// every (run name, frame content hash) it can parse lives. Used by the
+// verifier and by frame relocation when manifest offsets are stale; a
+// malformed region ends the scan (later records are unreachable
+// without valid framing).
+func scanSegment(data []byte) map[string]map[string]segLoc {
+	out := map[string]map[string]segLoc{}
 	for pos := 0; pos < len(data); {
 		n, w := binary.Uvarint(data[pos:])
 		if w <= 0 || n > uint64(len(data)-pos-w) {
@@ -364,9 +347,9 @@ func scanSegment(data []byte) map[string]map[string]bool {
 		}
 		h := codec.ContentHash(data[nameEnd : nameEnd+size])
 		if out[name] == nil {
-			out[name] = map[string]bool{}
+			out[name] = map[string]segLoc{}
 		}
-		out[name][hex.EncodeToString(h[:])] = true
+		out[name][hex.EncodeToString(h[:])] = segLoc{Offset: int64(pos), Length: int64(nameEnd + size - pos)}
 		pos = nameEnd + size
 	}
 	return out

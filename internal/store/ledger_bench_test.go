@@ -41,7 +41,11 @@ func BenchmarkIngestWithLedger(b *testing.B) {
 			if err := wfxml.EncodeRun(&buf, r, name); err != nil {
 				b.Fatal(err)
 			}
-			batch[i] = ParsedRun{Name: name, XML: buf.Bytes(), Run: r}
+			parsed, err := wfxml.DecodeRun(&buf, sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch[i] = ParsedRun{Name: name, Run: parsed}
 		}
 		variants[v] = batch
 	}

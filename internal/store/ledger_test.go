@@ -3,11 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // proofJSON marshals a run's proof for byte-for-byte comparisons.
@@ -172,101 +169,6 @@ func TestLedgerChainAcrossRestart(t *testing.T) {
 	requireVerifyOK(t, s2)
 }
 
-// TestStaleSnapshotSameSizeSameMtime is the regression test for the
-// fingerprint bug: rewriting a run's XML with same-length content and
-// the original mtime (os.Chtimes) used to slip past the size+mtime
-// fingerprint, serving the stale snapshot. The content hash must
-// demote the entry to a re-parse.
-func TestStaleSnapshotSameSizeSameMtime(t *testing.T) {
-	if testBackendKind() != "fs" {
-		t.Skip("os.Chtimes mtime pinning needs the fs backend")
-	}
-	dir := seedDir(t, 1)
-	s := reopen(t, dir)
-	if _, err := s.Snapshot("pa"); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "pa", "runs", "r0.xml")
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same length, different content: break the document's last closing
-	// tag so a real re-parse must fail loudly.
-	i := bytes.LastIndex(data, []byte("</"))
-	if i < 0 {
-		t.Fatal("no closing tag in run XML")
-	}
-	mutated := append([]byte(nil), data...)
-	mutated[i] = 'X'
-	if len(mutated) != len(data) || bytes.Equal(mutated, data) {
-		t.Fatal("mutation did not preserve length or did nothing")
-	}
-	if err := os.WriteFile(path, mutated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Pin the original mtime: the stat fingerprint is now identical.
-	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() != fi.Size() || !after.ModTime().Equal(fi.ModTime()) {
-		t.Fatalf("rewrite changed the stat fingerprint; test is not exercising the hash")
-	}
-
-	cold := reopen(t, dir)
-	if cold.hasFreshSnapshot("pa", "r0") {
-		t.Fatal("same-size same-mtime rewrite still counts as fresh")
-	}
-	if _, err := cold.LoadRun("pa", "r0"); err == nil {
-		t.Fatal("LoadRun served a stale snapshot instead of re-parsing the rewritten XML")
-	}
-}
-
-// TestSameContentMtimeDriftStaysFresh: the flip side of hash-based
-// freshness — rewriting identical bytes with a new mtime must NOT
-// demote the snapshot (stat drift, same content).
-func TestSameContentMtimeDriftStaysFresh(t *testing.T) {
-	if testBackendKind() != "fs" {
-		t.Skip("os.Chtimes mtime pinning needs the fs backend")
-	}
-	dir := seedDir(t, 1)
-	s := reopen(t, dir)
-	if _, err := s.Snapshot("pa"); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "pa", "runs", "r0.xml")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	future := time.Now().Add(time.Hour)
-	if err := os.Chtimes(path, future, future); err != nil {
-		t.Fatal(err)
-	}
-	cold := reopen(t, dir)
-	if !cold.hasFreshSnapshot("pa", "r0") {
-		t.Fatal("identical content with drifted mtime demoted the snapshot")
-	}
-	pre, err := cold.Preload("pa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre.FromXML != 0 {
-		t.Fatalf("preload re-parsed %d runs despite identical content", pre.FromXML)
-	}
-}
-
 // TestCompactionPreservesProofs: compaction rewrites the segment but
 // must not touch history — every inclusion proof is byte-for-byte
 // identical across it, and verify stays green.
@@ -312,7 +214,7 @@ func TestCompactionPreservesProofs(t *testing.T) {
 // segment rewrite and the manifest save: the rewritten segment is on
 // disk but the manifest still holds pre-compaction offsets. Offsets
 // are stale, content is not — verify must fall back to scanning and
-// stay green, and loads must still work.
+// stay green, and loads must relocate the frames by content.
 func TestCrashedCompactionLeavesVerifyGreen(t *testing.T) {
 	dir := seedDir(t, 0)
 	s := reopen(t, dir)

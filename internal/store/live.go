@@ -5,9 +5,10 @@ package store
 // under <spec>/live/<run>.events so an interrupted server replays
 // in-flight runs on restart. Completion promotes the run into the
 // regular repository through the same ImportParsed path bulk ingest
-// uses, so it gets the snapshot segment, ledger attestation and
-// coalesced cache notification every other run gets — and the stored
-// XML re-parses to exactly the run the live derivation produced.
+// uses, so it gets the segment frame, ledger attestation and
+// coalesced cache notification every other run gets. The live
+// derivation produces exactly the run that parsing its XML would, so
+// the stored frame is the same one an import of that XML stores.
 
 import (
 	"bytes"
@@ -18,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/wfrun"
-	"repro/internal/wfxml"
 )
 
 // LiveStatus is a snapshot of one in-flight run.
@@ -55,6 +55,11 @@ func liveKey(specName, runName string) string {
 // turn it into a malformed MIDDLE line that a later replay must treat
 // as corruption. A malformed line that IS newline-terminated is
 // exactly that corruption, and errors.
+//
+// A journal whose run is already stored is debris of a completion
+// that crashed between its commit and the journal removal: it is
+// dropped, not replayed, and liveEntry returns (nil, nil) even with
+// create set. Caller holds s.liveMu.
 func (s *Store) liveEntry(specName, runName string, create bool) (*liveRun, error) {
 	key := runKey(specName, runName)
 	if e, ok := s.live[key]; ok {
@@ -71,6 +76,12 @@ func (s *Store) liveEntry(specName, runName string, create bool) (*liveRun, erro
 	}
 	missing := err != nil
 	if missing && !create {
+		return nil, nil
+	}
+	if !missing && s.hasRun(specName, runName) {
+		if err := s.be.Remove(jkey); err != nil && !isNotExist(err) {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 		return nil, nil
 	}
 	lv := wfrun.NewLive(sp)
@@ -140,14 +151,20 @@ func (s *Store) AppendLiveEvents(specName, runName string, evs []wfrun.Event) (L
 	if err := validName(runName); err != nil {
 		return LiveStatus{}, err
 	}
-	if _, err := s.be.Stat(runXMLKey(specName, runName)); err == nil {
-		return LiveStatus{}, fmt.Errorf("store: run %s/%s: %w", specName, runName, ErrDuplicateRun)
-	}
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
+	// Checked under liveMu: CompleteLiveRun stores the run and drops
+	// the live state under the same lock, so a late append cannot
+	// recreate the journal of a completed run.
+	if s.hasRun(specName, runName) {
+		return LiveStatus{}, fmt.Errorf("store: run %s/%s: %w", specName, runName, ErrDuplicateRun)
+	}
 	e, err := s.liveEntry(specName, runName, true)
 	if err != nil {
 		return LiveStatus{}, err
+	}
+	if e == nil { // stored by a concurrent import since the check
+		return LiveStatus{}, fmt.Errorf("store: run %s/%s: %w", specName, runName, ErrDuplicateRun)
 	}
 	var buf bytes.Buffer
 	flush := func() error {
@@ -220,9 +237,19 @@ func (s *Store) ListLiveRuns(specName string) ([]string, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
-		if n, ok := strings.CutSuffix(e.Name, ".events"); ok {
-			names[n] = true
+		n, ok := strings.CutSuffix(e.Name, ".events")
+		if !ok || names[n] {
+			continue
 		}
+		// An unloaded journal of a stored run is completion debris
+		// (see liveEntry): drop it rather than list it.
+		if s.hasRun(specName, n) {
+			if err := s.be.Remove(liveKey(specName, n)); err != nil && !isNotExist(err) {
+				return nil, fmt.Errorf("store: %w", err)
+			}
+			continue
+		}
+		names[n] = true
 	}
 	out := make([]string, 0, len(names))
 	for n := range names {
@@ -256,11 +283,7 @@ func (s *Store) CompleteLiveRun(specName, runName string) (*wfrun.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := wfxml.EncodeRun(&buf, run, runName); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.ImportParsed(specName, []ParsedRun{{Name: runName, XML: buf.Bytes(), Run: run}}); err != nil {
+	if _, err := s.ImportParsed(specName, []ParsedRun{{Name: runName, Run: run}}); err != nil {
 		return nil, err
 	}
 	_ = s.be.Remove(e.key)

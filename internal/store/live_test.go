@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/wfrun"
-	"repro/internal/wfxml"
 )
 
 func seedLiveSpec(t *testing.T, dir string) (*Store, []wfrun.Event) {
@@ -94,11 +92,7 @@ func TestLiveRunLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("complete twin: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := wfxml.EncodeRun(&buf, other, "r2"); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if _, err := st2.ImportParsed("s", []ParsedRun{{Name: "r2", XML: buf.Bytes(), Run: other}}); err != nil {
+	if _, err := st2.ImportParsed("s", []ParsedRun{{Name: "r2", Run: other}}); err != nil {
 		t.Fatalf("import twin: %v", err)
 	}
 	warm, err := st2.Diff("s", "r1", "r2", cost.Unit{})
@@ -296,5 +290,69 @@ func TestCompleteLiveRunRacesAppend(t *testing.T) {
 	// duplicate-run conflict, not a resurrection.
 	if _, err := st.AppendLiveEvents("s", "r", evs[:1]); !errors.Is(err, ErrDuplicateRun) {
 		t.Fatalf("append after completion = %v, want ErrDuplicateRun", err)
+	}
+}
+
+// TestCompletedRunJournalIsDropped is the crash between completion's
+// commit and its journal removal: the run is stored but its event
+// journal survives. A restarted store must drop that journal rather
+// than replay it, so the live run does not come back beside the
+// stored one, and a late append is a duplicate-run conflict.
+func TestCompletedRunJournalIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	st, evs := seedLiveSpec(t, dir)
+	if _, err := st.AppendLiveEvents("s", "r", evs); err != nil {
+		t.Fatal(err)
+	}
+	// Commit the completed run exactly as CompleteLiveRun does, then
+	// "crash" before the journal removal.
+	sp, err := st.LoadSpec("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := wfrun.NewLive(sp)
+	for _, ev := range evs {
+		if err := lv.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := lv.Complete()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ImportParsed("s", []ParsedRun{{Name: "r", Run: run}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Backend().Stat(liveKey("s", "r")); err != nil {
+		t.Fatalf("journal should survive the simulated crash: %v", err)
+	}
+
+	restarted := openTestStore(t, dir)
+	if names, err := restarted.ListLiveRuns("s"); err != nil || len(names) != 0 {
+		t.Fatalf("live runs after restart = %v, %v; want none", names, err)
+	}
+	if _, ok, err := restarted.LiveStatusOf("s", "r"); err != nil || ok {
+		t.Fatalf("live status of a stored run: ok=%v err=%v", ok, err)
+	}
+	if _, err := restarted.Backend().Stat(liveKey("s", "r")); !isNotExist(err) {
+		t.Fatalf("stale journal not removed: %v", err)
+	}
+	if _, err := restarted.AppendLiveEvents("s", "r", evs[:1]); !errors.Is(err, ErrDuplicateRun) {
+		t.Fatalf("append to a stored run = %v, want ErrDuplicateRun", err)
+	}
+	if _, err := restarted.LoadRun("s", "r"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same debris reached through LiveStatusOf first (not a listing).
+	if err := restarted.Backend().Append(liveKey("s", "r"), []byte("\n"), false); err != nil {
+		t.Fatal(err)
+	}
+	again := openTestStore(t, dir)
+	if _, ok, err := again.LiveStatusOf("s", "r"); err != nil || ok {
+		t.Fatalf("live status of a stored run: ok=%v err=%v", ok, err)
+	}
+	if _, err := again.Backend().Stat(liveKey("s", "r")); !isNotExist(err) {
+		t.Fatalf("stale journal not removed by LiveStatusOf: %v", err)
 	}
 }

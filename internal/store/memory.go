@@ -69,7 +69,7 @@ func (b *memoryBackend) ReadAt(key string, p []byte, off int64) error {
 		return notExist("readat", key)
 	}
 	if off < 0 || off+int64(len(p)) > int64(len(blob.data)) {
-		return notExist("readat", key) // past EOF: demotes snapshot reads
+		return notExist("readat", key) // past EOF
 	}
 	copy(p, blob.data[off:])
 	return nil

@@ -104,11 +104,11 @@ func (b *objectBackend) putChunk(data []byte, sync bool) (objectChunk, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return objectChunk{}, err
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), hash+".*.tmp")
 	if err != nil {
 		return objectChunk{}, err
 	}
+	tmp := f.Name()
 	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -163,6 +163,9 @@ func (b *objectBackend) saveIndexLocked(sync bool) error {
 		os.Remove(tmp)
 		return err
 	}
+	if sync {
+		return syncDir(b.dir)
+	}
 	return nil
 }
 
@@ -191,15 +194,17 @@ func (b *objectBackend) ReadFile(key string) ([]byte, error) {
 	return out, nil
 }
 
+// WriteFile is durable, like an object-store PUT: the chunk and the
+// repointed index are both synced before it returns.
 func (b *objectBackend) WriteFile(key string, data []byte) error {
-	ch, err := b.putChunk(data, false)
+	ch, err := b.putChunk(data, true)
 	if err != nil {
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.index[key] = objectEntry{Chunks: []objectChunk{ch}, ModNanos: time.Now().UnixNano()}
-	return b.saveIndexLocked(false)
+	return b.saveIndexLocked(true)
 }
 
 func (b *objectBackend) Append(key string, data []byte, sync bool) error {

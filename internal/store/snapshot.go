@@ -2,51 +2,49 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/ledger"
 	"repro/internal/spec"
 	"repro/internal/wfrun"
+	"repro/internal/wfxml"
 )
 
-// The snapshot layer persists a compact binary form of every parsed
-// run next to the authoritative XML, so a cold store (a restarted
-// provserved, a CI job, a new replica) rebuilds its in-memory caches
-// by decoding snapshots instead of re-parsing and re-deriving XML.
+// The snapshot layer is where runs are stored. Each run is one
+// checksummed codec frame in an append-only segment; the manifest maps
+// run names onto frames, and the ledger attests every frame the
+// manifest points at. XML is what the store imports and exports, not
+// what it keeps: ExportSpec renders it with wfxml.EncodeRun.
 //
 // Layout, per specification (backend keys):
 //
-//	<spec>/snapshot/manifest.json   index of snapshotted runs
+//	<spec>/snapshot/manifest.json   run name → frame (offset, length, hash, batch)
 //	<spec>/snapshot/runs.seg        append-only run frames
+//	<spec>/snapshot/ledger.log      Merkle ledger, one record per commit
 //	<spec>/snapshot/spec.bin        binary specification frame
 //
-// The segment is append-only: every snapshotted run is one
-// checksummed codec frame at a recorded offset, and the manifest maps
-// run names to (offset, length, codec version, node/edge counts) plus
-// a stat fingerprint of the run's XML blob. A manifest entry is only
-// trusted when its fingerprint still matches the stored XML, so
-// out-of-band edits to the authoritative blobs simply demote the
-// snapshot to a miss. Deleting or re-importing a run drops its entry;
-// the dead bytes stay in the segment until the compaction threshold
-// is crossed, exactly like a log-structured store.
+// Every stored frame equals codec.EncodeRun of the run that parsing
+// the run's canonical XML produces, so export followed by re-import
+// reproduces the frame byte for byte. Deleting or re-importing a run
+// drops or replaces its entry; the dead bytes stay in the segment until
+// the compaction threshold is crossed, as in a log-structured store.
 //
-// Everything here is a cache of the XML: any read error, checksum
-// mismatch, codec version skew or fingerprint drift falls back to the
-// XML re-parse (which then repairs the snapshot write-behind). Losing
-// the snapshot keys can never lose data.
+// A corrupt frame or manifest is an error, never a silent miss: the
+// segment holds the only copy of each run.
 
-// manifestVersion guards the manifest JSON schema itself. Version 2
-// added content hashing (frame hash, XML hash, ledger batch seq); a
-// version-1 manifest is discarded wholesale, its segment bytes counted
-// dead, and every run re-snapshots — with hashes — on its next load.
-const manifestVersion = 2
+// manifestVersion guards the manifest JSON schema itself. Version 3
+// dropped the XML fingerprint fields of version 2; a version-2
+// manifest is upgraded in place on first load. A version-1 manifest
+// (no content hashes) is discarded: its repository still keeps every
+// run as XML, which the legacy migration re-commits.
+const manifestVersion = 3
 
 // compactMinDeadBytes and compactMinDeadRatio bound segment garbage:
 // a manifest save triggers compaction once the segment holds at least
@@ -64,13 +62,6 @@ type snapEntry struct {
 	Codec  int   `json:"codec"` // codec.Version the frame was written with
 	Nodes  int   `json:"nodes"`
 	Edges  int   `json:"edges"`
-	// XMLSize and XMLModNanos fingerprint the authoritative XML blob
-	// the frame was derived from; XMLSHA256 is the digest of its bytes
-	// and is what freshness actually rests on — size+mtime alone miss a
-	// same-length rewrite inside the filesystem's mtime granularity.
-	XMLSize     int64  `json:"xml_size"`
-	XMLModNanos int64  `json:"xml_mod_nanos"`
-	XMLSHA256   string `json:"xml_sha256"`
 	// Hash is the hex SHA-256 content hash of the codec frame (the
 	// frame's ledger identity); Batch is the seq of the ledger record
 	// that most recently committed it.
@@ -87,9 +78,8 @@ type snapManifest struct {
 }
 
 // snapState is the in-memory snapshot state of one specification.
-// Guarded by Store.snapMu: manifest mutations and segment appends are
-// rare (imports, deletes) and serialize; reads copy the entry out and
-// release the lock before touching the segment blob.
+// Manifest mutations and segment appends serialize on mu; reads copy
+// the entry out and release the lock before touching the segment.
 type snapState struct {
 	mu       sync.Mutex
 	manifest *snapManifest
@@ -120,33 +110,165 @@ func (s *Store) snap(specName string) *snapState {
 	return st
 }
 
-// loadManifestLocked reads manifest.json if present; a missing,
-// unreadable or wrong-version manifest becomes an empty one (every
-// run is then a snapshot miss). Whatever the segment already holds is
-// then untracked, so it is all counted dead — compaction reclaims the
-// orphaned bytes instead of the segment growing without bound after a
-// manifest loss. Caller holds st.mu.
-func (s *Store) loadManifestLocked(specName string, st *snapState) {
+// loadManifestLocked reads manifest.json on first use and migrates any
+// legacy run documents (see migrateLegacyLocked). A missing manifest
+// is an empty one while the ledger holds at most one batch: the spec
+// has no committed runs yet, and whatever the segment holds (a crashed
+// first commit) is counted dead. A manifest that cannot be parsed, or
+// is missing although the ledger attests later batches, is an error
+// naming the spec, and stays one on every later call: the segment
+// holds the only copy of each run, so guessing an empty run list
+// would lose them. Caller holds st.mu.
+func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	if st.loaded {
-		return
+		return nil
+	}
+	m, legacy, err := s.readManifest(specName)
+	if err != nil {
+		return err
+	}
+	st.manifest = m
+	if err := s.migrateLegacyLocked(specName, st, legacy); err != nil {
+		st.manifest = nil
+		return err
 	}
 	st.loaded = true
-	data, err := s.be.ReadFile(manifestKey(specName))
-	if err == nil {
-		var m snapManifest
-		if err := json.Unmarshal(data, &m); err == nil && m.Version == manifestVersion && m.Runs != nil {
-			st.manifest = &m
-			return
-		}
-	}
-	st.manifest = &snapManifest{Version: manifestVersion, Runs: map[string]snapEntry{}}
-	if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
-		st.manifest.Dead = fi.Size
-	}
+	return nil
 }
 
-// saveManifestLocked writes the manifest atomically (the backend's
-// WriteFile contract). Caller holds st.mu.
+// readManifest parses a spec's manifest. legacy reports a manifest
+// whose run list was the XML listing rather than its own entries: one
+// written before frames became the only copy of a run (version 1 or
+// 2), or a lost one of such a repository.
+func (s *Store) readManifest(specName string) (m *snapManifest, legacy bool, err error) {
+	empty := func() *snapManifest {
+		m := &snapManifest{Version: manifestVersion, Runs: map[string]snapEntry{}}
+		if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
+			m.Dead = fi.Size
+		}
+		return m
+	}
+	data, err := s.be.ReadFile(manifestKey(specName))
+	if isNotExist(err) {
+		// Every commit after the first saves over an existing manifest,
+		// so a ledger past its first batch proves one was lost; only a
+		// legacy repository's run documents can rebuild it.
+		recs, err := s.readLedger(specName)
+		if err != nil {
+			return nil, false, fmt.Errorf("store: spec %q: reading ledger: %w", specName, err)
+		}
+		if len(recs) <= 1 {
+			return empty(), false, nil
+		}
+		docs, err := s.be.List(legacyRunsDir(specName))
+		if err != nil {
+			return nil, false, fmt.Errorf("store: spec %q: %w", specName, err)
+		}
+		if len(docs) == 0 {
+			return nil, false, fmt.Errorf("store: spec %q: manifest missing although the ledger attests %d batches", specName, len(recs))
+		}
+		return empty(), true, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("store: spec %q: reading manifest: %v", specName, err)
+	}
+	m = &snapManifest{}
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, false, fmt.Errorf("store: spec %q: corrupt manifest: %v", specName, err)
+	}
+	switch m.Version {
+	case 1:
+		return empty(), true, nil
+	case 2, manifestVersion:
+		legacy = m.Version == 2
+		m.Version = manifestVersion
+		if m.Runs == nil {
+			m.Runs = map[string]snapEntry{}
+		}
+		return m, legacy, nil
+	}
+	return nil, false, fmt.Errorf("store: spec %q: manifest version %d, want %d", specName, m.Version, manifestVersion)
+}
+
+// legacyRunsDir is where repositories written before frames became
+// the only copy kept one XML document per run.
+func legacyRunsDir(specName string) string { return specName + "/runs" }
+
+// migrateLegacyLocked converts a repository written in the older
+// layout, which kept every run twice (<spec>/runs/<run>.xml plus a
+// frame): every leftover document is parsed and committed through the
+// normal batch path, then removed. A frame identical to one already
+// live is deduped, so migration costs a parse and a ledger record per
+// spec, not a rewrite. Under a legacy manifest the documents were the
+// run list, so entries without one are dropped. Interrupted
+// migrations resume on the next load: commits are idempotent and the
+// documents go only after the commit. Caller holds st.mu.
+func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy bool) error {
+	entries, err := s.be.List(legacyRunsDir(specName))
+	if err != nil {
+		return fmt.Errorf("store: spec %q: %w", specName, err)
+	}
+	var names []string
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name, ".xml"); ok && !e.Dir {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 && !legacy {
+		return nil
+	}
+	var items []snapBatchItem
+	if len(names) > 0 {
+		sp, err := s.LoadSpec(specName)
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			data, err := s.be.ReadFile(legacyRunKey(specName, name))
+			if err != nil {
+				return fmt.Errorf("store: spec %q: migrating run %q: %w", specName, name, err)
+			}
+			r, err := wfxml.DecodeRun(bytes.NewReader(data), sp)
+			if err != nil {
+				return fmt.Errorf("store: spec %q: migrating run %q: %w", specName, name, err)
+			}
+			items = append(items, snapBatchItem{name: name, run: r})
+		}
+	}
+	if legacy {
+		keep := make(map[string]bool, len(names))
+		for _, name := range names {
+			keep[name] = true
+		}
+		for name, e := range st.manifest.Runs {
+			if !keep[name] {
+				delete(st.manifest.Runs, name)
+				st.manifest.Dead += e.Length
+				st.manifest.Live -= e.Length
+			}
+		}
+	}
+	if len(items) == 0 {
+		return s.saveManifestLocked(specName, st)
+	}
+	s.loadLedgerLocked(specName, st)
+	if _, err := s.commitLocked(specName, st, items); err != nil {
+		return err
+	}
+	for _, it := range items {
+		if err := s.be.Remove(legacyRunKey(specName, it.name)); err != nil && !isNotExist(err) {
+			return fmt.Errorf("store: spec %q: %w", specName, err)
+		}
+	}
+	return nil
+}
+
+func legacyRunKey(specName, runName string) string {
+	return legacyRunsDir(specName) + "/" + runName + ".xml"
+}
+
+// saveManifestLocked writes the manifest atomically and durably (the
+// backend's WriteFile contract). Caller holds st.mu.
 func (s *Store) saveManifestLocked(specName string, st *snapState) error {
 	data, err := json.MarshalIndent(st.manifest, "", "  ")
 	if err != nil {
@@ -155,69 +277,26 @@ func (s *Store) saveManifestLocked(specName string, st *snapState) error {
 	return s.be.WriteFile(manifestKey(specName), append(data, '\n'))
 }
 
-// xmlFP fingerprints a run's authoritative XML blob: stat identity
-// plus a content digest. The digest is what validation trusts — stat
-// fields are recorded for diagnostics and cannot promote a stale
-// entry, only the hash can.
-type xmlFP struct {
-	size     int64
-	modNanos int64
-	sha      string
-}
-
-// xmlFingerprint stats and digests a run's XML blob.
-func (s *Store) xmlFingerprint(specName, runName string) (xmlFP, error) {
-	key := runXMLKey(specName, runName)
-	fi, err := s.be.Stat(key)
-	if err != nil {
-		return xmlFP{}, err
-	}
-	data, err := s.be.ReadFile(key)
-	if err != nil {
-		return xmlFP{}, err
-	}
-	sum := sha256.Sum256(data)
-	return xmlFP{size: fi.Size, modNanos: fi.ModTime.UnixNano(), sha: hex.EncodeToString(sum[:])}, nil
-}
-
-// fingerprintXML digests already-read XML bytes plus the stat of the
-// blob they were just written to — the import paths hold the bytes in
-// memory and need not read them back.
-func (s *Store) fingerprintXML(specName, runName string, data []byte) (xmlFP, error) {
-	fi, err := s.be.Stat(runXMLKey(specName, runName))
-	if err != nil {
-		return xmlFP{}, err
-	}
-	sum := sha256.Sum256(data)
-	return xmlFP{size: fi.Size, modNanos: fi.ModTime.UnixNano(), sha: hex.EncodeToString(sum[:])}, nil
-}
-
-// fresh reports whether a manifest entry still describes this XML.
-// Content hash decides; an entry written before hashing existed (empty
-// XMLSHA256) is never fresh.
-func (e snapEntry) fresh(fp xmlFP) bool {
-	return e.XMLSHA256 != "" && e.XMLSHA256 == fp.sha
-}
-
-// hasFreshSnapshot reports whether a run has a live manifest entry of
-// the current codec version whose XML content hash matches the stored
-// blob — the freshness probe (no segment read, no decode) behind
-// Snapshot's idempotency. A frame that is fresh by this test but
-// corrupt in the segment still self-heals on the next load.
-func (s *Store) hasFreshSnapshot(specName, runName string) bool {
-	if s.noSnapshot {
-		return false
-	}
+// manifestEntry returns a run's manifest entry; a run with none is an
+// error satisfying errors.Is(err, fs.ErrNotExist).
+func (s *Store) manifestEntry(specName, runName string) (snapEntry, error) {
 	st := s.snap(specName)
 	st.mu.Lock()
-	s.loadManifestLocked(specName, st)
-	e, ok := st.manifest.Runs[runName]
-	st.mu.Unlock()
-	if !ok || e.Codec != codec.Version {
-		return false
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return snapEntry{}, err
 	}
-	fp, err := s.xmlFingerprint(specName, runName)
-	return err == nil && e.fresh(fp)
+	e, ok := st.manifest.Runs[runName]
+	if !ok {
+		return snapEntry{}, fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, notExist("load", runName))
+	}
+	return e, nil
+}
+
+// hasRun reports whether a run is stored.
+func (s *Store) hasRun(specName, runName string) bool {
+	_, err := s.manifestEntry(specName, runName)
+	return err == nil
 }
 
 // segmentRecord frames one run inside the segment file: the run name,
@@ -241,79 +320,131 @@ func parseSegmentRecord(buf []byte) (runName string, frame []byte, err error) {
 	return string(buf[w : w+int(n)]), buf[w+int(n):], nil
 }
 
-// loadRunSnapshot attempts the snapshot fast path for one run: a
-// manifest entry whose fingerprint matches the stored XML, a segment
-// record naming this very run whose frame checksum verifies, and a
-// frame that decodes against the spec. Any failure returns
-// (nil, false) and the caller re-parses XML.
-func (s *Store) loadRunSnapshot(specName, runName string, sp *spec.Spec) (*wfrun.Run, bool) {
-	if s.noSnapshot {
-		return nil, false
-	}
-	st := s.snap(specName)
-	st.mu.Lock()
-	s.loadManifestLocked(specName, st)
-	e, ok := st.manifest.Runs[runName]
-	st.mu.Unlock()
-	if !ok || e.Codec != codec.Version {
-		return nil, false
-	}
-	fp, err := s.xmlFingerprint(specName, runName)
-	if err != nil || !e.fresh(fp) {
-		return nil, false
-	}
+// readFrame reads a manifest entry's segment record and returns its
+// frame, checking that the record names this very run: a reader
+// racing a compaction may land its stale offset on a different,
+// equal-length record whose checksum verifies, and only the embedded
+// name catches that.
+func (s *Store) readFrame(specName, runName string, e snapEntry) ([]byte, error) {
 	buf := make([]byte, e.Length)
 	if err := s.be.ReadAt(segmentKey(specName), buf, e.Offset); err != nil {
-		return nil, false
+		// Not wrapped: a listed run whose frame is unreadable is damage,
+		// not a missing run.
+		return nil, fmt.Errorf("reading segment: %v", err)
 	}
 	name, frame, err := parseSegmentRecord(buf)
-	if err != nil || name != runName {
-		return nil, false
-	}
-	r, err := codec.DecodeRun(frame, sp)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	return r, true
+	if name != runName {
+		return nil, fmt.Errorf("segment record at offset %d holds run %q", e.Offset, name)
+	}
+	return frame, nil
 }
 
-// snapBatchItem is one run of a batched snapshot append.
+// loadRunFrame decodes a stored run from its segment frame. A frame
+// that is not where the manifest says is looked for again by content
+// (relocatedEntry): a compaction may have moved it since the manifest
+// lookup, or crashed after rewriting the segment but before saving
+// the manifest that records the new offsets. Any other failure (a
+// checksum mismatch, a frame from another codec version) is an error
+// naming the run and the batch that committed it.
+func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (*wfrun.Run, error) {
+	e, err := s.manifestEntry(specName, runName)
+	if err != nil {
+		return nil, err
+	}
+	r, ferr := s.decodeFrame(specName, runName, e, sp)
+	if ferr == nil {
+		return r, nil
+	}
+	again, err := s.relocatedEntry(specName, runName)
+	if err != nil {
+		return nil, err
+	}
+	if again != e {
+		if r, ferr = s.decodeFrame(specName, runName, again, sp); ferr == nil {
+			return r, nil
+		}
+	}
+	return nil, fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr)
+}
+
+func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec) (*wfrun.Run, error) {
+	frame, err := s.readFrame(specName, runName, e)
+	if err != nil {
+		return nil, err
+	}
+	return codec.DecodeRun(frame, sp)
+}
+
+// relocatedEntry returns a run's current manifest entry. When that
+// entry's frame is not intact where it points, every entry is matched
+// against the frames actually in the segment by run name and content
+// hash, moved to where its frame now lives, and the repaired manifest
+// saved — the recovery from a compaction that crashed between its
+// segment rewrite and its manifest save.
+func (s *Store) relocatedEntry(specName, runName string) (snapEntry, error) {
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return snapEntry{}, err
+	}
+	e, ok := st.manifest.Runs[runName]
+	if !ok {
+		return snapEntry{}, fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, notExist("load", runName))
+	}
+	if s.segmentFrameIntact(specName, runName, e) {
+		return e, nil
+	}
+	seg, err := s.be.ReadFile(segmentKey(specName))
+	if err != nil {
+		return e, nil // the caller reports the original failure
+	}
+	found := scanSegment(seg)
+	moved := false
+	for name, old := range st.manifest.Runs {
+		if old.Offset >= 0 && old.Offset+old.Length <= int64(len(seg)) &&
+			recordHolds(seg[old.Offset:old.Offset+old.Length], name, old.Hash) {
+			continue
+		}
+		if loc, ok := found[name][old.Hash]; ok {
+			old.Offset, old.Length = loc.Offset, loc.Length
+			st.manifest.Runs[name] = old
+			moved = true
+		}
+	}
+	if moved {
+		st.manifest.Live = 0
+		for _, e := range st.manifest.Runs {
+			st.manifest.Live += e.Length
+		}
+		st.manifest.Dead = int64(len(seg)) - st.manifest.Live
+		_ = s.saveManifestLocked(specName, st) // the next load repeats the repair if this fails
+	}
+	return st.manifest.Runs[runName], nil
+}
+
+// snapBatchItem is one run of a batched commit.
 type snapBatchItem struct {
 	name string
 	run  *wfrun.Run
-	fp   xmlFP
 }
 
-// writeRunSnapshot appends a freshly parsed run to the segment and
-// records it in the manifest — the write-behind half of the snapshot
-// cache, called after every XML parse. The caller supplies the XML
-// fingerprint it captured BEFORE parsing: if the blob was overwritten
-// since, the recorded fingerprint no longer matches the store and the
-// entry demotes itself to a miss instead of serving a stale frame.
-// Errors are returned for callers that care (Snapshot); the LoadRun
-// path treats them as best-effort.
-func (s *Store) writeRunSnapshot(specName, runName string, r *wfrun.Run, fp xmlFP) error {
-	_, err := s.writeRunSnapshotBatch(specName, []snapBatchItem{
-		{name: runName, run: r, fp: fp},
-	}, false)
-	return err
-}
-
-// writeRunSnapshotBatch appends many runs in one pass: frames are
-// encoded up front, the segment grows by ONE backend append, and the
+// writeRunSnapshotBatch commits runs in one pass: frames are encoded
+// up front, the segment grows by ONE synced backend append, and the
 // manifest is rewritten once however many runs the batch carries —
-// bulk imports would otherwise pay one full-manifest rewrite per run.
-// With durable set the segment append is synced before the manifest
-// records the frames — the group-commit durability point of the
-// ingest pipeline. The write-behind cache paths leave it unset; they
-// can always re-parse the authoritative XML.
+// the group-commit durability point of every write path (import,
+// SaveRun, live completion, legacy migration).
 //
 // The batch is also one ledger record: every item's frame content
 // hash becomes a Merkle leaf, the batch root is chained onto the
 // spec's ledger head, and the record is appended to ledger.log before
 // the manifest commits to it. The write order — segment (synced),
-// ledger (synced), manifest — means a crash at any boundary leaves
-// the previous manifest pointing at still-valid append-only state.
+// ledger (synced), manifest (durable) — means a crash at any boundary
+// leaves the previous manifest pointing at still-valid append-only
+// state.
 //
 // A run whose name AND frame hash match its live manifest entry is
 // deduped: the old segment bytes are reused (valid forever under
@@ -321,12 +452,35 @@ func (s *Store) writeRunSnapshot(specName, runName string, r *wfrun.Run, fp xmlF
 // run is simply re-attested in the new batch record. Bulk re-imports
 // of identical runs therefore cost hashing, not segment growth.
 //
+// The committed runs are published to the decoded-run cache before
+// the state lock is released, so the cache follows the manifest's
+// commit order even when commits of one run race.
+//
 // Returns the hex content hash of each item's frame, aligned with
-// items.
-func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, durable bool) ([]string, error) {
-	if s.noSnapshot || len(items) == 0 {
-		return nil, nil
+// items. On error nothing the batch carries is visible.
+func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem) ([]string, error) {
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return nil, err
 	}
+	s.loadLedgerLocked(specName, st)
+	hashes, err := s.commitLocked(specName, st, items)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	for _, it := range items {
+		s.runs[runKey(specName, it.name)] = it.run
+	}
+	s.mu.Unlock()
+	return hashes, nil
+}
+
+// commitLocked is writeRunSnapshotBatch with the manifest and ledger
+// cursor already loaded. Caller holds st.mu.
+func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchItem) ([]string, error) {
 	records := make([][]byte, len(items))
 	hashes := make([]string, len(items))
 	leafs := make([]ledger.BatchLeaf, len(items))
@@ -340,11 +494,6 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, du
 		leafs[i] = ledger.BatchLeaf{Run: it.name, Hash: hashes[i]}
 		records[i] = segmentRecord(it.name, frame)
 	}
-	st := s.snap(specName)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s.loadManifestLocked(specName, st)
-	s.loadLedgerLocked(specName, st)
 	var off int64
 	if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
 		off = fi.Size
@@ -356,26 +505,21 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, du
 			s.segmentFrameIntact(specName, it.name, old) {
 			// Dedup: identical frame already live (and verified intact)
 			// in the segment.
-			e := old
-			e.XMLSize, e.XMLModNanos, e.XMLSHA256 = it.fp.size, it.fp.modNanos, it.fp.sha
-			entries[i] = e
+			entries[i] = old
 			continue
 		}
 		entries[i] = snapEntry{
-			Offset:      off + int64(seg.Len()),
-			Length:      int64(len(records[i])),
-			Codec:       codec.Version,
-			Nodes:       it.run.NumNodes(),
-			Edges:       it.run.NumEdges(),
-			XMLSize:     it.fp.size,
-			XMLModNanos: it.fp.modNanos,
-			XMLSHA256:   it.fp.sha,
-			Hash:        hashes[i],
+			Offset: off + int64(seg.Len()),
+			Length: int64(len(records[i])),
+			Codec:  codec.Version,
+			Nodes:  it.run.NumNodes(),
+			Edges:  it.run.NumEdges(),
+			Hash:   hashes[i],
 		}
 		seg.Write(records[i])
 	}
 	if seg.Len() > 0 {
-		if err := s.be.Append(segmentKey(specName), seg.Bytes(), durable); err != nil {
+		if err := s.be.Append(segmentKey(specName), seg.Bytes(), true); err != nil {
 			return nil, err
 		}
 	}
@@ -387,27 +531,48 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, du
 	if err != nil {
 		return nil, err
 	}
-	if err := s.be.Append(ledgerKey(specName), line, durable); err != nil {
+	if err := s.be.Append(ledgerKey(specName), line, true); err != nil {
+		// The append may have left a torn fragment: reload the cursor
+		// (which truncates it) before the next commit appends.
+		st.ledgerLoaded = false
 		return nil, err
 	}
 	st.ledgerSeq = rec.Seq
 	st.ledgerHead, _ = ledger.Parse(rec.Head)
+	prev := *st.manifest
+	prevRuns := make(map[string]snapEntry, len(items))
 	for i, it := range items {
-		if old, ok := st.manifest.Runs[it.name]; ok && old.Offset != entries[i].Offset {
-			st.manifest.Dead += old.Length
-			st.manifest.Live -= old.Length
+		old, had := st.manifest.Runs[it.name]
+		if had {
+			prevRuns[it.name] = old
+			if old.Offset != entries[i].Offset {
+				st.manifest.Dead += old.Length
+				st.manifest.Live -= old.Length
+			}
+		}
+		if !had || old.Offset != entries[i].Offset {
+			st.manifest.Live += entries[i].Length
 		}
 		e := entries[i]
 		e.Batch = rec.Seq
-		if _, ok := st.manifest.Runs[it.name]; !ok || st.manifest.Runs[it.name].Offset != e.Offset {
-			st.manifest.Live += e.Length
-		}
 		st.manifest.Runs[it.name] = e
 	}
 	if err := s.saveManifestLocked(specName, st); err != nil {
+		// Roll the in-memory manifest back to what is on disk.
+		for _, it := range items {
+			if old, had := prevRuns[it.name]; had {
+				st.manifest.Runs[it.name] = old
+			} else {
+				delete(st.manifest.Runs, it.name)
+			}
+		}
+		st.manifest.Live, st.manifest.Dead = prev.Live, prev.Dead
 		return nil, err
 	}
-	return hashes, s.maybeCompactLocked(specName, st)
+	// Compaction is housekeeping: the batch is committed whether or not
+	// it succeeds, and the next manifest save retries it.
+	_ = s.maybeCompactLocked(specName, st)
+	return hashes, nil
 }
 
 // segmentFrameIntact re-reads a manifest entry's segment record and
@@ -418,15 +583,18 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, du
 // costs a fresh append.
 func (s *Store) segmentFrameIntact(specName, runName string, e snapEntry) bool {
 	buf := make([]byte, e.Length)
-	if err := s.be.ReadAt(segmentKey(specName), buf, e.Offset); err != nil {
-		return false
-	}
-	name, frame, err := parseSegmentRecord(buf)
+	return s.be.ReadAt(segmentKey(specName), buf, e.Offset) == nil && recordHolds(buf, runName, e.Hash)
+}
+
+// recordHolds reports whether a segment record carries runName's frame
+// with the given content hash.
+func recordHolds(rec []byte, runName, hash string) bool {
+	name, frame, err := parseSegmentRecord(rec)
 	if err != nil || name != runName {
 		return false
 	}
 	h := codec.ContentHash(frame)
-	return hex.EncodeToString(h[:]) == e.Hash
+	return hex.EncodeToString(h[:]) == hash
 }
 
 // readLedger loads a spec's ledger log through the backend — the
@@ -475,25 +643,35 @@ func (s *Store) loadLedgerLocked(specName string, st *snapState) {
 	st.ledgerHead, _ = ledger.Parse(last.Head)
 }
 
-// dropRunSnapshot removes a run's manifest entry (delete and
-// re-import paths). The frame bytes become dead weight until
-// compaction.
-func (s *Store) dropRunSnapshot(specName, runName string) {
+// dropRun removes a run's manifest entry and its cached decode — the
+// whole of a delete. The frame bytes become dead weight until
+// compaction. A run with no entry is an error satisfying
+// errors.Is(err, fs.ErrNotExist).
+func (s *Store) dropRun(specName, runName string) error {
 	st := s.snap(specName)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s.loadManifestLocked(specName, st)
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return err
+	}
 	e, ok := st.manifest.Runs[runName]
 	if !ok {
-		return
+		return fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, notExist("remove", runName))
 	}
 	delete(st.manifest.Runs, runName)
 	st.manifest.Dead += e.Length
 	st.manifest.Live -= e.Length
 	if err := s.saveManifestLocked(specName, st); err != nil {
-		return
+		st.manifest.Runs[runName] = e
+		st.manifest.Dead -= e.Length
+		st.manifest.Live += e.Length
+		return fmt.Errorf("store: %w", err)
 	}
-	s.maybeCompactLocked(specName, st)
+	s.mu.Lock()
+	delete(s.runs, runKey(specName, runName))
+	s.mu.Unlock()
+	_ = s.maybeCompactLocked(specName, st) // housekeeping, as in commitLocked
+	return nil
 }
 
 // maybeCompactLocked rewrites the segment without dead frames once
@@ -512,19 +690,18 @@ func (s *Store) maybeCompactLocked(specName string, st *snapState) error {
 // The ledger is untouched: compaction moves live frames, it does not
 // change them, so every inclusion proof survives byte-for-byte.
 func (s *Store) Compact(specName string) error {
-	if s.noSnapshot {
-		return nil
-	}
 	if err := ValidateName(specName); err != nil {
 		return err
 	}
 	st := s.snap(specName)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s.loadManifestLocked(specName, st)
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return err
+	}
 	if _, err := s.be.Stat(segmentKey(specName)); err != nil {
 		if isNotExist(err) {
-			return nil // nothing snapshotted yet
+			return nil // nothing stored yet
 		}
 		return err
 	}
@@ -534,8 +711,9 @@ func (s *Store) Compact(specName string) error {
 // compactLocked is the segment rewrite itself. Caller holds st.mu. A
 // reader that raced the atomic replacement sees offsets that no
 // longer line up — the record it lands on either fails the frame
-// checksum or names a different run, so it falls back to XML;
-// compaction needs no reader coordination.
+// checksum or names a different run — and retries against the
+// updated entry (loadRunFrame); compaction needs no reader
+// coordination.
 func (s *Store) compactLocked(specName string, st *snapState) error {
 	m := st.manifest
 	old, err := s.be.ReadFile(segmentKey(specName))
@@ -562,21 +740,15 @@ func (s *Store) compactLocked(specName string, st *snapState) error {
 	return s.saveManifestLocked(specName, st)
 }
 
-// writeSpecSnapshot persists the binary spec frame (best-effort).
+// writeSpecSnapshot persists the binary spec frame.
 func (s *Store) writeSpecSnapshot(specName string, sp *spec.Spec) error {
-	if s.noSnapshot {
-		return nil
-	}
 	return s.be.WriteFile(specBinKey(specName), codec.EncodeSpec(sp))
 }
 
-// loadSpecSnapshot attempts to decode spec.bin, guarded by the XML
-// blob's fingerprint... specifications change so rarely that the
-// guard is simply "spec.xml must not be newer than spec.bin".
+// loadSpecSnapshot attempts to decode spec.bin, a cache of spec.xml:
+// specifications change so rarely that the guard is simply "spec.xml
+// must not be newer than spec.bin".
 func (s *Store) loadSpecSnapshot(specName string) (*spec.Spec, bool) {
-	if s.noSnapshot {
-		return nil, false
-	}
 	binInfo, err := s.be.Stat(specBinKey(specName))
 	if err != nil {
 		return nil, false
@@ -596,19 +768,17 @@ func (s *Store) loadSpecSnapshot(specName string) (*spec.Spec, bool) {
 	return sp, true
 }
 
-// SnapshotStats reports what a Snapshot pass did.
+// SnapshotStats reports what a Snapshot pass found.
 type SnapshotStats struct {
-	Runs      int // runs examined
-	Fresh     int // already snapshotted and up to date
-	Written   int // snapshot frames written (or rewritten)
+	Runs      int // stored runs
 	LiveBytes int64
 	DeadBytes int64
 }
 
-// Snapshot materializes the snapshot layer for every stored run of a
-// specification: runs without a fresh manifest entry are parsed from
-// XML and appended to the segment, and the spec's own binary frame is
-// written. It is idempotent — a second call writes nothing.
+// Snapshot brings one specification's snapshot layer up to date: it
+// writes the spec's binary frame and loads the manifest, which
+// migrates a repository written in the older layout. On a
+// current-format repository it writes no run frames; it is idempotent.
 func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 	var stats SnapshotStats
 	sp, err := s.LoadSpec(specName)
@@ -618,57 +788,28 @@ func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 	if err := s.writeSpecSnapshot(specName, sp); err != nil {
 		return stats, err
 	}
-	names, err := s.ListRuns(specName)
-	if err != nil {
-		return stats, err
-	}
-	stats.Runs = len(names)
-	for _, name := range names {
-		if s.hasFreshSnapshot(specName, name) {
-			stats.Fresh++
-			continue
-		}
-		// Parse from XML and snapshot; LoadRun's write-behind would do
-		// this too, but going through loadRunXML keeps the accounting
-		// exact even when the run is already in the memory cache.
-		fp, err := s.xmlFingerprint(specName, name)
-		if err != nil {
-			return stats, fmt.Errorf("store: %w", err)
-		}
-		r, err := s.loadRunXML(specName, name, sp)
-		if err != nil {
-			return stats, err
-		}
-		if err := s.writeRunSnapshot(specName, name, r, fp); err != nil {
-			return stats, err
-		}
-		s.cacheRun(specName, name, r)
-		stats.Written++
-	}
 	st := s.snap(specName)
 	st.mu.Lock()
-	// Load explicitly: with zero runs the loop above never touched the
-	// manifest and it may still be nil.
-	s.loadManifestLocked(specName, st)
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return stats, err
+	}
+	stats.Runs = len(st.manifest.Runs)
 	stats.LiveBytes = st.manifest.Live
 	stats.DeadBytes = st.manifest.Dead
-	st.mu.Unlock()
 	return stats, nil
 }
 
-// PreloadStats reports where a Preload pass got its runs from.
+// PreloadStats reports what a Preload pass loaded.
 type PreloadStats struct {
-	Spec         string
-	Runs         int
-	FromSnapshot int
-	FromXML      int
+	Spec string
+	Runs int
 }
 
 // Preload warms the in-memory caches of one specification: the spec
-// itself plus every stored run, decoded from the snapshot layer where
-// possible and parsed from XML (with snapshot repair) otherwise. After
-// Preload returns, LoadRun and the cohort paths never touch the parser
-// for existing runs.
+// itself plus every stored run, decoded from its frame. After Preload
+// returns, LoadRun and the cohort paths serve existing runs from
+// memory.
 func (s *Store) Preload(specName string) (PreloadStats, error) {
 	stats := PreloadStats{Spec: specName}
 	sp, err := s.LoadSpec(specName)
@@ -685,33 +826,22 @@ func (s *Store) Preload(specName string) (PreloadStats, error) {
 		_, cached := s.runs[runKey(specName, name)]
 		s.mu.RUnlock()
 		if cached {
-			stats.FromSnapshot++ // already warm; count as non-parse
 			continue
 		}
-		if r, ok := s.loadRunSnapshot(specName, name, sp); ok {
-			s.cacheRun(specName, name, r)
-			stats.FromSnapshot++
-			continue
-		}
-		fp, fpErr := s.xmlFingerprint(specName, name)
-		r, err := s.loadRunXML(specName, name, sp)
+		r, err := s.loadRunFrame(specName, name, sp)
 		if err != nil {
 			return stats, err
 		}
-		if fpErr == nil {
-			_ = s.writeRunSnapshot(specName, name, r, fp) // best-effort repair
-		}
 		s.cacheRun(specName, name, r)
-		stats.FromXML++
 	}
 	return stats, nil
 }
 
 // PreloadAll preloads every specification in the repository — the
 // warm-start path provserved runs at boot. Specs are isolated from
-// each other: one spec's unparseable run costs only that spec its
-// warmth, the rest still preload; the joined error reports every
-// failure alongside the stats of what did load.
+// each other: one spec's damaged run costs only that spec its warmth,
+// the rest still preload; the joined error reports every failure
+// alongside the stats of what did load.
 func (s *Store) PreloadAll() ([]PreloadStats, error) {
 	specs, err := s.ListSpecs()
 	if err != nil {
@@ -728,18 +858,4 @@ func (s *Store) PreloadAll() ([]PreloadStats, error) {
 		out = append(out, st)
 	}
 	return out, errors.Join(errs...)
-}
-
-// ManifestRuns returns the names of runs with live snapshot entries,
-// mainly for tests and diagnostics.
-func (s *Store) ManifestRuns(specName string) []string {
-	st := s.snap(specName)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s.loadManifestLocked(specName, st)
-	out := make([]string, 0, len(st.manifest.Runs))
-	for name := range st.manifest.Runs {
-		out = append(out, name)
-	}
-	return out
 }

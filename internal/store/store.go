@@ -6,16 +6,20 @@
 // their associated runs", Section VII).
 //
 // Persistence goes through the Backend interface — a local directory
-// tree (the classic layout), an in-memory map, an object-store-style
-// bucket, or a consistent-hash shard fan-out over any of those. Both
-// specifications and parsed runs are cached under a read-write lock,
-// so repeated differencing of stored runs (the cohort paths) parses
-// each XML document once and then serves all readers concurrently.
+// tree, an in-memory map, an object-store-style bucket, or a
+// consistent-hash shard fan-out over any of those. Specifications are
+// stored as XML; runs are stored once, as codec frames in a per-spec
+// append-only segment indexed by a manifest and attested by a Merkle
+// ledger (see snapshot.go). XML is what runs are imported from and
+// exported to. Both specifications and decoded runs are cached under a
+// read-write lock, so repeated differencing of stored runs (the cohort
+// paths) decodes each run once and then serves all readers
+// concurrently.
 //
 // Logical layout (identical to the on-disk layout of the fs backend):
 //
 //	<spec>/spec.xml
-//	<spec>/runs/<run>.xml
+//	<spec>/snapshot/{manifest.json,runs.seg,ledger.log,spec.bin}
 package store
 
 import (
@@ -37,8 +41,8 @@ import (
 // Store is a backend-backed provenance repository. It is safe for
 // concurrent use; loaded specifications are cached so runs of the same
 // specification share one *spec.Spec (a requirement for differencing),
-// and parsed runs are cached so differencing the same stored runs
-// repeatedly does not re-parse their XML. Cached runs are shared:
+// and decoded runs are cached so differencing the same stored runs
+// repeatedly does not re-decode their frames. Cached runs are shared:
 // treat them as immutable (differencing only reads them).
 type Store struct {
 	be Backend
@@ -49,10 +53,6 @@ type Store struct {
 
 	snapsMu sync.Mutex
 	snaps   map[string]*snapState // per-spec snapshot manifests
-	// noSnapshot disables the snapshot layer entirely (reads and
-	// write-behind) — the pure-XML configuration the cold-start
-	// benchmarks compare against.
-	noSnapshot bool
 
 	hookMu    sync.RWMutex
 	hooks     []func(specName, runName string)
@@ -114,7 +114,7 @@ func runKey(specName, runName string) string { return specName + "/" + runName }
 // (the CLI, the HTTP service) must call it before the name reaches the
 // backend: path separators, traversal components, NUL bytes and
 // hidden/dot names are all rejected, so a stored object can never
-// escape <root>/<spec>/runs/.
+// escape its spec's directory.
 func ValidateName(name string) error {
 	switch {
 	case name == "":
@@ -174,10 +174,6 @@ func (s *Store) notifyBulkChange(specName string, runNames []string) {
 
 // Backend keys of the repository layout.
 func specXMLKey(name string) string { return name + "/spec.xml" }
-func runsDirKey(name string) string { return name + "/runs" }
-func runXMLKey(specName, runName string) string {
-	return specName + "/runs/" + runName + ".xml"
-}
 
 // SaveSpec stores a specification under the given name. Saving over an
 // existing specification is rejected once runs exist (their trees
@@ -186,7 +182,10 @@ func (s *Store) SaveSpec(name string, sp *spec.Spec) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	runs, _ := s.ListRuns(name)
+	runs, err := s.ListRuns(name)
+	if err != nil {
+		return err
+	}
 	if len(runs) > 0 {
 		return fmt.Errorf("store: specification %q already has %d runs; refusing to overwrite", name, len(runs))
 	}
@@ -262,6 +261,12 @@ func (s *Store) ListSpecs() ([]string, error) {
 // SaveRun stores a run under the named specification. The run must
 // belong to the stored specification object (load it via LoadSpec
 // before executing or deriving runs).
+//
+// A caller-built tree (gen, Execute) may group forks differently from
+// what parsing its XML derives, so the run is canonicalized through
+// one XML encode and decode first: what is stored is exactly what
+// importing the exported XML would store. The commit is the one-run
+// form of ImportParsed, but fires the per-run OnRunChange hooks.
 func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 	if err := validName(specName); err != nil {
 		return err
@@ -280,30 +285,22 @@ func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 	if err := wfxml.EncodeRun(&buf, r, runName); err != nil {
 		return err
 	}
-	if err := s.be.WriteFile(runXMLKey(specName, runName), buf.Bytes()); err != nil {
-		return fmt.Errorf("store: %w", err)
+	canon, err := wfxml.DecodeRun(&buf, sp)
+	if err != nil {
+		return err
 	}
-	// Evict rather than cache the caller's object: the cache must only
-	// ever serve what a fresh parse of the stored XML would produce.
-	// The snapshot entry goes with it — the next load re-parses the new
-	// XML and repairs the snapshot write-behind.
-	s.mu.Lock()
-	delete(s.runs, runKey(specName, runName))
-	s.mu.Unlock()
-	s.dropRunSnapshot(specName, runName)
+	if _, err := s.commitRuns(specName, []ParsedRun{{Name: runName, Run: canon}}); err != nil {
+		return err
+	}
 	s.notifyRunChange(specName, runName)
 	return nil
 }
 
-// LoadRun loads a stored run, deriving its annotated tree against the
-// cached specification. Parsed runs are cached: repeated loads (and
-// every Diff/Cohort call) share one *wfrun.Run, which callers must
-// treat as read-only.
-//
-// A cache miss first tries the snapshot layer — a checksummed binary
-// frame recorded by a previous parse — and only falls back to the XML
-// parse (re-deriving the tree) when the snapshot is absent, stale or
-// corrupt; the fallback then repairs the snapshot write-behind.
+// LoadRun loads a stored run, decoding its frame against the cached
+// specification. Decoded runs are cached: repeated loads (and every
+// Diff/Cohort call) share one *wfrun.Run, which callers must treat as
+// read-only. A frame that fails its checksum or names another run is
+// an error naming the run and its batch.
 func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
 	if err := validName(specName); err != nil {
 		return nil, err
@@ -322,31 +319,14 @@ func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := s.loadRunSnapshot(specName, runName, sp); ok {
-		return s.cacheRun(specName, runName, r), nil
-	}
-	fp, fpErr := s.xmlFingerprint(specName, runName)
-	r, err := s.loadRunXML(specName, runName, sp)
+	r, err := s.loadRunFrame(specName, runName, sp)
 	if err != nil {
 		return nil, err
-	}
-	if fpErr == nil {
-		_ = s.writeRunSnapshot(specName, runName, r, fp) // best-effort repair
 	}
 	return s.cacheRun(specName, runName, r), nil
 }
 
-// loadRunXML parses a run's authoritative XML document and derives its
-// tree — the slow path behind the run cache and the snapshot layer.
-func (s *Store) loadRunXML(specName, runName string, sp *spec.Spec) (*wfrun.Run, error) {
-	data, err := s.be.ReadFile(runXMLKey(specName, runName))
-	if err != nil {
-		return nil, fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, err)
-	}
-	return wfxml.DecodeRun(bytes.NewReader(data), sp)
-}
-
-// cacheRun publishes a parsed run, keeping the first copy if another
+// cacheRun publishes a decoded run, keeping the first copy if another
 // goroutine raced the load so all readers share one tree.
 func (s *Store) cacheRun(specName, runName string, r *wfrun.Run) *wfrun.Run {
 	key := runKey(specName, runName)
@@ -360,29 +340,29 @@ func (s *Store) cacheRun(specName, runName string, r *wfrun.Run) *wfrun.Run {
 	return r
 }
 
-// ListRuns returns the run names stored under a specification, sorted.
+// ListRuns returns the run names stored under a specification, sorted:
+// the keys of its manifest.
 func (s *Store) ListRuns(specName string) ([]string, error) {
 	if err := validName(specName); err != nil {
 		return nil, err
 	}
-	entries, err := s.be.List(runsDirKey(specName))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return nil, err
 	}
-	var out []string
-	for _, e := range entries {
-		if !e.Dir && strings.HasSuffix(e.Name, ".xml") {
-			out = append(out, strings.TrimSuffix(e.Name, ".xml"))
-		}
+	out := make([]string, 0, len(st.manifest.Runs))
+	for name := range st.manifest.Runs {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// DeleteRun removes a stored run everywhere it lives: the XML blob,
-// the parsed-run cache, and the snapshot manifest (so a restart can
-// never resurrect it). Exactly one change notification fires, after
-// all state is consistent.
+// DeleteRun removes a stored run: its manifest entry (so a restart
+// can never resurrect it) and its cached decode. Exactly one change
+// notification fires, after all state is consistent.
 func (s *Store) DeleteRun(specName, runName string) error {
 	if err := validName(specName); err != nil {
 		return err
@@ -390,13 +370,9 @@ func (s *Store) DeleteRun(specName, runName string) error {
 	if err := validName(runName); err != nil {
 		return err
 	}
-	if err := s.be.Remove(runXMLKey(specName, runName)); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := s.dropRun(specName, runName); err != nil {
+		return err
 	}
-	s.mu.Lock()
-	delete(s.runs, runKey(specName, runName))
-	s.mu.Unlock()
-	s.dropRunSnapshot(specName, runName)
 	s.notifyRunChange(specName, runName)
 	return nil
 }

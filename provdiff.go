@@ -229,14 +229,14 @@ func DecodeRun(r io.Reader, sp *Spec) (*Run, error) { return wfxml.DecodeRun(r, 
 // Binary snapshot codec (the store's warm-start format): versioned,
 // CRC-checksummed frames holding the *result* of an XML parse, so
 // decoding skips validation and tree derivation entirely. XML remains
-// the interchange format; these are for caches and snapshots.
+// the interchange format; the store keeps runs in this form.
 
 // EncodeRunBinary serializes a run as a binary snapshot frame.
 func EncodeRunBinary(run *Run) ([]byte, error) { return codec.EncodeRun(run) }
 
 // DecodeRunBinary rebuilds a run from a snapshot frame against its
 // specification, without re-deriving the tree. Corrupt or mismatched
-// frames fail loudly; fall back to DecodeRun on the XML.
+// frames fail loudly.
 func DecodeRunBinary(data []byte, sp *Spec) (*Run, error) { return codec.DecodeRun(data, sp) }
 
 // EncodeSpecBinary serializes a specification as a snapshot frame.
