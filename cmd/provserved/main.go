@@ -8,32 +8,8 @@
 //	           [-ingest-queue 1024] [-ingest-batch 64] [-ingest-maxwait 0]
 //	           [-timing-log FILE]
 //
-// The API is versioned under /v1; the unversioned routes of earlier
-// releases still answer identically but carry a Deprecation header:
-//
-//	GET    /v1/specs                          list specifications
-//	GET    /v1/specs/{spec}/runs              list runs
-//	POST   /v1/specs/{spec}/runs/{run}        import a run (XML body; ?async=1
-//	                                          returns 202 + a ticket)
-//	POST   /v1/specs/{spec}/runs:bulk         bulk-import a cohort (tar or NDJSON)
-//	GET    /v1/specs/{spec}/export            export spec + runs as a tar stream
-//	DELETE /v1/specs/{spec}/runs/{run}        delete a run
-//	GET    /v1/specs/{spec}/diff/{a}/{b}      distance + edit script (?cost=unit|length|power:EPS)
-//	                                          (?across=SPEC2 for cross-version diffs)
-//	GET    /v1/specs/{spec}/diff/{a}/{b}/svg  side-by-side SVG diff rendering
-//	GET    /v1/specs/{a}/evolve/{b}           spec-evolution mapping between versions
-//	GET    /v1/specs/{a}/evolve/{b}/svg       spec overlay (deleted red, inserted green)
-//	GET    /v1/specs/{spec}/cohort            distance matrix + dendrogram (?stream=1)
-//	GET    /v1/specs/{spec}/cluster           k-medoids partitioning
-//	GET    /v1/specs/{spec}/outliers          knn outlier scores
-//	GET    /v1/specs/{spec}/nearest           nearest neighbors (?run=)
-//	PATCH  /v1/specs/{spec}/runs/{run}/events append live node-status events
-//	                                          (?complete=1 finalizes the run)
-//	GET    /v1/specs/{spec}/watch             NDJSON drift stream for live runs
-//	GET    /v1/tickets/{id}                   async ingest ticket status
-//	GET    /v1/metrics                        Prometheus text exposition
-//	GET    /v1/stats                          request/cache/engine/ingest counters
-//	GET    /v1/healthz                        liveness probe
+// Every route lives under /v1 (unversioned paths answer 404); the
+// route list is in README.md, "Running the service".
 //
 // Single-run imports flow through a group-commit pipeline: concurrent
 // importers coalesce into one snapshot append + one manifest save per

@@ -26,7 +26,7 @@
 // (named by filename) in one pass: parallel parse, one snapshot
 // append, one coalesced change notification. "export" writes a spec
 // and all its runs as a tar archive that round-trips through
-// import-dir or the service's POST /specs/{spec}/runs:bulk endpoint.
+// import-dir or the service's POST /v1/specs/{spec}/runs:bulk endpoint.
 // "snapshot" writes each spec's binary frame and migrates a
 // repository written in the older layout (one XML file per run) to
 // frames, reporting the segment's live and dead bytes.
@@ -719,7 +719,7 @@ func cohortIndex(st *store.Store, specName, costName string, minRuns int) *metri
 }
 
 // printIndexStats reports how much exact differencing the index
-// avoided, mirroring the server's /stats metric_index counters.
+// avoided, mirroring the server's /v1/stats metric_index counters.
 func printIndexStats(ix *metricindex.Index) {
 	exact, pruned := ix.ExactDiffs(), ix.PrunedPairs()
 	total := exact + pruned

@@ -5,9 +5,8 @@
 //	wfgen run -spec spec.xml -probp 0.95 -probf 0.5 -maxf 4 -probl 0.5 -maxl 4 -o run.xml
 //	wfgen run -spec spec.xml -target 500 -o run.xml
 //
-// It also doubles as the load driver for a running provserved:
-//
-//	wfgen load -url http://localhost:8077 -spec demo -duration 30s -o BENCH_load.json
+// To drive a running service with generated traffic, use e2ebench
+// (e2ebench/README.md), which also checks every answer.
 package main
 
 import (
@@ -28,15 +27,13 @@ func main() {
 		genSpec(os.Args[2:])
 	case "run":
 		genRun(os.Args[2:])
-	case "load":
-		runLoad(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wfgen spec|run|load [flags]")
+	fmt.Fprintln(os.Stderr, "usage: wfgen spec|run [flags]")
 	os.Exit(2)
 }
 

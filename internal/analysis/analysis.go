@@ -15,17 +15,21 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/sptree"
 	"repro/internal/wfrun"
 )
 
-// defaultWorkers is the differencing fan-out used when Options.Workers
-// is unset.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// fanOut resolves a differencing fan-out: the configured worker count
+// (GOMAXPROCS when <= 0), capped at the number of shards the work
+// splits into, and at least one.
+func fanOut(workers, shards int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, shards))
+}
 
 // Matrix is a symmetric pairwise edit-distance matrix over a cohort of
 // runs of the same specification.
@@ -34,21 +38,22 @@ type Matrix struct {
 	D      [][]float64
 }
 
-// Options tunes DistanceMatrixWith. The zero value means "all cores,
-// no progress reporting".
+// Options tunes DistanceMatrixWith and the full rebuilds of
+// CohortMatrix.Reset and HybridCohort.Reset. The zero value means "all
+// cores, no progress reporting, no cancellation".
 type Options struct {
 	// Workers caps the differencing fan-out; <= 0 means GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, is called after each pair is
 	// differenced with the number of completed pairs and the total
 	// pair count. Calls are serialized (never concurrent), but arrive
-	// from worker goroutines under the matrix lock: a callback that
-	// blocks throttles the whole fan-out, so consumers doing I/O here
-	// must bound it (the HTTP service uses per-write deadlines).
+	// from worker goroutines under a lock: a callback that blocks
+	// throttles the whole fan-out, so consumers doing I/O here must
+	// bound it (the HTTP service uses per-write deadlines).
 	Progress func(done, total int)
 	// Context, when non-nil, aborts the fan-out early: once it is
-	// cancelled no further pairs are dispatched or differenced and
-	// DistanceMatrixWith returns the context error. The HTTP service
+	// cancelled no further pair is differenced and the call returns
+	// an error wrapping the context error. The HTTP service
 	// passes the request context so a client that disconnects (or a
 	// repository wiped mid-stream) stops burning workers instead of
 	// finishing a matrix nobody will read.
@@ -61,8 +66,9 @@ func DistanceMatrix(runs []*wfrun.Run, names []string, m cost.Model) (*Matrix, e
 	return DistanceMatrixWith(runs, names, m, Options{})
 }
 
-// DistanceMatrixWith is DistanceMatrix with explicit worker and
-// progress-reporting control.
+// DistanceMatrixWith is DistanceMatrix with explicit worker,
+// progress-reporting and cancellation control. It runs the same
+// row-sharded fan-out as CohortMatrix.Reset, with fresh engines.
 func DistanceMatrixWith(runs []*wfrun.Run, names []string, m cost.Model, opts Options) (*Matrix, error) {
 	n := len(runs)
 	if n == 0 {
@@ -78,103 +84,13 @@ func DistanceMatrixWith(runs []*wfrun.Run, names []string, m cost.Model, opts Op
 	if len(labels) != n {
 		return nil, fmt.Errorf("analysis: %d labels for %d runs", len(labels), n)
 	}
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
+	engines := make([]*core.Engine, fanOut(opts.Workers, n-1))
+	for w := range engines {
+		engines[w] = core.NewEngine(m)
 	}
-	// Repair any stale tree IDs once, single-threaded: the per-worker
-	// engines index the shared trees concurrently, which is read-only
-	// exactly when IDs are already dense preorder.
-	var ti sptree.TreeIndex
-	for _, r := range runs {
-		if r.Tree != nil {
-			ti.Rebuild(r.Tree)
-		}
-	}
-	// The O(n²) pairs are independent differencing problems; fan them
-	// out over the available cores, one reusable diff engine per
-	// worker so a whole cohort performs O(1) steady-state allocation.
-	// Each worker writes disjoint cells, so only the error and the
-	// progress counter need synchronization.
-	type pair struct{ i, j int }
-	total := n * (n - 1) / 2
-	pairs := make(chan pair)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	done := 0
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > total+1 {
-		workers = total + 1
-	}
-	// A nil context means no cancellation: selecting on a nil channel
-	// blocks forever, so the send/cancel selects below degrade to
-	// plain sends.
-	var cancelled <-chan struct{}
-	if opts.Context != nil {
-		cancelled = opts.Context.Done()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := core.NewEngine(m)
-			for p := range pairs {
-				select {
-				case <-cancelled:
-					// Drain without differencing so the producer can
-					// finish promptly even if it already queued pairs.
-					continue
-				default:
-				}
-				dist, err := eng.Distance(runs[p.i], runs[p.j])
-				if err == nil {
-					// Each worker writes disjoint cells.
-					d[p.i][p.j] = dist
-					d[p.j][p.i] = dist
-				}
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("analysis: runs %d and %d: %w", p.i, p.j, err)
-				}
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, total)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			select {
-			case pairs <- pair{i, j}:
-			case <-cancelled:
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("analysis: cohort aborted: %w", opts.Context.Err())
-				}
-				mu.Unlock()
-				break dispatch
-			}
-		}
-	}
-	close(pairs)
-	wg.Wait()
-	if opts.Context != nil && firstErr == nil {
-		// The last dispatched pairs may have raced a late
-		// cancellation; report it so callers never mistake a
-		// fully-computed matrix for an aborted one and vice versa.
-		if err := opts.Context.Err(); err != nil {
-			firstErr = fmt.Errorf("analysis: cohort aborted: %w", err)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	d, err := pairwise(engines, runs, labels, opts, nil)
+	if err != nil {
+		return nil, err
 	}
 	return &Matrix{Labels: labels, D: d}, nil
 }

@@ -47,8 +47,7 @@ type CohortMatrix struct {
 
 // NewCohortMatrix returns an empty cohort matrix for the given cost
 // model. workers caps the differencing fan-out of Reset and Add;
-// <= 0 means one worker per pair up to GOMAXPROCS (the
-// DistanceMatrixWith default).
+// <= 0 means GOMAXPROCS (the DistanceMatrixWith default).
 func NewCohortMatrix(m cost.Model, workers int) *CohortMatrix {
 	return &CohortMatrix{
 		model:   m,
@@ -135,26 +134,18 @@ func (c *CohortMatrix) growEngines(n int) {
 	}
 }
 
-func (c *CohortMatrix) workerCount(pairs int) int {
-	w := c.workers
-	if w <= 0 {
-		w = defaultWorkers()
-	}
-	if w > pairs {
-		w = pairs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// workerCount caps the configured fan-out at the number of shards the
+// work splits into (rows for Reset, cells for Add), and at least one.
+func (c *CohortMatrix) workerCount(shards int) int {
+	return fanOut(c.workers, shards)
 }
 
 // Reset replaces the whole cohort and recomputes every pairwise
-// distance with a sharded symmetric-half fan-out: worker w owns the
-// rows i ≡ w (mod workers) of the upper triangle and differences them
-// with its own engine. Rows shrink linearly with i, so round-robin row
-// ownership balances the shards to within one row's work.
-func (c *CohortMatrix) Reset(names []string, runs []*wfrun.Run) error {
+// distance through pairwise, with the cohort's own engines.
+// opts.Context and opts.Progress apply as in DistanceMatrixWith;
+// opts.Workers is ignored, the cohort keeps the worker count it was
+// created with. On error the published cohort is unchanged.
+func (c *CohortMatrix) Reset(names []string, runs []*wfrun.Run, opts Options) error {
 	if len(names) != len(runs) {
 		return fmt.Errorf("analysis: %d names for %d runs", len(names), len(runs))
 	}
@@ -165,47 +156,11 @@ func (c *CohortMatrix) Reset(names []string, runs []*wfrun.Run) error {
 	defer c.computeMu.Unlock()
 	c.rebuilds.Add(1)
 	n := len(runs)
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
-	// Repair stale tree IDs once, single-threaded, exactly like
-	// DistanceMatrixWith: afterwards the per-shard engines index the
-	// shared trees concurrently but read-only.
-	var ti sptree.TreeIndex
-	for _, r := range runs {
-		if r != nil && r.Tree != nil {
-			ti.Rebuild(r.Tree)
-		}
-	}
-	workers := c.workerCount(n * (n - 1) / 2)
+	workers := c.workerCount(n - 1)
 	c.growEngines(workers)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eng := c.engines[w]
-			for i := w; i < n; i += workers {
-				for j := i + 1; j < n; j++ {
-					dist, err := eng.Distance(runs[i], runs[j])
-					if err != nil {
-						errs[w] = fmt.Errorf("analysis: runs %q and %q: %w", names[i], names[j], err)
-						return
-					}
-					c.diffCalls.Add(1)
-					d[i][j] = dist
-					d[j][i] = dist
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	d, err := pairwise(c.engines[:workers], runs, names, opts, &c.diffCalls)
+	if err != nil {
+		return err
 	}
 	index := make(map[string]int, n)
 	for i, name := range names {
@@ -219,6 +174,91 @@ func (c *CohortMatrix) Reset(names []string, runs []*wfrun.Run) error {
 	c.version++
 	c.mu.Unlock()
 	return nil
+}
+
+// pairwise differences every pair i < j of runs into a fresh n×n
+// matrix. It is the package's one O(n²) fan-out, shared by
+// DistanceMatrixWith and CohortMatrix.Reset. The unit of work is a row
+// of the upper triangle: each worker claims the next unclaimed row,
+// longest first, and differences it with its own engine, so the shards
+// balance to within one row's work and an engine that claims no row
+// never pays its warm-up. Each successful diff bumps diffs when it is
+// non-nil.
+func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts Options, diffs *atomic.Int64) ([][]float64, error) {
+	n := len(runs)
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	// Repair stale tree IDs once, single-threaded: afterwards the
+	// per-shard engines index the shared trees concurrently but
+	// read-only, which is safe exactly when IDs are dense preorder.
+	var ti sptree.TreeIndex
+	for _, r := range runs {
+		if r != nil && r.Tree != nil {
+			ti.Rebuild(r.Tree)
+		}
+	}
+	// A nil context means no cancellation: a nil channel never fires.
+	var cancelled <-chan struct{}
+	if opts.Context != nil {
+		cancelled = opts.Context.Done()
+	}
+	report := func() {}
+	if opts.Progress != nil {
+		var mu sync.Mutex
+		done, total := 0, n*(n-1)/2
+		report = func() {
+			mu.Lock()
+			done++
+			opts.Progress(done, total)
+			mu.Unlock()
+		}
+	}
+	var next atomic.Int64 // the next row to claim
+	var wg sync.WaitGroup
+	errs := make([]error, len(engines))
+	for w, eng := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				for j := i + 1; j < n; j++ {
+					select {
+					case <-cancelled:
+						return
+					default:
+					}
+					dist, err := eng.Distance(runs[i], runs[j])
+					if err != nil {
+						errs[w] = fmt.Errorf("analysis: runs %q and %q: %w", labels[i], labels[j], err)
+						return
+					}
+					if diffs != nil {
+						diffs.Add(1)
+					}
+					// Each row has one owner, so workers write disjoint cells.
+					d[i][j] = dist
+					d[j][i] = dist
+					report()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	// A cancellation that raced the last pairs still fails the call, so
+	// a caller never mistakes an aborted matrix for a complete one.
+	if opts.Context != nil {
+		if err := opts.Context.Err(); err != nil {
+			return nil, fmt.Errorf("analysis: cohort aborted: %w", err)
+		}
+	}
+	return d, nil
 }
 
 // Add appends a run to the cohort, differencing only the n new pairs

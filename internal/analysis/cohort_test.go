@@ -42,7 +42,7 @@ func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
 		cm := NewCohortMatrix(cost.Unit{}, workers)
-		if err := cm.Reset(names, runs); err != nil {
+		if err := cm.Reset(names, runs, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		got := cm.Snapshot()
@@ -88,7 +88,7 @@ func TestCohortMatrixIncrementalAdd(t *testing.T) {
 func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	names, runs := cohortRuns(t, 6)
 	cm := NewCohortMatrix(cost.Length{}, 0)
-	if err := cm.Reset(names[:5], runs[:5]); err != nil {
+	if err := cm.Reset(names[:5], runs[:5], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	v := cm.Version()
@@ -149,7 +149,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 func TestCohortMatrixIncrementalSavesDiffs(t *testing.T) {
 	names, runs := cohortRuns(t, 33)
 	cm := NewCohortMatrix(cost.Unit{}, 0)
-	if err := cm.Reset(names[:32], runs[:32]); err != nil {
+	if err := cm.Reset(names[:32], runs[:32], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	fullDiffs := cm.DiffCalls() // 32*31/2 = 496
@@ -171,7 +171,7 @@ func TestCohortMatrixIncrementalSavesDiffs(t *testing.T) {
 func TestCohortMatrixConcurrentReads(t *testing.T) {
 	names, runs := cohortRuns(t, 8)
 	cm := NewCohortMatrix(cost.Unit{}, 2)
-	if err := cm.Reset(names[:4], runs[:4]); err != nil {
+	if err := cm.Reset(names[:4], runs[:4], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -216,10 +216,10 @@ func TestCohortMatrixConcurrentReads(t *testing.T) {
 func TestCohortMatrixErrors(t *testing.T) {
 	names, runs := cohortRuns(t, 3)
 	cm := NewCohortMatrix(cost.Unit{}, 1)
-	if err := cm.Reset([]string{"a"}, runs[:2]); err == nil {
+	if err := cm.Reset([]string{"a"}, runs[:2], Options{}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if err := cm.Reset([]string{"a", "a"}, runs[:2]); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := cm.Reset([]string{"a", "a"}, runs[:2], Options{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate names must error, got %v", err)
 	}
 	if err := cm.Add("x", nil); err == nil {
@@ -266,5 +266,37 @@ func TestDistanceMatrixCancellation(t *testing.T) {
 	// A nil context preserves the old behavior.
 	if _, err := DistanceMatrixWith(runs[:3], names[:3], cost.Unit{}, Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCohortMatrixResetProgressAndAbort: Reset reports every pair
+// through Progress, serialized and counting up to the pair total, and
+// a cancelled Reset fails without touching the published cohort.
+func TestCohortMatrixResetProgressAndAbort(t *testing.T) {
+	names, runs := cohortRuns(t, 9)
+	cm := NewCohortMatrix(cost.Unit{}, 3)
+	last, calls := 0, 0
+	err := cm.Reset(names[:6], runs[:6], Options{Progress: func(done, total int) {
+		if total != 15 || done != last+1 {
+			t.Errorf("progress (%d, %d) after %d", done, total, last)
+		}
+		last = done
+		calls++
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 15 {
+		t.Fatalf("progress calls = %d, want 15", calls)
+	}
+	before := cm.Snapshot()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	err = cm.Reset(names, runs, Options{Context: ctx, Progress: func(done, total int) { cancel() }})
+	if err == nil || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("cancelled Reset returned %v, want aborted error", err)
+	}
+	if got := cm.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("cancelled Reset changed the cohort:\n%v\nwant\n%v", got, before)
 	}
 }

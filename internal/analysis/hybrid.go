@@ -260,8 +260,9 @@ func (hc *HybridCohort) View() *CohortView {
 
 // Reset replaces the whole cohort, choosing the representation by the
 // new size. The old representation is only retired once the new build
-// succeeds.
-func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run) error {
+// succeeds. A dense build honours opts.Context and opts.Progress as in
+// CohortMatrix.Reset; an index build ignores opts.
+func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run, opts Options) error {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.indexEligible(len(runs)) {
@@ -281,7 +282,7 @@ func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run) error {
 		if cm == nil {
 			cm = NewCohortMatrix(hc.model, hc.workers)
 		}
-		if err := cm.Reset(names, runs); err != nil {
+		if err := cm.Reset(names, runs, opts); err != nil {
 			return err
 		}
 		if hc.cm == nil {
@@ -345,7 +346,7 @@ func (hc *HybridCohort) Remove(name string) bool {
 	if hc.threshold > 0 && hc.ix.Len() < hc.threshold/2 {
 		names, runs := hc.ix.Members()
 		cm := NewCohortMatrix(hc.model, hc.workers)
-		if err := cm.Reset(names, runs); err == nil {
+		if err := cm.Reset(names, runs, Options{}); err == nil {
 			hc.retireIX()
 			hc.cm = cm
 		}

@@ -116,7 +116,7 @@ func TestHybridSwitchesUpAndDown(t *testing.T) {
 func TestHybridViewMatchesDense(t *testing.T) {
 	names, runs := hybridRuns(t, 8)
 	hc := NewHybridCohort(cost.Length{}, 2, HybridOptions{IndexThreshold: 4, Landmarks: 2})
-	if err := hc.Reset(names, runs); err != nil {
+	if err := hc.Reset(names, runs, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !hc.Indexed() {
@@ -149,7 +149,7 @@ func TestHybridViewMatchesDense(t *testing.T) {
 	}
 
 	// Reset below threshold goes dense again, same geometry.
-	if err := hc.Reset(names[:3], runs[:3]); err != nil {
+	if err := hc.Reset(names[:3], runs[:3], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if hc.Indexed() {
@@ -170,7 +170,7 @@ func TestHybridViewMatchesDense(t *testing.T) {
 func TestHybridDisabledNeverIndexes(t *testing.T) {
 	names, runs := hybridRuns(t, 6)
 	hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: -1})
-	if err := hc.Reset(names, runs); err != nil {
+	if err := hc.Reset(names, runs, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if hc.Indexed() {

@@ -30,7 +30,7 @@ func (s *Server) cohortViewFor(w http.ResponseWriter, r *http.Request, specName 
 		s.storeError(w, err)
 		return nil, false
 	}
-	v, err := s.cohortView(specName, m)
+	v, err := s.cohortView(specName, m, analysis.Options{})
 	if err != nil {
 		s.storeError(w, err)
 		return nil, false
@@ -40,7 +40,7 @@ func (s *Server) cohortViewFor(w http.ResponseWriter, r *http.Request, specName 
 		return nil, false
 	}
 	if exact && v.Indexed() {
-		mx, err := s.exactCohortMatrix(r.Context(), specName, m)
+		mx, err := s.exactCohortMatrix(specName, m, analysis.Options{Context: r.Context()})
 		if err != nil {
 			s.storeError(w, err)
 			return nil, false

@@ -33,7 +33,7 @@ func encodeRun(tb testing.TB, st *store.Store, seed int64) []byte {
 func TestClusterEndpoint(t *testing.T) {
 	srv, _ := seedServer(t, 6, Options{CacheSize: 16})
 	var p clusterPayload
-	if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2&seed=7", nil, &p); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2&seed=7", nil, &p); rec.Code != 200 {
 		t.Fatalf("cluster = %d %q", rec.Code, rec.Body.String())
 	}
 	if p.Spec != "pa" || p.K != 2 || len(p.Clusters) != 2 || p.Cached {
@@ -62,7 +62,7 @@ func TestClusterEndpoint(t *testing.T) {
 	// Deterministic: same request, same partition — and served from
 	// cache the second time.
 	var p2 clusterPayload
-	do(t, srv, "GET", "/specs/pa/cluster?k=2&seed=7", nil, &p2)
+	do(t, srv, "GET", "/v1/specs/pa/cluster?k=2&seed=7", nil, &p2)
 	if !p2.Cached {
 		t.Fatal("second cluster request should be cached")
 	}
@@ -73,28 +73,28 @@ func TestClusterEndpoint(t *testing.T) {
 
 	// Distinct params are distinct cache entries.
 	var p3 clusterPayload
-	do(t, srv, "GET", "/specs/pa/cluster?k=3&seed=7", nil, &p3)
+	do(t, srv, "GET", "/v1/specs/pa/cluster?k=3&seed=7", nil, &p3)
 	if p3.Cached || p3.K != 3 {
 		t.Fatalf("k=3: %+v", p3)
 	}
 
 	// Errors: bad k values, bad spec, tiny cohort.
 	for _, target := range []string{
-		"/specs/pa/cluster?k=0",
-		"/specs/pa/cluster?k=99",
-		"/specs/pa/cluster?k=abc",
-		"/specs/pa/cluster?seed=x",
-		"/specs/pa/cluster?cost=bogus",
+		"/v1/specs/pa/cluster?k=0",
+		"/v1/specs/pa/cluster?k=99",
+		"/v1/specs/pa/cluster?k=abc",
+		"/v1/specs/pa/cluster?seed=x",
+		"/v1/specs/pa/cluster?cost=bogus",
 	} {
 		if rec := do(t, srv, "GET", target, nil, nil); rec.Code != 400 {
 			t.Errorf("%s = %d, want 400", target, rec.Code)
 		}
 	}
-	if rec := do(t, srv, "GET", "/specs/zz/cluster", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/zz/cluster", nil, nil); rec.Code != 404 {
 		t.Fatalf("unknown spec = %d, want 404", rec.Code)
 	}
 	tiny, _ := seedServer(t, 1, Options{CacheSize: 8})
-	if rec := do(t, tiny, "GET", "/specs/pa/cluster?k=1", nil, nil); rec.Code != 400 {
+	if rec := do(t, tiny, "GET", "/v1/specs/pa/cluster?k=1", nil, nil); rec.Code != 400 {
 		t.Fatalf("1-run cohort = %d, want 400", rec.Code)
 	}
 }
@@ -102,7 +102,7 @@ func TestClusterEndpoint(t *testing.T) {
 func TestOutliersEndpoint(t *testing.T) {
 	srv, _ := seedServer(t, 5, Options{CacheSize: 16})
 	var p outliersPayload
-	if rec := do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &p); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &p); rec.Code != 200 {
 		t.Fatalf("outliers = %d %q", rec.Code, rec.Body.String())
 	}
 	if len(p.Outliers) != 5 || p.Neighbors != 2 {
@@ -114,11 +114,11 @@ func TestOutliersEndpoint(t *testing.T) {
 		}
 	}
 	var p2 outliersPayload
-	do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &p2)
+	do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &p2)
 	if !p2.Cached {
 		t.Fatal("second outliers request should be cached")
 	}
-	if rec := do(t, srv, "GET", "/specs/pa/outliers?k=zz", nil, nil); rec.Code != 400 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=zz", nil, nil); rec.Code != 400 {
 		t.Fatalf("bad k = %d", rec.Code)
 	}
 }
@@ -126,7 +126,7 @@ func TestOutliersEndpoint(t *testing.T) {
 func TestNearestEndpoint(t *testing.T) {
 	srv, _ := seedServer(t, 5, Options{CacheSize: 16})
 	var p nearestPayload
-	if rec := do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3", nil, &p); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3", nil, &p); rec.Code != 200 {
 		t.Fatalf("nearest = %d %q", rec.Code, rec.Body.String())
 	}
 	if p.Run != "r0" || len(p.Neighbors) != 3 {
@@ -142,24 +142,24 @@ func TestNearestEndpoint(t *testing.T) {
 	}
 	// k beyond the cohort clamps.
 	var all nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=99", nil, &all)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=99", nil, &all)
 	if len(all.Neighbors) != 4 {
 		t.Fatalf("clamped k: %+v", all)
 	}
 	// The cached flag round-trips.
 	var again nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3", nil, &again)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3", nil, &again)
 	if !again.Cached {
 		t.Fatal("second nearest request should be cached")
 	}
 	// Unknown run 404s; missing and invalid names 400.
-	if rec := do(t, srv, "GET", "/specs/pa/nearest?run=zz", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=zz", nil, nil); rec.Code != 404 {
 		t.Fatalf("unknown run = %d, want 404", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/specs/pa/nearest", nil, nil); rec.Code != 400 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest", nil, nil); rec.Code != 400 {
 		t.Fatalf("missing run = %d, want 400", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/specs/pa/nearest?run=%2e%2e", nil, nil); rec.Code != 400 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=%2e%2e", nil, nil); rec.Code != 400 {
 		t.Fatalf("traversal run = %d, want 400", rec.Code)
 	}
 }
@@ -171,7 +171,7 @@ func TestCohortMatrixIncrementalOverHTTP(t *testing.T) {
 	srv, st := seedServer(t, 4, Options{CacheSize: 16})
 
 	var before nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=9", nil, &before)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=9", nil, &before)
 	if len(before.Neighbors) != 3 {
 		t.Fatalf("before: %+v", before)
 	}
@@ -186,11 +186,11 @@ func TestCohortMatrixIncrementalOverHTTP(t *testing.T) {
 
 	// Import a 5th run: exactly 4 more diffs, and both the payload
 	// cache and the matrix reflect it.
-	if rec := do(t, srv, "POST", "/specs/pa/runs/fresh", encodeRun(t, st, 1234), nil); rec.Code != 201 {
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs/fresh", encodeRun(t, st, 1234), nil); rec.Code != 201 {
 		t.Fatalf("import = %d", rec.Code)
 	}
 	var after nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=9", nil, &after)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=9", nil, &after)
 	if after.Cached {
 		t.Fatal("nearest served stale from cache after import")
 	}
@@ -203,11 +203,11 @@ func TestCohortMatrixIncrementalOverHTTP(t *testing.T) {
 
 	// Delete it again: zero additional diffs.
 	mid := e.hc.DiffCalls()
-	if rec := do(t, srv, "DELETE", "/specs/pa/runs/fresh", nil, nil); rec.Code != 200 {
+	if rec := do(t, srv, "DELETE", "/v1/specs/pa/runs/fresh", nil, nil); rec.Code != 200 {
 		t.Fatalf("delete = %d", rec.Code)
 	}
 	var final nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=9", nil, &final)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=9", nil, &final)
 	if len(final.Neighbors) != 3 {
 		t.Fatalf("after delete: %+v", final)
 	}
@@ -221,7 +221,7 @@ func TestCohortMatrixIncrementalOverHTTP(t *testing.T) {
 	}
 
 	// Distinct cost models build distinct matrices.
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=2&cost=length", nil, nil)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=2&cost=length", nil, nil)
 	if n := srv.cohorts.count(); n != 2 {
 		t.Fatalf("cohort matrices = %d, want 2", n)
 	}

@@ -37,32 +37,32 @@ func benchRequest(b *testing.B, srv *Server, target string) {
 
 func BenchmarkServeDiffCached(b *testing.B) {
 	srv, _ := seedServer(b, 2, Options{CacheSize: 8})
-	benchRequest(b, srv, "/diff/pa/r0/r1") // warm the cache
+	benchRequest(b, srv, "/v1/specs/pa/diff/r0/r1") // warm the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRequest(b, srv, "/diff/pa/r0/r1")
+		benchRequest(b, srv, "/v1/specs/pa/diff/r0/r1")
 	}
 }
 
 func BenchmarkServeDiffCold(b *testing.B) {
 	srv, _ := seedServer(b, 2, Options{CacheSize: 8})
-	benchRequest(b, srv, "/diff/pa/r0/r1") // warm the engine pool and run cache
+	benchRequest(b, srv, "/v1/specs/pa/diff/r0/r1") // warm the engine pool and run cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.cache.purge()
-		benchRequest(b, srv, "/diff/pa/r0/r1")
+		benchRequest(b, srv, "/v1/specs/pa/diff/r0/r1")
 	}
 }
 
 func BenchmarkServeCohort(b *testing.B) {
 	srv, _ := seedServer(b, 6, Options{CacheSize: 8})
-	benchRequest(b, srv, "/cohort/pa")
+	benchRequest(b, srv, "/v1/specs/pa/cohort")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRequest(b, srv, "/cohort/pa")
+		benchRequest(b, srv, "/v1/specs/pa/cohort")
 	}
 }
 
@@ -71,12 +71,12 @@ func BenchmarkServeCohort(b *testing.B) {
 // the steady-state cost of re-clustering after each import.
 func BenchmarkClusterCohort(b *testing.B) {
 	srv, _ := seedServer(b, 32, Options{CacheSize: 8})
-	benchRequest(b, srv, "/specs/pa/cluster?k=3") // build the matrix once
+	benchRequest(b, srv, "/v1/specs/pa/cluster?k=3") // build the matrix once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.cache.purge()
-		benchRequest(b, srv, "/specs/pa/cluster?k=3")
+		benchRequest(b, srv, "/v1/specs/pa/cluster?k=3")
 	}
 }
 
@@ -90,16 +90,16 @@ func BenchmarkClusterCohort(b *testing.B) {
 func BenchmarkIncrementalImport(b *testing.B) {
 	srv, st := seedServer(b, 32, Options{CacheSize: 8})
 	body := encodeRun(b, st, 555)
-	benchRequest(b, srv, "/specs/pa/nearest?run=r0&k=3") // build the matrix once
+	benchRequest(b, srv, "/v1/specs/pa/nearest?run=r0&k=3") // build the matrix once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := do(b, srv, "POST", "/specs/pa/runs/bench-fresh", body, nil)
+		rec := do(b, srv, "POST", "/v1/specs/pa/runs/bench-fresh", body, nil)
 		if rec.Code != 201 {
 			b.Fatalf("import = %d", rec.Code)
 		}
-		benchRequest(b, srv, "/specs/pa/nearest?run=bench-fresh&k=3")
-		if rec := do(b, srv, "DELETE", "/specs/pa/runs/bench-fresh", nil, nil); rec.Code != 200 {
+		benchRequest(b, srv, "/v1/specs/pa/nearest?run=bench-fresh&k=3")
+		if rec := do(b, srv, "DELETE", "/v1/specs/pa/runs/bench-fresh", nil, nil); rec.Code != 200 {
 			b.Fatalf("delete = %d", rec.Code)
 		}
 	}
@@ -110,11 +110,11 @@ func BenchmarkIncrementalImport(b *testing.B) {
 // the incremental cohort cache existed.
 func BenchmarkFullRecompute32(b *testing.B) {
 	srv, _ := seedServer(b, 32, Options{CacheSize: 8})
-	benchRequest(b, srv, "/cohort/pa")
+	benchRequest(b, srv, "/v1/specs/pa/cohort")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRequest(b, srv, "/cohort/pa")
+		benchRequest(b, srv, "/v1/specs/pa/cohort")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/cost"
 	"repro/internal/ingest"
 	"repro/internal/store"
@@ -202,7 +203,7 @@ func (s *Server) Warm() error {
 		if len(names) < 2 {
 			continue
 		}
-		if _, err := s.cohortView(name, cost.Unit{}); err != nil {
+		if _, err := s.cohortView(name, cost.Unit{}, analysis.Options{}); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/store"
@@ -65,7 +66,7 @@ func TestBulkImportTar(t *testing.T) {
 		Imported int      `json:"imported"`
 		Runs     []string `json:"runs"`
 	}
-	rec := do(t, srv, "POST", "/specs/pa/runs:bulk", archive, &resp)
+	rec := do(t, srv, "POST", "/v1/specs/pa/runs:bulk", archive, &resp)
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("bulk import = %d %q", rec.Code, rec.Body.String())
 	}
@@ -78,12 +79,12 @@ func TestBulkImportTar(t *testing.T) {
 	var runs struct {
 		Runs []string `json:"runs"`
 	}
-	do(t, srv, "GET", "/specs/pa/runs", nil, &runs)
+	do(t, srv, "GET", "/v1/specs/pa/runs", nil, &runs)
 	if len(runs.Runs) != 7 {
 		t.Fatalf("runs after bulk = %v", runs.Runs)
 	}
 	for _, n := range names {
-		if rec := do(t, srv, "GET", "/diff/pa/r0/"+n, nil, nil); rec.Code != 200 {
+		if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/"+n, nil, nil); rec.Code != 200 {
 			t.Fatalf("diff vs imported %s = %d", n, rec.Code)
 		}
 	}
@@ -110,7 +111,7 @@ func TestBulkImportNDJSON(t *testing.T) {
 		body.Write(line)
 		body.WriteByte('\n')
 	}
-	req := httptest.NewRequest("POST", "/specs/pa/runs:bulk", bytes.NewReader(body.Bytes()))
+	req := httptest.NewRequest("POST", "/v1/specs/pa/runs:bulk", bytes.NewReader(body.Bytes()))
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -120,7 +121,7 @@ func TestBulkImportNDJSON(t *testing.T) {
 	var runs struct {
 		Runs []string `json:"runs"`
 	}
-	do(t, srv, "GET", "/specs/pa/runs", nil, &runs)
+	do(t, srv, "GET", "/v1/specs/pa/runs", nil, &runs)
 	if len(runs.Runs) != 4 {
 		t.Fatalf("runs after ndjson bulk = %v", runs.Runs)
 	}
@@ -128,10 +129,10 @@ func TestBulkImportNDJSON(t *testing.T) {
 
 func TestBulkImportRejectsGarbage(t *testing.T) {
 	srv, _ := seedServer(t, 1, Options{CacheSize: 8})
-	if rec := do(t, srv, "POST", "/specs/pa/runs:bulk", []byte("not a tar"), nil); rec.Code != 400 {
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs:bulk", []byte("not a tar"), nil); rec.Code != 400 {
 		t.Fatalf("garbage tar = %d", rec.Code)
 	}
-	if rec := do(t, srv, "POST", "/specs/nope/runs:bulk", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "POST", "/v1/specs/nope/runs:bulk", nil, nil); rec.Code != 404 {
 		t.Fatalf("unknown spec = %d", rec.Code)
 	}
 }
@@ -143,7 +144,7 @@ func TestBulkImportRejectsGarbage(t *testing.T) {
 func TestBulkImportSingleRebuild(t *testing.T) {
 	srv, st := seedServer(t, 4, Options{CacheSize: 16})
 	// Build the incremental matrix.
-	if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
 		t.Fatalf("cluster = %d", rec.Code)
 	}
 	e := srv.cohorts.entry("pa", cost.Unit{})
@@ -155,13 +156,13 @@ func TestBulkImportSingleRebuild(t *testing.T) {
 	}
 
 	archive, _ := bulkTar(t, st, 6, 77, "cohort")
-	if rec := do(t, srv, "POST", "/specs/pa/runs:bulk", archive, nil); rec.Code != http.StatusCreated {
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs:bulk", archive, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("bulk = %d", rec.Code)
 	}
 	// Resync happens lazily on the next analytics request; several
 	// requests must still cost exactly one rebuild.
 	for i := 0; i < 3; i++ {
-		if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
+		if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
 			t.Fatalf("cluster after bulk = %d", rec.Code)
 		}
 	}
@@ -176,11 +177,11 @@ func TestBulkImportSingleRebuild(t *testing.T) {
 	// rebuilds, one O(n) row each.
 	body := encodeRun(t, st, 555)
 	for i := 0; i < 2; i++ {
-		target := fmt.Sprintf("/specs/pa/runs/one%d", i)
+		target := fmt.Sprintf("/v1/specs/pa/runs/one%d", i)
 		if rec := do(t, srv, "POST", target, body, nil); rec.Code != http.StatusCreated {
 			t.Fatalf("single import = %d", rec.Code)
 		}
-		if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
+		if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
 			t.Fatalf("cluster after single import = %d", rec.Code)
 		}
 	}
@@ -191,7 +192,7 @@ func TestBulkImportSingleRebuild(t *testing.T) {
 
 func TestExportRoundTrip(t *testing.T) {
 	srv, st := seedServer(t, 3, Options{CacheSize: 8})
-	rec := do(t, srv, "GET", "/specs/pa/export", nil, nil)
+	rec := do(t, srv, "GET", "/v1/specs/pa/export", nil, nil)
 	if rec.Code != 200 {
 		t.Fatalf("export = %d", rec.Code)
 	}
@@ -218,14 +219,14 @@ func TestExportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2 := New(st2, Options{CacheSize: 8})
-	rec2 := do(t, srv2, "POST", "/specs/pa/runs:bulk", rec.Body.Bytes(), nil)
+	rec2 := do(t, srv2, "POST", "/v1/specs/pa/runs:bulk", rec.Body.Bytes(), nil)
 	if rec2.Code != http.StatusCreated {
 		t.Fatalf("re-import of export = %d %q", rec2.Code, rec2.Body.String())
 	}
 	var names struct {
 		Runs []string `json:"runs"`
 	}
-	do(t, srv2, "GET", "/specs/pa/runs", nil, &names)
+	do(t, srv2, "GET", "/v1/specs/pa/runs", nil, &names)
 	if len(names.Runs) != 3 {
 		t.Fatalf("re-imported runs = %v", names.Runs)
 	}
@@ -237,7 +238,7 @@ func TestExportRoundTrip(t *testing.T) {
 // analytics read path.
 func TestBulkImportClusterRace(t *testing.T) {
 	srv, st := seedServer(t, 4, Options{CacheSize: 32})
-	if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2", nil, nil); rec.Code != 200 {
 		t.Fatal("prime cluster")
 	}
 	const importers, readers, rounds = 2, 3, 5
@@ -248,7 +249,7 @@ func TestBulkImportClusterRace(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				archive, _ := bulkTar(t, st, 2, int64(100+10*im+round), fmt.Sprintf("race%d-%d-", im, round))
-				req := httptest.NewRequest("POST", "/specs/pa/runs:bulk", bytes.NewReader(archive))
+				req := httptest.NewRequest("POST", "/v1/specs/pa/runs:bulk", bytes.NewReader(archive))
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, req)
 				if rec.Code != http.StatusCreated {
@@ -263,7 +264,7 @@ func TestBulkImportClusterRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < rounds*3; round++ {
-				req := httptest.NewRequest("GET", "/specs/pa/cluster?k=2", nil)
+				req := httptest.NewRequest("GET", "/v1/specs/pa/cluster?k=2", nil)
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, req)
 				if rec.Code != 200 {
@@ -276,7 +277,7 @@ func TestBulkImportClusterRace(t *testing.T) {
 	wg.Wait()
 	// Settled state: the incremental matrix covers exactly the stored
 	// runs.
-	v, err := srv.cohortView("pa", cost.Unit{})
+	v, err := srv.cohortView("pa", cost.Unit{}, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"io/fs"
 	"sync"
@@ -172,8 +171,11 @@ func (s *Server) cohortRuns(specName string) ([]string, []*wfrun.Run, error) {
 
 // cohortView returns an up-to-date view of the spec's cohort under the
 // given model — dense matrix below the index threshold, metric index
-// above — incrementally synced against the store.
-func (s *Server) cohortView(specName string, m cost.Model) (*analysis.CohortView, error) {
+// above — incrementally synced against the store. A full dense rebuild
+// runs under build's Context and Progress (see HybridCohort.Reset): a
+// cancelled build fails this call and leaves the cohort for the next
+// request to rebuild.
+func (s *Server) cohortView(specName string, m cost.Model, build analysis.Options) (*analysis.CohortView, error) {
 	e := s.cohorts.entry(specName, m)
 	if e == nil {
 		// Entry map at capacity: compute a one-shot cohort without
@@ -183,7 +185,7 @@ func (s *Server) cohortView(specName string, m cost.Model) (*analysis.CohortView
 			return nil, err
 		}
 		hc := analysis.NewHybridCohort(m, s.cohorts.workers, s.cohorts.hybrid)
-		if err := hc.Reset(names, runs); err != nil {
+		if err := hc.Reset(names, runs, build); err != nil {
 			return nil, err
 		}
 		return hc.View(), nil
@@ -229,7 +231,7 @@ func (s *Server) cohortView(specName string, m cost.Model) (*analysis.CohortView
 			restoreDirty()
 			return nil, err
 		}
-		if err := e.hc.Reset(names, runs); err != nil {
+		if err := e.hc.Reset(names, runs, build); err != nil {
 			restoreDirty()
 			return nil, err
 		}
@@ -270,13 +272,14 @@ func (s *Server) cohortView(specName string, m cost.Model) (*analysis.CohortView
 	return e.hc.View(), nil
 }
 
-// exactCohortMatrix is the ?exact= escape hatch: a dense distance
-// matrix at any cohort size. When the synced cohort is already dense
-// its matrix is reused; an indexed cohort gets a one-shot O(n²)
-// fan-out bound to the request context (the caller asked for the full
-// bill, but not past the client hanging up).
-func (s *Server) exactCohortMatrix(ctx context.Context, specName string, m cost.Model) (*analysis.Matrix, error) {
-	v, err := s.cohortView(specName, m)
+// exactCohortMatrix is a dense distance matrix at any cohort size,
+// for /cohort and the analytics ?exact= escape hatch. When the synced
+// cohort is dense its matrix is reused; an indexed cohort gets a
+// one-shot O(n²) fan-out. build's Context and Progress apply to
+// whichever full computation the call makes. The matrix is nil when
+// the cohort is empty.
+func (s *Server) exactCohortMatrix(specName string, m cost.Model, build analysis.Options) (*analysis.Matrix, error) {
+	v, err := s.cohortView(specName, m, build)
 	if err != nil {
 		return nil, err
 	}
@@ -287,5 +290,6 @@ func (s *Server) exactCohortMatrix(ctx context.Context, specName string, m cost.
 	if err != nil {
 		return nil, err
 	}
-	return analysis.DistanceMatrixWith(runs, names, m, analysis.Options{Workers: s.cohorts.workers, Context: ctx})
+	build.Workers = s.cohorts.workers
+	return analysis.DistanceMatrixWith(runs, names, m, build)
 }

@@ -175,3 +175,10 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	srvP.Close()
 	srvD.Close()
 }
+
+func truncate(s string) string {
+	if len(s) > 300 {
+		return s[:300] + "…"
+	}
+	return s
+}

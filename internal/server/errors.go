@@ -1,7 +1,6 @@
 package server
 
-// Uniform JSON error envelope: every endpoint — /v1 and the
-// deprecated legacy aliases alike — reports failures as
+// Uniform JSON error envelope: every endpoint reports failures as
 //
 //	{"error":{"code":"not_found","message":"..."}}
 //
@@ -119,22 +118,27 @@ func ingestStatus(err error) int {
 }
 
 // muxErrorWriter rewrites the mux's own plain-text error responses
-// (unknown path, method mismatch) into the JSON envelope. It is only
-// installed when pattern resolution has already failed, so handler
+// (unknown path, method mismatch) into the JSON envelope. ServeHTTP
+// installs it on every request, so the mux matches each request once;
+// instrument unwraps it before a routed handler runs, so handler
 // output never passes through it.
 type muxErrorWriter struct {
-	w    http.ResponseWriter
-	s    *Server
-	done bool
+	w       http.ResponseWriter
+	s       *Server
+	written bool // the envelope has replaced the mux's response
 }
 
 func (m *muxErrorWriter) Header() http.Header { return m.w.Header() }
 
 func (m *muxErrorWriter) WriteHeader(code int) {
-	if m.done {
+	if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		m.w.WriteHeader(code) // the mux's own redirects pass through
 		return
 	}
-	m.done = true
+	if m.written {
+		return
+	}
+	m.written = true
 	msg := "no such route"
 	if code == http.StatusMethodNotAllowed {
 		msg = "method not allowed"
@@ -147,10 +151,10 @@ func (m *muxErrorWriter) WriteHeader(code int) {
 }
 
 func (m *muxErrorWriter) Write(p []byte) (int, error) {
-	if !m.done {
-		m.WriteHeader(http.StatusOK)
+	if m.written {
+		return len(p), nil // the plain-text body is replaced by the envelope
 	}
-	return len(p), nil // the plain-text body is replaced by the envelope
+	return m.w.Write(p)
 }
 
 // readBody drains a request body under the per-document size limit,

@@ -113,6 +113,17 @@ func TestErrorEnvelopes(t *testing.T) {
 		{name: "oversized document", method: "POST", target: "/v1/specs/pa/runs/big", body: make([]byte, 4096), status: 413, code: "payload_too_large"},
 		{name: "unknown path", method: "GET", target: "/v1/nope", status: 404, code: "not_found"},
 		{name: "method mismatch", method: "PUT", target: "/v1/specs", status: 405, code: "method_not_allowed"},
+		// The unversioned paths the API once answered are gone.
+		{name: "unversioned specs", method: "GET", target: "/specs", status: 404, code: "not_found"},
+		{name: "unversioned runs", method: "GET", target: "/specs/pa/runs", status: 404, code: "not_found"},
+		{name: "unversioned import", method: "POST", target: "/specs/pa/runs/r9", body: []byte("<run/>"), status: 404, code: "not_found"},
+		{name: "unversioned diff", method: "GET", target: "/diff/pa/r0/r1", status: 404, code: "not_found"},
+		{name: "unversioned diff svg", method: "GET", target: "/diff/pa/r0/r1/svg", status: 404, code: "not_found"},
+		{name: "unversioned cohort", method: "GET", target: "/cohort/pa", status: 404, code: "not_found"},
+		{name: "unversioned cluster", method: "GET", target: "/specs/pa/cluster", status: 404, code: "not_found"},
+		{name: "unversioned stats", method: "GET", target: "/stats", status: 404, code: "not_found"},
+		{name: "unversioned metrics", method: "GET", target: "/metrics", status: 404, code: "not_found"},
+		{name: "unversioned healthz", method: "GET", target: "/healthz", status: 404, code: "not_found"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -237,16 +248,13 @@ func (p poisonedBody) Read([]byte) (int, error) {
 
 // TestIngestBoundaryValidation pins the fix for the import-path
 // asymmetry: both POST shapes (?name= and path value) validate the
-// run name at the boundary, without reading the body, under /v1 and
-// the legacy alias alike.
+// run name at the boundary, without reading the body.
 func TestIngestBoundaryValidation(t *testing.T) {
 	srv, _ := seedServer(t, 0, Options{})
 	targets := []string{
 		"/v1/specs/pa/runs?name=..%2Fevil",
 		"/v1/specs/pa/runs/..%2Fevil",
-		"/v1/specs/pa/runs", // name missing entirely
-		"/specs/pa/runs?name=..%2Fevil",
-		"/specs/pa/runs/..%2Fevil",
+		"/v1/specs/pa/runs",           // name missing entirely
 		"/v1/specs/..%2Fevil/runs/ok", // spec side of the same boundary
 	}
 	for _, target := range targets {
@@ -256,5 +264,25 @@ func TestIngestBoundaryValidation(t *testing.T) {
 			srv.ServeHTTP(rec, req)
 			wantEnvelope(t, rec, http.StatusBadRequest, "bad_request")
 		})
+	}
+}
+
+// TestTicketRouteIsV1Only pins that the async ticket endpoint answers
+// only under /v1, like every other route.
+func TestTicketRouteIsV1Only(t *testing.T) {
+	srv, _ := seedServer(t, 0, Options{})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/tickets/tdeadbeef", nil))
+	wantEnvelope(t, rec, http.StatusNotFound, "not_found")
+}
+
+// TestMuxRedirectPassesThrough: the mux's own path-cleaning redirect
+// reaches the client unchanged; only its 404/405s become envelopes.
+func TestMuxRedirectPassesThrough(t *testing.T) {
+	srv, _ := seedServer(t, 0, Options{})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1//specs", nil))
+	if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/v1/specs" {
+		t.Fatalf("GET /v1//specs = %d, Location %q; want 301 to /v1/specs", rec.Code, rec.Header().Get("Location"))
 	}
 }

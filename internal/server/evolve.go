@@ -15,10 +15,10 @@ import (
 // Workflow-evolution endpoints: spec-to-spec differencing and
 // cross-version run comparison.
 //
-//	GET /specs/{a}/evolve/{b}         edit mapping between two spec versions
-//	GET /specs/{a}/evolve/{b}/svg     side-by-side overlay (deleted red, inserted green)
-//	GET /diff/{spec}/{a}/{b}?across=B cross-version run diff: run a of {spec}
-//	                                  vs run b of lineage-linked spec B
+//	GET /v1/specs/{a}/evolve/{b}                 edit mapping between two spec versions
+//	GET /v1/specs/{a}/evolve/{b}/svg             side-by-side overlay (deleted red, inserted green)
+//	GET /v1/specs/{spec}/diff/{a}/{b}?across=B   cross-version run diff: run a of {spec}
+//	                                             vs run b of lineage-linked spec B
 //
 // Mapping payloads are cached like diff payloads; entries are keyed by
 // both specification names and invalidated when either side's runs
@@ -174,7 +174,7 @@ type xdiffPayload struct {
 	Cached         bool    `json:"cached"`
 }
 
-// crossDiff serves /diff/{spec}/{a}/{b}?across={spec2}: run a of
+// crossDiff serves /v1/specs/{spec}/diff/{a}/{b}?across={spec2}: run a of
 // {spec} compared with run b of {spec2}. The two specifications must
 // be lineage-linked — registered through PutSpecVersion / the
 // put-version CLI — so the comparison runs under the recorded

@@ -48,7 +48,7 @@ func seedEvolveServer(tb testing.TB, n int, opts Options) (*Server, *store.Store
 func TestEvolveEndpoint(t *testing.T) {
 	srv, _ := seedEvolveServer(t, 2, Options{CacheSize: 16})
 	var p evolvePayload
-	rec := do(t, srv, http.MethodGet, "/specs/pa/evolve/pa-v2", nil, &p)
+	rec := do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/pa-v2", nil, &p)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("evolve: %d %s", rec.Code, rec.Body.String())
 	}
@@ -68,23 +68,23 @@ func TestEvolveEndpoint(t *testing.T) {
 		t.Error("first evolve answer claims cached")
 	}
 	// Second hit is served from the cache.
-	do(t, srv, http.MethodGet, "/specs/pa/evolve/pa-v2", nil, &p)
+	do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/pa-v2", nil, &p)
 	if !p.Cached {
 		t.Error("second evolve answer not cached")
 	}
 	// Identity pair: zero cost.
 	var ident evolvePayload
-	do(t, srv, http.MethodGet, "/specs/pa/evolve/pa", nil, &ident)
+	do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/pa", nil, &ident)
 	if ident.Cost != 0 || !ident.Linked {
 		t.Errorf("self-evolve: cost %g linked %v", ident.Cost, ident.Linked)
 	}
 	// Unknown spec: 404.
-	rec = do(t, srv, http.MethodGet, "/specs/pa/evolve/nope", nil, nil)
+	rec = do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/nope", nil, nil)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown spec: %d, want 404", rec.Code)
 	}
 	// Traversal probe: 400.
-	rec = do(t, srv, http.MethodGet, "/specs/pa/evolve/%2e%2e", nil, nil)
+	rec = do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/%2e%2e", nil, nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("traversal probe: %d, want 400", rec.Code)
 	}
@@ -92,7 +92,7 @@ func TestEvolveEndpoint(t *testing.T) {
 
 func TestEvolveSVG(t *testing.T) {
 	srv, _ := seedEvolveServer(t, 1, Options{CacheSize: 16})
-	rec := do(t, srv, http.MethodGet, "/specs/pa/evolve/pa-v2/svg", nil, nil)
+	rec := do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/pa-v2/svg", nil, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("evolve svg: %d %s", rec.Code, rec.Body.String())
 	}
@@ -113,7 +113,7 @@ func TestEvolveSVG(t *testing.T) {
 func TestCrossVersionDiffEndpoint(t *testing.T) {
 	srv, _ := seedEvolveServer(t, 2, Options{CacheSize: 16})
 	var p xdiffPayload
-	rec := do(t, srv, http.MethodGet, "/diff/pa/r0/s0?across=pa-v2&cost=length", nil, &p)
+	rec := do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/s0?across=pa-v2&cost=length", nil, &p)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cross diff: %d %s", rec.Code, rec.Body.String())
 	}
@@ -132,22 +132,22 @@ func TestCrossVersionDiffEndpoint(t *testing.T) {
 	if p.Cached {
 		t.Error("first cross diff claims cached")
 	}
-	do(t, srv, http.MethodGet, "/diff/pa/r0/s0?across=pa-v2&cost=length", nil, &p)
+	do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/s0?across=pa-v2&cost=length", nil, &p)
 	if !p.Cached {
 		t.Error("second cross diff not cached")
 	}
 	// Unlinked pair: 400 with a helpful message.
-	rec = do(t, srv, http.MethodGet, "/diff/pa/r0/r1?across=pa", nil, nil)
+	rec = do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/r1?across=pa", nil, nil)
 	if rec.Code != http.StatusOK {
 		// Same spec is trivially linked (identity); only a genuinely
 		// unlinked pair must 400 — build one.
 		t.Fatalf("identity across: %d %s", rec.Code, rec.Body.String())
 	}
-	rec = do(t, srv, http.MethodGet, "/diff/pa/r0/s0?across=..", nil, nil)
+	rec = do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/s0?across=..", nil, nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("traversal across: %d, want 400", rec.Code)
 	}
-	rec = do(t, srv, http.MethodGet, "/diff/pa/r0/zzz?across=pa-v2", nil, nil)
+	rec = do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/zzz?across=pa-v2", nil, nil)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown cross run: %d, want 404", rec.Code)
 	}
@@ -174,7 +174,7 @@ func TestCrossVersionDiffUnlinked400(t *testing.T) {
 	if err := st.SaveRun("emboss", "e0", r); err != nil {
 		t.Fatal(err)
 	}
-	rec := do(t, srv, http.MethodGet, "/diff/pa/r0/e0?across=emboss", nil, nil)
+	rec := do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/e0?across=emboss", nil, nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("unlinked cross diff: %d, want 400", rec.Code)
 	}
@@ -188,8 +188,8 @@ func TestCrossVersionDiffUnlinked400(t *testing.T) {
 func TestCrossDiffInvalidation(t *testing.T) {
 	srv, st := seedEvolveServer(t, 2, Options{CacheSize: 16})
 	var p xdiffPayload
-	do(t, srv, http.MethodGet, "/diff/pa/r0/s0?across=pa-v2", nil, &p)
-	do(t, srv, http.MethodGet, "/diff/pa/r0/s0?across=pa-v2", nil, &p)
+	do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/s0?across=pa-v2", nil, &p)
+	do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/s0?across=pa-v2", nil, &p)
 	if !p.Cached {
 		t.Fatal("cross payload not cached")
 	}
@@ -205,7 +205,7 @@ func TestCrossDiffInvalidation(t *testing.T) {
 	if err := st.SaveRun("pa-v2", "s0", r); err != nil {
 		t.Fatal(err)
 	}
-	do(t, srv, http.MethodGet, "/diff/pa/r0/s0?across=pa-v2", nil, &p)
+	do(t, srv, http.MethodGet, "/v1/specs/pa/diff/r0/s0?across=pa-v2", nil, &p)
 	if p.Cached {
 		t.Error("cross payload served stale after target run re-import")
 	}
@@ -224,17 +224,17 @@ func TestEvolveConcurrent(t *testing.T) {
 			for i := 0; i < 15; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					rec := do(t, srv, http.MethodGet, "/specs/pa/evolve/pa-v2", nil, nil)
+					rec := do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/pa-v2", nil, nil)
 					if rec.Code != http.StatusOK {
 						t.Errorf("evolve: %d", rec.Code)
 					}
 				case 1:
-					rec := do(t, srv, http.MethodGet, fmt.Sprintf("/diff/pa/r%d/s%d?across=pa-v2", i%2, (g+i)%2), nil, nil)
+					rec := do(t, srv, http.MethodGet, fmt.Sprintf("/v1/specs/pa/diff/r%d/s%d?across=pa-v2", i%2, (g+i)%2), nil, nil)
 					if rec.Code != http.StatusOK {
 						t.Errorf("cross diff: %d", rec.Code)
 					}
 				default:
-					rec := do(t, srv, http.MethodGet, "/specs/pa/evolve/pa-v2/svg", nil, nil)
+					rec := do(t, srv, http.MethodGet, "/v1/specs/pa/evolve/pa-v2/svg", nil, nil)
 					if rec.Code != http.StatusOK {
 						t.Errorf("evolve svg: %d", rec.Code)
 					}

@@ -21,13 +21,13 @@ func indexedServer(t *testing.T, n int) *Server {
 func TestIndexedNearestMatchesExact(t *testing.T) {
 	srv := indexedServer(t, 8)
 	var idx, exact nearestPayload
-	if rec := do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3", nil, &idx); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3", nil, &idx); rec.Code != 200 {
 		t.Fatalf("nearest = %d %q", rec.Code, rec.Body.String())
 	}
 	if !idx.Indexed {
 		t.Fatalf("cohort of 8 with threshold 4 should answer indexed: %+v", idx)
 	}
-	if rec := do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3&exact=1", nil, &exact); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3&exact=1", nil, &exact); rec.Code != 200 {
 		t.Fatalf("exact nearest = %d %q", rec.Code, rec.Body.String())
 	}
 	if exact.Indexed {
@@ -46,12 +46,12 @@ func TestIndexedNearestMatchesExact(t *testing.T) {
 	// indexed answer was cached under the plain key, the exact answer
 	// is never cached.
 	var again nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3", nil, &again)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3", nil, &again)
 	if !again.Cached {
 		t.Fatal("indexed answer should be served from cache on repeat")
 	}
 	var exact2 nearestPayload
-	do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3&exact=1", nil, &exact2)
+	do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3&exact=1", nil, &exact2)
 	if exact2.Cached {
 		t.Fatal("?exact=1 must not hit the result cache")
 	}
@@ -62,10 +62,10 @@ func TestIndexedNearestMatchesExact(t *testing.T) {
 func TestIndexedOutliersMatchesExact(t *testing.T) {
 	srv := indexedServer(t, 8)
 	var idx, exact outliersPayload
-	if rec := do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &idx); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &idx); rec.Code != 200 {
 		t.Fatalf("outliers = %d %q", rec.Code, rec.Body.String())
 	}
-	if rec := do(t, srv, "GET", "/specs/pa/outliers?k=2&exact=1", nil, &exact); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=2&exact=1", nil, &exact); rec.Code != 200 {
 		t.Fatalf("exact outliers = %d %q", rec.Code, rec.Body.String())
 	}
 	if !idx.Indexed || exact.Indexed {
@@ -97,7 +97,7 @@ func TestIndexedOutliersMatchesExact(t *testing.T) {
 func TestIndexedClusterEndpoint(t *testing.T) {
 	srv := indexedServer(t, 8)
 	var p clusterPayload
-	if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2&seed=5", nil, &p); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2&seed=5", nil, &p); rec.Code != 200 {
 		t.Fatalf("cluster = %d %q", rec.Code, rec.Body.String())
 	}
 	if !p.Indexed || p.Silhouette != 0 || p.K != 2 || len(p.Clusters) != 2 {
@@ -120,7 +120,7 @@ func TestIndexedClusterEndpoint(t *testing.T) {
 		t.Fatalf("partition covers %d of 8 runs", len(seen))
 	}
 	var ex clusterPayload
-	if rec := do(t, srv, "GET", "/specs/pa/cluster?k=2&seed=5&exact=1", nil, &ex); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2&seed=5&exact=1", nil, &ex); rec.Code != 200 {
 		t.Fatalf("exact cluster = %d %q", rec.Code, rec.Body.String())
 	}
 	if ex.Indexed {
@@ -138,26 +138,26 @@ func TestIndexedClusterEndpoint(t *testing.T) {
 func TestIndexedInvalidation(t *testing.T) {
 	srv := indexedServer(t, 6)
 	var before outliersPayload
-	do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &before)
+	do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &before)
 	if !before.Indexed || len(before.Outliers) != 6 {
 		t.Fatalf("seed cohort: %+v", before)
 	}
 	// Import one more run, then delete two: the cohort shrinks to 5.
-	if rec := do(t, srv, "POST", "/specs/pa/runs/extra", encodeRun(t, srv.st, 99), nil); rec.Code != 200 && rec.Code != 201 {
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs/extra", encodeRun(t, srv.st, 99), nil); rec.Code != 200 && rec.Code != 201 {
 		t.Fatalf("import = %d", rec.Code)
 	}
 	var grown outliersPayload
-	do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &grown)
+	do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &grown)
 	if len(grown.Outliers) != 7 || grown.Cached {
 		t.Fatalf("after import: %+v", grown)
 	}
 	for _, name := range []string{"r0", "extra"} {
-		if rec := do(t, srv, "DELETE", "/specs/pa/runs/"+name, nil, nil); rec.Code != 200 && rec.Code != 204 {
+		if rec := do(t, srv, "DELETE", "/v1/specs/pa/runs/"+name, nil, nil); rec.Code != 200 && rec.Code != 204 {
 			t.Fatalf("delete %s = %d", name, rec.Code)
 		}
 	}
 	var after outliersPayload
-	do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &after)
+	do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &after)
 	if len(after.Outliers) != 5 || after.Cached {
 		t.Fatalf("after deletes: %+v", after)
 	}
@@ -173,7 +173,7 @@ func TestIndexedInvalidation(t *testing.T) {
 func TestMetricIndexStats(t *testing.T) {
 	srv := indexedServer(t, 8)
 	for i := 0; i < 3; i++ {
-		do(t, srv, "GET", fmt.Sprintf("/specs/pa/nearest?run=r%d&k=3", i), nil, nil)
+		do(t, srv, "GET", fmt.Sprintf("/v1/specs/pa/nearest?run=r%d&k=3", i), nil, nil)
 	}
 	st := srv.Stats()
 	if st.MetricIndex.IndexedCohorts < 1 {

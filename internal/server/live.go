@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/metricindex"
@@ -184,7 +185,7 @@ func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (drift
 	case 1:
 		b.Run = runs[0]
 	default:
-		v, err := s.cohortView(specName, m)
+		v, err := s.cohortView(specName, m, analysis.Options{})
 		if err != nil {
 			return driftBaseline{}, err
 		}
@@ -360,9 +361,8 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		p.Completed = true
 		u.Final = true
 		if b.Run != "" && b.Run != ns[1] {
-			t0 = time.Now()
+			// diffPair charges its own cache and diff stages.
 			dp, err := s.diffPair(r.Context(), ns[0], ns[1], b.Run, m)
-			observeStage(r.Context(), stageDiff, t0)
 			if err != nil {
 				s.storeError(w, err)
 				return

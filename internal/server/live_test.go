@@ -413,3 +413,43 @@ func TestRequestTimingHook(t *testing.T) {
 		t.Fatalf("404 timing record = %+v", rt)
 	}
 }
+
+// TestLiveCompletionStagesWithinTotal checks that a completing PATCH
+// charges each stage once: its stage times never add up to more than
+// the handler's total. The completion diff runs through diffPair,
+// which charges cache and diff itself.
+func TestLiveCompletionStagesWithinTotal(t *testing.T) {
+	timings := make(chan RequestTiming, 64)
+	srv, st, _ := seedLiveServer(t, 3, Options{
+		CacheSize:       16,
+		OnRequestTiming: func(rt *RequestTiming) { timings <- *rt },
+	})
+	defer srv.Close()
+	sp, err := st.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Build the baseline cohort first, so the completing request's
+	// unstaged time is small and a double charge shows.
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=1", nil, nil); rec.Code != 200 {
+		t.Fatalf("nearest = %d %q", rec.Code, rec.Body.String())
+	}
+	<-timings
+	for i := 0; i < 3; i++ {
+		run, err := gen.RandomRun(sp, gen.DefaultRunParams(), rand.New(rand.NewSource(int64(40+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := fmt.Sprintf("/v1/specs/pa/runs/done%d/events?complete=1", i)
+		if rec := do(t, srv, "PATCH", target, eventBody(t, wfrun.Events(run)...), nil); rec.Code != 200 {
+			t.Fatalf("PATCH %s = %d %q", target, rec.Code, rec.Body.String())
+		}
+		rt := <-timings
+		if rt.Route != "live_events" || rt.DiffMS <= 0 {
+			t.Fatalf("completion timing = %+v", rt)
+		}
+		if sum := rt.ParseMS + rt.DiffMS + rt.CacheMS + rt.StoreMS + rt.LedgerMS; sum > rt.TotalMS {
+			t.Fatalf("stages sum to %.3f ms, above the %.3f ms total: %+v", sum, rt.TotalMS, rt)
+		}
+	}
+}

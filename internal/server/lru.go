@@ -168,7 +168,7 @@ func (c *resultCache) purge() {
 	clear(c.items)
 }
 
-// cacheStats is a point-in-time snapshot for /stats.
+// cacheStats is a point-in-time snapshot for /v1/stats.
 type cacheStats struct {
 	Capacity      int     `json:"capacity"`
 	Size          int     `json:"size"`

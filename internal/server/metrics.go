@@ -9,6 +9,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,9 +48,11 @@ func (h *histogram) observe(seconds float64) {
 }
 
 // metricsRegistry aggregates per-route request counts and latency
-// distributions plus per-stage latency distributions.
+// distributions plus per-stage latency distributions. It is the only
+// home of the request counts: /v1/stats sums them over status classes.
 type metricsRegistry struct {
 	mu       sync.Mutex
+	routes   []string              // every route name, in route-table order
 	requests map[[2]string]int64   // (route, status class "2xx") → count
 	latency  map[string]*histogram // route → request duration
 	stages   map[string]*histogram // stage → stage duration
@@ -63,10 +66,40 @@ func newMetricsRegistry() *metricsRegistry {
 	}
 }
 
+// addRoute declares a route name, so /v1/stats lists it before its
+// first request.
+func (m *metricsRegistry) addRoute(name string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !slices.Contains(m.routes, name) {
+		m.routes = append(m.routes, name)
+	}
+}
+
+// requestCounts is /v1/stats.requests: every declared route's request
+// count, summed over status classes.
+func (m *metricsRegistry) requestCounts() map[string]int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string]int64, len(m.routes))
+	for _, name := range m.routes {
+		out[name] = 0
+	}
+	for k, n := range m.requests {
+		out[k[0]] += n
+	}
+	return out
+}
+
+// statusClasses are the status-class labels indexed by status/100, so
+// observing a request formats nothing. net/http refuses status codes
+// outside 100-999.
+var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
+
 // observeRequest folds one finished request into the registry. Stage
 // histograms only record stages the request actually exercised.
 func (m *metricsRegistry) observeRequest(t *RequestTiming) {
-	class := fmt.Sprintf("%dxx", t.Status/100)
+	class := statusClasses[t.Status/100]
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[[2]string{t.Route, class}]++

@@ -1,143 +1,56 @@
 package server
 
-// The service route table. Version 1 lives under /v1 in one coherent
-// scheme: every run-scoped resource hangs off its specification
-// (/v1/specs/{spec}/diff/{a}/{b} — diff and cohort are spec-scoped
-// like cluster/outliers/nearest always were). The pre-/v1 routes
-// remain as thin aliases registered against the SAME handler func, so
-// they answer byte-identically, plus a Deprecation header and a Link
-// to the successor route. New surface (tickets) is v1-only.
+// The service route table. Every route lives under /v1 in one scheme:
+// each run-scoped resource hangs off its specification
+// (/v1/specs/{spec}/diff/{a}/{b}). README.md documents the table, and
+// TestREADMERouteTable keeps the two in step.
 
-import (
-	"fmt"
-	"net/http"
-	"net/url"
-	"strings"
-	"sync/atomic"
-)
+import "net/http"
 
-// apiRoute is one row of the route table: the /v1 pattern, the
-// deprecated unversioned alias it replaces (empty for v1-only
-// routes), and the shared handler. Legacy patterns use the same path
-// value names as their v1 twin so the substituted successor Link and
-// the handler's PathValue lookups agree.
+// apiRoute is one row of the route table: the pattern under /v1, the
+// route's stable short name and its handler.
 type apiRoute struct {
 	Method string
 	Path   string // pattern under /v1, e.g. "/specs/{spec}/diff/{a}/{b}"
-	Legacy string // pre-/v1 pattern, "" when the route is v1-only
-	Name   string // stable short name: the metrics route label and CSV column value
-	Doc    string // one-line description for the generated route list
+	Name   string // stable short name: the metrics route label, the /v1/stats.requests key and the CSV column value
 
 	handler http.HandlerFunc
 }
 
-// routeTable enumerates every endpoint. It is the single source the
-// mux registration, the README/package-doc route list, and the
-// legacy-parity test all draw from — a route added here is served,
-// documented and parity-checked or it does not exist.
+// routeTable enumerates every endpoint. Two rows may share a name
+// (both import shapes count as "import").
 func (s *Server) routeTable() []apiRoute {
 	return []apiRoute{
-		{Method: "GET", Path: "/specs", Legacy: "/specs", Name: "specs",
-			Doc: "list specifications", handler: s.count(&s.reqSpecs, s.handleSpecs)},
-		{Method: "GET", Path: "/specs/{spec}/runs", Legacy: "/specs/{spec}/runs", Name: "runs",
-			Doc: "list runs of a specification", handler: s.count(&s.reqRuns, s.handleRuns)},
-		{Method: "POST", Path: "/specs/{spec}/runs", Legacy: "/specs/{spec}/runs", Name: "import",
-			Doc: "import a run (XML body, ?name=, ?async=1)", handler: s.count(&s.reqImport, s.handleIngest)},
-		{Method: "POST", Path: "/specs/{spec}/runs/{run}", Legacy: "/specs/{spec}/runs/{run}", Name: "import",
-			Doc: "import a run (XML body, ?async=1)", handler: s.count(&s.reqImport, s.handleIngest)},
-		{Method: "POST", Path: "/specs/{spec}/runs:bulk", Legacy: "/specs/{spec}/runs:bulk", Name: "bulk",
-			Doc: "bulk-import a cohort (tar or NDJSON, ?async=1)", handler: s.count(&s.reqBulk, s.handleBulkImport)},
-		{Method: "GET", Path: "/specs/{spec}/export", Legacy: "/specs/{spec}/export", Name: "export",
-			Doc: "export spec + runs as a tar stream", handler: s.count(&s.reqExport, s.handleExport)},
-		{Method: "DELETE", Path: "/specs/{spec}/runs/{run}", Legacy: "/specs/{spec}/runs/{run}", Name: "delete",
-			Doc: "delete a run", handler: s.count(&s.reqDelete, s.handleDelete)},
-		{Method: "GET", Path: "/specs/{spec}/diff/{a}/{b}", Legacy: "/diff/{spec}/{a}/{b}", Name: "diff",
-			Doc: "distance + edit script (?cost=, ?across=)", handler: s.count(&s.reqDiff, s.handleDiff)},
-		{Method: "GET", Path: "/specs/{spec}/diff/{a}/{b}/svg", Legacy: "/diff/{spec}/{a}/{b}/svg", Name: "diff_svg",
-			Doc: "side-by-side SVG diff rendering", handler: s.count(&s.reqSVG, s.handleDiffSVG)},
-		{Method: "GET", Path: "/specs/{spec}/cohort", Legacy: "/cohort/{spec}", Name: "cohort",
-			Doc: "distance matrix + dendrogram (?cost=, ?stream=1)", handler: s.count(&s.reqCohort, s.handleCohort)},
-		{Method: "GET", Path: "/specs/{a}/evolve/{b}", Legacy: "/specs/{a}/evolve/{b}", Name: "evolve",
-			Doc: "spec-evolution mapping between versions", handler: s.count(&s.reqEvolve, s.handleEvolve)},
-		{Method: "GET", Path: "/specs/{a}/evolve/{b}/svg", Legacy: "/specs/{a}/evolve/{b}/svg", Name: "evolve_svg",
-			Doc: "spec overlay (deleted red, inserted green)", handler: s.count(&s.reqEvolve, s.handleEvolveSVG)},
-		{Method: "GET", Path: "/specs/{spec}/cluster", Legacy: "/specs/{spec}/cluster", Name: "cluster",
-			Doc: "k-medoids partitioning (?k=, ?seed=, ?cost=)", handler: s.count(&s.reqCluster, s.handleCluster)},
-		{Method: "GET", Path: "/specs/{spec}/outliers", Legacy: "/specs/{spec}/outliers", Name: "outliers",
-			Doc: "knn outlier scores (?k=, ?cost=)", handler: s.count(&s.reqOutliers, s.handleOutliers)},
-		{Method: "GET", Path: "/specs/{spec}/nearest", Legacy: "/specs/{spec}/nearest", Name: "nearest",
-			Doc: "nearest neighbors (?run=, ?k=, ?cost=)", handler: s.count(&s.reqNearest, s.handleNearest)},
-		{Method: "GET", Path: "/specs/{spec}/runs/{run}/proof", Name: "proof",
-			Doc: "Merkle inclusion proof against the provenance ledger", handler: s.count(&s.reqProof, s.handleProof)},
-		{Method: "PATCH", Path: "/specs/{spec}/runs/{run}/events", Name: "live_events",
-			Doc: "append live node-status events (?cost=, ?complete=1)", handler: s.count(&s.reqLive, s.handleLiveEvents)},
-		{Method: "GET", Path: "/specs/{spec}/watch", Name: "watch",
-			Doc: "stream live-run drift updates as NDJSON", handler: s.count(&s.reqWatch, s.handleWatch)},
-		{Method: "GET", Path: "/tickets/{id}", Name: "tickets",
-			Doc: "async ingest ticket status", handler: s.count(&s.reqTickets, s.handleTicket)},
-		{Method: "GET", Path: "/metrics", Legacy: "/metrics", Name: "metrics",
-			Doc: "Prometheus text-format metrics", handler: s.count(&s.reqMetrics, s.handleMetrics)},
-		{Method: "GET", Path: "/stats", Legacy: "/stats", Name: "stats",
-			Doc: "service counters", handler: s.count(&s.reqStats, s.handleStats)},
-		{Method: "GET", Path: "/healthz", Legacy: "/healthz", Name: "healthz",
-			Doc: "liveness probe", handler: s.handleHealthz},
+		{"GET", "/specs", "specs", s.handleSpecs},
+		{"GET", "/specs/{spec}/runs", "runs", s.handleRuns},
+		{"POST", "/specs/{spec}/runs", "import", s.handleIngest},
+		{"POST", "/specs/{spec}/runs/{run}", "import", s.handleIngest},
+		{"POST", "/specs/{spec}/runs:bulk", "bulk", s.handleBulkImport},
+		{"GET", "/specs/{spec}/export", "export", s.handleExport},
+		{"DELETE", "/specs/{spec}/runs/{run}", "delete", s.handleDelete},
+		{"GET", "/specs/{spec}/diff/{a}/{b}", "diff", s.handleDiff},
+		{"GET", "/specs/{spec}/diff/{a}/{b}/svg", "diff_svg", s.handleDiffSVG},
+		{"GET", "/specs/{spec}/cohort", "cohort", s.handleCohort},
+		{"GET", "/specs/{a}/evolve/{b}", "evolve", s.handleEvolve},
+		{"GET", "/specs/{a}/evolve/{b}/svg", "evolve_svg", s.handleEvolveSVG},
+		{"GET", "/specs/{spec}/cluster", "cluster", s.handleCluster},
+		{"GET", "/specs/{spec}/outliers", "outliers", s.handleOutliers},
+		{"GET", "/specs/{spec}/nearest", "nearest", s.handleNearest},
+		{"GET", "/specs/{spec}/runs/{run}/proof", "proof", s.handleProof},
+		{"PATCH", "/specs/{spec}/runs/{run}/events", "live_events", s.handleLiveEvents},
+		{"GET", "/specs/{spec}/watch", "watch", s.handleWatch},
+		{"GET", "/tickets/{id}", "tickets", s.handleTicket},
+		{"GET", "/metrics", "metrics", s.handleMetrics},
+		{"GET", "/stats", "stats", s.handleStats},
+		{"GET", "/healthz", "healthz", s.handleHealthz},
 	}
 }
 
-// registerRoutes mounts the table: every row under /v1, and each
-// legacy alias wrapped with the deprecation headers. Every handler —
-// v1 and alias alike — runs inside the timing shell, so /metrics sees
-// the whole traffic under the route's stable name.
+// registerRoutes mounts every row under /v1, inside the timing shell,
+// so /v1/metrics and /v1/stats see all traffic under the route's name.
 func (s *Server) registerRoutes() {
 	for _, rt := range s.routeTable() {
-		h := s.instrument(rt.Name, rt.handler)
-		s.mux.HandleFunc(rt.Method+" /v1"+rt.Path, h)
-		if rt.Legacy != "" {
-			s.mux.HandleFunc(rt.Method+" "+rt.Legacy, s.deprecated("/v1"+rt.Path, h))
-		}
-	}
-}
-
-// deprecated wraps a legacy route. The response body and status come
-// from exactly the handler the /v1 twin uses; the wrapper only adds
-//
-//	Deprecation: true
-//	Link: </v1/...>; rel="successor-version"
-//
-// with the Link target built by substituting the request's path
-// values into the successor pattern.
-func (s *Server) deprecated(v1Pattern string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", substitutePattern(v1Pattern, r), "successor-version"))
-		h(w, r)
-	}
-}
-
-// substitutePattern fills a mux pattern's {name} segments from the
-// request's path values (path-escaped; names are validated separately
-// by the handlers).
-func substitutePattern(pattern string, r *http.Request) string {
-	segs := strings.Split(pattern, "/")
-	for i, seg := range segs {
-		name, ok := strings.CutPrefix(seg, "{")
-		if !ok {
-			continue
-		}
-		name, ok = strings.CutSuffix(name, "}")
-		if !ok {
-			continue
-		}
-		if v := r.PathValue(name); v != "" {
-			segs[i] = url.PathEscape(v)
-		}
-	}
-	return strings.Join(segs, "/")
-}
-
-func (s *Server) count(c *atomic.Int64, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		c.Add(1)
-		h(w, r)
+		s.metrics.addRoute(rt.Name)
+		s.mux.HandleFunc(rt.Method+" /v1"+rt.Path, s.instrument(rt.Name, rt.handler))
 	}
 }

@@ -11,47 +11,21 @@
 //   - finished diff payloads (JSON and SVG) live in a bounded LRU
 //     keyed by (spec, runA, runB, cost), invalidated through
 //     store.OnRunChange when a run is re-imported or deleted;
-//   - cohort matrices fan out over a worker pool and can stream
-//     per-pair progress to the client as NDJSON;
+//   - one incrementally maintained distance matrix per (spec, cost
+//     model) answers /cohort and the cohort analytics alike; its full
+//     builds fan out over a worker pool and can stream per-pair
+//     progress to the client as NDJSON;
 //   - single-run imports flow through a group-commit pipeline
 //     (internal/ingest): concurrent importers coalesce into one
 //     segment append + one manifest save + one change notification
 //     per batch, synchronously (default) or async via tickets.
 //
-// The API is versioned under /v1 (all JSON unless noted):
+// Every route lives under /v1; README.md lists them (routes.go holds
+// the table). Any other path answers 404. Errors everywhere use one
+// JSON envelope, {"error":{"code":...,"message":...}} (see errors.go).
 //
-//	GET    /v1/specs                          list specifications
-//	GET    /v1/specs/{spec}/runs              list runs of a specification
-//	POST   /v1/specs/{spec}/runs              import a run (XML body, ?name=, ?async=1)
-//	POST   /v1/specs/{spec}/runs/{run}        import a run (XML body, ?async=1)
-//	POST   /v1/specs/{spec}/runs:bulk         bulk-import a cohort (tar or NDJSON, ?async=1)
-//	GET    /v1/specs/{spec}/export            export spec + runs as a tar stream
-//	DELETE /v1/specs/{spec}/runs/{run}        delete a run
-//	GET    /v1/specs/{spec}/diff/{a}/{b}      distance + edit script (?cost=, ?across=)
-//	GET    /v1/specs/{spec}/diff/{a}/{b}/svg  side-by-side SVG diff rendering
-//	GET    /v1/specs/{spec}/cohort            distance matrix + dendrogram (?cost=, ?stream=1)
-//	GET    /v1/specs/{a}/evolve/{b}           spec-evolution mapping between versions
-//	GET    /v1/specs/{a}/evolve/{b}/svg       spec overlay (deleted red, inserted green)
-//	GET    /v1/specs/{spec}/cluster           k-medoids partitioning (?k=, ?seed=, ?cost=)
-//	GET    /v1/specs/{spec}/outliers          knn outlier scores (?k=, ?cost=)
-//	GET    /v1/specs/{spec}/nearest           nearest neighbors (?run=, ?k=, ?cost=)
-//	GET    /v1/specs/{spec}/runs/{run}/proof  Merkle inclusion proof from the provenance ledger
-//	PATCH  /v1/specs/{spec}/runs/{run}/events append live node-status events (?cost=, ?complete=1)
-//	GET    /v1/specs/{spec}/watch             stream live-run drift updates as NDJSON
-//	GET    /v1/tickets/{id}                   async ingest ticket status
-//	GET    /v1/metrics                        Prometheus text-format metrics
-//	GET    /v1/stats                          service counters (incl. ledger heads + repository root)
-//	GET    /v1/healthz                        liveness probe
-//
-// The pre-/v1 routes (same paths minus the prefix, plus the old
-// /diff/{spec}/{a}/{b} and /cohort/{spec} shapes) remain as deprecated
-// aliases: they are served by the same handlers byte-for-byte and
-// carry "Deprecation: true" plus a successor-version Link header (see
-// routes.go). Errors everywhere use one JSON envelope,
-// {"error":{"code":...,"message":...}} (see errors.go).
-//
-// The three cohort-analytics endpoints share one incrementally
-// maintained distance matrix per (spec, cost model): importing a run
+// The cohort endpoints share one incrementally maintained distance
+// matrix per (spec, cost model): importing a run
 // into an n-run cohort differences only the n new pairs, with
 // store.OnRunChange generation checks guaranteeing a stale row is
 // never retained (see cohortcache.go).
@@ -63,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -141,12 +116,9 @@ type Server struct {
 	metrics *metricsRegistry
 	watch   *watchHub
 
-	reqDiff, reqSVG, reqCohort, reqSpecs, reqRuns atomic.Int64
-	reqImport, reqDelete, reqStats                atomic.Int64
-	reqCluster, reqOutliers, reqNearest           atomic.Int64
-	reqBulk, reqExport, reqEvolve, reqTickets     atomic.Int64
-	reqProof, reqLive, reqWatch, reqMetrics       atomic.Int64
-	errCount                                      atomic.Int64
+	// errCount counts error envelopes, including the mux's own
+	// 404/405s, which reach no route.
+	errCount atomic.Int64
 }
 
 // New builds a Server over an open store and registers its routes.
@@ -189,13 +161,10 @@ func New(st *store.Store, opts Options) *Server {
 // ServeHTTP implements http.Handler. Responses the mux generates on
 // its own — 404 for unknown paths, 405 for method mismatches — are
 // rewritten into the uniform error envelope; requests that resolve to
-// a registered route reach their handler untouched.
+// a registered route reach their handler untouched (instrument unwraps
+// the rewriting writer).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if _, pattern := s.mux.Handler(r); pattern == "" {
-		s.mux.ServeHTTP(&muxErrorWriter{w: w, s: s}, r)
-		return
-	}
-	s.mux.ServeHTTP(w, r)
+	s.mux.ServeHTTP(&muxErrorWriter{w: w, s: s}, r)
 }
 
 // maxImportBytes resolves the per-document size bound.
@@ -457,11 +426,12 @@ type cohortPayload struct {
 	Dendrogram string      `json:"dendrogram"`
 }
 
-// handleCohort computes the pairwise distance matrix over all stored
-// runs of a specification plus the UPGMA dendrogram. With ?stream=1
-// the response is NDJSON: progress objects as pairs complete, then the
-// final result object — the fan-out itself runs on a worker pool (one
-// engine per worker) either way.
+// handleCohort serves the pairwise distance matrix over all stored
+// runs of a specification plus the UPGMA dendrogram, from the cohort
+// the analytics endpoints share (cohortcache.go), ordered by run name
+// like ListRuns. With ?stream=1 the response is NDJSON: progress
+// objects while a full build of the cohort runs, then the final result
+// object.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.names(w, r, "spec")
 	if !ok {
@@ -477,57 +447,49 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		s.storeError(w, err)
 		return
 	}
-	runs, err := s.st.ListRuns(ns[0])
-	if err != nil {
-		s.httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	if len(runs) < 2 {
-		s.httpError(w, fmt.Errorf("cohort of %q needs at least two stored runs, have %d", ns[0], len(runs)), http.StatusBadRequest)
-		return
-	}
-	// The request context aborts the fan-out when the client goes
-	// away mid-stream (or the server shuts down): without it a
-	// disconnected client would leave the workers differencing a
-	// matrix nobody will read, with the progress callback writing
-	// into a dead connection.
-	opts := analysis.Options{Workers: s.opts.CohortWorkers, Context: r.Context()}
+	// The request context aborts a build when the client goes away
+	// mid-stream (or the server shuts down): without it a disconnected
+	// client would leave the workers differencing a matrix nobody will
+	// read, with the progress callback writing into a dead connection.
+	build := analysis.Options{Context: r.Context()}
 	var rc *http.ResponseController
 	if stream {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		rc = http.NewResponseController(w)
 		enc := json.NewEncoder(w)
-		total := len(runs) * (len(runs) - 1) / 2
-		// Emit at most ~100 progress lines however large the cohort.
-		step := max(1, total/100)
-		// Serialized by the analysis package; the handler goroutine is
-		// blocked in CohortWith while these fire. The per-write
-		// deadline keeps a stalled client from parking the cohort
-		// workers behind a full TCP buffer: the write errors out and
-		// the computation finishes on its own.
-		opts.Progress = func(done, tot int) {
-			if done%step != 0 && done != tot {
+		var writeErr error
+		// Serialized by the analysis package; the build holds the
+		// cohort's locks while these fire. The per-write deadline keeps
+		// a stalled client from parking the workers behind a full TCP
+		// buffer, and after one failed write the rest are skipped.
+		build.Progress = func(done, total int) {
+			// Emit at most ~100 progress lines however large the cohort.
+			if writeErr != nil || (done%max(1, total/100) != 0 && done != total) {
 				return
 			}
 			rc.SetWriteDeadline(time.Now().Add(progressWriteTimeout))
-			enc.Encode(map[string]any{"type": "progress", "done": done, "total": tot})
-			if flusher != nil {
+			if writeErr = enc.Encode(map[string]any{"type": "progress", "done": done, "total": total}); writeErr == nil && flusher != nil {
 				flusher.Flush()
 			}
 		}
 	}
-	mx, err := s.st.CohortWith(ns[0], runs, m, opts)
-	if err != nil {
-		if stream {
-			// Status is already committed; report in-band.
-			rc.SetWriteDeadline(time.Now().Add(progressWriteTimeout))
-			json.NewEncoder(w).Encode(map[string]any{"type": "error", "error": err.Error()})
-			return
-		}
+	mx, err := s.exactCohortMatrix(ns[0], m, build)
+	switch {
+	case err != nil && stream:
+		// Status is already committed; report in-band.
+		rc.SetWriteDeadline(time.Now().Add(progressWriteTimeout))
+		json.NewEncoder(w).Encode(map[string]any{"type": "error", "error": err.Error()})
+		return
+	case err != nil:
 		s.storeError(w, err)
 		return
+	case mx == nil || len(mx.Labels) < 2:
+		// A cohort this small has no pairs, so nothing was streamed.
+		s.httpError(w, fmt.Errorf("cohort of %q needs at least two stored runs", ns[0]), http.StatusBadRequest)
+		return
 	}
+	mx = byName(mx)
 	p := cohortPayload{
 		Spec:       ns[0],
 		Cost:       m.Name(),
@@ -543,6 +505,29 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, p)
+}
+
+// byName permutes a cohort matrix into run-name order. The shared
+// cohort appends runs as they arrive; a full computation over ListRuns
+// lays them out by name, and /cohort answers in that order.
+func byName(mx *analysis.Matrix) *analysis.Matrix {
+	if sort.StringsAreSorted(mx.Labels) {
+		return mx
+	}
+	perm := make([]int, len(mx.Labels))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(a, b int) bool { return mx.Labels[perm[a]] < mx.Labels[perm[b]] })
+	out := &analysis.Matrix{Labels: make([]string, len(perm)), D: make([][]float64, len(perm))}
+	for i, pi := range perm {
+		out.Labels[i] = mx.Labels[pi]
+		out.D[i] = make([]float64, len(perm))
+		for j, pj := range perm {
+			out.D[i][j] = mx.D[pi][pj]
+		}
+	}
+	return out
 }
 
 // --- stats ----------------------------------------------------------
@@ -566,7 +551,7 @@ type metricIndexStats struct {
 	PrunedPairs int64 `json:"pruned_pairs"`
 }
 
-// ingestStats mirrors the pipeline + ticket counters into /stats; the
+// ingestStats mirrors the pipeline + ticket counters into /v1/stats; the
 // slow-commit fields are the fsync watchdog (commits slower than the
 // pipeline's threshold).
 type ingestStats struct {
@@ -615,7 +600,7 @@ type statsPayload struct {
 	Storage        storageStats     `json:"storage"`
 }
 
-// Stats snapshots the service counters (also served at /stats).
+// Stats snapshots the service counters (also served at /v1/stats).
 func (s *Server) Stats() statsPayload {
 	gets, news := s.pools.gets.Load(), s.pools.news.Load()
 	es := engineStats{
@@ -656,28 +641,8 @@ func (s *Server) Stats() statsPayload {
 		ls.RepoRoot, ls.Specs = root, heads
 	}
 	return statsPayload{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Requests: map[string]int64{
-			"specs":    s.reqSpecs.Load(),
-			"runs":     s.reqRuns.Load(),
-			"import":   s.reqImport.Load(),
-			"delete":   s.reqDelete.Load(),
-			"diff":     s.reqDiff.Load(),
-			"svg":      s.reqSVG.Load(),
-			"cohort":   s.reqCohort.Load(),
-			"cluster":  s.reqCluster.Load(),
-			"outliers": s.reqOutliers.Load(),
-			"nearest":  s.reqNearest.Load(),
-			"bulk":     s.reqBulk.Load(),
-			"export":   s.reqExport.Load(),
-			"evolve":   s.reqEvolve.Load(),
-			"tickets":  s.reqTickets.Load(),
-			"proof":    s.reqProof.Load(),
-			"live":     s.reqLive.Load(),
-			"watch":    s.reqWatch.Load(),
-			"metrics":  s.reqMetrics.Load(),
-			"stats":    s.reqStats.Load(),
-		},
+		UptimeSeconds:  time.Since(s.started).Seconds(),
+		Requests:       s.metrics.requestCounts(),
 		CohortMatrices: s.cohorts.count(),
 		MetricIndex:    mi,
 		Ingest:         ig,

@@ -79,7 +79,7 @@ func TestBrowseEndpoints(t *testing.T) {
 			Runs int    `json:"runs"`
 		} `json:"specs"`
 	}
-	rec := do(t, srv, "GET", "/specs", nil, &specs)
+	rec := do(t, srv, "GET", "/v1/specs", nil, &specs)
 	if rec.Code != 200 || len(specs.Specs) != 1 || specs.Specs[0].Name != "pa" || specs.Specs[0].Runs != 3 {
 		t.Fatalf("GET /specs = %d %q", rec.Code, rec.Body.String())
 	}
@@ -88,15 +88,15 @@ func TestBrowseEndpoints(t *testing.T) {
 		Spec string   `json:"spec"`
 		Runs []string `json:"runs"`
 	}
-	rec = do(t, srv, "GET", "/specs/pa/runs", nil, &runs)
+	rec = do(t, srv, "GET", "/v1/specs/pa/runs", nil, &runs)
 	if rec.Code != 200 || len(runs.Runs) != 3 || runs.Runs[0] != "r0" {
 		t.Fatalf("GET /specs/pa/runs = %d %q", rec.Code, rec.Body.String())
 	}
 
-	if rec := do(t, srv, "GET", "/specs/nope/runs", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/nope/runs", nil, nil); rec.Code != 404 {
 		t.Fatalf("unknown spec: got %d, want 404", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/healthz", nil, nil); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/healthz", nil, nil); rec.Code != 200 {
 		t.Fatalf("healthz = %d", rec.Code)
 	}
 }
@@ -105,7 +105,7 @@ func TestDiffEndpoint(t *testing.T) {
 	srv, st := seedServer(t, 3, Options{CacheSize: 8})
 
 	var p diffPayload
-	rec := do(t, srv, "GET", "/diff/pa/r0/r1", nil, &p)
+	rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1", nil, &p)
 	if rec.Code != 200 {
 		t.Fatalf("diff = %d %q", rec.Code, rec.Body.String())
 	}
@@ -126,7 +126,7 @@ func TestDiffEndpoint(t *testing.T) {
 
 	// Second request must come from the cache with the same payload.
 	var p2 diffPayload
-	do(t, srv, "GET", "/diff/pa/r0/r1", nil, &p2)
+	do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1", nil, &p2)
 	if !p2.Cached {
 		t.Fatal("second diff should be cached")
 	}
@@ -136,7 +136,7 @@ func TestDiffEndpoint(t *testing.T) {
 
 	// Distinct cost models are distinct cache entries.
 	var pl diffPayload
-	do(t, srv, "GET", "/diff/pa/r0/r1?cost=length", nil, &pl)
+	do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1?cost=length", nil, &pl)
 	if pl.Cached {
 		t.Fatal("length-cost diff must not hit the unit-cost entry")
 	}
@@ -146,30 +146,30 @@ func TestDiffEndpoint(t *testing.T) {
 	// Nearby power epsilons must not collide in the cache or the
 	// engine pools: Power.Name() carries full precision.
 	var pe diffPayload
-	do(t, srv, "GET", "/diff/pa/r0/r1?cost=power:0.121", nil, &pe)
+	do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1?cost=power:0.121", nil, &pe)
 	if pe.Cached || pe.Cost != "power(0.121)" {
 		t.Fatalf("power:0.121 payload = %+v", pe)
 	}
-	do(t, srv, "GET", "/diff/pa/r0/r1?cost=power:0.124", nil, &pe)
+	do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1?cost=power:0.124", nil, &pe)
 	if pe.Cached || pe.Cost != "power(0.124)" {
 		t.Fatalf("power:0.124 must be its own entry, got %+v", pe)
 	}
 
 	// Errors.
-	if rec := do(t, srv, "GET", "/diff/pa/r0/zz", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/zz", nil, nil); rec.Code != 404 {
 		t.Fatalf("unknown run: got %d, want 404", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/diff/zz/r0/r1", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/zz/diff/r0/r1", nil, nil); rec.Code != 404 {
 		t.Fatalf("unknown spec: got %d, want 404", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/diff/pa/r0/r1?cost=bogus", nil, nil); rec.Code != 400 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1?cost=bogus", nil, nil); rec.Code != 400 {
 		t.Fatalf("bad cost model: got %d, want 400", rec.Code)
 	}
-	if rec := do(t, srv, "GET", "/diff/pa/r0/r1?cost=power:2", nil, nil); rec.Code != 400 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1?cost=power:2", nil, nil); rec.Code != 400 {
 		t.Fatalf("metric-violating cost model: got %d, want 400", rec.Code)
 	}
 	for _, bad := range []string{"power:nan", "power:-1", "power:inf"} {
-		if rec := do(t, srv, "GET", "/diff/pa/r0/r1?cost="+bad, nil, nil); rec.Code != 400 {
+		if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1?cost="+bad, nil, nil); rec.Code != 400 {
 			t.Fatalf("%s: got %d, want 400", bad, rec.Code)
 		}
 	}
@@ -177,7 +177,7 @@ func TestDiffEndpoint(t *testing.T) {
 
 func TestDiffSVG(t *testing.T) {
 	srv, _ := seedServer(t, 2, Options{CacheSize: 8})
-	rec := do(t, srv, "GET", "/diff/pa/r0/r1/svg", nil, nil)
+	rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1/svg", nil, nil)
 	if rec.Code != 200 {
 		t.Fatalf("svg = %d %q", rec.Code, rec.Body.String())
 	}
@@ -189,7 +189,7 @@ func TestDiffSVG(t *testing.T) {
 		t.Fatalf("not a pair SVG: %.120s", body)
 	}
 	// Cached second hit serves identical bytes.
-	rec2 := do(t, srv, "GET", "/diff/pa/r0/r1/svg", nil, nil)
+	rec2 := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1/svg", nil, nil)
 	if rec2.Body.String() != body {
 		t.Fatal("cached SVG differs from computed SVG")
 	}
@@ -203,17 +203,17 @@ func TestPathTraversalRejected(t *testing.T) {
 	srv, st := seedServer(t, 2, Options{CacheSize: 8})
 	// A file outside the repository root that a traversal could reach.
 	for _, target := range []string{
-		"/diff/pa/%2e%2e/r1",
-		"/diff/pa/r0/%2e%2e%2fr1",
-		"/diff/%2e%2e%2fpa/r0/r1",
-		"/specs/%2e%2e/runs",
-		"/specs/pa/runs/%2e%2e%2fescape",
-		"/specs/pa/runs/a%2fb",
-		"/specs/pa/runs/a%5cb", // backslash
-		"/cohort/%2e%2e",
+		"/v1/specs/pa/diff/%2e%2e/r1",
+		"/v1/specs/pa/diff/r0/%2e%2e%2fr1",
+		"/v1/specs/%2e%2e%2fpa/diff/r0/r1",
+		"/v1/specs/%2e%2e/runs",
+		"/v1/specs/pa/runs/%2e%2e%2fescape",
+		"/v1/specs/pa/runs/a%2fb",
+		"/v1/specs/pa/runs/a%5cb", // backslash
+		"/v1/specs/%2e%2e/cohort",
 	} {
 		method := "GET"
-		if strings.Count(target, "/") >= 4 && strings.HasPrefix(target, "/specs/") {
+		if strings.Contains(target, "/runs/") {
 			method = "POST"
 		}
 		rec := do(t, srv, method, target, []byte("<run/>"), nil)
@@ -222,7 +222,7 @@ func TestPathTraversalRejected(t *testing.T) {
 		}
 	}
 	// The POST ?name= channel is validated too.
-	rec := do(t, srv, "POST", "/specs/pa/runs?name=..", []byte("<run/>"), nil)
+	rec := do(t, srv, "POST", "/v1/specs/pa/runs?name=..", []byte("<run/>"), nil)
 	if rec.Code != 400 {
 		t.Fatalf("POST ?name=..: got %d, want 400", rec.Code)
 	}
@@ -248,30 +248,30 @@ func TestImportAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := do(t, srv, "POST", "/specs/pa/runs/fresh", buf.Bytes(), nil)
+	rec := do(t, srv, "POST", "/v1/specs/pa/runs/fresh", buf.Bytes(), nil)
 	if rec.Code != 201 {
 		t.Fatalf("import = %d %q", rec.Code, rec.Body.String())
 	}
 	var p diffPayload
-	if rec := do(t, srv, "GET", "/diff/pa/r0/fresh", nil, &p); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/fresh", nil, &p); rec.Code != 200 {
 		t.Fatalf("diff of imported run = %d %q", rec.Code, rec.Body.String())
 	}
 
 	// Garbage XML is a 400, unknown spec a 404.
-	if rec := do(t, srv, "POST", "/specs/pa/runs/bad", []byte("not xml"), nil); rec.Code != 400 {
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs/bad", []byte("not xml"), nil); rec.Code != 400 {
 		t.Fatalf("bad XML import = %d", rec.Code)
 	}
-	if rec := do(t, srv, "POST", "/specs/zz/runs/x", buf.Bytes(), nil); rec.Code != 404 {
+	if rec := do(t, srv, "POST", "/v1/specs/zz/runs/x", buf.Bytes(), nil); rec.Code != 404 {
 		t.Fatalf("import into unknown spec = %d", rec.Code)
 	}
 
-	if rec := do(t, srv, "DELETE", "/specs/pa/runs/fresh", nil, nil); rec.Code != 200 {
+	if rec := do(t, srv, "DELETE", "/v1/specs/pa/runs/fresh", nil, nil); rec.Code != 200 {
 		t.Fatalf("delete = %d %q", rec.Code, rec.Body.String())
 	}
-	if rec := do(t, srv, "GET", "/diff/pa/r0/fresh", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/fresh", nil, nil); rec.Code != 404 {
 		t.Fatalf("diff of deleted run = %d, want 404", rec.Code)
 	}
-	if rec := do(t, srv, "DELETE", "/specs/pa/runs/fresh", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "DELETE", "/v1/specs/pa/runs/fresh", nil, nil); rec.Code != 404 {
 		t.Fatalf("double delete = %d, want 404", rec.Code)
 	}
 }
@@ -283,7 +283,7 @@ func TestCacheInvalidation(t *testing.T) {
 
 	warm := func(a, b string) diffPayload {
 		var p diffPayload
-		rec := do(t, srv, "GET", "/diff/pa/"+a+"/"+b, nil, &p)
+		rec := do(t, srv, "GET", "/v1/specs/pa/diff/"+a+"/"+b, nil, &p)
 		if rec.Code != 200 {
 			t.Fatalf("diff %s %s = %d", a, b, rec.Code)
 		}
@@ -310,7 +310,7 @@ func TestCacheInvalidation(t *testing.T) {
 	if err := wfxml.EncodeRun(&buf, r, "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, srv, "POST", "/specs/pa/runs/r1", buf.Bytes(), nil); rec.Code != 201 {
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs/r1", buf.Bytes(), nil); rec.Code != 201 {
 		t.Fatalf("overwrite = %d %q", rec.Code, rec.Body.String())
 	}
 	if warm("r0", "r1").Cached {
@@ -328,7 +328,7 @@ func TestCacheInvalidation(t *testing.T) {
 	if err := st.DeleteRun("pa", "r2"); err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, srv, "GET", "/diff/pa/r0/r2", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r2", nil, nil); rec.Code != 404 {
 		t.Fatalf("diff of store-deleted run = %d, want 404", rec.Code)
 	}
 	if srv.cache.snapshot().Invalidations == 0 {
@@ -427,7 +427,7 @@ func TestConcurrentDiffs(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				p := pairs[(g+i)%len(pairs)]
 				var got diffPayload
-				rec := do(t, srv, "GET", "/diff/pa/"+p.a+"/"+p.b, nil, &got)
+				rec := do(t, srv, "GET", "/v1/specs/pa/diff/"+p.a+"/"+p.b, nil, &got)
 				if rec.Code != 200 {
 					errs <- fmt.Errorf("%v: status %d", p, rec.Code)
 					return
@@ -458,7 +458,7 @@ func TestCohortEndpoint(t *testing.T) {
 	srv, st := seedServer(t, 4, Options{CacheSize: 8})
 
 	var p cohortPayload
-	rec := do(t, srv, "GET", "/cohort/pa", nil, &p)
+	rec := do(t, srv, "GET", "/v1/specs/pa/cohort", nil, &p)
 	if rec.Code != 200 {
 		t.Fatalf("cohort = %d %q", rec.Code, rec.Body.String())
 	}
@@ -480,7 +480,7 @@ func TestCohortEndpoint(t *testing.T) {
 		t.Fatalf("cohort payload incomplete: %+v", p)
 	}
 
-	if rec := do(t, srv, "GET", "/cohort/zz", nil, nil); rec.Code != 404 {
+	if rec := do(t, srv, "GET", "/v1/specs/zz/cohort", nil, nil); rec.Code != 404 {
 		t.Fatalf("cohort of unknown spec = %d, want 404", rec.Code)
 	}
 }
@@ -489,7 +489,7 @@ func TestCohortEndpoint(t *testing.T) {
 // followed by a final result object.
 func TestCohortStream(t *testing.T) {
 	srv, _ := seedServer(t, 4, Options{CacheSize: 8})
-	rec := do(t, srv, "GET", "/cohort/pa?stream=1", nil, nil)
+	rec := do(t, srv, "GET", "/v1/specs/pa/cohort?stream=1", nil, nil)
 	if rec.Code != 200 {
 		t.Fatalf("stream cohort = %d %q", rec.Code, rec.Body.String())
 	}
@@ -532,15 +532,15 @@ func TestCohortStream(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := seedServer(t, 2, Options{CacheSize: 8})
-	do(t, srv, "GET", "/diff/pa/r0/r1", nil, nil)
-	do(t, srv, "GET", "/diff/pa/r0/r1", nil, nil)
+	do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1", nil, nil)
+	do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1", nil, nil)
 
 	var st struct {
 		Requests map[string]int64 `json:"requests"`
 		Cache    cacheStats       `json:"cache"`
 		Engines  engineStats      `json:"engines"`
 	}
-	rec := do(t, srv, "GET", "/stats", nil, &st)
+	rec := do(t, srv, "GET", "/v1/stats", nil, &st)
 	if rec.Code != 200 {
 		t.Fatalf("stats = %d", rec.Code)
 	}
@@ -561,7 +561,7 @@ func TestOverRealTransport(t *testing.T) {
 	srv, _ := seedServer(t, 2, Options{CacheSize: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/diff/pa/r0/r1")
+	resp, err := http.Get(ts.URL + "/v1/specs/pa/diff/r0/r1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,12 +46,12 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 				default:
 				}
 				body := bodies[(w*3+i)%len(bodies)]
-				if rec := do(t, srv, "POST", "/specs/pa/runs/"+name, body, nil); rec.Code != 201 {
+				if rec := do(t, srv, "POST", "/v1/specs/pa/runs/"+name, body, nil); rec.Code != 201 {
 					t.Errorf("import %s = %d %q", name, rec.Code, rec.Body.String())
 					return
 				}
 				if i%3 == 2 {
-					if rec := do(t, srv, "DELETE", "/specs/pa/runs/"+name, nil, nil); rec.Code != 200 {
+					if rec := do(t, srv, "DELETE", "/v1/specs/pa/runs/"+name, nil, nil); rec.Code != 200 {
 						t.Errorf("delete %s = %d", name, rec.Code)
 						return
 					}
@@ -77,7 +77,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					var p clusterPayload
-					rec := do(t, srv, "GET", "/specs/pa/cluster?k=2&seed=3", nil, &p)
+					rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2&seed=3", nil, &p)
 					if rec.Code != 200 && rec.Code != 400 {
 						t.Errorf("cluster = %d %q", rec.Code, rec.Body.String())
 						return
@@ -102,7 +102,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 					}
 				case 1:
 					var p nearestPayload
-					rec := do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=3", nil, &p)
+					rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=3", nil, &p)
 					if rec.Code != 200 && rec.Code != 400 && rec.Code != 404 {
 						t.Errorf("nearest = %d %q", rec.Code, rec.Body.String())
 						return
@@ -121,7 +121,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 					}
 				case 2:
 					var p outliersPayload
-					rec := do(t, srv, "GET", "/specs/pa/outliers?k=2", nil, &p)
+					rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, &p)
 					if rec.Code != 200 && rec.Code != 400 {
 						t.Errorf("outliers = %d %q", rec.Code, rec.Body.String())
 						return
@@ -145,7 +145,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var final nearestPayload
-	if rec := do(t, srv, "GET", "/specs/pa/nearest?run=r0&k=999", nil, &final); rec.Code != 200 {
+	if rec := do(t, srv, "GET", "/v1/specs/pa/nearest?run=r0&k=999", nil, &final); rec.Code != 200 {
 		t.Fatalf("settle nearest = %d %q", rec.Code, rec.Body.String())
 	}
 	if len(final.Neighbors) != len(runs)-1 {
@@ -209,7 +209,7 @@ func TestCohortStreamAbortMidFlight(t *testing.T) {
 	srv, _ := seedServer(t, 9, Options{CacheSize: 8, CohortWorkers: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest("GET", "/cohort/pa?stream=1", nil).WithContext(ctx)
+	req := httptest.NewRequest("GET", "/v1/specs/pa/cohort?stream=1", nil).WithContext(ctx)
 	rec := &notifyingRecorder{ResponseRecorder: httptest.NewRecorder(), first: make(chan struct{})}
 
 	finished := make(chan struct{})
@@ -237,7 +237,7 @@ func TestCohortStreamAbortMidFlight(t *testing.T) {
 	}
 
 	// The service is healthy afterwards: the same cohort completes.
-	rec2 := do(t, srv, "GET", "/cohort/pa", nil, nil)
+	rec2 := do(t, srv, "GET", "/v1/specs/pa/cohort", nil, nil)
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("cohort after abort = %d %q", rec2.Code, rec2.Body.String())
 	}

@@ -125,6 +125,9 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // optional timing sink.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if mw, ok := w.(*muxErrorWriter); ok {
+			w = mw.w // routed: the handler writes its own response
+		}
 		t := &RequestTiming{Route: route, Method: r.Method, Start: time.Now()}
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(context.WithValue(r.Context(), timingKey{}, t)))

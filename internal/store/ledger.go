@@ -153,7 +153,9 @@ func VerifyProof(p *RunProof) (string, error) {
 }
 
 // LedgerHeads returns every spec's ledger summary plus the
-// repository root folded over them (sorted spec order).
+// repository root folded over them (sorted spec order). It reads each
+// spec's append cursor, loaded from ledger.log once and advanced by
+// every commit, so its cost does not grow with the ledger's history.
 func (s *Store) LedgerHeads() (map[string]SpecLedger, string, error) {
 	specs, err := s.ListSpecs()
 	if err != nil {
@@ -163,13 +165,12 @@ func (s *Store) LedgerHeads() (map[string]SpecLedger, string, error) {
 	out := make(map[string]SpecLedger, len(specs))
 	heads := make(map[string]ledger.Hash, len(specs))
 	for _, name := range specs {
-		recs, _ := s.readLedger(name)
-		sl := SpecLedger{Head: ledger.Zero.Hex(), Batches: int64(len(recs))}
-		if len(recs) > 0 {
-			sl.Head = recs[len(recs)-1].Head
-		}
-		out[name] = sl
-		heads[name], _ = ledger.Parse(sl.Head)
+		st := s.snap(name)
+		st.mu.Lock()
+		s.loadLedgerLocked(name, st)
+		heads[name] = st.ledgerHead
+		out[name] = SpecLedger{Head: st.ledgerHead.Hex(), Batches: st.ledgerSeq}
+		st.mu.Unlock()
 	}
 	return out, ledger.RepoRoot(specs, heads).Hex(), nil
 }

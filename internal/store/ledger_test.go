@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/ledger"
 )
 
 // proofJSON marshals a run's proof for byte-for-byte comparisons.
@@ -334,4 +336,79 @@ func TestVerifyUnknownSpec(t *testing.T) {
 	if _, err := s.VerifyLedger("nope"); err == nil {
 		t.Fatal("verify of unknown spec succeeded")
 	}
+}
+
+// TestLedgerHeadsFromCursor: LedgerHeads answers from each spec's
+// append cursor. Once the cursor is loaded a call reads no ledger
+// bytes, however long the history, and its answer matches a full read
+// of ledger.log after a commit, a delete, a compaction, a reopen and a
+// torn tail.
+func TestLedgerHeadsFromCursor(t *testing.T) {
+	dir := seedDir(t, 0)
+	cb := &countingBackend{Backend: openTestBackend(t, dir), reads: map[string]int64{}}
+	s := OpenBackend(cb)
+	ledgerBytes := func() int64 {
+		cb.mu.Lock()
+		defer cb.mu.Unlock()
+		return cb.reads[ledgerKey("pa")]
+	}
+	check := func(step string) {
+		t.Helper()
+		heads, _, err := s.LedgerHeads()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := s.readLedger("pa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SpecLedger{Head: ledger.Zero.Hex()}
+		if len(recs) > 0 {
+			want = SpecLedger{Head: recs[len(recs)-1].Head, Batches: int64(len(recs))}
+		}
+		if heads["pa"] != want {
+			t.Fatalf("%s: LedgerHeads = %+v, ledger.log says %+v", step, heads["pa"], want)
+		}
+		before := ledgerBytes()
+		if _, _, err := s.LedgerHeads(); err != nil {
+			t.Fatal(err)
+		}
+		if n := ledgerBytes() - before; n != 0 {
+			t.Fatalf("%s: a repeated LedgerHeads read %d ledger bytes, want 0", step, n)
+		}
+	}
+
+	check("empty")
+	if _, err := s.ImportRuns("pa", genRunXML(t, s, 4, 3, "h"), 2); err != nil {
+		t.Fatal(err)
+	}
+	check("commit")
+	if err := s.DeleteRun("pa", "h0"); err != nil {
+		t.Fatal(err)
+	}
+	check("delete")
+	if _, err := s.ImportRuns("pa", genRunXML(t, s, 2, 8, "h")[1:], 1); err != nil {
+		t.Fatal(err)
+	}
+	st := s.snap("pa")
+	st.mu.Lock()
+	st.manifest.Dead = compactMinDeadBytes + 1
+	err := s.maybeCompactLocked("pa", st)
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("compaction")
+	s = OpenBackend(cb)
+	check("reopen")
+	if err := cb.Backend.Append(ledgerKey("pa"), []byte(`{"seq":99,"prev":`), false); err != nil {
+		t.Fatal(err)
+	}
+	s = OpenBackend(cb)
+	check("torn tail")
+	if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 12, "t"), 1); err != nil {
+		t.Fatal(err)
+	}
+	check("commit after torn tail")
+	requireVerifyOK(t, s)
 }

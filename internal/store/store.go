@@ -406,13 +406,6 @@ func (s *Store) DiffWith(eng *core.Engine, specName, runA, runB string) (*core.R
 // when runNames is nil) and computes their pairwise edit-distance
 // matrix, fanning the differencing out with one engine per worker.
 func (s *Store) Cohort(specName string, runNames []string, m cost.Model) (*analysis.Matrix, error) {
-	return s.CohortWith(specName, runNames, m, analysis.Options{})
-}
-
-// CohortWith is Cohort with explicit analysis options — worker count
-// and a per-pair progress callback, which the HTTP service streams to
-// clients watching a long cohort computation.
-func (s *Store) CohortWith(specName string, runNames []string, m cost.Model, opts analysis.Options) (*analysis.Matrix, error) {
 	if runNames == nil {
 		var err error
 		runNames, err = s.ListRuns(specName)
@@ -428,5 +421,5 @@ func (s *Store) CohortWith(specName string, runNames []string, m cost.Model, opt
 		}
 		runs[i] = r
 	}
-	return analysis.DistanceMatrixWith(runs, runNames, m, opts)
+	return analysis.DistanceMatrix(runs, runNames, m)
 }
