@@ -110,10 +110,18 @@ func (c *CohortMatrix) Has(name string) bool {
 // cohort is empty. The copy is the caller's to keep: later mutations
 // never touch it.
 func (c *CohortMatrix) Snapshot() *Matrix {
+	mx, _ := c.snapshotView()
+	return mx
+}
+
+// snapshotView is Snapshot plus the name → row map of the same
+// generation. Mutations publish a fresh map and never write to a
+// published one, so the map is shared rather than copied.
+func (c *CohortMatrix) snapshotView() (*Matrix, map[string]int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if len(c.labels) == 0 {
-		return nil
+		return nil, nil
 	}
 	mx := &Matrix{
 		Labels: append([]string(nil), c.labels...),
@@ -122,7 +130,7 @@ func (c *CohortMatrix) Snapshot() *Matrix {
 	for i, row := range c.d {
 		mx.D[i] = append([]float64(nil), row...)
 	}
-	return mx
+	return mx, c.index
 }
 
 // growEngines ensures at least n reusable engines exist, one per

@@ -212,10 +212,25 @@ func (hc *HybridCohort) Snapshot() *Matrix {
 
 // CohortView is the representation-agnostic result of View: exactly
 // one of Matrix (dense) and Index (metric index) is non-nil for a
-// non-empty cohort. Both variants are immutable.
+// non-empty cohort. Both variants are immutable. Build a dense view
+// of a standalone matrix with DenseView, so IndexOf can resolve names.
 type CohortView struct {
 	Matrix *Matrix
 	Index  *metricindex.Cohort
+	names  map[string]int // dense side: run name → matrix row
+}
+
+// DenseView wraps a standalone matrix (nil for an empty cohort) as a
+// view, indexing its labels by name.
+func DenseView(mx *Matrix) *CohortView {
+	v := &CohortView{Matrix: mx}
+	if mx != nil {
+		v.names = make(map[string]int, len(mx.Labels))
+		for i, l := range mx.Labels {
+			v.names[l] = i
+		}
+	}
+	return v
 }
 
 // Len returns the number of runs in the view.
@@ -231,17 +246,21 @@ func (v *CohortView) Len() int {
 	return 0
 }
 
-// Labels returns the view's run names in cohort order.
-func (v *CohortView) Labels() []string {
-	switch {
-	case v == nil:
-		return nil
-	case v.Matrix != nil:
-		return v.Matrix.Labels
-	case v.Index != nil:
-		return v.Index.Labels()
+// Label returns the name of run i in cohort order.
+func (v *CohortView) Label(i int) string {
+	if v.Index != nil {
+		return v.Index.Label(i)
 	}
-	return nil
+	return v.Matrix.Labels[i]
+}
+
+// IndexOf resolves a run name to its position in cohort order.
+func (v *CohortView) IndexOf(name string) (int, bool) {
+	if v.Index != nil {
+		return v.Index.IndexOf(name)
+	}
+	i, ok := v.names[name]
+	return i, ok
 }
 
 // Indexed reports whether the view is index-backed.
@@ -255,7 +274,8 @@ func (hc *HybridCohort) View() *CohortView {
 	if hc.ix != nil {
 		return &CohortView{Index: hc.ix.Snapshot()}
 	}
-	return &CohortView{Matrix: hc.cm.Snapshot()}
+	mx, names := hc.cm.snapshotView()
+	return &CohortView{Matrix: mx, names: names}
 }
 
 // Reset replaces the whole cohort, choosing the representation by the

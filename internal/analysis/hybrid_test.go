@@ -127,8 +127,13 @@ func TestHybridViewMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := hc.View()
-	if !reflect.DeepEqual(v.Labels(), want.Labels) {
-		t.Fatalf("labels: %v vs %v", v.Labels(), want.Labels)
+	if !reflect.DeepEqual(v.Index.Labels(), want.Labels) {
+		t.Fatalf("labels: %v vs %v", v.Index.Labels(), want.Labels)
+	}
+	for i, name := range want.Labels {
+		if j, ok := v.IndexOf(name); !ok || j != i || v.Label(i) != name {
+			t.Fatalf("name lookup of %q: IndexOf = %d %v, Label(%d) = %q", name, j, ok, i, v.Label(i))
+		}
 	}
 	for i := 0; i < len(runs); i++ {
 		for j := 0; j < len(runs); j++ {
@@ -191,7 +196,7 @@ func TestHybridDisabledNeverIndexes(t *testing.T) {
 func TestHybridVersionAndEmptyView(t *testing.T) {
 	names, runs := hybridRuns(t, 2)
 	hc := NewHybridCohort(cost.Unit{}, 1, HybridOptions{})
-	if v := hc.View(); v.Len() != 0 || v.Indexed() || v.Labels() != nil {
+	if v := hc.View(); v.Len() != 0 || v.Matrix != nil || v.Index != nil {
 		t.Fatalf("empty view: %+v", v)
 	}
 	v0 := hc.Version()

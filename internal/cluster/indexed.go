@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -14,67 +16,15 @@ import (
 // Distance must agree bitwise with the distances a dense matrix of the
 // same cohort would hold — that is what lets the Indexed* queries
 // return byte-identical answers to their matrix counterparts while
-// skipping most exact evaluations. Pruned receives the count of
-// candidate pairs a query eliminated without calling Distance, for the
-// implementation's instrumentation.
+// skipping most exact evaluations. Queries evaluate Bound against
+// every candidate and call Distance in ascending-bound order. Pruned
+// receives the count of candidate pairs a query eliminated without
+// calling Distance, for the implementation's instrumentation.
 type Space interface {
 	Len() int
 	Bound(i, j int) float64
 	Distance(i, j int) (float64, error)
 	Pruned(n int64)
-}
-
-// Projector is an optional Space refinement: a contractive 1-D
-// projection (|Proj(i) - Proj(j)| ≤ d(i, j)). Queries then enumerate
-// candidates in projection order around the query point and stop
-// outright once the projection gap alone exceeds their pruning radius,
-// instead of bound-testing all n candidates.
-type Projector interface {
-	Proj(i int) float64
-}
-
-// projSlack mirrors the float-safety slack a Space applies to its
-// bounds: projection gaps are lower bounds derived by the same
-// triangle argument, so they get the same conservative haircut before
-// being compared against exact distances.
-const projSlack = 1e-9
-
-func loosenGap(b float64) float64 {
-	b -= projSlack * (1 + b)
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
-// projOrder is a cohort's items sorted by projection, shared across
-// the n queries of an outlier scan.
-type projOrder struct {
-	order []int     // item indices, ascending by projection
-	pos   []int     // pos[item] = index into order
-	proj  []float64 // proj[item]
-}
-
-func buildProjOrder(sp Space) *projOrder {
-	pr, ok := sp.(Projector)
-	if !ok {
-		return nil
-	}
-	n := sp.Len()
-	po := &projOrder{
-		order: make([]int, n),
-		pos:   make([]int, n),
-		proj:  make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		po.order[i] = i
-		po.proj[i] = pr.Proj(i)
-	}
-	sort.SliceStable(po.order, func(a, b int) bool { return po.proj[po.order[a]] < po.proj[po.order[b]] })
-	for p, item := range po.order {
-		po.pos[item] = p
-	}
-	return po
 }
 
 // knnState is the current top-k of one nearest-neighbor query, kept
@@ -120,79 +70,44 @@ func (s *knnState) add(d float64, j int) {
 	s.top[at] = nb
 }
 
-// indexedNearest answers one kNN query over sp, using po (may be nil)
-// for projection-ordered enumeration. k must already be clamped to
-// [1, n-1].
-func indexedNearest(sp Space, po *projOrder, i, k int) ([]Neighbor, error) {
-	n := sp.Len()
-	st := &knnState{top: make([]Neighbor, 0, k), k: k}
-	consider := func(j int) error {
-		if j == i {
-			return nil
-		}
-		if st.prunable(sp.Bound(i, j), j) {
-			sp.Pruned(1)
-			return nil
-		}
-		d, err := sp.Distance(i, j)
-		if err != nil {
-			return err
-		}
-		st.add(d, j)
-		return nil
-	}
-	if po == nil {
-		for j := 0; j < n; j++ {
-			if err := consider(j); err != nil {
-				return nil, err
-			}
-		}
-		return st.top, nil
-	}
+// candidate is one kNN candidate with its lower bound to the query.
+type candidate struct {
+	lb float64
+	j  int
+}
 
-	// Expand outward from the query's projection position, nearest
-	// projection first. Once the top-k is full, a side whose next
-	// candidate's (slacked) projection gap strictly exceeds the current
-	// worst distance holds no further contenders at all — the gap only
-	// grows outward — so the whole remainder is pruned in bulk. At
-	// exact equality the candidate could still tie into the top-k by
-	// index, so equality keeps scanning (the per-candidate bound check
-	// settles it).
-	qp := po.proj[i]
-	lo, hi := po.pos[i]-1, po.pos[i]+1
-	outOfReach := func(p int) bool {
-		if !st.full() {
-			return false
+// indexedNearest answers one kNN query over sp best-first: every
+// candidate's bound is evaluated once, candidates are diffed in
+// ascending (bound, index) order, and the first one prunable against
+// the running top-k ends the query — every later candidate is
+// lexicographically further still, so the rest are pruned in bulk.
+// No search that sees only these bounds diffs fewer. buf (capacity
+// n-1) is scratch reused across the queries of an outlier scan. k must
+// already be clamped to [1, n-1].
+func indexedNearest(sp Space, i, k int, buf []candidate) ([]Neighbor, error) {
+	cands := buf[:0]
+	for j := 0; j < sp.Len(); j++ {
+		if j != i {
+			cands = append(cands, candidate{lb: sp.Bound(i, j), j: j})
 		}
-		return loosenGap(math.Abs(po.proj[po.order[p]]-qp)) > st.worst().Distance
 	}
-	for lo >= 0 || hi < n {
-		fromLow := hi >= n ||
-			(lo >= 0 && math.Abs(po.proj[po.order[lo]]-qp) <= math.Abs(po.proj[po.order[hi]]-qp))
-		p := hi
-		if fromLow {
-			p = lo
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if c := cmp.Compare(a.lb, b.lb); c != 0 {
+			return c
 		}
-		if outOfReach(p) {
-			// The gap only grows outward, so everything from p to the
-			// end of its side is out of reach too.
-			if fromLow {
-				sp.Pruned(int64(p + 1))
-				lo = -1
-			} else {
-				sp.Pruned(int64(n - p))
-				hi = n
-			}
-			continue
+		return a.j - b.j
+	})
+	st := &knnState{top: make([]Neighbor, 0, k), k: k}
+	for at, c := range cands {
+		if st.prunable(c.lb, c.j) {
+			sp.Pruned(int64(len(cands) - at))
+			break
 		}
-		if fromLow {
-			lo--
-		} else {
-			hi++
-		}
-		if err := consider(po.order[p]); err != nil {
+		d, err := sp.Distance(i, c.j)
+		if err != nil {
 			return nil, err
 		}
+		st.add(d, c.j)
 	}
 	return st.top, nil
 }
@@ -216,7 +131,7 @@ func IndexedNearest(sp Space, i, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	return indexedNearest(sp, buildProjOrder(sp), i, k)
+	return indexedNearest(sp, i, k, make([]candidate, 0, n-1))
 }
 
 // IndexedOutliers answers Outliers over a metric index view: every
@@ -240,10 +155,10 @@ func IndexedOutliers(sp Space, k int) ([]OutlierScore, error) {
 	if k > n-1 {
 		k = n - 1
 	}
-	po := buildProjOrder(sp)
 	out := make([]OutlierScore, n)
+	buf := make([]candidate, 0, n-1)
 	for i := 0; i < n; i++ {
-		nb, err := indexedNearest(sp, po, i, k)
+		nb, err := indexedNearest(sp, i, k, buf)
 		if err != nil {
 			return nil, err
 		}

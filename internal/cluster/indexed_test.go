@@ -33,11 +33,13 @@ func euclid(a, b [2]float64) float64 {
 
 func (s *euclidSpace) Len() int { return len(s.pts) }
 
+// Bound slacks the triangle gap the way metricindex does: the float
+// gap can exceed the computed distance by an ulp.
 func (s *euclidSpace) Bound(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	return loosenGap(math.Abs(s.lm[i] - s.lm[j]))
+	return math.Max(0, math.Abs(s.lm[i]-s.lm[j])*(1-1e-9)-1e-9)
 }
 
 func (s *euclidSpace) Distance(i, j int) (float64, error) {
@@ -48,12 +50,6 @@ func (s *euclidSpace) Distance(i, j int) (float64, error) {
 }
 
 func (s *euclidSpace) Pruned(n int64) { s.pruned += n }
-
-// projSpace adds the contractive projection (the landmark distance
-// itself) so the enumeration path is exercised too.
-type projSpace struct{ *euclidSpace }
-
-func (s projSpace) Proj(i int) float64 { return s.lm[i] }
 
 // clusteredPoints draws points around a few well-separated centers.
 func clusteredPoints(n int, rng *rand.Rand) [][2]float64 {
@@ -78,10 +74,25 @@ func denseFrom(s *euclidSpace) [][]float64 {
 	return d
 }
 
+// optimalDiffs is the fewest exact diffs any bound-only kNN query
+// can make: every candidate whose (bound, index) is lexicographically
+// at most the final k-th neighbor's (distance, index) might belong to
+// the answer, so it must be diffed — and never fewer than k.
+func optimalDiffs(sp Space, i int, nb []Neighbor) int {
+	kth := nb[len(nb)-1]
+	must := 0
+	for j := 0; j < sp.Len(); j++ {
+		if b := sp.Bound(i, j); j != i && (b < kth.Distance || (b == kth.Distance && j <= kth.Index)) {
+			must++
+		}
+	}
+	return max(len(nb), must)
+}
+
 // TestIndexedNearestMatchesDense: for every query item and several k,
 // the index-guided kNN answer equals Nearest over the dense matrix
-// exactly — with and without the projection fast path — while calling
-// Distance on fewer pairs than the dense row holds.
+// exactly, while diffing exactly the candidates no bound-only search
+// could skip.
 func TestIndexedNearestMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := clusteredPoints(40, rng)
@@ -93,36 +104,28 @@ func TestIndexedNearestMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bo := newEuclidSpace(pts)
-			got, err := IndexedNearest(bo, i, k)
+			s := newEuclidSpace(pts)
+			got, err := IndexedNearest(s, i, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("bound-only i=%d k=%d:\n got %v\nwant %v", i, k, got, want)
-			}
-			pr := newEuclidSpace(pts)
-			got2, err := IndexedNearest(projSpace{pr}, i, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got2, want) {
-				t.Fatalf("projected i=%d k=%d:\n got %v\nwant %v", i, k, got2, want)
+				t.Fatalf("i=%d k=%d:\n got %v\nwant %v", i, k, got, want)
 			}
 			// Candidate accounting: every non-query item is either
 			// exactly evaluated or counted pruned, never both.
-			if bo.dcalls+int(bo.pruned) != n-1 {
-				t.Fatalf("bound-only accounting: %d diffs + %d pruned != %d", bo.dcalls, bo.pruned, n-1)
+			if s.dcalls+int(s.pruned) != n-1 {
+				t.Fatalf("accounting: %d diffs + %d pruned != %d", s.dcalls, s.pruned, n-1)
 			}
-			if pr.dcalls+int(pr.pruned) != n-1 {
-				t.Fatalf("projected accounting: %d diffs + %d pruned != %d", pr.dcalls, pr.pruned, n-1)
+			if opt := optimalDiffs(s, i, got); s.dcalls != opt {
+				t.Fatalf("i=%d k=%d: %d exact diffs, the bound-only optimum is %d", i, k, s.dcalls, opt)
 			}
 		}
 	}
 	// On a clustered cohort with small k the bounds must actually
 	// prune: re-run one query and demand fewer diffs than the full row.
 	s := newEuclidSpace(pts)
-	if _, err := IndexedNearest(projSpace{s}, 0, 3); err != nil {
+	if _, err := IndexedNearest(s, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if s.dcalls >= n-1 || s.pruned == 0 {
@@ -144,7 +147,7 @@ func TestIndexedOutliersMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := IndexedOutliers(projSpace{newEuclidSpace(pts)}, k)
+		got, err := IndexedOutliers(newEuclidSpace(pts), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +208,7 @@ func TestSampledKMedoidsFullSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SampledKMedoids(context.Background(), projSpace{s}, 3, 11, SampleOptions{SampleSize: len(pts)})
+	got, err := SampledKMedoids(context.Background(), s, 3, 11, SampleOptions{SampleSize: len(pts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestSampledKMedoidsFullSample(t *testing.T) {
 			t.Fatalf("medoid %d assigned to %d, not %d", m, got.Assign[m], c)
 		}
 	}
-	again, err := SampledKMedoids(context.Background(), projSpace{newEuclidSpace(pts)}, 3, 11, SampleOptions{SampleSize: len(pts)})
+	again, err := SampledKMedoids(context.Background(), newEuclidSpace(pts), 3, 11, SampleOptions{SampleSize: len(pts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func TestSampledKMedoidsSubsample(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := clusteredPoints(120, rng)
 	s := newEuclidSpace(pts)
-	got, err := SampledKMedoids(context.Background(), projSpace{s}, 3, 9, SampleOptions{SampleSize: 60, Restarts: 4})
+	got, err := SampledKMedoids(context.Background(), s, 3, 9, SampleOptions{SampleSize: 60, Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

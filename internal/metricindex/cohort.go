@@ -20,9 +20,9 @@ func loosen(b float64) float64 {
 
 // Cohort is an immutable query view over one published generation of
 // an Index: the receiver cluster.Indexed* queries run against. Reads
-// (Len, Labels, Bound, Proj) touch only the captured state and are
-// safe from any number of goroutines; Distance serializes on the
-// owning index's compute lock and feeds its exact/pruned counters.
+// (Len, Labels, Label, IndexOf, Bound) touch only the captured state
+// and are safe from any number of goroutines; Distance serializes on
+// the owning index's compute lock and feeds its exact/pruned counters.
 type Cohort struct {
 	ix *Index
 	st *state
@@ -87,18 +87,6 @@ func (c *Cohort) Distance(i, j int) (float64, error) {
 		i, j = j, i
 	}
 	return c.ix.exactDistance(c.st.runs[i], c.st.runs[j])
-}
-
-// Proj returns a contractive 1-D projection of run i — its distance to
-// the first landmark — so |Proj(i) - Proj(j)| ≤ d(i, j) by the
-// triangle inequality. Queries sorted by projection can enumerate
-// candidates nearest-projection-first and stop as soon as the
-// projection gap alone exceeds their pruning radius.
-func (c *Cohort) Proj(i int) float64 {
-	if len(c.st.lm[i]) == 0 {
-		return 0
-	}
-	return c.st.lm[i][0]
 }
 
 // Pruned records n candidate pairs eliminated without an exact diff on

@@ -14,8 +14,9 @@
 // Nearest-neighbor, outlier and clustering queries (internal/cluster's
 // Indexed* entry points) consult these bounds before any exact dynamic
 // program, so a query over n runs performs O(n) cheap bound
-// evaluations but only a handful of exact diffs — sub-quadratic cohort
-// analytics where the dense matrix needs O(n²) diffs up front.
+// evaluations but only a handful of exact diffs, taken in ascending
+// bound order until the bounds rule out the rest — sub-quadratic
+// cohort analytics where the dense matrix needs O(n²) diffs up front.
 //
 // The index follows the CohortMatrix maintenance discipline: mutations
 // (Reset, Add, Remove) serialize among themselves and publish

@@ -53,6 +53,9 @@ func randomCohort(t *testing.T, rng *rand.Rand, n int) ([]string, []*wfrun.Run) 
 //
 //   - index-pruned kNN answers equal cluster.Nearest over the dense
 //     matrix exactly (reflect.DeepEqual), for every query item;
+//   - each kNN query diffs exactly the candidates whose (bound, index)
+//     is lexicographically at most the final k-th neighbor's
+//     (distance, index) — the fewest any bound-only search can diff;
 //   - outlier scores and ranks equal cluster.Outliers bitwise;
 //   - SampledKMedoids with the sample covering the whole cohort stays
 //     within 5% of the full-PAM objective;
@@ -83,12 +86,22 @@ func TestIndexedAnalyticsMatchExhaustive(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						exact0 := ix.ExactDiffs()
 						got, err := cluster.IndexedNearest(co, i, k)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("kNN(%d, k=%d):\n got %v\nwant %v", i, k, got, want)
+						}
+						kth, must := got[len(got)-1], 0
+						for j := 0; j < n; j++ {
+							if b := co.Bound(i, j); j != i && (b < kth.Distance || (b == kth.Distance && j <= kth.Index)) {
+								must++
+							}
+						}
+						if diffs := ix.ExactDiffs() - exact0; diffs != int64(max(k, must)) {
+							t.Fatalf("kNN(%d, k=%d): %d exact diffs, the bound-only optimum is %d", i, k, diffs, max(k, must))
 						}
 					}
 				}

@@ -14,6 +14,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/cluster"
@@ -24,13 +25,16 @@ import (
 // request, writing the error response itself on failure. minRuns
 // guards the degenerate cohorts each endpoint cannot answer on. With
 // exact set, an index-backed cohort is replaced by a one-shot dense
-// matrix bound to the request context.
+// matrix bound to the request context. The sync and any one-shot
+// matrix are charged to the diff stage.
 func (s *Server) cohortViewFor(w http.ResponseWriter, r *http.Request, specName string, m cost.Model, minRuns int, exact bool) (*analysis.CohortView, bool) {
 	if _, err := s.st.LoadSpec(specName); err != nil {
 		s.storeError(w, err)
 		return nil, false
 	}
+	t0 := time.Now()
 	v, err := s.cohortView(specName, m, analysis.Options{})
+	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.storeError(w, err)
 		return nil, false
@@ -40,12 +44,14 @@ func (s *Server) cohortViewFor(w http.ResponseWriter, r *http.Request, specName 
 		return nil, false
 	}
 	if exact && v.Indexed() {
+		t0 = time.Now()
 		mx, err := s.exactCohortMatrix(specName, m, analysis.Options{Context: r.Context()})
+		observeStage(r.Context(), stageDiff, t0)
 		if err != nil {
 			s.storeError(w, err)
 			return nil, false
 		}
-		v = &analysis.CohortView{Matrix: mx}
+		v = analysis.DenseView(mx)
 	}
 	return v, true
 }
@@ -104,21 +110,22 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	var cl *cluster.Clustering
 	var err error
-	labels := v.Labels()
+	t0 := time.Now()
 	if v.Indexed() {
 		cl, err = cluster.SampledKMedoids(r.Context(), v.Index, k, seed, cluster.SampleOptions{})
 	} else {
 		cl, err = cluster.KMedoidsContext(r.Context(), v.Matrix.D, k, seed)
 	}
+	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.httpError(w, err, http.StatusBadRequest)
 		return
 	}
 	groups := make([]clusterGroup, cl.K)
 	for c := 0; c < cl.K; c++ {
-		groups[c].Medoid = labels[cl.Medoids[c]]
+		groups[c].Medoid = v.Label(cl.Medoids[c])
 		for _, i := range cl.Members(c) {
-			groups[c].Runs = append(groups[c].Runs, labels[i])
+			groups[c].Runs = append(groups[c].Runs, v.Label(i))
 		}
 	}
 	p := clusterPayload{
@@ -186,19 +193,20 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	}
 	var scores []cluster.OutlierScore
 	var err error
-	labels := v.Labels()
+	t0 := time.Now()
 	if v.Indexed() {
 		scores, err = cluster.IndexedOutliers(v.Index, k)
 	} else {
 		scores, err = cluster.Outliers(v.Matrix.D, k)
 	}
+	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.httpError(w, err, http.StatusBadRequest)
 		return
 	}
 	out := make([]outlierJSON, len(scores))
 	for i, sc := range scores {
-		out[i] = outlierJSON{Run: labels[sc.Index], Score: sc.Score, MeanAll: sc.MeanAll}
+		out[i] = outlierJSON{Run: v.Label(sc.Index), Score: sc.Score, MeanAll: sc.MeanAll}
 	}
 	p := outliersPayload{Spec: ns[0], Cost: m.Name(), Neighbors: k, Outliers: out, Indexed: v.Indexed()}
 	if !exact {
@@ -252,32 +260,27 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	labels := v.Labels()
-	idx := -1
-	for i, l := range labels {
-		if l == runName {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	idx, known := v.IndexOf(runName)
+	if !known {
 		s.httpError(w, fmt.Errorf("unknown run %q of %q", runName, ns[0]), http.StatusNotFound)
 		return
 	}
 	var nn []cluster.Neighbor
 	var err error
+	t0 := time.Now()
 	if v.Indexed() {
 		nn, err = cluster.IndexedNearest(v.Index, idx, k)
 	} else {
 		nn, err = cluster.Nearest(v.Matrix.D, idx, k)
 	}
+	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.httpError(w, err, http.StatusBadRequest)
 		return
 	}
 	out := make([]neighborJSON, len(nn))
 	for i, n := range nn {
-		out[i] = neighborJSON{Run: labels[n.Index], Distance: n.Distance}
+		out[i] = neighborJSON{Run: v.Label(n.Index), Distance: n.Distance}
 	}
 	p := nearestPayload{Spec: ns[0], Cost: m.Name(), Run: runName, Neighbors: out, Indexed: v.Indexed()}
 	if !exact {

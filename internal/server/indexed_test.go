@@ -186,3 +186,68 @@ func TestMetricIndexStats(t *testing.T) {
 		t.Fatalf("negative pruned counter: %+v", st.MetricIndex)
 	}
 }
+
+// TestNearestResolvesRunByName: ?run= resolves through the view's name
+// lookup on every cohort shape — dense, indexed, and the one-shot
+// dense matrix ?exact=1 builds over an indexed cohort — and an unknown
+// name 404s on each.
+func TestNearestResolvesRunByName(t *testing.T) {
+	dense, _ := seedServer(t, 6, Options{CacheSize: 16})
+	for _, c := range []struct {
+		name    string
+		srv     *Server
+		query   string
+		indexed bool
+	}{
+		{"dense", dense, "", false},
+		{"indexed", indexedServer(t, 6), "", true},
+		{"indexed-exact", indexedServer(t, 6), "&exact=1", false},
+	} {
+		var p nearestPayload
+		if rec := do(t, c.srv, "GET", "/v1/specs/pa/nearest?run=r4&k=2"+c.query, nil, &p); rec.Code != 200 {
+			t.Fatalf("%s: nearest = %d %q", c.name, rec.Code, rec.Body.String())
+		}
+		if p.Run != "r4" || p.Indexed != c.indexed || len(p.Neighbors) != 2 {
+			t.Fatalf("%s: payload %+v", c.name, p)
+		}
+		for _, nb := range p.Neighbors {
+			if nb.Run == "r4" || nb.Run == "" {
+				t.Fatalf("%s: bad neighbor %+v", c.name, nb)
+			}
+		}
+		if rec := do(t, c.srv, "GET", "/v1/specs/pa/nearest?run=zz&k=2"+c.query, nil, nil); rec.Code != 404 {
+			t.Fatalf("%s: unknown run = %d, want 404", c.name, rec.Code)
+		}
+	}
+}
+
+// TestAnalyticsChargeDiffStage: the analytics routes charge their
+// cohort sync and query to the diff stage, and no request's stages
+// add up to more than its total.
+func TestAnalyticsChargeDiffStage(t *testing.T) {
+	timings := make(chan RequestTiming, 8)
+	srv, _ := seedServer(t, 8, Options{
+		CacheSize:       16,
+		IndexThreshold:  4,
+		Landmarks:       2,
+		OnRequestTiming: func(rt *RequestTiming) { timings <- *rt },
+	})
+	for _, target := range []string{
+		"/v1/specs/pa/nearest?run=r0&k=3",
+		"/v1/specs/pa/nearest?run=r5&k=3",
+		"/v1/specs/pa/outliers?k=2",
+		"/v1/specs/pa/cluster?k=2",
+	} {
+		var p struct{ Indexed bool }
+		if rec := do(t, srv, "GET", target, nil, &p); rec.Code != 200 || !p.Indexed {
+			t.Fatalf("%s = %d indexed=%v %q", target, rec.Code, p.Indexed, rec.Body.String())
+		}
+		rt := <-timings
+		if rt.DiffMS <= 0 {
+			t.Fatalf("%s charged no diff time: %+v", target, rt)
+		}
+		if sum := rt.ParseMS + rt.DiffMS + rt.CacheMS + rt.StoreMS + rt.LedgerMS; sum > rt.TotalMS {
+			t.Fatalf("%s: stages sum to %.3f ms, above the %.3f ms total: %+v", target, sum, rt.TotalMS, rt)
+		}
+	}
+}

@@ -194,7 +194,7 @@ func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (drift
 			if err != nil {
 				return driftBaseline{}, err
 			}
-			b.Run = v.Labels()[cl.Medoids[0]]
+			b.Run = v.Index.Label(cl.Medoids[0])
 		} else {
 			b.Run = v.Matrix.Labels[v.Matrix.Medoid()]
 		}
