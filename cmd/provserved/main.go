@@ -12,7 +12,7 @@
 // route list is in README.md, "Running the service".
 //
 // Single-run imports flow through a group-commit pipeline: concurrent
-// importers coalesce into one snapshot append + one manifest save per
+// importers coalesce into one snapshot append + one ledger append per
 // batch. -ingest-queue bounds the backlog (past it clients get 429),
 // -ingest-batch caps runs per commit, and -ingest-maxwait adds an
 // optional linger window for batching under bursty async load (0
@@ -125,8 +125,27 @@ func main() {
 		log.Printf("provserved: shutdown: %v", err)
 	}
 	// The listener is closed; drain the ingest queue so every accepted
-	// import is committed before the process (and the store) go away.
+	// import is committed before the process (and the store) go away,
+	// then checkpoint so the next boot has no ledger batches to replay.
 	handler.Close()
+	checkpoint(st)
+}
+
+// checkpoint writes every spec's run index as of its ledger tail
+// (Snapshot). A commit appends only to the segment and the ledger, so
+// without a checkpoint the next load replays every batch committed
+// since the last one. Failures cost only that replay.
+func checkpoint(st *store.Store) {
+	specs, err := st.ListSpecs()
+	if err != nil {
+		log.Printf("provserved: checkpoint: %v", err)
+		return
+	}
+	for _, name := range specs {
+		if _, err := st.Snapshot(name); err != nil {
+			log.Printf("provserved: snapshot %s: %v", name, err)
+		}
+	}
 }
 
 // warmStart rebuilds the in-memory caches before the listener opens:
@@ -144,10 +163,8 @@ func warmStart(st *store.Store, handler *server.Server) {
 	var runs int
 	for _, ps := range stats {
 		runs += ps.Runs
-		if _, err := st.Snapshot(ps.Spec); err != nil {
-			log.Printf("provserved: snapshot %s: %v", ps.Spec, err)
-		}
 	}
+	checkpoint(st)
 	if err := handler.Warm(); err != nil {
 		log.Printf("provserved: cohort warm-up: %v", err)
 	}

@@ -264,19 +264,23 @@ func verify(st *store.Store, args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	// A ledger that cannot be parsed has no head; the report names its
+	// first bad batch below.
 	heads, root, err := st.LedgerHeads()
-	if err != nil {
+	if err != nil && report.OK() {
 		fatal(err)
 	}
-	names := make([]string, 0, len(heads))
-	for name := range heads {
-		names = append(names, name)
+	if err == nil {
+		names := make([]string, 0, len(heads))
+		for name := range heads {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(stdout, "%s: %d batches, head %s\n", name, heads[name].Batches, heads[name].Head)
+		}
+		fmt.Fprintf(stdout, "repository root %s\n", root)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(stdout, "%s: %d batches, head %s\n", name, heads[name].Batches, heads[name].Head)
-	}
-	fmt.Fprintf(stdout, "repository root %s\n", root)
 	fmt.Fprintf(stdout, "verified %d specs, %d batches, %d runs\n", report.Specs, report.Batches, report.Runs)
 	if !report.OK() {
 		for _, issue := range report.Issues {

@@ -131,6 +131,38 @@ func TestShardedRepositoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyNamesMalformedLedgerLine: verify on a ledger whose middle
+// line is not JSON exits non-zero and names that line's batch.
+func TestVerifyNamesMalformedLedgerLine(t *testing.T) {
+	repo := t.TempDir()
+	specPath, runs := writeFixtures(t, t.TempDir(), 3)
+	if code, _, errOut := runCLI(t, "-dir", repo, "import-spec", "pa", specPath); code != 0 {
+		t.Fatalf("import-spec: code %d err %q", code, errOut)
+	}
+	for i, rp := range runs {
+		if code, _, errOut := runCLI(t, "-dir", repo, "import-run", "pa", fmt.Sprintf("r%d", i), rp); code != 0 {
+			t.Fatalf("import-run: code %d err %q", code, errOut)
+		}
+	}
+	path := filepath.Join(repo, "pa", "snapshot", "ledger.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) != 4 {
+		t.Fatalf("expected 3 ledger records, got %q", data)
+	}
+	lines[1] = []byte("{\"seq\":2,\n")
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := runCLI(t, "-dir", repo, "verify")
+	if code == 0 || !strings.Contains(errOut, "first divergent batch: spec pa batch 2") {
+		t.Fatalf("verify: code %d err %q", code, errOut)
+	}
+}
+
 func TestCLIErrorPaths(t *testing.T) {
 	repo := t.TempDir()
 	specPath, runs := writeFixtures(t, t.TempDir(), 1)

@@ -188,8 +188,8 @@ func TestWriteBenchArtifact(t *testing.T) {
 }
 
 // smallRunBody encodes a run generated with low fork/loop replication:
-// the import-cost profile where per-run bookkeeping (manifest saves,
-// segment appends, fsync, cache eviction) dominates over parsing.
+// the import-cost profile where per-run bookkeeping (segment and
+// ledger appends, fsync, cache eviction) dominates over parsing.
 func smallRunBody(b *testing.B, st *store.Store, seed int64) []byte {
 	b.Helper()
 	sp, err := st.LoadSpec("pa")
@@ -213,8 +213,7 @@ func smallRunBody(b *testing.B, st *store.Store, seed int64) []byte {
 // diffs it against a stable reference — a live repository under
 // sustained ingest with its results actually being consumed. The
 // pipeline parses once, publishes the run, and amortizes one fsynced
-// segment append, one ledger append and one manifest save over the
-// whole batch.
+// segment append and one fsynced ledger append over the whole batch.
 func benchSustainedIngest(b *testing.B, opts Options) {
 	opts.CacheSize = -1 // no result LRU: every read-back does real work
 	srv, st := seedServer(b, 2, opts)

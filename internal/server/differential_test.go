@@ -45,18 +45,14 @@ func encodeRunNamed(tb testing.TB, st *store.Store, seed int64, name string) []b
 // comparison; the ledger batch of each entry legitimately differs
 // (one pipeline batch against one batch per sequential import).
 type manifestShape struct {
-	Version   int                      `json:"version"`
-	LiveBytes int64                    `json:"live_bytes"`
-	DeadBytes int64                    `json:"dead_bytes"`
-	Runs      map[string]manifestEntry `json:"runs"`
+	Version int                      `json:"version"`
+	Runs    map[string]manifestEntry `json:"runs"`
 }
 
 type manifestEntry struct {
 	Offset int64  `json:"offset"`
 	Length int64  `json:"length"`
 	Codec  int    `json:"codec"`
-	Nodes  int    `json:"nodes"`
-	Edges  int    `json:"edges"`
 	Hash   string `json:"hash"`
 }
 
@@ -127,7 +123,16 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// manifest.json is a checkpoint: bring both up to their ledgers.
+	for _, st := range []*store.Store{stP, stD} {
+		if _, err := st.Snapshot("pa"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mp, md := readManifest(t, dirP), readManifest(t, dirD)
+	if len(mp.Runs) != k {
+		t.Errorf("pipeline checkpoint lists %d runs, want %d", len(mp.Runs), k)
+	}
 	if !bytes.Equal(segP, segD) {
 		t.Errorf("snapshot segments differ: pipeline %d bytes, sequential %d bytes", len(segP), len(segD))
 		// Attribute the divergence to frames via the manifest layout.

@@ -202,19 +202,19 @@ func TestEnvelope429Backpressure(t *testing.T) {
 }
 
 // TestEnvelope500CommitFault forces the storage side of a batched
-// commit to fail (the manifest path is occupied by a directory, so
-// the commit's manifest save fails): the document was valid, so the
+// commit to fail (the ledger path is occupied by a directory, so the
+// commit's ledger append fails): the document was valid, so the
 // client gets the service's 500, not a 400 — and the run is not
 // stored.
 func TestEnvelope500CommitFault(t *testing.T) {
 	dir := t.TempDir()
 	srv, st := seedServerAt(t, dir, 1, Options{})
 	body := encodeRun(t, st, 777)
-	manifest := filepath.Join(dir, "pa", "snapshot", "manifest.json")
-	if err := os.Remove(manifest); err != nil {
+	ledgerLog := filepath.Join(dir, "pa", "snapshot", "ledger.log")
+	if err := os.Remove(ledgerLog); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(manifest, "occupied"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(ledgerLog, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	rec := do(t, srv, "POST", "/v1/specs/pa/runs/evil500", body, nil)

@@ -6,7 +6,7 @@ package server
 // batcher drains the queue into batches and hands them to commitBatch
 // below, which parses every document concurrently and commits each
 // spec's runs through store.ImportParsed — one fsynced segment
-// append, one manifest save, one coalesced OnRunsBulkChange per
+// append, one fsynced ledger append, one coalesced OnRunsBulkChange per
 // batch, however many clients were importing at once.
 //
 // Synchronous clients (the default) park on the job's response

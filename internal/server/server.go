@@ -17,7 +17,7 @@
 //     progress to the client as NDJSON;
 //   - single-run imports flow through a group-commit pipeline
 //     (internal/ingest): concurrent importers coalesce into one
-//     segment append + one manifest save + one change notification
+//     segment append + one ledger append + one change notification
 //     per batch, synchronously (default) or async via tickets.
 //
 // Every route lives under /v1; README.md lists them (routes.go holds

@@ -31,8 +31,8 @@ import (
 //     new bytes, never a prefix, also with concurrent writers of the
 //     same key. Parent "directories" are implicit.
 //   - Durability, for backends that persist at all: WriteFile is
-//     durable when it returns (the manifest is the only index of
-//     stored runs, so a torn or lost manifest would lose them).
+//     durable when it returns (the checkpoint is the only record of
+//     deletes, so a torn or lost one would resurrect deleted runs).
 //     Append is durable when it returns only with sync set (the
 //     group-commit fsync point); without it a crash may drop a suffix
 //     of the appended bytes. Remove is not synced: after a crash a

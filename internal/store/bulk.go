@@ -132,8 +132,8 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 
 // ImportParsed is the group-commit half of the bulk import, shared
 // with the server's ingest pipeline and live-run completion: runs that
-// are already parsed are committed in ONE synced segment append, ONE
-// ledger record and ONE manifest save, published to the decoded-run
+// are already parsed are committed in ONE synced segment append and
+// ONE synced ledger record, published to the decoded-run
 // cache, and announced with ONE coalesced OnRunsBulkChange
 // notification — the per-run OnRunChange hooks do not fire.
 //

@@ -101,15 +101,24 @@ func exported(t *testing.T, st *store.Store) map[string][]byte {
 // decodes, and a green ledger.
 func requireEqualToPristine(t *testing.T, recovered *store.Store, batches ...[]store.RunData) {
 	t.Helper()
+	requireEqualToTwin(t, recovered, func(pristine *store.Store) {
+		for _, b := range batches {
+			if _, err := pristine.ImportRuns(specName, b, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// requireEqualToTwin is requireEqualToPristine for a twin built by
+// replaying ops on a fresh, never-faulted repository.
+func requireEqualToTwin(t *testing.T, recovered *store.Store, ops func(pristine *store.Store)) {
+	t.Helper()
 	pristine := store.OpenBackend(store.NewMemoryBackend())
 	if err := pristine.SaveSpec(specName, catalog(t)); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
-		if _, err := pristine.ImportRuns(specName, b, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ops(pristine)
 	want, err := pristine.ListRuns(specName)
 	if err != nil {
 		t.Fatal(err)
@@ -251,10 +260,10 @@ func TestLedgerTornAppend(t *testing.T) {
 	})
 }
 
-// TestRunWriteFailsMidBatch: the batch's last write — the manifest
-// save, after the segment and ledger appends — fails. The batch
-// errors and none of it is visible; the client's retry after reboot
-// converges on the pristine state.
+// TestRunWriteFailsMidBatch: the batch's last write — the ledger
+// append, after the segment append — fails. The batch errors and none
+// of it is visible; the client's retry after reboot converges on the
+// pristine state.
 func TestRunWriteFailsMidBatch(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
@@ -269,7 +278,7 @@ func TestRunWriteFailsMidBatch(t *testing.T) {
 		if _, err := st.ImportRuns(specName, a, 2); err != nil {
 			t.Fatal(err)
 		}
-		fb.Fail(faultfs.Rule{Op: faultfs.OpWrite, KeySuffix: "manifest.json", N: 1, Mode: faultfs.ErrIO})
+		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "ledger.log", N: 1, Mode: faultfs.ErrIO})
 		stats, err := st.ImportRuns(specName, b, 1)
 		requireFailedCommit(t, st, fb, b, stats, err)
 

@@ -167,7 +167,12 @@ func (s *Store) LedgerHeads() (map[string]SpecLedger, string, error) {
 	for _, name := range specs {
 		st := s.snap(name)
 		st.mu.Lock()
-		s.loadLedgerLocked(name, st)
+		if !st.ledgerLoaded {
+			if _, err := s.loadLedgerLocked(name, st); err != nil {
+				st.mu.Unlock()
+				return nil, "", err
+			}
+		}
 		heads[name] = st.ledgerHead
 		out[name] = SpecLedger{Head: st.ledgerHead.Hex(), Batches: st.ledgerSeq}
 		st.mu.Unlock()
@@ -264,7 +269,14 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 	st.mu.Lock()
 	if err := s.loadManifestLocked(specName, st); err != nil {
 		st.mu.Unlock()
-		report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Detail: err.Error()})
+		// A ledger that cannot be parsed refuses the load too; the issue
+		// then names the same batch, so Issues[0] stays the first
+		// divergent one.
+		var batch int64
+		if lerr != nil {
+			batch = int64(len(recs)) + 1
+		}
+		report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Batch: batch, Detail: err.Error()})
 		return
 	}
 	entries := make(map[string]snapEntry, len(st.manifest.Runs))

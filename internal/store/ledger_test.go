@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -213,8 +214,8 @@ func TestCompactionPreservesProofs(t *testing.T) {
 }
 
 // TestCrashedCompactionLeavesVerifyGreen simulates dying between the
-// segment rewrite and the manifest save: the rewritten segment is on
-// disk but the manifest still holds pre-compaction offsets. Offsets
+// segment rewrite and its checkpoint: the rewritten segment is on
+// disk but the checkpoint still holds pre-compaction offsets. Offsets
 // are stale, content is not — verify must fall back to scanning and
 // stay green, and loads must relocate the frames by content.
 func TestCrashedCompactionLeavesVerifyGreen(t *testing.T) {
@@ -239,7 +240,7 @@ func TestCrashedCompactionLeavesVerifyGreen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compaction: %v", err)
 	}
-	// "Crash": the manifest save never happened.
+	// "Crash": the checkpoint was never written.
 	if err := s.Backend().WriteFile(manifestKey("pa"), preCompaction); err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +330,47 @@ func TestVerifyDetectsLedgerTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyNamesMalformedLedgerLine: a middle ledger line that is not
+// JSON refuses the spec's index, yet VerifyLedger still names that
+// line's batch first, and no commit is appended after it.
+func TestVerifyNamesMalformedLedgerLine(t *testing.T) {
+	dir := seedDir(t, 0)
+	s := reopen(t, dir)
+	for i := int64(0); i < 3; i++ {
+		if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 41+i, fmt.Sprintf("m%d", i)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be := openTestBackend(t, dir)
+	orig, err := be.ReadFile(ledgerKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(orig, []byte("\n"))
+	if len(lines) != 4 || len(lines[3]) != 0 {
+		t.Fatalf("expected 3 newline-terminated ledger records, got %q", orig)
+	}
+	lines[1] = []byte("{\"seq\":2,\n")
+	tampered := bytes.Join(lines, nil)
+	if err := be.WriteFile(ledgerKey("pa"), tampered); err != nil {
+		t.Fatal(err)
+	}
+	s = reopen(t, dir)
+	report, err := s.VerifyLedger("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.OK() || report.Issues[0].Batch != 2 {
+		t.Fatalf("want first issue at batch 2, got %+v", report.Issues)
+	}
+	if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 49, "late"), 1); err == nil {
+		t.Fatal("commit appended after a malformed ledger line")
+	}
+	if after, _ := be.ReadFile(ledgerKey("pa")); !bytes.Equal(after, tampered) {
+		t.Fatal("ledger changed after the refused commit")
+	}
+}
+
 // TestVerifyUnknownSpec: naming a spec that does not exist is an
 // error, not a silent pass.
 func TestVerifyUnknownSpec(t *testing.T) {
@@ -411,4 +453,49 @@ func TestLedgerHeadsFromCursor(t *testing.T) {
 	}
 	check("commit after torn tail")
 	requireVerifyOK(t, s)
+}
+
+// TestLedgerTailParsesOnlyUncovered: a load parses the ledger from its
+// end back to the checkpoint's seq, so a damaged line the checkpoint
+// covers is left to VerifyLedger while one after it refuses the load.
+func TestLedgerTailParsesOnlyUncovered(t *testing.T) {
+	dir := seedDir(t, 0)
+	s := reopen(t, dir)
+	for i := int64(0); i < 3; i++ {
+		if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 51+i, fmt.Sprintf("q%d", i)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := s.Backend().ReadFile(ledgerKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := func(recs []ledger.Record) []int64 {
+		var out []int64
+		for _, r := range recs {
+			out = append(out, r.Seq)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		after int64
+		want  string
+	}{{0, "[1 2 3]"}, {1, "[2 3]"}, {3, "[]"}, {1 << 62, "[]"}} {
+		recs, last, err := ledgerTail(data, tc.after)
+		if err != nil || fmt.Sprint(seqs(recs)) != tc.want || last.Seq != 3 {
+			t.Fatalf("after %d: recs %v last %d err %v, want %s last 3", tc.after, seqs(recs), last.Seq, err, tc.want)
+		}
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines[0] = []byte("not json\n")
+	damaged := bytes.Join(lines, nil)
+	if recs, _, err := ledgerTail(damaged, 2); err != nil || fmt.Sprint(seqs(recs)) != "[3]" {
+		t.Fatalf("covered damage: recs %v err %v", seqs(recs), err)
+	}
+	if _, _, err := ledgerTail(damaged, 0); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("uncovered damage: err %v, want one naming line 1", err)
+	}
+	if recs, last, err := ledgerTail(nil, 0); err != nil || len(recs) != 0 || last.Seq != 0 {
+		t.Fatalf("empty log: recs %v last %d err %v", seqs(recs), last.Seq, err)
+	}
 }

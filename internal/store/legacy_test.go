@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,6 +95,11 @@ func writeLegacyRepo(t *testing.T, kind, dir string) legacyDocs {
 		docs[name] = d
 	}
 	if _, err := st.ImportRuns("pa", batch, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint the import: the older layout saved its manifest after
+	// every commit.
+	if _, err := st.Snapshot("pa"); err != nil {
 		t.Fatal(err)
 	}
 	docs["r3"] = doc("r3")
@@ -216,8 +222,8 @@ func TestLegacyRepositoryMigrates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Contains(raw, []byte(`"version": 3`)) || bytes.Contains(raw, []byte("xml_")) {
-				t.Fatalf("manifest not upgraded to version 3:\n%s", raw)
+			if !bytes.Contains(raw, []byte(`"version": 4`)) || bytes.Contains(raw, []byte("xml_")) {
+				t.Fatalf("manifest not upgraded to version 4:\n%s", raw)
 			}
 			// Upgraded in place, not discarded: unchanged runs keep the
 			// frames they already had.
@@ -256,6 +262,173 @@ func TestLegacyRepositoryMigrates(t *testing.T) {
 				t.Fatalf("ListRuns after reopen = %v", names)
 			}
 		})
+		t.Run(kind+"-v3", func(t *testing.T) { testV3Manifest(t, kind) })
+	}
+}
+
+// storeAnswers is what a repository serves through the store API: its
+// run list, each run's decode (rendered as XML) and inclusion proof,
+// and its verify report.
+type storeAnswers struct {
+	runs   []string
+	docs   map[string]string
+	proofs map[string]string
+	report store.VerifyReport
+}
+
+func answersOf(t *testing.T, st *store.Store) storeAnswers {
+	t.Helper()
+	names, err := st.ListRuns("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := storeAnswers{runs: names, docs: map[string]string{}, proofs: map[string]string{}}
+	for _, name := range names {
+		r, err := st.LoadRun("pa", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := wfxml.EncodeRun(&buf, r, name); err != nil {
+			t.Fatal(err)
+		}
+		a.docs[name] = buf.String()
+		p, err := st.RunProof("pa", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.proofs[name] = string(raw)
+	}
+	if a.report, err = st.VerifyLedger(); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// writeV3Repo builds a repository as the code before checkpoints left
+// it: the same segment and ledger, and a version-3 manifest without a
+// seq, saved after the last operation. r1 is deleted between batches,
+// so replaying the whole ledger would resurrect it. It returns what
+// the repository served before the manifest was rewritten.
+func writeV3Repo(t *testing.T, kind, dir string) storeAnswers {
+	t.Helper()
+	st, err := store.OpenRepository(dir, kind, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := gen.Catalog("PA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSpec("pa", pa); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := st.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(37))
+	importRuns := func(names ...string) {
+		var batch []store.RunData
+		for _, name := range names {
+			r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := wfxml.EncodeRun(&buf, r, name); err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, store.RunData{Name: name, XML: buf.Bytes()})
+		}
+		if _, err := st.ImportRuns("pa", batch, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	importRuns("r0", "r1", "r2")
+	importRuns("r3", "r0")
+	if err := st.DeleteRun("pa", "r1"); err != nil {
+		t.Fatal(err)
+	}
+	importRuns("r4")
+	if _, err := st.Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
+	want := answersOf(t, st)
+
+	be := st.Backend()
+	raw, err := be.ReadFile("pa/snapshot/manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["version"] = 3
+	delete(m, "seq")
+	if raw, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.WriteFile("pa/snapshot/manifest.json", raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// testV3Manifest: a version-3 manifest covers the whole ledger, so the
+// repository opens serving exactly what it served before, and its next
+// commit is still listed after a reopen.
+func testV3Manifest(t *testing.T, kind string) {
+	dir := t.TempDir()
+	want := writeV3Repo(t, kind, dir)
+	st, err := store.OpenRepository(dir, kind, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := answersOf(t, st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("v3 repository serves\n%+v\nwant\n%+v", got, want)
+	}
+	if !want.report.OK() || fmt.Sprint(want.runs) != "[r0 r2 r3 r4]" {
+		t.Fatalf("v3 fixture serves %v, verify %+v", want.runs, want.report)
+	}
+	pa, err := st.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := gen.RandomRun(pa, gen.DefaultRunParams(), rand.New(rand.NewSource(38)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveRun("pa", "r5", r); err != nil {
+		t.Fatal(err)
+	}
+	again, err := store.OpenRepository(dir, kind, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := answersOf(t, again)
+	if fmt.Sprint(got.runs) != "[r0 r2 r3 r4 r5]" || !got.report.OK() {
+		t.Fatalf("after a commit and a reopen: runs %v, verify %+v", got.runs, got.report)
+	}
+	for _, name := range got.runs {
+		if name != "r5" && got.docs[name] != want.docs[name] {
+			t.Fatalf("run %s changed across the commit", name)
+		}
+		p, err := again.RunProof("pa", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.VerifyProof(p); err != nil {
+			t.Fatalf("proof of %s after the commit: %v", name, err)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -18,17 +20,28 @@ import (
 )
 
 // The snapshot layer is where runs are stored. Each run is one
-// checksummed codec frame in an append-only segment; the manifest maps
-// run names onto frames, and the ledger attests every frame the
-// manifest points at. XML is what the store imports and exports, not
-// what it keeps: ExportSpec renders it with wfxml.EncodeRun.
+// checksummed codec frame in an append-only segment, and every commit
+// is one record in the spec's Merkle ledger naming each run and frame
+// hash of its batch. The ledger is the commit log; manifest.json is a
+// checkpoint of the run index (run name → frame) as of one ledger seq.
+// XML is what the store imports and exports, not what it keeps:
+// ExportSpec renders it with wfxml.EncodeRun.
 //
 // Layout, per specification (backend keys):
 //
-//	<spec>/snapshot/manifest.json   run name → frame (offset, length, hash, batch)
+//	<spec>/snapshot/manifest.json   checkpoint: run name → frame (offset, length, hash, batch) as of ledger seq
 //	<spec>/snapshot/runs.seg        append-only run frames
 //	<spec>/snapshot/ledger.log      Merkle ledger, one record per commit
 //	<spec>/snapshot/spec.bin        binary specification frame
+//
+// A commit is exactly two synced appends, segment then ledger; once
+// its ledger record is durable the batch is committed. Loading a spec
+// reads the checkpoint and replays the ledger batches after its seq
+// (parsing the ledger from its end back to that seq only), finding each replayed frame in the segment by run name and content
+// hash (segment records name themselves). The checkpoint is written at
+// a spec's first commit, on every delete (deletes are not in the
+// ledger), at compaction, legacy migration and frame relocation, and
+// by Snapshot when the ledger is ahead of it.
 //
 // Every stored frame equals codec.EncodeRun of the run that parsing
 // the run's canonical XML produces, so export followed by re-import
@@ -36,18 +49,20 @@ import (
 // drops or replaces its entry; the dead bytes stay in the segment until
 // the compaction threshold is crossed, as in a log-structured store.
 //
-// A corrupt frame or manifest is an error, never a silent miss: the
-// segment holds the only copy of each run.
+// A corrupt frame, checkpoint or ledger is an error, never a silent
+// miss: the segment holds the only copy of each run.
 
-// manifestVersion guards the manifest JSON schema itself. Version 3
-// dropped the XML fingerprint fields of version 2; a version-2
-// manifest is upgraded in place on first load. A version-1 manifest
-// (no content hashes) is discarded: its repository still keeps every
-// run as XML, which the legacy migration re-commits.
-const manifestVersion = 3
+// manifestVersion guards the checkpoint JSON schema itself. Version 4
+// added seq, the last ledger batch the checkpoint covers. Version 3
+// and 2 manifests were saved after every commit, so they cover the
+// whole ledger; version 2 also carried XML fingerprints and is
+// upgraded in place on first load. A version-1 manifest (no content
+// hashes) is discarded: its repository still keeps every run as XML,
+// which the legacy migration re-commits.
+const manifestVersion = 4
 
 // compactMinDeadBytes and compactMinDeadRatio bound segment garbage:
-// a manifest save triggers compaction once the segment holds at least
+// a commit or delete triggers compaction once the segment holds at least
 // compactMinDeadBytes of dead frames and they exceed
 // compactMinDeadRatio of the file.
 const (
@@ -60,8 +75,6 @@ type snapEntry struct {
 	Offset int64 `json:"offset"`
 	Length int64 `json:"length"`
 	Codec  int   `json:"codec"` // codec.Version the frame was written with
-	Nodes  int   `json:"nodes"`
-	Edges  int   `json:"edges"`
 	// Hash is the hex SHA-256 content hash of the codec frame (the
 	// frame's ledger identity); Batch is the seq of the ledger record
 	// that most recently committed it.
@@ -69,11 +82,17 @@ type snapEntry struct {
 	Batch int64  `json:"batch"`
 }
 
-// snapManifest is the JSON document at snapshot/manifest.json.
+// snapManifest is a spec's run index. On disk (snapshot/manifest.json)
+// it is a checkpoint covering the ledger up to Seq. In memory its runs
+// cover every committed batch, while Version and Seq describe the
+// checkpoint on disk: Version is 0 when there is none. Live and Dead
+// (segment bytes referenced and not) are in memory only; every load
+// recomputes them from the entries and the segment's size.
 type snapManifest struct {
 	Version int                  `json:"version"`
-	Live    int64                `json:"live_bytes"`
-	Dead    int64                `json:"dead_bytes"`
+	Seq     int64                `json:"seq"`
+	Live    int64                `json:"-"`
+	Dead    int64                `json:"-"`
 	Runs    map[string]snapEntry `json:"runs"`
 }
 
@@ -110,21 +129,33 @@ func (s *Store) snap(specName string) *snapState {
 	return st
 }
 
-// loadManifestLocked reads manifest.json on first use and migrates any
-// legacy run documents (see migrateLegacyLocked). A missing manifest
-// is an empty one while the ledger holds at most one batch: the spec
+// loadManifestLocked loads a spec's run index on first use: the
+// checkpoint, then the ledger batches after it (replay), then
+// any legacy run documents (migrateLegacyLocked). A missing checkpoint
+// is an empty index while the ledger holds at most one batch: the spec
 // has no committed runs yet, and whatever the segment holds (a crashed
-// first commit) is counted dead. A manifest that cannot be parsed, or
-// is missing although the ledger attests later batches, is an error
-// naming the spec, and stays one on every later call: the segment
-// holds the only copy of each run, so guessing an empty run list
-// would lose them. Caller holds st.mu.
+// first commit) is counted dead. A checkpoint that cannot be parsed,
+// or is missing although the ledger attests later batches, is an error
+// naming the spec, and stays one on every later call: deletes are not
+// in the ledger, so replaying it from the start could resurrect them.
+// Caller holds st.mu.
 func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	if st.loaded {
 		return nil
 	}
-	m, legacy, err := s.readManifest(specName)
+	ledgerLog, err := s.loadLedgerLocked(specName, st)
 	if err != nil {
+		return err
+	}
+	m, legacy, err := s.readManifest(specName, st.ledgerSeq)
+	if err != nil {
+		return err
+	}
+	recs, _, err := ledgerTail(ledgerLog, m.Seq)
+	if err != nil {
+		return fmt.Errorf("store: spec %q: %w", specName, err)
+	}
+	if err := s.replay(specName, m, recs); err != nil {
 		return err
 	}
 	st.manifest = m
@@ -136,36 +167,31 @@ func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	return nil
 }
 
-// readManifest parses a spec's manifest. legacy reports a manifest
-// whose run list was the XML listing rather than its own entries: one
-// written before frames became the only copy of a run (version 1 or
-// 2), or a lost one of such a repository.
-func (s *Store) readManifest(specName string) (m *snapManifest, legacy bool, err error) {
+// readManifest parses a spec's checkpoint against last, the seq of its
+// ledger's last batch. An older manifest version covers the ledger
+// only until the next commit, which replaces it with a checkpoint
+// first. legacy reports a manifest whose run list was the XML listing
+// rather than its own entries: one written before frames became the
+// only copy of a run (version 1 or 2), or a lost one of such a
+// repository.
+func (s *Store) readManifest(specName string, last int64) (m *snapManifest, legacy bool, err error) {
 	empty := func() *snapManifest {
-		m := &snapManifest{Version: manifestVersion, Runs: map[string]snapEntry{}}
-		if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
-			m.Dead = fi.Size
-		}
-		return m
+		return &snapManifest{Seq: last, Runs: map[string]snapEntry{}}
 	}
 	data, err := s.be.ReadFile(manifestKey(specName))
 	if isNotExist(err) {
-		// Every commit after the first saves over an existing manifest,
-		// so a ledger past its first batch proves one was lost; only a
-		// legacy repository's run documents can rebuild it.
-		recs, err := s.readLedger(specName)
-		if err != nil {
-			return nil, false, fmt.Errorf("store: spec %q: reading ledger: %w", specName, err)
-		}
-		if len(recs) <= 1 {
+		if last <= 1 {
 			return empty(), false, nil
 		}
+		// A spec's first commit writes the checkpoint, so a ledger past
+		// its first batch proves one was lost; only a legacy
+		// repository's run documents can rebuild it.
 		docs, err := s.be.List(legacyRunsDir(specName))
 		if err != nil {
 			return nil, false, fmt.Errorf("store: spec %q: %w", specName, err)
 		}
 		if len(docs) == 0 {
-			return nil, false, fmt.Errorf("store: spec %q: manifest missing although the ledger attests %d batches", specName, len(recs))
+			return nil, false, fmt.Errorf("store: spec %q: manifest missing although the ledger attests %d batches", specName, last)
 		}
 		return empty(), true, nil
 	}
@@ -179,15 +205,74 @@ func (s *Store) readManifest(specName string) (m *snapManifest, legacy bool, err
 	switch m.Version {
 	case 1:
 		return empty(), true, nil
-	case 2, manifestVersion:
+	case 2, 3:
 		legacy = m.Version == 2
-		m.Version = manifestVersion
-		if m.Runs == nil {
-			m.Runs = map[string]snapEntry{}
+		m.Seq = last
+	case manifestVersion:
+		if m.Seq < 0 || m.Seq > last {
+			return nil, false, fmt.Errorf("store: spec %q: manifest covers ledger batch %d, but the ledger ends at batch %d", specName, m.Seq, last)
 		}
-		return m, legacy, nil
+	default:
+		return nil, false, fmt.Errorf("store: spec %q: manifest version %d, want %d", specName, m.Version, manifestVersion)
 	}
-	return nil, false, fmt.Errorf("store: spec %q: manifest version %d, want %d", specName, m.Version, manifestVersion)
+	if m.Runs == nil {
+		m.Runs = map[string]snapEntry{}
+	}
+	return m, legacy, nil
+}
+
+// replay brings a freshly read checkpoint m up to the ledger tail;
+// recs are the ledger records after its seq. Only the last attestation
+// of each run matters — an earlier frame of the same run may already have been
+// compacted away. A run whose entry already carries that frame's hash
+// (the dedup case) keeps its entry; every other run is found by one
+// scan of the segment. A frame the segment does not hold gets an entry
+// that points nowhere, so loading the run fails naming its batch and
+// VerifyLedger reports it. Live and dead byte counts are recomputed
+// from the segment's size, so the bytes of a commit whose ledger append
+// never landed count as dead.
+func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) error {
+	type attest struct {
+		hash  string
+		batch int64
+	}
+	final := map[string]attest{}
+	for _, rec := range recs {
+		for _, l := range rec.Runs {
+			final[l.Run] = attest{l.Hash, rec.Seq}
+		}
+	}
+	var found map[string]map[string]segLoc
+	for name, a := range final {
+		e, ok := m.Runs[name]
+		if !ok || e.Hash != a.hash {
+			if found == nil {
+				seg, err := s.be.ReadFile(segmentKey(specName))
+				if err != nil && !isNotExist(err) {
+					return fmt.Errorf("store: spec %q: replaying ledger: %w", specName, err)
+				}
+				found = scanSegment(seg)
+			}
+			e = snapEntry{Offset: -1, Codec: codec.Version, Hash: a.hash}
+			if loc, ok := found[name][a.hash]; ok {
+				e.Offset, e.Length = loc.Offset, loc.Length
+			}
+		}
+		e.Batch = a.batch
+		m.Runs[name] = e
+	}
+	var size int64
+	if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
+		size = fi.Size
+	} else if !isNotExist(err) {
+		return fmt.Errorf("store: spec %q: %w", specName, err)
+	}
+	m.Live = 0
+	for _, e := range m.Runs {
+		m.Live += e.Length
+	}
+	m.Dead = max(0, size-m.Live)
+	return nil
 }
 
 // legacyRunsDir is where repositories written before frames became
@@ -248,11 +333,15 @@ func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy bool)
 			}
 		}
 	}
-	if len(items) == 0 {
-		return s.saveManifestLocked(specName, st)
+	if len(items) > 0 {
+		if _, err := s.commitLocked(specName, st, items); err != nil {
+			return err
+		}
 	}
-	s.loadLedgerLocked(specName, st)
-	if _, err := s.commitLocked(specName, st, items); err != nil {
+	// The checkpoint replaces the legacy manifest before any document
+	// goes: read again under a legacy manifest, the documents are the
+	// run list.
+	if err := s.saveManifestLocked(specName, st); err != nil {
 		return err
 	}
 	for _, it := range items {
@@ -267,14 +356,22 @@ func legacyRunKey(specName, runName string) string {
 	return legacyRunsDir(specName) + "/" + runName + ".xml"
 }
 
-// saveManifestLocked writes the manifest atomically and durably (the
-// backend's WriteFile contract). Caller holds st.mu.
+// saveManifestLocked writes the in-memory run index as the checkpoint
+// covering the whole ledger, atomically and durably (the backend's
+// WriteFile contract). Caller holds st.mu with the ledger cursor
+// loaded.
 func (s *Store) saveManifestLocked(specName string, st *snapState) error {
-	data, err := json.MarshalIndent(st.manifest, "", "  ")
+	m := *st.manifest
+	m.Version, m.Seq = manifestVersion, st.ledgerSeq
+	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return s.be.WriteFile(manifestKey(specName), append(data, '\n'))
+	if err := s.be.WriteFile(manifestKey(specName), append(data, '\n')); err != nil {
+		return err
+	}
+	st.manifest.Version, st.manifest.Seq = m.Version, m.Seq
+	return nil
 }
 
 // manifestEntry returns a run's manifest entry; a run with none is an
@@ -345,8 +442,8 @@ func (s *Store) readFrame(specName, runName string, e snapEntry) ([]byte, error)
 // loadRunFrame decodes a stored run from its segment frame. A frame
 // that is not where the manifest says is looked for again by content
 // (relocatedEntry): a compaction may have moved it since the manifest
-// lookup, or crashed after rewriting the segment but before saving
-// the manifest that records the new offsets. Any other failure (a
+// lookup, or crashed after rewriting the segment but before writing
+// the checkpoint that records the new offsets. Any other failure (a
 // checksum mismatch, a frame from another codec version) is an error
 // naming the run and the batch that committed it.
 func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (*wfrun.Run, error) {
@@ -381,9 +478,9 @@ func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec
 // relocatedEntry returns a run's current manifest entry. When that
 // entry's frame is not intact where it points, every entry is matched
 // against the frames actually in the segment by run name and content
-// hash, moved to where its frame now lives, and the repaired manifest
-// saved — the recovery from a compaction that crashed between its
-// segment rewrite and its manifest save.
+// hash, moved to where its frame now lives, and the repaired index
+// checkpointed — the recovery from a compaction that crashed between
+// its segment rewrite and its checkpoint.
 func (s *Store) relocatedEntry(specName, runName string) (snapEntry, error) {
 	st := s.snap(specName)
 	st.mu.Lock()
@@ -434,17 +531,18 @@ type snapBatchItem struct {
 
 // writeRunSnapshotBatch commits runs in one pass: frames are encoded
 // up front, the segment grows by ONE synced backend append, and the
-// manifest is rewritten once however many runs the batch carries —
+// ledger by ONE synced record, however many runs the batch carries —
 // the group-commit durability point of every write path (import,
-// SaveRun, live completion, legacy migration).
+// SaveRun, live completion, legacy migration). Nothing else is written
+// per commit: the run index on disk is a checkpoint, and a later load
+// replays this batch from the ledger.
 //
-// The batch is also one ledger record: every item's frame content
-// hash becomes a Merkle leaf, the batch root is chained onto the
-// spec's ledger head, and the record is appended to ledger.log before
-// the manifest commits to it. The write order — segment (synced),
-// ledger (synced), manifest (durable) — means a crash at any boundary
-// leaves the previous manifest pointing at still-valid append-only
-// state.
+// The ledger record makes every item's frame content hash a Merkle
+// leaf, and chains the batch root onto the spec's ledger head. The
+// write order — segment, then ledger — means a crash before the ledger
+// record is durable leaves the batch's frames as dead segment bytes,
+// and a crash after it leaves a committed batch that the next load
+// replays.
 //
 // A run whose name AND frame hash match its live manifest entry is
 // deduped: the old segment bytes are reused (valid forever under
@@ -465,7 +563,6 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem) ([
 	if err := s.loadManifestLocked(specName, st); err != nil {
 		return nil, err
 	}
-	s.loadLedgerLocked(specName, st)
 	hashes, err := s.commitLocked(specName, st, items)
 	if err != nil {
 		return nil, err
@@ -494,6 +591,14 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 		leafs[i] = ledger.BatchLeaf{Run: it.name, Hash: hashes[i]}
 		records[i] = segmentRecord(it.name, frame)
 	}
+	if st.manifest.Version != manifestVersion {
+		// A spec's first commit writes the checkpoint before its
+		// appends, so a checkpoint missing past the first batch is
+		// damage (readManifest), never a crash.
+		if err := s.saveManifestLocked(specName, st); err != nil {
+			return nil, err
+		}
+	}
 	var off int64
 	if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
 		off = fi.Size
@@ -512,8 +617,6 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 			Offset: off + int64(seg.Len()),
 			Length: int64(len(records[i])),
 			Codec:  codec.Version,
-			Nodes:  it.run.NumNodes(),
-			Edges:  it.run.NumEdges(),
 			Hash:   hashes[i],
 		}
 		seg.Write(records[i])
@@ -532,45 +635,37 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 		return nil, err
 	}
 	if err := s.be.Append(ledgerKey(specName), line, true); err != nil {
-		// The append may have left a torn fragment: reload the cursor
-		// (which truncates it) before the next commit appends.
-		st.ledgerLoaded = false
+		// Whether the record landed is unknown (the append may also
+		// have left a torn fragment), so the index is reloaded from
+		// disk before its next use — the reload truncates any torn
+		// tail and replays the record if it is whole — and the batch's
+		// names leave the decoded-run cache.
+		st.loaded, st.ledgerLoaded = false, false
+		s.mu.Lock()
+		for _, it := range items {
+			delete(s.runs, runKey(specName, it.name))
+		}
+		s.mu.Unlock()
 		return nil, err
 	}
 	st.ledgerSeq = rec.Seq
 	st.ledgerHead, _ = ledger.Parse(rec.Head)
-	prev := *st.manifest
-	prevRuns := make(map[string]snapEntry, len(items))
+	m := st.manifest
 	for i, it := range items {
-		old, had := st.manifest.Runs[it.name]
-		if had {
-			prevRuns[it.name] = old
-			if old.Offset != entries[i].Offset {
-				st.manifest.Dead += old.Length
-				st.manifest.Live -= old.Length
-			}
+		old, had := m.Runs[it.name]
+		if had && old.Offset != entries[i].Offset {
+			m.Dead += old.Length
+			m.Live -= old.Length
 		}
 		if !had || old.Offset != entries[i].Offset {
-			st.manifest.Live += entries[i].Length
+			m.Live += entries[i].Length
 		}
 		e := entries[i]
 		e.Batch = rec.Seq
-		st.manifest.Runs[it.name] = e
-	}
-	if err := s.saveManifestLocked(specName, st); err != nil {
-		// Roll the in-memory manifest back to what is on disk.
-		for _, it := range items {
-			if old, had := prevRuns[it.name]; had {
-				st.manifest.Runs[it.name] = old
-			} else {
-				delete(st.manifest.Runs, it.name)
-			}
-		}
-		st.manifest.Live, st.manifest.Dead = prev.Live, prev.Dead
-		return nil, err
+		m.Runs[it.name] = e
 	}
 	// Compaction is housekeeping: the batch is committed whether or not
-	// it succeeds, and the next manifest save retries it.
+	// it succeeds, and the next commit or delete retries it.
 	_ = s.maybeCompactLocked(specName, st)
 	return hashes, nil
 }
@@ -611,42 +706,76 @@ func (s *Store) readLedger(specName string) ([]ledger.Record, error) {
 	return recs, perr
 }
 
-// loadLedgerLocked positions the append cursor at the tail of the
-// spec's ledger log — and repairs a torn tail first. A crash mid-
-// append leaves a partial final line; readers tolerate it, but a
-// subsequent append would weld new bytes onto the torn fragment,
-// merging them into one malformed MIDDLE line that VerifyLedger can
-// no longer tell from tampering. Truncating back to the valid prefix
-// before any further append keeps crash debris and tampering
-// distinguishable. A malformed interior line is NOT repaired here —
-// appends continue from the last parseable record and VerifyLedger is
-// the one to report the damage. Caller holds st.mu.
-func (s *Store) loadLedgerLocked(specName string, st *snapState) {
-	if st.ledgerLoaded {
-		return
+// loadLedgerLocked reads the spec's ledger log, positions the append
+// cursor at its last record and returns the log — and repairs a torn
+// tail first. A crash mid-append leaves a partial final line; readers
+// tolerate it, but a subsequent append would weld new bytes onto the
+// torn fragment, merging them into one malformed MIDDLE line that
+// VerifyLedger can no longer tell from tampering. Truncating back to
+// the valid prefix before any further append keeps crash debris and
+// tampering distinguishable. A log that cannot be read or repaired, or
+// whose last record cannot be parsed, is an error naming the spec, and
+// the cursor stays unloaded: appending after it would fork the chain.
+// Caller holds st.mu.
+func (s *Store) loadLedgerLocked(specName string, st *snapState) ([]byte, error) {
+	data, err := s.be.ReadFile(ledgerKey(specName))
+	if err != nil && !isNotExist(err) {
+		return nil, fmt.Errorf("store: spec %q: reading ledger: %w", specName, err)
+	}
+	if valid := bytes.LastIndexByte(data, '\n') + 1; valid < len(data) {
+		data = data[:valid]
+		if err := s.be.WriteFile(ledgerKey(specName), data); err != nil {
+			return nil, fmt.Errorf("store: spec %q: truncating torn ledger tail: %w", specName, err)
+		}
+	}
+	_, last, err := ledgerTail(data, math.MaxInt64)
+	if err != nil {
+		return nil, fmt.Errorf("store: spec %q: %w", specName, err)
+	}
+	st.ledgerSeq, st.ledgerHead = last.Seq, ledger.Zero
+	if last.Seq > 0 {
+		st.ledgerHead, _ = ledger.Parse(last.Head)
 	}
 	st.ledgerLoaded = true
-	data, err := s.be.ReadFile(ledgerKey(specName))
-	if err != nil {
-		return
-	}
-	recs, valid, perr := ledger.ParseLog(data)
-	if perr == nil && valid < len(data) {
-		// Torn tail from a crashed append: truncate to the valid prefix.
-		_ = s.be.WriteFile(ledgerKey(specName), data[:valid])
-	}
-	if len(recs) == 0 {
-		return
-	}
-	last := recs[len(recs)-1]
-	st.ledgerSeq = last.Seq
-	st.ledgerHead, _ = ledger.Parse(last.Head)
+	return data, nil
 }
 
-// dropRun removes a run's manifest entry and its cached decode — the
-// whole of a delete. The frame bytes become dead weight until
-// compaction. A run with no entry is an error satisfying
-// errors.Is(err, fs.ErrNotExist).
+// ledgerTail parses a ledger log from its end back to the first record
+// at or before seq after. It returns the records after that seq, in log
+// order, and the log's last record (zero for an empty log). A load
+// thus parses only the batches its checkpoint does not cover;
+// VerifyLedger is what reads every line.
+func ledgerTail(data []byte, after int64) (recs []ledger.Record, last ledger.Record, err error) {
+	found := false
+	for end := len(data); end > 0; {
+		start := bytes.LastIndexByte(data[:end-1], '\n') + 1
+		line := data[start:end]
+		end = start
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec ledger.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			lineNo := bytes.Count(data[:start], []byte{'\n'}) + 1
+			return nil, last, fmt.Errorf("ledger: record at line %d malformed: %w", lineNo, err)
+		}
+		if !found {
+			last, found = rec, true
+		}
+		if rec.Seq <= after {
+			break
+		}
+		recs = append(recs, rec)
+	}
+	slices.Reverse(recs)
+	return recs, last, nil
+}
+
+// dropRun removes a run's manifest entry and its cached decode, and
+// checkpoints the index: deletes are not in the ledger, so the
+// checkpoint is what keeps a replay from resurrecting the run. The
+// frame bytes become dead weight until compaction. A run with no entry
+// is an error satisfying errors.Is(err, fs.ErrNotExist).
 func (s *Store) dropRun(specName, runName string) error {
 	st := s.snap(specName)
 	st.mu.Lock()
@@ -776,9 +905,11 @@ type SnapshotStats struct {
 }
 
 // Snapshot brings one specification's snapshot layer up to date: it
-// writes the spec's binary frame and loads the manifest, which
-// migrates a repository written in the older layout. On a
-// current-format repository it writes no run frames; it is idempotent.
+// writes the spec's binary frame, loads the manifest (which migrates a
+// repository written in the older layout), and checkpoints the run
+// index when the ledger is ahead of the checkpoint, so the next load
+// replays nothing. On a current-format repository it writes no run
+// frames; it is idempotent.
 func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 	var stats SnapshotStats
 	sp, err := s.LoadSpec(specName)
@@ -793,6 +924,11 @@ func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 	defer st.mu.Unlock()
 	if err := s.loadManifestLocked(specName, st); err != nil {
 		return stats, err
+	}
+	if st.ledgerSeq > st.manifest.Seq {
+		if err := s.saveManifestLocked(specName, st); err != nil {
+			return stats, fmt.Errorf("store: spec %q: checkpoint: %w", specName, err)
+		}
 	}
 	stats.Runs = len(st.manifest.Runs)
 	stats.LiveBytes = st.manifest.Live

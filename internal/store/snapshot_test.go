@@ -543,3 +543,103 @@ func TestColdStartReadsNoXML(t *testing.T) {
 		t.Fatal("warm start read no frames; the counter is not wired")
 	}
 }
+
+// mutationLog records every mutation a store makes through a backend.
+type mutationLog struct {
+	Backend
+	mu  sync.Mutex
+	ops []string
+}
+
+func (b *mutationLog) record(op string) {
+	b.mu.Lock()
+	b.ops = append(b.ops, op)
+	b.mu.Unlock()
+}
+
+func (b *mutationLog) take() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ops := b.ops
+	b.ops = nil
+	return ops
+}
+
+func (b *mutationLog) WriteFile(key string, data []byte) error {
+	b.record("write " + key)
+	return b.Backend.WriteFile(key, data)
+}
+
+func (b *mutationLog) Append(key string, data []byte, sync bool) error {
+	b.record(fmt.Sprintf("append %s sync=%v", key, sync))
+	return b.Backend.Append(key, data, sync)
+}
+
+func (b *mutationLog) Remove(key string) error {
+	b.record("remove " + key)
+	return b.Backend.Remove(key)
+}
+
+// TestCommitIsTwoAppends: once a spec has a checkpoint, a commit
+// writes exactly its synced segment append and its synced ledger
+// append, whatever the history. A reopened store replays the commit
+// from the ledger; Snapshot then checkpoints once and is idempotent.
+func TestCommitIsTwoAppends(t *testing.T) {
+	dir := seedDir(t, 3)
+	log := &mutationLog{Backend: openTestBackend(t, dir)}
+	s := OpenBackend(log)
+	if _, err := s.ListRuns("pa"); err != nil {
+		t.Fatal(err)
+	}
+	log.take()
+	sp, err := s.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveRun("pa", "r3", r); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"append pa/snapshot/runs.seg sync=true", "append pa/snapshot/ledger.log sync=true"}
+	if got := log.take(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("a commit wrote %q, want %q", got, want)
+	}
+
+	cold := OpenBackend(log)
+	names, err := cold.ListRuns("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(names) != "[r0 r1 r2 r3]" {
+		t.Fatalf("reopened store lists %v", names)
+	}
+	if _, err := cold.LoadRun("pa", "r3"); err != nil {
+		t.Fatal(err)
+	}
+	requireVerifyOK(t, cold)
+	log.take()
+	for i := 0; i < 2; i++ {
+		if _, err := cold.Snapshot("pa"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var checkpoints int
+	for _, op := range log.take() {
+		if op == "write "+manifestKey("pa") {
+			checkpoints++
+		}
+	}
+	if checkpoints != 1 {
+		t.Fatalf("two Snapshots behind the ledger wrote %d checkpoints, want 1", checkpoints)
+	}
+	st := cold.snap("pa")
+	st.mu.Lock()
+	seq, ledgerSeq := st.manifest.Seq, st.ledgerSeq
+	st.mu.Unlock()
+	if seq != ledgerSeq || seq != 4 {
+		t.Fatalf("checkpoint covers batch %d, ledger ends at %d; want both 4", seq, ledgerSeq)
+	}
+}

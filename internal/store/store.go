@@ -9,12 +9,12 @@
 // tree, an in-memory map, an object-store-style bucket, or a
 // consistent-hash shard fan-out over any of those. Specifications are
 // stored as XML; runs are stored once, as codec frames in a per-spec
-// append-only segment indexed by a manifest and attested by a Merkle
-// ledger (see snapshot.go). XML is what runs are imported from and
-// exported to. Both specifications and decoded runs are cached under a
-// read-write lock, so repeated differencing of stored runs (the cohort
-// paths) decodes each run once and then serves all readers
-// concurrently.
+// append-only segment, committed by a Merkle ledger and indexed by a
+// checkpointed manifest (see snapshot.go). XML is what runs are
+// imported from and exported to. Both specifications and decoded runs
+// are cached under a read-write lock, so repeated differencing of
+// stored runs (the cohort paths) decodes each run once and then serves
+// all readers concurrently.
 //
 // Logical layout (identical to the on-disk layout of the fs backend):
 //
