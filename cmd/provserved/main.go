@@ -3,7 +3,7 @@
 // differencing engines and parsed runs warm across requests:
 //
 //	provserved -dir DIR [-addr :8077] [-cache 512] [-demo N] [-seed S] [-preload=true]
-//	           [-backend fs|memory|object] [-shards N]
+//	           [-backend fs|memory]
 //	           [-index-threshold N] [-landmarks M]
 //	           [-ingest-queue 1024] [-ingest-batch 64] [-ingest-maxwait 0]
 //	           [-timing-log FILE]
@@ -18,10 +18,9 @@
 // optional linger window for batching under bursty async load (0
 // commits as soon as the queue drains).
 //
-// -backend selects the storage engine (a local directory tree, an
-// in-memory store for ephemeral demos, or a content-addressed
-// object-store layout) and -shards N spreads tenant specs across N
-// such backends under DIR/shard-0..shard-(N-1) by consistent hashing.
+// -backend selects the storage engine: a local directory tree under
+// DIR, or an in-memory store for ephemeral demos. Any other value, or
+// a DIR that cannot be created, is a usage error.
 //
 // -demo N seeds an empty repository with the paper's protein
 // annotation workflow ("demo") and N random runs, plus a mutated,
@@ -57,8 +56,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8077", "listen address")
 		dir     = flag.String("dir", "provstore", "repository directory")
-		backend = flag.String("backend", "fs", "storage backend: fs, memory or object")
-		shards  = flag.Int("shards", 1, "shard the repository across N backends under DIR/shard-i")
+		backend = flag.String("backend", "fs", "storage backend: fs or memory")
 		cache   = flag.Int("cache", server.DefaultCacheSize, "diff-result LRU capacity (0 disables)")
 		demo    = flag.Int("demo", 0, "seed a 'demo' spec with N generated runs if absent")
 		seed    = flag.Int64("seed", 1, "random seed for -demo run generation")
@@ -71,10 +69,13 @@ func main() {
 		timing  = flag.String("timing-log", "", "append per-request stage timings as CSV to this file")
 	)
 	flag.Parse()
-	st, err := store.OpenRepository(*dir, *backend, *shards)
+	be, err := store.NewBackend(*backend, *dir)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, "provserved:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
+	st := store.OpenBackend(be)
 	defer st.Close()
 	if *demo > 0 {
 		if err := seedDemo(st, *demo, *seed); err != nil {

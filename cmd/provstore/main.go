@@ -17,10 +17,8 @@
 //	provstore -dir DIR outliers NAME [-k 3] [-cost unit] [-indexed|-exact]
 //	provstore -dir DIR nearest NAME RUN [-k 5] [-cost unit] [-indexed|-exact]
 //
-// Every subcommand also honors -backend fs|memory|object (the storage
-// engine under DIR) and -shards N (spread tenant specs across N such
-// backends under DIR/shard-0..shard-(N-1) by consistent hashing) —
-// the same repository layouts provserved serves.
+// DIR is a filesystem repository, the same layout provserved serves
+// with its default -backend fs.
 //
 // "import-dir" bulk-imports every *.xml file of a directory as runs
 // (named by filename) in one pass: parallel parse, one snapshot
@@ -103,8 +101,6 @@ func run(args []string) (code int) {
 	fs := flag.NewFlagSet("provstore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "provstore", "repository directory")
-	backend := fs.String("backend", "fs", "storage backend: fs, memory or object")
-	shards := fs.Int("shards", 1, "shard the repository across N backends under DIR/shard-i")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,7 +108,7 @@ func run(args []string) (code int) {
 	if len(args) == 0 {
 		usage()
 	}
-	st, err := store.OpenRepository(*dir, *backend, *shards)
+	st, err := store.Open(*dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -155,7 +151,7 @@ func run(args []string) (code int) {
 }
 
 func usage() {
-	fmt.Fprintln(stderr, "usage: provstore [-dir DIR] [-backend fs|memory|object] [-shards N] import-spec|import-run|import-dir|export|snapshot|verify|gen-run|ls|put-version|evolve|diff|matrix|cluster|outliers|nearest ...")
+	fmt.Fprintln(stderr, "usage: provstore [-dir DIR] import-spec|import-run|import-dir|export|snapshot|verify|gen-run|ls|put-version|evolve|diff|matrix|cluster|outliers|nearest ...")
 	panic(exitErr{2})
 }
 

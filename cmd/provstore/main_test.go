@@ -63,72 +63,41 @@ func writeFixtures(t *testing.T, dir string, n int) (specPath string, runPaths [
 }
 
 func TestImportDiffVerifyHappyPath(t *testing.T) {
-	for _, backend := range []string{"fs", "object"} {
-		t.Run(backend, func(t *testing.T) {
-			repo := t.TempDir()
-			specPath, runs := writeFixtures(t, t.TempDir(), 2)
-			base := []string{"-dir", repo, "-backend", backend}
+	// provstore keeps a repository as a directory tree on the
+	// filesystem; the subtest names that store.
+	t.Run("fs", func(t *testing.T) {
+		repo := t.TempDir()
+		specPath, runs := writeFixtures(t, t.TempDir(), 2)
+		base := []string{"-dir", repo}
 
-			code, out, errOut := runCLI(t, append(base, "import-spec", "pa", specPath)...)
-			if code != 0 || !strings.Contains(out, "stored pa:") {
-				t.Fatalf("import-spec: code %d out %q err %q", code, out, errOut)
-			}
-			for i, rp := range runs {
-				code, out, errOut = runCLI(t, append(base, "import-run", "pa", fmt.Sprintf("r%d", i), rp)...)
-				if code != 0 || !strings.Contains(out, "stored pa/r") {
-					t.Fatalf("import-run: code %d out %q err %q", code, out, errOut)
-				}
-			}
-
-			code, out, _ = runCLI(t, append(base, "ls")...)
-			if code != 0 || !strings.Contains(out, "pa\t2 runs") {
-				t.Fatalf("ls: code %d out %q", code, out)
-			}
-
-			code, out, errOut = runCLI(t, append(base, "diff", "pa", "r0", "r1")...)
-			if code != 0 || !strings.Contains(out, "distance") {
-				t.Fatalf("diff: code %d out %q err %q", code, out, errOut)
-			}
-
-			// A second process over the same directory sees everything
-			// and the ledger verifies green.
-			code, out, errOut = runCLI(t, append(base, "verify")...)
-			if code != 0 || !strings.Contains(out, "ledger OK") {
-				t.Fatalf("verify: code %d out %q err %q", code, out, errOut)
-			}
-		})
-	}
-}
-
-func TestShardedRepositoryRoundTrip(t *testing.T) {
-	repo := t.TempDir()
-	specPath, runs := writeFixtures(t, t.TempDir(), 2)
-	base := []string{"-dir", repo, "-shards", "2"}
-
-	if code, _, errOut := runCLI(t, append(base, "import-spec", "pa", specPath)...); code != 0 {
-		t.Fatalf("import-spec: code %d err %q", code, errOut)
-	}
-	for i, rp := range runs {
-		if code, _, errOut := runCLI(t, append(base, "import-run", "pa", fmt.Sprintf("r%d", i), rp)...); code != 0 {
-			t.Fatalf("import-run: code %d err %q", code, errOut)
+		code, out, errOut := runCLI(t, append(base, "import-spec", "pa", specPath)...)
+		if code != 0 || !strings.Contains(out, "stored pa:") {
+			t.Fatalf("import-spec: code %d out %q err %q", code, out, errOut)
 		}
-	}
-	// The spec landed wholly on one shard subdirectory.
-	if _, err := os.Stat(filepath.Join(repo, "shard-0", "pa")); err != nil {
-		if _, err2 := os.Stat(filepath.Join(repo, "shard-1", "pa")); err2 != nil {
-			t.Fatalf("spec on neither shard: %v / %v", err, err2)
+		for i, rp := range runs {
+			code, out, errOut = runCLI(t, append(base, "import-run", "pa", fmt.Sprintf("r%d", i), rp)...)
+			if code != 0 || !strings.Contains(out, "stored pa/r") {
+				t.Fatalf("import-run: code %d out %q err %q", code, out, errOut)
+			}
 		}
-	}
-	code, out, errOut := runCLI(t, append(base, "verify")...)
-	if code != 0 || !strings.Contains(out, "ledger OK") {
-		t.Fatalf("sharded verify: code %d out %q err %q", code, out, errOut)
-	}
-	// Reopening with a different shard count still finds the spec:
-	// discovery pins it to the shard that holds it.
-	code, out, _ = runCLI(t, "-dir", repo, "-shards", "3", "diff", "pa", "r0", "r1")
-	if code != 0 || !strings.Contains(out, "distance") {
-		t.Fatalf("diff after reshard: code %d out %q", code, out)
-	}
+
+		code, out, _ = runCLI(t, append(base, "ls")...)
+		if code != 0 || !strings.Contains(out, "pa\t2 runs") {
+			t.Fatalf("ls: code %d out %q", code, out)
+		}
+
+		code, out, errOut = runCLI(t, append(base, "diff", "pa", "r0", "r1")...)
+		if code != 0 || !strings.Contains(out, "distance") {
+			t.Fatalf("diff: code %d out %q err %q", code, out, errOut)
+		}
+
+		// A second process over the same directory sees everything
+		// and the ledger verifies green.
+		code, out, errOut = runCLI(t, append(base, "verify")...)
+		if code != 0 || !strings.Contains(out, "ledger OK") {
+			t.Fatalf("verify: code %d out %q err %q", code, out, errOut)
+		}
+	})
 }
 
 // TestVerifyNamesMalformedLedgerLine: verify on a ledger whose middle
@@ -181,7 +150,10 @@ func TestCLIErrorPaths(t *testing.T) {
 	}{
 		{"no subcommand", []string{"-dir", repo}, 2, "usage:"},
 		{"unknown subcommand", []string{"-dir", repo, "frobnicate"}, 2, "usage:"},
-		{"unknown backend", []string{"-dir", repo, "-backend", "s3", "ls"}, 1, "unknown backend kind"},
+		// provstore always opens DIR on the filesystem: -backend and
+		// -shards are not flags.
+		{"unknown backend", []string{"-dir", repo, "-backend", "fs", "ls"}, 2, "flag provided but not defined: -backend"},
+		{"shards flag", []string{"-dir", repo, "-shards", "2", "ls"}, 2, "flag provided but not defined: -shards"},
 		{"traversal spec name", []string{"-dir", repo, "import-spec", "../evil", specPath}, 1, "name"},
 		{"separator run name", []string{"-dir", repo, "import-run", "pa", "a/b", runs[0]}, 1, "name"},
 		{"missing spec file", []string{"-dir", repo, "import-spec", "pb", filepath.Join(repo, "nope.xml")}, 1, "no such file"},

@@ -367,10 +367,9 @@ func RunEvents(r *Run) []LiveEvent { return wfrun.Events(r) }
 // Pluggable storage backends (internal/store's Backend seam): the
 // repository's whole persistence surface is a small blob interface, so
 // the same store logic — snapshots, ledger, live journals, bulk I/O —
-// runs over a local directory tree, an in-memory map, a
-// content-addressed object layout, or a consistent-hash-sharded
-// combination of those. Every implementation is held to one contract
-// by the conformance suite in internal/store/conformance.
+// runs over a local directory tree or an in-memory map. Both
+// implementations are held to one contract by the conformance suite in
+// internal/store/conformance.
 type (
 	// StorageBackend is the store's persistence surface: atomic
 	// WriteFile, durable Append, not-exist errors satisfying
@@ -380,9 +379,6 @@ type (
 	StorageEntry = store.Entry
 	// StorageBlobInfo describes a stored blob (size, mod time).
 	StorageBlobInfo = store.BlobInfo
-	// StorageShardStats is one shard's placement count and operation
-	// counters, as served by /v1/stats and /v1/metrics.
-	StorageShardStats = store.ShardStats
 )
 
 // NewFSBackend stores blobs as files under dir — the classic layout,
@@ -393,32 +389,9 @@ func NewFSBackend(dir string) (StorageBackend, error) { return store.NewFSBacken
 // repositories for tests and demos.
 func NewMemoryBackend() StorageBackend { return store.NewMemoryBackend() }
 
-// NewObjectBackend stores blobs as content-addressed chunks plus a
-// JSON index under dir, the shape of an object-store bucket.
-func NewObjectBackend(dir string) (StorageBackend, error) { return store.NewObjectBackend(dir) }
-
-// NewStorageBackend constructs a backend by kind name ("fs", "memory"
-// or "object").
+// NewStorageBackend constructs a backend by kind name ("fs" or
+// "memory").
 func NewStorageBackend(kind, dir string) (StorageBackend, error) { return store.NewBackend(kind, dir) }
-
-// NewShardedBackend routes specifications across child backends by
-// consistent hashing; existing specs are discovered and pinned to the
-// shard that holds them.
-func NewShardedBackend(shards ...StorageBackend) (StorageBackend, error) {
-	return store.NewShardedBackend(shards...)
-}
 
 // OpenStoreBackend opens a repository over any StorageBackend.
 func OpenStoreBackend(be StorageBackend) *Store { return store.OpenBackend(be) }
-
-// OpenStoreSharded opens a repository sharded across child backends.
-func OpenStoreSharded(shards ...StorageBackend) (*Store, error) {
-	return store.OpenSharded(shards...)
-}
-
-// OpenRepository is the CLI-facing constructor: dir over the named
-// backend kind, sharded across n child backends under
-// dir/shard-0..shard-(n-1) when n > 1.
-func OpenRepository(dir, kind string, shards int) (*Store, error) {
-	return store.OpenRepository(dir, kind, shards)
-}

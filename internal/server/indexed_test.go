@@ -222,8 +222,8 @@ func TestNearestResolvesRunByName(t *testing.T) {
 }
 
 // TestAnalyticsChargeDiffStage: the analytics routes charge their
-// cohort sync and query to the diff stage, and no request's stages
-// add up to more than its total.
+// cohort sync and query to the diff stage, a delete charges the store
+// stage, and no request's stages add up to more than its total.
 func TestAnalyticsChargeDiffStage(t *testing.T) {
 	timings := make(chan RequestTiming, 8)
 	srv, _ := seedServer(t, 8, Options{
@@ -246,8 +246,22 @@ func TestAnalyticsChargeDiffStage(t *testing.T) {
 		if rt.DiffMS <= 0 {
 			t.Fatalf("%s charged no diff time: %+v", target, rt)
 		}
-		if sum := rt.ParseMS + rt.DiffMS + rt.CacheMS + rt.StoreMS + rt.LedgerMS; sum > rt.TotalMS {
-			t.Fatalf("%s: stages sum to %.3f ms, above the %.3f ms total: %+v", target, sum, rt.TotalMS, rt)
-		}
+		requireStagesWithinTotal(t, target, rt)
+	}
+	// A delete is store work: it rewrites the spec's checkpoint.
+	if rec := do(t, srv, "DELETE", "/v1/specs/pa/runs/r7", nil, nil); rec.Code != 200 {
+		t.Fatalf("delete = %d %q", rec.Code, rec.Body.String())
+	}
+	rt := <-timings
+	if rt.Route != "delete" || rt.StoreMS <= 0 {
+		t.Fatalf("delete charged no store time: %+v", rt)
+	}
+	requireStagesWithinTotal(t, "delete", rt)
+}
+
+func requireStagesWithinTotal(t *testing.T, label string, rt RequestTiming) {
+	t.Helper()
+	if sum := rt.ParseMS + rt.DiffMS + rt.CacheMS + rt.StoreMS + rt.LedgerMS; sum > rt.TotalMS {
+		t.Fatalf("%s: stages sum to %.3f ms, above the %.3f ms total: %+v", label, sum, rt.TotalMS, rt)
 	}
 }

@@ -11,11 +11,8 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/store"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning
@@ -242,27 +239,6 @@ func (m *metricsRegistry) render(st statsPayload, watchSubs int, watchDropped in
 	gauge("provdiff_live_runs", "Still-executing runs currently tracked.", float64(liveRuns))
 	gauge("provdiff_watch_subscribers", "Clients currently attached to /watch streams.", float64(watchSubs))
 	counter("provdiff_watch_dropped_total", "Drift updates dropped on slow watch subscribers.", float64(watchDropped))
-
-	if shards := st.Storage.Shards; len(shards) > 0 {
-		shardFamily := func(name, help, typ string, v func(sh store.ShardStats) float64) {
-			p.family(name, help, typ)
-			for _, sh := range shards {
-				p.value(name, fmt.Sprintf("shard=%q,kind=%q", strconv.Itoa(sh.Index), sh.Kind), v(sh))
-			}
-		}
-		shardFamily("provdiff_storage_shard_specs", "Specifications placed on each storage shard.", "gauge",
-			func(sh store.ShardStats) float64 { return float64(sh.Specs) })
-		shardFamily("provdiff_storage_shard_reads_total", "Blob reads served by each storage shard.", "counter",
-			func(sh store.ShardStats) float64 { return float64(sh.Reads) })
-		shardFamily("provdiff_storage_shard_writes_total", "Blob writes committed on each storage shard.", "counter",
-			func(sh store.ShardStats) float64 { return float64(sh.Writes) })
-		shardFamily("provdiff_storage_shard_appends_total", "Blob appends committed on each storage shard.", "counter",
-			func(sh store.ShardStats) float64 { return float64(sh.Appends) })
-		shardFamily("provdiff_storage_shard_read_bytes_total", "Bytes read from each storage shard.", "counter",
-			func(sh store.ShardStats) float64 { return float64(sh.BytesRead) })
-		shardFamily("provdiff_storage_shard_written_bytes_total", "Bytes written to each storage shard.", "counter",
-			func(sh store.ShardStats) float64 { return float64(sh.BytesWritten) })
-	}
 
 	return p.b.String()
 }

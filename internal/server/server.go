@@ -254,7 +254,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.st.DeleteRun(ns[0], ns[1]); err != nil {
+	t0 := time.Now()
+	err := s.st.DeleteRun(ns[0], ns[1])
+	observeStage(r.Context(), stageStore, t0)
+	if err != nil {
 		s.storeError(w, err)
 		return
 	}
@@ -580,11 +583,9 @@ type ledgerStats struct {
 	Specs    map[string]store.SpecLedger `json:"specs"`
 }
 
-// storageStats names the storage backend the repository runs on and,
-// when it is sharded, each shard's placement and traffic counters.
+// storageStats names the storage backend the repository runs on.
 type storageStats struct {
-	Backend string             `json:"backend"`
-	Shards  []store.ShardStats `json:"shards,omitempty"`
+	Backend string `json:"backend"`
 }
 
 type statsPayload struct {
@@ -647,7 +648,7 @@ func (s *Server) Stats() statsPayload {
 		MetricIndex:    mi,
 		Ingest:         ig,
 		Ledger:         ls,
-		Storage:        storageStats{Backend: s.st.BackendKind(), Shards: s.st.ShardStats()},
+		Storage:        storageStats{Backend: s.st.BackendKind()},
 		Errors:         s.errCount.Load(),
 		Cache:          s.cache.snapshot(),
 		Engines:        es,

@@ -539,10 +539,19 @@ func TestStatsEndpoint(t *testing.T) {
 		Requests map[string]int64 `json:"requests"`
 		Cache    cacheStats       `json:"cache"`
 		Engines  engineStats      `json:"engines"`
+		Storage  map[string]any   `json:"storage"`
 	}
 	rec := do(t, srv, "GET", "/v1/stats", nil, &st)
 	if rec.Code != 200 {
 		t.Fatalf("stats = %d", rec.Code)
+	}
+	// The storage section names the backend and nothing else; metrics
+	// carry no per-backend families.
+	if fmt.Sprint(st.Storage) != "map[backend:fs]" {
+		t.Fatalf("storage section = %v, want only backend fs", st.Storage)
+	}
+	if rec := do(t, srv, "GET", "/v1/metrics", nil, nil); strings.Contains(rec.Body.String(), "provdiff_storage_") {
+		t.Fatal("metrics expose storage families")
 	}
 	if st.Requests["diff"] != 2 {
 		t.Fatalf("diff count = %d, want 2", st.Requests["diff"])

@@ -9,7 +9,7 @@ import (
 
 // Backend is the store's entire persistence surface, abstracted to a
 // small blob interface so the repository can live on a local directory
-// tree, in memory, or in an object store. Keys are slash-separated
+// tree or in memory. Keys are slash-separated
 // logical paths mirroring the on-disk layout:
 //
 //	<spec>/spec.xml                     authoritative specification XML
@@ -47,8 +47,8 @@ import (
 // Implementations must be safe for concurrent use; the store
 // serializes writers per spec but readers run concurrently.
 type Backend interface {
-	// Kind names the implementation ("fs", "memory", "object",
-	// "sharded") for stats and diagnostics.
+	// Kind names the implementation ("fs" or "memory") for stats and
+	// diagnostics.
 	Kind() string
 	ReadFile(key string) ([]byte, error)
 	WriteFile(key string, data []byte) error
@@ -87,18 +87,15 @@ func notExist(op, key string) error {
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
 // NewBackend constructs a backend by kind name — the -backend flag of
-// provserved and provstore, and the PROVSTORE_TEST_BACKEND selector of
-// the test helpers. dir is the storage root for the fs and object
-// kinds and is ignored for memory.
+// provserved, and the PROVSTORE_TEST_BACKEND selector of the test
+// helpers. dir is the storage root for fs and is ignored for memory.
 func NewBackend(kind, dir string) (Backend, error) {
 	switch kind {
 	case "", "fs":
 		return NewFSBackend(dir)
 	case "memory":
 		return NewMemoryBackend(), nil
-	case "object":
-		return NewObjectBackend(dir)
 	default:
-		return nil, fmt.Errorf("store: unknown backend kind %q (want fs, memory or object)", kind)
+		return nil, fmt.Errorf("store: unknown backend kind %q (want fs or memory)", kind)
 	}
 }

@@ -1,8 +1,7 @@
 // Package conformance is the executable contract of store.Backend: a
 // reusable test suite every storage backend — filesystem, in-memory,
-// object-store, sharded, or a fault-injection decorator wrapping any
-// of them — must pass identically before the repository may run on
-// it.
+// or a fault-injection decorator wrapping either — must pass
+// identically before the repository may run on it.
 //
 // A backend test hands RunConformance a factory that opens the SAME
 // underlying state on every call ("reopen" semantics — for stateful

@@ -22,27 +22,3 @@ func TestMemoryBackend(t *testing.T) {
 	be := store.NewMemoryBackend()
 	conformance.RunConformance(t, func() store.Backend { return be })
 }
-
-func TestObjectBackend(t *testing.T) {
-	dir := t.TempDir()
-	conformance.RunConformance(t, func() store.Backend {
-		be, err := store.NewObjectBackend(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return be
-	})
-}
-
-// The sharded fan-out must satisfy the same contract as its shards —
-// run here over two persistent memory shards.
-func TestShardedBackend(t *testing.T) {
-	shards := []store.Backend{store.NewMemoryBackend(), store.NewMemoryBackend()}
-	conformance.RunConformance(t, func() store.Backend {
-		be, err := store.NewShardedBackend(shards...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return be
-	})
-}

@@ -32,16 +32,6 @@ func forEachBackend(t *testing.T, f func(t *testing.T, open func() store.Backend
 		be := store.NewMemoryBackend()
 		f(t, func() store.Backend { return be })
 	})
-	t.Run("object", func(t *testing.T) {
-		dir := t.TempDir()
-		f(t, func() store.Backend {
-			be, err := store.NewObjectBackend(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return be
-		})
-	})
 }
 
 // catalog returns the deterministic PA workflow.

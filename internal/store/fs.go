@@ -17,7 +17,7 @@ type fsBackend struct {
 // NewFSBackend opens (creating if needed) a filesystem backend rooted
 // at dir.
 func NewFSBackend(dir string) (Backend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &fsBackend{root: dir}, nil
@@ -36,13 +36,14 @@ func (b *fsBackend) ReadFile(key string) ([]byte, error) {
 // WriteFile is atomic and durable: the data goes to a uniquely named
 // temp file in the destination directory, which is fsynced, renamed
 // over the key, and followed by an fsync of the directory so the
-// rename itself survives a power cut. Readers racing the write see
-// old or new bytes, never a prefix, and concurrent writers of one key
-// never share a temp file.
+// rename itself survives a power cut (as do any directories it had to
+// create, see mkdirDurable). Readers racing the write see old or new
+// bytes, never a prefix, and concurrent writers of one key never share
+// a temp file.
 func (b *fsBackend) WriteFile(key string, data []byte) error {
 	path := b.path(key)
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return err
 	}
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
@@ -71,8 +72,9 @@ func (b *fsBackend) WriteFile(key string, data []byte) error {
 }
 
 // syncDir fsyncs a directory, making the entries renamed or created in
-// it durable.
-func syncDir(dir string) error {
+// it durable. It is a variable so tests can record which directories
+// are synced.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -84,12 +86,42 @@ func syncDir(dir string) error {
 	return err
 }
 
-func (b *fsBackend) Append(key string, data []byte, sync bool) error {
-	path := b.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// mkdirDurable is os.MkdirAll followed by an fsync of the parent of
+// every directory it creates, so a new spec's directory entry survives
+// a power cut along with the files written into it. An existing dir
+// costs one stat.
+func mkdirDurable(dir string) error {
+	if _, err := os.Stat(dir); err == nil {
+		return nil
+	}
+	parent := filepath.Dir(dir)
+	if parent != dir {
+		if err := mkdirDurable(parent); err != nil {
+			return err
+		}
+	}
+	// A concurrent creator may win the race; syncing the parent again
+	// still makes the entry durable before this caller goes on.
+	if err := os.Mkdir(dir, 0o755); err != nil && !os.IsExist(err) {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return syncDir(parent)
+}
+
+// Append with sync set is durable when it returns: the file is fsynced
+// and, when this call created it, so is its directory, since a new
+// file's entry is not covered by the file's own fsync.
+func (b *fsBackend) Append(key string, data []byte, sync bool) error {
+	path := b.path(key)
+	dir := filepath.Dir(path)
+	if err := mkdirDurable(dir); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	created := os.IsNotExist(err)
+	if created {
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	}
 	if err != nil {
 		return err
 	}
@@ -103,7 +135,11 @@ func (b *fsBackend) Append(key string, data []byte, sync bool) error {
 			return err
 		}
 	}
-	return f.Close()
+	err = f.Close()
+	if err == nil && sync && created {
+		err = syncDir(dir)
+	}
+	return err
 }
 
 func (b *fsBackend) ReadAt(key string, p []byte, off int64) error {

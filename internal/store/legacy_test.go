@@ -58,9 +58,9 @@ func manifestOffsets(t *testing.T, raw []byte) map[string]float64 {
 //   - r5 has a document and no frame at all;
 //   - ghost has an entry and a frame but no document, so the old
 //     layout did not list it.
-func writeLegacyRepo(t *testing.T, kind, dir string) legacyDocs {
+func writeLegacyRepo(t *testing.T, dir string) legacyDocs {
 	t.Helper()
-	st, err := store.OpenRepository(dir, kind, 1)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,85 +185,83 @@ func requireNoRunDocuments(t *testing.T, st *store.Store) {
 }
 
 // TestLegacyRepositoryMigrates opens a legacy repository the way
-// provserved does (OpenRepository, PreloadAll, Snapshot) and requires
-// the same runs, the same /v1 answers as a repository that imported
-// the same documents, a green ledger, and no run documents left.
+// provserved does (Open, PreloadAll, Snapshot) and requires the same
+// runs, the same /v1 answers as a repository that imported the same
+// documents, a green ledger, and no run documents left.
 func TestLegacyRepositoryMigrates(t *testing.T) {
-	for _, kind := range []string{"fs", "object"} {
-		t.Run(kind, func(t *testing.T) {
-			dir := t.TempDir()
-			legacy := writeLegacyRepo(t, kind, dir)
-			docs := legacy.docs
-			st, err := store.OpenRepository(dir, kind, 1)
-			if err != nil {
+	t.Run("fs", func(t *testing.T) {
+		dir := t.TempDir()
+		legacy := writeLegacyRepo(t, dir)
+		docs := legacy.docs
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := st.PreloadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats) != 1 || stats[0].Runs != len(docs) {
+			t.Fatalf("PreloadAll = %+v, want %d runs", stats, len(docs))
+		}
+		for _, ps := range stats {
+			if _, err := st.Snapshot(ps.Spec); err != nil {
 				t.Fatal(err)
 			}
-			stats, err := st.PreloadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(stats) != 1 || stats[0].Runs != len(docs) {
-				t.Fatalf("PreloadAll = %+v, want %d runs", stats, len(docs))
-			}
-			for _, ps := range stats {
-				if _, err := st.Snapshot(ps.Spec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			requireNoRunDocuments(t, st)
-			report, err := st.VerifyLedger()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !report.OK() || report.Runs != len(docs) {
-				t.Fatalf("VerifyLedger = %+v, want green over %d runs", report, len(docs))
-			}
-			raw, err := st.Backend().ReadFile("pa/snapshot/manifest.json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Contains(raw, []byte(`"version": 4`)) || bytes.Contains(raw, []byte("xml_")) {
-				t.Fatalf("manifest not upgraded to version 4:\n%s", raw)
-			}
-			// Upgraded in place, not discarded: unchanged runs keep the
-			// frames they already had.
-			if got := manifestOffsets(t, raw); fmt.Sprint(got["r0"], got["r1"], got["r2"]) != fmt.Sprint(legacy.offsets["r0"], legacy.offsets["r1"], legacy.offsets["r2"]) {
-				t.Fatalf("migration moved unchanged frames: %v, were %v", got, legacy.offsets)
-			}
+		}
+		requireNoRunDocuments(t, st)
+		report, err := st.VerifyLedger()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !report.OK() || report.Runs != len(docs) {
+			t.Fatalf("VerifyLedger = %+v, want green over %d runs", report, len(docs))
+		}
+		raw, err := st.Backend().ReadFile("pa/snapshot/manifest.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"version": 4`)) || bytes.Contains(raw, []byte("xml_")) {
+			t.Fatalf("manifest not upgraded to version 4:\n%s", raw)
+		}
+		// Upgraded in place, not discarded: unchanged runs keep the
+		// frames they already had.
+		if got := manifestOffsets(t, raw); fmt.Sprint(got["r0"], got["r1"], got["r2"]) != fmt.Sprint(legacy.offsets["r0"], legacy.offsets["r1"], legacy.offsets["r2"]) {
+			t.Fatalf("migration moved unchanged frames: %v, were %v", got, legacy.offsets)
+		}
 
-			migrated := server.New(st, server.Options{})
-			defer migrated.Close()
-			pristine := pristineServer(t, docs)
-			defer pristine.Close()
-			targets := []string{
-				"/v1/specs/pa/runs",
-				"/v1/specs/pa/diff/r0/r3?cost=length",
-				"/v1/specs/pa/diff/r4/r5",
-				"/v1/specs/pa/cohort",
-				"/v1/specs/pa/nearest?run=r5&k=3",
+		migrated := server.New(st, server.Options{})
+		defer migrated.Close()
+		pristine := pristineServer(t, docs)
+		defer pristine.Close()
+		targets := []string{
+			"/v1/specs/pa/runs",
+			"/v1/specs/pa/diff/r0/r3?cost=length",
+			"/v1/specs/pa/diff/r4/r5",
+			"/v1/specs/pa/cohort",
+			"/v1/specs/pa/nearest?run=r5&k=3",
+		}
+		for _, target := range targets {
+			if got, want := get(t, migrated, target), get(t, pristine, target); got != want {
+				t.Errorf("%s:\nmigrated: %s\npristine: %s", target, got, want)
 			}
-			for _, target := range targets {
-				if got, want := get(t, migrated, target), get(t, pristine, target); got != want {
-					t.Errorf("%s:\nmigrated: %s\npristine: %s", target, got, want)
-				}
-			}
+		}
 
-			// A later open sees a current-format repository: nothing to
-			// migrate, the same runs.
-			again, err := store.OpenRepository(dir, kind, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			names, err := again.ListRuns("pa")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(names) != "[r0 r1 r2 r3 r4 r5]" {
-				t.Fatalf("ListRuns after reopen = %v", names)
-			}
-		})
-		t.Run(kind+"-v3", func(t *testing.T) { testV3Manifest(t, kind) })
-	}
+		// A later open sees a current-format repository: nothing to
+		// migrate, the same runs.
+		again, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := again.ListRuns("pa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(names) != "[r0 r1 r2 r3 r4 r5]" {
+			t.Fatalf("ListRuns after reopen = %v", names)
+		}
+	})
+	t.Run("fs-v3", testV3Manifest)
 }
 
 // storeAnswers is what a repository serves through the store API: its
@@ -314,9 +312,9 @@ func answersOf(t *testing.T, st *store.Store) storeAnswers {
 // seq, saved after the last operation. r1 is deleted between batches,
 // so replaying the whole ledger would resurrect it. It returns what
 // the repository served before the manifest was rewritten.
-func writeV3Repo(t *testing.T, kind, dir string) storeAnswers {
+func writeV3Repo(t *testing.T, dir string) storeAnswers {
 	t.Helper()
-	st, err := store.OpenRepository(dir, kind, 1)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,10 +384,10 @@ func writeV3Repo(t *testing.T, kind, dir string) storeAnswers {
 // testV3Manifest: a version-3 manifest covers the whole ledger, so the
 // repository opens serving exactly what it served before, and its next
 // commit is still listed after a reopen.
-func testV3Manifest(t *testing.T, kind string) {
+func testV3Manifest(t *testing.T) {
 	dir := t.TempDir()
-	want := writeV3Repo(t, kind, dir)
-	st, err := store.OpenRepository(dir, kind, 1)
+	want := writeV3Repo(t, dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +408,7 @@ func testV3Manifest(t *testing.T, kind string) {
 	if err := st.SaveRun("pa", "r5", r); err != nil {
 		t.Fatal(err)
 	}
-	again, err := store.OpenRepository(dir, kind, 1)
+	again, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +435,7 @@ func testV3Manifest(t *testing.T, kind string) {
 // the manifest and so migrates on first touch.
 func TestLegacyRepositoryThroughOpen(t *testing.T) {
 	dir := t.TempDir()
-	docs := writeLegacyRepo(t, "fs", dir).docs
+	docs := writeLegacyRepo(t, dir).docs
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)

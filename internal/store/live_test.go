@@ -172,8 +172,7 @@ func TestLiveJournalTornTailMidRecord(t *testing.T) {
 	}
 	// The fragment is gone from the journal, not just skipped. Read
 	// through a fresh backend handle: the repair went through the cold
-	// store's backend, and instances that cache state (object) must
-	// see it from persisted bytes, not a stale in-memory view.
+	// store's backend and must be visible in the persisted bytes.
 	data, err := openTestBackend(t, dir).ReadFile(liveKey("s", "r"))
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,7 @@
 // their associated runs", Section VII).
 //
 // Persistence goes through the Backend interface — a local directory
-// tree, an in-memory map, an object-store-style bucket, or a
-// consistent-hash shard fan-out over any of those. Specifications are
+// tree or an in-memory map. Specifications are
 // stored as XML; runs are stored once, as codec frames in a per-spec
 // append-only segment, committed by a Merkle ledger and indexed by a
 // checkpointed manifest (see snapshot.go). XML is what runs are
@@ -89,20 +88,26 @@ func OpenBackend(be Backend) *Store {
 	}
 }
 
+// OpenRepository opens dir over the named backend kind (NewBackend).
+// shards is accepted for callers of the older three-argument form:
+// 0 and 1 mean one backend, and anything more is refused because
+// sharded repositories are no longer supported.
+func OpenRepository(dir, kind string, shards int) (*Store, error) {
+	if shards > 1 {
+		return nil, fmt.Errorf("store: sharding was removed; %d shards requested, want 1", shards)
+	}
+	be, err := NewBackend(kind, dir)
+	if err != nil {
+		return nil, err
+	}
+	return OpenBackend(be), nil
+}
+
 // Backend returns the storage backend the repository lives on.
 func (s *Store) Backend() Backend { return s.be }
 
 // BackendKind names the storage backend for stats and diagnostics.
 func (s *Store) BackendKind() string { return s.be.Kind() }
-
-// ShardStats reports per-shard storage counters when the repository
-// runs over a sharded backend, nil otherwise.
-func (s *Store) ShardStats() []ShardStats {
-	if sb, ok := s.be.(interface{ ShardStats() []ShardStats }); ok {
-		return sb.ShardStats()
-	}
-	return nil
-}
 
 // Close releases the storage backend.
 func (s *Store) Close() error { return s.be.Close() }

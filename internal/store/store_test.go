@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -271,5 +272,27 @@ func TestConcurrentLoads(t *testing.T) {
 		if specs[i] != specs[0] {
 			t.Fatal("concurrent loads must converge on one specification object")
 		}
+	}
+}
+
+// TestOpenRepositoryKinds: the three-argument constructor opens fs and
+// memory repositories, and refuses the removed object kind and any
+// shard count above one.
+func TestOpenRepositoryKinds(t *testing.T) {
+	for _, kind := range []string{"fs", "memory"} {
+		st, err := OpenRepository(t.TempDir(), kind, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if st.BackendKind() != kind {
+			t.Fatalf("kind = %q, want %q", st.BackendKind(), kind)
+		}
+		st.Close()
+	}
+	if _, err := OpenRepository(t.TempDir(), "object", 1); err == nil {
+		t.Fatal("object kind accepted")
+	}
+	if _, err := OpenRepository(t.TempDir(), "fs", 2); err == nil || !strings.Contains(err.Error(), "sharding was removed") {
+		t.Fatalf("2 shards: err = %v", err)
 	}
 }

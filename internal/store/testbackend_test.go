@@ -7,8 +7,8 @@ import (
 )
 
 // The store tests run against whichever backend
-// PROVSTORE_TEST_BACKEND selects (fs, memory or object; default fs),
-// so CI exercises the identical suite across every implementation.
+// PROVSTORE_TEST_BACKEND selects (fs or memory; default fs), so CI
+// exercises the identical suite across both implementations.
 // "Reopening" a store means constructing a fresh *Store over the same
 // persisted state keyed by dir — for the memory backend a
 // process-local registry maps dirs to long-lived instances, since its

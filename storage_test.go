@@ -1,12 +1,11 @@
 package provdiff
 
-// Tests for the public storage surface: the backend constructors, the
-// sharded composition, and OpenRepository — the same calls an embedder
-// makes to put the store on a non-default backend.
+// Tests for the public storage surface: the backend constructors — the
+// same calls an embedder makes to put the store on a non-default
+// backend.
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -71,18 +70,8 @@ func TestStorageBackendFacade(t *testing.T) {
 		roundTrip(t, st, sp, r1, r2)
 	})
 
-	t.Run("object", func(t *testing.T) {
-		be, err := NewObjectBackend(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := OpenStoreBackend(be)
-		defer st.Close()
-		roundTrip(t, st, sp, r1, r2)
-	})
-
 	t.Run("by-kind", func(t *testing.T) {
-		for _, kind := range []string{"fs", "memory", "object"} {
+		for _, kind := range []string{"fs", "memory"} {
 			be, err := NewStorageBackend(kind, t.TempDir())
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
@@ -94,67 +83,10 @@ func TestStorageBackendFacade(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := NewStorageBackend("s3", t.TempDir()); err == nil {
-			t.Fatal("unknown kind accepted")
+		for _, kind := range []string{"object", "sharded", "s3"} {
+			if _, err := NewStorageBackend(kind, t.TempDir()); err == nil {
+				t.Fatalf("unknown kind %q accepted", kind)
+			}
 		}
 	})
-}
-
-func TestShardedStorageFacade(t *testing.T) {
-	sp, r1, r2 := seedStorageFixture(t)
-	be, err := NewShardedBackend(NewMemoryBackend(), NewMemoryBackend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := OpenStoreBackend(be)
-	defer st.Close()
-	roundTrip(t, st, sp, r1, r2)
-
-	st2, err := OpenStoreSharded(NewMemoryBackend(), NewMemoryBackend(), NewMemoryBackend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	roundTrip(t, st2, sp, r1, r2)
-	stats := st2.ShardStats()
-	if len(stats) != 3 {
-		t.Fatalf("shard stats = %d entries, want 3", len(stats))
-	}
-	var specs int
-	for _, s := range stats {
-		specs += s.Specs
-	}
-	if specs != 1 {
-		t.Fatalf("spec placed %d times across shards, want once", specs)
-	}
-}
-
-func TestOpenRepositoryFacade(t *testing.T) {
-	sp, r1, r2 := seedStorageFixture(t)
-	dir := t.TempDir()
-	st, err := OpenRepository(dir, "object", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTrip(t, st, sp, r1, r2)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen over the shard directories created above.
-	again, err := OpenRepository(dir, "object", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
-	names, err := again.ListRuns("pa")
-	if err != nil || len(names) != 2 {
-		t.Fatalf("reopen: runs=%v err=%v", names, err)
-	}
-	// Single-backend path.
-	st1, err := OpenRepository(filepath.Join(dir, "single"), "fs", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st1.Close()
-	roundTrip(t, st1, sp, r1, r2)
 }
