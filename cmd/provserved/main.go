@@ -27,12 +27,14 @@
 // lineage-linked version "demo-v2" with N runs of its own, so a fresh
 // service can be exercised immediately — including the cross-version
 // endpoints (CI smoke-tests do exactly this).
-// -preload (default on) boots warm: every stored run is decoded from
-// its frame, a repository written in the older one-XML-file-per-run
-// layout is migrated, and cohort matrices are prebuilt, so a restarted
-// service answers
-// its first diff at steady-state speed. SIGINT/SIGTERM trigger a
-// graceful drain before exit.
+// -preload (default on) boots warm: every specification is parsed from
+// its spec.xml and every stored run decoded from its frame, a
+// repository written in the older one-XML-file-per-run layout is
+// migrated, run indexes behind their ledger are checkpointed, and
+// cohort matrices are prebuilt, so a restarted service answers its
+// first diff at steady-state speed. On a repository checkpointed at
+// its last clean shutdown the warm start writes nothing.
+// SIGINT/SIGTERM trigger a graceful drain before exit.
 package main
 
 import (

@@ -25,9 +25,10 @@
 // append, one coalesced change notification. "export" writes a spec
 // and all its runs as a tar archive that round-trips through
 // import-dir or the service's POST /v1/specs/{spec}/runs:bulk endpoint.
-// "snapshot" writes each spec's binary frame and migrates a
-// repository written in the older layout (one XML file per run) to
-// frames, reporting the segment's live and dead bytes.
+// "snapshot" checkpoints each spec's run index when the ledger is
+// ahead of it and migrates a repository written in the older layout
+// (one XML file per run) to frames, reporting the segment's live and
+// dead bytes.
 // "verify" re-hashes every live snapshot frame against the Merkle
 // provenance ledger and exits nonzero naming the first divergent
 // batch if anything — a flipped byte, a rewritten record, a dropped
@@ -228,7 +229,10 @@ func export(st *store.Store, args []string) {
 		fatal(err)
 	}
 	if args[1] != "-" {
-		runs, _ := st.ListRuns(args[0])
+		runs, err := st.ListRuns(args[0])
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(stdout, "exported %s (%d runs) to %s\n", args[0], len(runs), args[1])
 	}
 }
@@ -326,7 +330,10 @@ func list(st *store.Store, args []string) {
 			fatal(err)
 		}
 		for _, s := range specs {
-			runs, _ := st.ListRuns(s)
+			runs, err := st.ListRuns(s)
+			if err != nil {
+				fatal(err)
+			}
 			fmt.Fprintf(stdout, "%s\t%d runs\n", s, len(runs))
 		}
 		return
@@ -342,7 +349,7 @@ func list(st *store.Store, args []string) {
 
 // putVersion registers a new specification version evolved from a
 // stored parent: the spec is imported, the lineage link recorded, and
-// the parent→child edit mapping computed and snapshotted.
+// the parent→child edit mapping computed.
 func putVersion(st *store.Store, args []string) {
 	if len(args) != 3 {
 		fatal(fmt.Errorf("put-version PARENT CHILD FILE"))

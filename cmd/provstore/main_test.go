@@ -132,6 +132,29 @@ func TestVerifyNamesMalformedLedgerLine(t *testing.T) {
 	}
 }
 
+// TestListFailsOnCorruptManifest: a spec whose run index cannot be
+// read fails ls — with and without a spec argument — naming the spec,
+// instead of listing it with zero runs.
+func TestListFailsOnCorruptManifest(t *testing.T) {
+	repo := t.TempDir()
+	specPath, runs := writeFixtures(t, t.TempDir(), 1)
+	if code, _, errOut := runCLI(t, "-dir", repo, "import-spec", "pa", specPath); code != 0 {
+		t.Fatalf("import-spec: code %d err %q", code, errOut)
+	}
+	if code, _, errOut := runCLI(t, "-dir", repo, "import-run", "pa", "r0", runs[0]); code != 0 {
+		t.Fatalf("import-run: code %d err %q", code, errOut)
+	}
+	if err := os.WriteFile(filepath.Join(repo, "pa", "snapshot", "manifest.json"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"ls"}, {"ls", "pa"}} {
+		code, out, errOut := runCLI(t, append([]string{"-dir", repo}, args...)...)
+		if code == 0 || !strings.Contains(errOut, `spec "pa": corrupt manifest`) {
+			t.Errorf("%v: code %d out %q err %q", args, code, out, errOut)
+		}
+	}
+}
+
 func TestCLIErrorPaths(t *testing.T) {
 	repo := t.TempDir()
 	specPath, runs := writeFixtures(t, t.TempDir(), 1)

@@ -200,8 +200,9 @@ const (
 // Store is an on-disk repository of specifications and runs. Beyond
 // save/load/diff/cohort it carries warm starts (Preload, PreloadAll,
 // Snapshot — runs are stored as binary frames, so cold starts decode
-// instead of re-parsing XML) and streaming bulk I/O (ImportRuns, ImportDir,
-// ExportSpec) with coalesced change notifications (OnRunsBulkChange).
+// them instead of re-parsing run XML) and streaming bulk I/O
+// (ImportRuns, ImportDir, ExportSpec) with coalesced change
+// notifications (OnRunsBulkChange).
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a provenance repository.
@@ -261,10 +262,10 @@ func FrameContentHash(frame []byte) [32]byte { return codec.ContentHash(frame) }
 // edit mapping between two specification versions and projects runs
 // through it so the run-diff engine, cohort matrices and clustering
 // work across versions. The Store integrates lineage natively:
-// PutSpecVersion registers a version (persisting its mapping as a
-// snapshot frame), Lineage walks the version chain, SpecMapping
-// composes per-step mappings, and CrossDiff compares stored runs
-// across versions.
+// PutSpecVersion registers a version (recording its parent link),
+// Lineage walks the version chain, SpecMapping composes per-step
+// mappings computed from the stored specifications, and CrossDiff
+// compares stored runs across versions.
 type (
 	// SpecMapping aligns the surviving nodes of one specification
 	// version with their counterparts in another.
@@ -326,18 +327,6 @@ func MutateSpec(sp *Spec, n int, rng *rand.Rand) ([]*SpecMutation, error) {
 	return gen.Mutate(sp, n, rng)
 }
 
-// EncodeSpecMappingBinary serializes a spec mapping as a versioned,
-// checksummed snapshot frame (the store's lineage.bin format).
-func EncodeSpecMappingBinary(m *SpecMapping) ([]byte, error) {
-	return codec.EncodeSpecMapping(m)
-}
-
-// DecodeSpecMappingBinary rebuilds (and revalidates) a spec mapping
-// frame against the two specification versions it aligns.
-func DecodeSpecMappingBinary(data []byte, a, b *Spec) (*SpecMapping, error) {
-	return codec.DecodeSpecMapping(data, a, b)
-}
-
 // Live (still-executing) runs: internal/wfrun's incremental derivation
 // plus the store's event-log persistence. A LiveRun consumes node-
 // status events one at a time, re-deriving only the affected top-level
@@ -377,7 +366,7 @@ type (
 	StorageBackend = store.Backend
 	// StorageEntry is one name in a backend "directory" listing.
 	StorageEntry = store.Entry
-	// StorageBlobInfo describes a stored blob (size, mod time).
+	// StorageBlobInfo describes a stored blob (its size).
 	StorageBlobInfo = store.BlobInfo
 )
 

@@ -1,6 +1,6 @@
 // Package codec is the versioned binary serialization of SP-workflow
-// specifications and runs, and the form in which the store keeps every
-// run. The XML format (package wfxml) is the interchange
+// runs, and the form in which the store keeps every run. The XML
+// format (package wfxml) is the interchange
 // representation — parsed through full validation and the tree
 // execution function f″ of Algorithms 2 and 5; the binary format is a
 // faithful record of the *result* of that parse: the run graph, its
@@ -24,9 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
-	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/spec"
 	"repro/internal/sptree"
@@ -41,17 +39,15 @@ const Version = 1
 // Frame layout: magic (4 bytes), version (1 byte), payload length
 // (4 bytes LE), CRC-32 (IEEE) of the payload (4 bytes LE), payload.
 const (
-	magicSpec    = "PDSP"
-	magicRun     = "PDRN"
-	magicMapping = "PDMP"
-	headerLen    = 4 + 1 + 4 + 4
-	maxFrameLen  = 1 << 30 // defensive bound on a declared payload length
+	magicRun    = "PDRN"
+	headerLen   = 4 + 1 + 4 + 4
+	maxFrameLen = 1 << 30 // defensive bound on a declared payload length
 )
 
-// frame wraps a payload with magic, version and checksum.
-func frame(magic string, payload []byte) []byte {
+// frame wraps a run payload with magic, version and checksum.
+func frame(payload []byte) []byte {
 	out := make([]byte, headerLen+len(payload))
-	copy(out, magic)
+	copy(out, magicRun)
 	out[4] = Version
 	binary.LittleEndian.PutUint32(out[5:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[9:], crc32.ChecksumIEEE(payload))
@@ -61,12 +57,12 @@ func frame(magic string, payload []byte) []byte {
 
 // unframe validates magic, version, length and checksum, returning the
 // payload.
-func unframe(magic string, data []byte) ([]byte, error) {
+func unframe(data []byte) ([]byte, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("codec: frame truncated (%d bytes)", len(data))
 	}
-	if string(data[:4]) != magic {
-		return nil, fmt.Errorf("codec: bad magic %q, want %q", data[:4], magic)
+	if string(data[:4]) != magicRun {
+		return nil, fmt.Errorf("codec: bad magic %q, want %q", data[:4], magicRun)
 	}
 	if data[4] != Version {
 		return nil, fmt.Errorf("codec: format version %d, want %d", data[4], Version)
@@ -95,17 +91,16 @@ func ContentHash(data []byte) [sha256.Size]byte {
 
 // FrameSize reports the total byte length of the frame starting at
 // data[0] — header plus declared payload — without validating the
-// checksum. It accepts any of the three frame magics, so a scanner can
-// walk a log of concatenated frames record by record. An unknown
-// magic, unknown version or truncated/oversized declared length is an
-// error: the scanner cannot know where the next record starts.
+// checksum. It accepts run frames, the only records runs.seg holds, so
+// a scanner can walk a log of concatenated frames record by record.
+// An unknown magic, unknown version or truncated/oversized declared
+// length is an error: the scanner cannot know where the next record
+// starts.
 func FrameSize(data []byte) (int, error) {
 	if len(data) < headerLen {
 		return 0, fmt.Errorf("codec: frame truncated (%d bytes)", len(data))
 	}
-	switch string(data[:4]) {
-	case magicSpec, magicRun, magicMapping:
-	default:
+	if string(data[:4]) != magicRun {
 		return 0, fmt.Errorf("codec: bad magic %q", data[:4])
 	}
 	if data[4] != Version {
@@ -259,182 +254,6 @@ func decodeGraph(r *reader) (*graph.Graph, []graph.Edge, error) {
 	return g, edges, nil
 }
 
-// --- specification --------------------------------------------------
-
-// EncodeSpec serializes a specification: its graph plus the fork and
-// loop edge sets (as edge indices). Decoding revalidates through
-// spec.New, so a specification decoded from a snapshot is bit-for-bit
-// the same object a fresh XML parse would build.
-func EncodeSpec(sp *spec.Spec) []byte {
-	w := &writer{}
-	edgeIdx := encodeGraph(w, sp.G)
-	writeEdgeSets := func(sets []spec.EdgeSet) {
-		w.intv(len(sets))
-		for _, h := range sets {
-			w.intv(len(h))
-			for _, e := range h {
-				w.intv(edgeIdx[e])
-			}
-		}
-	}
-	writeEdgeSets(sp.Forks)
-	writeEdgeSets(sp.Loops)
-	return frame(magicSpec, w.buf)
-}
-
-// DecodeSpec parses a specification frame and rebuilds the validated
-// Spec (including its annotated SP-tree).
-func DecodeSpec(data []byte) (*spec.Spec, error) {
-	payload, err := unframe(magicSpec, data)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{buf: payload}
-	g, edges, err := decodeGraph(r)
-	if err != nil {
-		return nil, err
-	}
-	readEdgeSets := func() ([]spec.EdgeSet, error) {
-		n, err := r.intv()
-		if err != nil {
-			return nil, err
-		}
-		sets := make([]spec.EdgeSet, n)
-		for i := range sets {
-			m, err := r.intv()
-			if err != nil {
-				return nil, err
-			}
-			set := make(spec.EdgeSet, m)
-			for j := range set {
-				ei, err := r.intv()
-				if err != nil {
-					return nil, err
-				}
-				if ei >= len(edges) {
-					return nil, fmt.Errorf("codec: edge set references edge %d of %d", ei, len(edges))
-				}
-				set[j] = edges[ei]
-			}
-			sets[i] = set
-		}
-		return sets, nil
-	}
-	forks, err := readEdgeSets()
-	if err != nil {
-		return nil, err
-	}
-	loops, err := readEdgeSets()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return spec.New(g, forks, loops)
-}
-
-// --- spec mapping ---------------------------------------------------
-
-// specTreeDigest fingerprints a specification tree over both the
-// edge-identity signature and the label signature, so a mapping frame
-// detects not just size drift but renames — whether they touch the
-// module IDs, the labels, or both.
-func specTreeDigest(root *sptree.Node) uint32 {
-	return crc32.ChecksumIEEE([]byte(root.Signature() + "\x00" + root.LabelSignature()))
-}
-
-// EncodeSpecMapping serializes a spec-evolution mapping as pairs of
-// preorder node IDs, together with both trees' node counts and
-// label-sensitive digests, so a frame decoded against drifted
-// specification versions — even a same-shape rename — fails fast
-// instead of serving a stale mapping.
-func EncodeSpecMapping(m *evolve.SpecMapping) ([]byte, error) {
-	if m == nil || m.A == nil || m.B == nil || m.A.Tree == nil || m.B.Tree == nil {
-		return nil, fmt.Errorf("codec: mapping lacks specifications")
-	}
-	w := &writer{}
-	w.intv(m.A.Tree.CountNodes())
-	w.intv(m.B.Tree.CountNodes())
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, specTreeDigest(m.A.Tree))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, specTreeDigest(m.B.Tree))
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(m.Cost))
-	w.intv(len(m.Pairs))
-	for _, p := range m.Pairs {
-		w.intv(p[0].ID)
-		w.intv(p[1].ID)
-	}
-	return frame(magicMapping, w.buf), nil
-}
-
-// DecodeSpecMapping parses a mapping frame against the two
-// specification versions it aligns, rebuilding and revalidating the
-// SpecMapping (injectivity, node membership, kind compatibility). Any
-// structural drift — a different node count, an out-of-range ID —
-// fails loudly; the store treats that as "recompute the mapping".
-func DecodeSpecMapping(data []byte, a, b *spec.Spec) (*evolve.SpecMapping, error) {
-	if a == nil || b == nil || a.Tree == nil || b.Tree == nil {
-		return nil, fmt.Errorf("codec: nil specification")
-	}
-	payload, err := unframe(magicMapping, data)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{buf: payload}
-	aNodes := flattenSpecTree(a.Tree)
-	bNodes := flattenSpecTree(b.Tree)
-	wantA, err := r.intv()
-	if err != nil {
-		return nil, err
-	}
-	wantB, err := r.intv()
-	if err != nil {
-		return nil, err
-	}
-	if wantA != len(aNodes) || wantB != len(bNodes) {
-		return nil, fmt.Errorf("codec: mapping expects %d/%d-node specification trees, have %d/%d",
-			wantA, wantB, len(aNodes), len(bNodes))
-	}
-	if r.pos+8 > len(r.buf) {
-		return nil, fmt.Errorf("codec: truncated mapping digests")
-	}
-	digA := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	digB := binary.LittleEndian.Uint32(r.buf[r.pos+4:])
-	r.pos += 8
-	if digA != specTreeDigest(a.Tree) || digB != specTreeDigest(b.Tree) {
-		return nil, fmt.Errorf("codec: mapping was recorded against different specification contents")
-	}
-	if r.pos+8 > len(r.buf) {
-		return nil, fmt.Errorf("codec: truncated mapping cost")
-	}
-	cost := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
-	r.pos += 8
-	n, err := r.intv()
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([][2]*sptree.Node, 0, n)
-	for i := 0; i < n; i++ {
-		ai, err := r.intv()
-		if err != nil {
-			return nil, err
-		}
-		bi, err := r.intv()
-		if err != nil {
-			return nil, err
-		}
-		if ai >= len(aNodes) || bi >= len(bNodes) {
-			return nil, fmt.Errorf("codec: mapping pair %d references node %d/%d of %d/%d",
-				i, ai, bi, len(aNodes), len(bNodes))
-		}
-		pairs = append(pairs, [2]*sptree.Node{aNodes[ai], bNodes[bi]})
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return evolve.NewMapping(a, b, cost, pairs)
-}
-
 // --- run ------------------------------------------------------------
 
 // EncodeRun serializes a run: its graph, the implicit loop edges, and
@@ -461,7 +280,7 @@ func EncodeRun(r *wfrun.Run) ([]byte, error) {
 	if err := encodeTree(w, r.Tree, edgeIdx); err != nil {
 		return nil, err
 	}
-	return frame(magicRun, w.buf), nil
+	return frame(w.buf), nil
 }
 
 // encodeTree writes the run tree in preorder: type, spec preorder ID,
@@ -501,7 +320,7 @@ func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 	if sp == nil || sp.Tree == nil {
 		return nil, fmt.Errorf("codec: nil specification")
 	}
-	payload, err := unframe(magicRun, data)
+	payload, err := unframe(data)
 	if err != nil {
 		return nil, err
 	}

@@ -4,50 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/evolve"
 	"repro/internal/gen"
 	"repro/internal/spec"
 	"repro/internal/sptree"
 	"repro/internal/wfrun"
 	"repro/internal/wfxml"
 )
-
-func TestSpecRoundTrip(t *testing.T) {
-	for _, name := range gen.CatalogNames {
-		sp, err := gen.Catalog(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := EncodeSpec(sp)
-		got, err := DecodeSpec(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if got.Tree.Signature() != sp.Tree.Signature() {
-			t.Errorf("%s: decoded tree differs:\n%s\nvs\n%s", name, got.Tree, sp.Tree)
-		}
-		if got.Stats() != sp.Stats() {
-			t.Errorf("%s: stats %+v, want %+v", name, got.Stats(), sp.Stats())
-		}
-		// The decoded spec must XML-encode identically to the original:
-		// the snapshot never changes what a client would see.
-		var a, b bytes.Buffer
-		if err := wfxml.EncodeSpec(&a, sp, name); err != nil {
-			t.Fatal(err)
-		}
-		if err := wfxml.EncodeSpec(&b, got, name); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s: XML of decoded spec differs", name)
-		}
-	}
-}
 
 // TestRunRoundTripMatchesXMLParse is the property the store rests on:
 // for a run parsed from XML, encoding it to the binary format and
@@ -259,132 +225,5 @@ func TestDecodeRejectsWrongSpec(t *testing.T) {
 	}
 	if _, err := DecodeRun(data, mb); err == nil {
 		t.Fatal("decoding a PA snapshot against the MB specification succeeded")
-	}
-}
-
-func TestSpecMappingRoundTrip(t *testing.T) {
-	pa, err := gen.Catalog("PA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	muts, err := gen.Mutate(pa, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := muts[len(muts)-1].Spec
-	m, err := evolve.SpecDiff(pa, v2, evolve.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeSpecMapping(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSpecMapping(data, pa, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost != m.Cost {
-		t.Errorf("round-trip changed cost: %g -> %g", m.Cost, got.Cost)
-	}
-	if len(got.Pairs) != len(m.Pairs) {
-		t.Fatalf("round-trip changed pair count: %d -> %d", len(m.Pairs), len(got.Pairs))
-	}
-	for i := range m.Pairs {
-		if got.Pairs[i][0] != m.Pairs[i][0] || got.Pairs[i][1] != m.Pairs[i][1] {
-			t.Fatalf("round-trip changed pair %d", i)
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSpecMappingRejectsCorruptionAndWrongSpecs(t *testing.T) {
-	pa, err := gen.Catalog("PA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	muts, err := gen.Mutate(pa, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := muts[0].Spec
-	m, err := evolve.SpecDiff(pa, v2, evolve.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeSpecMapping(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Byte flips must never decode into a mapping silently. (The cost
-	// field is checksummed like everything else, so even a flipped
-	// float is caught at the frame layer.)
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x5a
-		if _, err := DecodeSpecMapping(mut, pa, v2); err == nil {
-			t.Fatalf("corruption at byte %d decoded without error", i)
-		}
-	}
-	for _, n := range []int{0, headerLen - 1, len(data) / 2, len(data) - 1} {
-		if _, err := DecodeSpecMapping(data[:n], pa, v2); err == nil {
-			t.Fatalf("truncation to %d bytes decoded without error", n)
-		}
-	}
-	// Decoding against the wrong version pair must fail fast.
-	mb, err := gen.Catalog("MB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSpecMapping(data, mb, v2); err == nil {
-		t.Error("mapping decoded against the wrong source specification")
-	}
-	if _, err := DecodeSpecMapping(data, pa, mb); err == nil {
-		t.Error("mapping decoded against the wrong target specification")
-	}
-}
-
-// TestSpecMappingRejectsSameShapeRename: a mapping frame decoded
-// against a spec whose structure is unchanged but whose labels were
-// edited out of band must be rejected (node counts alone would pass),
-// so the store recomputes instead of serving a stale mapping.
-func TestSpecMappingRejectsSameShapeRename(t *testing.T) {
-	pa, err := gen.Catalog("PA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := wfxml.EncodeSpec(&buf, pa, "pa"); err != nil {
-		t.Fatal(err)
-	}
-	// Same shape, one module label renamed.
-	renamedXML := strings.Replace(buf.String(), `label="m5"`, `label="zz"`, 1)
-	if renamedXML == buf.String() {
-		t.Fatal("fixture: label replacement did not apply")
-	}
-	renamed, err := wfxml.DecodeSpec(strings.NewReader(renamedXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renamed.Tree.CountNodes() != pa.Tree.CountNodes() {
-		t.Fatal("fixture: rename changed the tree shape")
-	}
-	m, err := evolve.SpecDiff(pa, pa, evolve.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeSpecMapping(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSpecMapping(data, pa, renamed); err == nil {
-		t.Error("mapping decoded against a same-shape renamed specification")
-	}
-	if _, err := DecodeSpecMapping(data, pa, pa); err != nil {
-		t.Errorf("mapping failed to decode against its own specs: %v", err)
 	}
 }

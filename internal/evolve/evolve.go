@@ -119,16 +119,6 @@ func (m *SpecMapping) AtoB(n *sptree.Node) *sptree.Node { return m.aToB[n] }
 // BtoA returns the A node mapped to a B spec-tree node, or nil.
 func (m *SpecMapping) BtoA(n *sptree.Node) *sptree.Node { return m.bToA[n] }
 
-// NewMapping builds a SpecMapping from explicit pairs (the decode path
-// of the binary codec), validating the structural invariants.
-func NewMapping(a, b *spec.Spec, cost float64, pairs [][2]*sptree.Node) (*SpecMapping, error) {
-	m := newMapping(a, b, cost, pairs)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Identity returns the total self-mapping of a specification at cost
 // zero — the mapping CrossDiff degenerates to a plain run diff under.
 func Identity(sp *spec.Spec) *SpecMapping {

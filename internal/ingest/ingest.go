@@ -87,19 +87,19 @@ const (
 
 // Stats is a point-in-time snapshot of pipeline counters.
 type Stats struct {
-	QueueDepth    int   // jobs currently waiting
-	QueueCapacity int   // configured bound
-	MaxDepth      int64 // deepest the queue has been (high-water mark)
-	Enqueued      int64 // jobs accepted onto the queue
-	Rejected      int64 // jobs refused with ErrQueueFull
-	Committed     int64 // jobs whose commit succeeded
-	Failed        int64 // jobs whose commit returned an error
-	Batches       int64 // commits performed
-	MaxBatch      int64 // largest batch committed
-	AvgBatch      float64
-	SlowCommits   int64 // commits slower than Options.SlowCommit
-	LastCommitMS  float64
-	Closed        bool
+	QueueDepth    int     `json:"queue_depth"`    // jobs currently waiting
+	QueueCapacity int     `json:"queue_capacity"` // configured bound
+	MaxDepth      int64   `json:"max_depth"`      // deepest the queue has been (high-water mark)
+	Enqueued      int64   `json:"enqueued"`       // jobs accepted onto the queue
+	Rejected      int64   `json:"rejected"`       // jobs refused with ErrQueueFull
+	Committed     int64   `json:"committed"`      // jobs whose commit succeeded
+	Failed        int64   `json:"failed"`         // jobs whose commit returned an error
+	Batches       int64   `json:"batches"`        // commits performed
+	MaxBatch      int64   `json:"max_batch"`      // largest batch committed
+	AvgBatch      float64 `json:"avg_batch"`
+	SlowCommits   int64   `json:"slow_commits"` // commits slower than Options.SlowCommit
+	LastCommitMS  float64 `json:"last_commit_ms"`
+	Closed        bool    `json:"-"`
 }
 
 // Pipeline is the group-commit queue + batcher pair. Create with New;

@@ -25,7 +25,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 )
 
 // Hash is a SHA-256 digest. The zero value is the chain seed: the
@@ -269,9 +268,10 @@ func (r Record) Check(prev Hash) error {
 	return nil
 }
 
-// MarshalRecord renders a record as the exact newline-terminated JSON
-// line Append would write — the building block for stores that append
-// through their own storage backend instead of the local filesystem.
+// MarshalRecord renders a record as the newline-terminated JSON line
+// a ledger log holds, for the store to append through its backend.
+// Appending one complete line keeps a crash mid-write down to a torn
+// final line, which ParseLog drops.
 func MarshalRecord(rec Record) ([]byte, error) {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -280,81 +280,31 @@ func MarshalRecord(rec Record) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// Append writes the record as one JSON line at the end of the log,
-// fsyncing when durable. The write is a single O_APPEND write of a
-// complete line, so concurrent readers see either the old log or the
-// old log plus one whole record — and a crash mid-write leaves a torn
-// final line that ReadLog discards.
-func Append(path string, rec Record, durable bool) error {
-	line, err := MarshalRecord(rec)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return err
-	}
-	if durable {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// ReadLog loads every record of a spec's ledger log in order. A
-// missing file is an empty ledger. A torn final line (crash during
-// append) is silently dropped; a malformed line anywhere else is
-// returned as an error alongside the records that precede it, so a
-// verifier can report the first divergent batch while an appender can
-// still continue the chain from the last good record.
-func ReadLog(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	recs, _, err := ParseLog(data)
-	return recs, err
-}
-
-// ParseLog parses an in-memory ledger log. Alongside the records it
-// returns the byte length of the cleanly parsed prefix — every
-// complete, well-formed line. A torn final line (no terminating
-// newline: a crash mid-append) is dropped without error and excluded
-// from the prefix, so an appender can truncate the log back to valid
-// before continuing the chain — appending after torn bytes would weld
-// them onto the next record and turn crash debris into what looks like
-// tampering. A malformed line that IS newline-terminated is returned
-// as an error, exactly as in ReadLog.
-func ParseLog(data []byte) (recs []Record, valid int, err error) {
+// ParseLog parses a spec's ledger log into its records, in order. A
+// torn final line (no terminating newline: a crash mid-append) is
+// dropped without error. A malformed line that IS newline-terminated
+// is returned as an error alongside the records that precede it, so a
+// verifier can report the first divergent batch.
+func ParseLog(data []byte) ([]Record, error) {
+	var recs []Record
 	for pos, lineNo := 0, 1; pos < len(data); lineNo++ {
 		nl := bytes.IndexByte(data[pos:], '\n')
 		if nl < 0 {
 			// Torn tail: an append that never completed. Not tampering.
-			return recs, valid, nil
+			return recs, nil
 		}
 		line := data[pos : pos+nl]
 		pos += nl + 1
 		if len(bytes.TrimSpace(line)) == 0 {
-			valid = pos
 			continue
 		}
 		var rec Record
-		if uerr := json.Unmarshal(line, &rec); uerr != nil {
-			return recs, valid, fmt.Errorf("ledger: record at line %d malformed: %w", lineNo, uerr)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return recs, fmt.Errorf("ledger: record at line %d malformed: %w", lineNo, err)
 		}
 		recs = append(recs, rec)
-		valid = pos
 	}
-	return recs, valid, nil
+	return recs, nil
 }
 
 // VerifyChain checks seq contiguity, chaining and per-record roots

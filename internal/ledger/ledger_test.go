@@ -3,8 +3,6 @@ package ledger
 import (
 	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -140,19 +138,31 @@ func batchRecord(t *testing.T, seq int64, prev Hash, ids ...int) Record {
 	return rec
 }
 
+// marshalLog renders records as the ledger log a store appends.
+func marshalLog(t *testing.T, recs ...Record) []byte {
+	t.Helper()
+	var log []byte
+	for _, rec := range recs {
+		line, err := MarshalRecord(rec)
+		if err != nil {
+			t.Fatalf("MarshalRecord: %v", err)
+		}
+		log = append(log, line...)
+	}
+	return log
+}
+
 func TestLogAppendReadVerify(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.log")
+	var written []Record
 	prev := Zero
 	for seq := int64(1); seq <= 3; seq++ {
 		rec := batchRecord(t, seq, prev, int(seq)*10, int(seq)*10+1)
-		if err := Append(path, rec, seq == 3); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+		written = append(written, rec)
 		prev, _ = Parse(rec.Head)
 	}
-	recs, err := ReadLog(path)
+	recs, err := ParseLog(marshalLog(t, written...))
 	if err != nil {
-		t.Fatalf("ReadLog: %v", err)
+		t.Fatalf("ParseLog: %v", err)
 	}
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3", len(recs))
@@ -162,29 +172,11 @@ func TestLogAppendReadVerify(t *testing.T) {
 	}
 }
 
-func TestReadLogMissingFileIsEmpty(t *testing.T) {
-	recs, err := ReadLog(filepath.Join(t.TempDir(), "absent.log"))
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("missing log: recs=%d err=%v", len(recs), err)
-	}
-}
-
 func TestReadLogTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.log")
-	rec := batchRecord(t, 1, Zero, 1)
-	if err := Append(path, rec, false); err != nil {
-		t.Fatal(err)
-	}
+	log := marshalLog(t, batchRecord(t, 1, Zero, 1))
 	// Simulate a crash mid-append: half a JSON line, no newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":2,"prev":"ab`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	recs, err := ReadLog(path)
+	log = append(log, `{"seq":2,"prev":"ab`...)
+	recs, err := ParseLog(log)
 	if err != nil {
 		t.Fatalf("torn tail should not be an error: %v", err)
 	}
@@ -194,24 +186,12 @@ func TestReadLogTornTail(t *testing.T) {
 }
 
 func TestReadLogMalformedMiddleIsError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.log")
 	r1 := batchRecord(t, 1, Zero, 1)
-	if err := Append(path, r1, false); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("not json\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	head, _ := Parse(r1.Head)
-	if err := Append(path, batchRecord(t, 2, head, 2), false); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadLog(path)
+	log := marshalLog(t, r1)
+	log = append(log, "not json\n"...)
+	log = append(log, marshalLog(t, batchRecord(t, 2, head, 2))...)
+	recs, err := ParseLog(log)
 	if err == nil {
 		t.Fatal("malformed middle line should be an error")
 	}

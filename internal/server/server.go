@@ -554,23 +554,11 @@ type metricIndexStats struct {
 	PrunedPairs int64 `json:"pruned_pairs"`
 }
 
-// ingestStats mirrors the pipeline + ticket counters into /v1/stats; the
-// slow-commit fields are the fsync watchdog (commits slower than the
-// pipeline's threshold).
+// ingestStats publishes the pipeline counters plus the ticket counts
+// in /v1/stats; the slow-commit fields are the fsync watchdog (commits
+// slower than the pipeline's threshold).
 type ingestStats struct {
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-	MaxDepth      int64   `json:"max_depth"`
-	Enqueued      int64   `json:"enqueued"`
-	Rejected      int64   `json:"rejected"`
-	Committed     int64   `json:"committed"`
-	Failed        int64   `json:"failed"`
-	Batches       int64   `json:"batches"`
-	MaxBatch      int64   `json:"max_batch"`
-	AvgBatch      float64 `json:"avg_batch"`
-	SlowCommits   int64   `json:"slow_commits"`
-	LastCommitMS  float64 `json:"last_commit_ms"`
-
+	ingest.Stats
 	TicketsPending  int `json:"tickets_pending"`
 	TicketsRetained int `json:"tickets_retained"`
 }
@@ -621,21 +609,7 @@ func (s *Server) Stats() statsPayload {
 		mi.ExactDiffs += e.hc.DiffCalls()
 		mi.PrunedPairs += e.hc.PrunedPairs()
 	}
-	ps := s.ingest.Stats()
-	ig := ingestStats{
-		QueueDepth:    ps.QueueDepth,
-		QueueCapacity: ps.QueueCapacity,
-		MaxDepth:      ps.MaxDepth,
-		Enqueued:      ps.Enqueued,
-		Rejected:      ps.Rejected,
-		Committed:     ps.Committed,
-		Failed:        ps.Failed,
-		Batches:       ps.Batches,
-		MaxBatch:      ps.MaxBatch,
-		AvgBatch:      ps.AvgBatch,
-		SlowCommits:   ps.SlowCommits,
-		LastCommitMS:  ps.LastCommitMS,
-	}
+	ig := ingestStats{Stats: s.ingest.Stats()}
 	ig.TicketsPending, ig.TicketsRetained = s.tickets.Counts()
 	ls := ledgerStats{Specs: map[string]store.SpecLedger{}}
 	if heads, root, err := s.st.LedgerHeads(); err == nil {

@@ -539,11 +539,34 @@ func TestStatsEndpoint(t *testing.T) {
 		Requests map[string]int64 `json:"requests"`
 		Cache    cacheStats       `json:"cache"`
 		Engines  engineStats      `json:"engines"`
+		Ingest   json.RawMessage  `json:"ingest"`
 		Storage  map[string]any   `json:"storage"`
 	}
 	rec := do(t, srv, "GET", "/v1/stats", nil, &st)
 	if rec.Code != 200 {
 		t.Fatalf("stats = %d", rec.Code)
+	}
+	// The ingest section is the pipeline's counters, then the ticket
+	// counts, in this order; the pipeline's closed flag stays internal.
+	dec := json.NewDecoder(bytes.NewReader(st.Ingest))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantKeys := "[queue_depth queue_capacity max_depth enqueued rejected committed failed batches max_batch avg_batch slow_commits last_commit_ms tickets_pending tickets_retained]"
+	if fmt.Sprint(keys) != wantKeys {
+		t.Fatalf("ingest keys = %v, want %s", keys, wantKeys)
 	}
 	// The storage section names the backend and nothing else; metrics
 	// carry no per-backend families.

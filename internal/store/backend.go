@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"time"
 )
 
 // Backend is the store's entire persistence surface, abstracted to a
@@ -15,14 +14,14 @@ import (
 //	<spec>/spec.xml                     authoritative specification XML
 //	<spec>/snapshot/manifest.json       run index: name → frame
 //	<spec>/snapshot/runs.seg            append-only run frames
-//	<spec>/snapshot/spec.bin            binary specification frame
 //	<spec>/snapshot/ledger.log          Merkle ledger (JSON lines)
-//	<spec>/snapshot/lineage.bin         parent→child mapping frame
 //	<spec>/lineage.json                 lineage link
 //	<spec>/live/<run>.events            live-run event journal
 //
 // Repositories written before runs were stored only as frames also
 // hold <spec>/runs/<run>.xml; the store migrates and removes them.
+// Older releases also cached binary specification and lineage-mapping
+// frames as <spec>/snapshot/*.bin files; the store ignores them.
 //
 // Contract, shared by every implementation and enforced by the
 // conformance suite (internal/store/conformance):
@@ -70,8 +69,7 @@ type Entry struct {
 
 // BlobInfo describes a stored blob.
 type BlobInfo struct {
-	Size    int64
-	ModTime time.Time
+	Size int64
 }
 
 // notExist builds the canonical missing-key error: a *fs.PathError

@@ -157,7 +157,7 @@ func (b *fsBackend) Stat(key string) (BlobInfo, error) {
 	if err != nil {
 		return BlobInfo{}, err
 	}
-	return BlobInfo{Size: fi.Size(), ModTime: fi.ModTime()}, nil
+	return BlobInfo{Size: fi.Size()}, nil
 }
 
 func (b *fsBackend) List(dir string) ([]Entry, error) {

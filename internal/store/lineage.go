@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/evolve"
@@ -13,22 +12,18 @@ import (
 )
 
 // Spec lineage: the store tracks which specification a version evolved
-// from, and keeps the spec-to-spec edit mapping of every parent→child
-// step as a binary snapshot frame, so cross-version queries never
-// recompute a mapping that was already computed when the version was
-// registered.
+// from. Each parent→child step is stored once, as the parent link in
+// the child's lineage.json; its spec-to-spec edit mapping is computed
+// from the two stored specifications (evolve.SpecDiff) on first use
+// and cached in memory.
 //
 // Layout, per child specification:
 //
 //	<root>/<child>/lineage.json           {"version":1,"parent":"<name>"}
-//	<root>/<child>/snapshot/lineage.bin   codec frame of the parent→child mapping
 //
-// lineage.json is authoritative; the mapping frame is a cache — if it
-// is missing, corrupt, or decodes against drifted spec trees, the
-// mapping is recomputed from the stored specifications and the frame
-// rewritten. Mappings between lineage-linked specs further apart than
-// one step are composed from the per-step mappings; unlinked pairs are
-// mapped directly on demand (and cached in memory only).
+// Mappings between lineage-linked specs further apart than one step
+// are composed from the per-step mappings; unlinked pairs are mapped
+// directly on demand.
 
 // lineageVersion guards the lineage.json schema.
 const lineageVersion = 1
@@ -38,14 +33,13 @@ type lineageDoc struct {
 	Parent  string `json:"parent"`
 }
 
-func lineageKey(specName string) string    { return specName + "/lineage.json" }
-func mappingBinKey(specName string) string { return specName + "/snapshot/lineage.bin" }
+func lineageKey(specName string) string { return specName + "/lineage.json" }
 
 // PutSpecVersion stores child as a new specification version evolved
 // from the stored specification parentName: the child spec is saved
 // under childName, the lineage link is recorded, and the parent→child
-// edit mapping is computed (under evolve.DefaultCosts) and persisted
-// as a snapshot frame.
+// edit mapping is computed (under evolve.DefaultCosts) and cached in
+// memory.
 func (s *Store) PutSpecVersion(parentName, childName string, child *spec.Spec) error {
 	if err := validName(parentName); err != nil {
 		return err
@@ -90,20 +84,9 @@ func (s *Store) PutSpecVersion(parentName, childName string, child *spec.Spec) e
 	if err := s.be.WriteFile(lineageKey(childName), append(doc, '\n')); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.writeMappingSnapshot(childName, m) // best-effort cache frame
 	// SaveSpec above already dropped any mapping involving the child.
 	s.cacheMapping(mappingKey(parentName, childName), m)
 	return nil
-}
-
-// writeMappingSnapshot persists the parent→child mapping frame
-// (best-effort: a failure only costs a recompute on next load).
-func (s *Store) writeMappingSnapshot(childName string, m *evolve.SpecMapping) {
-	data, err := codec.EncodeSpecMapping(m)
-	if err != nil {
-		return
-	}
-	_ = s.be.WriteFile(mappingBinKey(childName), data)
 }
 
 // Parent returns the recorded parent version of a specification, or ""
@@ -228,8 +211,7 @@ func (s *Store) Linked(aName, bName string) (bool, error) {
 }
 
 // stepMapping returns the parent→child mapping of one lineage step,
-// from the snapshot frame when it decodes cleanly against the current
-// spec trees, recomputed (and the frame repaired) otherwise.
+// from the in-memory cache or computed from the stored specifications.
 func (s *Store) stepMapping(parentName, childName string) (*evolve.SpecMapping, error) {
 	s.mapMu.Lock()
 	if m, ok := s.mappings[mappingKey(parentName, childName)]; ok {
@@ -245,23 +227,17 @@ func (s *Store) stepMapping(parentName, childName string) (*evolve.SpecMapping, 
 	if err != nil {
 		return nil, err
 	}
-	var m *evolve.SpecMapping
-	if data, err := s.be.ReadFile(mappingBinKey(childName)); err == nil {
-		m, _ = codec.DecodeSpecMapping(data, parent, child)
-	}
-	if m == nil {
-		if m, err = evolve.SpecDiff(parent, child, evolve.DefaultCosts()); err != nil {
-			return nil, err
-		}
-		s.writeMappingSnapshot(childName, m)
+	m, err := evolve.SpecDiff(parent, child, evolve.DefaultCosts())
+	if err != nil {
+		return nil, err
 	}
 	return s.cacheMapping(mappingKey(parentName, childName), m), nil
 }
 
 // SpecMapping returns the edit mapping from specification version a to
 // version b, and whether the two are lineage-linked. Linked pairs
-// compose the persisted per-step mappings (inverted when a descends
-// from b); unlinked pairs are mapped directly and cached in memory.
+// compose the per-step mappings (inverted when a descends from b);
+// unlinked pairs are mapped directly and cached in memory.
 func (s *Store) SpecMapping(aName, bName string) (m *evolve.SpecMapping, linked bool, err error) {
 	if err := validName(aName); err != nil {
 		return nil, false, err

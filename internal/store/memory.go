@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // memoryBackend keeps every blob in a mutex-guarded map — the fastest
@@ -14,17 +13,12 @@ import (
 // that reason.
 type memoryBackend struct {
 	mu    sync.RWMutex
-	blobs map[string]memBlob
-}
-
-type memBlob struct {
-	data []byte
-	mod  time.Time
+	blobs map[string][]byte
 }
 
 // NewMemoryBackend returns an empty in-memory backend.
 func NewMemoryBackend() Backend {
-	return &memoryBackend{blobs: make(map[string]memBlob)}
+	return &memoryBackend{blobs: make(map[string][]byte)}
 }
 
 func (b *memoryBackend) Kind() string { return "memory" }
@@ -36,8 +30,8 @@ func (b *memoryBackend) ReadFile(key string) ([]byte, error) {
 	if !ok {
 		return nil, notExist("read", key)
 	}
-	out := make([]byte, len(blob.data))
-	copy(out, blob.data)
+	out := make([]byte, len(blob))
+	copy(out, blob)
 	return out, nil
 }
 
@@ -45,7 +39,7 @@ func (b *memoryBackend) WriteFile(key string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	b.mu.Lock()
-	b.blobs[key] = memBlob{data: cp, mod: time.Now()}
+	b.blobs[key] = cp
 	b.mu.Unlock()
 	return nil
 }
@@ -55,9 +49,8 @@ func (b *memoryBackend) Append(key string, data []byte, sync bool) error {
 	defer b.mu.Unlock()
 	blob := b.blobs[key]
 	// Copy-on-append: readers hold slices of the old array.
-	next := make([]byte, 0, len(blob.data)+len(data))
-	next = append(append(next, blob.data...), data...)
-	b.blobs[key] = memBlob{data: next, mod: time.Now()}
+	next := make([]byte, 0, len(blob)+len(data))
+	b.blobs[key] = append(append(next, blob...), data...)
 	return nil
 }
 
@@ -68,10 +61,10 @@ func (b *memoryBackend) ReadAt(key string, p []byte, off int64) error {
 	if !ok {
 		return notExist("readat", key)
 	}
-	if off < 0 || off+int64(len(p)) > int64(len(blob.data)) {
+	if off < 0 || off+int64(len(p)) > int64(len(blob)) {
 		return notExist("readat", key) // past EOF
 	}
-	copy(p, blob.data[off:])
+	copy(p, blob[off:])
 	return nil
 }
 
@@ -82,7 +75,7 @@ func (b *memoryBackend) Stat(key string) (BlobInfo, error) {
 	if !ok {
 		return BlobInfo{}, notExist("stat", key)
 	}
-	return BlobInfo{Size: int64(len(blob.data)), ModTime: blob.mod}, nil
+	return BlobInfo{Size: int64(len(blob))}, nil
 }
 
 func (b *memoryBackend) List(dir string) ([]Entry, error) {

@@ -32,7 +32,6 @@ import (
 //	<spec>/snapshot/manifest.json   checkpoint: run name → frame (offset, length, hash, batch) as of ledger seq
 //	<spec>/snapshot/runs.seg        append-only run frames
 //	<spec>/snapshot/ledger.log      Merkle ledger, one record per commit
-//	<spec>/snapshot/spec.bin        binary specification frame
 //
 // A commit is exactly two synced appends, segment then ledger; once
 // its ledger record is durable the batch is committed. Loading a spec
@@ -113,7 +112,6 @@ type snapState struct {
 // Snapshot-layer backend keys.
 func manifestKey(specName string) string { return specName + "/snapshot/manifest.json" }
 func segmentKey(specName string) string  { return specName + "/snapshot/runs.seg" }
-func specBinKey(specName string) string  { return specName + "/snapshot/spec.bin" }
 func ledgerKey(specName string) string   { return specName + "/snapshot/ledger.log" }
 
 // snap returns the snapshot state for a spec, creating it on first
@@ -692,8 +690,8 @@ func recordHolds(rec []byte, runName, hash string) bool {
 	return hex.EncodeToString(h[:]) == hash
 }
 
-// readLedger loads a spec's ledger log through the backend — the
-// byte-level twin of ledger.ReadLog.
+// readLedger loads a spec's ledger log through the backend; a spec
+// with no ledger yet has no records.
 func (s *Store) readLedger(specName string) ([]ledger.Record, error) {
 	data, err := s.be.ReadFile(ledgerKey(specName))
 	if err != nil {
@@ -702,8 +700,7 @@ func (s *Store) readLedger(specName string) ([]ledger.Record, error) {
 		}
 		return nil, err
 	}
-	recs, _, perr := ledger.ParseLog(data)
-	return recs, perr
+	return ledger.ParseLog(data)
 }
 
 // loadLedgerLocked reads the spec's ledger log, positions the append
@@ -869,34 +866,6 @@ func (s *Store) compactLocked(specName string, st *snapState) error {
 	return s.saveManifestLocked(specName, st)
 }
 
-// writeSpecSnapshot persists the binary spec frame.
-func (s *Store) writeSpecSnapshot(specName string, sp *spec.Spec) error {
-	return s.be.WriteFile(specBinKey(specName), codec.EncodeSpec(sp))
-}
-
-// loadSpecSnapshot attempts to decode spec.bin, a cache of spec.xml:
-// specifications change so rarely that the guard is simply "spec.xml
-// must not be newer than spec.bin".
-func (s *Store) loadSpecSnapshot(specName string) (*spec.Spec, bool) {
-	binInfo, err := s.be.Stat(specBinKey(specName))
-	if err != nil {
-		return nil, false
-	}
-	xmlInfo, err := s.be.Stat(specXMLKey(specName))
-	if err != nil || xmlInfo.ModTime.After(binInfo.ModTime) {
-		return nil, false
-	}
-	data, err := s.be.ReadFile(specBinKey(specName))
-	if err != nil {
-		return nil, false
-	}
-	sp, err := codec.DecodeSpec(data)
-	if err != nil {
-		return nil, false
-	}
-	return sp, true
-}
-
 // SnapshotStats reports what a Snapshot pass found.
 type SnapshotStats struct {
 	Runs      int // stored runs
@@ -905,18 +874,14 @@ type SnapshotStats struct {
 }
 
 // Snapshot brings one specification's snapshot layer up to date: it
-// writes the spec's binary frame, loads the manifest (which migrates a
-// repository written in the older layout), and checkpoints the run
-// index when the ledger is ahead of the checkpoint, so the next load
-// replays nothing. On a current-format repository it writes no run
-// frames; it is idempotent.
+// loads the spec and its manifest (which migrates a repository written
+// in the older layout), and checkpoints the run index when the ledger
+// is ahead of the checkpoint, so the next load replays nothing. On a
+// current-format repository whose checkpoint is current it writes
+// nothing; it is idempotent.
 func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 	var stats SnapshotStats
-	sp, err := s.LoadSpec(specName)
-	if err != nil {
-		return stats, err
-	}
-	if err := s.writeSpecSnapshot(specName, sp); err != nil {
+	if _, err := s.LoadSpec(specName); err != nil {
 		return stats, err
 	}
 	st := s.snap(specName)

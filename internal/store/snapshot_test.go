@@ -309,6 +309,14 @@ func TestSnapshotZeroRuns(t *testing.T) {
 	if pre.Runs != 0 {
 		t.Fatalf("zero-run Preload = %+v", pre)
 	}
+	// A spec with no runs has no ledger file: it verifies as empty.
+	report, err := s.VerifyLedger("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.OK() || report.Specs != 1 || report.Batches != 0 || report.Runs != 0 {
+		t.Fatalf("zero-run VerifyLedger = %+v", report)
+	}
 }
 
 // TestSnapshotRejectsWrongRunRecord: a manifest entry pointing at a
@@ -518,8 +526,9 @@ func (b *countingBackend) ReadAt(key string, p []byte, off int64) error {
 
 // TestColdStartReadsNoXML: the warm start provserved performs
 // (Preload, then Snapshot) on a current-format repository reads no
-// byte under <spec>/runs/ and no XML document at all — every run is
-// decoded from its frame and the spec from spec.bin.
+// byte under <spec>/runs/ and no run XML — every run is decoded from
+// its frame. The only XML it reads is the specification, pa/spec.xml,
+// exactly once.
 func TestColdStartReadsNoXML(t *testing.T) {
 	dir := seedDir(t, 5)
 	cb := &countingBackend{Backend: openTestBackend(t, dir), reads: map[string]int64{}}
@@ -535,9 +544,16 @@ func TestColdStartReadsNoXML(t *testing.T) {
 		t.Fatalf("Preload = %+v, want 5 runs", pre)
 	}
 	for key, n := range cb.reads {
-		if strings.HasPrefix(key, "pa/runs/") || strings.HasSuffix(key, ".xml") {
+		if key != specXMLKey("pa") && (strings.HasPrefix(key, "pa/runs/") || strings.HasSuffix(key, ".xml")) {
 			t.Errorf("warm start read %d bytes of %s", n, key)
 		}
+	}
+	info, err := cb.Stat(specXMLKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cb.reads[specXMLKey("pa")]; n != info.Size {
+		t.Errorf("warm start read %d bytes of pa/spec.xml, want one read of %d", n, info.Size)
 	}
 	if cb.reads[segmentKey("pa")] == 0 {
 		t.Fatal("warm start read no frames; the counter is not wired")
@@ -641,5 +657,48 @@ func TestCommitIsTwoAppends(t *testing.T) {
 	st.mu.Unlock()
 	if seq != ledgerSeq || seq != 4 {
 		t.Fatalf("checkpoint covers batch %d, ledger ends at %d; want both 4", seq, ledgerSeq)
+	}
+}
+
+// TestWarmStartWritesNothing: once a repository is checkpointed, the
+// reads a warm start and the cross-version queries make — PreloadAll,
+// Snapshot of each spec, LoadSpec, SpecMapping and CrossDiff — write,
+// append and remove nothing.
+func TestWarmStartWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	seedLineage(t, dir)
+	log := &mutationLog{Backend: openTestBackend(t, dir)}
+	specs, err := OpenBackend(log).ListSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := OpenBackend(log)
+	for _, name := range specs {
+		if _, err := checkpoint.Snapshot(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.take()
+
+	s := OpenBackend(log)
+	if _, err := s.PreloadAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range specs {
+		if _, err := s.Snapshot(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.LoadSpec(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, linked, err := s.SpecMapping("demo", "demo-v2"); err != nil || !linked {
+		t.Fatalf("SpecMapping: linked=%v err=%v", linked, err)
+	}
+	if _, _, err := s.CrossDiff("demo", runName(0), "demo-v2", runName(1), cost.Unit{}); err != nil {
+		t.Fatal(err)
+	}
+	if ops := log.take(); len(ops) != 0 {
+		t.Fatalf("a warm start wrote %q, want nothing", ops)
 	}
 }

@@ -18,7 +18,7 @@
 // Logical layout (identical to the on-disk layout of the fs backend):
 //
 //	<spec>/spec.xml
-//	<spec>/snapshot/{manifest.json,runs.seg,ledger.log,spec.bin}
+//	<spec>/snapshot/{manifest.json,runs.seg,ledger.log}
 package store
 
 import (
@@ -201,7 +201,6 @@ func (s *Store) SaveSpec(name string, sp *spec.Spec) error {
 	if err := s.be.WriteFile(specXMLKey(name), buf.Bytes()); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_ = s.writeSpecSnapshot(name, sp) // best-effort warm-start frame
 	s.mu.Lock()
 	s.specs[name] = sp
 	s.mu.Unlock()
@@ -223,16 +222,13 @@ func (s *Store) LoadSpec(name string) (*spec.Spec, error) {
 		return sp, nil
 	}
 	s.mu.RUnlock()
-	sp, fromSnap := s.loadSpecSnapshot(name)
-	if !fromSnap {
-		data, err := s.be.ReadFile(specXMLKey(name))
-		if err != nil {
-			return nil, fmt.Errorf("store: unknown specification %q: %w", name, err)
-		}
-		if sp, err = wfxml.DecodeSpec(bytes.NewReader(data)); err != nil {
-			return nil, err
-		}
-		_ = s.writeSpecSnapshot(name, sp) // best-effort warm-start frame
+	data, err := s.be.ReadFile(specXMLKey(name))
+	if err != nil {
+		return nil, fmt.Errorf("store: unknown specification %q: %w", name, err)
+	}
+	sp, err := wfxml.DecodeSpec(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	// Another goroutine may have raced the load; keep the first.

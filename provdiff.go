@@ -226,10 +226,10 @@ func EncodeRun(w io.Writer, run *Run, name string) error { return wfxml.EncodeRu
 // DecodeRun reads a run from XML and derives its annotated tree.
 func DecodeRun(r io.Reader, sp *Spec) (*Run, error) { return wfxml.DecodeRun(r, sp) }
 
-// Binary snapshot codec (the store's warm-start format): versioned,
+// Binary run codec (the form in which the store keeps runs): versioned,
 // CRC-checksummed frames holding the *result* of an XML parse, so
 // decoding skips validation and tree derivation entirely. XML remains
-// the interchange format; the store keeps runs in this form.
+// the interchange format, and the only stored form of a specification.
 
 // EncodeRunBinary serializes a run as a binary snapshot frame.
 func EncodeRunBinary(run *Run) ([]byte, error) { return codec.EncodeRun(run) }
@@ -238,10 +238,3 @@ func EncodeRunBinary(run *Run) ([]byte, error) { return codec.EncodeRun(run) }
 // specification, without re-deriving the tree. Corrupt or mismatched
 // frames fail loudly.
 func DecodeRunBinary(data []byte, sp *Spec) (*Run, error) { return codec.DecodeRun(data, sp) }
-
-// EncodeSpecBinary serializes a specification as a snapshot frame.
-func EncodeSpecBinary(sp *Spec) []byte { return codec.EncodeSpec(sp) }
-
-// DecodeSpecBinary rebuilds (and revalidates) a specification from a
-// snapshot frame.
-func DecodeSpecBinary(data []byte) (*Spec, error) { return codec.DecodeSpec(data) }

@@ -304,16 +304,4 @@ func TestEvolutionFacade(t *testing.T) {
 	if same.Distance != plain {
 		t.Errorf("identity cross distance %g != plain %g", same.Distance, plain)
 	}
-	// Binary round trip.
-	frame, err := EncodeSpecMappingBinary(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeSpecMappingBinary(frame, v1, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cost != m.Cost || len(back.Pairs) != len(m.Pairs) {
-		t.Errorf("mapping changed across binary round trip")
-	}
 }
