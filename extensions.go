@@ -202,7 +202,7 @@ const (
 // Snapshot — runs are stored as binary frames, so cold starts decode
 // them instead of re-parsing run XML) and streaming bulk I/O
 // (ImportRuns, ImportDir, ExportSpec) with coalesced change
-// notifications (OnRunsBulkChange).
+// notifications (OnRunsChange).
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a provenance repository.
@@ -327,11 +327,11 @@ func MutateSpec(sp *Spec, n int, rng *rand.Rand) ([]*SpecMutation, error) {
 	return gen.Mutate(sp, n, rng)
 }
 
-// Live (still-executing) runs: internal/wfrun's incremental derivation
-// plus the store's event-log persistence. A LiveRun consumes node-
-// status events one at a time, re-deriving only the affected top-level
-// component of the specification tree; Complete assembles the full
-// run, byte-stable under XML round trips. The Store counterparts
+// Live (still-executing) runs: internal/wfrun's event collection plus
+// the store's event-log persistence. A LiveRun validates node-status
+// events one at a time; Complete derives the run once, through the
+// same Derive call an XML import makes, so the result is byte-stable
+// under XML round trips. The Store counterparts
 // (AppendLiveEvents, LiveStatusOf, ListLiveRuns, CompleteLiveRun,
 // AbandonLiveRun) persist the event stream and promote finished runs
 // through the group-commit import path.
@@ -339,13 +339,13 @@ type (
 	// LiveEvent is one node-status event: a run edge appearing, named
 	// by endpoint labels with optional explicit specification refs.
 	LiveEvent = wfrun.Event
-	// LiveRun incrementally derives a run from a stream of events.
+	// LiveRun collects a run from a stream of events.
 	LiveRun = wfrun.Live
 	// LiveRunStatus snapshots a store-managed in-flight run.
 	LiveRunStatus = store.LiveStatus
 )
 
-// NewLiveRun starts incremental derivation of a run of sp.
+// NewLiveRun starts collecting a run of sp.
 func NewLiveRun(sp *Spec) *LiveRun { return wfrun.NewLive(sp) }
 
 // RunEvents replays a finished run as the event stream that would

@@ -34,12 +34,11 @@ type CohortMatrix struct {
 	computeMu sync.Mutex
 	engines   []*core.Engine
 
-	mu      sync.RWMutex
-	labels  []string
-	index   map[string]int
-	runs    []*wfrun.Run
-	d       [][]float64
-	version int64
+	mu     sync.RWMutex
+	labels []string
+	index  map[string]int
+	runs   []*wfrun.Run
+	d      [][]float64
 
 	diffCalls atomic.Int64
 	rebuilds  atomic.Int64
@@ -61,15 +60,6 @@ func (c *CohortMatrix) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.labels)
-}
-
-// Version returns a counter bumped by every successful mutation;
-// consumers caching derived artifacts (clusterings, outlier rankings)
-// can key them by it.
-func (c *CohortMatrix) Version() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
 }
 
 // DiffCalls reports how many engine differencing calls the matrix has
@@ -179,7 +169,6 @@ func (c *CohortMatrix) Reset(names []string, runs []*wfrun.Run, opts Options) er
 	c.runs = append([]*wfrun.Run(nil), runs...)
 	c.index = index
 	c.d = d
-	c.version++
 	c.mu.Unlock()
 	return nil
 }
@@ -364,7 +353,6 @@ func (c *CohortMatrix) Add(name string, run *wfrun.Run) error {
 	c.runs = runs
 	c.index = index
 	c.d = d
-	c.version++
 	c.mu.Unlock()
 	return nil
 }
@@ -409,7 +397,6 @@ func (c *CohortMatrix) Remove(name string) bool {
 	c.runs = runs
 	c.index = index
 	c.d = d
-	c.version++
 	c.mu.Unlock()
 	return true
 }

@@ -91,8 +91,6 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	if err := cm.Reset(names[:5], runs[:5], Options{}); err != nil {
 		t.Fatal(err)
 	}
-	v := cm.Version()
-
 	// Replace rb's run with a different one.
 	before := cm.DiffCalls()
 	if err := cm.Add(names[1], runs[5]); err != nil {
@@ -100,9 +98,6 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	}
 	if got := cm.DiffCalls() - before; got != 4 {
 		t.Fatalf("replace performed %d diffs, want 4", got)
-	}
-	if cm.Version() == v {
-		t.Fatal("version must change on replace")
 	}
 	// The replaced cohort must equal a from-scratch matrix over the
 	// same member set (order differs: replaced rows move to the end).

@@ -44,10 +44,9 @@ type HybridCohort struct {
 	threshold int // <= 0: indexing disabled
 	landmarks int
 
-	mu      sync.RWMutex
-	cm      *CohortMatrix // exactly one of cm/ix is non-nil
-	ix      *metricindex.Index
-	version int64
+	mu sync.RWMutex
+	cm *CohortMatrix // exactly one of cm/ix is non-nil
+	ix *metricindex.Index
 
 	// Counters of retired representations, so DiffCalls/Rebuilds stay
 	// cumulative across switches.
@@ -138,14 +137,6 @@ func (hc *HybridCohort) Members() ([]string, []*wfrun.Run) {
 		return hc.ix.Members()
 	}
 	return hc.cm.Members()
-}
-
-// Version returns a counter bumped by every successful mutation,
-// monotone across representation switches.
-func (hc *HybridCohort) Version() int64 {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	return hc.version
 }
 
 // Indexed reports whether the cohort currently lives in the metric
@@ -310,7 +301,6 @@ func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run, opts Options) e
 			hc.cm = cm
 		}
 	}
-	hc.version++
 	return nil
 }
 
@@ -325,13 +315,11 @@ func (hc *HybridCohort) Add(name string, run *wfrun.Run) error {
 		if err := hc.ix.Add(name, run); err != nil {
 			return err
 		}
-		hc.version++
 		return nil
 	}
 	if err := hc.cm.Add(name, run); err != nil {
 		return err
 	}
-	hc.version++
 	if hc.indexEligible(hc.cm.Len()) {
 		names, runs := hc.cm.Members()
 		ix := hc.newIndex()
@@ -352,17 +340,12 @@ func (hc *HybridCohort) Remove(name string) bool {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.ix == nil {
-		ok := hc.cm.Remove(name)
-		if ok {
-			hc.version++
-		}
-		return ok
+		return hc.cm.Remove(name)
 	}
 	ok := hc.ix.Remove(name)
 	if !ok {
 		return false
 	}
-	hc.version++
 	if hc.threshold > 0 && hc.ix.Len() < hc.threshold/2 {
 		names, runs := hc.ix.Members()
 		cm := NewCohortMatrix(hc.model, hc.workers)

@@ -95,9 +95,8 @@ type Index struct {
 	computeMu sync.Mutex
 	engines   []*core.Engine
 
-	mu      sync.RWMutex
-	st      *state
-	version int64
+	mu sync.RWMutex
+	st *state
 
 	exact    atomic.Int64
 	pruned   atomic.Int64
@@ -138,13 +137,6 @@ func (ix *Index) Has(name string) bool {
 	defer ix.mu.RUnlock()
 	_, ok := ix.st.index[name]
 	return ok
-}
-
-// Version returns a counter bumped by every successful mutation.
-func (ix *Index) Version() int64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.version
 }
 
 // Members returns the cohort's names and runs in index order (the runs
@@ -191,7 +183,6 @@ func (ix *Index) Snapshot() *Cohort {
 func (ix *Index) publish(st *state) {
 	ix.mu.Lock()
 	ix.st = st
-	ix.version++
 	ix.mu.Unlock()
 }
 

@@ -106,27 +106,14 @@ func (cc *cohortCaches) entriesForSpec(specName string) []*cohortEntry {
 	return hit
 }
 
-// invalidate records a run change: every cohort of the spec (under any
-// cost model) marks the run dirty and advances its generation. Runs
-// outside the store hook goroutine's locks.
-func (cc *cohortCaches) invalidate(specName, runName string) {
-	for _, e := range cc.entriesForSpec(specName) {
-		e.stateMu.Lock()
-		e.gen++
-		e.dirty[runName] = true
-		e.stateMu.Unlock()
-	}
-}
-
-// invalidateBulk records a coalesced batch change (bulk import or a
-// group-commit from the ingest pipeline): every cohort of the spec
-// advances its generation once and marks the batch's runs dirty. How
-// the batch is replayed — one Remove+Add per dirty run, or one full
-// Reset — is decided at sync time against the live cohort size (see
-// cohortView): a pipeline batch of a few runs into a large cohort
-// stays incremental, while a bulk import that rivals the cohort pays
-// one Reset instead of n re-adds.
-func (cc *cohortCaches) invalidateBulk(specName string, runNames []string) {
+// invalidate records a change to a spec's runs (a commit of any size
+// or a delete): every cohort of the spec advances its generation once
+// and marks the named runs dirty. How the batch is replayed — one
+// Remove+Add per dirty run, or one full Reset — is decided at sync
+// time against the live cohort size (see cohortView): a pipeline batch
+// of a few runs into a large cohort stays incremental, while a bulk
+// import that rivals the cohort pays one Reset instead of n re-adds.
+func (cc *cohortCaches) invalidate(specName string, runNames []string) {
 	for _, e := range cc.entriesForSpec(specName) {
 		e.stateMu.Lock()
 		e.gen++

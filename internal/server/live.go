@@ -1,6 +1,6 @@
 package server
 
-// Live-workflow monitoring: incremental event ingest for runs still
+// Live-workflow monitoring: event-by-event ingest for runs still
 // executing, a drift score comparing the partial run against the
 // cohort's most representative execution (its medoid), and an NDJSON
 // watch stream pushing drift updates to attached clients.
@@ -30,8 +30,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/metricindex"
-	"repro/internal/spec"
-	"repro/internal/sptree"
 	"repro/internal/store"
 	"repro/internal/wfrun"
 )
@@ -137,22 +135,6 @@ type driftBaseline struct {
 	Rate   float64 // histogram-bound price per excess instance
 }
 
-// leafCounts tallies a run's Q leaves per specification leaf index —
-// the same bucketing wfrun.Live maintains incrementally.
-func leafCounts(sp *spec.Spec, r *wfrun.Run) []int {
-	_, total := sp.Interval(sp.Tree)
-	counts := make([]int, total)
-	r.Tree.Walk(func(v *sptree.Node) bool {
-		if v.IsLeaf() && v.Spec != nil {
-			if i, ok := sp.LeafIndex(v.Spec.Edge); ok {
-				counts[i]++
-			}
-		}
-		return true
-	})
-	return counts
-}
-
 // baseline resolves (computing and caching on miss) the drift baseline
 // for a specification under a cost model. An empty cohort yields a
 // baseline with no run — drift then reports structure only. The cache
@@ -203,7 +185,7 @@ func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (drift
 	if err != nil {
 		return driftBaseline{}, err
 	}
-	b.Counts = leafCounts(sp, medoid)
+	b.Counts = medoid.LeafCounts()
 	s.cache.addIfGen(key, b, gen)
 	return b, nil
 }

@@ -43,7 +43,7 @@ func cohortScoped(kind string) bool {
 // a 400-edge pair costs ~0.4ms of CPU; a repository browsed
 // interactively re-requests the same few pairs constantly, so a small
 // cache absorbs most of the traffic. Entries for a run are invalidated
-// when that run is re-imported or deleted (wired to store.OnRunChange).
+// when that run is re-imported or deleted (wired to store.OnRunsChange).
 // A capacity <= 0 disables caching entirely.
 type resultCache struct {
 	mu    sync.Mutex

@@ -10,7 +10,7 @@
 //     requests instead of being rebuilt per diff;
 //   - finished diff payloads (JSON and SVG) live in a bounded LRU
 //     keyed by (spec, runA, runB, cost), invalidated through
-//     store.OnRunChange when a run is re-imported or deleted;
+//     store.OnRunsChange when a run is re-imported or deleted;
 //   - one incrementally maintained distance matrix per (spec, cost
 //     model) answers /cohort and the cohort analytics alike; its full
 //     builds fan out over a worker pool and can stream per-pair
@@ -27,7 +27,7 @@
 // The cohort endpoints share one incrementally maintained distance
 // matrix per (spec, cost model): importing a run
 // into an n-run cohort differences only the n new pairs, with
-// store.OnRunChange generation checks guaranteeing a stale row is
+// store.OnRunsChange generation checks guaranteeing a stale row is
 // never retained (see cohortcache.go).
 package server
 
@@ -142,17 +142,15 @@ func New(st *store.Store, opts Options) *Server {
 		watch:   newWatchHub(),
 	}
 	s.ingest = s.newIngest()
-	st.OnRunChange(s.cache.invalidateRun)
-	st.OnRunChange(s.cohorts.invalidate)
-	// Batched imports arrive coalesced: per-run invalidation for the
-	// pair cache (each named run's entries are stale), one batched
-	// mark for the cohort matrices — the sync pass replays it
-	// incrementally or as one Reset, whichever is cheaper.
-	st.OnRunsBulkChange(func(specName string, runNames []string) {
+	// A change names every run it touched: each named run's pair-cache
+	// entries are stale, and the cohort matrices take one batched mark
+	// that the sync pass replays incrementally or as one Reset,
+	// whichever is cheaper.
+	st.OnRunsChange(func(specName string, runNames []string) {
 		for _, run := range runNames {
 			s.cache.invalidateRun(specName, run)
 		}
-		s.cohorts.invalidateBulk(specName, runNames)
+		s.cohorts.invalidate(specName, runNames)
 	})
 	s.registerRoutes()
 	return s

@@ -185,14 +185,21 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 
 // notifyingRecorder wraps a ResponseRecorder to signal the first body
 // write, so a test can abort a request exactly once streaming began.
+// The first write then blocks until hold closes: the build cannot
+// finish its remaining pairs before the test has aborted it, which on
+// a small cohort it otherwise sometimes does.
 type notifyingRecorder struct {
 	*httptest.ResponseRecorder
 	once  sync.Once
 	first chan struct{}
+	hold  <-chan struct{}
 }
 
 func (n *notifyingRecorder) Write(b []byte) (int, error) {
-	n.once.Do(func() { close(n.first) })
+	n.once.Do(func() {
+		close(n.first)
+		<-n.hold
+	})
 	return n.ResponseRecorder.Write(b)
 }
 
@@ -210,7 +217,7 @@ func TestCohortStreamAbortMidFlight(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/v1/specs/pa/cohort?stream=1", nil).WithContext(ctx)
-	rec := &notifyingRecorder{ResponseRecorder: httptest.NewRecorder(), first: make(chan struct{})}
+	rec := &notifyingRecorder{ResponseRecorder: httptest.NewRecorder(), first: make(chan struct{}), hold: ctx.Done()}
 
 	finished := make(chan struct{})
 	go func() {

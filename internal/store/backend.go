@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -83,6 +84,24 @@ func notExist(op, key string) error {
 // isNotExist reports whether a backend error means "no such key" —
 // the backend-agnostic twin of os.IsNotExist.
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
+
+// truncateTornTail repairs an append-only line log (the ledger, a live
+// event journal) read from key: an unterminated final line is debris
+// of an append that a crash or a failed write cut short. It is cut off
+// and the blob rewritten to the valid prefix, because the next append
+// would otherwise weld new bytes onto the fragment and turn it into a
+// malformed middle line that a later read must treat as corruption.
+// It returns the valid prefix.
+func truncateTornTail(be Backend, key string, data []byte) ([]byte, error) {
+	valid := bytes.LastIndexByte(data, '\n') + 1
+	if valid == len(data) {
+		return data, nil
+	}
+	if err := be.WriteFile(key, data[:valid]); err != nil {
+		return nil, err
+	}
+	return data[:valid], nil
+}
 
 // NewBackend constructs a backend by kind name — the -backend flag of
 // provserved, and the PROVSTORE_TEST_BACKEND selector of the test

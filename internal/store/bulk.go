@@ -54,11 +54,10 @@ type ImportStats struct {
 // goroutines; <= 0 means GOMAXPROCS), committed as frames in one
 // segment append, and published to the decoded-run cache.
 //
-// Change notification is coalesced: the per-run OnRunChange hooks do
-// NOT fire; instead every OnRunsBulkChange hook fires exactly once
-// with the full name list, so a subscriber maintaining a per-spec
-// cohort matrix performs one rebuild instead of len(runs) incremental
-// updates.
+// Change notification is coalesced: every OnRunsChange hook fires
+// exactly once with the full name list, so a subscriber maintaining a
+// per-spec cohort matrix performs one rebuild instead of len(runs)
+// incremental updates.
 //
 // Validation is all-or-nothing per batch: names are checked and every
 // document parsed before anything is written, so a malformed document
@@ -134,8 +133,7 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 // with the server's ingest pipeline and live-run completion: runs that
 // are already parsed are committed in ONE synced segment append and
 // ONE synced ledger record, published to the decoded-run
-// cache, and announced with ONE coalesced OnRunsBulkChange
-// notification — the per-run OnRunChange hooks do not fire.
+// cache, and announced with ONE coalesced OnRunsChange notification.
 //
 // Names are validated and checked for duplicates (ErrDuplicateRun) up
 // front. The commit is all-or-nothing: on error no run of the batch
@@ -143,7 +141,7 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, error) {
 	stats, err := s.commitRuns(specName, runs)
 	if err == nil && len(stats.Imported) > 0 {
-		s.notifyBulkChange(specName, stats.Imported)
+		s.notifyRunsChange(specName, stats.Imported)
 	}
 	return stats, err
 }

@@ -41,10 +41,8 @@ func TestImportRunsBulk(t *testing.T) {
 	s := reopen(t, dir)
 	batch := genRunXML(t, s, 5, 7, "bulk")
 
-	var singles int
 	var bulks [][]string
-	s.OnRunChange(func(spec, run string) { singles++ })
-	s.OnRunsBulkChange(func(spec string, runs []string) {
+	s.OnRunsChange(func(spec string, runs []string) {
 		if spec != "pa" {
 			t.Errorf("bulk notification for spec %q", spec)
 		}
@@ -57,9 +55,6 @@ func TestImportRunsBulk(t *testing.T) {
 	}
 	if len(stats.Imported) != 5 || stats.Nodes == 0 || stats.Edges == 0 {
 		t.Fatalf("ImportRuns stats = %+v", stats)
-	}
-	if singles != 0 {
-		t.Fatalf("bulk import fired %d per-run notifications, want 0", singles)
 	}
 	if len(bulks) != 1 || len(bulks[0]) != 5 {
 		t.Fatalf("bulk import fired %v coalesced notifications, want one with 5 runs", bulks)

@@ -480,10 +480,8 @@ func testExactlyOneNotification(t *testing.T, open func() store.Backend) {
 	st := store.OpenBackend(open())
 	seedSpec(t, st, spec)
 	var mu sync.Mutex
-	var singles int
 	var bulks [][]string
-	st.OnRunChange(func(_, _ string) { mu.Lock(); singles++; mu.Unlock() })
-	st.OnRunsBulkChange(func(_ string, runs []string) {
+	st.OnRunsChange(func(_ string, runs []string) {
 		mu.Lock()
 		bulks = append(bulks, append([]string(nil), runs...))
 		mu.Unlock()
@@ -494,9 +492,6 @@ func testExactlyOneNotification(t *testing.T, open func() store.Backend) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if singles != 0 {
-		t.Fatalf("bulk import fired %d per-run notifications, want 0", singles)
-	}
 	if len(bulks) != 1 || len(bulks[0]) != 4 {
 		t.Fatalf("bulk import fired %d bulk notifications %v, want exactly one with 4 names", len(bulks), bulks)
 	}

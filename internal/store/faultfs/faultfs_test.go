@@ -13,6 +13,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/store/conformance"
 	"repro/internal/store/faultfs"
+	"repro/internal/wfrun"
 	"repro/internal/wfxml"
 )
 
@@ -246,6 +247,55 @@ func TestLedgerTornAppend(t *testing.T) {
 			if _, err := store.VerifyProof(p); err != nil {
 				t.Fatalf("proof of %s after torn-tail recovery: %v", run, err)
 			}
+		}
+	})
+}
+
+// TestLiveJournalAppendFails: a live-event batch whose journal append
+// fails part-way leaves a torn prefix on disk. The store must drop its
+// in-memory state for the run, so the next batch replays the journal
+// (truncating the fragment) instead of appending after it, and a
+// reopened store reads exactly the status the running one reports.
+func TestLiveJournalAppendFails(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
+		sp := catalog(t)
+		run, err := gen.RandomRun(sp, gen.DefaultRunParams(), rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := wfrun.Events(run)
+		if len(evs) < 12 {
+			t.Fatalf("run has %d events, want at least 12", len(evs))
+		}
+		fb := faultfs.Wrap(open())
+		st := store.OpenBackend(fb)
+		if err := st.SaveSpec(specName, sp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AppendLiveEvents(specName, "x", evs[:8]); err != nil {
+			t.Fatal(err)
+		}
+		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: ".events", N: 1, Mode: faultfs.PartialThenErr})
+		if _, err := st.AppendLiveEvents(specName, "x", evs[8:11]); !faultfs.IsInjected(err) {
+			t.Fatalf("append over a failing journal: err = %v, want the injected fault", err)
+		}
+		fb.Clear()
+		if _, err := st.AppendLiveEvents(specName, "x", evs[11:]); err != nil {
+			t.Fatal(err)
+		}
+		live, ok, err := st.LiveStatusOf(specName, "x")
+		if err != nil || !ok {
+			t.Fatalf("in-process status: ok=%v err=%v", ok, err)
+		}
+		reopened, ok, err := store.OpenBackend(fb).LiveStatusOf(specName, "x")
+		if err != nil || !ok {
+			t.Fatalf("reopened status: ok=%v err=%v", ok, err)
+		}
+		if fmt.Sprint(reopened) != fmt.Sprint(live) {
+			t.Fatalf("reopened status %+v, in-process %+v", reopened, live)
+		}
+		if live.Events < 8+len(evs[11:]) || live.Events >= len(evs) {
+			t.Fatalf("status reports %d events: want the first batch, the durable part of the failed one and the last", live.Events)
 		}
 	})
 }

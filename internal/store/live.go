@@ -1,14 +1,14 @@
 package store
 
-// Live (still-executing) runs. A live run accumulates node-status
-// events through wfrun.Live; its event log is persisted as JSON lines
-// under <spec>/live/<run>.events so an interrupted server replays
-// in-flight runs on restart. Completion promotes the run into the
+// Live (still-executing) runs. A live run accumulates validated
+// node-status events through wfrun.Live; its event log is persisted as
+// JSON lines under <spec>/live/<run>.events so an interrupted server
+// replays in-flight runs on restart. Completion derives the run once,
+// with the Derive call an XML import makes, and promotes it into the
 // regular repository through the same ImportParsed path bulk ingest
 // uses, so it gets the segment frame, ledger attestation and
-// coalesced cache notification every other run gets. The live
-// derivation produces exactly the run that parsing its XML would, so
-// the stored frame is the same one an import of that XML stores.
+// coalesced cache notification every other run gets, and the stored
+// frame is the same one an import of the run's XML stores.
 
 import (
 	"bytes"
@@ -49,12 +49,9 @@ func liveKey(specName, runName string) string {
 // (nil, nil).
 //
 // Replay is where crash debris gets repaired: a torn trailing line
-// (an append the crash cut short — unterminated, whether or not its
-// prefix happens to parse) is dropped AND truncated away, because the
-// next append would otherwise weld new bytes onto the fragment and
-// turn it into a malformed MIDDLE line that a later replay must treat
-// as corruption. A malformed line that IS newline-terminated is
-// exactly that corruption, and errors.
+// (unterminated, whether or not its prefix happens to parse) is
+// dropped and truncated away (truncateTornTail). A malformed line that
+// IS newline-terminated is corruption, and errors.
 //
 // A journal whose run is already stored is debris of a completion
 // that crashed between its commit and the journal removal: it is
@@ -85,34 +82,21 @@ func (s *Store) liveEntry(specName, runName string, create bool) (*liveRun, erro
 		return nil, nil
 	}
 	lv := wfrun.NewLive(sp)
-	if len(data) > 0 {
-		complete := data
-		var torn bool
-		if nl := bytes.LastIndexByte(data, '\n'); nl < 0 {
-			complete, torn = nil, true
-		} else if nl != len(data)-1 {
-			complete, torn = data[:nl+1], len(bytes.TrimSpace(data[nl+1:])) > 0
+	data, err = truncateTornTail(s.be, jkey, data)
+	if err != nil {
+		return nil, fmt.Errorf("store: repairing %s: %w", jkey, err)
+	}
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
 		}
-		for i, line := range bytes.Split(complete, []byte("\n")) {
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 {
-				continue
-			}
-			var ev wfrun.Event
-			if err := json.Unmarshal(line, &ev); err != nil {
-				return nil, fmt.Errorf("store: corrupt live event log %s line %d: %w", jkey, i+1, err)
-			}
-			if err := lv.Append(ev); err != nil {
-				return nil, fmt.Errorf("store: replaying %s line %d: %w", jkey, i+1, err)
-			}
+		var ev wfrun.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return nil, fmt.Errorf("store: corrupt live event log %s line %d: %w", jkey, i+1, err)
 		}
-		lv.Sync()
-		if torn {
-			// Truncate the torn trailing write back to the valid prefix so
-			// subsequent appends start on a line boundary.
-			if err := s.be.WriteFile(jkey, complete); err != nil {
-				return nil, fmt.Errorf("store: repairing %s: %w", jkey, err)
-			}
+		if err := lv.Append(ev); err != nil {
+			return nil, fmt.Errorf("store: replaying %s line %d: %w", jkey, i+1, err)
 		}
 	}
 	if missing {
@@ -167,33 +151,32 @@ func (s *Store) AppendLiveEvents(specName, runName string, evs []wfrun.Event) (L
 		return LiveStatus{}, fmt.Errorf("store: run %s/%s: %w", specName, runName, ErrDuplicateRun)
 	}
 	var buf bytes.Buffer
-	flush := func() error {
-		if buf.Len() == 0 {
-			return nil
-		}
-		return s.be.Append(e.key, buf.Bytes(), false)
-	}
+	var evErr error
 	for i, ev := range evs {
 		if err := e.lv.Append(ev); err != nil {
-			ferr := flush()
-			e.lv.Sync()
-			if ferr != nil {
-				return s.liveStatus(specName, runName, e.lv), fmt.Errorf("store: %w", ferr)
-			}
-			return s.liveStatus(specName, runName, e.lv), fmt.Errorf("store: event %d: %w", i, err)
+			evErr = fmt.Errorf("store: event %d: %w", i, err)
+			break
 		}
 		line, err := json.Marshal(ev)
 		if err != nil {
-			return s.liveStatus(specName, runName, e.lv), fmt.Errorf("store: %w", err)
+			evErr = fmt.Errorf("store: %w", err)
+			break
 		}
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	if err := flush(); err != nil {
-		return s.liveStatus(specName, runName, e.lv), fmt.Errorf("store: %w", err)
+	status := s.liveStatus(specName, runName, e.lv)
+	if buf.Len() > 0 {
+		if err := s.be.Append(e.key, buf.Bytes(), false); err != nil {
+			// The journal may hold any prefix of the batch, torn mid-line,
+			// while memory holds all of it. Drop the memory state: the
+			// next touch replays the journal, truncating the torn tail,
+			// so memory and disk agree again.
+			delete(s.live, runKey(specName, runName))
+			return LiveStatus{}, fmt.Errorf("store: %w", err)
+		}
 	}
-	e.lv.Sync()
-	return s.liveStatus(specName, runName, e.lv), nil
+	return status, evErr
 }
 
 // LiveStatusOf reports the state of one live run; ok is false when the

@@ -705,12 +705,10 @@ func (s *Store) readLedger(specName string) ([]ledger.Record, error) {
 
 // loadLedgerLocked reads the spec's ledger log, positions the append
 // cursor at its last record and returns the log — and repairs a torn
-// tail first. A crash mid-append leaves a partial final line; readers
-// tolerate it, but a subsequent append would weld new bytes onto the
-// torn fragment, merging them into one malformed MIDDLE line that
-// VerifyLedger can no longer tell from tampering. Truncating back to
-// the valid prefix before any further append keeps crash debris and
-// tampering distinguishable. A log that cannot be read or repaired, or
+// tail first (truncateTornTail). A crash mid-append leaves a partial
+// final line; readers tolerate it, but welded onto by the next append
+// it would become a malformed middle line that VerifyLedger can no
+// longer tell from tampering. A log that cannot be read or repaired, or
 // whose last record cannot be parsed, is an error naming the spec, and
 // the cursor stays unloaded: appending after it would fork the chain.
 // Caller holds st.mu.
@@ -719,11 +717,8 @@ func (s *Store) loadLedgerLocked(specName string, st *snapState) ([]byte, error)
 	if err != nil && !isNotExist(err) {
 		return nil, fmt.Errorf("store: spec %q: reading ledger: %w", specName, err)
 	}
-	if valid := bytes.LastIndexByte(data, '\n') + 1; valid < len(data) {
-		data = data[:valid]
-		if err := s.be.WriteFile(ledgerKey(specName), data); err != nil {
-			return nil, fmt.Errorf("store: spec %q: truncating torn ledger tail: %w", specName, err)
-		}
+	if data, err = truncateTornTail(s.be, ledgerKey(specName), data); err != nil {
+		return nil, fmt.Errorf("store: spec %q: truncating torn ledger tail: %w", specName, err)
 	}
 	_, last, err := ledgerTail(data, math.MaxInt64)
 	if err != nil {

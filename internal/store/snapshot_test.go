@@ -187,14 +187,13 @@ func TestDeleteRunDropsSnapshot(t *testing.T) {
 	if _, err := s.Snapshot("pa"); err != nil {
 		t.Fatal(err)
 	}
-	var single, bulk int
-	s.OnRunChange(func(spec, run string) { single++ })
-	s.OnRunsBulkChange(func(spec string, runs []string) { bulk++ })
+	var calls [][]string
+	s.OnRunsChange(func(spec string, runs []string) { calls = append(calls, runs) })
 	if err := s.DeleteRun("pa", "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if single != 1 || bulk != 0 {
-		t.Fatalf("delete fired %d single + %d bulk notifications, want 1 + 0", single, bulk)
+	if len(calls) != 1 || len(calls[0]) != 1 || calls[0][0] != "r1" {
+		t.Fatalf("delete fired notifications %v, want exactly one naming r1", calls)
 	}
 	if s.hasRun("pa", "r1") {
 		t.Fatal("deleted run still in the manifest")

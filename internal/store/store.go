@@ -53,9 +53,8 @@ type Store struct {
 	snapsMu sync.Mutex
 	snaps   map[string]*snapState // per-spec snapshot manifests
 
-	hookMu    sync.RWMutex
-	hooks     []func(specName, runName string)
-	bulkHooks []func(specName string, runNames []string)
+	hookMu sync.RWMutex
+	hooks  []func(specName string, runNames []string)
 
 	mapMu    sync.Mutex
 	mappings map[string]*evolve.SpecMapping // "a\x00b" → spec mapping
@@ -138,41 +137,23 @@ func ValidateName(name string) error {
 
 func validName(name string) error { return ValidateName(name) }
 
-// OnRunChange registers fn to be called after a run is imported,
-// overwritten or deleted, with the spec and run names. Hooks fire
-// after the store's own caches are updated, outside the store lock;
-// the HTTP service uses this to invalidate its diff-result cache.
-func (s *Store) OnRunChange(fn func(specName, runName string)) {
+// OnRunsChange registers fn to be called once per change with the spec
+// and every run it touched: a commit (SaveRun, ImportRuns, ImportParsed
+// and live-run completion) names every run it stored, DeleteRun the run
+// it removed. Hooks fire after the store's own caches are updated,
+// outside the store lock; the HTTP service uses this to invalidate its
+// diff-result cache and cohort matrices.
+func (s *Store) OnRunsChange(fn func(specName string, runNames []string)) {
 	s.hookMu.Lock()
 	s.hooks = append(s.hooks, fn)
 	s.hookMu.Unlock()
 }
 
-func (s *Store) notifyRunChange(specName, runName string) {
+func (s *Store) notifyRunsChange(specName string, runNames []string) {
 	s.hookMu.RLock()
 	hooks := s.hooks
 	s.hookMu.RUnlock()
 	for _, fn := range hooks {
-		fn(specName, runName)
-	}
-}
-
-// OnRunsBulkChange registers fn to be called once per bulk import
-// with every imported run name — the coalesced counterpart of
-// OnRunChange. A bulk import fires the bulk hooks exactly once per
-// spec and does NOT fire the per-run hooks; subscribers maintaining
-// per-run state should register both.
-func (s *Store) OnRunsBulkChange(fn func(specName string, runNames []string)) {
-	s.hookMu.Lock()
-	s.bulkHooks = append(s.bulkHooks, fn)
-	s.hookMu.Unlock()
-}
-
-func (s *Store) notifyBulkChange(specName string, runNames []string) {
-	s.hookMu.RLock()
-	bulk := s.bulkHooks
-	s.hookMu.RUnlock()
-	for _, fn := range bulk {
 		fn(specName, runNames)
 	}
 }
@@ -267,7 +248,7 @@ func (s *Store) ListSpecs() ([]string, error) {
 // what parsing its XML derives, so the run is canonicalized through
 // one XML encode and decode first: what is stored is exactly what
 // importing the exported XML would store. The commit is the one-run
-// form of ImportParsed, but fires the per-run OnRunChange hooks.
+// form of ImportParsed.
 func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 	if err := validName(specName); err != nil {
 		return err
@@ -290,11 +271,8 @@ func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.commitRuns(specName, []ParsedRun{{Name: runName, Run: canon}}); err != nil {
-		return err
-	}
-	s.notifyRunChange(specName, runName)
-	return nil
+	_, err = s.ImportParsed(specName, []ParsedRun{{Name: runName, Run: canon}})
+	return err
 }
 
 // LoadRun loads a stored run, decoding its frame against the cached
@@ -374,7 +352,7 @@ func (s *Store) DeleteRun(specName, runName string) error {
 	if err := s.dropRun(specName, runName); err != nil {
 		return err
 	}
-	s.notifyRunChange(specName, runName)
+	s.notifyRunsChange(specName, []string{runName})
 	return nil
 }
 

@@ -214,8 +214,8 @@ func TestPathTraversalNames(t *testing.T) {
 	}
 }
 
-// TestRunChangeHooks verifies OnRunChange fires on both import and
-// delete with the right names.
+// TestRunChangeHooks verifies OnRunsChange fires once on import and
+// once on delete with the right names.
 func TestRunChangeHooks(t *testing.T) {
 	s := openStore(t)
 	pa, _ := gen.Catalog("PA")
@@ -229,9 +229,11 @@ func TestRunChangeHooks(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []string
-	s.OnRunChange(func(spec, run string) {
+	s.OnRunsChange(func(spec string, runs []string) {
 		mu.Lock()
-		events = append(events, spec+"/"+run)
+		for _, run := range runs {
+			events = append(events, spec+"/"+run)
+		}
 		mu.Unlock()
 	})
 	if err := s.SaveRun("pa", "x", r); err != nil {

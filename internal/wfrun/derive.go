@@ -85,23 +85,51 @@ type span struct {
 	hasReal bool
 }
 
-// classifyEdges resolves every run edge to a specification edge or
-// marks it implicit.
-func (d *deriver) classifyEdges(edgeRef map[graph.Edge]graph.Edge) error {
-	byLabels := make(map[[2]string][]graph.Edge)
-	for _, e := range d.sp.G.Edges() {
-		k := [2]string{d.sp.G.Label(e.From), d.sp.G.Label(e.To)}
-		byLabels[k] = append(byLabels[k], e)
+// classifier is the specification side of edge classification, the
+// one rule every ingest path applies: a run edge instantiates the
+// unique specification edge carrying its (source, target) labels and,
+// when no specification edge carries them, is the implicit back edge
+// (t(L), s(L)) between two iterations of a loop L.
+type classifier struct {
+	byLabels map[[2]string][]graph.Edge
+	loopBack map[[2]string]bool
+}
+
+func newClassifier(sp *spec.Spec) *classifier {
+	c := &classifier{byLabels: make(map[[2]string][]graph.Edge), loopBack: make(map[[2]string]bool)}
+	for _, e := range sp.G.Edges() {
+		k := [2]string{sp.G.Label(e.From), sp.G.Label(e.To)}
+		c.byLabels[k] = append(c.byLabels[k], e)
 	}
-	implicitPairs := make(map[[2]string]bool)
-	d.sp.Tree.Walk(func(n *sptree.Node) bool {
+	sp.Tree.Walk(func(n *sptree.Node) bool {
 		if n.Type == sptree.L {
-			implicitPairs[[2]string{n.Dst, n.Src}] = true
+			c.loopBack[[2]string{n.Dst, n.Src}] = true
 		}
 		return true
 	})
+	return c
+}
+
+// classify resolves a run edge with the given endpoint labels to its
+// specification edge, or reports it implicit.
+func (c *classifier) classify(from, to string) (ref graph.Edge, implicit bool, err error) {
+	k := [2]string{from, to}
+	switch cands := c.byLabels[k]; {
+	case len(cands) == 1:
+		return cands[0], false, nil
+	case len(cands) > 1:
+		return ref, false, fmt.Errorf("labels (%s,%s) are ambiguous (parallel specification edges); supply a specification reference", from, to)
+	case c.loopBack[k]:
+		return ref, true, nil
+	}
+	return ref, false, fmt.Errorf("labels (%s,%s) have no specification image", from, to)
+}
+
+// classifyEdges resolves every run edge to a specification edge or
+// marks it implicit.
+func (d *deriver) classifyEdges(edgeRef map[graph.Edge]graph.Edge) error {
+	c := newClassifier(d.sp)
 	for _, e := range d.g.Edges() {
-		k := [2]string{d.g.Label(e.From), d.g.Label(e.To)}
 		if ref, ok := edgeRef[e]; ok {
 			if _, valid := d.sp.LeafIndex(ref); !valid {
 				return fmt.Errorf("wfrun: edge reference %s -> %s names an unknown specification edge", e, ref)
@@ -109,16 +137,14 @@ func (d *deriver) classifyEdges(edgeRef map[graph.Edge]graph.Edge) error {
 			d.specOf[e] = ref
 			continue
 		}
-		cands := byLabels[k]
-		switch {
-		case len(cands) == 1:
-			d.specOf[e] = cands[0]
-		case len(cands) > 1:
-			return fmt.Errorf("wfrun: run edge %s is ambiguous (parallel specification edges between %s and %s); supply an edge reference", e, k[0], k[1])
-		case implicitPairs[k]:
+		ref, implicit, err := c.classify(d.g.Label(e.From), d.g.Label(e.To))
+		if err != nil {
+			return fmt.Errorf("wfrun: run edge %s: %w", e, err)
+		}
+		if implicit {
 			d.implicit[e] = true
-		default:
-			return fmt.Errorf("wfrun: run edge %s has no specification image (%s,%s)", e, k[0], k[1])
+		} else {
+			d.specOf[e] = ref
 		}
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/spec"
-	"repro/internal/sptree"
 )
 
 // Event is one node-status observation from a still-executing run: a
@@ -32,154 +31,66 @@ type liveEdge struct {
 	implicit bool
 }
 
-// liveComponent tracks the run subgraph instantiating one top-level
-// child of the specification tree (for S-rooted specifications), or
-// the whole tree otherwise. Each component caches its derived run
-// subtree and is re-derived only when new events land inside it —
-// this is what makes live derivation incremental: an event dirties
-// exactly one component, and Complete reuses every clean subtree.
-type liveComponent struct {
-	child   *sptree.Node // specification subtree this component instantiates
-	nodeSet map[graph.NodeID]bool
-	edges   []liveEdge
-	tree    *sptree.Node // cached derived subtree, nil until first success
-	dirty   bool         // events arrived since tree was derived
-}
-
-// Live incrementally builds a run from a stream of Events. Events may
-// arrive in any order; derivation of a component is attempted
-// opportunistically and simply deferred while its subgraph is not yet
-// a flow network. Live is not safe for concurrent use.
+// Live collects a run from a stream of Events. Each event is validated
+// as it arrives; the run is derived once, by Complete, through the same
+// Derive call an XML import makes. Events may arrive in any order. Live
+// is not safe for concurrent use.
 type Live struct {
-	sp *spec.Spec
+	sp  *spec.Spec
+	cls *classifier
 
 	nodeOrder []graph.NodeID
 	labels    map[graph.NodeID]string
 	keySeq    map[[2]graph.NodeID]int
-
-	specOf   map[graph.Edge]graph.Edge
-	implicit map[graph.Edge]bool
-
-	byLabels      map[[2]string][]graph.Edge
-	implicitPairs map[[2]string][]int // loop (dst,src) label pair → component indices
-
-	comps   []liveComponent
-	leafOf  []int // specification leaf index → component index
-	counts  []int // executed instances per specification leaf
-	events  int
-	derived int // component derivations performed
-	reused  int // cached component subtrees accepted by Complete
+	edges     []liveEdge
+	counts    []int // executed instances per specification leaf
 
 	done bool
 }
 
-// NewLive starts the incremental derivation of a run of sp.
+// NewLive starts collecting a run of sp.
 func NewLive(sp *spec.Spec) *Live {
-	l := &Live{
-		sp:            sp,
-		labels:        make(map[graph.NodeID]string),
-		keySeq:        make(map[[2]graph.NodeID]int),
-		specOf:        make(map[graph.Edge]graph.Edge),
-		implicit:      make(map[graph.Edge]bool),
-		byLabels:      make(map[[2]string][]graph.Edge),
-		implicitPairs: make(map[[2]string][]int),
-	}
-	for _, e := range sp.G.Edges() {
-		k := [2]string{sp.G.Label(e.From), sp.G.Label(e.To)}
-		l.byLabels[k] = append(l.byLabels[k], e)
-	}
-	// Top-level series children partition the specification leaves into
-	// contiguous intervals; each becomes one independently derivable
-	// component. Any other root shape is a single component.
-	var children []*sptree.Node
-	if sp.Tree.Type == sptree.S {
-		children = sp.Tree.Children
-	} else {
-		children = []*sptree.Node{sp.Tree}
-	}
 	_, total := sp.Interval(sp.Tree)
-	l.leafOf = make([]int, total)
-	l.counts = make([]int, total)
-	for i, c := range children {
-		l.comps = append(l.comps, liveComponent{child: c, nodeSet: make(map[graph.NodeID]bool)})
-		lo, hi := sp.Interval(c)
-		for leaf := lo; leaf < hi; leaf++ {
-			l.leafOf[leaf] = i
-		}
+	return &Live{
+		sp:     sp,
+		cls:    newClassifier(sp),
+		labels: make(map[graph.NodeID]string),
+		keySeq: make(map[[2]graph.NodeID]int),
+		counts: make([]int, total),
 	}
-	for ci, c := range children {
-		c.Walk(func(n *sptree.Node) bool {
-			if n.Type == sptree.L {
-				k := [2]string{n.Dst, n.Src}
-				l.implicitPairs[k] = append(l.implicitPairs[k], ci)
-			}
-			return true
-		})
-	}
-	return l
 }
 
-// resolve maps an event to its specification edge (or implicit loop
-// pair) and to the component it lands in.
-func (l *Live) resolve(ev Event, fromLabel, toLabel string) (ref graph.Edge, implicit bool, comp int, err error) {
-	k := [2]string{fromLabel, toLabel}
+// resolve maps an event to its specification edge, or reports it an
+// implicit loop back edge, by the rule Derive applies; an explicit
+// specification reference must carry the event's labels.
+func (l *Live) resolve(ev Event, fromLabel, toLabel string) (ref graph.Edge, implicit bool, err error) {
 	if ev.Implicit {
-		comps, ok := l.implicitPairs[k]
-		if !ok {
-			return ref, false, 0, fmt.Errorf("wfrun: implicit event (%s,%s) matches no loop back edge", fromLabel, toLabel)
+		if _, implicit, err := l.cls.classify(fromLabel, toLabel); err != nil || !implicit {
+			return ref, false, fmt.Errorf("wfrun: implicit event (%s,%s) matches no loop back edge", fromLabel, toLabel)
 		}
-		if len(uniqueInts(comps)) > 1 {
-			return ref, false, 0, fmt.Errorf("wfrun: implicit event (%s,%s) is ambiguous across components", fromLabel, toLabel)
-		}
-		return ref, true, comps[0], nil
+		return ref, true, nil
 	}
-	if ev.SpecFrom != "" {
-		ref = graph.Edge{From: graph.NodeID(ev.SpecFrom), To: graph.NodeID(ev.SpecTo), Key: ev.SpecKey}
-		if _, ok := l.sp.LeafIndex(ref); !ok {
-			return ref, false, 0, fmt.Errorf("wfrun: event references unknown specification edge %s", ref)
+	if ev.SpecFrom == "" {
+		ref, implicit, err = l.cls.classify(fromLabel, toLabel)
+		if err != nil {
+			return ref, false, fmt.Errorf("wfrun: event %s->%s: %w", ev.From, ev.To, err)
 		}
-		// Compare labels, not node IDs: the homomorphism h preserves
-		// labels, and a specification is free to label its modules
-		// independently of its node identifiers.
-		if l.sp.G.Label(ref.From) != fromLabel || l.sp.G.Label(ref.To) != toLabel {
-			return ref, false, 0, fmt.Errorf("wfrun: event labels (%s,%s) do not match specification edge %s", fromLabel, toLabel, ref)
-		}
-	} else {
-		cands := l.byLabels[k]
-		switch {
-		case len(cands) == 1:
-			ref = cands[0]
-		case len(cands) > 1:
-			return ref, false, 0, fmt.Errorf("wfrun: event (%s,%s) is ambiguous (parallel specification edges); supply a spec reference", fromLabel, toLabel)
-		case len(l.implicitPairs[k]) > 0:
-			// Unmarked loop back edge: classify like the XML decoder does.
-			comps := uniqueInts(l.implicitPairs[k])
-			if len(comps) > 1 {
-				return ref, false, 0, fmt.Errorf("wfrun: implicit event (%s,%s) is ambiguous across components", fromLabel, toLabel)
-			}
-			return ref, true, comps[0], nil
-		default:
-			return ref, false, 0, fmt.Errorf("wfrun: event (%s,%s) has no specification image", fromLabel, toLabel)
-		}
+		return ref, implicit, nil
 	}
-	leaf, _ := l.sp.LeafIndex(ref)
-	return ref, false, l.leafOf[leaf], nil
+	ref = graph.Edge{From: graph.NodeID(ev.SpecFrom), To: graph.NodeID(ev.SpecTo), Key: ev.SpecKey}
+	if _, ok := l.sp.LeafIndex(ref); !ok {
+		return ref, false, fmt.Errorf("wfrun: event references unknown specification edge %s", ref)
+	}
+	// Compare labels, not node IDs: the homomorphism h preserves
+	// labels, and a specification is free to label its modules
+	// independently of its node identifiers.
+	if l.sp.G.Label(ref.From) != fromLabel || l.sp.G.Label(ref.To) != toLabel {
+		return ref, false, fmt.Errorf("wfrun: event labels (%s,%s) do not match specification edge %s", fromLabel, toLabel, ref)
+	}
+	return ref, false, nil
 }
 
-func uniqueInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Append validates and applies one event. On success the affected
-// component is marked dirty; nothing is re-derived until Sync or
+// Append validates and records one event. Nothing is derived until
 // Complete.
 func (l *Live) Append(ev Event) error {
 	if l.done {
@@ -196,7 +107,7 @@ func (l *Live) Append(ev Event) error {
 	if err != nil {
 		return err
 	}
-	ref, implicit, ci, err := l.resolve(ev, fromLabel, toLabel)
+	ref, implicit, err := l.resolve(ev, fromLabel, toLabel)
 	if err != nil {
 		return err
 	}
@@ -206,19 +117,11 @@ func (l *Live) Append(ev Event) error {
 	pair := [2]graph.NodeID{from, to}
 	e := graph.Edge{From: from, To: to, Key: l.keySeq[pair]}
 	l.keySeq[pair]++
-	if implicit {
-		l.implicit[e] = true
-	} else {
-		l.specOf[e] = ref
+	if !implicit {
 		leaf, _ := l.sp.LeafIndex(ref)
 		l.counts[leaf]++
 	}
-	c := &l.comps[ci]
-	c.nodeSet[from] = true
-	c.nodeSet[to] = true
-	c.edges = append(c.edges, liveEdge{e: e, ref: ref, implicit: implicit})
-	c.dirty = true
-	l.events++
+	l.edges = append(l.edges, liveEdge{e: e, ref: ref, implicit: implicit})
 	return nil
 }
 
@@ -247,25 +150,34 @@ func (l *Live) addNode(id graph.NodeID, label string) {
 
 // Events reports the number of accepted events; Nodes and Edges the
 // size of the accumulated run graph; Counts a copy of the per-leaf
-// executed-instance histogram (indexed by specification leaf index).
-func (l *Live) Events() int { return l.events }
+// executed-instance histogram (indexed by specification leaf index),
+// bucketed exactly as Run.LeafCounts buckets the completed run.
+func (l *Live) Events() int { return len(l.edges) }
 func (l *Live) Nodes() int  { return len(l.nodeOrder) }
-func (l *Live) Edges() int  { return l.events }
+func (l *Live) Edges() int  { return len(l.edges) }
 func (l *Live) Counts() []int {
 	return append([]int(nil), l.counts...)
 }
 
-// Derivations reports how many component derivations have run and how
-// many cached subtrees the final assembly reused.
-func (l *Live) Derivations() (derived, reused int) { return l.derived, l.reused }
+// Deprecated: Sync does nothing. A live run is derived once, by
+// Complete; drop the call.
+func (l *Live) Sync() {}
 
-// sortedEdges returns a component's edges in the canonical document
-// order (the EncodeRun sort), so the derived subtree never depends on
-// event arrival order and matches what a from-scratch parse produces.
-func sortedEdges(edges []liveEdge) []liveEdge {
-	out := append([]liveEdge(nil), edges...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].e, out[j].e
+// Complete finishes the run. It builds the graph wfxml.DecodeRun
+// builds from the run's XML — nodes in event arrival order, edges in
+// document order (From, To, Key) — passes the specification reference
+// of every non-implicit edge, and derives the tree with Derive, so
+// encoding the result and re-parsing it reproduces the same run
+// byte-for-byte. A run that fails to derive stays open for more events.
+func (l *Live) Complete() (*Run, error) {
+	if l.done {
+		return nil, fmt.Errorf("wfrun: run already completed")
+	}
+	if len(l.edges) == 0 {
+		return nil, fmt.Errorf("wfrun: cannot complete an empty run")
+	}
+	sort.Slice(l.edges, func(i, j int) bool {
+		a, b := l.edges[i].e, l.edges[j].e
 		if a.From != b.From {
 			return a.From < b.From
 		}
@@ -274,161 +186,25 @@ func sortedEdges(edges []liveEdge) []liveEdge {
 		}
 		return a.Key < b.Key
 	})
-	return out
-}
-
-// subgraph materializes the component's run subgraph: nodes in global
-// arrival order, edges in canonical order (keys are preserved because
-// parallel edges sort adjacent in key order and AddEdge reassigns
-// keys sequentially per endpoint pair).
-func (l *Live) subgraph(c *liveComponent) *graph.Graph {
-	g := graph.New()
-	for _, id := range l.nodeOrder {
-		if c.nodeSet[id] {
-			g.MustAddNode(id, l.labels[id])
-		}
-	}
-	for _, le := range sortedEdges(c.edges) {
-		g.MustAddEdge(le.e.From, le.e.To)
-	}
-	return g
-}
-
-// ready is a cheap completeness screen run before attempting a
-// decomposition: within the component's subgraph every node except one
-// source and one sink must have both an incoming and an outgoing edge.
-func (c *liveComponent) ready() bool {
-	if len(c.edges) == 0 {
-		return false
-	}
-	indeg := make(map[graph.NodeID]int, len(c.nodeSet))
-	outdeg := make(map[graph.NodeID]int, len(c.nodeSet))
-	for _, le := range c.edges {
-		outdeg[le.e.From]++
-		indeg[le.e.To]++
-	}
-	sources, sinks := 0, 0
-	for id := range c.nodeSet {
-		if indeg[id] == 0 {
-			sources++
-		}
-		if outdeg[id] == 0 {
-			sinks++
-		}
-	}
-	return sources == 1 && sinks == 1
-}
-
-// syncComponent derives (or re-derives) one component's run subtree.
-func (l *Live) syncComponent(c *liveComponent) error {
-	sub := l.subgraph(c)
-	canon, err := decomposeRunGraph(sub)
-	if err != nil {
-		return fmt.Errorf("wfrun: component %s..%s is not series-parallel: %w", c.child.Src, c.child.Dst, err)
-	}
-	d := &deriver{sp: l.sp, g: sub, specOf: l.specOf, implicit: l.implicit, info: make(map[*sptree.Node]span)}
-	d.scan(canon)
-	tree, err := d.derive(c.child, canon)
-	if err != nil {
-		return err
-	}
-	c.tree = tree
-	c.dirty = false
-	l.derived++
-	return nil
-}
-
-// Sync opportunistically derives every dirty component whose subgraph
-// currently forms a flow network. Components that are not yet
-// derivable stay dirty; that is the normal mid-run state and is not an
-// error. It returns how many components currently hold a subtree.
-func (l *Live) Sync() int {
-	have := 0
-	for i := range l.comps {
-		c := &l.comps[i]
-		if c.dirty && c.ready() {
-			if err := l.syncComponent(c); err != nil {
-				// Not yet derivable (e.g. a fork branch still open);
-				// keep the component dirty and try again later.
-				_ = err
-			}
-		}
-		if c.tree != nil && !c.dirty {
-			have++
-		}
-	}
-	return have
-}
-
-// Complete finishes the run: every component must be derivable, clean
-// cached subtrees are reused as-is, and the assembled tree is
-// validated against the specification exactly like a from-scratch
-// derivation. The returned Run's graph holds nodes in event arrival
-// order and edges in canonical document order, so encoding it and
-// re-parsing the XML reproduces the same run byte-for-byte.
-func (l *Live) Complete() (*Run, error) {
-	if l.done {
-		return nil, fmt.Errorf("wfrun: run already completed")
-	}
-	if l.events == 0 {
-		return nil, fmt.Errorf("wfrun: cannot complete an empty run")
-	}
-	for i := range l.comps {
-		c := &l.comps[i]
-		if c.tree != nil && !c.dirty {
-			l.reused++
-			continue
-		}
-		if len(c.edges) == 0 {
-			return nil, fmt.Errorf("wfrun: specification region %s..%s was never executed", c.child.Src, c.child.Dst)
-		}
-		if err := l.syncComponent(c); err != nil {
-			return nil, err
-		}
-	}
-
-	// Canonical full graph: nodes in arrival order, edges in document
-	// order — identical to what DecodeRun builds from the encoded XML.
 	g := graph.New()
 	for _, id := range l.nodeOrder {
 		g.MustAddNode(id, l.labels[id])
 	}
-	var all []liveEdge
-	for i := range l.comps {
-		all = append(all, l.comps[i].edges...)
-	}
-	var implicitEdges []graph.Edge
-	for _, le := range sortedEdges(all) {
+	// Parallel edges sort adjacent in key order and AddEdge assigns
+	// keys sequentially per endpoint pair, so each edge keeps its key.
+	refs := make(map[graph.Edge]graph.Edge, len(l.edges))
+	for _, le := range l.edges {
 		e := g.MustAddEdge(le.e.From, le.e.To)
-		if le.implicit {
-			implicitEdges = append(implicitEdges, e)
+		if !le.implicit {
+			refs[e] = le.ref
 		}
 	}
-	if _, _, err := g.CheckFlowNetwork(); err != nil {
-		return nil, fmt.Errorf("wfrun: %w", err)
-	}
-	if !g.IsAcyclic() {
-		return nil, fmt.Errorf("wfrun: run graph has a cycle")
-	}
-	if err := checkHomomorphism(g, l.sp); err != nil {
+	run, err := Derive(l.sp, g, refs)
+	if err != nil {
 		return nil, err
 	}
-
-	var root *sptree.Node
-	if l.sp.Tree.Type == sptree.S {
-		root = &sptree.Node{Type: sptree.S, Spec: l.sp.Tree, Src: l.sp.Tree.Src, Dst: l.sp.Tree.Dst}
-		for i := range l.comps {
-			root.Adopt(l.comps[i].tree)
-		}
-	} else {
-		root = l.comps[0].tree
-	}
-	root.Finalize()
-	if err := sptree.ValidateRunTree(root, l.sp.Tree); err != nil {
-		return nil, fmt.Errorf("wfrun: derived tree is invalid: %w", err)
-	}
 	l.done = true
-	return &Run{Spec: l.sp, Tree: root, Graph: g, ImplicitEdges: implicitEdges}, nil
+	return run, nil
 }
 
 // Events flattens a completed run back into its event stream, in the

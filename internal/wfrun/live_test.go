@@ -3,8 +3,7 @@ package wfrun_test
 // Live derivation is checked differentially: replaying a completed
 // run's event stream through Live must reproduce, byte for byte (via
 // the snapshot codec), the run a from-scratch parse of its XML
-// produces — in arrival order and under arbitrary shuffles, with
-// periodic mid-stream Syncs thrown in.
+// produces — in arrival order and under arbitrary shuffles.
 
 import (
 	"bytes"
@@ -117,13 +116,19 @@ func TestLiveMatchesFullDerivation(t *testing.T) {
 				if err := lv.Append(evs[idx]); err != nil {
 					t.Fatalf("seed %d pass %d: append %d: %v", seed, pass, i, err)
 				}
-				if i%5 == 4 {
-					lv.Sync()
-				}
 			}
+			counts := lv.Counts()
 			got, err := lv.Complete()
 			if err != nil {
 				t.Fatalf("seed %d pass %d: complete: %v", seed, pass, err)
+			}
+			// The drift monitor compares the streaming histogram with a
+			// stored run's: both must bucket instances identically.
+			if c := got.LeafCounts(); fmt.Sprint(counts) != fmt.Sprint(c) {
+				t.Fatalf("seed %d pass %d: live counts %v, completed run counts %v", seed, pass, counts, c)
+			}
+			if c := want.LeafCounts(); fmt.Sprint(counts) != fmt.Sprint(c) {
+				t.Fatalf("seed %d pass %d: live counts %v, full derivation counts %v", seed, pass, counts, c)
 			}
 			if pass == 0 {
 				// Arrival order: the exact run, edge for edge.
@@ -147,8 +152,7 @@ func TestLiveMatchesFullDerivation(t *testing.T) {
 	}
 }
 
-// chainSpec builds a→b→c→d: an S-rooted spec with three independent
-// components.
+// chainSpec builds a→b→c→d: an S-rooted spec of three edges.
 func chainSpec(t *testing.T) *spec.Spec {
 	t.Helper()
 	g := graph.New()
@@ -167,36 +171,6 @@ func chainSpec(t *testing.T) *spec.Spec {
 
 func ev(from, to string) wfrun.Event {
 	return wfrun.Event{From: from + "0", To: to + "0", FromLabel: from, ToLabel: to}
-}
-
-func TestLiveOnlyRederivesDirtyComponents(t *testing.T) {
-	sp := chainSpec(t)
-	lv := wfrun.NewLive(sp)
-	for _, e := range []wfrun.Event{ev("a", "b"), ev("b", "c")} {
-		if err := lv.Append(e); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	lv.Sync()
-	if d, _ := lv.Derivations(); d != 2 {
-		t.Fatalf("after first sync derived = %d, want 2", d)
-	}
-	// Nothing dirty: a second sync derives nothing.
-	lv.Sync()
-	if d, _ := lv.Derivations(); d != 2 {
-		t.Fatalf("idempotent sync derived = %d, want 2", d)
-	}
-	if err := lv.Append(ev("c", "d")); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if _, err := lv.Complete(); err != nil {
-		t.Fatalf("complete: %v", err)
-	}
-	// Only the third component was derived at completion; the two
-	// cached subtrees were adopted untouched.
-	if d, r := lv.Derivations(); d != 3 || r != 2 {
-		t.Fatalf("derivations = (%d derived, %d reused), want (3, 2)", d, r)
-	}
 }
 
 func TestLiveCountsAndErrors(t *testing.T) {

@@ -214,6 +214,23 @@ func (r *Run) EdgeRefs() map[graph.Edge]graph.Edge {
 	return refs
 }
 
+// LeafCounts tallies the run's executed instances per specification
+// leaf index: how many run edges instantiate each specification edge.
+// Live.Counts keeps the same histogram while a run streams in.
+func (r *Run) LeafCounts() []int {
+	_, total := r.Spec.Interval(r.Spec.Tree)
+	counts := make([]int, total)
+	r.Tree.Walk(func(n *sptree.Node) bool {
+		if n.Type == sptree.Q && n.Spec != nil {
+			if i, ok := r.Spec.LeafIndex(n.Spec.Edge); ok {
+				counts[i]++
+			}
+		}
+		return true
+	})
+	return counts
+}
+
 // NumEdges returns the total number of edges of the run graph,
 // including implicit loop edges (the size measure used throughout the
 // paper's evaluation).
