@@ -77,7 +77,7 @@ func run(args []string) (code int) {
 		fs.Usage()
 		return 2
 	}
-	model, err := cli.ParseCost(*costName)
+	model, err := cost.Parse(*costName)
 	if err != nil {
 		fatal(err)
 	}

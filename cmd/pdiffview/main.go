@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/cli"
+	"repro/internal/cost"
 	"repro/internal/view"
 )
 
@@ -31,7 +32,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	model, err := cli.ParseCost(*costName)
+	model, err := cost.Parse(*costName)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 //
 //	provserved -dir DIR [-addr :8077] [-cache 512] [-demo N] [-seed S] [-preload=true]
 //	           [-backend fs|memory]
-//	           [-index-threshold N] [-landmarks M]
+//	           [-index-threshold N]
 //	           [-ingest-queue 1024] [-ingest-batch 64] [-ingest-maxwait 0]
 //	           [-timing-log FILE]
 //
@@ -17,6 +17,11 @@
 // -ingest-batch caps runs per commit, and -ingest-maxwait adds an
 // optional linger window for batching under bursty async load (0
 // commits as soon as the queue drains).
+//
+// -index-threshold is the cohort size at which the analytics routes
+// answer from the metric index instead of a dense distance matrix (0
+// means 256, negative keeps every cohort dense); the index always uses
+// its default landmark count.
 //
 // -backend selects the storage engine: a local directory tree under
 // DIR, or an in-memory store for ephemeral demos. Any other value, or
@@ -64,7 +69,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed for -demo run generation")
 		preload = flag.Bool("preload", true, "warm parsed-run and cohort-matrix caches from snapshots at boot")
 		indexTh = flag.Int("index-threshold", 0, "cohort size at which analytics switch to the metric index (0 = default, negative disables)")
-		marks   = flag.Int("landmarks", 0, "metric-index landmark count (0 = default)")
 		inQueue = flag.Int("ingest-queue", 0, "group-commit ingest queue depth (0 = default 1024); full queue answers 429")
 		inBatch = flag.Int("ingest-batch", 0, "max runs per ingest group-commit (0 = default 64)")
 		inWait  = flag.Duration("ingest-maxwait", 0, "ingest batcher linger window (0 commits as soon as the queue drains)")
@@ -87,7 +91,6 @@ func main() {
 	opts := server.Options{
 		CacheSize:      *cache,
 		IndexThreshold: *indexTh,
-		Landmarks:      *marks,
 		IngestQueue:    *inQueue,
 		IngestBatch:    *inBatch,
 		IngestMaxWait:  *inWait,

@@ -40,10 +40,13 @@
 // "outliers" and "nearest" are the cohort analytics over the same
 // cohort: k-medoids partitioning (each cluster reported through its
 // medoid, the most representative execution), knn-distance outlier
-// scores, and nearest-neighbor lookup for one run. Cohorts of 256+
-// runs answer through the triangle-pruning metric index instead of
-// the dense O(n²) matrix (sampled k-medoids for cluster); -indexed
-// and -exact force either path.
+// scores, and nearest-neighbor lookup for one run. All three load the
+// cohort into one analysis.HybridCohort and ask its view, which makes
+// the same dense-or-indexed choice as provserved: cohorts of 256+ runs
+// answer through the triangle-pruning metric index instead of the
+// dense O(n²) matrix (sampled k-medoids for cluster, no mean-all
+// column for outliers, plus an "index:" tally line); -indexed and
+// -exact force either path.
 //
 // provstore is the one-shot CLI over the repository; its serving
 // counterpart is provserved, which keeps the same repository open
@@ -61,10 +64,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cli"
-	"repro/internal/cluster"
+	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/metricindex"
 	"repro/internal/store"
 	"repro/internal/view"
 	"repro/internal/wfrun"
@@ -433,7 +435,7 @@ func diff(st *store.Store, args []string) {
 	if err := fs.Parse(args[3:]); err != nil {
 		fatal(err)
 	}
-	model, err := cli.ParseCost(*costName)
+	model, err := cost.Parse(*costName)
 	if err != nil {
 		fatal(err)
 	}
@@ -487,7 +489,7 @@ func matrix(st *store.Store, args []string) {
 	if err := fs.Parse(args[1:]); err != nil {
 		fatal(err)
 	}
-	model, err := cli.ParseCost(*costName)
+	model, err := cost.Parse(*costName)
 	if err != nil {
 		fatal(err)
 	}
@@ -509,10 +511,23 @@ func matrix(st *store.Store, args []string) {
 	fmt.Fprint(stdout, mx.Cluster().Render())
 }
 
-// cohortMatrix computes the distance matrix over all stored runs,
-// shared by the analytics subcommands.
-func cohortMatrix(st *store.Store, specName, costName string, minRuns int) *analysis.Matrix {
-	model, err := cli.ParseCost(costName)
+// cohortFlags registers the flags cluster, outliers and nearest share.
+func cohortFlags(fs *flag.FlagSet) (costName *string, indexed, exact *bool) {
+	return fs.String("cost", "unit", "cost model"),
+		fs.Bool("indexed", false, "force the metric-index path"),
+		fs.Bool("exact", false, "force the dense-matrix path")
+}
+
+// analyticsCohort is the one loader behind cluster, outliers and
+// nearest: every stored run of the spec goes into a one-shot
+// HybridCohort, which picks the dense matrix or the metric index by
+// cohort size, as the server does, unless -exact or -indexed forces
+// one. The view's query methods then make the matching call.
+func analyticsCohort(st *store.Store, specName, costName string, indexed, exact bool) (*analysis.HybridCohort, *analysis.CohortView) {
+	if indexed && exact {
+		fatal(fmt.Errorf("-indexed and -exact are mutually exclusive"))
+	}
+	model, err := cost.Parse(costName)
 	if err != nil {
 		fatal(err)
 	}
@@ -520,23 +535,34 @@ func cohortMatrix(st *store.Store, specName, costName string, minRuns int) *anal
 	if err != nil {
 		fatal(err)
 	}
-	if len(names) < minRuns {
-		fatal(fmt.Errorf("need at least %d stored runs, have %d", minRuns, len(names)))
+	if len(names) < 2 {
+		fatal(fmt.Errorf("need at least 2 stored runs, have %d", len(names)))
 	}
-	mx, err := st.Cohort(specName, names, model)
-	if err != nil {
+	runs := make([]*wfrun.Run, len(names))
+	for i, n := range names {
+		if runs[i], err = st.LoadRun(specName, n); err != nil {
+			fatal(err)
+		}
+	}
+	var opts analysis.HybridOptions
+	switch {
+	case exact:
+		opts.IndexThreshold = -1
+	case indexed:
+		opts.IndexThreshold = 1
+	}
+	hc := analysis.NewHybridCohort(model, 0, opts)
+	if err := hc.Reset(names, runs, analysis.Options{}); err != nil {
 		fatal(err)
 	}
-	return mx
+	return hc, hc.View()
 }
 
 func clusterCmd(st *store.Store, args []string) {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	costName := fs.String("cost", "unit", "cost model")
+	costName, indexed, exact := cohortFlags(fs)
 	k := fs.Int("k", 2, "number of clusters")
 	seed := fs.Int64("seed", 1, "initialization seed")
-	indexed := fs.Bool("indexed", false, "force the metric-index (sampled k-medoids) path")
-	exact := fs.Bool("exact", false, "force the dense-matrix (full PAM) path")
 	if len(args) < 1 {
 		fatal(fmt.Errorf("cluster SPEC [flags]"))
 	}
@@ -546,50 +572,35 @@ func clusterCmd(st *store.Store, args []string) {
 	if err := cli.ValidateK("k", *k); err != nil {
 		fatal(err)
 	}
-	if useIndexedCohort(st, args[0], *indexed, *exact) {
-		ix := cohortIndex(st, args[0], *costName, 2)
-		co := ix.Snapshot()
-		cl, err := cluster.SampledKMedoids(context.Background(), co, *k, *seed, cluster.SampleOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(stdout, "sampled k-medoids over %d runs (k=%d, total distance %g):\n",
-			co.Len(), cl.K, cl.Cost)
-		printClusters(cl, co.Labels())
-		printIndexStats(ix)
-		return
-	}
-	mx := cohortMatrix(st, args[0], *costName, 2)
-	cl, err := cluster.KMedoids(mx.D, *k, *seed)
+	hc, v := analyticsCohort(st, args[0], *costName, *indexed, *exact)
+	cl, err := v.Cluster(context.Background(), *k, *seed)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(stdout, "k-medoids over %d runs (k=%d, total distance %g, silhouette %.3f):\n",
-		len(mx.Labels), cl.K, cl.Cost, cl.Silhouette)
-	printClusters(cl, mx.Labels)
-}
-
-// printClusters renders a clustering with one indented block per
-// cluster, medoids starred.
-func printClusters(cl *cluster.Clustering, labels []string) {
+	if v.Indexed() {
+		fmt.Fprintf(stdout, "sampled k-medoids over %d runs (k=%d, total distance %g):\n",
+			v.Len(), cl.K, cl.Cost)
+	} else {
+		fmt.Fprintf(stdout, "k-medoids over %d runs (k=%d, total distance %g, silhouette %.3f):\n",
+			v.Len(), cl.K, cl.Cost, cl.Silhouette)
+	}
 	for c := 0; c < cl.K; c++ {
-		fmt.Fprintf(stdout, "  cluster %d  medoid %s\n", c, labels[cl.Medoids[c]])
+		fmt.Fprintf(stdout, "  cluster %d  medoid %s\n", c, v.Label(cl.Medoids[c]))
 		for _, i := range cl.Members(c) {
 			marker := " "
 			if i == cl.Medoids[c] {
 				marker = "*"
 			}
-			fmt.Fprintf(stdout, "    %s %s\n", marker, labels[i])
+			fmt.Fprintf(stdout, "    %s %s\n", marker, v.Label(i))
 		}
 	}
+	printIndexStats(hc, v)
 }
 
 func outliersCmd(st *store.Store, args []string) {
 	fs := flag.NewFlagSet("outliers", flag.ContinueOnError)
-	costName := fs.String("cost", "unit", "cost model")
+	costName, indexed, exact := cohortFlags(fs)
 	k := fs.Int("k", 3, "neighbors per score")
-	indexed := fs.Bool("indexed", false, "force the metric-index path")
-	exact := fs.Bool("exact", false, "force the dense-matrix path")
 	if len(args) < 1 {
 		fatal(fmt.Errorf("outliers SPEC [flags]"))
 	}
@@ -599,37 +610,32 @@ func outliersCmd(st *store.Store, args []string) {
 	if err := cli.ValidateK("k", *k); err != nil {
 		fatal(err)
 	}
-	if useIndexedCohort(st, args[0], *indexed, *exact) {
-		ix := cohortIndex(st, args[0], *costName, 2)
-		co := ix.Snapshot()
-		scores, err := cluster.IndexedOutliers(co, *k)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(stdout, "%-20s %10s\n", "run", "knn-score")
-		for _, s := range scores {
-			fmt.Fprintf(stdout, "%-20s %10.3f\n", co.Label(s.Index), s.Score)
-		}
-		printIndexStats(ix)
-		return
-	}
-	mx := cohortMatrix(st, args[0], *costName, 2)
-	scores, err := cluster.Outliers(mx.D, *k)
+	hc, v := analyticsCohort(st, args[0], *costName, *indexed, *exact)
+	scores, err := v.Outliers(*k)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(stdout, "%-20s %10s %10s\n", "run", "knn-score", "mean-all")
-	for _, s := range scores {
-		fmt.Fprintf(stdout, "%-20s %10.3f %10.3f\n", mx.Labels[s.Index], s.Score, s.MeanAll)
+	// An indexed cohort leaves mean-all out: it would need every
+	// pairwise diff.
+	if v.Indexed() {
+		fmt.Fprintf(stdout, "%-20s %10s\n", "run", "knn-score")
+	} else {
+		fmt.Fprintf(stdout, "%-20s %10s %10s\n", "run", "knn-score", "mean-all")
 	}
+	for _, s := range scores {
+		fmt.Fprintf(stdout, "%-20s %10.3f", v.Label(s.Index), s.Score)
+		if !v.Indexed() {
+			fmt.Fprintf(stdout, " %10.3f", s.MeanAll)
+		}
+		fmt.Fprintln(stdout)
+	}
+	printIndexStats(hc, v)
 }
 
 func nearestCmd(st *store.Store, args []string) {
 	fs := flag.NewFlagSet("nearest", flag.ContinueOnError)
-	costName := fs.String("cost", "unit", "cost model")
+	costName, indexed, exact := cohortFlags(fs)
 	k := fs.Int("k", 5, "neighbors to report")
-	indexed := fs.Bool("indexed", false, "force the metric-index path")
-	exact := fs.Bool("exact", false, "force the dense-matrix path")
 	if len(args) < 2 {
 		fatal(fmt.Errorf("nearest SPEC RUN [flags]"))
 	}
@@ -639,100 +645,31 @@ func nearestCmd(st *store.Store, args []string) {
 	if err := cli.ValidateK("k", *k); err != nil {
 		fatal(err)
 	}
-	if useIndexedCohort(st, args[0], *indexed, *exact) {
-		ix := cohortIndex(st, args[0], *costName, 2)
-		co := ix.Snapshot()
-		idx, ok := co.IndexOf(args[1])
-		if !ok {
-			fatal(fmt.Errorf("unknown run %q of %q", args[1], args[0]))
-		}
-		nn, err := cluster.IndexedNearest(co, idx, *k)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(stdout, "nearest neighbors of %s/%s:\n", args[0], args[1])
-		for _, n := range nn {
-			fmt.Fprintf(stdout, "  %-20s %g\n", co.Label(n.Index), n.Distance)
-		}
-		printIndexStats(ix)
-		return
-	}
-	mx := cohortMatrix(st, args[0], *costName, 2)
-	idx := -1
-	for i, l := range mx.Labels {
-		if l == args[1] {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	hc, v := analyticsCohort(st, args[0], *costName, *indexed, *exact)
+	idx, ok := v.IndexOf(args[1])
+	if !ok {
 		fatal(fmt.Errorf("unknown run %q of %q", args[1], args[0]))
 	}
-	nn, err := cluster.Nearest(mx.D, idx, *k)
+	nn, err := v.Nearest(idx, *k)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(stdout, "nearest neighbors of %s/%s:\n", args[0], args[1])
 	for _, n := range nn {
-		fmt.Fprintf(stdout, "  %-20s %g\n", mx.Labels[n.Index], n.Distance)
+		fmt.Fprintf(stdout, "  %-20s %g\n", v.Label(n.Index), n.Distance)
 	}
+	printIndexStats(hc, v)
 }
 
-// useIndexedCohort decides the analytics path: explicit -indexed or
-// -exact wins, otherwise cohorts at or past the server's default index
-// threshold go through the metric index.
-func useIndexedCohort(st *store.Store, specName string, indexed, exact bool) bool {
-	if indexed && exact {
-		fatal(fmt.Errorf("-indexed and -exact are mutually exclusive"))
-	}
-	if indexed {
-		return true
-	}
-	if exact {
-		return false
-	}
-	names, err := st.ListRuns(specName)
-	if err != nil {
-		fatal(err)
-	}
-	return len(names) >= analysis.DefaultIndexThreshold
-}
-
-// cohortIndex builds a one-shot metric index over all stored runs of a
-// specification: m·n diffs instead of the dense matrix's n(n-1)/2.
-func cohortIndex(st *store.Store, specName, costName string, minRuns int) *metricindex.Index {
-	model, err := cli.ParseCost(costName)
-	if err != nil {
-		fatal(err)
-	}
-	names, err := st.ListRuns(specName)
-	if err != nil {
-		fatal(err)
-	}
-	if len(names) < minRuns {
-		fatal(fmt.Errorf("need at least %d stored runs, have %d", minRuns, len(names)))
-	}
-	runs := make([]*wfrun.Run, len(names))
-	for i, n := range names {
-		if runs[i], err = st.LoadRun(specName, n); err != nil {
-			fatal(err)
-		}
-	}
-	ix := metricindex.New(model, metricindex.Options{})
-	if err := ix.Reset(names, runs); err != nil {
-		fatal(err)
-	}
-	return ix
-}
-
-// printIndexStats reports how much exact differencing the index
-// avoided, mirroring the server's /v1/stats metric_index counters.
-func printIndexStats(ix *metricindex.Index) {
-	exact, pruned := ix.ExactDiffs(), ix.PrunedPairs()
+// printIndexStats reports, for an indexed cohort, how much exact
+// differencing the index avoided, mirroring the server's /v1/stats
+// metric_index counters.
+func printIndexStats(hc *analysis.HybridCohort, v *analysis.CohortView) {
+	exact, pruned := hc.DiffCalls(), hc.PrunedPairs()
 	total := exact + pruned
-	if total == 0 {
+	if !v.Indexed() || total == 0 {
 		return
 	}
 	fmt.Fprintf(stdout, "index: %d exact diffs, %d pruned (%.1f%% of %d candidate pairs), %d landmarks\n",
-		exact, pruned, 100*float64(pruned)/float64(total), total, ix.Landmarks())
+		exact, pruned, 100*float64(pruned)/float64(total), total, v.Index.Landmarks())
 }

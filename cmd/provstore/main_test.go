@@ -199,51 +199,142 @@ func TestCLIErrorPaths(t *testing.T) {
 	}
 }
 
-// TestAnalyticsSubcommands drives the cohort analytics verbs — matrix,
-// cluster, outliers, nearest — over one repository, through both the
-// dense-matrix and metric-index paths, after a bulk import-dir.
-func TestAnalyticsSubcommands(t *testing.T) {
+// Pinned stdout of the analytics verbs over the 4-run fixture cohort:
+// the dense-matrix answers (full PAM with silhouette, knn scores with
+// mean-all) and the metric-index answers (sampled k-medoids, knn
+// scores alone, and the index tally line).
+const (
+	clusterDense = `k-medoids over 4 runs (k=2, total distance 6, silhouette 0.723):
+  cluster 0  medoid r0
+    * r0
+  cluster 1  medoid r2
+      r1
+    * r2
+      r3
+`
+	outliersDense = `run                   knn-score   mean-all
+r0                       11.500     12.333
+r1                        3.500      7.000
+r3                        3.500      5.667
+r2                        3.000      6.333
+`
+	nearestDense = `nearest neighbors of pa/r0:
+  r3                   10
+  r2                   13
+`
+	clusterIndexed = `sampled k-medoids over 4 runs (k=2, total distance 6):
+  cluster 0  medoid r0
+    * r0
+  cluster 1  medoid r2
+      r1
+    * r2
+      r3
+index: 22 exact diffs, 8 pruned (26.7% of 30 candidate pairs), 4 landmarks
+`
+	outliersIndexed = `run                   knn-score
+r0                       11.500
+r1                        3.500
+r3                        3.500
+r2                        3.000
+index: 24 exact diffs, 4 pruned (14.3% of 28 candidate pairs), 4 landmarks
+`
+	nearestIndexed = `nearest neighbors of pa/r0:
+  r3                   10
+  r2                   13
+index: 18 exact diffs, 1 pruned (5.3% of 19 candidate pairs), 4 landmarks
+`
+)
+
+// analyticsArgs are the cluster, outliers and nearest invocations the
+// analytics tests compare, on a repository holding spec "pa" and run r0.
+var analyticsArgs = [][]string{
+	{"cluster", "pa", "-k", "2", "-seed", "3"},
+	{"outliers", "pa", "-k", "2"},
+	{"nearest", "pa", "r0", "-k", "2"},
+}
+
+// importCohort stores the PA spec and n generated runs in a fresh
+// repository through import-dir and returns the repository directory.
+func importCohort(t *testing.T, n int) string {
+	t.Helper()
 	repo := t.TempDir()
 	fixdir := t.TempDir()
-	specPath, _ := writeFixtures(t, fixdir, 4)
+	specPath, _ := writeFixtures(t, fixdir, n)
 	if code, _, errOut := runCLI(t, "-dir", repo, "import-spec", "pa", specPath); code != 0 {
 		t.Fatalf("import-spec: %q", errOut)
 	}
 	// import-dir picks up every run XML in the directory (skipping
 	// spec.xml) in sorted order.
 	code, out, errOut := runCLI(t, "-dir", repo, "import-dir", "pa", fixdir)
-	if code != 0 || !strings.Contains(out, "imported 4 runs into pa") {
+	if code != 0 || !strings.Contains(out, fmt.Sprintf("imported %d runs into pa", n)) {
 		t.Fatalf("import-dir: code %d out %q err %q", code, out, errOut)
 	}
+	return repo
+}
 
-	code, out, errOut = runCLI(t, "-dir", repo, "matrix", "pa")
+// TestAnalyticsSubcommands drives the cohort analytics verbs — matrix,
+// cluster, outliers, nearest — over one repository, through the
+// default path (dense at this size), -exact and -indexed, comparing
+// the full output.
+func TestAnalyticsSubcommands(t *testing.T) {
+	repo := importCohort(t, 4)
+
+	code, out, errOut := runCLI(t, "-dir", repo, "matrix", "pa")
 	if code != 0 || !strings.Contains(out, "medoid:") || !strings.Contains(out, "clustering:") {
 		t.Fatalf("matrix: code %d out %q err %q", code, out, errOut)
 	}
 
-	for _, path := range []string{"-exact", "-indexed"} {
-		code, out, errOut = runCLI(t, "-dir", repo, "cluster", "pa", "-k", "2", "-seed", "3", path)
-		if code != 0 || !strings.Contains(out, "medoid") {
-			t.Fatalf("cluster %s: code %d out %q err %q", path, code, out, errOut)
-		}
-		code, out, errOut = runCLI(t, "-dir", repo, "outliers", "pa", "-k", "2", path)
-		if code != 0 || !strings.Contains(out, "knn-score") {
-			t.Fatalf("outliers %s: code %d out %q err %q", path, code, out, errOut)
-		}
-		code, out, errOut = runCLI(t, "-dir", repo, "nearest", "pa", "r0", "-k", "2", path)
-		if code != 0 || !strings.Contains(out, "nearest neighbors of pa/r0") {
-			t.Fatalf("nearest %s: code %d out %q err %q", path, code, out, errOut)
+	dense := []string{clusterDense, outliersDense, nearestDense}
+	indexed := []string{clusterIndexed, outliersIndexed, nearestIndexed}
+	for _, tc := range []struct {
+		flags []string
+		want  []string
+	}{
+		{nil, dense},
+		{[]string{"-exact"}, dense},
+		{[]string{"-indexed"}, indexed},
+	} {
+		for i, args := range analyticsArgs {
+			args = append(append([]string{"-dir", repo}, args...), tc.flags...)
+			code, out, errOut := runCLI(t, args...)
+			if code != 0 || out != tc.want[i] || errOut != "" {
+				t.Errorf("%v: code %d err %q\ngot:\n%s\nwant:\n%s", args[2:], code, errOut, out, tc.want[i])
+			}
 		}
 	}
 	// -indexed and -exact together is a usage error.
-	if code, _, errOut := runCLI(t, "-dir", repo, "cluster", "pa", "-indexed", "-exact"); code != 1 ||
-		!strings.Contains(errOut, "mutually exclusive") {
-		t.Fatalf("indexed+exact: code %d err %q", code, errOut)
+	if code, out, errOut := runCLI(t, "-dir", repo, "cluster", "pa", "-indexed", "-exact"); code != 1 || out != "" ||
+		errOut != "provstore: -indexed and -exact are mutually exclusive\n" {
+		t.Fatalf("indexed+exact: code %d out %q err %q", code, out, errOut)
 	}
-	// nearest for a run that does not exist names the run.
-	if code, _, errOut := runCLI(t, "-dir", repo, "nearest", "pa", "zz"); code != 1 ||
-		!strings.Contains(errOut, "zz") {
-		t.Fatalf("nearest unknown: code %d err %q", code, errOut)
+	// nearest for a run that does not exist names the run, on every path.
+	for _, flags := range [][]string{nil, {"-exact"}, {"-indexed"}} {
+		args := append([]string{"-dir", repo, "nearest", "pa", "zz"}, flags...)
+		if code, out, errOut := runCLI(t, args...); code != 1 || out != "" ||
+			errOut != "provstore: unknown run \"zz\" of \"pa\"\n" {
+			t.Fatalf("nearest unknown %v: code %d out %q err %q", flags, code, out, errOut)
+		}
+	}
+}
+
+// TestAnalyticsDefaultIndexesAtThreshold: a cohort of 256 runs, the
+// hybrid cohort's default index threshold, answers through the metric
+// index without a flag, so the default output equals -indexed.
+func TestAnalyticsDefaultIndexesAtThreshold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("imports and indexes 256 runs")
+	}
+	repo := importCohort(t, 256)
+	for _, args := range analyticsArgs {
+		args = append([]string{"-dir", repo}, args...)
+		code, def, errOut := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: code %d err %q", args[2:], code, errOut)
+		}
+		_, idx, _ := runCLI(t, append(args, "-indexed")...)
+		if def != idx {
+			t.Errorf("%v: default output differs from -indexed\ndefault:\n%s\n-indexed:\n%s", args[2:], def, idx)
+		}
 	}
 }
 

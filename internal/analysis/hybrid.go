@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"context"
+
+	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/metricindex"
 	"repro/internal/wfrun"
@@ -20,9 +23,6 @@ type HybridOptions struct {
 	// replaced by the metric index: 0 means DefaultIndexThreshold,
 	// negative disables indexing entirely (always dense).
 	IndexThreshold int
-	// Landmarks is the metric index's landmark count; <= 0 means
-	// metricindex.DefaultLandmarks.
-	Landmarks int
 }
 
 // HybridCohort maintains one cohort under the CohortMatrix discipline
@@ -36,13 +36,12 @@ type HybridOptions struct {
 //
 // Unlike CohortMatrix, reads block while a mutation is in flight (the
 // representation pointer itself is what mutations replace); the
-// published views handed out by View/Snapshot remain immutable and
+// published views handed out by View remain immutable and
 // survive any later mutation.
 type HybridCohort struct {
 	model     cost.Model
 	workers   int
 	threshold int // <= 0: indexing disabled
-	landmarks int
 
 	mu sync.RWMutex
 	cm *CohortMatrix // exactly one of cm/ix is non-nil
@@ -67,7 +66,6 @@ func NewHybridCohort(m cost.Model, workers int, opts HybridOptions) *HybridCohor
 		model:     m,
 		workers:   workers,
 		threshold: th,
-		landmarks: opts.Landmarks,
 		cm:        NewCohortMatrix(m, workers),
 	}
 }
@@ -77,7 +75,7 @@ func (hc *HybridCohort) indexEligible(n int) bool {
 }
 
 func (hc *HybridCohort) newIndex() *metricindex.Index {
-	return metricindex.New(hc.model, metricindex.Options{Landmarks: hc.landmarks, Workers: hc.workers})
+	return metricindex.New(hc.model, metricindex.Options{Workers: hc.workers})
 }
 
 // retireCM and retireIX fold a representation's counters into the
@@ -188,19 +186,6 @@ func (hc *HybridCohort) Rebuilds() int64 {
 	return n
 }
 
-// Snapshot returns a deep copy of the dense matrix, or nil when the
-// cohort is empty or currently indexed. Callers that must have a
-// matrix at any size (the ?exact= escape hatch) should compute a
-// one-shot DistanceMatrixWith instead.
-func (hc *HybridCohort) Snapshot() *Matrix {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	if hc.cm == nil {
-		return nil
-	}
-	return hc.cm.Snapshot()
-}
-
 // CohortView is the representation-agnostic result of View: exactly
 // one of Matrix (dense) and Index (metric index) is non-nil for a
 // non-empty cohort. Both variants are immutable. Build a dense view
@@ -256,6 +241,64 @@ func (v *CohortView) IndexOf(name string) (int, bool) {
 
 // Indexed reports whether the view is index-backed.
 func (v *CohortView) Indexed() bool { return v != nil && v.Index != nil }
+
+// The cohort queries below are the one place a query picks between
+// the dense internal/cluster function and its metric-index twin. The
+// indexed nearest and outlier answers are byte-identical to the dense
+// ones, apart from OutlierScore.MeanAll, which stays 0; clustering an
+// indexed view runs sampled k-medoids, whose Silhouette is 0. An
+// empty view answers with the dense functions' empty-matrix error.
+
+// dist returns the dense distances, nil for an empty view.
+func (v *CohortView) dist() [][]float64 {
+	if v.Matrix == nil {
+		return nil
+	}
+	return v.Matrix.D
+}
+
+// Nearest returns the k runs closest to run i, nearest first.
+func (v *CohortView) Nearest(i, k int) ([]cluster.Neighbor, error) {
+	if v.Index != nil {
+		return cluster.IndexedNearest(v.Index, i, k)
+	}
+	return cluster.Nearest(v.dist(), i, k)
+}
+
+// Outliers scores every run by its mean distance to its k nearest
+// neighbors, most anomalous first.
+func (v *CohortView) Outliers(k int) ([]cluster.OutlierScore, error) {
+	if v.Index != nil {
+		return cluster.IndexedOutliers(v.Index, k)
+	}
+	return cluster.Outliers(v.dist(), k)
+}
+
+// Cluster partitions the cohort into k clusters: full PAM over a dense
+// view, sampled k-medoids over an indexed one.
+func (v *CohortView) Cluster(ctx context.Context, k int, seed int64) (*cluster.Clustering, error) {
+	if v.Index != nil {
+		return cluster.SampledKMedoids(ctx, v.Index, k, seed, cluster.SampleOptions{})
+	}
+	return cluster.KMedoidsContext(ctx, v.dist(), k, seed)
+}
+
+// Medoid returns the position of the cohort's most typical run: the
+// exact medoid of a dense view, the sampled 1-medoid of an indexed
+// one. ok is false when the view is empty.
+func (v *CohortView) Medoid(ctx context.Context) (i int, ok bool, err error) {
+	switch {
+	case v.Len() == 0:
+		return 0, false, nil
+	case v.Index != nil:
+		cl, err := v.Cluster(ctx, 1, 1)
+		if err != nil {
+			return 0, false, err
+		}
+		return cl.Medoids[0], true, nil
+	}
+	return v.Matrix.Medoid(), true, nil
+}
 
 // View returns an immutable view of the cohort in its current
 // representation (a CohortView with both fields nil when empty).

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,7 +37,7 @@ func hybridRuns(t testing.TB, n int) ([]string, []*wfrun.Run) {
 // dense matrix, and the cumulative counters survive both switches.
 func TestHybridSwitchesUpAndDown(t *testing.T) {
 	names, runs := hybridRuns(t, 10)
-	hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: 6, Landmarks: 2})
+	hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: 6})
 	for i := 0; i < 5; i++ {
 		if err := hc.Add(names[i], runs[i]); err != nil {
 			t.Fatal(err)
@@ -66,8 +67,8 @@ func TestHybridSwitchesUpAndDown(t *testing.T) {
 	if v := hc.View(); !v.Indexed() || v.Len() != 6 || v.Index == nil {
 		t.Fatalf("indexed view: %+v", v)
 	}
-	if hc.Snapshot() != nil {
-		t.Fatal("indexed cohort should have no dense Snapshot")
+	if hc.View().Matrix != nil {
+		t.Fatal("indexed cohort should have no dense matrix")
 	}
 	for i := 6; i < 10; i++ {
 		if err := hc.Add(names[i], runs[i]); err != nil {
@@ -115,7 +116,7 @@ func TestHybridSwitchesUpAndDown(t *testing.T) {
 // distances identical to a dense matrix of the same cohort.
 func TestHybridViewMatchesDense(t *testing.T) {
 	names, runs := hybridRuns(t, 8)
-	hc := NewHybridCohort(cost.Length{}, 2, HybridOptions{IndexThreshold: 4, Landmarks: 2})
+	hc := NewHybridCohort(cost.Length{}, 2, HybridOptions{IndexThreshold: 4})
 	if err := hc.Reset(names, runs, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +193,31 @@ func TestHybridDisabledNeverIndexes(t *testing.T) {
 }
 
 // TestHybridVersionAndEmptyView: an empty cohort views as an empty
-// CohortView, and Add then Remove leaves it empty again.
+// CohortView with no medoid and an error for every query, and Add then
+// Remove leaves it empty again.
 func TestHybridVersionAndEmptyView(t *testing.T) {
 	names, runs := hybridRuns(t, 2)
 	hc := NewHybridCohort(cost.Unit{}, 1, HybridOptions{})
-	if v := hc.View(); v.Len() != 0 || v.Matrix != nil || v.Index != nil {
-		t.Fatalf("empty view: %+v", v)
+	checkEmpty := func() {
+		t.Helper()
+		v := hc.View()
+		if v.Len() != 0 || v.Matrix != nil || v.Index != nil {
+			t.Fatalf("empty view: %+v", v)
+		}
+		if _, ok, err := v.Medoid(context.Background()); ok || err != nil {
+			t.Fatalf("empty view Medoid: ok=%v err=%v", ok, err)
+		}
+		if _, err := v.Nearest(0, 1); err == nil {
+			t.Fatal("empty view Nearest succeeded")
+		}
+		if _, err := v.Outliers(1); err == nil {
+			t.Fatal("empty view Outliers succeeded")
+		}
+		if _, err := v.Cluster(context.Background(), 1, 1); err == nil {
+			t.Fatal("empty view Cluster succeeded")
+		}
 	}
+	checkEmpty()
 	if err := hc.Add(names[0], runs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -207,5 +226,65 @@ func TestHybridVersionAndEmptyView(t *testing.T) {
 	}
 	if hc.Has(names[0]) || hc.Len() != 0 {
 		t.Fatalf("empty again: has=%v len=%d", hc.Has(names[0]), hc.Len())
+	}
+	checkEmpty()
+}
+
+// TestCohortViewQueries: over the same cohort, a dense and an indexed
+// view answer Nearest and Outliers identically (the indexed outlier
+// scores omit MeanAll), and both Cluster and Medoid name a member.
+func TestCohortViewQueries(t *testing.T) {
+	names, runs := hybridRuns(t, 8)
+	views := make([]*CohortView, 2)
+	for i, th := range []int{-1, 1} {
+		hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: th})
+		if err := hc.Reset(names, runs, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		views[i] = hc.View()
+	}
+	dense, indexed := views[0], views[1]
+	if dense.Indexed() || !indexed.Indexed() {
+		t.Fatalf("representations: dense indexed=%v, indexed indexed=%v", dense.Indexed(), indexed.Indexed())
+	}
+	for i := range names {
+		want, err := dense.Nearest(i, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := indexed.Nearest(i, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Nearest(%d): indexed %v, dense %v", i, got, want)
+		}
+	}
+	want, err := dense.Outliers(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := indexed.Outliers(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		want[i].MeanAll = 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Outliers: indexed %v, dense %v", got, want)
+	}
+	for _, v := range views {
+		cl, err := v.Cluster(context.Background(), 2, 1)
+		if err != nil || cl.K != 2 || len(cl.Assign) != len(names) {
+			t.Fatalf("Cluster (indexed=%v): %+v %v", v.Indexed(), cl, err)
+		}
+		m, ok, err := v.Medoid(context.Background())
+		if err != nil || !ok || m < 0 || m >= len(names) {
+			t.Fatalf("Medoid (indexed=%v): %d %v %v", v.Indexed(), m, ok, err)
+		}
+	}
+	if m, _, _ := dense.Medoid(context.Background()); m != dense.Matrix.Medoid() {
+		t.Fatalf("dense Medoid %d, matrix medoid %d", m, dense.Matrix.Medoid())
 	}
 }

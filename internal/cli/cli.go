@@ -1,14 +1,12 @@
 // Package cli holds small helpers shared by the command-line tools:
-// cost-model parsing and XML file loading.
+// flag validation and XML file loading.
 package cli
 
 import (
 	"fmt"
 	"os"
 
-	"repro/internal/cost"
 	"repro/internal/spec"
-	"repro/internal/store"
 	"repro/internal/wfrun"
 	"repro/internal/wfxml"
 )
@@ -23,21 +21,6 @@ func ValidateK(flagName string, k int) error {
 		return fmt.Errorf("-%s must be at least 1, got %d", flagName, k)
 	}
 	return nil
-}
-
-// ValidateName rejects spec/run names that could escape the
-// repository layout — the one validator every untrusted boundary
-// (CLI flags, HTTP path values, ?name= and ?run= parameters) shares.
-// It delegates to store.ValidateName, which owns the rules.
-func ValidateName(name string) error {
-	return store.ValidateName(name)
-}
-
-// ParseCost parses a -cost flag value: "unit", "length" or
-// "power:EPS" with EPS ≤ 1. It delegates to cost.Parse, which owns
-// the validation (and its fuzz target) for every untrusted boundary.
-func ParseCost(name string) (cost.Model, error) {
-	return cost.Parse(name)
 }
 
 // LoadSpec reads a specification XML file.

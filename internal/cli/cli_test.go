@@ -6,31 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cost"
 	"repro/internal/fixtures"
 	"repro/internal/wfxml"
 )
-
-func TestParseCost(t *testing.T) {
-	if m, err := ParseCost("unit"); err != nil || m.Name() != "unit" {
-		t.Fatalf("unit: %v %v", m, err)
-	}
-	if m, err := ParseCost("length"); err != nil || m.Name() != "length" {
-		t.Fatalf("length: %v %v", m, err)
-	}
-	m, err := ParseCost("power:0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := m.(cost.Power); !ok || p.Epsilon != 0.5 {
-		t.Fatalf("power:0.5 parsed as %#v", m)
-	}
-	for _, bad := range []string{"power:2", "power:x", "manhattan", ""} {
-		if _, err := ParseCost(bad); err == nil {
-			t.Fatalf("%q should fail", bad)
-		}
-	}
-}
 
 func TestValidateK(t *testing.T) {
 	for _, ok := range []int{1, 2, 99} {

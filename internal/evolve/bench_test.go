@@ -44,6 +44,11 @@ func benchVersions(b *testing.B) (*spec.Spec, *spec.Spec, *wfrun.Run, *wfrun.Run
 func BenchmarkSpecEvolve(b *testing.B) {
 	v1, v2, _, _ := benchVersions(b)
 	eng := NewEngine(DefaultCosts())
+	// One warm-up call grows the engine's tables, so allocs/op counts
+	// the steady state and does not depend on b.N.
+	if _, err := eng.Diff(v1, v2); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,6 +73,10 @@ func BenchmarkCrossVersionDiff(b *testing.B) {
 	}
 	model := cost.Unit{}
 	eng := core.NewEngine(model)
+	// Warm up as in BenchmarkSpecEvolve.
+	if _, err := CrossDiffWith(eng, m, r1, r2, model); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,14 +2,15 @@ package server
 
 // Cohort analytics handlers: k-medoids clustering, knn outlier
 // scoring and nearest-neighbor queries over the incrementally
-// maintained per-spec cohort (cohortcache.go). Small cohorts answer
-// from the dense distance matrix; cohorts past the index threshold
-// answer from the metric index, where triangle and histogram lower
-// bounds prune most exact diffs — byte-identically for nearest and
-// outliers, and via sampled k-medoids for clustering. ?exact=1 forces
-// the dense-matrix path at any size (a one-shot O(n²) fan-out when the
-// cohort is indexed), without changing any cache key the normal path
-// uses — exact responses simply bypass the result LRU.
+// maintained per-spec cohort (cohortcache.go). Each handler asks the
+// cohort's analysis.CohortView, which picks the representation: small
+// cohorts answer from the dense distance matrix; cohorts past the
+// index threshold answer from the metric index, where triangle and
+// histogram lower bounds prune most exact diffs — byte-identically for
+// nearest and outliers, and via sampled k-medoids for clustering.
+// ?exact=1 forces the dense-matrix path at any size (a one-shot O(n²)
+// fan-out when the cohort is indexed), without changing any cache key
+// the normal path uses — exact responses simply bypass the result LRU.
 
 import (
 	"fmt"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cluster"
 	"repro/internal/cost"
 )
 
@@ -108,14 +108,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var cl *cluster.Clustering
-	var err error
 	t0 := time.Now()
-	if v.Indexed() {
-		cl, err = cluster.SampledKMedoids(r.Context(), v.Index, k, seed, cluster.SampleOptions{})
-	} else {
-		cl, err = cluster.KMedoidsContext(r.Context(), v.Matrix.D, k, seed)
-	}
+	cl, err := v.Cluster(r.Context(), k, seed)
 	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.httpError(w, err, http.StatusBadRequest)
@@ -191,14 +185,8 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var scores []cluster.OutlierScore
-	var err error
 	t0 := time.Now()
-	if v.Indexed() {
-		scores, err = cluster.IndexedOutliers(v.Index, k)
-	} else {
-		scores, err = cluster.Outliers(v.Matrix.D, k)
-	}
+	scores, err := v.Outliers(k)
 	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.httpError(w, err, http.StatusBadRequest)
@@ -265,14 +253,8 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, fmt.Errorf("unknown run %q of %q", runName, ns[0]), http.StatusNotFound)
 		return
 	}
-	var nn []cluster.Neighbor
-	var err error
 	t0 := time.Now()
-	if v.Indexed() {
-		nn, err = cluster.IndexedNearest(v.Index, idx, k)
-	} else {
-		nn, err = cluster.Nearest(v.Matrix.D, idx, k)
-	}
+	nn, err := v.Nearest(idx, k)
 	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
 		s.httpError(w, err, http.StatusBadRequest)

@@ -71,7 +71,7 @@ func (s *Server) handleBulkImport(w http.ResponseWriter, r *http.Request) {
 		s.asyncBulkImport(w, specName, runs)
 		return
 	}
-	stats, err := s.st.ImportRuns(specName, runs, s.opts.CohortWorkers)
+	stats, err := s.st.ImportRuns(specName, runs, 0)
 	if err != nil {
 		// Partial imports report what landed inside the envelope.
 		s.errCount.Add(1)

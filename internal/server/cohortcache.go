@@ -52,12 +52,11 @@ const maxCohortEntries = 64
 type cohortCaches struct {
 	mu      sync.Mutex
 	entries map[string]*cohortEntry
-	workers int
 	hybrid  analysis.HybridOptions
 }
 
-func newCohortCaches(workers int, hybrid analysis.HybridOptions) *cohortCaches {
-	return &cohortCaches{entries: make(map[string]*cohortEntry), workers: workers, hybrid: hybrid}
+func newCohortCaches(hybrid analysis.HybridOptions) *cohortCaches {
+	return &cohortCaches{entries: make(map[string]*cohortEntry), hybrid: hybrid}
 }
 
 // entry returns the cohort entry for (spec, model), creating it on
@@ -72,7 +71,7 @@ func (cc *cohortCaches) entry(specName string, m cost.Model) *cohortEntry {
 			return nil
 		}
 		e = &cohortEntry{
-			hc:    analysis.NewHybridCohort(m, cc.workers, cc.hybrid),
+			hc:    analysis.NewHybridCohort(m, 0, cc.hybrid),
 			dirty: make(map[string]bool),
 		}
 		cc.entries[key] = e
@@ -171,7 +170,7 @@ func (s *Server) cohortView(specName string, m cost.Model, build analysis.Option
 		if err != nil {
 			return nil, err
 		}
-		hc := analysis.NewHybridCohort(m, s.cohorts.workers, s.cohorts.hybrid)
+		hc := analysis.NewHybridCohort(m, 0, s.cohorts.hybrid)
 		if err := hc.Reset(names, runs, build); err != nil {
 			return nil, err
 		}
@@ -277,6 +276,5 @@ func (s *Server) exactCohortMatrix(specName string, m cost.Model, build analysis
 	if err != nil {
 		return nil, err
 	}
-	build.Workers = s.cohorts.workers
 	return analysis.DistanceMatrixWith(runs, names, m, build)
 }

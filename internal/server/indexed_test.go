@@ -11,7 +11,7 @@ import (
 
 func indexedServer(t *testing.T, n int) *Server {
 	t.Helper()
-	srv, _ := seedServer(t, n, Options{CacheSize: 16, IndexThreshold: 4, Landmarks: 2})
+	srv, _ := seedServer(t, n, Options{CacheSize: 16, IndexThreshold: 4})
 	return srv
 }
 
@@ -229,7 +229,6 @@ func TestAnalyticsChargeDiffStage(t *testing.T) {
 	srv, _ := seedServer(t, 8, Options{
 		CacheSize:       16,
 		IndexThreshold:  4,
-		Landmarks:       2,
 		OnRequestTiming: func(rt *RequestTiming) { timings <- *rt },
 	})
 	for _, target := range []string{

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cli"
 	"repro/internal/ingest"
 	"repro/internal/store"
 	"repro/internal/wfrun"
@@ -54,7 +53,7 @@ func (s *Server) Close() {
 // run names at the boundary, BEFORE the body is read.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	specName := r.PathValue("spec")
-	if err := cli.ValidateName(specName); err != nil {
+	if err := store.ValidateName(specName); err != nil {
 		s.httpError(w, fmt.Errorf("spec: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -62,7 +61,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if runName == "" {
 		runName = r.URL.Query().Get("name")
 	}
-	if err := cli.ValidateName(runName); err != nil {
+	if err := store.ValidateName(runName); err != nil {
 		s.httpError(w, fmt.Errorf("run: %w", err), http.StatusBadRequest)
 		return
 	}

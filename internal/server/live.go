@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/metricindex"
 	"repro/internal/store"
@@ -171,15 +170,16 @@ func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (drift
 		if err != nil {
 			return driftBaseline{}, err
 		}
-		if v.Indexed() {
-			cl, err := cluster.SampledKMedoids(r.Context(), v.Index, 1, 1, cluster.SampleOptions{})
-			if err != nil {
-				return driftBaseline{}, err
-			}
-			b.Run = v.Index.Label(cl.Medoids[0])
-		} else {
-			b.Run = v.Matrix.Labels[v.Matrix.Medoid()]
+		i, ok, err := v.Medoid(r.Context())
+		if err != nil {
+			return driftBaseline{}, err
 		}
+		if !ok {
+			// Deletes emptied the cohort after the listing: answer
+			// with no run, but leave the cache to the next request.
+			return b, nil
+		}
+		b.Run = v.Label(i)
 	}
 	medoid, err := s.st.LoadRun(specName, b.Run)
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/cli"
 	"repro/internal/cost"
+	"repro/internal/store"
 )
 
 type reqQuery struct {
@@ -51,7 +51,7 @@ func (q *reqQuery) cost() cost.Model {
 	if name == "" {
 		name = "unit"
 	}
-	m, err := cli.ParseCost(name)
+	m, err := cost.Parse(name)
 	if err != nil {
 		q.fail(fmt.Errorf("cost: %w", err))
 		return cost.Unit{}
@@ -82,7 +82,7 @@ func (q *reqQuery) seed() int64 {
 // validated at the boundary.
 func (q *reqQuery) name(param string) string {
 	v := q.r.URL.Query().Get(param)
-	if err := cli.ValidateName(v); err != nil {
+	if err := store.ValidateName(v); err != nil {
 		q.fail(fmt.Errorf("%s: %w", param, err))
 		return ""
 	}
@@ -96,7 +96,7 @@ func (q *reqQuery) optionalName(param string) string {
 	if v == "" {
 		return ""
 	}
-	if err := cli.ValidateName(v); err != nil {
+	if err := store.ValidateName(v); err != nil {
 		q.fail(fmt.Errorf("%s: %w", param, err))
 		return ""
 	}

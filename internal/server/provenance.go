@@ -12,19 +12,18 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/cli"
 	"repro/internal/store"
 )
 
 // handleProof serves GET /v1/specs/{spec}/runs/{run}/proof.
 func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 	specName := r.PathValue("spec")
-	if err := cli.ValidateName(specName); err != nil {
+	if err := store.ValidateName(specName); err != nil {
 		s.httpError(w, fmt.Errorf("spec: %w", err), http.StatusBadRequest)
 		return
 	}
 	runName := r.PathValue("run")
-	if err := cli.ValidateName(runName); err != nil {
+	if err := store.ValidateName(runName); err != nil {
 		s.httpError(w, fmt.Errorf("run: %w", err), http.StatusBadRequest)
 		return
 	}

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cli"
 	"repro/internal/cost"
 	"repro/internal/edit"
 	"repro/internal/ingest"
@@ -64,16 +63,11 @@ type Options struct {
 	// CacheSize bounds the diff-result LRU in entries; <= 0 disables
 	// result caching. DefaultCacheSize is a sensible service default.
 	CacheSize int
-	// CohortWorkers caps the cohort fan-out; <= 0 means GOMAXPROCS.
-	CohortWorkers int
 	// IndexThreshold is the cohort size at which the analytics
 	// endpoints switch from the dense distance matrix to the metric
 	// index: 0 means analysis.DefaultIndexThreshold, negative disables
 	// indexing (always dense).
 	IndexThreshold int
-	// Landmarks is the metric index's landmark count; <= 0 means
-	// metricindex.DefaultLandmarks.
-	Landmarks int
 	// IngestQueue bounds the group-commit queue; past it imports get
 	// 429. <= 0 means ingest.DefaultQueueDepth.
 	IngestQueue int
@@ -127,13 +121,10 @@ type Server struct {
 // Store invalidate cached diffs immediately.
 func New(st *store.Store, opts Options) *Server {
 	s := &Server{
-		st:    st,
-		pools: newEnginePools(),
-		cache: newResultCache(opts.CacheSize),
-		cohorts: newCohortCaches(opts.CohortWorkers, analysis.HybridOptions{
-			IndexThreshold: opts.IndexThreshold,
-			Landmarks:      opts.Landmarks,
-		}),
+		st:      st,
+		pools:   newEnginePools(),
+		cache:   newResultCache(opts.CacheSize),
+		cohorts: newCohortCaches(analysis.HybridOptions{IndexThreshold: opts.IndexThreshold}),
 		tickets: ingest.NewRegistry(opts.TicketRetention),
 		opts:    opts,
 		mux:     http.NewServeMux(),
@@ -181,7 +172,7 @@ func (s *Server) names(w http.ResponseWriter, r *http.Request, keys ...string) (
 	out := make([]string, len(keys))
 	for i, k := range keys {
 		v := r.PathValue(k)
-		if err := cli.ValidateName(v); err != nil {
+		if err := store.ValidateName(v); err != nil {
 			s.httpError(w, fmt.Errorf("%s: %w", k, err), http.StatusBadRequest)
 			return nil, false
 		}

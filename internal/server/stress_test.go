@@ -170,7 +170,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 	}
 	// And the long-lived matrix itself agrees cell-for-cell.
 	e := srv.cohorts.entry("pa", cost.Unit{})
-	mx := e.hc.Snapshot()
+	mx := e.hc.View().Matrix
 	if len(mx.Labels) != len(fresh.Labels) {
 		t.Fatalf("matrix has %d members, disk has %d", len(mx.Labels), len(fresh.Labels))
 	}
@@ -213,7 +213,7 @@ func (n *notifyingRecorder) Flush() {}
 // always ran to the last pair with the progress callback writing into
 // a dead connection.
 func TestCohortStreamAbortMidFlight(t *testing.T) {
-	srv, _ := seedServer(t, 9, Options{CacheSize: 8, CohortWorkers: 2})
+	srv, _ := seedServer(t, 9, Options{CacheSize: 8})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/v1/specs/pa/cohort?stream=1", nil).WithContext(ctx)

@@ -64,7 +64,7 @@ type ImportStats struct {
 // rejects the whole batch without touching the repository.
 func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (ImportStats, error) {
 	stats := ImportStats{Spec: specName}
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return stats, err
 	}
 	if len(runs) == 0 {
@@ -72,7 +72,7 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 	}
 	seen := make(map[string]bool, len(runs))
 	for _, rd := range runs {
-		if err := validName(rd.Name); err != nil {
+		if err := ValidateName(rd.Name); err != nil {
 			return stats, err
 		}
 		if seen[rd.Name] {
@@ -150,7 +150,7 @@ func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, er
 // change notification.
 func (s *Store) commitRuns(specName string, runs []ParsedRun) (ImportStats, error) {
 	stats := ImportStats{Spec: specName}
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return stats, err
 	}
 	if len(runs) == 0 {
@@ -159,7 +159,7 @@ func (s *Store) commitRuns(specName string, runs []ParsedRun) (ImportStats, erro
 	seen := make(map[string]bool, len(runs))
 	items := make([]snapBatchItem, len(runs))
 	for i, pr := range runs {
-		if err := validName(pr.Name); err != nil {
+		if err := ValidateName(pr.Name); err != nil {
 			return stats, err
 		}
 		if seen[pr.Name] {
@@ -218,7 +218,7 @@ func (s *Store) ImportDir(specName, dir string, workers int) (ImportStats, error
 // once imported; it round-trips through ImportTar / the runs:bulk
 // endpoint to identical frames.
 func (s *Store) ExportSpec(specName string, runNames []string, w io.Writer) error {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return err
 	}
 	if _, err := s.LoadSpec(specName); err != nil {

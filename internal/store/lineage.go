@@ -41,10 +41,10 @@ func lineageKey(specName string) string { return specName + "/lineage.json" }
 // edit mapping is computed (under evolve.DefaultCosts) and cached in
 // memory.
 func (s *Store) PutSpecVersion(parentName, childName string, child *spec.Spec) error {
-	if err := validName(parentName); err != nil {
+	if err := ValidateName(parentName); err != nil {
 		return err
 	}
-	if err := validName(childName); err != nil {
+	if err := ValidateName(childName); err != nil {
 		return err
 	}
 	if parentName == childName {
@@ -92,7 +92,7 @@ func (s *Store) PutSpecVersion(parentName, childName string, child *spec.Spec) e
 // Parent returns the recorded parent version of a specification, or ""
 // when the specification has no lineage link.
 func (s *Store) Parent(specName string) (string, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return "", err
 	}
 	data, err := s.be.ReadFile(lineageKey(specName))
@@ -106,7 +106,7 @@ func (s *Store) Parent(specName string) (string, error) {
 	if err := json.Unmarshal(data, &doc); err != nil || doc.Version != lineageVersion {
 		return "", fmt.Errorf("store: malformed lineage record for %q", specName)
 	}
-	if err := validName(doc.Parent); err != nil {
+	if err := ValidateName(doc.Parent); err != nil {
 		return "", fmt.Errorf("store: lineage record of %q: %w", specName, err)
 	}
 	return doc.Parent, nil
@@ -115,7 +115,7 @@ func (s *Store) Parent(specName string) (string, error) {
 // Lineage returns the version chain of a specification, oldest-last:
 // [name, parent, grandparent, ...].
 func (s *Store) Lineage(specName string) ([]string, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return nil, err
 	}
 	chain := []string{specName}
@@ -180,10 +180,10 @@ func (s *Store) dropMappings(specName string) {
 // (equal, or one descends from the other) — the cheap pre-check for
 // cross-version diffing, walking only lineage records.
 func (s *Store) Linked(aName, bName string) (bool, error) {
-	if err := validName(aName); err != nil {
+	if err := ValidateName(aName); err != nil {
 		return false, err
 	}
-	if err := validName(bName); err != nil {
+	if err := ValidateName(bName); err != nil {
 		return false, err
 	}
 	if aName == bName {
@@ -239,10 +239,10 @@ func (s *Store) stepMapping(parentName, childName string) (*evolve.SpecMapping, 
 // compose the per-step mappings (inverted when a descends from b);
 // unlinked pairs are mapped directly and cached in memory.
 func (s *Store) SpecMapping(aName, bName string) (m *evolve.SpecMapping, linked bool, err error) {
-	if err := validName(aName); err != nil {
+	if err := ValidateName(aName); err != nil {
 		return nil, false, err
 	}
-	if err := validName(bName); err != nil {
+	if err := ValidateName(bName); err != nil {
 		return nil, false, err
 	}
 	if aName == bName {

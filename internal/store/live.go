@@ -129,10 +129,10 @@ func (s *Store) liveStatus(specName, runName string, lv *wfrun.Live) LiveStatus 
 // present as a stored (completed) run is rejected with
 // ErrDuplicateRun.
 func (s *Store) AppendLiveEvents(specName, runName string, evs []wfrun.Event) (LiveStatus, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return LiveStatus{}, err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return LiveStatus{}, err
 	}
 	s.liveMu.Lock()
@@ -182,10 +182,10 @@ func (s *Store) AppendLiveEvents(specName, runName string, evs []wfrun.Event) (L
 // LiveStatusOf reports the state of one live run; ok is false when the
 // run has no live state.
 func (s *Store) LiveStatusOf(specName, runName string) (LiveStatus, bool, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return LiveStatus{}, false, err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return LiveStatus{}, false, err
 	}
 	s.liveMu.Lock()
@@ -203,7 +203,7 @@ func (s *Store) LiveStatusOf(specName, runName string) (LiveStatus, bool, error)
 // ListLiveRuns names every in-flight run of a specification, loaded or
 // only persisted.
 func (s *Store) ListLiveRuns(specName string) ([]string, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return nil, err
 	}
 	s.liveMu.Lock()
@@ -247,10 +247,10 @@ func (s *Store) ListLiveRuns(specName string) ([]string, error) {
 // group-commit path (snapshot + ledger + coalesced notification), and
 // the live state is dropped.
 func (s *Store) CompleteLiveRun(specName, runName string) (*wfrun.Run, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return nil, err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return nil, err
 	}
 	s.liveMu.Lock()
@@ -285,10 +285,10 @@ func (s *Store) LiveCount() int {
 
 // AbandonLiveRun discards a live run's state and event log.
 func (s *Store) AbandonLiveRun(specName, runName string) error {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return err
 	}
 	s.liveMu.Lock()

@@ -135,8 +135,6 @@ func ValidateName(name string) error {
 	return nil
 }
 
-func validName(name string) error { return ValidateName(name) }
-
 // OnRunsChange registers fn to be called once per change with the spec
 // and every run it touched: a commit (SaveRun, ImportRuns, ImportParsed
 // and live-run completion) names every run it stored, DeleteRun the run
@@ -165,7 +163,7 @@ func specXMLKey(name string) string { return name + "/spec.xml" }
 // existing specification is rejected once runs exist (their trees
 // reference the stored specification).
 func (s *Store) SaveSpec(name string, sp *spec.Spec) error {
-	if err := validName(name); err != nil {
+	if err := ValidateName(name); err != nil {
 		return err
 	}
 	runs, err := s.ListRuns(name)
@@ -194,7 +192,7 @@ func (s *Store) SaveSpec(name string, sp *spec.Spec) error {
 
 // LoadSpec returns the named specification, cached after first load.
 func (s *Store) LoadSpec(name string) (*spec.Spec, error) {
-	if err := validName(name); err != nil {
+	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
@@ -250,10 +248,10 @@ func (s *Store) ListSpecs() ([]string, error) {
 // importing the exported XML would store. The commit is the one-run
 // form of ImportParsed.
 func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return err
 	}
 	sp, err := s.LoadSpec(specName)
@@ -281,10 +279,10 @@ func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 // read-only. A frame that fails its checksum or names another run is
 // an error naming the run and its batch.
 func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return nil, err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return nil, err
 	}
 	key := runKey(specName, runName)
@@ -322,7 +320,7 @@ func (s *Store) cacheRun(specName, runName string, r *wfrun.Run) *wfrun.Run {
 // ListRuns returns the run names stored under a specification, sorted:
 // the keys of its manifest.
 func (s *Store) ListRuns(specName string) ([]string, error) {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return nil, err
 	}
 	st := s.snap(specName)
@@ -343,10 +341,10 @@ func (s *Store) ListRuns(specName string) ([]string, error) {
 // can never resurrect it) and its cached decode. Exactly one change
 // notification fires, after all state is consistent.
 func (s *Store) DeleteRun(specName, runName string) error {
-	if err := validName(specName); err != nil {
+	if err := ValidateName(specName); err != nil {
 		return err
 	}
-	if err := validName(runName); err != nil {
+	if err := ValidateName(runName); err != nil {
 		return err
 	}
 	if err := s.dropRun(specName, runName); err != nil {
