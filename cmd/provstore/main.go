@@ -22,7 +22,7 @@
 //
 // "import-dir" bulk-imports every *.xml file of a directory as runs
 // (named by filename) in one pass: parallel parse, one snapshot
-// append, one coalesced change notification. "export" writes a spec
+// append, one ledger record. "export" writes a spec
 // and all its runs as a tar archive that round-trips through
 // import-dir or the service's POST /v1/specs/{spec}/runs:bulk endpoint.
 // "snapshot" checkpoints each spec's run index when the ledger is
@@ -522,8 +522,9 @@ func cohortFlags(fs *flag.FlagSet) (costName *string, indexed, exact *bool) {
 // nearest: every stored run of the spec goes into a one-shot
 // HybridCohort, which picks the dense matrix or the metric index by
 // cohort size, as the server does, unless -exact or -indexed forces
-// one. The view's query methods then make the matching call.
-func analyticsCohort(st *store.Store, specName, costName string, indexed, exact bool) (*analysis.HybridCohort, *analysis.CohortView) {
+// one. The view's query methods then make the matching call. A
+// non-empty run must be stored; it is checked before any run loads.
+func analyticsCohort(st *store.Store, specName, run, costName string, indexed, exact bool) (*analysis.HybridCohort, *analysis.CohortView) {
 	if indexed && exact {
 		fatal(fmt.Errorf("-indexed and -exact are mutually exclusive"))
 	}
@@ -537,6 +538,9 @@ func analyticsCohort(st *store.Store, specName, costName string, indexed, exact 
 	}
 	if len(names) < 2 {
 		fatal(fmt.Errorf("need at least 2 stored runs, have %d", len(names)))
+	}
+	if i := sort.SearchStrings(names, run); run != "" && (i == len(names) || names[i] != run) {
+		fatal(fmt.Errorf("unknown run %q of %q", run, specName))
 	}
 	runs := make([]*wfrun.Run, len(names))
 	for i, n := range names {
@@ -572,7 +576,7 @@ func clusterCmd(st *store.Store, args []string) {
 	if err := cli.ValidateK("k", *k); err != nil {
 		fatal(err)
 	}
-	hc, v := analyticsCohort(st, args[0], *costName, *indexed, *exact)
+	hc, v := analyticsCohort(st, args[0], "", *costName, *indexed, *exact)
 	cl, err := v.Cluster(context.Background(), *k, *seed)
 	if err != nil {
 		fatal(err)
@@ -610,7 +614,7 @@ func outliersCmd(st *store.Store, args []string) {
 	if err := cli.ValidateK("k", *k); err != nil {
 		fatal(err)
 	}
-	hc, v := analyticsCohort(st, args[0], *costName, *indexed, *exact)
+	hc, v := analyticsCohort(st, args[0], "", *costName, *indexed, *exact)
 	scores, err := v.Outliers(*k)
 	if err != nil {
 		fatal(err)
@@ -645,11 +649,8 @@ func nearestCmd(st *store.Store, args []string) {
 	if err := cli.ValidateK("k", *k); err != nil {
 		fatal(err)
 	}
-	hc, v := analyticsCohort(st, args[0], *costName, *indexed, *exact)
-	idx, ok := v.IndexOf(args[1])
-	if !ok {
-		fatal(fmt.Errorf("unknown run %q of %q", args[1], args[0]))
-	}
+	hc, v := analyticsCohort(st, args[0], args[1], *costName, *indexed, *exact)
+	idx, _ := v.IndexOf(args[1])
 	nn, err := v.Nearest(idx, *k)
 	if err != nil {
 		fatal(err)

@@ -201,8 +201,8 @@ const (
 // save/load/diff/cohort it carries warm starts (Preload, PreloadAll,
 // Snapshot — runs are stored as binary frames, so cold starts decode
 // them instead of re-parsing run XML) and streaming bulk I/O
-// (ImportRuns, ImportDir, ExportSpec) with coalesced change
-// notifications (OnRunsChange).
+// (ImportRuns, ImportDir, ExportSpec), each batch one step of the
+// spec's run-set version (RunsVersion).
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a provenance repository.

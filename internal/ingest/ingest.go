@@ -4,8 +4,8 @@
 // batches (flushed when BatchSize jobs have gathered, when the
 // optional MaxWait linger expires, or — with no linger — as soon as
 // the queue runs dry) and hands each batch to a CommitFunc that
-// performs ONE snapshot-segment append, ONE ledger append and ONE
-// coalesced change notification however many runs it carries. Per-job
+// performs ONE snapshot-segment append and ONE ledger append however
+// many runs it carries. Per-job
 // results travel back on the job's response channel (synchronous
 // clients park there) or onto its Ticket (asynchronous clients poll).
 //

@@ -22,38 +22,49 @@ import (
 )
 
 // cohortViewFor resolves the synced cohort view for an analytics
-// request, writing the error response itself on failure. minRuns
-// guards the degenerate cohorts each endpoint cannot answer on. With
-// exact set, an index-backed cohort is replaced by a one-shot dense
-// matrix bound to the request context. The sync and any one-shot
-// matrix are charged to the diff stage.
-func (s *Server) cohortViewFor(w http.ResponseWriter, r *http.Request, specName string, m cost.Model, minRuns int, exact bool) (*analysis.CohortView, bool) {
+// request, with the run-set version it reflects, writing the error
+// response itself on failure. The specification is known once the
+// sync starts, so a failed sync is the repository's fault (500), not
+// the caller's. minRuns guards the degenerate cohorts each endpoint
+// cannot answer on. With exact set, an index-backed cohort is replaced
+// by a one-shot dense matrix bound to the request context. The sync
+// and any one-shot matrix are charged to the diff stage.
+func (s *Server) cohortViewFor(w http.ResponseWriter, r *http.Request, specName string, m cost.Model, minRuns int, exact bool) (*analysis.CohortView, inputs, bool) {
 	if _, err := s.st.LoadSpec(specName); err != nil {
 		s.storeError(w, err)
-		return nil, false
+		return nil, inputs{}, false
 	}
 	t0 := time.Now()
-	v, err := s.cohortView(specName, m, analysis.Options{})
+	v, version, err := s.cohortView(specName, m, analysis.Options{})
 	observeStage(r.Context(), stageDiff, t0)
 	if err != nil {
-		s.storeError(w, err)
-		return nil, false
+		s.httpError(w, err, http.StatusInternalServerError)
+		return nil, inputs{}, false
 	}
 	if v.Len() < minRuns {
 		s.httpError(w, fmt.Errorf("cohort analytics on %q needs at least %d stored runs, have %d", specName, minRuns, v.Len()), http.StatusBadRequest)
-		return nil, false
+		return nil, inputs{}, false
 	}
 	if exact && v.Indexed() {
 		t0 = time.Now()
 		mx, err := s.exactCohortMatrix(specName, m, analysis.Options{Context: r.Context()})
 		observeStage(r.Context(), stageDiff, t0)
 		if err != nil {
-			s.storeError(w, err)
-			return nil, false
+			s.httpError(w, err, http.StatusInternalServerError)
+			return nil, inputs{}, false
 		}
 		v = analysis.DenseView(mx)
 	}
-	return v, true
+	return v, inputs{version: version}, true
+}
+
+// cachedCohortAnswer looks up a cohort-scoped artifact at the spec's
+// current run-set version; exact requests bypass the cache.
+func (s *Server) cachedCohortAnswer(specName string, key cacheKey, exact bool) (any, bool) {
+	if exact {
+		return nil, false
+	}
+	return s.cache.get(key, inputs{version: s.st.RunsVersion(specName)})
 }
 
 type clusterGroup struct {
@@ -95,16 +106,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{spec: ns[0], runA: fmt.Sprintf("k=%d", k), runB: fmt.Sprintf("seed=%d", seed), cost: m.Name(), kind: kindCluster}
-	if !exact {
-		if v, ok := s.cache.get(key); ok {
-			p := v.(clusterPayload)
-			p.Cached = true
-			writeJSON(w, p)
-			return
-		}
+	if v, ok := s.cachedCohortAnswer(ns[0], key, exact); ok {
+		p := v.(clusterPayload)
+		p.Cached = true
+		writeJSON(w, p)
+		return
 	}
-	gen := s.cache.generation()
-	v, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
+	v, in, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
 	if !ok {
 		return
 	}
@@ -134,7 +142,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Indexed:    v.Indexed(),
 	}
 	if !exact {
-		s.cache.addIfGen(key, p, gen)
+		s.cache.add(key, in, p)
 	}
 	writeJSON(w, p)
 }
@@ -172,16 +180,13 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{spec: ns[0], runA: fmt.Sprintf("k=%d", k), cost: m.Name(), kind: kindOutliers}
-	if !exact {
-		if v, ok := s.cache.get(key); ok {
-			p := v.(outliersPayload)
-			p.Cached = true
-			writeJSON(w, p)
-			return
-		}
+	if v, ok := s.cachedCohortAnswer(ns[0], key, exact); ok {
+		p := v.(outliersPayload)
+		p.Cached = true
+		writeJSON(w, p)
+		return
 	}
-	gen := s.cache.generation()
-	v, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
+	v, in, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
 	if !ok {
 		return
 	}
@@ -198,7 +203,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	}
 	p := outliersPayload{Spec: ns[0], Cost: m.Name(), Neighbors: k, Outliers: out, Indexed: v.Indexed()}
 	if !exact {
-		s.cache.addIfGen(key, p, gen)
+		s.cache.add(key, in, p)
 	}
 	writeJSON(w, p)
 }
@@ -235,16 +240,13 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{spec: ns[0], runA: runName, runB: fmt.Sprintf("k=%d", k), cost: m.Name(), kind: kindNearest}
-	if !exact {
-		if v, ok := s.cache.get(key); ok {
-			p := v.(nearestPayload)
-			p.Cached = true
-			writeJSON(w, p)
-			return
-		}
+	if v, ok := s.cachedCohortAnswer(ns[0], key, exact); ok {
+		p := v.(nearestPayload)
+		p.Cached = true
+		writeJSON(w, p)
+		return
 	}
-	gen := s.cache.generation()
-	v, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
+	v, in, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
 	if !ok {
 		return
 	}
@@ -266,7 +268,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	}
 	p := nearestPayload{Spec: ns[0], Cost: m.Name(), Run: runName, Neighbors: out, Indexed: v.Indexed()}
 	if !exact {
-		s.cache.addIfGen(key, p, gen)
+		s.cache.add(key, in, p)
 	}
 	writeJSON(w, p)
 }

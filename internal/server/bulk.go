@@ -32,10 +32,9 @@ type bulkRunJSON struct {
 // names come from the base filename) or, with Content-Type
 // application/x-ndjson, a stream of {"name":…,"xml":…} lines. By
 // default all documents are parsed and derived concurrently through
-// the store's bulk path, written with their snapshot frames, and
-// announced with a single coalesced change notification per spec —
-// so however many runs arrive, the cohort matrices resync exactly
-// once. With ?async=1 the parsed batch is instead fanned onto the
+// the store's bulk path and written with their snapshot frames as one
+// commit, which advances the spec's run-set version once — so however
+// many runs arrive, the cohort matrices resync exactly once. With ?async=1 the parsed batch is instead fanned onto the
 // group-commit pipeline under one ticket and the response is 202 +
 // the ticket to poll.
 func (s *Server) handleBulkImport(w http.ResponseWriter, r *http.Request) {
@@ -203,7 +202,7 @@ func (s *Server) Warm() error {
 		if len(names) < 2 {
 			continue
 		}
-		if _, err := s.cohortView(name, cost.Unit{}, analysis.Options{}); err != nil {
+		if _, _, err := s.cohortView(name, cost.Unit{}, analysis.Options{}); err != nil {
 			return err
 		}
 	}

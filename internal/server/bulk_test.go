@@ -138,7 +138,7 @@ func TestBulkImportRejectsGarbage(t *testing.T) {
 }
 
 // TestBulkImportSingleRebuild is the acceptance assertion for
-// coalesced invalidation: importing a whole cohort in one bulk
+// coalesced cohort sync: importing a whole cohort in one bulk
 // request triggers exactly ONE cohort-matrix rebuild per spec, where
 // the same runs imported one-by-one would each resync the matrix.
 func TestBulkImportSingleRebuild(t *testing.T) {
@@ -234,7 +234,7 @@ func TestExportRoundTrip(t *testing.T) {
 
 // TestBulkImportClusterRace hammers bulk imports against concurrent
 // /cluster and /nearest queries; run under -race it proves the
-// coalesced invalidation path shares no unsynchronized state with the
+// coalesced cohort sync shares no unsynchronized state with the
 // analytics read path.
 func TestBulkImportClusterRace(t *testing.T) {
 	srv, st := seedServer(t, 4, Options{CacheSize: 32})
@@ -277,7 +277,7 @@ func TestBulkImportClusterRace(t *testing.T) {
 	wg.Wait()
 	// Settled state: the incremental matrix covers exactly the stored
 	// runs.
-	v, err := srv.cohortView("pa", cost.Unit{}, analysis.Options{})
+	v, _, err := srv.cohortView("pa", cost.Unit{}, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

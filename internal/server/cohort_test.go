@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/store"
+	"repro/internal/store/faultfs"
 )
 
 // TestCohortServedFromSharedCohort: /cohort answers from the cohort
@@ -170,5 +172,46 @@ func TestStatsRequestsMatchMetrics(t *testing.T) {
 	}
 	if stats.Requests["import"] != 2 || stats.Requests["diff"] != 2 || stats.Requests["bulk"] != 0 {
 		t.Errorf("import/diff/bulk = %d/%d/%d, want 2/2/0", stats.Requests["import"], stats.Requests["diff"], stats.Requests["bulk"])
+	}
+}
+
+// TestFailedCohortSyncRecovers: a cohort sync that fails midway — a
+// frame read fault while a cold store loads the cohort — fails the
+// request and retains nothing. Once the fault clears, every cohort
+// route answers byte for byte what a fresh server over the same
+// repository answers.
+func TestFailedCohortSyncRecovers(t *testing.T) {
+	dir := t.TempDir()
+	seedServerAt(t, dir, 6, Options{})
+	be, err := store.NewFSBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := faultfs.Wrap(be)
+	srv := New(store.OpenBackend(fb), Options{CacheSize: 16})
+	fb.Fail(faultfs.Rule{Op: faultfs.OpReadAt, KeySuffix: "runs.seg", N: 3, Mode: faultfs.ErrIO})
+	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, nil); rec.Code != 500 {
+		t.Fatalf("outliers during a read fault = %d %q, want 500", rec.Code, rec.Body.String())
+	}
+	if len(fb.Injected()) != 1 {
+		t.Fatalf("faults fired: %v", fb.Injected())
+	}
+	fb.Clear()
+
+	fresh, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := New(fresh, Options{CacheSize: 16})
+	for _, target := range []string{
+		"/v1/specs/pa/outliers?k=2",
+		"/v1/specs/pa/nearest?run=r0&k=3",
+		"/v1/specs/pa/cluster?k=2",
+		"/v1/specs/pa/cohort",
+	} {
+		got, want := do(t, srv, "GET", target, nil, nil), do(t, twin, "GET", target, nil, nil)
+		if got.Code != 200 || want.Code != 200 || got.Body.String() != want.Body.String() {
+			t.Fatalf("%s after the fault cleared = %d %q, fresh server = %d %q", target, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"io/fs"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -15,31 +16,17 @@ import (
 // dense distance matrix for small cohorts and switches to the metric
 // index past the configured threshold. The cohort persists across
 // requests — importing one run into an n-run cohort differences only
-// the incremental pairs — and is kept honest through generation-checked
-// invalidation: every store run-change bumps gen and records the run
-// as dirty, and a request only trusts the cohort after replaying the
-// dirty set for the generation it captured. A row computed from a run
-// that changed mid-sync can therefore be *served* to the request that
-// raced the change (the change was concurrent, either order is
-// linearizable) but can never be *retained*: the bumped generation
-// forces the next request to replace it.
+// the incremental pairs. It records the content hash of every member
+// and the store run-set version those hashes were reconciled against,
+// which a sync (cohortView) compares with the store's.
 type cohortEntry struct {
 	// syncMu serializes sync passes (and thus all cohort mutations).
 	syncMu sync.Mutex
 	hc     *analysis.HybridCohort
-	inited bool  // hc has had its initial full build
-	synced int64 // generation the cohort content reflects
-
-	// stateMu guards the invalidation state; it is taken by the store
-	// hook and nests inside syncMu on the sync path.
-	stateMu sync.Mutex
-	gen     int64
-	dirty   map[string]bool
-	// full marks the whole cohort stale: the next sync does one Reset
-	// instead of one Remove+Add per dirty run. It is set by a failed
-	// sync restoring a promoted batch; batches themselves only mark
-	// dirty runs and the sync pass promotes large ones (cohortView).
-	full bool
+	// hashes maps each member to the content hash it was added with;
+	// nil until the first sync, and after a failed one.
+	hashes  map[string]string
+	version uint64 // store.RunsVersion that hashes reflect
 }
 
 // maxCohortEntries bounds the entry map: its keys include the ?cost=
@@ -70,10 +57,7 @@ func (cc *cohortCaches) entry(specName string, m cost.Model) *cohortEntry {
 		if len(cc.entries) >= maxCohortEntries {
 			return nil
 		}
-		e = &cohortEntry{
-			hc:    analysis.NewHybridCohort(m, 0, cc.hybrid),
-			dirty: make(map[string]bool),
-		}
+		e = &cohortEntry{hc: analysis.NewHybridCohort(m, 0, cc.hybrid)}
 		cc.entries[key] = e
 	}
 	return e
@@ -90,39 +74,6 @@ func (cc *cohortCaches) all() []*cohortEntry {
 	return out
 }
 
-// entriesForSpec snapshots the live cohort entries of one spec (its
-// pool keys are "<spec>\x00<cost>" for every cost model seen).
-func (cc *cohortCaches) entriesForSpec(specName string) []*cohortEntry {
-	prefix := specName + "\x00"
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	var hit []*cohortEntry
-	for key, e := range cc.entries {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			hit = append(hit, e)
-		}
-	}
-	return hit
-}
-
-// invalidate records a change to a spec's runs (a commit of any size
-// or a delete): every cohort of the spec advances its generation once
-// and marks the named runs dirty. How the batch is replayed — one
-// Remove+Add per dirty run, or one full Reset — is decided at sync
-// time against the live cohort size (see cohortView): a pipeline batch
-// of a few runs into a large cohort stays incremental, while a bulk
-// import that rivals the cohort pays one Reset instead of n re-adds.
-func (cc *cohortCaches) invalidate(specName string, runNames []string) {
-	for _, e := range cc.entriesForSpec(specName) {
-		e.stateMu.Lock()
-		e.gen++
-		for _, name := range runNames {
-			e.dirty[name] = true
-		}
-		e.stateMu.Unlock()
-	}
-}
-
 // count reports how many cohorts are live.
 func (cc *cohortCaches) count() int {
 	cc.mu.Lock()
@@ -130,132 +81,129 @@ func (cc *cohortCaches) count() int {
 	return len(cc.entries)
 }
 
-// cohortRuns lists and loads the stored runs of a spec. Runs deleted
-// between the listing and the load are skipped rather than failed: the
-// deletion already bumped the generation, so a later request
-// reconciles.
-func (s *Server) cohortRuns(specName string) ([]string, []*wfrun.Run, error) {
-	names, err := s.st.ListRuns(specName)
-	if err != nil {
-		return nil, nil, err
+// cohortRuns loads the runs listed in want, in name order, with the
+// content hash of the copy each load returned. Runs deleted since the
+// listing are skipped.
+func (s *Server) cohortRuns(specName string, want map[string]string) ([]string, []*wfrun.Run, map[string]string, error) {
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
 	}
+	slices.Sort(names)
 	outNames := names[:0]
 	runs := make([]*wfrun.Run, 0, len(names))
+	hashes := make(map[string]string, len(names))
 	for _, name := range names {
-		r, err := s.st.LoadRun(specName, name)
+		r, h, err := s.st.LoadRunHash(specName, name)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		outNames = append(outNames, name)
 		runs = append(runs, r)
+		hashes[name] = h
 	}
-	return outNames, runs, nil
+	return outNames, runs, hashes, nil
 }
 
 // cohortView returns an up-to-date view of the spec's cohort under the
 // given model — dense matrix below the index threshold, metric index
-// above — incrementally synced against the store. A full dense rebuild
-// runs under build's Context and Progress (see HybridCohort.Reset): a
-// cancelled build fails this call and leaves the cohort for the next
-// request to rebuild.
-func (s *Server) cohortView(specName string, m cost.Model, build analysis.Options) (*analysis.CohortView, error) {
+// above — and the store run-set version it reflects. A sync costs one
+// atomic read while that version holds. Otherwise the store's run
+// hashes are compared with the cohort's: changes that rival the cohort
+// are applied by one Reset, fewer by Remove and Add per changed run. A
+// full dense rebuild runs under build's Context and Progress (see
+// HybridCohort.Reset). A failed sync fails this call and leaves the
+// cohort for the next request to rebuild. A sync that raced a commit
+// or delete may hold newer runs than the listing; it records the
+// listing's version, which that change has already advanced past, so
+// the next request reconciles.
+func (s *Server) cohortView(specName string, m cost.Model, build analysis.Options) (*analysis.CohortView, uint64, error) {
 	e := s.cohorts.entry(specName, m)
 	if e == nil {
 		// Entry map at capacity: compute a one-shot cohort without
 		// retaining it.
-		names, runs, err := s.cohortRuns(specName)
+		version, want, err := s.st.RunHashes(specName)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		names, runs, _, err := s.cohortRuns(specName, want)
+		if err != nil {
+			return nil, 0, err
 		}
 		hc := analysis.NewHybridCohort(m, 0, s.cohorts.hybrid)
 		if err := hc.Reset(names, runs, build); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return hc.View(), nil
+		return hc.View(), version, nil
 	}
 
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
-
-	e.stateMu.Lock()
-	gen := e.gen
-	dirty := e.dirty
-	full := e.full
-	e.dirty = make(map[string]bool)
-	e.full = false
-	e.stateMu.Unlock()
-
-	if e.inited && e.synced == gen {
-		return e.hc.View(), nil
+	if e.hashes != nil && e.version == s.st.RunsVersion(specName) {
+		return e.hc.View(), e.version, nil
 	}
-
-	// Replay strategy: a dirty set that rivals the live cohort is
-	// cheaper to Reset in one fan-out than to Remove+Add row by row
-	// (bulk imports land here); a small batch — a lone re-import or
-	// one group-commit from the ingest pipeline — stays incremental.
-	if e.inited && !full && 2*len(dirty) >= e.hc.Len() {
-		full = true
+	version, want, err := s.st.RunHashes(specName)
+	if err != nil {
+		return nil, 0, err
 	}
+	if err := s.syncCohort(e, specName, want, build); err != nil {
+		e.hashes = nil
+		return nil, 0, err
+	}
+	e.version = version
+	return e.hc.View(), version, nil
+}
 
-	// restoreDirty puts unapplied invalidations back on error, so a
-	// failed sync can never launder a dirty run into a clean one.
-	restoreDirty := func() {
-		e.stateMu.Lock()
-		for name := range dirty {
-			e.dirty[name] = true
+// syncCohort brings e's members and hashes in line with want, the
+// store's run hashes. Caller holds e.syncMu.
+func (s *Server) syncCohort(e *cohortEntry, specName string, want map[string]string, build analysis.Options) error {
+	var changed, gone []string
+	for name, h := range want {
+		if have, ok := e.hashes[name]; !ok || have != h {
+			changed = append(changed, name)
 		}
-		e.full = e.full || full
-		e.stateMu.Unlock()
 	}
-
-	if !e.inited || full {
-		names, runs, err := s.cohortRuns(specName)
+	for name := range e.hashes {
+		if _, ok := want[name]; !ok {
+			gone = append(gone, name)
+		}
+	}
+	// A change set that rivals the live cohort is cheaper to Reset in
+	// one fan-out than to apply row by row (bulk imports land here); a
+	// lone re-import or one group commit stays incremental.
+	if e.hashes == nil || 2*(len(changed)+len(gone)) >= e.hc.Len() {
+		names, runs, hashes, err := s.cohortRuns(specName, want)
 		if err != nil {
-			restoreDirty()
-			return nil, err
+			return err
 		}
 		if err := e.hc.Reset(names, runs, build); err != nil {
-			restoreDirty()
-			return nil, err
+			return err
 		}
-		e.inited = true
-	} else {
-		// Changed or deleted runs leave the cohort first; whatever
-		// still exists on disk is then (re-)added incrementally.
-		for name := range dirty {
-			e.hc.Remove(name)
-		}
-		names, err := s.st.ListRuns(specName)
-		if err != nil {
-			restoreDirty()
-			return nil, err
-		}
-		for _, name := range names {
-			if e.hc.Has(name) {
-				continue
-			}
-			r, err := s.st.LoadRun(specName, name)
-			if err != nil {
-				if errors.Is(err, fs.ErrNotExist) {
-					continue
-				}
-				restoreDirty()
-				return nil, err
-			}
-			if err := e.hc.Add(name, r); err != nil {
-				restoreDirty()
-				return nil, err
-			}
-		}
+		e.hashes = hashes
+		return nil
 	}
-	// Publish the sync point: changes that raced this pass advanced
-	// gen past the captured value, so they stay unsynced and the next
-	// request reconciles them.
-	e.synced = gen
-	return e.hc.View(), nil
+	slices.Sort(changed)
+	for _, name := range append(gone, changed...) {
+		e.hc.Remove(name)
+		delete(e.hashes, name)
+	}
+	for _, name := range changed {
+		r, h, err := s.st.LoadRunHash(specName, name)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // deleted since the listing
+		}
+		if err != nil {
+			return err
+		}
+		if err := e.hc.Add(name, r); err != nil {
+			return err
+		}
+		e.hashes[name] = h
+	}
+	return nil
 }
 
 // exactCohortMatrix is a dense distance matrix at any cohort size,
@@ -265,14 +213,18 @@ func (s *Server) cohortView(specName string, m cost.Model, build analysis.Option
 // whichever full computation the call makes. The matrix is nil when
 // the cohort is empty.
 func (s *Server) exactCohortMatrix(specName string, m cost.Model, build analysis.Options) (*analysis.Matrix, error) {
-	v, err := s.cohortView(specName, m, build)
+	v, _, err := s.cohortView(specName, m, build)
 	if err != nil {
 		return nil, err
 	}
 	if !v.Indexed() {
 		return v.Matrix, nil
 	}
-	names, runs, err := s.cohortRuns(specName)
+	_, want, err := s.st.RunHashes(specName)
+	if err != nil {
+		return nil, err
+	}
+	names, runs, _, err := s.cohortRuns(specName, want)
 	if err != nil {
 		return nil, err
 	}

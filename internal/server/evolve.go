@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/cost"
+	"repro/internal/evolve"
 	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/view"
@@ -20,11 +21,11 @@ import (
 //	GET /v1/specs/{spec}/diff/{a}/{b}?across=B   cross-version run diff: run a of {spec}
 //	                                             vs run b of lineage-linked spec B
 //
-// Mapping payloads are cached like diff payloads; entries are keyed by
-// both specification names and invalidated when either side's runs
-// change (mappings themselves depend only on the immutable specs, so
-// run churn never stales them — the cache entries exist to skip the
-// recompute of the JSON body).
+// Mapping payloads are cached like diff payloads, keyed by both
+// specification names. Mappings depend only on the specifications,
+// so run churn never stales them; the cache entries exist to skip the
+// recompute of the JSON body. Cross-version run diffs are keyed by the
+// content hashes of both runs, like same-spec diffs.
 
 type moduleAlignment struct {
 	ASrc string `json:"a_src"`
@@ -64,13 +65,12 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{spec: ns[0], spec2: ns[1], kind: kindEvolve}
-	if v, ok := s.cache.get(key); ok {
+	if v, ok := s.cache.get(key, inputs{}); ok {
 		p := v.(evolvePayload)
 		p.Cached = true
 		writeJSON(w, p)
 		return
 	}
-	gen := s.cache.generation()
 	m, linked, err := s.st.SpecMapping(ns[0], ns[1])
 	if err != nil {
 		s.storeError(w, err)
@@ -101,7 +101,7 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		p.Modules = append(p.Modules, al)
 	}
 	sortModules(p.Modules)
-	s.cache.addIfGen(key, p, gen)
+	s.cache.add(key, inputs{}, p)
 	writeJSON(w, p)
 }
 
@@ -129,12 +129,11 @@ func (s *Server) handleEvolveSVG(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{spec: ns[0], spec2: ns[1], kind: kindEvolve + "-svg"}
-	if v, ok := s.cache.get(key); ok {
+	if v, ok := s.cache.get(key, inputs{}); ok {
 		w.Header().Set("Content-Type", "image/svg+xml")
 		io.WriteString(w, v.(string))
 		return
 	}
-	gen := s.cache.generation()
 	m, linked, err := s.st.SpecMapping(ns[0], ns[1])
 	if err != nil {
 		s.storeError(w, err)
@@ -151,7 +150,7 @@ func (s *Server) handleEvolveSVG(w http.ResponseWriter, r *http.Request) {
 		caption += " (lineage-linked)"
 	}
 	svg := view.SpecPairSVG(m.A, m.B, keptA, keptB, ns[0], ns[1], caption)
-	s.cache.addIfGen(key, svg, gen)
+	s.cache.add(key, inputs{}, svg)
 	w.Header().Set("Content-Type", "image/svg+xml")
 	io.WriteString(w, svg)
 }
@@ -179,26 +178,26 @@ type xdiffPayload struct {
 // be lineage-linked — registered through PutSpecVersion / the
 // put-version CLI — so the comparison runs under the recorded
 // evolution mapping rather than an arbitrary guess.
-func (s *Server) crossDiff(w http.ResponseWriter, specA, runA, runB, across string, m cost.Model) {
+func (s *Server) crossDiff(w http.ResponseWriter, r *http.Request, specA, runA, runB, across string, m cost.Model) {
 	if err := validateAcross(across); err != nil {
 		s.httpError(w, err, http.StatusBadRequest)
 		return
 	}
+	ra, rb, in, err := s.loadPair(r.Context(), specA, runA, across, runB)
+	if err != nil {
+		s.storeError(w, err)
+		return
+	}
 	key := cacheKey{spec: specA, runA: runA, runB: runB, cost: m.Name(), kind: kindCross, spec2: across}
-	if v, ok := s.cache.get(key); ok {
+	if v, ok := s.cache.get(key, in); ok {
 		p := v.(xdiffPayload)
 		p.Cached = true
 		writeJSON(w, p)
 		return
 	}
-	// Reject unknown and unlinked pairs before any expensive work: the
-	// spec load is cached and the linkage walk reads only lineage
-	// records, so probing arbitrary ?across= names never computes (or
-	// caches) a mapping.
-	if _, err := s.st.LoadSpec(across); err != nil {
-		s.storeError(w, err)
-		return
-	}
+	// Reject unlinked pairs before the mapping: the linkage walk reads
+	// only lineage records, so probing arbitrary ?across= names never
+	// computes (or caches) a mapping.
 	linked, err := s.st.Linked(specA, across)
 	if err != nil {
 		s.storeError(w, err)
@@ -208,9 +207,13 @@ func (s *Server) crossDiff(w http.ResponseWriter, specA, runA, runB, across stri
 		s.httpError(w, fmt.Errorf("specifications %q and %q are not lineage-linked; register versions with put-version before cross-diffing", specA, across), http.StatusBadRequest)
 		return
 	}
-	gen := s.cache.generation()
+	mapping, _, err := s.st.SpecMapping(specA, across)
+	if err != nil {
+		s.storeError(w, err)
+		return
+	}
 	eng := s.pools.get(across, m)
-	res, _, err := s.st.CrossDiffWith(eng, specA, runA, across, runB, m)
+	res, err := evolve.CrossDiffWith(eng, mapping, ra, rb, m)
 	s.pools.put(across, m, eng)
 	if err != nil {
 		s.storeError(w, err)
@@ -230,7 +233,7 @@ func (s *Server) crossDiff(w http.ResponseWriter, specA, runA, runB, across stri
 		ProjectedNodes: res.Projected.NumNodes(),
 		ProjectedEdges: res.Projected.NumEdges(),
 	}
-	s.cache.addIfGen(key, p, gen)
+	s.cache.add(key, in, p)
 	writeJSON(w, p)
 }
 

@@ -6,8 +6,8 @@ package server
 // batcher drains the queue into batches and hands them to commitBatch
 // below, which parses every document concurrently and commits each
 // spec's runs through store.ImportParsed — one fsynced segment
-// append, one fsynced ledger append, one coalesced OnRunsChange per
-// batch, however many clients were importing at once.
+// append and one fsynced ledger append per batch, however many
+// clients were importing at once.
 //
 // Synchronous clients (the default) park on the job's response
 // channel and still see today's request/response contract: 201 with

@@ -4,7 +4,7 @@ package server
 // imports with ticket polling, deletes, and /v1 analytic reads all
 // interleave; run under -race this exercises the batcher's coalescing
 // (including same-name jobs split into waves), the parse cache, and
-// the cohort invalidation hooks at once. A settle phase then checks
+// the cohort syncs at once. A settle phase then checks
 // the pipeline's own accounting balances.
 
 import (

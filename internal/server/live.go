@@ -137,56 +137,39 @@ type driftBaseline struct {
 // baseline resolves (computing and caching on miss) the drift baseline
 // for a specification under a cost model. An empty cohort yields a
 // baseline with no run — drift then reports structure only. The cache
-// entry is cohort-scoped: any run change in the spec drops it, since
-// the medoid may move.
+// entry is cohort-scoped: it is keyed by the run-set version of the
+// cohort its medoid was taken from, since any run change may move the
+// medoid.
 func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (driftBaseline, error) {
 	key := cacheKey{spec: specName, cost: m.Name(), kind: kindDrift}
 	t0 := time.Now()
-	if v, ok := s.cache.get(key); ok {
-		observeStage(r.Context(), stageCache, t0)
+	v, ok := s.cache.get(key, inputs{version: s.st.RunsVersion(specName)})
+	observeStage(r.Context(), stageCache, t0)
+	if ok {
 		return v.(driftBaseline), nil
 	}
-	observeStage(r.Context(), stageCache, t0)
-	gen := s.cache.generation()
 	sp, err := s.st.LoadSpec(specName)
 	if err != nil {
 		return driftBaseline{}, err
 	}
 	b := driftBaseline{Rate: metricindex.LowerBoundRate(m, sp)}
-	runs, err := s.st.ListRuns(specName)
+	view, version, err := s.cohortView(specName, m, analysis.Options{})
 	if err != nil {
 		return driftBaseline{}, err
 	}
-	switch len(runs) {
-	case 0:
-		// No cohort yet: cache the empty baseline so per-event appends
-		// don't re-list the directory.
-		s.cache.addIfGen(key, b, gen)
-		return b, nil
-	case 1:
-		b.Run = runs[0]
-	default:
-		v, err := s.cohortView(specName, m, analysis.Options{})
-		if err != nil {
-			return driftBaseline{}, err
-		}
-		i, ok, err := v.Medoid(r.Context())
-		if err != nil {
-			return driftBaseline{}, err
-		}
-		if !ok {
-			// Deletes emptied the cohort after the listing: answer
-			// with no run, but leave the cache to the next request.
-			return b, nil
-		}
-		b.Run = v.Label(i)
-	}
-	medoid, err := s.st.LoadRun(specName, b.Run)
+	i, ok, err := view.Medoid(r.Context())
 	if err != nil {
 		return driftBaseline{}, err
 	}
-	b.Counts = medoid.LeafCounts()
-	s.cache.addIfGen(key, b, gen)
+	if ok {
+		b.Run = view.Label(i)
+		medoid, err := s.st.LoadRun(specName, b.Run)
+		if err != nil {
+			return driftBaseline{}, err
+		}
+		b.Counts = medoid.LeafCounts()
+	}
+	s.cache.add(key, inputs{version: version}, b)
 	return b, nil
 }
 

@@ -213,7 +213,6 @@ func (m *metricsRegistry) render(st statsPayload, watchSubs int, watchDropped in
 	counter("provdiff_cache_hits_total", "Diff-result LRU hits.", float64(st.Cache.Hits))
 	counter("provdiff_cache_misses_total", "Diff-result LRU misses.", float64(st.Cache.Misses))
 	counter("provdiff_cache_evictions_total", "Diff-result LRU evictions.", float64(st.Cache.Evictions))
-	counter("provdiff_cache_invalidations_total", "Diff-result LRU invalidations from run changes.", float64(st.Cache.Invalidations))
 	gauge("provdiff_cache_hit_ratio", "Diff-result LRU hit ratio since start.", st.Cache.HitRate)
 
 	gauge("provdiff_ingest_queue_depth", "Group-commit ingest jobs currently queued.", float64(st.Ingest.QueueDepth))

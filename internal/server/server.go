@@ -9,16 +9,17 @@
 //     memo and all flat scratch tables of core.Engine persist across
 //     requests instead of being rebuilt per diff;
 //   - finished diff payloads (JSON and SVG) live in a bounded LRU
-//     keyed by (spec, runA, runB, cost), invalidated through
-//     store.OnRunsChange when a run is re-imported or deleted;
+//     keyed by (spec, runA, runB, cost) and answered only for the
+//     content hashes they were computed from, so a re-imported or
+//     deleted run can never be served a stale diff;
 //   - one incrementally maintained distance matrix per (spec, cost
 //     model) answers /cohort and the cohort analytics alike; its full
 //     builds fan out over a worker pool and can stream per-pair
 //     progress to the client as NDJSON;
 //   - single-run imports flow through a group-commit pipeline
 //     (internal/ingest): concurrent importers coalesce into one
-//     segment append + one ledger append + one change notification
-//     per batch, synchronously (default) or async via tickets.
+//     segment append + one ledger append per batch, synchronously
+//     (default) or async via tickets.
 //
 // Every route lives under /v1; README.md lists them (routes.go holds
 // the table). Any other path answers 404. Errors everywhere use one
@@ -26,9 +27,9 @@
 //
 // The cohort endpoints share one incrementally maintained distance
 // matrix per (spec, cost model): importing a run
-// into an n-run cohort differences only the n new pairs, with
-// store.OnRunsChange generation checks guaranteeing a stale row is
-// never retained (see cohortcache.go).
+// into an n-run cohort differences only the n new pairs, and a sync
+// against the store's run hashes guarantees a stale row is never
+// retained (see cohortcache.go).
 package server
 
 import (
@@ -47,6 +48,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/store"
 	"repro/internal/view"
+	"repro/internal/wfrun"
 )
 
 // defaultMaxImportBytes bounds a POSTed run XML document unless
@@ -116,9 +118,9 @@ type Server struct {
 }
 
 // New builds a Server over an open store and registers its routes.
-// The server subscribes to the store's run-change notifications, so
-// imports and deletions performed through any handle of the same
-// Store invalidate cached diffs immediately.
+// Cached results are keyed by the run content and run-set versions
+// they were computed from, so imports and deletions performed through
+// any handle of the same Store are seen by the next request.
 func New(st *store.Store, opts Options) *Server {
 	s := &Server{
 		st:      st,
@@ -133,16 +135,6 @@ func New(st *store.Store, opts Options) *Server {
 		watch:   newWatchHub(),
 	}
 	s.ingest = s.newIngest()
-	// A change names every run it touched: each named run's pair-cache
-	// entries are stale, and the cohort matrices take one batched mark
-	// that the sync pass replays incrementally or as one Reset,
-	// whichever is cheaper.
-	st.OnRunsChange(func(specName string, runNames []string) {
-		for _, run := range runNames {
-			s.cache.invalidateRun(specName, run)
-		}
-		s.cohorts.invalidate(specName, runNames)
-	})
 	s.registerRoutes()
 	return s
 }
@@ -292,14 +284,34 @@ func scriptJSON(sc *edit.Script) []opJSON {
 	return out
 }
 
+// loadPair loads the two runs of a pair artifact with the content
+// hashes that key it: run a of specA and run b of specB.
+func (s *Server) loadPair(ctx context.Context, specA, a, specB, b string) (*wfrun.Run, *wfrun.Run, inputs, error) {
+	t0 := time.Now()
+	defer observeStage(ctx, stageStore, t0)
+	ra, hashA, err := s.st.LoadRunHash(specA, a)
+	if err != nil {
+		return nil, nil, inputs{}, err
+	}
+	rb, hashB, err := s.st.LoadRunHash(specB, b)
+	if err != nil {
+		return nil, nil, inputs{}, err
+	}
+	return ra, rb, inputs{hashA: hashA, hashB: hashB}, nil
+}
+
 // diffPair produces the JSON payload for one pair, through the cache.
 // The engine is checked out only for the uncached computation and
 // everything the payload needs is extracted before it is returned, so
 // the pooled engine is immediately reusable.
 func (s *Server) diffPair(ctx context.Context, specName, runA, runB string, m cost.Model) (diffPayload, error) {
+	a, b, in, err := s.loadPair(ctx, specName, runA, specName, runB)
+	if err != nil {
+		return diffPayload{}, err
+	}
 	key := cacheKey{spec: specName, runA: runA, runB: runB, cost: m.Name(), kind: kindDiff}
 	t0 := time.Now()
-	v, ok := s.cache.get(key)
+	v, ok := s.cache.get(key, in)
 	observeStage(ctx, stageCache, t0)
 	if ok {
 		p := v.(diffPayload)
@@ -308,19 +320,14 @@ func (s *Server) diffPair(ctx context.Context, specName, runA, runB string, m co
 	}
 	t0 = time.Now()
 	defer func() { observeStage(ctx, stageDiff, t0) }()
-	// Capture the invalidation generation before touching store state:
-	// if either run changes while we compute, the payload is discarded
-	// rather than cached stale.
-	gen := s.cache.generation()
 	eng := s.pools.get(specName, m)
-	res, err := s.st.DiffWith(eng, specName, runA, runB)
+	defer s.pools.put(specName, m, eng)
+	res, err := eng.Diff(a, b)
 	if err != nil {
-		s.pools.put(specName, m, eng)
 		return diffPayload{}, err
 	}
 	sc, _, err := res.Script()
 	if err != nil {
-		s.pools.put(specName, m, eng)
 		return diffPayload{}, err
 	}
 	p := diffPayload{
@@ -332,8 +339,7 @@ func (s *Server) diffPair(ctx context.Context, specName, runA, runB string, m co
 		OpCount:  len(sc.Ops),
 		Ops:      scriptJSON(sc),
 	}
-	s.pools.put(specName, m, eng)
-	s.cache.addIfGen(key, p, gen)
+	s.cache.add(key, in, p)
 	return p, nil
 }
 
@@ -351,7 +357,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if across != "" {
 		// Cross-version comparison: run b belongs to the
 		// lineage-linked specification named by ?across=.
-		s.crossDiff(w, ns[0], ns[1], ns[2], across, m)
+		s.crossDiff(w, r, ns[0], ns[1], ns[2], across, m)
 		return
 	}
 	p, err := s.diffPair(r.Context(), ns[0], ns[1], ns[2], m)
@@ -375,35 +381,27 @@ func (s *Server) handleDiffSVG(w http.ResponseWriter, r *http.Request) {
 	if !q.valid(w) {
 		return
 	}
+	r1, r2, in, err := s.loadPair(r.Context(), ns[0], ns[1], ns[0], ns[2])
+	if err != nil {
+		s.storeError(w, err)
+		return
+	}
 	key := cacheKey{spec: ns[0], runA: ns[1], runB: ns[2], cost: m.Name(), kind: kindSVG}
-	if v, ok := s.cache.get(key); ok {
-		w.Header().Set("Content-Type", "image/svg+xml")
-		io.WriteString(w, v.(string))
-		return
-	}
-	gen := s.cache.generation()
-	r1, err := s.st.LoadRun(ns[0], ns[1])
-	if err != nil {
-		s.storeError(w, err)
-		return
-	}
-	r2, err := s.st.LoadRun(ns[0], ns[2])
-	if err != nil {
-		s.storeError(w, err)
-		return
-	}
-	eng := s.pools.get(ns[0], m)
-	d, err := view.NewWith(eng, m, r1, r2)
-	if err != nil {
+	v, ok := s.cache.get(key, in)
+	if !ok {
+		eng := s.pools.get(ns[0], m)
+		d, err := view.NewWith(eng, m, r1, r2)
+		if err != nil {
+			s.pools.put(ns[0], m, eng)
+			s.storeError(w, err)
+			return
+		}
+		v = d.PairSVG(ns[1], ns[2])
 		s.pools.put(ns[0], m, eng)
-		s.storeError(w, err)
-		return
+		s.cache.add(key, in, v)
 	}
-	svg := d.PairSVG(ns[1], ns[2])
-	s.pools.put(ns[0], m, eng)
-	s.cache.addIfGen(key, svg, gen)
 	w.Header().Set("Content-Type", "image/svg+xml")
-	io.WriteString(w, svg)
+	io.WriteString(w, v.(string))
 }
 
 // --- cohort ---------------------------------------------------------
@@ -474,7 +472,8 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"type": "error", "error": err.Error()})
 		return
 	case err != nil:
-		s.storeError(w, err)
+		// The specification is known, so the repository failed.
+		s.httpError(w, err, http.StatusInternalServerError)
 		return
 	case mx == nil || len(mx.Labels) < 2:
 		// A cohort this small has no pairs, so nothing was streamed.

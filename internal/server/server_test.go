@@ -276,8 +276,9 @@ func TestImportAndDelete(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation proves the LRU drops entries for a run when it
-// is overwritten or deleted, and keeps unrelated entries.
+// TestCacheInvalidation proves a cached diff stops answering once a
+// run it compares is overwritten or deleted, and survives both a
+// re-import of identical content and changes to unrelated runs.
 func TestCacheInvalidation(t *testing.T) {
 	srv, st := seedServer(t, 3, Options{CacheSize: 8})
 
@@ -294,6 +295,23 @@ func TestCacheInvalidation(t *testing.T) {
 	warm("r0", "r2")
 	if !warm("r0", "r1").Cached || !warm("r0", "r2").Cached {
 		t.Fatal("cache should be warm")
+	}
+
+	// Re-importing r1 unchanged keeps its content hash, so its diffs
+	// stay cached.
+	same, err := st.LoadRun("pa", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sameXML bytes.Buffer
+	if err := wfxml.EncodeRun(&sameXML, same, "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs/r1", sameXML.Bytes(), nil); rec.Code != 201 {
+		t.Fatalf("identical re-import = %d %q", rec.Code, rec.Body.String())
+	}
+	if !warm("r0", "r1").Cached {
+		t.Fatal("diff r0/r1 must stay cached after r1 was re-imported unchanged")
 	}
 
 	// Overwrite r1 with a different run; entries touching r1 must go.
@@ -323,16 +341,17 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Fatal("diff r0/r2 does not involve r1 and must stay cached")
 	}
 
-	// Deleting through the store API (not HTTP) invalidates too: the
-	// hook is on the store, so any writer is covered.
+	// Deleting through the store API (not HTTP) is seen too: the
+	// entries name the content they were computed from, so any writer
+	// is covered.
 	if err := st.DeleteRun("pa", "r2"); err != nil {
 		t.Fatal(err)
 	}
 	if rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r2", nil, nil); rec.Code != 404 {
 		t.Fatalf("diff of store-deleted run = %d, want 404", rec.Code)
 	}
-	if srv.cache.snapshot().Invalidations == 0 {
-		t.Fatal("expected cache invalidations to be recorded")
+	if !warm("r0", "r1").Cached {
+		t.Fatal("diff r0/r1 does not involve r2 and must stay cached")
 	}
 }
 
@@ -340,46 +359,44 @@ func TestCacheInvalidation(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	k := func(a, b string) cacheKey { return cacheKey{spec: "s", runA: a, runB: b, cost: "unit", kind: kindDiff} }
-	c.add(k("a", "b"), 1)
-	c.add(k("b", "c"), 2)
-	if _, ok := c.get(k("a", "b")); !ok {
+	in := inputs{hashA: "h1", hashB: "h2"}
+	c.add(k("a", "b"), in, 1)
+	c.add(k("b", "c"), in, 2)
+	if _, ok := c.get(k("a", "b"), in); !ok {
 		t.Fatal("a/b should be cached")
 	}
-	c.add(k("c", "d"), 3) // evicts b/c (LRU, since a/b was just touched)
-	if _, ok := c.get(k("b", "c")); ok {
+	c.add(k("c", "d"), in, 3) // evicts b/c (LRU, since a/b was just touched)
+	if _, ok := c.get(k("b", "c"), in); ok {
 		t.Fatal("b/c should have been evicted")
 	}
-	if _, ok := c.get(k("a", "b")); !ok {
+	if _, ok := c.get(k("a", "b"), in); !ok {
 		t.Fatal("a/b should have survived eviction")
 	}
 	s := c.snapshot()
 	if s.Evictions != 1 || s.Size != 2 {
 		t.Fatalf("snapshot = %+v", s)
 	}
+	// An entry answers only its own inputs, and new inputs take over
+	// the key's one slot instead of adding a second entry.
+	changed := inputs{hashA: "h1", hashB: "h3"}
+	if _, ok := c.get(k("a", "b"), changed); ok {
+		t.Fatal("a/b answered for changed inputs")
+	}
+	c.add(k("a", "b"), changed, 4)
+	if v, ok := c.get(k("a", "b"), changed); !ok || v != 4 {
+		t.Fatalf("a/b after re-add = %v, %v", v, ok)
+	}
+	if _, ok := c.get(k("a", "b"), in); ok {
+		t.Fatal("superseded a/b entry still answers")
+	}
+	if s := c.snapshot(); s.Size != 2 || s.Evictions != 1 {
+		t.Fatalf("re-add grew the cache: %+v", s)
+	}
 	// Disabled cache never stores.
 	off := newResultCache(0)
-	off.add(k("a", "b"), 1)
-	if _, ok := off.get(k("a", "b")); ok {
+	off.add(k("a", "b"), in, 1)
+	if _, ok := off.get(k("a", "b"), in); ok {
 		t.Fatal("disabled cache returned a value")
-	}
-}
-
-// TestAddIfGenRace covers the compute/invalidate window: a payload
-// computed before an invalidation must not enter the cache after it.
-func TestAddIfGenRace(t *testing.T) {
-	c := newResultCache(4)
-	k := cacheKey{spec: "s", runA: "a", runB: "b", cost: "unit", kind: kindDiff}
-	gen := c.generation()
-	c.invalidateRun("s", "b") // run changed while "computing"
-	c.addIfGen(k, "stale", gen)
-	if _, ok := c.get(k); ok {
-		t.Fatal("stale payload cached across an invalidation")
-	}
-	// With no intervening invalidation the add goes through.
-	gen = c.generation()
-	c.addIfGen(k, "fresh", gen)
-	if v, ok := c.get(k); !ok || v != "fresh" {
-		t.Fatalf("fresh payload not cached: %v %v", v, ok)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // from all sides under the race detector: importers add and delete
 // runs while readers pull /cluster and /nearest answers. Every 200
 // response must be internally consistent, and once the writers settle
-// the served matrix must equal a from-scratch recompute — the
-// generation-checked invalidation may never retain a stale row.
+// the served matrix must equal a from-scratch recompute — a sync
+// against the store's run hashes may never retain a stale row.
 func TestCohortAnalyticsRaceStress(t *testing.T) {
 	srv, st := seedServer(t, 4, Options{CacheSize: 32})
 

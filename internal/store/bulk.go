@@ -52,12 +52,9 @@ type ImportStats struct {
 // ImportRuns imports a batch of runs into a specification in one
 // pass: every document is parsed and derived concurrently (workers
 // goroutines; <= 0 means GOMAXPROCS), committed as frames in one
-// segment append, and published to the decoded-run cache.
-//
-// Change notification is coalesced: every OnRunsChange hook fires
-// exactly once with the full name list, so a subscriber maintaining a
-// per-spec cohort matrix performs one rebuild instead of len(runs)
-// incremental updates.
+// segment append, and published to the decoded-run cache. The batch
+// advances the spec's run-set version once, however many runs it
+// carries.
 //
 // Validation is all-or-nothing per batch: names are checked and every
 // document parsed before anything is written, so a malformed document
@@ -132,23 +129,13 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 // ImportParsed is the group-commit half of the bulk import, shared
 // with the server's ingest pipeline and live-run completion: runs that
 // are already parsed are committed in ONE synced segment append and
-// ONE synced ledger record, published to the decoded-run
-// cache, and announced with ONE coalesced OnRunsChange notification.
+// ONE synced ledger record, published to the decoded-run cache, and
+// counted as ONE step of the spec's run-set version.
 //
 // Names are validated and checked for duplicates (ErrDuplicateRun) up
 // front. The commit is all-or-nothing: on error no run of the batch
-// is stored and nothing is announced.
+// is stored.
 func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, error) {
-	stats, err := s.commitRuns(specName, runs)
-	if err == nil && len(stats.Imported) > 0 {
-		s.notifyRunsChange(specName, stats.Imported)
-	}
-	return stats, err
-}
-
-// commitRuns validates and commits a batch of parsed runs, without
-// change notification.
-func (s *Store) commitRuns(specName string, runs []ParsedRun) (ImportStats, error) {
 	stats := ImportStats{Spec: specName}
 	if err := ValidateName(specName); err != nil {
 		return stats, err

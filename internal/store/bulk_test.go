@@ -41,14 +41,7 @@ func TestImportRunsBulk(t *testing.T) {
 	s := reopen(t, dir)
 	batch := genRunXML(t, s, 5, 7, "bulk")
 
-	var bulks [][]string
-	s.OnRunsChange(func(spec string, runs []string) {
-		if spec != "pa" {
-			t.Errorf("bulk notification for spec %q", spec)
-		}
-		bulks = append(bulks, append([]string(nil), runs...))
-	})
-
+	v0 := s.RunsVersion("pa")
 	stats, err := s.ImportRuns("pa", batch, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +49,8 @@ func TestImportRunsBulk(t *testing.T) {
 	if len(stats.Imported) != 5 || stats.Nodes == 0 || stats.Edges == 0 {
 		t.Fatalf("ImportRuns stats = %+v", stats)
 	}
-	if len(bulks) != 1 || len(bulks[0]) != 5 {
-		t.Fatalf("bulk import fired %v coalesced notifications, want one with 5 runs", bulks)
+	if v := s.RunsVersion("pa"); v != v0+1 {
+		t.Fatalf("bulk import of 5 runs moved the run-set version %d → %d, want one step", v0, v)
 	}
 
 	// All runs listed, loadable, snapshotted and cached.

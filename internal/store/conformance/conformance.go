@@ -25,7 +25,7 @@
 // readers and concurrent writers of one key, and persistence across
 // reopen. The repository layer, run through a *store.Store over the
 // backend: import→read frame identity, no run documents stored by
-// any write path, exactly-one coalesced bulk notification, an
+// any write path, one run-set version step per bulk import, an
 // overwrite replacing the stored frame, ledger proof round-trips
 // across reopen, all-or-nothing bulk validation, and tolerance of
 // torn trailing writes in both the ledger log and live-run event
@@ -475,25 +475,25 @@ func testNoRunDocuments(t *testing.T, open func() store.Backend) {
 	}
 }
 
+// testExactlyOneNotification: a bulk import of four runs advances the
+// spec's run-set version exactly one step, and a delete one more.
 func testExactlyOneNotification(t *testing.T, open func() store.Backend) {
 	const spec = "c-notify"
 	st := store.OpenBackend(open())
 	seedSpec(t, st, spec)
-	var mu sync.Mutex
-	var bulks [][]string
-	st.OnRunsChange(func(_ string, runs []string) {
-		mu.Lock()
-		bulks = append(bulks, append([]string(nil), runs...))
-		mu.Unlock()
-	})
+	v0 := st.RunsVersion(spec)
 	batch := genRuns(t, st, spec, 4, 2, "n")
 	if _, err := st.ImportRuns(spec, batch, 2); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(bulks) != 1 || len(bulks[0]) != 4 {
-		t.Fatalf("bulk import fired %d bulk notifications %v, want exactly one with 4 names", len(bulks), bulks)
+	if v := st.RunsVersion(spec); v != v0+1 {
+		t.Fatalf("bulk import of 4 runs moved the run-set version %d → %d, want one step", v0, v)
+	}
+	if err := st.DeleteRun(spec, batch[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	if v := st.RunsVersion(spec); v != v0+2 {
+		t.Fatalf("delete moved the run-set version to %d, want %d", v, v0+2)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/evolve"
 	"repro/internal/spec"
@@ -318,13 +317,6 @@ func (s *Store) SpecMapping(aName, bName string) (m *evolve.SpecMapping, linked 
 // could not carry are priced as inserts and deletes. It reports
 // whether the two versions are lineage-linked.
 func (s *Store) CrossDiff(aName, runA, bName, runB string, m cost.Model) (*evolve.CrossResult, bool, error) {
-	return s.CrossDiffWith(core.NewEngine(m), aName, runA, bName, runB, m)
-}
-
-// CrossDiffWith is CrossDiff with a caller-owned engine for version
-// b's specification under the same cost model — the pooled path the
-// HTTP service uses.
-func (s *Store) CrossDiffWith(eng *core.Engine, aName, runA, bName, runB string, m cost.Model) (*evolve.CrossResult, bool, error) {
 	mapping, linked, err := s.SpecMapping(aName, bName)
 	if err != nil {
 		return nil, false, err
@@ -337,7 +329,7 @@ func (s *Store) CrossDiffWith(eng *core.Engine, aName, runA, bName, runB string,
 	if err != nil {
 		return nil, linked, err
 	}
-	res, err := evolve.CrossDiffWith(eng, mapping, ra, rb, m)
+	res, err := evolve.CrossDiff(mapping, ra, rb, m)
 	if err != nil {
 		return nil, linked, err
 	}

@@ -6,8 +6,8 @@ package store
 // replays in-flight runs on restart. Completion derives the run once,
 // with the Derive call an XML import makes, and promotes it into the
 // regular repository through the same ImportParsed path bulk ingest
-// uses, so it gets the segment frame, ledger attestation and
-// coalesced cache notification every other run gets, and the stored
+// uses, so it gets the segment frame, ledger attestation and run-set
+// version step every other run gets, and the stored
 // frame is the same one an import of the run's XML stores.
 
 import (
@@ -244,7 +244,7 @@ func (s *Store) ListLiveRuns(specName string) ([]string, error) {
 
 // CompleteLiveRun finishes a live run: the assembled tree is validated
 // against the specification, the run is imported through the bulk
-// group-commit path (snapshot + ledger + coalesced notification), and
+// group-commit path (snapshot + ledger + one run-set version step), and
 // the live state is dropped.
 func (s *Store) CompleteLiveRun(specName, runName string) (*wfrun.Run, error) {
 	if err := ValidateName(specName); err != nil {

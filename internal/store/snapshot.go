@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/ledger"
@@ -107,6 +108,9 @@ type snapState struct {
 	ledgerLoaded bool
 	ledgerSeq    int64
 	ledgerHead   ledger.Hash
+	// version is the run-set version (Store.RunsVersion). It advances
+	// under mu and is read without it.
+	version atomic.Uint64
 }
 
 // Snapshot-layer backend keys.
@@ -444,25 +448,25 @@ func (s *Store) readFrame(specName, runName string, e snapEntry) ([]byte, error)
 // the checkpoint that records the new offsets. Any other failure (a
 // checksum mismatch, a frame from another codec version) is an error
 // naming the run and the batch that committed it.
-func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (*wfrun.Run, error) {
+func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (cachedRun, error) {
 	e, err := s.manifestEntry(specName, runName)
 	if err != nil {
-		return nil, err
+		return cachedRun{}, err
 	}
 	r, ferr := s.decodeFrame(specName, runName, e, sp)
 	if ferr == nil {
-		return r, nil
+		return cachedRun{r, e.Hash}, nil
 	}
 	again, err := s.relocatedEntry(specName, runName)
 	if err != nil {
-		return nil, err
+		return cachedRun{}, err
 	}
 	if again != e {
 		if r, ferr = s.decodeFrame(specName, runName, again, sp); ferr == nil {
-			return r, nil
+			return cachedRun{r, again.Hash}, nil
 		}
 	}
-	return nil, fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr)
+	return cachedRun{}, fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr)
 }
 
 func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec) (*wfrun.Run, error) {
@@ -566,10 +570,11 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem) ([
 		return nil, err
 	}
 	s.mu.Lock()
-	for _, it := range items {
-		s.runs[runKey(specName, it.name)] = it.run
+	for i, it := range items {
+		s.runs[runKey(specName, it.name)] = cachedRun{it.run, hashes[i]}
 	}
 	s.mu.Unlock()
+	st.version.Add(1)
 	return hashes, nil
 }
 
@@ -637,8 +642,10 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 		// have left a torn fragment), so the index is reloaded from
 		// disk before its next use — the reload truncates any torn
 		// tail and replays the record if it is whole — and the batch's
-		// names leave the decoded-run cache.
+		// names leave the decoded-run cache. The run set may change
+		// with that reload, so its version advances now.
 		st.loaded, st.ledgerLoaded = false, false
+		st.version.Add(1)
 		s.mu.Lock()
 		for _, it := range items {
 			delete(s.runs, runKey(specName, it.name))
@@ -791,6 +798,7 @@ func (s *Store) dropRun(specName, runName string) error {
 	s.mu.Lock()
 	delete(s.runs, runKey(specName, runName))
 	s.mu.Unlock()
+	st.version.Add(1)
 	_ = s.maybeCompactLocked(specName, st) // housekeeping, as in commitLocked
 	return nil
 }
@@ -905,7 +913,7 @@ type PreloadStats struct {
 // Preload warms the in-memory caches of one specification: the spec
 // itself plus every stored run, decoded from its frame. After Preload
 // returns, LoadRun and the cohort paths serve existing runs from
-// memory.
+// memory. Runs deleted while it runs are skipped.
 func (s *Store) Preload(specName string) (PreloadStats, error) {
 	stats := PreloadStats{Spec: specName}
 	sp, err := s.LoadSpec(specName)
@@ -924,11 +932,15 @@ func (s *Store) Preload(specName string) (PreloadStats, error) {
 		if cached {
 			continue
 		}
-		r, err := s.loadRunFrame(specName, name, sp)
+		c, err := s.loadRunFrame(specName, name, sp)
+		if isNotExist(err) {
+			stats.Runs--
+			continue
+		}
 		if err != nil {
 			return stats, err
 		}
-		s.cacheRun(specName, name, r)
+		s.cacheRun(specName, name, c)
 	}
 	return stats, nil
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -180,20 +181,19 @@ func TestCorruptFrameFailsLoadAndVerify(t *testing.T) {
 
 // TestDeleteRunDropsSnapshot is the regression test for the delete
 // path: a deleted run must disappear from the manifest and stay gone
-// after a restart, with exactly one change notification.
+// after a restart, and advance the run-set version exactly one step.
 func TestDeleteRunDropsSnapshot(t *testing.T) {
 	dir := seedDir(t, 3)
 	s := reopen(t, dir)
 	if _, err := s.Snapshot("pa"); err != nil {
 		t.Fatal(err)
 	}
-	var calls [][]string
-	s.OnRunsChange(func(spec string, runs []string) { calls = append(calls, runs) })
+	v0 := s.RunsVersion("pa")
 	if err := s.DeleteRun("pa", "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 1 || len(calls[0]) != 1 || calls[0][0] != "r1" {
-		t.Fatalf("delete fired notifications %v, want exactly one naming r1", calls)
+	if v := s.RunsVersion("pa"); v != v0+1 {
+		t.Fatalf("delete moved the run-set version %d → %d, want one step", v0, v)
 	}
 	if s.hasRun("pa", "r1") {
 		t.Fatal("deleted run still in the manifest")
@@ -521,6 +521,88 @@ func (b *countingBackend) ReadFile(key string) ([]byte, error) {
 func (b *countingBackend) ReadAt(key string, p []byte, off int64) error {
 	b.count(key, len(p))
 	return b.Backend.ReadAt(key, p, off)
+}
+
+// parkedReadBackend parks the first segment read made after arm until
+// release closes, closing entered when it parks.
+type parkedReadBackend struct {
+	Backend
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newParkedReadBackend(be Backend) *parkedReadBackend {
+	return &parkedReadBackend{Backend: be, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *parkedReadBackend) ReadAt(key string, p []byte, off int64) error {
+	if b.armed.Load() && key == segmentKey("pa") {
+		b.once.Do(func() {
+			close(b.entered)
+			<-b.release
+		})
+	}
+	return b.Backend.ReadAt(key, p, off)
+}
+
+// TestLoadRunRacesDelete: a load whose frame read straddles a delete
+// of the same run may answer with the run (the two were concurrent),
+// but must not cache it — once both return, the run is gone.
+func TestLoadRunRacesDelete(t *testing.T) {
+	be := newParkedReadBackend(openTestBackend(t, seedDir(t, 3)))
+	s := OpenBackend(be)
+	if _, err := s.ListRuns("pa"); err != nil {
+		t.Fatal(err)
+	}
+	be.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.LoadRun("pa", "r1")
+		done <- err
+	}()
+	<-be.entered
+	if err := s.DeleteRun("pa", "r1"); err != nil {
+		t.Fatal(err)
+	}
+	close(be.release)
+	<-done
+	if names, err := s.ListRuns("pa"); err != nil || strings.Join(names, " ") != "r0 r2" {
+		t.Fatalf("ListRuns = %v, %v; want [r0 r2]", names, err)
+	}
+	if _, err := s.LoadRun("pa", "r1"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LoadRun of the deleted run = %v, want not-exist", err)
+	}
+}
+
+// TestPreloadRacesDelete: a run deleted while Preload is loading the
+// spec is skipped, not an error, and stays deleted.
+func TestPreloadRacesDelete(t *testing.T) {
+	be := newParkedReadBackend(openTestBackend(t, seedDir(t, 3)))
+	s := OpenBackend(be)
+	be.armed.Store(true)
+	done := make(chan error, 1)
+	var pre PreloadStats
+	go func() {
+		var err error
+		pre, err = s.Preload("pa")
+		done <- err
+	}()
+	<-be.entered // parked on r0's frame, r2 not yet looked up
+	if err := s.DeleteRun("pa", "r2"); err != nil {
+		t.Fatal(err)
+	}
+	close(be.release)
+	if err := <-done; err != nil {
+		t.Fatalf("Preload racing a delete: %v", err)
+	}
+	if pre.Runs != 2 {
+		t.Fatalf("Preload loaded %d runs, want 2", pre.Runs)
+	}
+	if _, err := s.LoadRun("pa", "r2"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LoadRun of the deleted run = %v, want not-exist", err)
+	}
 }
 
 // TestColdStartReadsNoXML: the warm start provserved performs

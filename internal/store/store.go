@@ -48,13 +48,10 @@ type Store struct {
 
 	mu    sync.RWMutex
 	specs map[string]*spec.Spec
-	runs  map[string]*wfrun.Run // "<spec>/<run>" → parsed run
+	runs  map[string]cachedRun // "<spec>/<run>" → decoded run
 
 	snapsMu sync.Mutex
 	snaps   map[string]*snapState // per-spec snapshot manifests
-
-	hookMu sync.RWMutex
-	hooks  []func(specName string, runNames []string)
 
 	mapMu    sync.Mutex
 	mappings map[string]*evolve.SpecMapping // "a\x00b" → spec mapping
@@ -80,7 +77,7 @@ func OpenBackend(be Backend) *Store {
 	return &Store{
 		be:       be,
 		specs:    make(map[string]*spec.Spec),
-		runs:     make(map[string]*wfrun.Run),
+		runs:     make(map[string]cachedRun),
 		snaps:    make(map[string]*snapState),
 		mappings: make(map[string]*evolve.SpecMapping),
 		live:     make(map[string]*liveRun),
@@ -113,6 +110,13 @@ func (s *Store) Close() error { return s.be.Close() }
 
 func runKey(specName, runName string) string { return specName + "/" + runName }
 
+// cachedRun is a decoded run with the content hash of the frame it was
+// decoded from.
+type cachedRun struct {
+	run  *wfrun.Run
+	hash string
+}
+
 // ValidateName reports whether a spec or run name is safe to join into
 // the repository root. Every boundary that accepts untrusted names
 // (the CLI, the HTTP service) must call it before the name reaches the
@@ -133,27 +137,6 @@ func ValidateName(name string) error {
 		return fmt.Errorf("store: invalid name %q", name)
 	}
 	return nil
-}
-
-// OnRunsChange registers fn to be called once per change with the spec
-// and every run it touched: a commit (SaveRun, ImportRuns, ImportParsed
-// and live-run completion) names every run it stored, DeleteRun the run
-// it removed. Hooks fire after the store's own caches are updated,
-// outside the store lock; the HTTP service uses this to invalidate its
-// diff-result cache and cohort matrices.
-func (s *Store) OnRunsChange(fn func(specName string, runNames []string)) {
-	s.hookMu.Lock()
-	s.hooks = append(s.hooks, fn)
-	s.hookMu.Unlock()
-}
-
-func (s *Store) notifyRunsChange(specName string, runNames []string) {
-	s.hookMu.RLock()
-	hooks := s.hooks
-	s.hookMu.RUnlock()
-	for _, fn := range hooks {
-		fn(specName, runNames)
-	}
 }
 
 // Backend keys of the repository layout.
@@ -279,42 +262,57 @@ func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 // read-only. A frame that fails its checksum or names another run is
 // an error naming the run and its batch.
 func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
+	r, _, err := s.LoadRunHash(specName, runName)
+	return r, err
+}
+
+// LoadRunHash is LoadRun that also returns the hex content hash of the
+// frame the run was decoded from — its ledger identity, which changes
+// exactly when the stored run does.
+func (s *Store) LoadRunHash(specName, runName string) (*wfrun.Run, string, error) {
 	if err := ValidateName(specName); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if err := ValidateName(runName); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	key := runKey(specName, runName)
 	s.mu.RLock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.RUnlock()
-		return r, nil
-	}
+	c, ok := s.runs[runKey(specName, runName)]
 	s.mu.RUnlock()
+	if ok {
+		return c.run, c.hash, nil
+	}
 	sp, err := s.LoadSpec(specName)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	r, err := s.loadRunFrame(specName, runName, sp)
+	c, err = s.loadRunFrame(specName, runName, sp)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return s.cacheRun(specName, runName, r), nil
+	return s.cacheRun(specName, runName, c), c.hash, nil
 }
 
 // cacheRun publishes a decoded run, keeping the first copy if another
-// goroutine raced the load so all readers share one tree.
-func (s *Store) cacheRun(specName, runName string, r *wfrun.Run) *wfrun.Run {
+// goroutine raced the load so all readers share one tree. It publishes
+// under the state lock and only while the manifest still holds the
+// decoded hash: a load that raced a delete or an overwrite returns
+// what it read, but never caches it.
+func (s *Store) cacheRun(specName, runName string, c cachedRun) *wfrun.Run {
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.loaded || st.manifest.Runs[runName].Hash != c.hash {
+		return c.run
+	}
 	key := runKey(specName, runName)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if have, ok := s.runs[key]; ok {
-		r = have
-	} else {
-		s.runs[key] = r
+		return have.run
 	}
-	s.mu.Unlock()
-	return r
+	s.runs[key] = c
+	return c.run
 }
 
 // ListRuns returns the run names stored under a specification, sorted:
@@ -337,9 +335,43 @@ func (s *Store) ListRuns(specName string) ([]string, error) {
 	return out, nil
 }
 
+// RunsVersion returns a specification's run-set version: a counter
+// that advances once per commit and once per delete, so a result
+// computed from the runs at one version is current while the version
+// holds. It is read without the state lock, which a commit holds
+// across its fsyncs, and it creates no state for a name it has not
+// seen (that reads 0).
+func (s *Store) RunsVersion(specName string) uint64 {
+	s.snapsMu.Lock()
+	st := s.snaps[specName]
+	s.snapsMu.Unlock()
+	if st == nil {
+		return 0
+	}
+	return st.version.Load()
+}
+
+// RunHashes lists a specification's runs with the hex content hash of
+// each, and the run-set version the listing reflects.
+func (s *Store) RunHashes(specName string) (uint64, map[string]string, error) {
+	if err := ValidateName(specName); err != nil {
+		return 0, nil, err
+	}
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return 0, nil, err
+	}
+	out := make(map[string]string, len(st.manifest.Runs))
+	for name, e := range st.manifest.Runs {
+		out[name] = e.Hash
+	}
+	return st.version.Load(), out, nil
+}
+
 // DeleteRun removes a stored run: its manifest entry (so a restart
-// can never resurrect it) and its cached decode. Exactly one change
-// notification fires, after all state is consistent.
+// can never resurrect it) and its cached decode.
 func (s *Store) DeleteRun(specName, runName string) error {
 	if err := ValidateName(specName); err != nil {
 		return err
@@ -347,11 +379,7 @@ func (s *Store) DeleteRun(specName, runName string) error {
 	if err := ValidateName(runName); err != nil {
 		return err
 	}
-	if err := s.dropRun(specName, runName); err != nil {
-		return err
-	}
-	s.notifyRunsChange(specName, []string{runName})
-	return nil
+	return s.dropRun(specName, runName)
 }
 
 // Diff loads two stored runs (cached after first parse) and

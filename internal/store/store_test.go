@@ -214,8 +214,8 @@ func TestPathTraversalNames(t *testing.T) {
 	}
 }
 
-// TestRunChangeHooks verifies OnRunsChange fires once on import and
-// once on delete with the right names.
+// TestRunChangeHooks verifies the run-set version advances exactly
+// one step on import and one on delete.
 func TestRunChangeHooks(t *testing.T) {
 	s := openStore(t)
 	pa, _ := gen.Catalog("PA")
@@ -227,23 +227,21 @@ func TestRunChangeHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var events []string
-	s.OnRunsChange(func(spec string, runs []string) {
-		mu.Lock()
-		for _, run := range runs {
-			events = append(events, spec+"/"+run)
-		}
-		mu.Unlock()
-	})
+	v0 := s.RunsVersion("pa")
 	if err := s.SaveRun("pa", "x", r); err != nil {
 		t.Fatal(err)
+	}
+	if v := s.RunsVersion("pa"); v != v0+1 {
+		t.Fatalf("version after import = %d, want %d", v, v0+1)
 	}
 	if err := s.DeleteRun("pa", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[0] != "pa/x" || events[1] != "pa/x" {
-		t.Fatalf("events = %v", events)
+	if v := s.RunsVersion("pa"); v != v0+2 {
+		t.Fatalf("version after delete = %d, want %d", v, v0+2)
+	}
+	if v, hashes, err := s.RunHashes("pa"); err != nil || v != v0+2 || len(hashes) != 0 {
+		t.Fatalf("RunHashes = %d, %v, %v; want version %d and no runs", v, hashes, err, v0+2)
 	}
 }
 
