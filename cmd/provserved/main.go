@@ -4,7 +4,6 @@
 //
 //	provserved -dir DIR [-addr :8077] [-cache 512] [-demo N] [-seed S] [-preload=true]
 //	           [-backend fs|memory]
-//	           [-index-threshold N]
 //	           [-ingest-queue 1024] [-ingest-batch 64] [-ingest-maxwait 0]
 //	           [-timing-log FILE]
 //
@@ -18,10 +17,9 @@
 // optional linger window for batching under bursty async load (0
 // commits as soon as the queue drains).
 //
-// -index-threshold is the cohort size at which the analytics routes
-// answer from the metric index instead of a dense distance matrix (0
-// means 256, negative keeps every cohort dense); the index always uses
-// its default landmark count.
+// The analytics routes answer from the metric index, with its default
+// landmark count, once a cohort reaches 256 runs, and from a dense
+// distance matrix below that.
 //
 // -backend selects the storage engine: a local directory tree under
 // DIR, or an in-memory store for ephemeral demos. Any other value, or
@@ -68,7 +66,6 @@ func main() {
 		demo    = flag.Int("demo", 0, "seed a 'demo' spec with N generated runs if absent")
 		seed    = flag.Int64("seed", 1, "random seed for -demo run generation")
 		preload = flag.Bool("preload", true, "warm parsed-run and cohort-matrix caches from snapshots at boot")
-		indexTh = flag.Int("index-threshold", 0, "cohort size at which analytics switch to the metric index (0 = default, negative disables)")
 		inQueue = flag.Int("ingest-queue", 0, "group-commit ingest queue depth (0 = default 1024); full queue answers 429")
 		inBatch = flag.Int("ingest-batch", 0, "max runs per ingest group-commit (0 = default 64)")
 		inWait  = flag.Duration("ingest-maxwait", 0, "ingest batcher linger window (0 commits as soon as the queue drains)")
@@ -89,11 +86,10 @@ func main() {
 		}
 	}
 	opts := server.Options{
-		CacheSize:      *cache,
-		IndexThreshold: *indexTh,
-		IngestQueue:    *inQueue,
-		IngestBatch:    *inBatch,
-		IngestMaxWait:  *inWait,
+		CacheSize:     *cache,
+		IngestQueue:   *inQueue,
+		IngestBatch:   *inBatch,
+		IngestMaxWait: *inWait,
 	}
 	if *timing != "" {
 		sink, err := newTimingLog(*timing)

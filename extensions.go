@@ -27,21 +27,11 @@ type (
 	DistanceMatrixResult = analysis.Matrix
 	// Dendrogram is a UPGMA hierarchical clustering tree.
 	Dendrogram = analysis.Dendrogram
-	// CohortMatrix is a shared distance matrix maintained
-	// incrementally: adding a run differences only the new row, with
-	// per-shard engines (and their W_TG memos) reused across imports.
-	CohortMatrix = analysis.CohortMatrix
 )
 
 // DistanceMatrix computes all pairwise edit distances of a cohort.
 func DistanceMatrix(runs []*Run, names []string, m CostModel) (*DistanceMatrixResult, error) {
 	return analysis.DistanceMatrix(runs, names, m)
-}
-
-// NewCohortMatrix returns an empty incrementally-updatable cohort
-// matrix; workers caps the differencing fan-out (<= 0 for all cores).
-func NewCohortMatrix(m CostModel, workers int) *CohortMatrix {
-	return analysis.NewCohortMatrix(m, workers)
 }
 
 // Cohort analytics over a distance matrix (internal/cluster): which
@@ -91,9 +81,11 @@ type (
 	MetricCohort = metricindex.Cohort
 	// SampleOptions tunes SampledKMedoids (sample size, restarts).
 	SampleOptions = cluster.SampleOptions
-	// HybridCohort keeps a cohort dense below a size threshold and
-	// index-backed above it, under the CohortMatrix maintenance
-	// discipline.
+	// HybridCohort is a cohort maintained incrementally: adding a run
+	// differences only the new row, with per-worker engines (and their
+	// W_TG memos) reused across imports. It keeps a dense distance
+	// matrix below a size threshold and a metric index above it;
+	// IndexThreshold: -1 keeps it dense at any size.
 	HybridCohort = analysis.HybridCohort
 	// HybridCohortOptions tunes the representation switch.
 	HybridCohortOptions = analysis.HybridOptions

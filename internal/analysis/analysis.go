@@ -38,9 +38,9 @@ type Matrix struct {
 	D      [][]float64
 }
 
-// Options tunes DistanceMatrixWith and the full rebuilds of
-// CohortMatrix.Reset and HybridCohort.Reset. The zero value means "all
-// cores, no progress reporting, no cancellation".
+// Options tunes DistanceMatrixWith and the dense rebuilds of
+// HybridCohort.Reset. The zero value means "all cores, no progress
+// reporting, no cancellation".
 type Options struct {
 	// Workers caps the differencing fan-out; <= 0 means GOMAXPROCS.
 	Workers int
@@ -68,7 +68,8 @@ func DistanceMatrix(runs []*wfrun.Run, names []string, m cost.Model) (*Matrix, e
 
 // DistanceMatrixWith is DistanceMatrix with explicit worker,
 // progress-reporting and cancellation control. It runs the same
-// row-sharded fan-out as CohortMatrix.Reset, with fresh engines.
+// row-sharded fan-out as a dense HybridCohort.Reset, with fresh
+// engines.
 func DistanceMatrixWith(runs []*wfrun.Run, names []string, m cost.Model, opts Options) (*Matrix, error) {
 	n := len(runs)
 	if n == 0 {

@@ -32,6 +32,11 @@ func cohortRuns(t testing.TB, n int) ([]string, []*wfrun.Run) {
 	return names, runs
 }
 
+// denseCohort is a cohort that stays dense at any size.
+func denseCohort(m cost.Model, workers int) *HybridCohort {
+	return NewHybridCohort(m, workers, HybridOptions{IndexThreshold: -1})
+}
+
 // TestCohortMatrixMatchesDistanceMatrix: a Reset-built cohort matrix
 // equals the one-shot DistanceMatrix, whatever the shard count.
 func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
@@ -41,11 +46,11 @@ func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		cm := NewCohortMatrix(cost.Unit{}, workers)
+		cm := denseCohort(cost.Unit{}, workers)
 		if err := cm.Reset(names, runs, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		got := cm.Snapshot()
+		got := cm.View().Matrix
 		if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.D, want.D) {
 			t.Fatalf("workers=%d: matrix mismatch\ngot  %v\nwant %v", workers, got.D, want.D)
 		}
@@ -57,7 +62,7 @@ func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 // new pairs — O(n) per import, asserted through the diff-call counter.
 func TestCohortMatrixIncrementalAdd(t *testing.T) {
 	names, runs := cohortRuns(t, 8)
-	cm := NewCohortMatrix(cost.Unit{}, 2)
+	cm := denseCohort(cost.Unit{}, 2)
 	for i := range runs {
 		before := cm.DiffCalls()
 		if err := cm.Add(names[i], runs[i]); err != nil {
@@ -71,7 +76,7 @@ func TestCohortMatrixIncrementalAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cm.Snapshot()
+	got := cm.View().Matrix
 	if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.D, want.D) {
 		t.Fatalf("incremental matrix diverged from full recompute\ngot  %v\nwant %v", got.D, want.D)
 	}
@@ -87,7 +92,7 @@ func TestCohortMatrixIncrementalAdd(t *testing.T) {
 // row/column with zero diffs.
 func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	names, runs := cohortRuns(t, 6)
-	cm := NewCohortMatrix(cost.Length{}, 0)
+	cm := denseCohort(cost.Length{}, 0)
 	if err := cm.Reset(names[:5], runs[:5], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cm.Snapshot()
+	got := cm.View().Matrix
 	if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.D, want.D) {
 		t.Fatalf("after replace:\ngot  %v %v\nwant %v %v", got.Labels, got.D, want.Labels, want.D)
 	}
@@ -129,12 +134,15 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := cm.Snapshot()
+	got2 := cm.View().Matrix
 	if !reflect.DeepEqual(got2.Labels, want2.Labels) || !reflect.DeepEqual(got2.D, want2.D) {
 		t.Fatalf("after remove:\ngot  %v %v\nwant %v %v", got2.Labels, got2.D, want2.Labels, want2.D)
 	}
-	if cm.Has(names[2]) || !cm.Has(names[0]) || cm.Len() != 4 {
-		t.Fatalf("membership bookkeeping broken: %v", cm.Labels())
+	v := cm.View()
+	_, has2 := v.IndexOf(names[2])
+	_, has0 := v.IndexOf(names[0])
+	if has2 || !has0 || cm.Len() != 4 {
+		t.Fatalf("membership bookkeeping broken: %v", v.Matrix.Labels)
 	}
 }
 
@@ -143,7 +151,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 // diffs than recomputing the whole matrix.
 func TestCohortMatrixIncrementalSavesDiffs(t *testing.T) {
 	names, runs := cohortRuns(t, 33)
-	cm := NewCohortMatrix(cost.Unit{}, 0)
+	cm := denseCohort(cost.Unit{}, 0)
 	if err := cm.Reset(names[:32], runs[:32], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +168,27 @@ func TestCohortMatrixIncrementalSavesDiffs(t *testing.T) {
 		fullDiffs, incDiffs, float64(fullDiffs)/float64(incDiffs))
 }
 
-// TestCohortMatrixConcurrentReads: snapshots taken while mutations are
-// in flight are always internally consistent (square, labeled,
-// symmetric, zero diagonal).
+// cloneMatrix deep-copies a view's matrix (nil for an empty cohort).
+func cloneMatrix(mx *Matrix) *Matrix {
+	if mx == nil {
+		return nil
+	}
+	c := &Matrix{Labels: append([]string(nil), mx.Labels...), D: make([][]float64, len(mx.D))}
+	for i, row := range mx.D {
+		c.D[i] = append([]float64(nil), row...)
+	}
+	return c
+}
+
+// TestCohortMatrixConcurrentReads: views taken while Add and Remove
+// are in flight are always internally consistent (square, labeled,
+// symmetric, zero diagonal), and a view stays equal to a copy taken
+// when it was handed out however the cohort moves on. Run it under
+// -race: a mutation that wrote to a published generation would race
+// the readers.
 func TestCohortMatrixConcurrentReads(t *testing.T) {
 	names, runs := cohortRuns(t, 8)
-	cm := NewCohortMatrix(cost.Unit{}, 2)
+	cm := denseCohort(cost.Unit{}, 2)
 	if err := cm.Reset(names[:4], runs[:4], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,26 +198,38 @@ func TestCohortMatrixConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev, prevCopy *Matrix
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				mx := cm.Snapshot()
+				mx := cm.View().Matrix
 				if mx == nil {
 					continue
 				}
 				if len(mx.Labels) != len(mx.D) {
-					t.Errorf("snapshot: %d labels, %d rows", len(mx.Labels), len(mx.D))
+					t.Errorf("view: %d labels, %d rows", len(mx.Labels), len(mx.D))
 					return
 				}
 				for i, row := range mx.D {
 					if len(row) != len(mx.D) || row[i] != 0 {
-						t.Errorf("snapshot row %d inconsistent", i)
+						t.Errorf("view row %d inconsistent", i)
 						return
 					}
+					for j := range row {
+						if row[j] != mx.D[j][i] {
+							t.Errorf("view asymmetric at (%d,%d)", i, j)
+							return
+						}
+					}
 				}
+				if prev != nil && !reflect.DeepEqual(prev, prevCopy) {
+					t.Errorf("an earlier view changed after later mutations")
+					return
+				}
+				prev, prevCopy = mx, cloneMatrix(mx)
 			}
 		}()
 	}
@@ -208,9 +243,64 @@ func TestCohortMatrixConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDenseViewSurvivesMutations: a dense view shares the published
+// rows, so no mutation may write to them afterwards. Each view taken
+// along the way — after an Add, a replacing Add, a Remove, a
+// successful Reset and a cancelled Reset — must still equal the deep
+// copy taken when it was handed out.
+func TestDenseViewSurvivesMutations(t *testing.T) {
+	names, runs := cohortRuns(t, 7)
+	cm := denseCohort(cost.Unit{}, 2)
+	if err := cm.Reset(names[:4], runs[:4], Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var views, copies []*Matrix
+	take := func() {
+		mx := cm.View().Matrix
+		views = append(views, mx)
+		copies = append(copies, cloneMatrix(mx))
+	}
+	check := func(step string) {
+		t.Helper()
+		for i := range views {
+			if !reflect.DeepEqual(views[i], copies[i]) {
+				t.Fatalf("after %s: view %d changed\ngot  %v %v\nwant %v %v",
+					step, i, views[i].Labels, views[i].D, copies[i].Labels, copies[i].D)
+			}
+		}
+		take()
+	}
+	take()
+	if err := cm.Add(names[4], runs[4]); err != nil {
+		t.Fatal(err)
+	}
+	check("Add")
+	if err := cm.Add(names[1], runs[5]); err != nil {
+		t.Fatal(err)
+	}
+	check("replacing Add")
+	if !cm.Remove(names[2]) {
+		t.Fatal("remove of present run must report true")
+	}
+	check("Remove")
+	if err := cm.Reset(names[2:6], runs[2:6], Options{}); err != nil {
+		t.Fatal(err)
+	}
+	check("Reset")
+	ctx, cancel := context.WithCancel(context.Background())
+	err := cm.Reset(names, runs, Options{Context: ctx, Progress: func(done, total int) { cancel() }})
+	if err == nil || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("cancelled Reset returned %v, want aborted error", err)
+	}
+	check("cancelled Reset")
+	if last := views[len(views)-1]; !reflect.DeepEqual(last, views[len(views)-2]) {
+		t.Fatalf("cancelled Reset changed the cohort: %v, want %v", last.Labels, views[len(views)-2].Labels)
+	}
+}
+
 func TestCohortMatrixErrors(t *testing.T) {
 	names, runs := cohortRuns(t, 3)
-	cm := NewCohortMatrix(cost.Unit{}, 1)
+	cm := denseCohort(cost.Unit{}, 1)
 	if err := cm.Reset([]string{"a"}, runs[:2], Options{}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
@@ -220,7 +310,7 @@ func TestCohortMatrixErrors(t *testing.T) {
 	if err := cm.Add("x", nil); err == nil {
 		t.Fatal("nil run must error")
 	}
-	if cm.Snapshot() != nil {
+	if cm.View().Matrix != nil {
 		t.Fatal("empty cohort snapshots to nil")
 	}
 	_ = names
@@ -269,7 +359,7 @@ func TestDistanceMatrixCancellation(t *testing.T) {
 // a cancelled Reset fails without touching the published cohort.
 func TestCohortMatrixResetProgressAndAbort(t *testing.T) {
 	names, runs := cohortRuns(t, 9)
-	cm := NewCohortMatrix(cost.Unit{}, 3)
+	cm := denseCohort(cost.Unit{}, 3)
 	last, calls := 0, 0
 	err := cm.Reset(names[:6], runs[:6], Options{Progress: func(done, total int) {
 		if total != 15 || done != last+1 {
@@ -284,14 +374,14 @@ func TestCohortMatrixResetProgressAndAbort(t *testing.T) {
 	if calls != 15 {
 		t.Fatalf("progress calls = %d, want 15", calls)
 	}
-	before := cm.Snapshot()
+	before := cloneMatrix(cm.View().Matrix)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	err = cm.Reset(names, runs, Options{Context: ctx, Progress: func(done, total int) { cancel() }})
 	if err == nil || !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("cancelled Reset returned %v, want aborted error", err)
 	}
-	if got := cm.Snapshot(); !reflect.DeepEqual(got, before) {
+	if got := cm.View().Matrix; !reflect.DeepEqual(got, before) {
 		t.Fatalf("cancelled Reset changed the cohort:\n%v\nwant\n%v", got, before)
 	}
 }

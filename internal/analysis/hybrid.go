@@ -2,12 +2,15 @@ package analysis
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/metricindex"
 	"repro/internal/wfrun"
-	"sync"
 )
 
 // DefaultIndexThreshold is the cohort size at which a HybridCohort
@@ -25,38 +28,41 @@ type HybridOptions struct {
 	IndexThreshold int
 }
 
-// HybridCohort maintains one cohort under the CohortMatrix discipline
-// (incremental Add/Remove, bulk-coalesced Reset, exported diff
-// counters) while choosing the representation by size: a dense
-// CohortMatrix below the index threshold, a metricindex.Index at or
-// above it. Switches preserve the cohort and the cumulative counters;
-// switching down waits until the cohort falls below half the
-// threshold, so a membership hovering at the boundary never thrashes
-// O(n²) rebuilds.
+// HybridCohort maintains one cohort of runs incrementally (Add
+// differences only the new row, Remove differences nothing, Reset
+// rebuilds in one fan-out, and the diff counters are exported) while
+// choosing the representation by size: a dense distance matrix below
+// the index threshold, a metricindex.Index at or above it. Switches
+// preserve the cohort and the cumulative counters; switching down waits
+// until the cohort falls below half the threshold, so a membership
+// hovering at the boundary never thrashes O(n²) rebuilds.
 //
-// Unlike CohortMatrix, reads block while a mutation is in flight (the
-// representation pointer itself is what mutations replace); the
-// published views handed out by View remain immutable and
-// survive any later mutation.
+// One lock guards the cohort: mutations hold it for writing, including
+// their differencing, and reads wait for them. A view handed out by
+// View is never written afterwards and survives any later mutation.
 type HybridCohort struct {
 	model     cost.Model
 	workers   int
 	threshold int // <= 0: indexing disabled
 
 	mu sync.RWMutex
-	cm *CohortMatrix // exactly one of cm/ix is non-nil
+	dn *dense // exactly one of dn/ix is non-nil
 	ix *metricindex.Index
+	// engines are the dense side's, one per worker, reused across
+	// Reset and Add so the W_TG memo and scratch tables stay warm.
+	engines []*core.Engine
 
-	// Counters of retired representations, so DiffCalls/Rebuilds stay
-	// cumulative across switches.
-	baseDiffs    int64
-	basePruned   int64
-	baseRebuilds int64
+	// diffs counts dense diffs, rebuilds dense Resets; both also hold
+	// the counters of retired indexes, as does pruned, so DiffCalls,
+	// PrunedPairs and Rebuilds stay cumulative across switches.
+	diffs    atomic.Int64
+	rebuilds int64
+	pruned   int64
 }
 
 // NewHybridCohort returns an empty hybrid cohort (dense until the
 // threshold is reached) for the given cost model. workers caps the
-// differencing fan-out as in NewCohortMatrix.
+// differencing fan-out; <= 0 means GOMAXPROCS.
 func NewHybridCohort(m cost.Model, workers int, opts HybridOptions) *HybridCohort {
 	th := opts.IndexThreshold
 	if th == 0 {
@@ -66,7 +72,7 @@ func NewHybridCohort(m cost.Model, workers int, opts HybridOptions) *HybridCohor
 		model:     m,
 		workers:   workers,
 		threshold: th,
-		cm:        NewCohortMatrix(m, workers),
+		dn:        newDense(nil, nil, nil),
 	}
 }
 
@@ -78,23 +84,38 @@ func (hc *HybridCohort) newIndex() *metricindex.Index {
 	return metricindex.New(hc.model, metricindex.Options{Workers: hc.workers})
 }
 
-// retireCM and retireIX fold a representation's counters into the
-// cumulative base before dropping it. Caller must hold hc.mu.
-func (hc *HybridCohort) retireCM() {
-	if hc.cm != nil {
-		hc.baseDiffs += hc.cm.DiffCalls()
-		hc.baseRebuilds += hc.cm.Rebuilds()
-		hc.cm = nil
+// denseEngines returns the engines for a dense fan-out over shards
+// units of work, growing the pool as needed. Caller holds hc.mu.
+func (hc *HybridCohort) denseEngines(shards int) []*core.Engine {
+	w := fanOut(hc.workers, shards)
+	for len(hc.engines) < w {
+		hc.engines = append(hc.engines, core.NewEngine(hc.model))
 	}
+	return hc.engines[:w]
 }
 
-func (hc *HybridCohort) retireIX() {
+// useIndex moves the cohort into ix, dropping the dense side. Caller
+// holds hc.mu.
+func (hc *HybridCohort) useIndex(ix *metricindex.Index) {
+	hc.dn, hc.engines, hc.ix = nil, nil, ix
+}
+
+// resetDense rebuilds the cohort as a dense matrix, retiring any index
+// only once the build succeeds. Caller holds hc.mu.
+func (hc *HybridCohort) resetDense(names []string, runs []*wfrun.Run, opts Options) error {
+	hc.rebuilds++
+	d, err := pairwise(hc.denseEngines(len(runs)-1), runs, names, opts, &hc.diffs)
+	if err != nil {
+		return err
+	}
 	if hc.ix != nil {
-		hc.baseDiffs += hc.ix.ExactDiffs()
-		hc.basePruned += hc.ix.PrunedPairs()
-		hc.baseRebuilds += hc.ix.Rebuilds()
+		hc.diffs.Add(hc.ix.ExactDiffs())
+		hc.pruned += hc.ix.PrunedPairs()
+		hc.rebuilds += hc.ix.Rebuilds()
 		hc.ix = nil
 	}
+	hc.dn = newDense(append([]string(nil), names...), append([]*wfrun.Run(nil), runs...), d)
+	return nil
 }
 
 // Len returns the current cohort size.
@@ -104,37 +125,7 @@ func (hc *HybridCohort) Len() int {
 	if hc.ix != nil {
 		return hc.ix.Len()
 	}
-	return hc.cm.Len()
-}
-
-// Has reports whether a run name is in the cohort.
-func (hc *HybridCohort) Has(name string) bool {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	if hc.ix != nil {
-		return hc.ix.Has(name)
-	}
-	return hc.cm.Has(name)
-}
-
-// Labels returns a copy of the cohort's run names.
-func (hc *HybridCohort) Labels() []string {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	if hc.ix != nil {
-		return hc.ix.Labels()
-	}
-	return hc.cm.Labels()
-}
-
-// Members returns the cohort's names and runs.
-func (hc *HybridCohort) Members() ([]string, []*wfrun.Run) {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	if hc.ix != nil {
-		return hc.ix.Members()
-	}
-	return hc.cm.Members()
+	return len(hc.dn.labels)
 }
 
 // Indexed reports whether the cohort currently lives in the metric
@@ -150,11 +141,9 @@ func (hc *HybridCohort) Indexed() bool {
 func (hc *HybridCohort) DiffCalls() int64 {
 	hc.mu.RLock()
 	defer hc.mu.RUnlock()
-	n := hc.baseDiffs
+	n := hc.diffs.Load()
 	if hc.ix != nil {
 		n += hc.ix.ExactDiffs()
-	} else {
-		n += hc.cm.DiffCalls()
 	}
 	return n
 }
@@ -165,23 +154,21 @@ func (hc *HybridCohort) DiffCalls() int64 {
 func (hc *HybridCohort) PrunedPairs() int64 {
 	hc.mu.RLock()
 	defer hc.mu.RUnlock()
-	n := hc.basePruned
+	n := hc.pruned
 	if hc.ix != nil {
 		n += hc.ix.PrunedPairs()
 	}
 	return n
 }
 
-// Rebuilds reports the cumulative full rebuilds (Reset calls) across
-// both representations.
+// Rebuilds reports the cumulative full rebuilds (Reset calls and
+// representation switches) across both representations.
 func (hc *HybridCohort) Rebuilds() int64 {
 	hc.mu.RLock()
 	defer hc.mu.RUnlock()
-	n := hc.baseRebuilds
+	n := hc.rebuilds
 	if hc.ix != nil {
 		n += hc.ix.Rebuilds()
-	} else {
-		n += hc.cm.Rebuilds()
 	}
 	return n
 }
@@ -201,10 +188,7 @@ type CohortView struct {
 func DenseView(mx *Matrix) *CohortView {
 	v := &CohortView{Matrix: mx}
 	if mx != nil {
-		v.names = make(map[string]int, len(mx.Labels))
-		for i, l := range mx.Labels {
-			v.names[l] = i
-		}
+		v.names = indexNames(mx.Labels)
 	}
 	return v
 }
@@ -301,21 +285,26 @@ func (v *CohortView) Medoid(ctx context.Context) (i int, ok bool, err error) {
 }
 
 // View returns an immutable view of the cohort in its current
-// representation (a CohortView with both fields nil when empty).
+// representation (a CohortView with both fields nil when empty). A
+// dense view shares the published generation's rows.
 func (hc *HybridCohort) View() *CohortView {
 	hc.mu.RLock()
 	defer hc.mu.RUnlock()
-	if hc.ix != nil {
+	switch {
+	case hc.ix != nil:
 		return &CohortView{Index: hc.ix.Snapshot()}
+	case len(hc.dn.labels) == 0:
+		return &CohortView{}
 	}
-	mx, names := hc.cm.snapshotView()
-	return &CohortView{Matrix: mx, names: names}
+	return &CohortView{Matrix: &Matrix{Labels: hc.dn.labels, D: hc.dn.d}, names: hc.dn.index}
 }
 
 // Reset replaces the whole cohort, choosing the representation by the
 // new size. The old representation is only retired once the new build
-// succeeds. A dense build honours opts.Context and opts.Progress as in
-// CohortMatrix.Reset; an index build ignores opts.
+// succeeds; on error the cohort is unchanged. A dense build honours
+// opts.Context and opts.Progress as in DistanceMatrixWith, with the
+// cohort's own engines and worker count (opts.Workers is ignored); an
+// index build ignores opts.
 func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run, opts Options) error {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
@@ -327,75 +316,71 @@ func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run, opts Options) e
 		if err := ix.Reset(names, runs); err != nil {
 			return err
 		}
-		if hc.ix == nil {
-			hc.retireCM()
-			hc.ix = ix
-		}
-	} else {
-		cm := hc.cm
-		if cm == nil {
-			cm = NewCohortMatrix(hc.model, hc.workers)
-		}
-		if err := cm.Reset(names, runs, opts); err != nil {
-			return err
-		}
-		if hc.cm == nil {
-			hc.retireIX()
-			hc.cm = cm
-		}
+		hc.useIndex(ix)
+		return nil
 	}
-	return nil
+	if len(names) != len(runs) {
+		return fmt.Errorf("analysis: %d names for %d runs", len(names), len(runs))
+	}
+	if err := uniqueNames(names); err != nil {
+		return err
+	}
+	return hc.resetDense(names, runs, opts)
 }
 
-// Add appends (or replaces) one run. A dense cohort that reaches the
-// threshold is re-homed into a fresh metric index — m·n diffs, paid
-// once — so steady incremental growth crosses over without any caller
-// involvement.
+// Add appends a run, or replaces the run of that name, differencing
+// only the new run against the other members. A dense cohort that
+// reaches the threshold is re-homed into a fresh metric index — m·n
+// diffs, paid once — so steady incremental growth crosses over without
+// any caller involvement. On error the cohort is unchanged.
 func (hc *HybridCohort) Add(name string, run *wfrun.Run) error {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.ix != nil {
-		if err := hc.ix.Add(name, run); err != nil {
-			return err
-		}
-		return nil
+		return hc.ix.Add(name, run)
 	}
-	if err := hc.cm.Add(name, run); err != nil {
+	if run == nil || run.Tree == nil {
+		return fmt.Errorf("analysis: nil run %q", name)
+	}
+	base := hc.dn.without(name)
+	row, err := base.row(hc.denseEngines(len(base.runs)), name, run, &hc.diffs)
+	if err != nil {
 		return err
 	}
-	if hc.indexEligible(hc.cm.Len()) {
-		names, runs := hc.cm.Members()
+	dn := base.with(name, run, row)
+	if hc.indexEligible(len(dn.labels)) {
 		ix := hc.newIndex()
-		if err := ix.Reset(names, runs); err != nil {
-			return err // cohort stays dense and correct; caller may retry
+		if err := ix.Reset(dn.labels, dn.runs); err != nil {
+			return err
 		}
-		hc.retireCM()
-		hc.ix = ix
+		hc.useIndex(ix)
+		return nil
 	}
+	hc.dn = dn
 	return nil
 }
 
-// Remove drops a run and reports whether it was present. An indexed
-// cohort shrinking below half the threshold returns to a dense matrix
-// (best-effort: on a rebuild error the index, which is still correct,
-// stays).
+// Remove drops a run and reports whether it was present. A dense
+// cohort differences nothing. An indexed cohort shrinking below half
+// the threshold returns to a dense matrix.
 func (hc *HybridCohort) Remove(name string) bool {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	if hc.ix == nil {
-		return hc.cm.Remove(name)
+		dn := hc.dn.without(name)
+		if dn == hc.dn {
+			return false
+		}
+		hc.dn = dn
+		return true
 	}
-	ok := hc.ix.Remove(name)
-	if !ok {
+	if !hc.ix.Remove(name) {
 		return false
 	}
 	if hc.threshold > 0 && hc.ix.Len() < hc.threshold/2 {
 		names, runs := hc.ix.Members()
-		cm := NewCohortMatrix(hc.model, hc.workers)
-		if err := cm.Reset(names, runs, Options{}); err == nil {
-			hc.retireIX()
-			hc.cm = cm
-		}
+		// On error the index, which is still correct, stays.
+		_ = hc.resetDense(names, runs, Options{})
 	}
 	return true
 }

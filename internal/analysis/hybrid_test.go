@@ -106,8 +106,7 @@ func TestHybridSwitchesUpAndDown(t *testing.T) {
 	if hc.Rebuilds() < 2 {
 		t.Fatalf("rebuilds = %d, want at least the two switch rebuilds", hc.Rebuilds())
 	}
-	got, _ := hc.Members()
-	if !reflect.DeepEqual(got, names[:2]) {
+	if got := hc.View().Matrix.Labels; !reflect.DeepEqual(got, names[:2]) {
 		t.Fatalf("members after churn: %v", got)
 	}
 }
@@ -224,8 +223,8 @@ func TestHybridVersionAndEmptyView(t *testing.T) {
 	if !hc.Remove(names[0]) {
 		t.Fatal("remove failed")
 	}
-	if hc.Has(names[0]) || hc.Len() != 0 {
-		t.Fatalf("empty again: has=%v len=%d", hc.Has(names[0]), hc.Len())
+	if _, has := hc.View().IndexOf(names[0]); has || hc.Len() != 0 {
+		t.Fatalf("empty again: has=%v len=%d", has, hc.Len())
 	}
 	checkEmpty()
 }

@@ -92,14 +92,23 @@ func setup10k(b *testing.B) *Index {
 // BenchmarkIndexedNearest10k: one kNN query against the 10k cohort per
 // op. The dense alternative pays ~n²/2 diffs up front; the index pays
 // a few dozen per query. Fails if the query prunes less than 99% of
-// candidates — the sub-quadratic claim, enforced.
+// candidates — the sub-quadratic claim, enforced. The ops cycle a
+// fixed query set, each query run once before the timer starts, so
+// allocs/op counts the steady state and does not depend on b.N.
 func BenchmarkIndexedNearest10k(b *testing.B) {
 	ix := setup10k(b)
 	co := ix.Snapshot()
+	queries := make([]int, 16)
+	for q := range queries {
+		queries[q] = (q * 1237) % co.Len()
+		if _, err := cluster.IndexedNearest(co, queries[q], 5); err != nil {
+			b.Fatal(err)
+		}
+	}
 	exact0, pruned0 := ix.ExactDiffs(), ix.PrunedPairs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.IndexedNearest(co, (i*1237)%co.Len(), 5); err != nil {
+		if _, err := cluster.IndexedNearest(co, queries[i%len(queries)], 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,16 +165,22 @@ func BenchmarkIndexedOutliers300(b *testing.B) {
 // BenchmarkSampledKMedoids10k: cluster the 10k cohort per op. Exact
 // PAM needs the full matrix (~50M diffs); the sampled variant must
 // stay under 10% of the pairwise bill (in practice it is far below —
-// the gate catches the index silently degrading to quadratic).
+// the gate catches the index silently degrading to quadratic). Every
+// op clusters with the same seed, after one warm-up op, so allocs/op
+// does not depend on b.N.
 func BenchmarkSampledKMedoids10k(b *testing.B) {
 	ix := setup10k(b)
 	co := ix.Snapshot()
+	cl := func() {
+		if _, err := cluster.SampledKMedoids(context.Background(), co, 8, 1, cluster.SampleOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cl()
 	exact0 := ix.ExactDiffs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.SampledKMedoids(context.Background(), co, 8, int64(i+1), cluster.SampleOptions{}); err != nil {
-			b.Fatal(err)
-		}
+		cl()
 	}
 	b.StopTimer()
 	n := int64(co.Len())

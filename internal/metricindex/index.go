@@ -18,13 +18,13 @@
 // bound order until the bounds rule out the rest — sub-quadratic
 // cohort analytics where the dense matrix needs O(n²) diffs up front.
 //
-// The index follows the CohortMatrix maintenance discipline: mutations
-// (Reset, Add, Remove) serialize among themselves and publish
-// immutable state, so a Snapshot taken at any moment is internally
-// consistent and stays valid however the index changes afterwards.
-// Pruned/exact counters are exported the way CohortMatrix.DiffCalls
-// is, and the naive-oracle differential harness asserts pruned answers
-// are byte-identical to exhaustive ones.
+// Mutations (Reset, Add, Remove) serialize among themselves and
+// publish immutable state, so a Snapshot taken at any moment is
+// internally consistent and stays valid however the index changes
+// afterwards. Pruned/exact counters are exported for the owning
+// analysis.HybridCohort to fold into its own, and the naive-oracle
+// differential harness asserts pruned answers are byte-identical to
+// exhaustive ones.
 //
 // The cost model must satisfy the metric conditions of Section III-C.2
 // (CheckMetric): triangle pruning is only sound for a true metric.
@@ -55,7 +55,8 @@ type Options struct {
 	// DefaultLandmarks.
 	Landmarks int
 	// Workers caps the differencing fan-out of Reset and landmark
-	// promotion; <= 0 means GOMAXPROCS (the CohortMatrix default).
+	// promotion; <= 0 means GOMAXPROCS (the analysis.HybridCohort
+	// default).
 	Workers int
 }
 

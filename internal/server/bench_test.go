@@ -81,11 +81,13 @@ func BenchmarkClusterCohort(b *testing.B) {
 }
 
 // BenchmarkIncrementalImport measures the full import→query→delete
-// cycle against a 32-run cohort: each iteration diffs only the new
-// row (32 pairs) instead of rebuilding all 496, which is what makes
-// a growing repository affordable. The sibling full-recompute cost is
-// BenchmarkServeCohort scaled to 32 runs; the diff-call ratio itself
-// is asserted in TestCohortMatrixIncrementalSavesDiffs and
+// cycle against a 32-run cohort: each iteration the shared
+// HybridCohort (dense at this size) diffs only the new row (32 pairs)
+// instead of rebuilding all 496, and the delete diffs nothing, which
+// is what makes a growing repository affordable. The sibling
+// full-recompute cost is BenchmarkServeCohort scaled to 32 runs; the
+// diff-call ratio itself is asserted by the analysis package's
+// TestCohortMatrixIncrementalSavesDiffs and by
 // TestCohortMatrixIncrementalOverHTTP.
 func BenchmarkIncrementalImport(b *testing.B) {
 	srv, st := seedServer(b, 32, Options{CacheSize: 8})

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -172,6 +173,32 @@ func TestStatsRequestsMatchMetrics(t *testing.T) {
 	}
 	if stats.Requests["import"] != 2 || stats.Requests["diff"] != 2 || stats.Requests["bulk"] != 0 {
 		t.Errorf("import/diff/bulk = %d/%d/%d, want 2/2/0", stats.Requests["import"], stats.Requests["diff"], stats.Requests["bulk"])
+	}
+}
+
+// TestStorageDamageAnswers500: a run frame the store cannot read back
+// is the repository's fault, so a diff over it answers 500 internal,
+// not 400, with the store's message unchanged.
+func TestStorageDamageAnswers500(t *testing.T) {
+	dir := t.TempDir()
+	seedServerAt(t, dir, 6, Options{})
+	be, err := store.NewFSBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := faultfs.Wrap(be)
+	srv := New(store.OpenBackend(fb), Options{CacheSize: 16})
+	fb.Fail(faultfs.Rule{Op: faultfs.OpReadAt, KeySuffix: "runs.seg", N: 1, Mode: faultfs.ErrIO})
+	rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1", nil, nil)
+	var env errorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("diff during a read fault = %d %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	if rec.Code != 500 || env.Error.Code != "internal" || !strings.Contains(env.Error.Message, "injected fault") {
+		t.Fatalf("diff during a read fault = %d %q, want 500 internal", rec.Code, rec.Body.String())
+	}
+	if len(fb.Injected()) != 1 {
+		t.Fatalf("faults fired: %v", fb.Injected())
 	}
 }
 

@@ -67,15 +67,17 @@ func (s *Server) httpError(w http.ResponseWriter, err error, code int) {
 	enc.Encode(errorEnvelope{Error: errorDetail{Code: errorCode(code), Message: err.Error()}})
 }
 
-// storeError maps store-layer errors onto statuses: missing
-// specs/runs are 404, duplicate names in a batch 409, everything else
-// a caller can fix is 400.
+// storeError maps store-layer errors onto statuses: a damaged
+// repository is 500, missing specs/runs are 404, duplicate names in a
+// batch 409, everything else a caller can fix is 400.
 func (s *Server) storeError(w http.ResponseWriter, err error) {
 	s.httpError(w, err, storeStatus(err))
 }
 
 func storeStatus(err error) int {
 	switch {
+	case errors.Is(err, store.ErrDamaged):
+		return http.StatusInternalServerError
 	case errors.Is(err, fs.ErrNotExist):
 		return http.StatusNotFound
 	case errors.Is(err, store.ErrDuplicateRun):
@@ -95,7 +97,7 @@ func (e commitError) Unwrap() error { return e.err }
 
 // ingestStatus maps a pipeline result error (or enqueue error) onto a
 // status: client-side document problems 400/404/409/413, backpressure
-// 429, shutdown 503, storage faults 500.
+// 429, shutdown 503, storage faults and damage 500.
 func ingestStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	var ce commitError
@@ -110,7 +112,7 @@ func ingestStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, store.ErrDuplicateRun):
 		return http.StatusConflict
-	case errors.As(err, &ce):
+	case errors.As(err, &ce), errors.Is(err, store.ErrDamaged):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest

@@ -85,6 +85,21 @@ func notExist(op, key string) error {
 // the backend-agnostic twin of os.IsNotExist.
 func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
+// ErrDamaged marks a failure to read back what the store itself wrote:
+// a run frame, checkpoint or ledger that cannot be read or parsed. It
+// is the repository's fault, not the caller's; HTTP callers map it
+// onto 500.
+var ErrDamaged = errors.New("store: repository damaged")
+
+// damaged tags err with ErrDamaged, keeping its message.
+func damaged(err error) error { return damagedError{err} }
+
+type damagedError struct{ err error }
+
+func (e damagedError) Error() string        { return e.err.Error() }
+func (e damagedError) Unwrap() error        { return e.err }
+func (e damagedError) Is(target error) bool { return target == ErrDamaged }
+
 // truncateTornTail repairs an append-only line log (the ledger, a live
 // event journal) read from key: an unterminated final line is debris
 // of an append that a crash or a failed write cut short. It is cut off

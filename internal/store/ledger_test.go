@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -363,8 +364,8 @@ func TestVerifyNamesMalformedLedgerLine(t *testing.T) {
 	if report.OK() || report.Issues[0].Batch != 2 {
 		t.Fatalf("want first issue at batch 2, got %+v", report.Issues)
 	}
-	if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 49, "late"), 1); err == nil {
-		t.Fatal("commit appended after a malformed ledger line")
+	if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 49, "late"), 1); err == nil || !errors.Is(err, ErrDamaged) {
+		t.Fatalf("commit after a malformed ledger line = %v, want ErrDamaged", err)
 	}
 	if after, _ := be.ReadFile(ledgerKey("pa")); !bytes.Equal(after, tampered) {
 		t.Fatal("ledger changed after the refused commit")

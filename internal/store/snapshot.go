@@ -151,14 +151,14 @@ func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	}
 	m, legacy, err := s.readManifest(specName, st.ledgerSeq)
 	if err != nil {
-		return err
+		return damaged(err)
 	}
 	recs, _, err := ledgerTail(ledgerLog, m.Seq)
 	if err != nil {
-		return fmt.Errorf("store: spec %q: %w", specName, err)
+		return damaged(fmt.Errorf("store: spec %q: %w", specName, err))
 	}
 	if err := s.replay(specName, m, recs); err != nil {
-		return err
+		return damaged(err)
 	}
 	st.manifest = m
 	if err := s.migrateLegacyLocked(specName, st, legacy); err != nil {
@@ -175,7 +175,8 @@ func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 // first. legacy reports a manifest whose run list was the XML listing
 // rather than its own entries: one written before frames became the
 // only copy of a run (version 1 or 2), or a lost one of such a
-// repository.
+// repository. Every error it returns means the checkpoint or the
+// ledger is damaged, and loadManifestLocked marks it ErrDamaged.
 func (s *Store) readManifest(specName string, last int64) (m *snapManifest, legacy bool, err error) {
 	empty := func() *snapManifest {
 		return &snapManifest{Seq: last, Runs: map[string]snapEntry{}}
@@ -232,7 +233,8 @@ func (s *Store) readManifest(specName string, last int64) (m *snapManifest, lega
 // that points nowhere, so loading the run fails naming its batch and
 // VerifyLedger reports it. Live and dead byte counts are recomputed
 // from the segment's size, so the bytes of a commit whose ledger append
-// never landed count as dead.
+// never landed count as dead. loadManifestLocked marks its errors
+// ErrDamaged.
 func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) error {
 	type attest struct {
 		hash  string
@@ -466,7 +468,7 @@ func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (cachedRun
 			return cachedRun{r, again.Hash}, nil
 		}
 	}
-	return cachedRun{}, fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr)
+	return cachedRun{}, damaged(fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr))
 }
 
 func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec) (*wfrun.Run, error) {
@@ -722,14 +724,14 @@ func (s *Store) readLedger(specName string) ([]ledger.Record, error) {
 func (s *Store) loadLedgerLocked(specName string, st *snapState) ([]byte, error) {
 	data, err := s.be.ReadFile(ledgerKey(specName))
 	if err != nil && !isNotExist(err) {
-		return nil, fmt.Errorf("store: spec %q: reading ledger: %w", specName, err)
+		return nil, damaged(fmt.Errorf("store: spec %q: reading ledger: %w", specName, err))
 	}
 	if data, err = truncateTornTail(s.be, ledgerKey(specName), data); err != nil {
 		return nil, fmt.Errorf("store: spec %q: truncating torn ledger tail: %w", specName, err)
 	}
 	_, last, err := ledgerTail(data, math.MaxInt64)
 	if err != nil {
-		return nil, fmt.Errorf("store: spec %q: %w", specName, err)
+		return nil, damaged(fmt.Errorf("store: spec %q: %w", specName, err))
 	}
 	st.ledgerSeq, st.ledgerHead = last.Seq, ledger.Zero
 	if last.Seq > 0 {

@@ -359,11 +359,11 @@ func TestCorruptManifestRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := reopen(t, dir)
-		if names, err := s.ListRuns("pa"); err == nil || !strings.Contains(err.Error(), `"pa"`) {
-			t.Fatalf("ListRuns over a damaged manifest = %v, %v; want an error naming the spec", names, err)
+		if names, err := s.ListRuns("pa"); err == nil || !strings.Contains(err.Error(), `"pa"`) || !errors.Is(err, ErrDamaged) {
+			t.Fatalf("ListRuns over a damaged manifest = %v, %v; want an ErrDamaged error naming the spec", names, err)
 		}
-		if _, err := s.LoadRun("pa", "r0"); err == nil {
-			t.Fatal("LoadRun succeeded over a damaged manifest")
+		if _, err := s.LoadRun("pa", "r0"); err == nil || !errors.Is(err, ErrDamaged) {
+			t.Fatalf("LoadRun over a damaged manifest = %v, want ErrDamaged", err)
 		}
 		if _, err := s.Preload("pa"); err == nil {
 			t.Fatal("Preload succeeded over a damaged manifest")
