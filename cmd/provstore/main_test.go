@@ -132,10 +132,12 @@ func TestVerifyNamesMalformedLedgerLine(t *testing.T) {
 	}
 }
 
-// TestListFailsOnCorruptManifest: a spec whose run index cannot be
-// read fails ls — with and without a spec argument — naming the spec,
-// instead of listing it with zero runs.
-func TestListFailsOnCorruptManifest(t *testing.T) {
+// TestListOnDamagedIndex: the ledger records every commit and delete,
+// so a corrupt checkpoint is rebuilt and ls lists the spec's runs. A
+// ledger that cannot be read leaves nothing to rebuild from: ls fails
+// — with and without a spec argument — naming the spec, instead of
+// listing it with zero runs.
+func TestListOnDamagedIndex(t *testing.T) {
 	repo := t.TempDir()
 	specPath, runs := writeFixtures(t, t.TempDir(), 1)
 	if code, _, errOut := runCLI(t, "-dir", repo, "import-spec", "pa", specPath); code != 0 {
@@ -144,12 +146,21 @@ func TestListFailsOnCorruptManifest(t *testing.T) {
 	if code, _, errOut := runCLI(t, "-dir", repo, "import-run", "pa", "r0", runs[0]); code != 0 {
 		t.Fatalf("import-run: code %d err %q", code, errOut)
 	}
-	if err := os.WriteFile(filepath.Join(repo, "pa", "snapshot", "manifest.json"), []byte("garbage"), 0o644); err != nil {
+	snapshot := filepath.Join(repo, "pa", "snapshot")
+	if err := os.WriteFile(filepath.Join(snapshot, "manifest.json"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for args, want := range map[string]string{"ls": "pa\t1 runs\n", "ls pa": "r0\n"} {
+		if code, out, errOut := runCLI(t, append([]string{"-dir", repo}, strings.Fields(args)...)...); code != 0 || out != want {
+			t.Errorf("%s over a corrupt checkpoint: code %d out %q err %q", args, code, out, errOut)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(snapshot, "ledger.log"), []byte("garbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{{"ls"}, {"ls", "pa"}} {
 		code, out, errOut := runCLI(t, append([]string{"-dir", repo}, args...)...)
-		if code == 0 || !strings.Contains(errOut, `spec "pa": corrupt manifest`) {
+		if code == 0 || !strings.Contains(errOut, `spec "pa": ledger: record at line 1 malformed`) {
 			t.Errorf("%v: code %d out %q err %q", args, code, out, errOut)
 		}
 	}

@@ -219,9 +219,10 @@ func ReadRunTar(r io.Reader, maxRun, maxTotal int64) ([]RunData, error) {
 }
 
 // Tamper-evident provenance ledger (internal/ledger + the store's
-// snapshot layer): every group-committed batch of runs becomes one
-// Merkle tree over the content hashes of its codec frames, chained
-// onto the spec's previous ledger head. Store.RunProof produces the
+// snapshot layer): every group-committed batch of runs, and every
+// delete, becomes one Merkle tree over its runs' names and frame
+// content hashes and its tombstones, chained onto the spec's previous
+// ledger head. Store.RunProof produces the
 // inclusion proof of a run's current frame, Store.LedgerHeads the
 // per-spec heads plus the repository root, and Store.VerifyLedger the
 // full re-hash of live frames against the attested history.

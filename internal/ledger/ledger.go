@@ -1,9 +1,11 @@
 // Package ledger implements the tamper-evident Merkle ledger that
 // turns the store's snapshot layer into a verifiable history. Each
-// group-committed batch of runs becomes one Merkle tree whose leaves
-// are the content hashes of the committed codec frames; the batch root
-// is chained onto the previous ledger head, so the head after batch N
-// commits to every frame in batches 1..N. A per-run inclusion proof is
+// group-committed batch of runs, and each delete, becomes one record:
+// a Merkle tree whose leaves bind each attested run's name to the
+// content hash of its codec frame, and each deleted run's name to a
+// tombstone. The record's root is chained onto the previous ledger
+// head, so the head after batch N commits to every frame and every
+// removal in batches 1..N. A per-run inclusion proof is
 // the classic leaf-to-root sibling path plus the chain of later batch
 // roots, and a whole-repository root folds the per-spec heads together
 // so one hash covers everything.
@@ -13,8 +15,8 @@
 // byte, so a value from one level can never be replayed at another
 // (the standard second-preimage defence for Merkle trees).
 //
-// The on-disk form is an append-only log of JSON-line batch records
-// (one per group commit). Records are self-delimiting lines, so a
+// The on-disk form is an append-only log of JSON-line records (one
+// per group commit or delete). Records are self-delimiting lines, so a
 // torn final line — a crash mid-append — is recognised and ignored,
 // while any earlier malformed line is evidence of tampering.
 package ledger
@@ -22,6 +24,7 @@ package ledger
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -37,11 +40,17 @@ var Zero Hash
 // Domain-separation tags. Every hash in the ledger is
 // SHA-256(tag || ...), with a distinct tag per level.
 const (
-	tagLeaf  = 0x00 // leaf: H(0x00 || frame content hash)
+	tagLeaf  = 0x00 // attestation leaf: H(0x00 || len || run || content hash)
 	tagNode  = 0x01 // interior: H(0x01 || left || right)
 	tagChain = 0x02 // chain link: H(0x02 || prev head || batch root)
 	tagRepo  = 0x03 // repository root over per-spec heads
+	tagTomb  = 0x04 // tombstone leaf: H(0x04 || len || run)
 )
+
+// Format is the record format this package writes: leaves bind run
+// names, and a record may carry tombstones. Records without the field
+// (format 0) predate it; their leaves are Leaf(content hash).
+const Format = 2
 
 // Hex renders the digest as lowercase hex.
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
@@ -63,9 +72,30 @@ func Parse(s string) (Hash, error) {
 	return h, nil
 }
 
-// Leaf maps a frame content hash onto its Merkle leaf.
+// Leaf maps a frame content hash onto its format-0 Merkle leaf.
 func Leaf(content Hash) Hash {
 	return sha256.Sum256(append([]byte{tagLeaf}, content[:]...))
+}
+
+// AttestLeaf is the leaf attesting that run holds the frame with the
+// given content hash, in the leaf form of a record format: Leaf(content)
+// in format 0, H(0x00 || len || run || content) in Format.
+func AttestLeaf(format int, run string, content Hash) (Hash, error) {
+	switch format {
+	case 0:
+		return Leaf(content), nil
+	case Format:
+		return named(tagLeaf, run, content[:]), nil
+	}
+	return Zero, fmt.Errorf("ledger: unknown record format %d", format)
+}
+
+// named hashes tag || 4-byte little-endian len(name) || name || rest,
+// in a stack buffer that fits any valid run name.
+func named(tag byte, name string, rest []byte) Hash {
+	var small [320]byte
+	buf := binary.LittleEndian.AppendUint32(append(small[:0], tag), uint32(len(name)))
+	return sha256.Sum256(append(append(buf, name...), rest...))
 }
 
 // node combines two child hashes into their parent.
@@ -88,8 +118,7 @@ func Extend(prev, root Hash) Hash {
 
 // Root computes the Merkle root over leaf hashes. An odd node at any
 // level is promoted unchanged (no duplication — duplication admits
-// trivial second preimages). Root of an empty batch is Zero; callers
-// never commit empty batches.
+// trivial second preimages). Root of an empty record is Zero.
 func Root(leaves []Hash) Hash {
 	if len(leaves) == 0 {
 		return Zero
@@ -199,50 +228,54 @@ type BatchLeaf struct {
 	Hash string `json:"hash"`
 }
 
-// Record is one group commit in a spec's append-only ledger log.
-// Seq numbers start at 1 and are contiguous; Prev is the head before
-// this batch, Head = Extend(Prev, Root) the head after it.
+// Record is one group commit, or one delete, in a spec's append-only
+// ledger log. Seq numbers start at 1 and are contiguous; Prev is the
+// head before this record, Head = Extend(Prev, Root) the head after it.
+// Runs are attested in order, then Deleted are removed (tombstone
+// leaves), and the Merkle leaves follow the same order.
 type Record struct {
-	Seq  int64       `json:"seq"`
-	Prev string      `json:"prev"`
-	Root string      `json:"root"`
-	Head string      `json:"head"`
-	Runs []BatchLeaf `json:"runs"`
+	Format  int         `json:"v,omitempty"`
+	Seq     int64       `json:"seq"`
+	Prev    string      `json:"prev"`
+	Root    string      `json:"root"`
+	Head    string      `json:"head"`
+	Runs    []BatchLeaf `json:"runs"`
+	Deleted []string    `json:"deleted,omitempty"`
 }
 
-// NewRecord assembles and hashes the record for one committed batch.
-func NewRecord(seq int64, prev Hash, leaves []BatchLeaf) (Record, error) {
-	if len(leaves) == 0 {
-		return Record{}, fmt.Errorf("ledger: empty batch")
-	}
-	lh, err := leafHashes(leaves)
+// NewRecord assembles and hashes a current-format record that attests
+// runs and removes deleted.
+func NewRecord(seq int64, prev Hash, runs []BatchLeaf, deleted ...string) (Record, error) {
+	rec := Record{Format: Format, Seq: seq, Prev: prev.Hex(), Runs: runs, Deleted: deleted}
+	lh, err := rec.LeafHashes()
 	if err != nil {
 		return Record{}, err
 	}
 	root := Root(lh)
-	return Record{
-		Seq:  seq,
-		Prev: prev.Hex(),
-		Root: root.Hex(),
-		Head: Extend(prev, root).Hex(),
-		Runs: leaves,
-	}, nil
+	rec.Root, rec.Head = root.Hex(), Extend(prev, root).Hex()
+	return rec, nil
 }
 
-func leafHashes(leaves []BatchLeaf) ([]Hash, error) {
-	out := make([]Hash, len(leaves))
-	for i, l := range leaves {
+// LeafHashes returns the Merkle leaves of the record, in the leaf form
+// of its format.
+func (r Record) LeafHashes() ([]Hash, error) {
+	out := make([]Hash, 0, len(r.Runs)+len(r.Deleted))
+	for _, l := range r.Runs {
 		content, err := Parse(l.Hash)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: run %q: %w", l.Run, err)
 		}
-		out[i] = Leaf(content)
+		leaf, err := AttestLeaf(r.Format, l.Run, content)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, leaf)
+	}
+	for _, name := range r.Deleted {
+		out = append(out, named(tagTomb, name, nil))
 	}
 	return out, nil
 }
-
-// LeafHashes returns the Merkle leaves of the record's batch.
-func (r Record) LeafHashes() ([]Hash, error) { return leafHashes(r.Runs) }
 
 // Check recomputes the record's root and head against the expected
 // previous head, reporting the first inconsistency. A passing check

@@ -20,6 +20,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/store"
+	"repro/internal/store/faultfs"
 )
 
 // wantEnvelope asserts a response is exactly the error envelope with
@@ -285,4 +286,67 @@ func TestMuxRedirectPassesThrough(t *testing.T) {
 	if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/v1/specs" {
 		t.Fatalf("GET /v1//specs = %d, Location %q; want 301 to /v1/specs", rec.Code, rec.Header().Get("Location"))
 	}
+}
+
+// faultedServer seeds a 3-run repository, then serves it over a
+// faultfs decorator with the spec's index already loaded.
+func faultedServer(t *testing.T) (*Server, *faultfs.Backend) {
+	t.Helper()
+	dir := t.TempDir()
+	seedServerAt(t, dir, 3, Options{})
+	be, err := store.NewFSBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := faultfs.Wrap(be)
+	srv := New(store.OpenBackend(fb), Options{})
+	t.Cleanup(srv.Close)
+	if rec := do(t, srv, "GET", "/v1/specs/pa/runs", nil, nil); rec.Code != 200 {
+		t.Fatalf("runs = %d %q", rec.Code, rec.Body.String())
+	}
+	return srv, fb
+}
+
+// listedRuns is the run list the server answers for spec pa.
+func listedRuns(t *testing.T, srv *Server) string {
+	t.Helper()
+	var out struct{ Runs []string }
+	if rec := do(t, srv, "GET", "/v1/specs/pa/runs", nil, &out); rec.Code != 200 {
+		t.Fatalf("runs = %d %q", rec.Code, rec.Body.String())
+	}
+	return fmt.Sprint(out.Runs)
+}
+
+// TestStorageWriteFaultsAnswer500: a storage fault under a valid
+// request is the service's failure, and changes nothing: a delete whose
+// ledger append fails, and a sync import that cannot stat the segment
+// it appends to, answer 500 internal and leave the run list as it was.
+func TestStorageWriteFaultsAnswer500(t *testing.T) {
+	srv, fb := faultedServer(t)
+	fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "ledger.log", N: 1, Mode: faultfs.ErrIO})
+	wantEnvelope(t, do(t, srv, "DELETE", "/v1/specs/pa/runs/r0", nil, nil), http.StatusInternalServerError, "internal")
+	if got := listedRuns(t, srv); got != "[r0 r1 r2]" {
+		t.Fatalf("runs after a failed delete = %s", got)
+	}
+
+	srv, fb = faultedServer(t)
+	fb.Fail(faultfs.Rule{Op: faultfs.OpStat, KeySuffix: "runs.seg", N: 1, Mode: faultfs.ErrIO})
+	body := encodeRun(t, srv.st, 778)
+	wantEnvelope(t, do(t, srv, "POST", "/v1/specs/pa/runs/x0", body, nil), http.StatusInternalServerError, "internal")
+	if len(fb.Injected()) != 1 {
+		t.Fatalf("faults fired: %v", fb.Injected())
+	}
+	fb.Clear()
+	if got := listedRuns(t, srv); got != "[r0 r1 r2]" {
+		t.Fatalf("runs after a failed import = %s", got)
+	}
+}
+
+// TestListSpecsReadFaultAnswers500: a spec whose spec.xml cannot be
+// stat'ed is not a missing spec, so /v1/specs answers 500, not an
+// empty list.
+func TestListSpecsReadFaultAnswers500(t *testing.T) {
+	srv, fb := faultedServer(t)
+	fb.Fail(faultfs.Rule{Op: faultfs.OpStat, KeySuffix: "spec.xml", N: 1, Mode: faultfs.ErrIO})
+	wantEnvelope(t, do(t, srv, "GET", "/v1/specs", nil, nil), http.StatusInternalServerError, "internal")
 }

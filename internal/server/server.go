@@ -239,7 +239,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	err := s.st.DeleteRun(ns[0], ns[1])
 	observeStage(r.Context(), stageStore, t0)
 	if err != nil {
-		s.storeError(w, err)
+		// The names passed the boundary check, so anything but a
+		// missing run is the store's failure.
+		code := http.StatusInternalServerError
+		if storeStatus(err) == http.StatusNotFound {
+			code = http.StatusNotFound
+		}
+		s.httpError(w, err, code)
 		return
 	}
 	writeJSON(w, map[string]any{"deleted": ns[0] + "/" + ns[1]})

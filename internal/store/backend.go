@@ -31,8 +31,8 @@ import (
 //     new bytes, never a prefix, also with concurrent writers of the
 //     same key. Parent "directories" are implicit.
 //   - Durability, for backends that persist at all: WriteFile is
-//     durable when it returns (the checkpoint is the only record of
-//     deletes, so a torn or lost one would resurrect deleted runs).
+//     durable when it returns (compaction replaces the segment, the
+//     only copy of each run, with one WriteFile).
 //     Append is durable when it returns only with sync set (the
 //     group-commit fsync point); without it a crash may drop a suffix
 //     of the appended bytes. Remove is not synced: after a crash a

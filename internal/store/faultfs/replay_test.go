@@ -1,17 +1,19 @@
 package faultfs_test
 
 // Crash and replay scenarios for the checkpointed run index: a commit
-// is a synced segment append plus a synced ledger append, and
-// manifest.json is a checkpoint that a reopened store brings up to the
-// ledger tail by replay. Each scenario reopens a fresh store over the
+// is a synced segment append plus a synced ledger append, a delete one
+// synced ledger append, and manifest.json is a checkpoint that a
+// reopened store brings up to the ledger tail by replay. Each scenario reopens a fresh store over the
 // surviving bytes and requires it to serve exactly what a never-faulted
 // twin serves, with a green ledger — or to refuse loudly.
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/ledger"
 	"repro/internal/store"
 	"repro/internal/store/faultfs"
 )
@@ -39,7 +41,7 @@ func checkpointRuns(t *testing.T, be store.Backend) map[string]bool {
 }
 
 // seeded opens a store over fb with the spec saved and batch a
-// committed.
+// committed and checkpointed.
 func seeded(t *testing.T, fb *faultfs.Backend, a []store.RunData) *store.Store {
 	t.Helper()
 	st := store.OpenBackend(fb)
@@ -47,6 +49,9 @@ func seeded(t *testing.T, fb *faultfs.Backend, a []store.RunData) *store.Store {
 		t.Fatal(err)
 	}
 	if _, err := st.ImportRuns(specName, a, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Snapshot(specName); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -138,7 +143,7 @@ func TestCompactionCrashBeforeCheckpoint(t *testing.T) {
 		a1v2 := makeBatch(t, sp, 2, 18, "a")[1:]
 		a1v3 := makeBatch(t, sp, 2, 19, "a")[1:]
 		ops := func(st *store.Store) {
-			if err := st.DeleteRun(specName, "a0"); err != nil { // checkpoint
+			if err := st.DeleteRun(specName, "a0"); err != nil {
 				t.Fatal(err)
 			}
 			for _, batch := range [][]store.RunData{b, a1v2, a1v3} {
@@ -170,10 +175,10 @@ func TestCompactionCrashBeforeCheckpoint(t *testing.T) {
 	})
 }
 
-// TestDeleteThenCrashStaysDeleted (crash case d): a delete is not in
-// the ledger, so it checkpoints; a crash right after it must not let
-// replay resurrect the run, even though its batch is after the
-// previous checkpoint. A delete whose checkpoint fails is no delete.
+// TestDeleteThenCrashStaysDeleted (crash case d): a delete is one
+// ledger record; a crash right after it must not let replay resurrect
+// the run, even though its batch is after the checkpoint. A delete
+// whose ledger append fails is no delete.
 func TestDeleteThenCrashStaysDeleted(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
@@ -188,9 +193,9 @@ func TestDeleteThenCrashStaysDeleted(t *testing.T) {
 		if err := st.DeleteRun(specName, "b0"); err != nil {
 			t.Fatal(err)
 		}
-		fb.Fail(faultfs.Rule{Op: faultfs.OpWrite, KeySuffix: "manifest.json", N: 1, Mode: faultfs.ErrIO})
+		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "ledger.log", N: 1, Mode: faultfs.ErrIO})
 		if err := st.DeleteRun(specName, "b1"); !faultfs.IsInjected(err) {
-			t.Fatalf("delete with a failed checkpoint = %v, want the injected fault", err)
+			t.Fatalf("delete with a failed ledger append = %v, want the injected fault", err)
 		}
 		if _, err := st.LoadRun(specName, "b1"); err != nil {
 			t.Fatalf("run of a failed delete: %v", err)
@@ -211,24 +216,48 @@ func TestDeleteThenCrashStaysDeleted(t *testing.T) {
 	})
 }
 
-// TestRemovedCheckpointRefuses (crash case e): with two or more
-// batches in the ledger a missing checkpoint is damage — deletes are
-// not in the ledger, so a replay from the start could resurrect runs.
-// The spec refuses to open, naming itself, and verify is red.
+// TestRemovedCheckpointRefuses (crash case e): the ledger records
+// every commit and delete, so a lost checkpoint is only a lost cache.
+// The reopened store rebuilds the index from the whole ledger and
+// serves what a never-faulted twin serves. Over a ledger of format-0
+// records, which never recorded a delete, a replay from the start
+// could resurrect runs: with two or more batches a missing checkpoint
+// is damage, the spec refuses to open, naming itself, and verify is
+// red.
 func TestRemovedCheckpointRefuses(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
-		fb := faultfs.Wrap(open())
-		st := seeded(t, fb, makeBatch(t, sp, 2, 22, "a"))
-		if _, err := st.ImportRuns(specName, makeBatch(t, sp, 2, 23, "b"), 2); err != nil {
-			t.Fatal(err)
+		a := makeBatch(t, sp, 2, 22, "a")
+		b := makeBatch(t, sp, 2, 23, "b")
+		ops := func(st *store.Store) {
+			if _, err := st.ImportRuns(specName, b, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.DeleteRun(specName, "a1"); err != nil {
+				t.Fatal(err)
+			}
 		}
+		fb := faultfs.Wrap(open())
+		ops(seeded(t, fb, a))
 		if err := fb.Remove(checkpointKey); err != nil {
 			t.Fatal(err)
 		}
-		reopened := store.OpenBackend(fb)
+		requireEqualToTwin(t, store.OpenBackend(fb), func(pristine *store.Store) {
+			if _, err := pristine.ImportRuns(specName, a, 2); err != nil {
+				t.Fatal(err)
+			}
+			ops(pristine)
+		})
+
+		// The same history as an older release wrote it.
+		old := faultfs.Wrap(open())
+		formatZero(t, old)
+		if err := old.Remove(checkpointKey); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		reopened := store.OpenBackend(old)
 		if names, err := reopened.ListRuns(specName); err == nil || !strings.Contains(err.Error(), `"`+specName+`"`) {
-			t.Fatalf("ListRuns without a checkpoint = %v, %v; want an error naming the spec", names, err)
+			t.Fatalf("ListRuns of a format-0 ledger without a checkpoint = %v, %v; want an error naming the spec", names, err)
 		}
 		report, err := reopened.VerifyLedger(specName)
 		if err != nil {
@@ -238,6 +267,51 @@ func TestRemovedCheckpointRefuses(t *testing.T) {
 			t.Fatal("VerifyLedger is green without a checkpoint")
 		}
 	})
+}
+
+// formatZero rewrites the spec's ledger as an older release wrote it:
+// format-0 records, whose leaves bind only content hashes, and no
+// delete records (an older release recorded a delete only in the
+// checkpoint).
+func formatZero(t *testing.T, be store.Backend) {
+	t.Helper()
+	key := specName + "/snapshot/ledger.log"
+	raw, err := be.ReadFile(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ledger.ParseLog(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	prev, seq := ledger.Zero, int64(0)
+	for _, rec := range recs {
+		if len(rec.Runs) == 0 {
+			continue
+		}
+		seq++
+		leaves := make([]ledger.Hash, len(rec.Runs))
+		for i, l := range rec.Runs {
+			content, err := ledger.Parse(l.Hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves[i] = ledger.Leaf(content)
+		}
+		root := ledger.Root(leaves)
+		rec.Format, rec.Seq, rec.Deleted, rec.Prev, rec.Root = 0, seq, nil, prev.Hex(), root.Hex()
+		prev = ledger.Extend(prev, root)
+		rec.Head = prev.Hex()
+		line, err := ledger.MarshalRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, line...)
+	}
+	if err := be.WriteFile(key, log); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestLedgerLoadErrorsRefuseCommit: a ledger that cannot be read, or

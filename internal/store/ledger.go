@@ -3,7 +3,7 @@ package store
 // Ledger queries over the snapshot layer: per-run inclusion proofs,
 // per-spec heads, the whole-repository root, and the verifier that
 // re-hashes segment frames against the ledger. The ledger itself is
-// written by writeRunSnapshotBatch (one record per group commit);
+// written by commitLocked (one record per group commit or delete);
 // everything here only reads.
 
 import (
@@ -24,10 +24,12 @@ import (
 type RunProof struct {
 	Spec string `json:"spec"`
 	Run  string `json:"run"`
-	// Hash is the content hash of the run's codec frame; Leaf its
-	// Merkle leaf H(0x00||hash).
-	Hash string `json:"hash"`
-	Leaf string `json:"leaf"`
+	// Format is the attesting record's format, which fixes the leaf
+	// form (ledger.AttestLeaf). Hash is the content hash of the run's
+	// codec frame; Leaf its Merkle leaf.
+	Format int    `json:"v,omitempty"`
+	Hash   string `json:"hash"`
+	Leaf   string `json:"leaf"`
 	// Batch is the ledger seq of the record that attested the frame,
 	// Index the leaf's position among the record's BatchSize leaves.
 	Batch     int64 `json:"batch"`
@@ -96,11 +98,12 @@ func (s *Store) RunProof(specName, runName string) (*RunProof, error) {
 	p := &RunProof{
 		Spec:      specName,
 		Run:       runName,
+		Format:    rec.Format,
 		Hash:      e.Hash,
 		Leaf:      leaves[idx].Hex(),
 		Batch:     rec.Seq,
 		Index:     idx,
-		BatchSize: len(rec.Runs),
+		BatchSize: len(leaves),
 		Path:      path,
 		Root:      rec.Root,
 		Prev:      rec.Prev,
@@ -123,7 +126,10 @@ func VerifyProof(p *RunProof) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	leaf := ledger.Leaf(content)
+	leaf, err := ledger.AttestLeaf(p.Format, p.Run, content)
+	if err != nil {
+		return "", err
+	}
 	if leaf.Hex() != p.Leaf {
 		return "", fmt.Errorf("store: proof leaf %s does not match hash %s", p.Leaf, p.Hash)
 	}
@@ -168,7 +174,7 @@ func (s *Store) LedgerHeads() (map[string]SpecLedger, string, error) {
 		st := s.snap(name)
 		st.mu.Lock()
 		if !st.ledgerLoaded {
-			if _, err := s.loadLedgerLocked(name, st); err != nil {
+			if _, _, err := s.loadLedgerLocked(name, st); err != nil {
 				st.mu.Unlock()
 				return nil, "", err
 			}
@@ -213,12 +219,12 @@ type VerifyReport struct {
 func (r VerifyReport) OK() bool { return len(r.Issues) == 0 }
 
 // VerifyLedger re-validates the ledger chain of each named spec (all
-// specs when none are named) and re-hashes every live run frame in
-// the segment against its attested content hash. Issues are reported
-// in batch order per spec, so Issues[0] names the first divergent
-// batch. Dead segment bytes (dropped or superseded frames awaiting
-// compaction) are not covered — only what the manifest still points
-// at.
+// specs when none are named), compares the run index with the live run
+// set the ledger records in both directions, and re-hashes every
+// indexed run frame in the segment against its attested content hash.
+// Issues are reported in batch order per spec, so Issues[0] names the
+// first divergent batch. Dead segment bytes (dropped or superseded
+// frames awaiting compaction) are not covered.
 func (s *Store) VerifyLedger(specNames ...string) (VerifyReport, error) {
 	var report VerifyReport
 	if len(specNames) == 0 {
@@ -250,7 +256,22 @@ func (s *Store) VerifyLedger(specNames ...string) (VerifyReport, error) {
 }
 
 func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
+	// The index is loaded before the ledger is read, and both under the
+	// spec's lock: the first load of a spec an older release wrote
+	// appends its upgrade record, and a commit in between would show a
+	// ledger ahead of the index.
+	st := s.snap(specName)
+	st.mu.Lock()
+	merr := s.loadManifestLocked(specName, st)
+	var entries map[string]snapEntry
+	if merr == nil {
+		entries = make(map[string]snapEntry, len(st.manifest.Runs))
+		for name, e := range st.manifest.Runs {
+			entries[name] = e
+		}
+	}
 	recs, lerr := s.readLedger(specName)
+	st.mu.Unlock()
 	report.Batches += int64(len(recs))
 	if lerr != nil {
 		report.Issues = append(report.Issues, VerifyIssue{
@@ -260,15 +281,7 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 	if bad, err := ledger.VerifyChain(recs); err != nil {
 		report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Batch: bad, Detail: err.Error()})
 	}
-	bySeq := make(map[int64]*ledger.Record, len(recs))
-	for i := range recs {
-		bySeq[recs[i].Seq] = &recs[i]
-	}
-
-	st := s.snap(specName)
-	st.mu.Lock()
-	if err := s.loadManifestLocked(specName, st); err != nil {
-		st.mu.Unlock()
+	if merr != nil {
 		// A ledger that cannot be parsed refuses the load too; the issue
 		// then names the same batch, so Issues[0] stays the first
 		// divergent one.
@@ -276,50 +289,43 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 		if lerr != nil {
 			batch = int64(len(recs)) + 1
 		}
-		report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Batch: batch, Detail: err.Error()})
+		report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Batch: batch, Detail: merr.Error()})
 		return
 	}
-	entries := make(map[string]snapEntry, len(st.manifest.Runs))
-	for name, e := range st.manifest.Runs {
-		entries[name] = e
-	}
-	st.mu.Unlock()
 
-	names := make([]string, 0, len(entries))
-	for name := range entries {
-		names = append(names, name)
+	live := foldLedger(recs)
+	if lerr == nil { // a log cut short cannot show the deletes after the cut
+		for _, name := range sortedKeys(live) {
+			if _, ok := entries[name]; !ok && live[name].Hash != "" {
+				report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Batch: live[name].Batch, Run: name,
+					Detail: "attested by this batch and never deleted, but missing from the run index"})
+			}
+		}
 	}
-	sort.Strings(names)
-
 	// scanned lazily maps run name -> set of content hashes actually
 	// present anywhere in the segment; built on the first offset miss
 	// so stale offsets (a compaction that crashed before its manifest
 	// save) fall back to content, not position.
 	var scanned map[string]map[string]segLoc
-	for _, name := range names {
+	for _, name := range sortedKeys(entries) {
 		e := entries[name]
 		report.Runs++
 		issue := func(detail string) {
 			report.Issues = append(report.Issues, VerifyIssue{Spec: specName, Batch: e.Batch, Run: name, Detail: detail})
 		}
-		if e.Hash == "" || e.Batch <= 0 {
+		a, ok := live[name]
+		switch {
+		case e.Hash == "" || e.Batch <= 0:
 			issue("manifest entry carries no content hash")
 			continue
-		}
-		rec, ok := bySeq[e.Batch]
-		if !ok {
-			issue(fmt.Sprintf("attesting batch %d missing from ledger", e.Batch))
+		case !ok:
+			issue("no ledger batch attests the run")
 			continue
-		}
-		attested := false
-		for _, l := range rec.Runs {
-			if l.Run == name && l.Hash == e.Hash {
-				attested = true
-				break
-			}
-		}
-		if !attested {
-			issue(fmt.Sprintf("batch %d does not attest hash %s", e.Batch, e.Hash))
+		case a.Hash == "":
+			issue(fmt.Sprintf("deleted by batch %d but still indexed", a.Batch))
+			continue
+		case a != attest{e.Hash, e.Batch}:
+			issue(fmt.Sprintf("the ledger last attests hash %s in batch %d, not this hash %s", a.Hash, a.Batch, e.Hash))
 			continue
 		}
 		if s.segmentFrameIntact(specName, name, e) {
@@ -334,6 +340,38 @@ func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 		}
 		issue(fmt.Sprintf("segment frame does not hash to attested %s", e.Hash))
 	}
+}
+
+// attest is a run's last ledger event: the content hash and batch of
+// its last attestation, or a tombstone (Hash "") and its batch.
+type attest struct {
+	Hash  string
+	Batch int64
+}
+
+// foldLedger folds ledger records, in seq order, into each named run's
+// last event: an attestation sets the run's (hash, batch), a tombstone
+// removes the run. The live run set is the runs whose hash is set.
+func foldLedger(recs []ledger.Record) map[string]attest {
+	out := map[string]attest{}
+	for _, rec := range recs {
+		for _, l := range rec.Runs {
+			out[l.Run] = attest{l.Hash, rec.Seq}
+		}
+		for _, name := range rec.Deleted {
+			out[name] = attest{Batch: rec.Seq}
+		}
+	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // segLoc is where scanSegment found a record: its offset and length

@@ -229,6 +229,9 @@ func TestCrashedCompactionLeavesVerifyGreen(t *testing.T) {
 	if err := s.DeleteRun("pa", "k0"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
 	preCompaction, err := s.Backend().ReadFile(manifestKey("pa"))
 	if err != nil {
 		t.Fatal(err)
@@ -499,4 +502,145 @@ func TestLedgerTailParsesOnlyUncovered(t *testing.T) {
 	if recs, last, err := ledgerTail(nil, 0); err != nil || len(recs) != 0 || last.Seq != 0 {
 		t.Fatalf("empty log: recs %v last %d err %v", seqs(recs), last.Seq, err)
 	}
+}
+
+// TestVerifyReportsSilentDrop: a run dropped from the checkpoint by
+// hand is still live in the ledger, so VerifyLedger names it and the
+// batch that attested it.
+func TestVerifyReportsSilentDrop(t *testing.T) {
+	dir := seedDir(t, 10)
+	if _, err := reopen(t, dir).Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
+	be := openTestBackend(t, dir)
+	raw, err := be.ReadFile(manifestKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m["runs"].(map[string]any), "r3")
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.WriteFile(manifestKey("pa"), raw); err != nil {
+		t.Fatal(err)
+	}
+	s := reopen(t, dir)
+	if names, err := s.ListRuns("pa"); err != nil || len(names) != 9 {
+		t.Fatalf("ListRuns = %v, %v; want the 9 runs the checkpoint lists", names, err)
+	}
+	report, err := s.VerifyLedger("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Issues) != 1 || report.Issues[0].Run != "r3" || report.Issues[0].Batch != 4 {
+		t.Fatalf("VerifyLedger = %+v, want one issue naming run r3 of batch 4", report.Issues)
+	}
+}
+
+// TestDeleteIsOneAppend: a delete writes exactly one synced ledger
+// append, whatever the history, and the record tombstones the run.
+func TestDeleteIsOneAppend(t *testing.T) {
+	dir := seedDir(t, 3)
+	log := &mutationLog{Backend: openTestBackend(t, dir)}
+	s := OpenBackend(log)
+	if _, err := s.ListRuns("pa"); err != nil {
+		t.Fatal(err)
+	}
+	log.take()
+	if err := s.DeleteRun("pa", "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := log.take(), []string{"append pa/snapshot/ledger.log sync=true"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("a delete wrote %q, want %q", got, want)
+	}
+	recs, err := s.readLedger("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1]; last.Format != ledger.Format || len(last.Runs) != 0 || fmt.Sprint(last.Deleted) != "[r1]" {
+		t.Fatalf("delete record = %+v, want a current-format tombstone of r1", last)
+	}
+}
+
+// TestOldFormatLedgerUpgrades: a repository an older release wrote —
+// format-0 records, and a version-4 checkpoint that alone records the
+// deletion of r1 — opens serving the checkpoint's runs. Its first load
+// appends exactly one current-format record, which tombstones r1, and
+// writes a current checkpoint; from then on the ledger decides the run
+// set, so a lost checkpoint is rebuilt without r1. Proofs of runs that
+// format-0 records attest keep their leaf form and verify, before and
+// after later commits, and so do proofs of new commits.
+func TestOldFormatLedgerUpgrades(t *testing.T) {
+	dir := seedDir(t, 3)
+	be := openTestBackend(t, dir)
+	if _, err := reopen(t, dir).Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
+	downgradeLedger(t, be)
+	raw, err := be.ReadFile(manifestKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m snapManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m.Runs, "r1") // how an older release deleted a run
+	if raw, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.WriteFile(manifestKey("pa"), raw); err != nil {
+		t.Fatal(err)
+	}
+
+	// Verify as the first call on the older repository, as
+	// `provstore verify` makes it: the load's upgrade record counts, and
+	// the run it tombstones is not reported missing.
+	if rep, err := reopen(t, dir).VerifyLedger(); err != nil || !rep.OK() || rep.Batches != 4 || rep.Runs != 2 {
+		t.Fatalf("first VerifyLedger of an older repository = %+v, %v; want OK over 4 batches and 2 runs", rep, err)
+	}
+
+	s := reopen(t, dir)
+	if names, err := s.ListRuns("pa"); err != nil || fmt.Sprint(names) != "[r0 r2]" {
+		t.Fatalf("ListRuns = %v, %v; want [r0 r2]", names, err)
+	}
+	recs, err := s.readLedger("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 || recs[3].Format != ledger.Format || fmt.Sprint(recs[3].Deleted) != "[r1]" {
+		t.Fatalf("ledger after the upgrade = %+v, want one appended tombstone of r1", recs)
+	}
+	old := proofJSON(t, s, "r0")
+	if bytes.Contains(old, []byte(`"v"`)) {
+		t.Fatalf("proof of a format-0 attestation carries a format: %s", old)
+	}
+	var p RunProof
+	if err := json.Unmarshal(old, &p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyProof(&p); err != nil {
+		t.Fatalf("old-form proof does not verify: %v", err)
+	}
+	if _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 7, "n"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if np, err := s.RunProof("pa", "n0"); err != nil || np.Format != ledger.Format {
+		t.Fatalf("proof of a new commit = %+v, %v", np, err)
+	}
+	want := runAnswers(t, s)
+	requireVerifyOK(t, s)
+
+	if err := be.Remove(manifestKey("pa")); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := reopen(t, dir)
+	if got := runAnswers(t, rebuilt); got != want {
+		t.Fatalf("rebuilt store serves\n%s\nwant\n%s", got, want)
+	}
+	requireVerifyOK(t, rebuilt)
 }

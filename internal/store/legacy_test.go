@@ -221,8 +221,8 @@ func TestLegacyRepositoryMigrates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(raw, []byte(`"version": 4`)) || bytes.Contains(raw, []byte("xml_")) {
-			t.Fatalf("manifest not upgraded to version 4:\n%s", raw)
+		if !bytes.Contains(raw, []byte(`"version": 5`)) || bytes.Contains(raw, []byte("xml_")) {
+			t.Fatalf("manifest not upgraded to version 5:\n%s", raw)
 		}
 		// Upgraded in place, not discarded: unchanged runs keep the
 		// frames they already had.

@@ -21,27 +21,30 @@ import (
 )
 
 // The snapshot layer is where runs are stored. Each run is one
-// checksummed codec frame in an append-only segment, and every commit
-// is one record in the spec's Merkle ledger naming each run and frame
-// hash of its batch. The ledger is the commit log; manifest.json is a
-// checkpoint of the run index (run name → frame) as of one ledger seq.
-// XML is what the store imports and exports, not what it keeps:
-// ExportSpec renders it with wfxml.EncodeRun.
+// checksummed codec frame in an append-only segment. Every commit is
+// one record in the spec's Merkle ledger naming each run and frame hash
+// of its batch, and every delete is one record naming the deleted run.
+// The ledger is the only record of which runs are live; manifest.json
+// is a cache of the run index (run name → frame) as of one ledger seq,
+// which a load can rebuild. XML is what the store imports and exports,
+// not what it keeps: ExportSpec renders it with wfxml.EncodeRun.
 //
 // Layout, per specification (backend keys):
 //
 //	<spec>/snapshot/manifest.json   checkpoint: run name → frame (offset, length, hash, batch) as of ledger seq
 //	<spec>/snapshot/runs.seg        append-only run frames
-//	<spec>/snapshot/ledger.log      Merkle ledger, one record per commit
+//	<spec>/snapshot/ledger.log      Merkle ledger, one record per commit or delete
 //
-// A commit is exactly two synced appends, segment then ledger; once
-// its ledger record is durable the batch is committed. Loading a spec
-// reads the checkpoint and replays the ledger batches after its seq
-// (parsing the ledger from its end back to that seq only), finding each replayed frame in the segment by run name and content
-// hash (segment records name themselves). The checkpoint is written at
-// a spec's first commit, on every delete (deletes are not in the
-// ledger), at compaction, legacy migration and frame relocation, and
-// by Snapshot when the ledger is ahead of it.
+// A commit is exactly two synced appends, segment then ledger, and a
+// delete is one synced ledger append; once its ledger record is durable
+// the change is committed. Loading a spec reads the checkpoint and
+// replays the ledger records after its seq (parsing the ledger from its
+// end back to that seq only), finding each replayed frame in the
+// segment by run name and content hash (segment records name
+// themselves). A lost or unparsable checkpoint is rebuilt by replaying
+// the whole ledger. The checkpoint is written only by Snapshot when the
+// ledger is ahead of it, by compaction, by frame relocation, and by the
+// first load of a spec an older release wrote (migrateLegacyLocked).
 //
 // Every stored frame equals codec.EncodeRun of the run that parsing
 // the run's canonical XML produces, so export followed by re-import
@@ -52,14 +55,15 @@ import (
 // A corrupt frame, checkpoint or ledger is an error, never a silent
 // miss: the segment holds the only copy of each run.
 
-// manifestVersion guards the checkpoint JSON schema itself. Version 4
-// added seq, the last ledger batch the checkpoint covers. Version 3
-// and 2 manifests were saved after every commit, so they cover the
-// whole ledger; version 2 also carried XML fingerprints and is
-// upgraded in place on first load. A version-1 manifest (no content
-// hashes) is discarded: its repository still keeps every run as XML,
-// which the legacy migration re-commits.
-const manifestVersion = 4
+// manifestVersion guards the checkpoint JSON schema itself. Version 5
+// caches a ledger that records deletes; in version 4 (which added seq,
+// the last ledger batch covered) the checkpoint decided the deletes.
+// Version 3 and 2 manifests were saved after every commit, so they
+// cover the whole ledger; version 2 also carried XML fingerprints.
+// Versions 2 to 4 are upgraded in place on first load. A version-1
+// manifest (no content hashes) is discarded: its repository still
+// keeps every run as XML, which the legacy migration re-commits.
+const manifestVersion = 5
 
 // compactMinDeadBytes and compactMinDeadRatio bound segment garbage:
 // a commit or delete triggers compaction once the segment holds at least
@@ -132,24 +136,20 @@ func (s *Store) snap(specName string) *snapState {
 }
 
 // loadManifestLocked loads a spec's run index on first use: the
-// checkpoint, then the ledger batches after it (replay), then
-// any legacy run documents (migrateLegacyLocked). A missing checkpoint
-// is an empty index while the ledger holds at most one batch: the spec
-// has no committed runs yet, and whatever the segment holds (a crashed
-// first commit) is counted dead. A checkpoint that cannot be parsed,
-// or is missing although the ledger attests later batches, is an error
-// naming the spec, and stays one on every later call: deletes are not
-// in the ledger, so replaying it from the start could resurrect them.
-// Caller holds st.mu.
+// checkpoint, then the ledger records after it (replay), then whatever
+// an older release left (migrateLegacyLocked). Caller holds st.mu.
 func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	if st.loaded {
 		return nil
 	}
-	ledgerLog, err := s.loadLedgerLocked(specName, st)
+	ledgerLog, last, err := s.loadLedgerLocked(specName, st)
 	if err != nil {
 		return err
 	}
-	m, legacy, err := s.readManifest(specName, st.ledgerSeq)
+	// This release appends only current-format records, so a ledger
+	// holds one exactly when its last record is one.
+	decided := last.Format == ledger.Format
+	m, legacy, err := s.readManifest(specName, last.Seq, decided)
 	if err != nil {
 		return damaged(err)
 	}
@@ -161,7 +161,7 @@ func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 		return damaged(err)
 	}
 	st.manifest = m
-	if err := s.migrateLegacyLocked(specName, st, legacy); err != nil {
+	if err := s.migrateLegacyLocked(specName, st, legacy, decided); err != nil {
 		st.manifest = nil
 		return err
 	}
@@ -170,25 +170,30 @@ func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 }
 
 // readManifest parses a spec's checkpoint against last, the seq of its
-// ledger's last batch. An older manifest version covers the ledger
-// only until the next commit, which replaces it with a checkpoint
-// first. legacy reports a manifest whose run list was the XML listing
-// rather than its own entries: one written before frames became the
-// only copy of a run (version 1 or 2), or a lost one of such a
-// repository. Every error it returns means the checkpoint or the
-// ledger is damaged, and loadManifestLocked marks it ErrDamaged.
-func (s *Store) readManifest(specName string, last int64) (m *snapManifest, legacy bool, err error) {
-	empty := func() *snapManifest {
-		return &snapManifest{Seq: last, Runs: map[string]snapEntry{}}
+// ledger's last record. A decided ledger (one holding a current-format
+// record) records every delete, so a missing or unparsable checkpoint
+// is an empty one at seq 0 and the load replays the whole ledger. Over
+// an older ledger the checkpoint decided the deletes: a missing one is
+// an empty index while the ledger holds at most one batch (a crashed
+// first commit), and damage otherwise. legacy reports a manifest whose
+// run list was the XML listing rather than its own entries (version 1
+// or 2, or a lost one of such a repository). Every error it returns is
+// damage, which loadManifestLocked marks ErrDamaged.
+func (s *Store) readManifest(specName string, last int64, decided bool) (m *snapManifest, legacy bool, err error) {
+	empty := func(seq int64) *snapManifest {
+		return &snapManifest{Seq: seq, Runs: map[string]snapEntry{}}
 	}
 	data, err := s.be.ReadFile(manifestKey(specName))
 	if isNotExist(err) {
-		if last <= 1 {
-			return empty(), false, nil
+		if decided {
+			return empty(0), false, nil
 		}
-		// A spec's first commit writes the checkpoint, so a ledger past
-		// its first batch proves one was lost; only a legacy
-		// repository's run documents can rebuild it.
+		if last <= 1 {
+			return empty(last), false, nil
+		}
+		// An older release wrote the checkpoint at a spec's first
+		// commit, so a ledger past its first batch proves one was lost;
+		// only a legacy repository's run documents can rebuild it.
 		docs, err := s.be.List(legacyRunsDir(specName))
 		if err != nil {
 			return nil, false, fmt.Errorf("store: spec %q: %w", specName, err)
@@ -196,22 +201,25 @@ func (s *Store) readManifest(specName string, last int64) (m *snapManifest, lega
 		if len(docs) == 0 {
 			return nil, false, fmt.Errorf("store: spec %q: manifest missing although the ledger attests %d batches", specName, last)
 		}
-		return empty(), true, nil
+		return empty(last), true, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("store: spec %q: reading manifest: %v", specName, err)
 	}
 	m = &snapManifest{}
 	if err := json.Unmarshal(data, m); err != nil {
+		if decided {
+			return empty(0), false, nil
+		}
 		return nil, false, fmt.Errorf("store: spec %q: corrupt manifest: %v", specName, err)
 	}
 	switch m.Version {
 	case 1:
-		return empty(), true, nil
+		return empty(last), true, nil
 	case 2, 3:
 		legacy = m.Version == 2
 		m.Seq = last
-	case manifestVersion:
+	case 4, manifestVersion:
 		if m.Seq < 0 || m.Seq > last {
 			return nil, false, fmt.Errorf("store: spec %q: manifest covers ledger batch %d, but the ledger ends at batch %d", specName, m.Seq, last)
 		}
@@ -225,31 +233,26 @@ func (s *Store) readManifest(specName string, last int64) (m *snapManifest, lega
 }
 
 // replay brings a freshly read checkpoint m up to the ledger tail;
-// recs are the ledger records after its seq. Only the last attestation
-// of each run matters — an earlier frame of the same run may already have been
-// compacted away. A run whose entry already carries that frame's hash
-// (the dedup case) keeps its entry; every other run is found by one
-// scan of the segment. A frame the segment does not hold gets an entry
+// recs are the ledger records after its seq. Only the last event of
+// each run matters (foldLedger) — an earlier frame of the same run may
+// already have been compacted away. A tombstoned run loses its entry. A
+// run whose entry already carries its last attested frame's hash (the
+// dedup case) keeps its entry; every other run is found by one scan of
+// the segment. A frame the segment does not hold gets an entry
 // that points nowhere, so loading the run fails naming its batch and
 // VerifyLedger reports it. Live and dead byte counts are recomputed
 // from the segment's size, so the bytes of a commit whose ledger append
 // never landed count as dead. loadManifestLocked marks its errors
 // ErrDamaged.
 func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) error {
-	type attest struct {
-		hash  string
-		batch int64
-	}
-	final := map[string]attest{}
-	for _, rec := range recs {
-		for _, l := range rec.Runs {
-			final[l.Run] = attest{l.Hash, rec.Seq}
-		}
-	}
 	var found map[string]map[string]segLoc
-	for name, a := range final {
+	for name, a := range foldLedger(recs) {
+		if a.Hash == "" {
+			delete(m.Runs, name)
+			continue
+		}
 		e, ok := m.Runs[name]
-		if !ok || e.Hash != a.hash {
+		if !ok || e.Hash != a.Hash {
 			if found == nil {
 				seg, err := s.be.ReadFile(segmentKey(specName))
 				if err != nil && !isNotExist(err) {
@@ -257,12 +260,12 @@ func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) e
 				}
 				found = scanSegment(seg)
 			}
-			e = snapEntry{Offset: -1, Codec: codec.Version, Hash: a.hash}
-			if loc, ok := found[name][a.hash]; ok {
+			e = snapEntry{Offset: -1, Codec: codec.Version, Hash: a.Hash}
+			if loc, ok := found[name][a.Hash]; ok {
 				e.Offset, e.Length = loc.Offset, loc.Length
 			}
 		}
-		e.Batch = a.batch
+		e.Batch = a.Batch
 		m.Runs[name] = e
 	}
 	var size int64
@@ -283,27 +286,37 @@ func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) e
 // the only copy kept one XML document per run.
 func legacyRunsDir(specName string) string { return specName + "/runs" }
 
-// migrateLegacyLocked converts a repository written in the older
-// layout, which kept every run twice (<spec>/runs/<run>.xml plus a
-// frame): every leftover document is parsed and committed through the
-// normal batch path, then removed. A frame identical to one already
-// live is deduped, so migration costs a parse and a ledger record per
-// spec, not a rewrite. Under a legacy manifest the documents were the
-// run list, so entries without one are dropped. Interrupted
-// migrations resume on the next load: commits are idempotent and the
-// documents go only after the commit. Caller holds st.mu.
-func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy bool) error {
+// migrateLegacyLocked brings a spec an older release wrote to the
+// current format on its first load: one ledger record, then a current
+// checkpoint. The record attests every leftover run document of the
+// layout that kept each run twice (<spec>/runs/<run>.xml; an identical
+// live frame is deduped), which then goes. It tombstones every run the
+// ledger attests that the index lacks, since format-0 records never
+// recorded a delete and the old checkpoint did; under a legacy manifest
+// the documents were the run list, so it also tombstones every indexed
+// run without one (every such entry is attested: version-2 manifests
+// were written alongside the ledger).
+// Over such a ledger the record is appended even when empty: holding a
+// current-format record is what makes the ledger decide the run set.
+// Interrupted migrations resume on the next load: commits are
+// idempotent and the documents go only after the checkpoint. Caller
+// holds st.mu.
+func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy, decided bool) error {
 	entries, err := s.be.List(legacyRunsDir(specName))
 	if err != nil {
 		return fmt.Errorf("store: spec %q: %w", specName, err)
 	}
+	docs := map[string]bool{}
 	var names []string
 	for _, e := range entries {
 		if name, ok := strings.CutSuffix(e.Name, ".xml"); ok && !e.Dir {
 			names = append(names, name)
+			docs[name] = true
 		}
 	}
-	if len(names) == 0 && !legacy {
+	undecided := st.ledgerSeq > 0 && !decided
+	stale := st.manifest.Version != 0 && st.manifest.Version != manifestVersion
+	if len(names) == 0 && !legacy && !undecided && !stale {
 		return nil
 	}
 	var items []snapBatchItem
@@ -324,21 +337,21 @@ func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy bool)
 			items = append(items, snapBatchItem{name: name, run: r})
 		}
 	}
-	if legacy {
-		keep := make(map[string]bool, len(names))
-		for _, name := range names {
-			keep[name] = true
+	var gone []string
+	if legacy || undecided {
+		recs, err := s.readLedger(specName)
+		if err != nil {
+			return damaged(fmt.Errorf("store: spec %q: %w", specName, err))
 		}
-		for name, e := range st.manifest.Runs {
-			if !keep[name] {
-				delete(st.manifest.Runs, name)
-				st.manifest.Dead += e.Length
-				st.manifest.Live -= e.Length
+		for name, a := range foldLedger(recs) {
+			if _, ok := st.manifest.Runs[name]; (legacy && ok || !ok && a.Hash != "") && !docs[name] {
+				gone = append(gone, name)
 			}
 		}
+		slices.Sort(gone)
 	}
-	if len(items) > 0 {
-		if _, err := s.commitLocked(specName, st, items); err != nil {
+	if len(items) > 0 || len(gone) > 0 || undecided {
+		if _, err := s.commitLocked(specName, st, items, gone...); err != nil {
 			return err
 		}
 	}
@@ -581,8 +594,9 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem) ([
 }
 
 // commitLocked is writeRunSnapshotBatch with the manifest and ledger
-// cursor already loaded. Caller holds st.mu.
-func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchItem) ([]string, error) {
+// cursor already loaded, whose one ledger record also tombstones the
+// deleted runs; a delete is a commit of no items. Caller holds st.mu.
+func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchItem, deleted ...string) ([]string, error) {
 	records := make([][]byte, len(items))
 	hashes := make([]string, len(items))
 	leafs := make([]ledger.BatchLeaf, len(items))
@@ -596,18 +610,11 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 		leafs[i] = ledger.BatchLeaf{Run: it.name, Hash: hashes[i]}
 		records[i] = segmentRecord(it.name, frame)
 	}
-	if st.manifest.Version != manifestVersion {
-		// A spec's first commit writes the checkpoint before its
-		// appends, so a checkpoint missing past the first batch is
-		// damage (readManifest), never a crash.
-		if err := s.saveManifestLocked(specName, st); err != nil {
-			return nil, err
-		}
+	fi, err := s.be.Stat(segmentKey(specName))
+	if err != nil && !isNotExist(err) {
+		return nil, err
 	}
-	var off int64
-	if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
-		off = fi.Size
-	}
+	off := fi.Size
 	var seg bytes.Buffer
 	entries := make([]snapEntry, len(items))
 	for i, it := range items {
@@ -631,7 +638,7 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 			return nil, err
 		}
 	}
-	rec, err := ledger.NewRecord(st.ledgerSeq+1, st.ledgerHead, leafs)
+	rec, err := ledger.NewRecord(st.ledgerSeq+1, st.ledgerHead, leafs, deleted...)
 	if err != nil {
 		return nil, err
 	}
@@ -649,8 +656,11 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 		st.loaded, st.ledgerLoaded = false, false
 		st.version.Add(1)
 		s.mu.Lock()
-		for _, it := range items {
-			delete(s.runs, runKey(specName, it.name))
+		for _, l := range leafs {
+			delete(s.runs, runKey(specName, l.Run))
+		}
+		for _, name := range deleted {
+			delete(s.runs, runKey(specName, name))
 		}
 		s.mu.Unlock()
 		return nil, err
@@ -671,6 +681,15 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 		e.Batch = rec.Seq
 		m.Runs[it.name] = e
 	}
+	s.mu.Lock()
+	for _, name := range deleted {
+		e := m.Runs[name]
+		delete(m.Runs, name)
+		delete(s.runs, runKey(specName, name))
+		m.Dead += e.Length
+		m.Live -= e.Length
+	}
+	s.mu.Unlock()
 	// Compaction is housekeeping: the batch is committed whether or not
 	// it succeeds, and the next commit or delete retries it.
 	_ = s.maybeCompactLocked(specName, st)
@@ -713,32 +732,32 @@ func (s *Store) readLedger(specName string) ([]ledger.Record, error) {
 }
 
 // loadLedgerLocked reads the spec's ledger log, positions the append
-// cursor at its last record and returns the log — and repairs a torn
-// tail first (truncateTornTail). A crash mid-append leaves a partial
+// cursor at its last record and returns the log and that record — and
+// repairs a torn tail first (truncateTornTail). A crash mid-append leaves a partial
 // final line; readers tolerate it, but welded onto by the next append
 // it would become a malformed middle line that VerifyLedger can no
 // longer tell from tampering. A log that cannot be read or repaired, or
 // whose last record cannot be parsed, is an error naming the spec, and
 // the cursor stays unloaded: appending after it would fork the chain.
 // Caller holds st.mu.
-func (s *Store) loadLedgerLocked(specName string, st *snapState) ([]byte, error) {
+func (s *Store) loadLedgerLocked(specName string, st *snapState) ([]byte, ledger.Record, error) {
 	data, err := s.be.ReadFile(ledgerKey(specName))
 	if err != nil && !isNotExist(err) {
-		return nil, damaged(fmt.Errorf("store: spec %q: reading ledger: %w", specName, err))
+		return nil, ledger.Record{}, damaged(fmt.Errorf("store: spec %q: reading ledger: %w", specName, err))
 	}
 	if data, err = truncateTornTail(s.be, ledgerKey(specName), data); err != nil {
-		return nil, fmt.Errorf("store: spec %q: truncating torn ledger tail: %w", specName, err)
+		return nil, ledger.Record{}, fmt.Errorf("store: spec %q: truncating torn ledger tail: %w", specName, err)
 	}
 	_, last, err := ledgerTail(data, math.MaxInt64)
 	if err != nil {
-		return nil, damaged(fmt.Errorf("store: spec %q: %w", specName, err))
+		return nil, last, damaged(fmt.Errorf("store: spec %q: %w", specName, err))
 	}
 	st.ledgerSeq, st.ledgerHead = last.Seq, ledger.Zero
 	if last.Seq > 0 {
 		st.ledgerHead, _ = ledger.Parse(last.Head)
 	}
 	st.ledgerLoaded = true
-	return data, nil
+	return data, last, nil
 }
 
 // ledgerTail parses a ledger log from its end back to the first record
@@ -772,36 +791,31 @@ func ledgerTail(data []byte, after int64) (recs []ledger.Record, last ledger.Rec
 	return recs, last, nil
 }
 
-// dropRun removes a run's manifest entry and its cached decode, and
-// checkpoints the index: deletes are not in the ledger, so the
-// checkpoint is what keeps a replay from resurrecting the run. The
-// frame bytes become dead weight until compaction. A run with no entry
-// is an error satisfying errors.Is(err, fs.ErrNotExist).
-func (s *Store) dropRun(specName, runName string) error {
+// DeleteRun removes a stored run with one synced ledger record that
+// tombstones it, so a restart or a rebuilt checkpoint can never
+// resurrect it, and drops its index entry and cached decode. Its frame
+// bytes become dead weight until compaction. A run with no entry is an
+// error satisfying errors.Is(err, fs.ErrNotExist).
+func (s *Store) DeleteRun(specName, runName string) error {
+	if err := ValidateName(specName); err != nil {
+		return err
+	}
+	if err := ValidateName(runName); err != nil {
+		return err
+	}
 	st := s.snap(specName)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := s.loadManifestLocked(specName, st); err != nil {
 		return err
 	}
-	e, ok := st.manifest.Runs[runName]
-	if !ok {
+	if _, ok := st.manifest.Runs[runName]; !ok {
 		return fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, notExist("remove", runName))
 	}
-	delete(st.manifest.Runs, runName)
-	st.manifest.Dead += e.Length
-	st.manifest.Live -= e.Length
-	if err := s.saveManifestLocked(specName, st); err != nil {
-		st.manifest.Runs[runName] = e
-		st.manifest.Dead -= e.Length
-		st.manifest.Live += e.Length
+	if _, err := s.commitLocked(specName, st, nil, runName); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.mu.Lock()
-	delete(s.runs, runKey(specName, runName))
-	s.mu.Unlock()
 	st.version.Add(1)
-	_ = s.maybeCompactLocked(specName, st) // housekeeping, as in commitLocked
 	return nil
 }
 

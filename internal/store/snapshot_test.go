@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/ledger"
 	"repro/internal/sptree"
 	"repro/internal/wfxml"
 )
@@ -341,21 +343,133 @@ func TestSnapshotRejectsWrongRunRecord(t *testing.T) {
 	}
 }
 
-// TestCorruptManifestRefuses: a manifest that cannot be parsed, or is
-// missing although the ledger attests later batches, must fail every
-// read of its spec with an error naming the spec — never read as an
-// empty run list, since the segment holds the only copy of each run —
-// and VerifyLedger must report it. A manifest missing after a single
-// batch is a crashed first commit: an empty spec whose segment bytes
-// are dead.
+// runAnswers renders what a store serves about spec "pa": each listed
+// run with its content hash (LoadRunHash) and inclusion proof.
+func runAnswers(t *testing.T, s *Store) string {
+	t.Helper()
+	names, err := s.ListRuns("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, name := range names {
+		_, hash, err := s.LoadRunHash("pa", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s %s %s\n", name, hash, proofJSON(t, s, name))
+	}
+	return out.String()
+}
+
+// downgradeLedger rewrites spec "pa" as an older release left it: a
+// ledger of format-0 records, whose leaves bind only content hashes
+// and which never delete a run, and a version-4 checkpoint.
+func downgradeLedger(t *testing.T, be Backend) {
+	t.Helper()
+	raw, err := be.ReadFile(ledgerKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ledger.ParseLog(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	prev := ledger.Zero
+	for _, rec := range recs {
+		if len(rec.Deleted) > 0 {
+			t.Fatalf("batch %d deletes runs, which format 0 cannot", rec.Seq)
+		}
+		leaves := make([]ledger.Hash, len(rec.Runs))
+		for i, l := range rec.Runs {
+			content, err := ledger.Parse(l.Hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaves[i] = ledger.Leaf(content)
+		}
+		root := ledger.Root(leaves)
+		rec.Format, rec.Prev, rec.Root = 0, prev.Hex(), root.Hex()
+		prev = ledger.Extend(prev, root)
+		rec.Head = prev.Hex()
+		line, err := ledger.MarshalRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, line...)
+	}
+	if err := be.WriteFile(ledgerKey("pa"), log); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = be.ReadFile(manifestKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m snapManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Version = 4
+	if raw, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.WriteFile(manifestKey("pa"), raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptManifestRefuses: over a ledger that records deletes, a
+// checkpoint that cannot be parsed, or is missing, is only a lost
+// cache. After commits, a delete and a compaction, the reopened store
+// rebuilds the index from the ledger and serves exactly what it served
+// before, with a green ledger. Over an older ledger (format-0 records,
+// which never recorded a delete) the checkpoint decided which runs
+// were deleted, so the same damage must fail every read of its spec
+// with an error naming the spec — never read as an empty run list,
+// since the segment holds the only copy of each run — and VerifyLedger
+// must report it. There a manifest missing after a single batch is a
+// crashed first commit: an empty spec whose segment bytes are dead.
 func TestCorruptManifestRefuses(t *testing.T) {
+	damages := []func(be Backend) error{
+		func(be Backend) error { return be.WriteFile(manifestKey("pa"), []byte("{corrupt")) },
+		func(be Backend) error { return be.Remove(manifestKey("pa")) },
+	}
+	for _, damage := range damages {
+		dir := seedDir(t, 3)
+		s := reopen(t, dir)
+		if _, err := s.ImportRuns("pa", genRunXML(t, s, 3, 5, "x"), 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []func() error{
+			func() error { return s.DeleteRun("pa", "r1") },
+			func() error { return s.Compact("pa") },
+			func() error { return s.DeleteRun("pa", "x0") },
+			func() error { _, err := s.ImportRuns("pa", genRunXML(t, s, 1, 6, "r"), 1); return err },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := runAnswers(t, reopen(t, dir))
+		if err := damage(openTestBackend(t, dir)); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := reopen(t, dir)
+		if got := runAnswers(t, rebuilt); got != want {
+			t.Fatalf("rebuilt store serves\n%s\nwant\n%s", got, want)
+		}
+		requireVerifyOK(t, rebuilt)
+	}
+
 	dir := seedDir(t, 3)
 	be := openTestBackend(t, dir)
-	for _, damage := range []func() error{
-		func() error { return be.WriteFile(manifestKey("pa"), []byte("{corrupt")) },
-		func() error { return be.Remove(manifestKey("pa")) },
-	} {
-		if err := damage(); err != nil {
+	if _, err := reopen(t, dir).Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
+	downgradeLedger(t, be)
+	for _, damage := range damages {
+		if err := damage(be); err != nil {
 			t.Fatal(err)
 		}
 		s := reopen(t, dir)
@@ -381,7 +495,12 @@ func TestCorruptManifestRefuses(t *testing.T) {
 	}
 
 	first := seedDir(t, 1)
-	if err := openTestBackend(t, first).Remove(manifestKey("pa")); err != nil {
+	be = openTestBackend(t, first)
+	if _, err := reopen(t, first).Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
+	downgradeLedger(t, be)
+	if err := be.Remove(manifestKey("pa")); err != nil {
 		t.Fatal(err)
 	}
 	s := reopen(t, first)
@@ -395,6 +514,7 @@ func TestCorruptManifestRefuses(t *testing.T) {
 	if dead == 0 {
 		t.Fatal("segment bytes of a crashed first commit not counted as dead")
 	}
+	requireVerifyOK(t, s)
 }
 
 // TestSnapshotIdempotent: on a current-format repository Snapshot

@@ -214,6 +214,8 @@ func (s *Store) ListSpecs() ([]string, error) {
 		if e.Dir {
 			if _, err := s.be.Stat(specXMLKey(e.Name)); err == nil {
 				out = append(out, e.Name)
+			} else if !isNotExist(err) {
+				return nil, fmt.Errorf("store: %w", err)
 			}
 		}
 	}
@@ -368,18 +370,6 @@ func (s *Store) RunHashes(specName string) (uint64, map[string]string, error) {
 		out[name] = e.Hash
 	}
 	return st.version.Load(), out, nil
-}
-
-// DeleteRun removes a stored run: its manifest entry (so a restart
-// can never resurrect it) and its cached decode.
-func (s *Store) DeleteRun(specName, runName string) error {
-	if err := ValidateName(specName); err != nil {
-		return err
-	}
-	if err := ValidateName(runName); err != nil {
-		return err
-	}
-	return s.dropRun(specName, runName)
 }
 
 // Diff loads two stored runs (cached after first parse) and
