@@ -4,7 +4,7 @@
 //
 //	provserved -dir DIR [-addr :8077] [-cache 512] [-demo N] [-seed S] [-preload=true]
 //	           [-backend fs|memory]
-//	           [-ingest-queue 1024] [-ingest-batch 64] [-ingest-maxwait 0]
+//	           [-ingest-queue 1024] [-ingest-batch 64]
 //	           [-timing-log FILE]
 //
 // Every route lives under /v1 (unversioned paths answer 404); the
@@ -13,9 +13,8 @@
 // Single-run imports flow through a group-commit pipeline: concurrent
 // importers coalesce into one snapshot append + one ledger append per
 // batch. -ingest-queue bounds the backlog (past it clients get 429),
-// -ingest-batch caps runs per commit, and -ingest-maxwait adds an
-// optional linger window for batching under bursty async load (0
-// commits as soon as the queue drains).
+// and -ingest-batch caps runs per commit; a batch commits as soon as
+// it is full or the queue runs dry.
 //
 // The analytics routes answer from the metric index, with its default
 // landmark count, once a cohort reaches 256 runs, and from a dense
@@ -68,7 +67,6 @@ func main() {
 		preload = flag.Bool("preload", true, "warm parsed-run and cohort-matrix caches from snapshots at boot")
 		inQueue = flag.Int("ingest-queue", 0, "group-commit ingest queue depth (0 = default 1024); full queue answers 429")
 		inBatch = flag.Int("ingest-batch", 0, "max runs per ingest group-commit (0 = default 64)")
-		inWait  = flag.Duration("ingest-maxwait", 0, "ingest batcher linger window (0 commits as soon as the queue drains)")
 		timing  = flag.String("timing-log", "", "append per-request stage timings as CSV to this file")
 	)
 	flag.Parse()
@@ -86,10 +84,9 @@ func main() {
 		}
 	}
 	opts := server.Options{
-		CacheSize:     *cache,
-		IngestQueue:   *inQueue,
-		IngestBatch:   *inBatch,
-		IngestMaxWait: *inWait,
+		CacheSize:   *cache,
+		IngestQueue: *inQueue,
+		IngestBatch: *inBatch,
 	}
 	if *timing != "" {
 		sink, err := newTimingLog(*timing)

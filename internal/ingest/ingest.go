@@ -1,13 +1,14 @@
 // Package ingest implements the group-commit pipeline between the
 // HTTP server and the store. Every single-run import is enqueued as a
 // Job on a bounded queue; one batcher goroutine drains the queue into
-// batches (flushed when BatchSize jobs have gathered, when the
-// optional MaxWait linger expires, or — with no linger — as soon as
-// the queue runs dry) and hands each batch to a CommitFunc that
-// performs ONE snapshot-segment append and ONE ledger append however
-// many runs it carries. Per-job
-// results travel back on the job's response channel (synchronous
-// clients park there) or onto its Ticket (asynchronous clients poll).
+// batches and hands each batch to a CommitFunc that performs ONE
+// snapshot-segment append and ONE ledger append however many runs it
+// carries. A batch flushes when it holds BatchSize jobs or when the
+// queue runs dry, whichever comes first: a lone importer pays no added
+// latency, and batches form on their own whenever jobs arrive faster
+// than commits complete. Per-job results travel back on the job's
+// response channel (synchronous clients park there) or onto its
+// Ticket (asynchronous clients poll).
 //
 // The batcher never commits concurrently with itself, so commit
 // functions see strictly ordered batches: jobs enqueued earlier are
@@ -64,15 +65,9 @@ type Options struct {
 	// QueueDepth bounds the number of jobs waiting for the batcher;
 	// enqueueing past it fails with ErrQueueFull.
 	QueueDepth int
-	// BatchSize caps how many jobs one commit may carry.
+	// BatchSize caps how many jobs one commit may carry; a batch
+	// flushes short as soon as the queue runs dry.
 	BatchSize int
-	// MaxWait is the linger window: after the first job of a batch
-	// arrives, the batcher waits up to MaxWait for more before
-	// flushing short. Zero (the default) disables lingering — a batch
-	// flushes as soon as the queue runs dry, so a lone importer pays
-	// no added latency and batches still form naturally whenever jobs
-	// arrive faster than commits complete. Negative behaves like zero.
-	MaxWait time.Duration
 	// SlowCommit is the watchdog threshold: commits slower than this
 	// increment the SlowCommits counter surfaced in /stats.
 	SlowCommit time.Duration
@@ -129,9 +124,6 @@ func New(fn CommitFunc, opts Options) *Pipeline {
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
-	}
-	if opts.MaxWait < 0 {
-		opts.MaxWait = 0
 	}
 	if opts.SlowCommit <= 0 {
 		opts.SlowCommit = DefaultSlowCommit
@@ -203,27 +195,10 @@ func (p *Pipeline) run() {
 	}
 }
 
-// gather assembles one batch starting from its first job: up to
-// BatchSize jobs, stopping early when the queue runs dry (no linger)
-// or the MaxWait window expires (linger mode).
+// gather assembles one batch starting from its first job: it drains
+// the queue without blocking, up to BatchSize jobs.
 func (p *Pipeline) gather(first *Job) []*Job {
 	batch := append(make([]*Job, 0, p.opts.BatchSize), first)
-	if p.opts.MaxWait <= 0 {
-		for len(batch) < p.opts.BatchSize {
-			select {
-			case j, ok := <-p.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, j)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(p.opts.MaxWait)
-	defer timer.Stop()
 	for len(batch) < p.opts.BatchSize {
 		select {
 		case j, ok := <-p.queue:
@@ -231,7 +206,7 @@ func (p *Pipeline) gather(first *Job) []*Job {
 				return batch
 			}
 			batch = append(batch, j)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}

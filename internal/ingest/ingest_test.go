@@ -34,6 +34,24 @@ func enqueueWait(t *testing.T, p *Pipeline, run string) Result {
 	return <-j.Resp
 }
 
+// gatedCommit wraps inner so that the pipeline's first commit blocks
+// until release is called. entered is closed once that commit has
+// begun, so every job enqueued after it queues up behind the
+// in-flight commit and the next gather takes them as one batch.
+func gatedCommit(inner CommitFunc) (fn CommitFunc, entered <-chan struct{}, release func()) {
+	gate := make(chan struct{})
+	in := make(chan struct{})
+	var first atomic.Bool
+	fn = func(jobs []*Job) []Result {
+		if !first.Swap(true) {
+			close(in)
+			<-gate
+		}
+		return inner(jobs)
+	}
+	return fn, in, func() { close(gate) }
+}
+
 // A full batch commits in one flush: park the batcher on a gate so
 // the whole batch queues up behind one in-flight commit.
 func TestBatchCoalescing(t *testing.T) {
@@ -41,17 +59,8 @@ func TestBatchCoalescing(t *testing.T) {
 		mu      sync.Mutex
 		batches [][]string
 	)
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var first atomic.Bool
-	inner := okCommit(&batches, &mu)
-	p := New(func(jobs []*Job) []Result {
-		if !first.Swap(true) {
-			close(entered)
-			<-gate
-		}
-		return inner(jobs)
-	}, Options{QueueDepth: 64, BatchSize: 8})
+	commit, entered, release := gatedCommit(okCommit(&batches, &mu))
+	p := New(commit, Options{QueueDepth: 64, BatchSize: 8})
 	defer p.Close()
 
 	// One job occupies the batcher (entered confirms it is alone in
@@ -69,7 +78,7 @@ func TestBatchCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(gate)
+	release()
 	<-warm.Resp
 	for i, c := range resps {
 		if res := <-c; res.Err != nil {
@@ -90,29 +99,18 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
-// With a linger window, a lone job still commits once the window
-// expires; without one, it commits immediately.
-func TestMaxWaitAndEagerFlush(t *testing.T) {
+// Without a backlog, a lone job commits at once in a batch of one.
+func TestEagerFlush(t *testing.T) {
 	var (
 		mu      sync.Mutex
 		batches [][]string
 	)
-	p := New(okCommit(&batches, &mu), Options{QueueDepth: 8, BatchSize: 8, MaxWait: 5 * time.Millisecond})
-	start := time.Now()
-	if res := enqueueWait(t, p, "lingered"); res.Err != nil {
+	p := New(okCommit(&batches, &mu), Options{QueueDepth: 8, BatchSize: 8})
+	defer p.Close()
+	if res := enqueueWait(t, p, "eager"); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("lingering commit returned after %v, want >= MaxWait", elapsed)
-	}
-	p.Close()
-
-	eager := New(okCommit(&batches, &mu), Options{QueueDepth: 8, BatchSize: 8})
-	defer eager.Close()
-	if res := enqueueWait(t, eager, "eager"); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if st := eager.Stats(); st.Batches != 1 || st.AvgBatch != 1 {
+	if st := p.Stats(); st.Batches != 1 || st.AvgBatch != 1 {
 		t.Fatalf("eager stats = %+v", st)
 	}
 }
@@ -321,14 +319,18 @@ func TestTicketDuplicateRunNames(t *testing.T) {
 
 // TestTicketDuplicateRunNamesThroughPipeline drives the same shape
 // end to end: duplicate-name jobs sharing one ticket, committed by
-// the batcher, polled to a terminal state.
+// the batcher as one batch, polled to a terminal state.
 func TestTicketDuplicateRunNamesThroughPipeline(t *testing.T) {
 	var (
 		mu      sync.Mutex
 		batches [][]string
 	)
-	p := New(okCommit(&batches, &mu), Options{QueueDepth: 8, BatchSize: 4, MaxWait: time.Millisecond})
-	defer p.Close()
+	commit, entered, release := gatedCommit(okCommit(&batches, &mu))
+	p := New(commit, Options{QueueDepth: 8, BatchSize: 4})
+	if err := p.Enqueue(&Job{Spec: "s", Run: "warm"}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 	reg := NewRegistry(4)
 	tk := reg.New("s", []string{"dup", "dup", "other"})
 	for _, run := range []string{"dup", "dup", "other"} {
@@ -336,17 +338,14 @@ func TestTicketDuplicateRunNamesThroughPipeline(t *testing.T) {
 			t.Fatalf("enqueue %s: %v", run, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := tk.Snapshot(); got.State != StatePending {
-			if got.State != StateCommitted || got.Done != 3 {
-				t.Fatalf("terminal ticket = %+v", got)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ticket still pending after commits: %+v", tk.Snapshot())
-		}
-		time.Sleep(time.Millisecond)
+	release()
+	p.Close() // drains: every queued job has committed when it returns
+	if got := tk.Snapshot(); got.State != StateCommitted || got.Done != 3 {
+		t.Fatalf("terminal ticket = %+v", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(batches) != 2 || fmt.Sprint(batches[1]) != "[dup dup other]" {
+		t.Fatalf("batches = %v, want the warm-up plus [dup dup other]", batches)
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,7 +155,7 @@ func TestWriteBenchArtifact(t *testing.T) {
 	incremental := run(BenchmarkIncrementalImport)
 	full32 := run(BenchmarkFullRecompute32)
 	sustainedPipeline := run(func(b *testing.B) {
-		benchSustainedIngest(b, Options{IngestBatch: ingestClients, IngestMaxWait: 2 * time.Millisecond})
+		benchSustainedIngest(b, Options{IngestBatch: ingestClients})
 	})
 	if cold.NsPerOp > 0 {
 		cached.SpeedupVsCold = float64(cold.NsPerOp) / float64(max(cached.NsPerOp, 1))
@@ -266,6 +268,51 @@ const ingestClients = 32
 
 func BenchmarkSustainedIngest(b *testing.B) {
 	b.Run("pipeline", func(b *testing.B) {
-		benchSustainedIngest(b, Options{IngestBatch: ingestClients, IngestMaxWait: 2 * time.Millisecond})
+		benchSustainedIngest(b, Options{IngestBatch: ingestClients})
 	})
+}
+
+// BenchmarkConcurrentImport measures group commit under concurrency:
+// c clients split b.N sync imports of distinct default-parameter PA
+// runs into an fs repository, and each batch carries whatever queued
+// behind the commit before it. It reports runs/s and jobs/batch, the
+// latter from the pipeline's Committed and Batches deltas. It is not
+// in the gated set: coalescing, and with it allocs/op, follows the
+// host's fsync latency.
+func BenchmarkConcurrentImport(b *testing.B) {
+	for _, c := range []int{1, 4, 16} {
+		b.Run(strconv.Itoa(c), func(b *testing.B) {
+			srv, st := seedServer(b, 0, Options{})
+			defer srv.Close()
+			bodies := make([][]byte, b.N)
+			for i := range bodies {
+				bodies[i] = encodeRun(b, st, int64(5000+i))
+			}
+			before := srv.ingest.Stats()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for g := 0; g < c; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+						target := "/v1/specs/pa/runs/c" + strconv.Itoa(i)
+						if rec := do(b, srv, "POST", target, bodies[i], nil); rec.Code != http.StatusCreated {
+							b.Errorf("%s = %d %q", target, rec.Code, rec.Body.String())
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			b.StopTimer()
+			after := srv.ingest.Stats()
+			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "runs/s")
+			b.ReportMetric(float64(after.Committed-before.Committed)/float64(max(after.Batches-before.Batches, 1)), "jobs/batch")
+		})
+	}
 }

@@ -177,11 +177,30 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-tar")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", ns[0]+".tar"))
-	if err := s.st.ExportSpec(ns[0], nil, w); err != nil {
-		// Headers are committed; nothing sane to do but log via the
-		// error counter. The truncated tar fails checksum on read.
+	tw := &trackedWriter{Writer: w}
+	if err := s.st.ExportSpec(ns[0], nil, tw); err != nil {
+		if !tw.wrote {
+			w.Header().Del("Content-Disposition")
+			s.storeError(w, err)
+			return
+		}
+		// A tar cut at an entry boundary reads as a clean, shorter
+		// archive, so abort the response: the client sees a transport
+		// error, never a 200 with runs missing.
 		s.errCount.Add(1)
+		panic(http.ErrAbortHandler)
 	}
+}
+
+// trackedWriter records whether anything has been written through it.
+type trackedWriter struct {
+	io.Writer
+	wrote bool
+}
+
+func (t *trackedWriter) Write(p []byte) (int, error) {
+	t.wrote = true
+	return t.Writer.Write(p)
 }
 
 // Warm builds the incremental cohort (and thus the engine

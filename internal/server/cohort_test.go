@@ -181,12 +181,8 @@ func TestStatsRequestsMatchMetrics(t *testing.T) {
 // not 400, with the store's message unchanged.
 func TestStorageDamageAnswers500(t *testing.T) {
 	dir := t.TempDir()
-	seedServerAt(t, dir, 6, Options{})
-	be, err := store.NewFSBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := faultfs.Wrap(be)
+	seedServerOn(t, fsBackend(t, dir), 6, Options{})
+	fb := faultfs.Wrap(fsBackend(t, dir))
 	srv := New(store.OpenBackend(fb), Options{CacheSize: 16})
 	fb.Fail(faultfs.Rule{Op: faultfs.OpReadAt, KeySuffix: "runs.seg", N: 1, Mode: faultfs.ErrIO})
 	rec := do(t, srv, "GET", "/v1/specs/pa/diff/r0/r1", nil, nil)
@@ -209,12 +205,8 @@ func TestStorageDamageAnswers500(t *testing.T) {
 // repository answers.
 func TestFailedCohortSyncRecovers(t *testing.T) {
 	dir := t.TempDir()
-	seedServerAt(t, dir, 6, Options{})
-	be, err := store.NewFSBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := faultfs.Wrap(be)
+	seedServerOn(t, fsBackend(t, dir), 6, Options{})
+	fb := faultfs.Wrap(fsBackend(t, dir))
 	srv := New(store.OpenBackend(fb), Options{CacheSize: 16})
 	fb.Fail(faultfs.Rule{Op: faultfs.OpReadAt, KeySuffix: "runs.seg", N: 3, Mode: faultfs.ErrIO})
 	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=2", nil, nil); rec.Code != 500 {

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/store"
@@ -72,8 +71,9 @@ func readManifest(t *testing.T, dir string) manifestShape {
 func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	const k = 6
 	dirP, dirD := t.TempDir(), t.TempDir()
-	srvP, stP := seedServerAt(t, dirP, 0, Options{IngestBatch: k, IngestMaxWait: 100 * time.Millisecond})
-	srvD, stD := seedServerAt(t, dirD, 0, Options{})
+	gate := &ledgerGate{Backend: fsBackend(t, dirP)}
+	srvP, stP := seedServerOn(t, gate, 0, Options{IngestBatch: k})
+	srvD, stD := seedServerOn(t, fsBackend(t, dirD), 0, Options{})
 
 	bodies := make([][]byte, k)
 	names := make([]string, k)
@@ -82,21 +82,33 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 		bodies[i] = encodeRunNamed(t, stP, int64(3000+i), names[i])
 	}
 
-	// Pipeline arm: async posts, FIFO from this one goroutine, so the
-	// batcher coalesces them (up to all k in one commit) in known order.
+	// Pipeline arm: async posts, FIFO from this one goroutine. q0's
+	// commit is held in its ledger append while q1..q{k-1} queue
+	// behind it, so they commit as one batch in known order.
 	statusURLs := make([]string, k)
-	for i, name := range names {
+	post := func(i int) {
 		var acc acceptedJSON
-		rec := do(t, srvP, "POST", "/v1/specs/pa/runs/"+name+"?async=1", bodies[i], &acc)
+		rec := do(t, srvP, "POST", "/v1/specs/pa/runs/"+names[i]+"?async=1", bodies[i], &acc)
 		if rec.Code != http.StatusAccepted {
-			t.Fatalf("async post %s = %d %q", name, rec.Code, rec.Body.String())
+			t.Fatalf("async post %s = %d %q", names[i], rec.Code, rec.Body.String())
 		}
 		statusURLs[i] = acc.StatusURL
 	}
+	entered, release := gate.arm()
+	post(0)
+	<-entered
+	for i := 1; i < k; i++ {
+		post(i)
+	}
+	waitQueued(t, srvP, k-1)
+	release()
 	for i, url := range statusURLs {
 		if view := pollTicket(t, srvP, url); view.State != "committed" {
 			t.Fatalf("ticket for %s resolved %q: %+v", names[i], view.State, view)
 		}
+	}
+	if ps := srvP.ingest.Stats(); ps.MaxBatch != k-1 || ps.Batches != 2 {
+		t.Fatalf("pipeline committed %d batches of at most %d jobs, want q0 alone and then one batch of %d", ps.Batches, ps.MaxBatch, k-1)
 	}
 
 	// Sequential arm: the same bodies, parsed and committed one run per

@@ -10,14 +10,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/store"
 	"repro/internal/store/faultfs"
@@ -51,38 +49,6 @@ func wantEnvelope(t *testing.T, rec *httptest.ResponseRecorder, status int, code
 		t.Error("error message is empty")
 	}
 	return d
-}
-
-// seedServerAt is seedServer over a caller-owned directory, for tests
-// that need to reach under the store.
-func seedServerAt(t *testing.T, dir string, n int, opts Options) (*Server, *store.Store) {
-	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := gen.Catalog("PA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveSpec("pa", pa); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := st.LoadSpec("pa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.SaveRun("pa", fmt.Sprintf("r%d", i), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return New(st, opts), st
 }
 
 func TestErrorEnvelopes(t *testing.T) {
@@ -209,7 +175,7 @@ func TestEnvelope429Backpressure(t *testing.T) {
 // stored.
 func TestEnvelope500CommitFault(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := seedServerAt(t, dir, 1, Options{})
+	srv, st := seedServerOn(t, fsBackend(t, dir), 1, Options{})
 	body := encodeRun(t, st, 777)
 	ledgerLog := filepath.Join(dir, "pa", "snapshot", "ledger.log")
 	if err := os.Remove(ledgerLog); err != nil {
@@ -293,12 +259,8 @@ func TestMuxRedirectPassesThrough(t *testing.T) {
 func faultedServer(t *testing.T) (*Server, *faultfs.Backend) {
 	t.Helper()
 	dir := t.TempDir()
-	seedServerAt(t, dir, 3, Options{})
-	be, err := store.NewFSBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := faultfs.Wrap(be)
+	seedServerOn(t, fsBackend(t, dir), 3, Options{})
+	fb := faultfs.Wrap(fsBackend(t, dir))
 	srv := New(store.OpenBackend(fb), Options{})
 	t.Cleanup(srv.Close)
 	if rec := do(t, srv, "GET", "/v1/specs/pa/runs", nil, nil); rec.Code != 200 {
@@ -349,4 +311,29 @@ func TestListSpecsReadFaultAnswers500(t *testing.T) {
 	srv, fb := faultedServer(t)
 	fb.Fail(faultfs.Rule{Op: faultfs.OpStat, KeySuffix: "spec.xml", N: 1, Mode: faultfs.ErrIO})
 	wantEnvelope(t, do(t, srv, "GET", "/v1/specs", nil, nil), http.StatusInternalServerError, "internal")
+}
+
+// TestExportAbortsOnMidStreamFault: once the archive has started, a
+// storage fault must not end it as a clean, shorter tar. A read fault
+// on the second run aborts the response, so reading the body fails.
+func TestExportAbortsOnMidStreamFault(t *testing.T) {
+	srv, fb := faultedServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	fb.Fail(faultfs.Rule{Op: faultfs.OpReadAt, KeySuffix: "runs.seg", N: 2, Mode: faultfs.ErrIO})
+	resp, err := http.Get(ts.URL + "/v1/specs/pa/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil {
+		t.Fatalf("export under a mid-stream read fault = %d with a clean %d-byte body, want a transport error", resp.StatusCode, len(body))
+	}
+	if len(fb.Injected()) != 1 {
+		t.Fatalf("faults fired: %v", fb.Injected())
+	}
+	if got := srv.Stats().Requests["export"]; got != 1 {
+		t.Fatalf("aborted export counted %d times in the route's requests, want 1", got)
+	}
 }

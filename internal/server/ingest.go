@@ -35,7 +35,6 @@ func (s *Server) newIngest() *ingest.Pipeline {
 	return ingest.New(s.commitBatch, ingest.Options{
 		QueueDepth: s.opts.IngestQueue,
 		BatchSize:  s.opts.IngestBatch,
-		MaxWait:    s.opts.IngestMaxWait,
 	})
 }
 

@@ -116,24 +116,33 @@ func TestAsyncBulkImportOneTicket(t *testing.T) {
 // succeed individually — one malformed document in a coalesced batch
 // must not poison its batchmates.
 func TestSyncIngestPartialBatchErrors(t *testing.T) {
-	srv, st := seedServer(t, 0, Options{IngestMaxWait: 50 * time.Millisecond, IngestBatch: 2})
-	good := encodeRun(t, st, 804)
+	gate := &ledgerGate{Backend: fsBackend(t, t.TempDir())}
+	srv, st := seedServerOn(t, gate, 0, Options{IngestBatch: 2})
 
 	type result struct {
 		code int
 		body string
 	}
-	results := make(chan result, 2)
+	results := make(chan result, 3)
 	post := func(name string, body []byte) {
 		rec := do(t, srv, "POST", "/v1/specs/pa/runs/"+name, body, nil)
 		results <- result{rec.Code, rec.Body.String()}
 	}
-	go post("ok", good)
+	// Hold the blocker's commit while ok and broken queue behind it.
+	entered, release := gate.arm()
+	go post("blocker", encodeRun(t, st, 803))
+	<-entered
+	go post("ok", encodeRun(t, st, 804))
 	go post("broken", []byte("<garbage"))
-	a, b := <-results, <-results
-	codes := []int{a.code, b.code}
-	if !(contains2(codes, http.StatusCreated) && contains2(codes, http.StatusBadRequest)) {
-		t.Fatalf("codes = %v (%q / %q), want one 201 and one 400", codes, a.body, b.body)
+	waitQueued(t, srv, 2)
+	release()
+	a, b, c := <-results, <-results, <-results
+	codes := []int{a.code, b.code, c.code}
+	if !(count(codes, http.StatusCreated) == 2 && count(codes, http.StatusBadRequest) == 1) {
+		t.Fatalf("codes = %v (%q / %q / %q), want two 201 and one 400", codes, a.body, b.body, c.body)
+	}
+	if ps := srv.ingest.Stats(); ps.MaxBatch != 2 {
+		t.Fatalf("largest batch = %d jobs, want ok and broken in one batch", ps.MaxBatch)
 	}
 	var runs struct {
 		Runs []string `json:"runs"`
@@ -153,13 +162,14 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-func contains2(xs []int, want int) bool {
+func count(xs []int, want int) int {
+	n := 0
 	for _, x := range xs {
 		if x == want {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // TestTicketIDShape pins the capability-style identifier: opaque,

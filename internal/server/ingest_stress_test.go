@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ingest"
 )
@@ -21,10 +20,10 @@ func TestIngestRaceStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	srv, st := seedServer(t, 4, Options{
+	gate := &ledgerGate{Backend: fsBackend(t, t.TempDir())}
+	srv, st := seedServerOn(t, gate, 4, Options{
 		CacheSize:       32,
 		IngestBatch:     8,
-		IngestMaxWait:   time.Millisecond,
 		TicketRetention: 4096, // every async ticket must still be pollable at settle
 	})
 	bodies := make([][]byte, 4)
@@ -39,6 +38,10 @@ func TestIngestRaceStress(t *testing.T) {
 	)
 	var writers sync.WaitGroup
 	writersDone := make(chan struct{})
+	// The first commit is held in its ledger append until at least two
+	// jobs queue behind it, so the churn commits at least one batch of
+	// more than one job.
+	entered, release := gate.arm()
 
 	// Sync writers: overwrite a small rotating name set (forcing
 	// same-name jobs through the wave splitter) and delete every
@@ -108,6 +111,9 @@ func TestIngestRaceStress(t *testing.T) {
 		}(g, target)
 	}
 
+	<-entered
+	waitQueued(t, srv, 2)
+	release()
 	writers.Wait()
 	close(writersDone)
 	readers.Wait()
@@ -131,6 +137,9 @@ func TestIngestRaceStress(t *testing.T) {
 	}
 	if ps.QueueDepth != 0 {
 		t.Errorf("queue depth after settle = %d, want 0", ps.QueueDepth)
+	}
+	if ps.MaxBatch < 2 {
+		t.Errorf("largest batch = %d jobs, want >= 2", ps.MaxBatch)
 	}
 
 	// Final consistency read, then shutdown refuses new work.

@@ -60,7 +60,7 @@ func statsLedger(t *testing.T, srv *Server) ledgerStats {
 
 func TestProofsVerifyAcrossIngestRestartCompaction(t *testing.T) {
 	dir := t.TempDir()
-	srv, st := seedServerAt(t, dir, 0, Options{})
+	srv, st := seedServerOn(t, fsBackend(t, dir), 0, Options{})
 
 	var runs []string
 

@@ -76,9 +76,6 @@ type Options struct {
 	// IngestBatch caps how many runs one pipeline commit carries;
 	// <= 0 means ingest.DefaultBatchSize.
 	IngestBatch int
-	// IngestMaxWait is the batcher's linger window; 0 (default)
-	// flushes as soon as the queue runs dry.
-	IngestMaxWait time.Duration
 	// MaxImportBytes bounds one run XML document; <= 0 means the
 	// 32 MiB default.
 	MaxImportBytes int64

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/gen"
@@ -17,14 +19,18 @@ import (
 	"repro/internal/wfxml"
 )
 
-// seedServer builds a store with the PA catalog workflow under "pa"
-// and n generated runs named r0..r{n-1}, and returns a server over it.
+// seedServer builds a store over a fresh directory with the PA
+// catalog workflow under "pa" and n generated runs named r0..r{n-1},
+// and returns a server over it.
 func seedServer(tb testing.TB, n int, opts Options) (*Server, *store.Store) {
+	return seedServerOn(tb, fsBackend(tb, tb.TempDir()), n, opts)
+}
+
+// seedServerOn is seedServer over a caller-chosen backend: a directory
+// the test reaches under, or a decorator such as ledgerGate.
+func seedServerOn(tb testing.TB, be store.Backend, n int, opts Options) (*Server, *store.Store) {
 	tb.Helper()
-	st, err := store.Open(tb.TempDir())
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st := store.OpenBackend(be)
 	pa, err := gen.Catalog("PA")
 	if err != nil {
 		tb.Fatal(err)
@@ -47,6 +53,66 @@ func seedServer(tb testing.TB, n int, opts Options) (*Server, *store.Store) {
 		}
 	}
 	return New(st, opts), st
+}
+
+// fsBackend opens a filesystem backend rooted at dir.
+func fsBackend(tb testing.TB, dir string) store.Backend {
+	tb.Helper()
+	be, err := store.NewFSBackend(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return be
+}
+
+// ledgerGate is a store.Backend whose armed gate holds the next
+// append to a ledger until it is released. Every commit appends to
+// its spec's ledger (a deduplicated one skips the segment), so a test
+// can hold one commit open while the jobs it wants batched together
+// queue up behind it.
+type ledgerGate struct {
+	store.Backend
+	mu      sync.Mutex
+	entered chan struct{} // closed once the held append arrives; nil when disarmed
+	release chan struct{}
+}
+
+// arm makes the next ledger append wait until release is called;
+// entered is closed once that append is held.
+func (g *ledgerGate) arm() (entered <-chan struct{}, release func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.entered, g.release = make(chan struct{}), make(chan struct{})
+	rel := g.release
+	return g.entered, func() { close(rel) }
+}
+
+func (g *ledgerGate) Append(key string, data []byte, sync bool) error {
+	if strings.HasSuffix(key, "ledger.log") {
+		g.mu.Lock()
+		entered, release := g.entered, g.release
+		g.entered = nil
+		g.mu.Unlock()
+		if entered != nil {
+			close(entered)
+			<-release
+		}
+	}
+	return g.Backend.Append(key, data, sync)
+}
+
+// waitQueued returns once at least n jobs wait on the server's ingest
+// queue. With the batcher held in a gated commit, those jobs are the
+// ones its next gather takes.
+func waitQueued(tb testing.TB, s *Server, n int) {
+	tb.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.ingest.Stats().QueueDepth < n {
+		if time.Now().After(deadline) {
+			tb.Fatalf("ingest queue depth %d after 10s, want >= %d", s.ingest.Stats().QueueDepth, n)
+		}
+		runtime.Gosched()
+	}
 }
 
 // get performs a request against the handler directly and decodes a

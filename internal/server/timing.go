@@ -130,16 +130,20 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		t := &RequestTiming{Route: route, Method: r.Method, Start: time.Now()}
 		sw := &statusWriter{ResponseWriter: w}
+		// Deferred so that a response aborted mid-stream
+		// (http.ErrAbortHandler) is still counted.
+		defer func() {
+			t.Status = sw.status
+			if t.Status == 0 {
+				// Handler wrote nothing; net/http will send 200.
+				t.Status = http.StatusOK
+			}
+			t.TotalMS = float64(time.Since(t.Start).Nanoseconds()) / 1e6
+			s.metrics.observeRequest(t)
+			if s.opts.OnRequestTiming != nil {
+				s.opts.OnRequestTiming(t)
+			}
+		}()
 		h(sw, r.WithContext(context.WithValue(r.Context(), timingKey{}, t)))
-		t.Status = sw.status
-		if t.Status == 0 {
-			// Handler wrote nothing; net/http will send 200.
-			t.Status = http.StatusOK
-		}
-		t.TotalMS = float64(time.Since(t.Start).Nanoseconds()) / 1e6
-		s.metrics.observeRequest(t)
-		if s.opts.OnRequestTiming != nil {
-			s.opts.OnRequestTiming(t)
-		}
 	}
 }

@@ -47,10 +47,9 @@ func (b *memoryBackend) WriteFile(key string, data []byte) error {
 func (b *memoryBackend) Append(key string, data []byte, sync bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	blob := b.blobs[key]
-	// Copy-on-append: readers hold slices of the old array.
-	next := make([]byte, 0, len(blob)+len(data))
-	b.blobs[key] = append(append(next, blob...), data...)
+	// In place: ReadFile and ReadAt copy out under the lock, so no
+	// caller holds a slice of a blob's array.
+	b.blobs[key] = append(b.blobs[key], data...)
 	return nil
 }
 
