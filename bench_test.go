@@ -53,19 +53,32 @@ func fig11Pair(b *testing.B, name string, total int) (*wfrun.Run, *wfrun.Run) {
 	return r1, r2
 }
 
+// reportWork reports an engine's work counters per op.
+func reportWork(b *testing.B, w core.Work) {
+	b.ReportMetric(float64(w.Decisions)/float64(b.N), "decisions/op")
+	b.ReportMetric(float64(w.Cells)/float64(b.N), "cells/op")
+}
+
 // BenchmarkFig11 differences runs of each real workflow at a
-// representative size (Fig. 11, unit cost).
+// representative size (Fig. 11, unit cost), with a fresh engine per
+// diff as core.Distance does.
 func BenchmarkFig11(b *testing.B) {
 	for _, name := range gen.CatalogNames {
 		for _, total := range []int{200, 600} {
 			b.Run(fmt.Sprintf("%s/edges=%d", name, total), func(b *testing.B) {
 				r1, r2 := fig11Pair(b, name, total)
+				var work core.Work
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Distance(r1, r2, cost.Unit{}); err != nil {
+					eng := core.NewEngine(cost.Unit{})
+					if _, err := eng.Distance(r1, r2); err != nil {
 						b.Fatal(err)
 					}
+					w := eng.Work()
+					work.Decisions += w.Decisions
+					work.Cells += w.Cells
 				}
+				reportWork(b, work)
 			})
 		}
 	}
@@ -365,11 +378,50 @@ func BenchmarkEngineReuse(b *testing.B) {
 		if _, err := eng.Distance(r1, r2); err != nil {
 			b.Fatal(err)
 		}
+		before := eng.Work()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Distance(r1, r2); err != nil {
 				b.Fatal(err)
 			}
 		}
+		after := eng.Work()
+		reportWork(b, core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells})
 	})
+}
+
+// BenchmarkCohortRow128 is the cohort shape: one engine differences a
+// query run against 128 default-parameter PA runs, the row a dense
+// cohort Add or a metric-index query pays for. One warm-up row runs
+// before the timer, so allocs/op is the steady state.
+func BenchmarkCohortRow128(b *testing.B) {
+	sp, err := gen.Catalog("PA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	runs := make([]*wfrun.Run, 129)
+	for i := range runs {
+		if runs[i], err = gen.RandomRun(sp, gen.DefaultRunParams(), rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	query, members := runs[0], runs[1:]
+	eng := core.NewEngine(cost.Unit{})
+	row := func() {
+		for _, r := range members {
+			if _, err := eng.Distance(query, r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	row()
+	before := eng.Work()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row()
+	}
+	after := eng.Work()
+	reportWork(b, core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells})
 }

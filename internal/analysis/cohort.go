@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/sptree"
 	"repro/internal/wfrun"
 )
 
@@ -87,15 +86,6 @@ func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts O
 	for i := range d {
 		d[i] = make([]float64, n)
 	}
-	// Repair stale tree IDs once, single-threaded: afterwards the
-	// per-shard engines index the shared trees concurrently but
-	// read-only, which is safe exactly when IDs are dense preorder.
-	var ti sptree.TreeIndex
-	for _, r := range runs {
-		if r != nil && r.Tree != nil {
-			ti.Rebuild(r.Tree)
-		}
-	}
 	// A nil context means no cancellation: a nil channel never fires.
 	var cancelled <-chan struct{}
 	if opts.Context != nil {
@@ -162,13 +152,6 @@ func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts O
 // across the engines: the n new pairs an Add pays for. Each successful
 // diff bumps diffs.
 func (g *dense) row(engines []*core.Engine, name string, run *wfrun.Run, diffs *atomic.Int64) ([]float64, error) {
-	var ti sptree.TreeIndex
-	ti.Rebuild(run.Tree)
-	for _, r := range g.runs {
-		if r.Tree != nil {
-			ti.Rebuild(r.Tree)
-		}
-	}
 	n, workers := len(g.runs), len(engines)
 	row := make([]float64, n)
 	var wg sync.WaitGroup

@@ -385,3 +385,27 @@ func TestCohortMatrixResetProgressAndAbort(t *testing.T) {
 		t.Fatalf("cancelled Reset changed the cohort:\n%v\nwant\n%v", got, before)
 	}
 }
+
+// TestDistanceMatrixFirstUseOfSpec: the workers of one matrix share a
+// fresh specification, so their engines fill its achievable-length memo
+// (W_TG of unstably matched P pairs) concurrently. Run under -race:
+// parallel-heavy specifications with sparse branch choices make
+// unstable pairs common.
+func TestDistanceMatrixFirstUseOfSpec(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 30; trial++ {
+		sp, err := gen.RandomSpec(gen.SpecConfig{Edges: 30, SeriesRatio: 0.5}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := make([]*wfrun.Run, 12)
+		for i := range runs {
+			if runs[i], err = gen.RandomRun(sp, gen.RunParams{ProbP: 0.3, MaxF: 1, MaxL: 1}, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := DistanceMatrix(runs, nil, cost.Unit{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

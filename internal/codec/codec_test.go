@@ -227,3 +227,48 @@ func TestDecodeRejectsWrongSpec(t *testing.T) {
 		t.Fatal("decoding a PA snapshot against the MB specification succeeded")
 	}
 }
+
+// TestRunLabelsComeFromSpec checks the fact shape IDs rest on: every
+// node of a run, whether decoded from a frame or parsed from XML,
+// carries the Src and Dst labels of its specification node, so a
+// node's shape (which keys on the specification node) fixes every
+// PathCost the deletion DP asks of its subtree.
+func TestRunLabelsComeFromSpec(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range gen.CatalogNames {
+		sp, err := gen.Catalog(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			executed, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var xmlBuf bytes.Buffer
+			if err := wfxml.EncodeRun(&xmlBuf, executed, "r"); err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := wfxml.DecodeRun(bytes.NewReader(xmlBuf.Bytes()), sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := EncodeRun(parsed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := DecodeRun(data, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*wfrun.Run{parsed, decoded} {
+				r.Tree.Walk(func(v *sptree.Node) bool {
+					if v.Spec == nil || v.Src != v.Spec.Src || v.Dst != v.Spec.Dst {
+						t.Fatalf("%s/%d: %s node labelled %s..%s, specification node %v", name, i, v.Type, v.Src, v.Dst, v.Spec)
+					}
+					return true
+				})
+			}
+		}
+	}
+}

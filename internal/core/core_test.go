@@ -379,12 +379,12 @@ func TestDeletionCostUnitHandChecks(t *testing.T) {
 	// R1's tree has an F(2,3,6) with two copies (1 extra deletion)
 	// plus the middle P with two branches (1 extra), then one final
 	// path deletion: X(root) = 3 under unit cost.
-	if got := d.X(r1.Tree); got != 3 {
+	if got := d.X(r1.Tree, ownShapes(r1.Tree)); got != 3 {
 		t.Fatalf("X(T1 root) = %g, want 3", got)
 	}
 	// A single Q leaf costs γ(1) = 1.
 	q := r1.Tree.Leaves()[0]
-	if got := d.X(q); got != 1 {
+	if got := d.X(q, ownShapes(r1.Tree)); got != 1 {
 		t.Fatalf("X(leaf) = %g, want 1", got)
 	}
 }
@@ -424,9 +424,10 @@ func TestPlanReduceReconstruction(t *testing.T) {
 		runs := randRuns(t, sp, 5, 5)
 		for _, r := range runs {
 			d := newDeleter(m)
-			want := d.X(r.Tree)
+			shape := ownShapes(r.Tree)
+			want := d.X(r.Tree, shape)
 			var plan []*sptree.Node
-			d.planDelete(r.Tree, &plan)
+			d.planDelete(r.Tree, shape, &plan)
 			total := 0.0
 			for _, v := range plan {
 				total += m.PathCost(v.CountLeaves(), v.Src, v.Dst)

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/sptree"
@@ -29,64 +30,47 @@ var inf = math.Inf(1)
 // the leaf budget over their children by the Z dynamic program.
 // Argmins are recorded so deletion plans can be reconstructed.
 //
-// All tables are flat slices indexed by node ID, so the tree must
-// carry unique preorder IDs (the state Finalize and Index leave
-// behind). reset marks every entry uncomputed while keeping the
-// backing arrays, so a reused deleter performs no steady-state
-// allocation; NaN in x is the "uncomputed" sentinel (legitimate
-// values are finite or +Inf).
+// The tables are keyed by shape ID, not by node: every method takes
+// the shape IDs of v's tree, indexed by node ID. Equal-shape subtrees
+// have equal tables (a shape fixes every label PathCost reads), so
+// the tables serve every tree whose IDs come from the same shape
+// generation and outlive any one diff. For P, F and L nodes the argmin
+// names the kept child by its shape, so a plan can be replayed on any
+// node of that shape. Any keying in which equal keys mean equal
+// subtrees works; DeletionCost keys each node by its own ID.
 type deleter struct {
 	model cost.Model
+	t     []delEntry // by shape ID
 
-	x     []float64   // X(v); NaN = uncomputed
-	y     [][]float64 // y[v][l], l in [0, l(v)]; unreachable = +Inf
-	keep  [][]int     // P/F/L: child kept to reach l leaves
-	zarg  [][][]int   // S: leaves given to the first i-1 children
-	bestL []int       // argmin_l Y(v)[l] + γ(l, s(v), t(v))
+	z, zprev, xs []float64 // shared rows of the S-node Z DP and the P/F/L sum
+}
 
-	z, zprev []float64 // shared rows of the S-node Z DP
+// delEntry holds the tables of one shape.
+type delEntry struct {
+	x    float64   // X(v); NaN = uncomputed
+	best int32     // argmin_l Y(v)[l] + γ(l, s(v), t(v))
+	y    []float64 // y[l], l in [0, l(v)]; unreachable = +Inf
+	// arg is, for P/F/L, the shape of the child kept to reach l
+	// leaves (-1: none); for S, row i (children 0..i) of the Z DP's
+	// argmin, the leaves given to children 0..i-1, as i*len(y)+l.
+	arg []int32
 }
 
 func newDeleter(m cost.Model) *deleter {
 	return &deleter{model: m}
 }
 
-// grow extends the tables to cover node IDs < n, marking new entries
-// uncomputed.
-func (d *deleter) grow(n int) {
-	if n <= len(d.x) {
-		return
-	}
-	for len(d.x) < n {
-		d.x = append(d.x, math.NaN())
-	}
-	for len(d.y) < n {
-		d.y = append(d.y, nil)
-	}
-	for len(d.keep) < n {
-		d.keep = append(d.keep, nil)
-	}
-	for len(d.zarg) < n {
-		d.zarg = append(d.zarg, nil)
-	}
-	for len(d.bestL) < n {
-		d.bestL = append(d.bestL, 0)
-	}
-}
-
-// reset marks every table entry uncomputed while keeping all backing
-// arrays, readying the deleter for a tree with n nodes.
-func (d *deleter) reset(n int) {
-	d.grow(n)
-	for i := range d.x {
-		d.x[i] = math.NaN()
+// reset marks every entry uncomputed while keeping all backing arrays,
+// for a new specification or shape generation.
+func (d *deleter) reset() {
+	for i := range d.t {
+		d.t[i].x = math.NaN()
 	}
 }
 
 // X returns the minimum cost of deleting T[v].
-func (d *deleter) X(v *sptree.Node) float64 {
-	d.ensure(v)
-	return d.x[v.ID]
+func (d *deleter) X(v *sptree.Node, shape []int32) float64 {
+	return d.ensure(v, shape).x
 }
 
 // growRow returns a slice of length n, reusing s's backing array when
@@ -98,76 +82,83 @@ func growRow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// ensure computes the tables for v (and its descendants) once.
-func (d *deleter) ensure(v *sptree.Node) {
-	d.grow(v.ID + 1)
-	if !math.IsNaN(d.x[v.ID]) {
-		return
+// ensure computes the tables of v's shape (and its descendants') once
+// and returns them.
+func (d *deleter) ensure(v *sptree.Node, shape []int32) *delEntry {
+	id := int(shape[v.ID])
+	for len(d.t) <= id {
+		d.t = append(d.t, delEntry{x: math.NaN()})
+	}
+	if !math.IsNaN(d.t[id].x) {
+		return &d.t[id]
 	}
 	for _, c := range v.Children {
-		d.ensure(c)
+		d.ensure(c, shape)
 	}
+	// d.t no longer grows below: child entries are all present.
+	e := &d.t[id]
 	switch v.Type {
 	case sptree.Q:
-		y := growRow(d.y[v.ID], 2)
-		y[0], y[1] = inf, 0
-		d.y[v.ID] = y
+		e.y = growRow(e.y, 2)
+		e.y[0], e.y[1] = inf, 0
 
 	case sptree.P, sptree.F, sptree.L:
 		maxL := 0
-		sumX := 0.0
+		// Sum the children's X in ascending order, so the value does
+		// not depend on which node of the shape came first.
+		d.xs = d.xs[:0]
 		for _, c := range v.Children {
-			if lc := len(d.y[c.ID]) - 1; lc > maxL {
+			ce := &d.t[shape[c.ID]]
+			if lc := len(ce.y) - 1; lc > maxL {
 				maxL = lc
 			}
-			sumX += d.x[c.ID]
+			d.xs = append(d.xs, ce.x)
 		}
-		y := growRow(d.y[v.ID], maxL+1)
-		keep := growRow(d.keep[v.ID], maxL+1)
-		y[0] = inf
+		slices.Sort(d.xs)
+		sumX := 0.0
+		for _, x := range d.xs {
+			sumX += x
+		}
+		e.y = growRow(e.y, maxL+1)
+		e.arg = growRow(e.arg, maxL+1)
+		e.y[0], e.arg[0] = inf, -1
 		for l := 1; l <= maxL; l++ {
-			y[l] = inf
-			keep[l] = -1
-			for i, c := range v.Children {
-				yc := d.y[c.ID]
-				if l >= len(yc) || math.IsInf(yc[l], 1) {
+			e.y[l] = inf
+			e.arg[l] = -1
+			for _, c := range v.Children {
+				cs := shape[c.ID]
+				ce := &d.t[cs]
+				if l >= len(ce.y) || math.IsInf(ce.y[l], 1) {
 					continue
 				}
-				cand := yc[l] + sumX - d.x[c.ID]
-				if cand < y[l] {
-					y[l] = cand
-					keep[l] = i
+				if cand := ce.y[l] + sumX - ce.x; cand < e.y[l] {
+					e.y[l] = cand
+					e.arg[l] = cs
 				}
 			}
 		}
-		d.y[v.ID] = y
-		d.keep[v.ID] = keep
 
 	case sptree.S:
 		maxL := 0
 		for _, c := range v.Children {
-			maxL += len(d.y[c.ID]) - 1
+			maxL += len(d.t[shape[c.ID]].y) - 1
 		}
+		w := maxL + 1
 		// z and zprev are deleter-shared rows: safe because all child
 		// tables are already computed, so no recursion happens below.
-		z := growRow(d.z, maxL+1)
-		zprev := growRow(d.zprev, maxL+1)
-		arg := d.zarg[v.ID]
-		if cap(arg) < len(v.Children)+1 {
-			arg = make([][]int, len(v.Children)+1)
-		} else {
-			arg = arg[:len(v.Children)+1]
-		}
+		z := growRow(d.z, w)
+		zprev := growRow(d.zprev, w)
+		arg := growRow(e.arg, len(v.Children)*w)
 		for i := range zprev {
 			zprev[i] = inf
 		}
 		zprev[0] = 0
 		for i, c := range v.Children {
-			arg[i+1] = growRow(arg[i+1], maxL+1)
-			yc := d.y[c.ID]
+			row := arg[i*w : (i+1)*w]
+			yc := d.t[shape[c.ID]].y
 			for l := 0; l <= maxL; l++ {
 				z[l] = inf
-				arg[i+1][l] = -1
+				row[l] = -1
 				for k := 0; k <= l; k++ {
 					if math.IsInf(zprev[k], 1) {
 						continue
@@ -178,68 +169,68 @@ func (d *deleter) ensure(v *sptree.Node) {
 					}
 					if cand := zprev[k] + yc[lc]; cand < z[l] {
 						z[l] = cand
-						arg[i+1][l] = k
+						row[l] = int32(k)
 					}
 				}
 			}
 			z, zprev = zprev, z
 		}
-		y := growRow(d.y[v.ID], maxL+1)
-		copy(y, zprev[:maxL+1])
-		y[0] = inf // an S node always retains at least one leaf per child
-		d.y[v.ID] = y
-		d.zarg[v.ID] = arg
+		e.y = growRow(e.y, w)
+		copy(e.y, zprev[:w])
+		e.y[0] = inf // an S node always retains at least one leaf per child
+		e.arg = arg
 		d.z, d.zprev = z, zprev
-
 	}
 
 	// X(v) = min over l of Y(v)[l] + γ(l, s(v), t(v)): reduce to an
 	// elementary subtree with l leaves, then delete it in one step.
-	y := d.y[v.ID]
 	best := inf
 	bestL := -1
-	for l := 1; l < len(y); l++ {
-		if math.IsInf(y[l], 1) {
+	for l := 1; l < len(e.y); l++ {
+		if math.IsInf(e.y[l], 1) {
 			continue
 		}
-		if cand := y[l] + d.model.PathCost(l, v.Src, v.Dst); cand < best {
+		if cand := e.y[l] + d.model.PathCost(l, v.Src, v.Dst); cand < best {
 			best = cand
 			bestL = l
 		}
 	}
-	d.x[v.ID] = best
-	d.bestL[v.ID] = bestL
+	e.x = best
+	e.best = int32(bestL)
+	return e
 }
 
 // planReduce appends to plan the ordered elementary deletions that
 // reduce T[v] to a branch-free subtree with exactly l leaves; every
 // listed node is deleted after the reductions that precede it.
-func (d *deleter) planReduce(v *sptree.Node, l int, plan *[]*sptree.Node) {
-	d.ensure(v)
+func (d *deleter) planReduce(v *sptree.Node, shape []int32, l int, plan *[]*sptree.Node) {
+	e := d.ensure(v, shape)
 	switch v.Type {
 	case sptree.Q:
 		// Already branch-free with one leaf.
 
 	case sptree.P, sptree.F, sptree.L:
-		i := d.keep[v.ID][l]
-		for j, c := range v.Children {
-			if j != i {
-				d.planDelete(c, plan)
+		keep, want := -1, e.arg[l]
+		for i, c := range v.Children {
+			if keep < 0 && shape[c.ID] == want {
+				keep = i
+				continue
 			}
+			d.planDelete(c, shape, plan)
 		}
-		d.planReduce(v.Children[i], l, plan)
+		d.planReduce(v.Children[keep], shape, l, plan)
 
 	case sptree.S:
-		arg := d.zarg[v.ID]
+		w := len(e.y)
 		alloc := make([]int, len(v.Children))
 		rem := l
-		for i := len(v.Children); i >= 1; i-- {
-			k := arg[i][rem]
-			alloc[i-1] = rem - k
+		for i := len(v.Children) - 1; i >= 0; i-- {
+			k := int(e.arg[i*w+rem])
+			alloc[i] = rem - k
 			rem = k
 		}
 		for i, c := range v.Children {
-			d.planReduce(c, alloc[i], plan)
+			d.planReduce(c, shape, alloc[i], plan)
 		}
 	}
 }
@@ -248,8 +239,7 @@ func (d *deleter) planReduce(v *sptree.Node, l int, plan *[]*sptree.Node) {
 // entirely: reduce it to the optimal branch-free size, then delete the
 // resulting elementary subtree rooted at v (which requires p(v) to be
 // a true P, F or L node at execution time).
-func (d *deleter) planDelete(v *sptree.Node, plan *[]*sptree.Node) {
-	d.ensure(v)
-	d.planReduce(v, d.bestL[v.ID], plan)
+func (d *deleter) planDelete(v *sptree.Node, shape []int32, plan *[]*sptree.Node) {
+	d.planReduce(v, shape, int(d.ensure(v, shape).best), plan)
 	*plan = append(*plan, v)
 }

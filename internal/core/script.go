@@ -24,6 +24,7 @@ func (r *Result) Script() (*edit.Script, *sptree.Node, error) {
 		return nil, nil, fmt.Errorf("core: Result used after its Engine ran another Diff; extract the script before reusing the Engine")
 	}
 	b := &scriptBuilder{
+		res:    r,
 		eng:    r.eng,
 		script: &edit.Script{},
 		m1:     make(map[*sptree.Node]*sptree.Node),
@@ -37,6 +38,7 @@ func (r *Result) Script() (*edit.Script, *sptree.Node, error) {
 }
 
 type scriptBuilder struct {
+	res    *Result
 	eng    *Engine
 	script *edit.Script
 	work   *sptree.Node
@@ -77,7 +79,7 @@ func (b *scriptBuilder) opFor(kind edit.Kind, w *sptree.Node, temporary bool) ed
 // the working tree via its optimal elementary deletion sequence.
 func (b *scriptBuilder) deleteWhole(orig *sptree.Node) error {
 	var plan []*sptree.Node
-	b.eng.del1.planDelete(orig, &plan)
+	b.eng.del.planDelete(orig, b.res.p1.Shape, &plan)
 	for _, n := range plan {
 		w, ok := b.m1[n]
 		if !ok {
@@ -107,7 +109,7 @@ func (b *scriptBuilder) insertWhole(parent *sptree.Node, pos int, orig2 *sptree.
 	m2 := make(map[*sptree.Node]*sptree.Node)
 	frag := cloneWithMap(orig2, m2)
 	var plan []*sptree.Node
-	b.eng.del2.planDelete(orig2, &plan)
+	b.eng.del.planDelete(orig2, b.res.p2.Shape, &plan)
 	steps := make([]step, 0, len(plan))
 	for _, n := range plan {
 		w := m2[n]
@@ -141,9 +143,13 @@ func (b *scriptBuilder) insertWhole(parent *sptree.Node, pos int, orig2 *sptree.
 }
 
 // emit walks a mapped pair and appends the edit operations
-// transforming the working subtree of v1 into the shape of T2[v2].
+// transforming the working subtree of v1 into the shape of T2[v2]. An
+// equal-shape pair needs none.
 func (b *scriptBuilder) emit(v1, v2 *sptree.Node) error {
-	dec := b.eng.lookup(v1, v2)
+	if b.eng.same(b.res.p1, b.res.p2, v1, v2) {
+		return nil
+	}
+	dec := b.res.lookup(v1, v2)
 	if dec == nil {
 		return fmt.Errorf("core: no decision recorded for node pair")
 	}

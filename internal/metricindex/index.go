@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/spec"
-	"repro/internal/sptree"
 	"repro/internal/wfrun"
 )
 
@@ -237,29 +236,6 @@ func validateCohort(names []string, runs []*wfrun.Run) (*spec.Spec, error) {
 	return sp, nil
 }
 
-// prepare repairs stale tree IDs single-threaded and pre-warms the
-// specification's achievable-length memo, so the per-shard engines can
-// afterwards index the shared trees concurrently but read-only. Caller
-// must hold computeMu.
-func prepare(sp *spec.Spec, runs []*wfrun.Run) {
-	var ti sptree.TreeIndex
-	for _, r := range runs {
-		if r != nil && r.Tree != nil {
-			ti.Rebuild(r.Tree)
-		}
-	}
-	if sp != nil {
-		warmLengths(sp, sp.Tree)
-	}
-}
-
-func warmLengths(sp *spec.Spec, n *sptree.Node) {
-	sp.AchievableLengths(n)
-	for _, c := range n.Children {
-		warmLengths(sp, c)
-	}
-}
-
 // Reset replaces the whole cohort: histograms for every run, then
 // landmarks chosen by max-min sampling with their distance columns
 // computed by a sharded fan-out (m·n exact diffs total — the only
@@ -287,7 +263,6 @@ func (ix *Index) Reset(names []string, runs []*wfrun.Run) error {
 		ix.publish(st)
 		return nil
 	}
-	prepare(sp, runs)
 	st.rate = lowerBoundRate(ix.model, sp)
 	st.hists = make([][]int32, n)
 	specN := sp.Tree.CountNodes()
@@ -399,7 +374,6 @@ func (ix *Index) Add(name string, run *wfrun.Run) error {
 	if sp == nil {
 		sp = run.Spec
 	}
-	prepare(sp, []*wfrun.Run{run})
 
 	// Copy the surviving rows (dropping a replaced row), then append
 	// the new member.

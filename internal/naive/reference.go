@@ -21,9 +21,10 @@ import (
 // the metric, which is exactly what the differential test harness
 // asserts thousands of times per CI run.
 //
-// The F (fork) case still enumerates bipartite matchings explicitly,
-// so it is exponential in the per-node fork copy count; keep fork/loop
-// replication modest (the differential suite uses MaxF, MaxL <= 3).
+// The F (fork) case is a dynamic program over the subsets of the
+// smaller side's copies, not a Hungarian step: exact, and exponential
+// only in that copy count, so runs of Fig. 11 size (a dozen copies per
+// fork) stay tractable.
 func Distance(r1, r2 *wfrun.Run, m cost.Model) (float64, error) {
 	if r1.Spec == nil || r1.Spec != r2.Spec {
 		return 0, fmt.Errorf("naive: runs belong to different specifications")
@@ -158,7 +159,7 @@ func (rd *refDiff) cost(v1, v2 *sptree.Node) float64 {
 		out = rd.parallel(v1, v2)
 
 	case sptree.F:
-		out = rd.matchings(v1.Children, v2.Children, nil, map[int]bool{})
+		out = rd.forkMatch(v1.Children, v2.Children)
 
 	case sptree.L:
 		out = rd.monotone(v1.Children, v2.Children)
@@ -201,37 +202,48 @@ func (rd *refDiff) parallel(v1, v2 *sptree.Node) float64 {
 	return total
 }
 
-// matchings enumerates every partial injective assignment of left fork
-// copies onto right fork copies (unassigned copies on either side are
-// deleted), over memoized pair costs. Exponential in the copy count,
-// which stays small in the differential workloads.
-func (rd *refDiff) matchings(left, right []*sptree.Node, assigned []int, used map[int]bool) float64 {
-	if len(assigned) == len(left) {
-		total := 0.0
-		for i, j := range assigned {
-			if j < 0 {
-				total += rd.X(left[i])
-			} else {
-				total += rd.cost(left[i], right[j])
-			}
-		}
-		for j := range right {
-			if !used[j] {
-				total += rd.X(right[j])
-			}
-		}
-		return total
+// forkMatch is the minimum-cost partial matching of fork copies, an
+// unmatched copy being deleted (left) or inserted (right). It runs a
+// dynamic program over the rows of the larger side, keyed by the set
+// of the smaller side's copies already used.
+func (rd *refDiff) forkMatch(left, right []*sptree.Node) float64 {
+	rows, cols := left, right
+	pair := func(r, c *sptree.Node) float64 { return rd.cost(r, c) }
+	if len(cols) > len(rows) {
+		rows, cols = right, left
+		pair = func(r, c *sptree.Node) float64 { return rd.cost(c, r) }
 	}
-	best := rd.matchings(left, right, append(assigned, -1), used)
-	for j := range right {
-		if used[j] {
-			continue
+	f := make([]float64, 1<<len(cols))
+	for i := range f {
+		f[i] = math.Inf(1)
+	}
+	f[0] = 0
+	for _, r := range rows {
+		g := make([]float64, len(f))
+		for i := range g {
+			g[i] = math.Inf(1)
 		}
-		used[j] = true
-		if c := rd.matchings(left, right, append(assigned, j), used); c < best {
-			best = c
+		for used, v := range f {
+			if math.IsInf(v, 1) {
+				continue
+			}
+			g[used] = math.Min(g[used], v+rd.X(r))
+			for j, c := range cols {
+				if used&(1<<j) == 0 {
+					g[used|1<<j] = math.Min(g[used|1<<j], v+pair(r, c))
+				}
+			}
 		}
-		used[j] = false
+		f = g
+	}
+	best := math.Inf(1)
+	for used, v := range f {
+		for j, c := range cols {
+			if used&(1<<j) == 0 {
+				v += rd.X(c)
+			}
+		}
+		best = math.Min(best, v)
 	}
 	return best
 }

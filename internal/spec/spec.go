@@ -8,6 +8,7 @@ package spec
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/spgraph"
@@ -19,7 +20,8 @@ import (
 type EdgeSet []graph.Edge
 
 // Spec is a validated SP-workflow specification. It is immutable after
-// New.
+// New, apart from two caches that are safe for concurrent use: the
+// achievable-length memo and the shape table.
 type Spec struct {
 	// G is the series-parallel specification graph; node IDs equal
 	// the (unique) labels.
@@ -31,11 +33,14 @@ type Spec struct {
 	Forks []EdgeSet
 	Loops []EdgeSet
 
-	leafIndex map[graph.Edge]int
-	leafOrder []graph.Edge
-	interval  map[*sptree.Node][2]int
-	qByEdge   map[graph.Edge]*sptree.Node
-	lengths   map[*sptree.Node][]int
+	leafIndex  map[graph.Edge]int
+	leafOrder  []graph.Edge
+	interval   map[*sptree.Node][2]int
+	qByEdge    map[graph.Edge]*sptree.Node
+	lengthMu   sync.Mutex
+	lengths    map[*sptree.Node][]int // guarded by lengthMu
+	shapes     *sptree.Shapes
+	shapesOnce sync.Once
 }
 
 // New validates the specification and builds its annotated SP-tree.
@@ -99,6 +104,15 @@ func New(g *graph.Graph, forks, loops []EdgeSet) (*Spec, error) {
 	s.interval = make(map[*sptree.Node][2]int)
 	s.indexIntervals(s.Tree)
 	return s, nil
+}
+
+// Shapes returns the hash-consing table shared by the runs of the
+// specification: it gives their tree nodes shape IDs comparable across
+// all of them. It is built on first use, so a load that never diffs
+// does not pay for it.
+func (s *Spec) Shapes() *sptree.Shapes {
+	s.shapesOnce.Do(func() { s.shapes = sptree.NewShapes(s.Tree.CountNodes()) })
+	return s.shapes
 }
 
 // checkLaminar verifies Definition 3.6 on forks ∪ loops: any two sets
@@ -323,8 +337,15 @@ func (s *Spec) EdgeByLabels(src, dst string, key int) (graph.Edge, bool) {
 // one choice per child, a P picks exactly one branch, and an F or L
 // keeps a single copy or iteration (more would make the node true and
 // the subtree no longer branch-free). Used for W_TG and insertion
-// skeleton pricing.
+// skeleton pricing. It is safe for concurrent use.
 func (s *Spec) AchievableLengths(n *sptree.Node) []int {
+	s.lengthMu.Lock()
+	defer s.lengthMu.Unlock()
+	return s.achievableLengths(n)
+}
+
+// achievableLengths computes AchievableLengths under lengthMu.
+func (s *Spec) achievableLengths(n *sptree.Node) []int {
 	if got, ok := s.lengths[n]; ok {
 		return got
 	}
@@ -335,12 +356,12 @@ func (s *Spec) AchievableLengths(n *sptree.Node) []int {
 		set[1] = true
 	case sptree.P:
 		for _, c := range n.Children {
-			for _, l := range s.AchievableLengths(c) {
+			for _, l := range s.achievableLengths(c) {
 				set[l] = true
 			}
 		}
 	case sptree.F, sptree.L:
-		for _, l := range s.AchievableLengths(n.Children[0]) {
+		for _, l := range s.achievableLengths(n.Children[0]) {
 			set[l] = true
 		}
 	case sptree.S:
@@ -351,7 +372,7 @@ func (s *Spec) AchievableLengths(n *sptree.Node) []int {
 				if !ok {
 					continue
 				}
-				for _, l := range s.AchievableLengths(c) {
+				for _, l := range s.achievableLengths(c) {
 					if base+l <= maxLen {
 						next[base+l] = true
 					}

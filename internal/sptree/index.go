@@ -1,20 +1,11 @@
 package sptree
 
-// TreeIndex is a flat, preorder view of a (run) tree built in one pass
-// by Index. It gives every node a dense integer identity and groups
-// run-tree nodes by homology class — the specification-tree node h(v)
-// they derive from — so differencing can replace pointer-keyed maps
-// with flat slices indexed by (preorder ID, class rank).
+// TreeIndex is a flat, preorder view of a tree built in one pass by
+// Index: it gives every node a dense integer identity, so callers can
+// replace pointer-keyed maps with flat slices indexed by preorder ID.
+// (The homology classes of run trees are ranked by Shapes.Prepare.)
 //
-// After indexing:
-//
-//	Nodes[v.ID] == v                  for every node v of the tree;
-//	SpecID[v.ID]                      is h(v).ID, or -1 when v.Spec is nil;
-//	ClassRank[v.ID]                   is v's preorder rank among nodes of
-//	                                  the same homology class;
-//	ClassSize[s]                      is the number of nodes whose class
-//	                                  is the specification node with ID s
-//	                                  (len(ClassSize) == max class ID + 1).
+// After indexing, Nodes[v.ID] == v for every node v of the tree.
 //
 // Indexing a tree whose IDs are already dense preorder (the state
 // Finalize leaves behind, and what Execute/Derive produce) performs no
@@ -22,10 +13,7 @@ package sptree
 // several goroutines concurrently. Trees with stale IDs are repaired
 // in place and must not be indexed concurrently.
 type TreeIndex struct {
-	Nodes     []*Node
-	SpecID    []int32
-	ClassRank []int32
-	ClassSize []int32
+	Nodes []*Node
 }
 
 // Index assigns dense preorder IDs (repairing stale ones) and returns
@@ -41,41 +29,17 @@ func (n *Node) Index() *TreeIndex {
 // index many trees with one scratch TreeIndex.
 func (ti *TreeIndex) Rebuild(root *Node) {
 	ti.Nodes = ti.Nodes[:0]
-	ti.SpecID = ti.SpecID[:0]
-	ti.ClassRank = ti.ClassRank[:0]
-	ti.ClassSize = ti.ClassSize[:0]
 	ti.walk(root)
 }
 
 func (ti *TreeIndex) walk(v *Node) {
-	id := len(ti.Nodes)
-	if v.ID != id {
+	if id := len(ti.Nodes); v.ID != id {
 		v.ID = id
 	}
 	ti.Nodes = append(ti.Nodes, v)
-	s, r := int32(-1), int32(-1)
-	if v.Spec != nil {
-		s = int32(v.Spec.ID)
-		for int(s) >= len(ti.ClassSize) {
-			ti.ClassSize = append(ti.ClassSize, 0)
-		}
-		r = ti.ClassSize[s]
-		ti.ClassSize[s]++
-	}
-	ti.SpecID = append(ti.SpecID, s)
-	ti.ClassRank = append(ti.ClassRank, r)
 	for _, c := range v.Children {
 		ti.walk(c)
 	}
-}
-
-// Class returns the number of nodes in homology class s, tolerating
-// classes beyond the indexed range (size 0).
-func (ti *TreeIndex) Class(s int) int {
-	if s < 0 || s >= len(ti.ClassSize) {
-		return 0
-	}
-	return int(ti.ClassSize[s])
 }
 
 // Len returns the number of indexed nodes.

@@ -1,6 +1,7 @@
 package sptree
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -55,46 +56,56 @@ func TestIndexAssignsDensePreorder(t *testing.T) {
 	})
 }
 
-func TestIndexHomologyClasses(t *testing.T) {
+func TestPreparedHomologyClasses(t *testing.T) {
 	spec, run := buildIndexFixture()
-	run.Finalize()
-	ti := run.Index()
+	// Deliberately stale IDs: Prepare must repair them.
+	run.Walk(func(v *Node) bool { v.ID = 99; return true })
+	var slot atomic.Pointer[Prepared]
+	p, _ := NewShapes(spec.CountNodes()).Prepare(run, &slot, run, &slot)
 	counts := map[int]int{}
 	seen := map[[2]int32]bool{}
-	for id, v := range ti.Nodes {
+	id := 0
+	run.Walk(func(v *Node) bool {
+		if v.ID != id {
+			t.Fatalf("node at preorder %d has ID %d", id, v.ID)
+		}
+		id++
+		r := p.Rank[v.ID]
 		if v.Spec == nil {
-			if ti.SpecID[id] != -1 {
-				t.Fatalf("node %d: spec-less node has class %d", id, ti.SpecID[id])
+			if r != -1 {
+				t.Fatalf("node %d: spec-less node has rank %d", v.ID, r)
 			}
-			continue
+			return true
 		}
-		s := ti.SpecID[id]
-		if int(s) != v.Spec.ID {
-			t.Fatalf("node %d: class %d, want %d", id, s, v.Spec.ID)
+		s := v.Spec.ID
+		if r < 0 || r >= p.Size[s] {
+			t.Fatalf("node %d: rank %d out of range [0,%d)", v.ID, r, p.Size[s])
 		}
-		r := ti.ClassRank[id]
-		if r < 0 || int(r) >= ti.Class(int(s)) {
-			t.Fatalf("node %d: rank %d out of range [0,%d)", id, r, ti.Class(int(s)))
+		if seen[[2]int32{int32(s), r}] {
+			t.Fatalf("node %d: duplicate (class, rank) = (%d, %d)", v.ID, s, r)
 		}
-		if seen[[2]int32{s, r}] {
-			t.Fatalf("node %d: duplicate (class, rank) = (%d, %d)", id, s, r)
-		}
-		seen[[2]int32{s, r}] = true
-		counts[int(s)]++
-	}
+		seen[[2]int32{int32(s), r}] = true
+		counts[s]++
+		return true
+	})
 	for s, n := range counts {
-		if ti.Class(s) != n {
-			t.Fatalf("class %d size %d, counted %d", s, ti.Class(s), n)
+		if int(p.Size[s]) != n {
+			t.Fatalf("class %d size %d, counted %d", s, p.Size[s], n)
 		}
 	}
 	// The fork leaf class (spec ID of sq2) holds the F node and both
 	// copies: 3 members.
 	sq2 := spec.Children[1]
-	if got := ti.Class(sq2.ID); got != 3 {
+	if got := p.Size[sq2.ID]; got != 3 {
 		t.Fatalf("class of second spec leaf has %d members, want 3", got)
 	}
-	if ti.Class(1000) != 0 {
-		t.Fatal("out-of-range class must be empty")
+	// The two fork copies are equal; the F node and its parent are not.
+	f := run.Children[1]
+	if p.Shape[f.Children[0].ID] != p.Shape[f.Children[1].ID] {
+		t.Fatal("equal fork copies got different shapes")
+	}
+	if p.Shape[f.ID] == p.Shape[f.Children[0].ID] || p.Shape[run.ID] == p.Shape[f.ID] {
+		t.Fatal("different subtrees share a shape")
 	}
 }
 

@@ -9,6 +9,7 @@ package wfrun
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/spec"
@@ -55,6 +56,11 @@ func (FullDecider) LoopIterations(*sptree.Node) int { return 1 }
 // Node IDs in the graph are label instances ("3b"); tree Q leaves
 // carry run-graph edges. The tree omits the implicit loop edges, which
 // exist only in the graph.
+//
+// A run's tree is immutable once the run has been diffed: the first
+// diff caches the tree's shape IDs and class ranks with the run (see
+// Prepare). Replacing Tree is allowed and recomputes them; editing the
+// nodes in place is not.
 type Run struct {
 	Spec  *spec.Spec
 	Tree  *sptree.Node
@@ -63,6 +69,16 @@ type Run struct {
 	// ImplicitEdges are the loop-chaining edges (t(H), s(H)) present
 	// in the graph but absent from the tree.
 	ImplicitEdges []graph.Edge
+
+	prep atomic.Pointer[sptree.Prepared]
+}
+
+// Prepare returns the diff-ready data of two runs of one specification
+// in one shape generation (sptree.Shapes.Prepare). Each run's data is
+// computed on first use, race-free, and cached with the run, so it is
+// collected with the run and costs nothing on a load that never diffs.
+func Prepare(r1, r2 *Run) (*sptree.Prepared, *sptree.Prepared) {
+	return r1.Spec.Shapes().Prepare(r1.Tree, &r1.prep, r2.Tree, &r2.prep)
 }
 
 // namer allocates unique node-instance IDs per label: 1 → "1a", "1b",
