@@ -1,7 +1,8 @@
 // Command benchgate is the CI performance-regression gate. It reads
 // `go test -bench` output (from files or stdin), compares every
 // benchmark present in the committed baseline, and exits non-zero if
-// any regressed past the threshold in ns/op or allocs/op:
+// any regressed past the threshold in ns/op or allocs/op, or grew a
+// work counter (exact/op, decisions/op, …) by more than 1%:
 //
 //	go test -run=NONE -bench=. -benchmem ./... | benchgate -baseline BENCH_baseline.json
 //	benchgate -baseline BENCH_baseline.json bench.txt more.txt

@@ -5,13 +5,18 @@
 // "this code is at least this fast"; the gate turns silent slowdowns
 // into red CI the same way a failing test turns silent breakage red.
 //
-// Two metrics are gated. allocs/op is deterministic across machines,
-// so any regression there is a real code change. ns/op is noisy —
-// different CI runners, thermal throttle, neighbors — so the
+// Three kinds of metric are gated. allocs/op is deterministic across
+// machines, so any regression there is a real code change. ns/op is
+// noisy — different CI runners, thermal throttle, neighbors — so the
 // threshold is generous (30% by default) and catches the step-change
 // regressions (an accidental O(n²), a dropped cache, a lock in a hot
-// loop) rather than micro-drift. New benchmarks absent from the
-// baseline pass trivially until `benchgate -update` records them.
+// loop) rather than micro-drift. Work counters — every other
+// `<value> <unit>/op` column a benchmark reports, such as exact/op or
+// decisions/op — count the algorithm's own steps, which no host noise
+// moves, so they fail on any growth past 1%: a lost bound or a lost
+// shortcut reds CI even when timings stay green. New benchmarks absent
+// from the baseline pass trivially until `benchgate -update` records
+// them.
 package benchgate
 
 import (
@@ -31,7 +36,14 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Work holds the benchmark's work counters by unit, e.g.
+	// "exact/op" or "decisions/op".
+	Work map[string]float64 `json:"work,omitempty"`
 }
+
+// WorkThreshold is the growth a work counter may show over its
+// baseline before the gate fails it.
+const WorkThreshold = 0.01
 
 // Baseline is the committed BENCH_baseline.json document.
 type Baseline struct {
@@ -47,11 +59,14 @@ type Baseline struct {
 // machines with different core counts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(.*)$`)
 
+// metricCol matches one `<value> <unit>/op` column after ns/op.
+var metricCol = regexp.MustCompile(`([0-9.]+) (\S+)/op`)
+
 // Parse reads benchmark results from `go test -bench` output,
 // ignoring everything that is not a result line. Sub-benchmarks keep
 // their full slash-joined name. A benchmark appearing multiple times
-// (e.g. -count=N) keeps its fastest ns/op and smallest allocs/op —
-// the least-noisy sample of each.
+// (e.g. -count=N) keeps its fastest ns/op, smallest allocs/op and
+// smallest value of each work counter — the least-noisy sample of each.
 func Parse(r io.Reader) (map[string]Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -66,13 +81,20 @@ func Parse(r io.Reader) (map[string]Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchgate: bad ns/op in %q: %w", sc.Text(), err)
 		}
-		res := Result{NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1}
-		rest := m[4]
-		if bm := regexp.MustCompile(`([0-9]+) B/op`).FindStringSubmatch(rest); bm != nil {
-			res.BytesPerOp, _ = strconv.ParseInt(bm[1], 10, 64)
-		}
-		if am := regexp.MustCompile(`([0-9]+) allocs/op`).FindStringSubmatch(rest); am != nil {
-			res.AllocsPerOp, _ = strconv.ParseInt(am[1], 10, 64)
+		res := Result{NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1, Work: map[string]float64{}}
+		for _, col := range metricCol.FindAllStringSubmatch(m[4], -1) {
+			v, err := strconv.ParseFloat(col[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchgate: bad %s/op in %q: %w", col[2], sc.Text(), err)
+			}
+			switch col[2] {
+			case "B":
+				res.BytesPerOp = int64(v)
+			case "allocs":
+				res.AllocsPerOp = int64(v)
+			default:
+				res.Work[col[2]+"/op"] = v
+			}
 		}
 		if have, ok := out[name]; ok {
 			if have.NsPerOp < res.NsPerOp {
@@ -83,6 +105,11 @@ func Parse(r io.Reader) (map[string]Result, error) {
 			}
 			if have.BytesPerOp >= 0 && (res.BytesPerOp < 0 || have.BytesPerOp < res.BytesPerOp) {
 				res.BytesPerOp = have.BytesPerOp
+			}
+			for unit, v := range have.Work {
+				if cur, ok := res.Work[unit]; !ok || v < cur {
+					res.Work[unit] = v
+				}
 			}
 		}
 		out[name] = res
@@ -96,7 +123,7 @@ func Parse(r io.Reader) (map[string]Result, error) {
 // Finding is one gate verdict line.
 type Finding struct {
 	Name   string
-	Metric string  // "ns/op" or "allocs/op"
+	Metric string  // "ns/op", "allocs/op" or a work counter's unit
 	Base   float64 // baseline value
 	Cur    float64 // current value
 	Ratio  float64 // cur / base
@@ -108,12 +135,13 @@ func (f Finding) String() string {
 	if f.Failed {
 		verdict = "REGRESSION"
 	}
-	return fmt.Sprintf("%-12s %-40s %-10s %12.1f -> %12.1f  (%.2fx)",
+	return fmt.Sprintf("%-12s %-40s %-12s %12.1f -> %12.1f  (%.2fx)",
 		verdict, f.Name, f.Metric, f.Base, f.Cur, f.Ratio)
 }
 
 // Compare gates current results against the baseline. A benchmark
-// fails when its ns/op or allocs/op exceeds baseline*(1+threshold).
+// fails when its ns/op or allocs/op exceeds baseline*(1+threshold), or
+// a work counter exceeds baseline*(1+WorkThreshold).
 // Benchmarks missing from either side are skipped (new benchmarks
 // enter the baseline via -update; retired ones leave it the same
 // way). Returns all findings (for the report) and whether any failed.
@@ -142,6 +170,22 @@ func Compare(base *Baseline, current map[string]Result, threshold float64) (find
 				Ratio: float64(c.AllocsPerOp) / float64(b.AllocsPerOp),
 			}
 			f.Failed = f.Ratio > 1+threshold
+			findings = append(findings, f)
+			failed = failed || f.Failed
+		}
+		units := make([]string, 0, len(b.Work))
+		for unit := range b.Work {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			bv := b.Work[unit]
+			cv, ok := c.Work[unit]
+			if bv <= 0 || !ok {
+				continue
+			}
+			f := Finding{Name: name, Metric: unit, Base: bv, Cur: cv, Ratio: cv / bv}
+			f.Failed = f.Ratio > 1+WorkThreshold
 			findings = append(findings, f)
 			failed = failed || f.Failed
 		}

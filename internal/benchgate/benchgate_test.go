@@ -120,3 +120,76 @@ func TestSaveLoadUpdateRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %+v", got)
 	}
 }
+
+func TestParseWorkCounters(t *testing.T) {
+	out := `
+BenchmarkEngineReuse/engine-2   10000   30624 ns/op   35.00 cells/op   107.0 decisions/op   64 B/op   1 allocs/op
+BenchmarkEngineReuse/engine-2   18140   29634 ns/op   36.00 cells/op   107.0 decisions/op   64 B/op   1 allocs/op
+BenchmarkIndexedNearest10k-2    294   1098803 ns/op   99.89 %pruned   11.12 exact/op   164634 B/op   13 allocs/op
+BenchmarkPlain-2                100      1000 ns/op   8 B/op   1 allocs/op
+`
+	got, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := got["BenchmarkEngineReuse/engine"]
+	if eng.Work["cells/op"] != 35 || eng.Work["decisions/op"] != 107 || len(eng.Work) != 2 {
+		t.Fatalf("engine work = %v, want the smallest sample of cells/op and decisions/op", eng.Work)
+	}
+	if eng.AllocsPerOp != 1 || eng.BytesPerOp != 64 {
+		t.Fatalf("engine = %+v", eng)
+	}
+	nn := got["BenchmarkIndexedNearest10k"]
+	if nn.Work["exact/op"] != 11.12 || len(nn.Work) != 1 || nn.AllocsPerOp != 13 || nn.BytesPerOp != 164634 {
+		t.Fatalf("kNN = %+v, want exact/op only (a %% column is no work counter)", nn)
+	}
+	if w := got["BenchmarkPlain"].Work; len(w) != 0 {
+		t.Fatalf("plain benchmark has work %v", w)
+	}
+}
+
+func TestCompareWorkCounters(t *testing.T) {
+	base := &Baseline{Benchmarks: map[string]Result{
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, Work: map[string]float64{"exact/op": 100, "cells/op": 35}},
+	}}
+	gate := func(work map[string]float64) []string {
+		findings, failed := Compare(base, map[string]Result{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, Work: work}}, 0.30)
+		var bad []string
+		for _, f := range findings {
+			if f.Failed {
+				bad = append(bad, f.Metric)
+			}
+		}
+		if failed != (len(bad) > 0) {
+			t.Fatalf("failed = %v with failing findings %v", failed, bad)
+		}
+		return bad
+	}
+	if bad := gate(map[string]float64{"exact/op": 101, "cells/op": 20}); len(bad) != 0 {
+		t.Fatalf("1%% growth and a drop failed the gate: %v", bad)
+	}
+	if bad := gate(map[string]float64{"exact/op": 102, "cells/op": 35}); len(bad) != 1 || bad[0] != "exact/op" {
+		t.Fatalf("2%% growth: failing = %v, want exact/op", bad)
+	}
+	if bad := gate(map[string]float64{"cells/op": 35}); len(bad) != 0 {
+		t.Fatalf("a counter the run did not report failed the gate: %v", bad)
+	}
+}
+
+func TestSaveLoadKeepsWork(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	b := &Baseline{Benchmarks: map[string]Result{
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 100, Work: map[string]float64{"exact/op": 6770}},
+		"BenchmarkB": {NsPerOp: 50, AllocsPerOp: 1},
+	}}
+	if err := Save(path, b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Benchmarks["BenchmarkA"].Work["exact/op"] != 6770 || got.Benchmarks["BenchmarkB"].Work != nil {
+		t.Fatalf("round trip = %+v", got)
+	}
+}

@@ -1,28 +1,30 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 )
 
 // Space is a metric cohort answering queries through lower bounds: the
-// contract internal/metricindex's Cohort satisfies. Bound must never
-// exceed Distance (after the implementation's own float slack), and
-// Distance must agree bitwise with the distances a dense matrix of the
-// same cohort would hold — that is what lets the Indexed* queries
-// return byte-identical answers to their matrix counterparts while
-// skipping most exact evaluations. Queries evaluate Bound against
-// every candidate and call Distance in ascending-bound order. Pruned
-// receives the count of candidate pairs a query eliminated without
-// calling Distance, for the implementation's instrumentation.
+// contract internal/metricindex's Cohort satisfies. Bound and Refine
+// must never exceed Distance (after the implementation's own float
+// slack), and Distance must agree bitwise with the distances a dense
+// matrix of the same cohort would hold — that is what lets the
+// Indexed* queries return byte-identical answers to their matrix
+// counterparts while skipping most exact evaluations. Bound is the
+// cheap bound every query evaluates against every candidate; Refine is
+// a sharper, dearer one, never below Bound, that a kNN query asks for
+// only when a candidate reaches the front of its search (an
+// implementation without one returns Bound). Pruned receives the count
+// of candidate pairs a query eliminated without calling Distance, for
+// the implementation's instrumentation.
 type Space interface {
 	Len() int
 	Bound(i, j int) float64
+	Refine(i, j int) float64
 	Distance(i, j int) (float64, error)
 	Pruned(n int64)
 }
@@ -70,44 +72,91 @@ func (s *knnState) add(d float64, j int) {
 	s.top[at] = nb
 }
 
-// candidate is one kNN candidate with its lower bound to the query.
+// candidate is one kNN candidate with its lower bound to the query;
+// refined marks a bound that already includes Space.Refine. A 32-bit
+// index keeps the candidate at 16 bytes, so a 10k-run query's heap
+// takes 160 KB.
 type candidate struct {
-	lb float64
-	j  int
+	lb      float64
+	j       int32
+	refined bool
 }
 
-// indexedNearest answers one kNN query over sp best-first: every
-// candidate's bound is evaluated once, candidates are diffed in
-// ascending (bound, index) order, and the first one prunable against
-// the running top-k ends the query — every later candidate is
-// lexicographically further still, so the rest are pruned in bulk.
-// No search that sees only these bounds diffs fewer. buf (capacity
-// n-1) is scratch reused across the queries of an outlier scan. k must
-// already be clamped to [1, n-1].
+// before orders candidates by (bound, index), the order the search
+// takes them in.
+func (a candidate) before(b candidate) bool {
+	return a.lb < b.lb || (a.lb == b.lb && a.j < b.j)
+}
+
+// candHeap is a binary min-heap of candidates under before. The search
+// only ever replaces or removes the minimum, so it needs no sift-up.
+type candHeap []candidate
+
+// down restores the heap order below position at.
+func (h candHeap) down(at int) {
+	for {
+		c := 2*at + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[at]) {
+			return
+		}
+		h[at], h[c] = h[c], h[at]
+		at = c
+	}
+}
+
+// indexedNearest answers one kNN query over sp best-first, in the
+// manner of Hjaltason & Samet's incremental search (TODS 2003):
+// every candidate's Bound is evaluated once and heaped by (bound,
+// index). The search pops the minimum; a candidate not yet refined
+// gets Refine, and goes back into the heap if its bound rose, while a
+// refined one (or one Refine could not raise) is diffed. The first
+// minimum prunable against the running top-k ends the query — every
+// candidate still heaped is lexicographically further, so the rest
+// are pruned in bulk. Popped bounds never decrease, so the query diffs
+// exactly the candidates whose refined (bound, index) precedes the
+// final k-th neighbor, beyond the first k: no search that sees only
+// these bounds diffs fewer. buf (capacity n-1) is scratch reused
+// across the queries of an outlier scan. k must already be clamped to
+// [1, n-1].
 func indexedNearest(sp Space, i, k int, buf []candidate) ([]Neighbor, error) {
-	cands := buf[:0]
+	h := candHeap(buf[:0])
 	for j := 0; j < sp.Len(); j++ {
 		if j != i {
-			cands = append(cands, candidate{lb: sp.Bound(i, j), j: j})
+			h = append(h, candidate{lb: sp.Bound(i, j), j: int32(j)})
 		}
 	}
-	slices.SortFunc(cands, func(a, b candidate) int {
-		if c := cmp.Compare(a.lb, b.lb); c != 0 {
-			return c
-		}
-		return a.j - b.j
-	})
+	for at := len(h)/2 - 1; at >= 0; at-- {
+		h.down(at)
+	}
 	st := &knnState{top: make([]Neighbor, 0, k), k: k}
-	for at, c := range cands {
-		if st.prunable(c.lb, c.j) {
-			sp.Pruned(int64(len(cands) - at))
+	for len(h) > 0 {
+		c := h[0]
+		j := int(c.j)
+		if st.prunable(c.lb, j) {
+			sp.Pruned(int64(len(h)))
 			break
 		}
-		d, err := sp.Distance(i, c.j)
+		if !c.refined {
+			if r := sp.Refine(i, j); r > c.lb {
+				h[0] = candidate{lb: r, j: c.j, refined: true}
+				h.down(0)
+				continue
+			}
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		h.down(0)
+		d, err := sp.Distance(i, j)
 		if err != nil {
 			return nil, err
 		}
-		st.add(d, c.j)
+		st.add(d, j)
 	}
 	return st.top, nil
 }

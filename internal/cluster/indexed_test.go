@@ -11,10 +11,14 @@ import (
 // euclidSpace is a Space over 2-D points: exact distances are
 // Euclidean, the lower bound is the triangle gap against point 0 as
 // the single landmark. A genuine metric with nontrivial (non-tight)
-// bounds, so pruning and exactness are both exercised.
+// bounds, so pruning and exactness are both exercised. Refine returns
+// Bound unless sharp is set; then it adds the gap of the second
+// coordinate, so the best-first search's refinement step is exercised
+// too.
 type euclidSpace struct {
 	pts    [][2]float64
 	lm     []float64 // distance to point 0
+	sharp  bool
 	dcalls int
 	pruned int64
 }
@@ -40,6 +44,14 @@ func (s *euclidSpace) Bound(i, j int) float64 {
 		return 0
 	}
 	return math.Max(0, math.Abs(s.lm[i]-s.lm[j])*(1-1e-9)-1e-9)
+}
+
+func (s *euclidSpace) Refine(i, j int) float64 {
+	b := s.Bound(i, j)
+	if !s.sharp || i == j {
+		return b
+	}
+	return math.Max(b, math.Abs(s.pts[i][1]-s.pts[j][1])*(1-1e-9)-1e-9)
 }
 
 func (s *euclidSpace) Distance(i, j int) (float64, error) {
@@ -75,14 +87,14 @@ func denseFrom(s *euclidSpace) [][]float64 {
 }
 
 // optimalDiffs is the fewest exact diffs any bound-only kNN query
-// can make: every candidate whose (bound, index) is lexicographically
+// can make: every candidate whose refined (bound, index) is lexicographically
 // at most the final k-th neighbor's (distance, index) might belong to
 // the answer, so it must be diffed — and never fewer than k.
 func optimalDiffs(sp Space, i int, nb []Neighbor) int {
 	kth := nb[len(nb)-1]
 	must := 0
 	for j := 0; j < sp.Len(); j++ {
-		if b := sp.Bound(i, j); j != i && (b < kth.Distance || (b == kth.Distance && j <= kth.Index)) {
+		if b := sp.Refine(i, j); j != i && (b < kth.Distance || (b == kth.Distance && j <= kth.Index)) {
 			must++
 		}
 	}
@@ -98,14 +110,16 @@ func TestIndexedNearestMatchesDense(t *testing.T) {
 	pts := clusteredPoints(40, rng)
 	d := denseFrom(newEuclidSpace(pts))
 	n := len(pts)
+	var diffs [2]int // total exact diffs without and with sharp Refine
 	for _, k := range []int{1, 3, 7, n - 1} {
-		for i := 0; i < n; i++ {
-			want, err := Nearest(d, i, k)
+		for i := 0; i < 2*n; i++ {
+			want, err := Nearest(d, i%n, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := newEuclidSpace(pts)
-			got, err := IndexedNearest(s, i, k)
+			s.sharp = i >= n
+			got, err := IndexedNearest(s, i%n, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,10 +131,14 @@ func TestIndexedNearestMatchesDense(t *testing.T) {
 			if s.dcalls+int(s.pruned) != n-1 {
 				t.Fatalf("accounting: %d diffs + %d pruned != %d", s.dcalls, s.pruned, n-1)
 			}
-			if opt := optimalDiffs(s, i, got); s.dcalls != opt {
+			if opt := optimalDiffs(s, i%n, got); s.dcalls != opt {
 				t.Fatalf("i=%d k=%d: %d exact diffs, the bound-only optimum is %d", i, k, s.dcalls, opt)
 			}
+			diffs[i/n] += s.dcalls
 		}
+	}
+	if diffs[1] >= diffs[0] {
+		t.Fatalf("a sharper Refine saved no diffs: %d with, %d without", diffs[1], diffs[0])
 	}
 	// On a clustered cohort with small k the bounds must actually
 	// prune: re-run one query and demand fewer diffs than the full row.

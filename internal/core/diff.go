@@ -397,21 +397,19 @@ func (e *Engine) parallelCase(v1, v2 *sptree.Node, dec *decision) {
 		dec.unstable = true
 		return
 	}
-	by1 := make(map[*sptree.Node]*sptree.Node, len(v1.Children))
-	for _, c := range v1.Children {
-		by1[c.Spec] = c
-	}
+	// P children carry distinct specification branches, so branch
+	// finds each child's partner by a scan, with no per-pair map.
 	// Force child decisions first: the decide loop below then appends
 	// matched pairs to the arena without interleaved recursion.
 	for _, c2 := range v2.Children {
-		if c1, ok := by1[c2.Spec]; ok {
+		if c1 := branch(v1, c2.Spec); c1 != nil {
 			e.c(c1, c2)
 		}
 	}
 	off := int32(len(e.pairArena))
 	for _, c2 := range v2.Children {
-		c1, ok := by1[c2.Spec]
-		if !ok {
+		c1 := branch(v1, c2.Spec)
+		if c1 == nil {
 			dec.cost += e.x2(c2)
 			continue
 		}
@@ -423,16 +421,25 @@ func (e *Engine) parallelCase(v1, v2 *sptree.Node, dec *decision) {
 		} else {
 			dec.cost += e.x1(c1) + e.x2(c2)
 		}
-		delete(by1, c2.Spec)
 	}
 	dec.off = off
-	// Unpaired T1 branches, in deterministic child order (the old
-	// map-ordered iteration summed the same values nondeterministically).
+	// Unpaired T1 branches, in child order.
 	for _, c1 := range v1.Children {
-		if by1[c1.Spec] == c1 {
+		if branch(v2, c1.Spec) == nil {
 			dec.cost += e.x1(c1)
 		}
 	}
+}
+
+// branch returns the child of P node v on specification branch s, or
+// nil when v does not execute that branch.
+func branch(v, s *sptree.Node) *sptree.Node {
+	for _, c := range v.Children {
+		if c.Spec == s {
+			return c
+		}
+	}
+	return nil
 }
 
 // matchCase handles F nodes (minimum-cost bipartite matching over

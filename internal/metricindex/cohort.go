@@ -20,7 +20,7 @@ func loosen(b float64) float64 {
 
 // Cohort is an immutable query view over one published generation of
 // an Index: the receiver cluster.Indexed* queries run against. Reads
-// (Len, Labels, Label, IndexOf, Bound) touch only the captured state
+// (Len, Labels, Label, IndexOf, Bound, Refine) touch only the captured state
 // and are safe from any number of goroutines; Distance serializes on
 // the owning index's compute lock and feeds its exact/pruned counters.
 type Cohort struct {
@@ -66,11 +66,23 @@ func (c *Cohort) Bound(i, j int) float64 {
 		}
 	}
 	if c.st.rate > 0 {
-		if h := c.st.rate * histL1(c.st.hists[i], c.st.hists[j]); h > b {
-			b = h
-		}
+		b = max(b, c.st.rate*c.st.tree.leafL1(c.st.counts[i], c.st.counts[j]))
 	}
 	return loosen(b)
+}
+
+// Refine returns a sharper lower bound on the exact distance between
+// runs i and j: the best of Bound and the op-count bound μ·(N⁺ + N⁻)
+// (see bound.go), slacked alike. It costs one pass over the
+// specification tree and allocates nothing, so queries call it only
+// for the candidates that reach the front of their search. Never
+// below Bound(i, j) nor above Distance(i, j); symmetric.
+func (c *Cohort) Refine(i, j int) float64 {
+	b := c.Bound(i, j)
+	if i == j || c.st.opCost == 0 {
+		return b
+	}
+	return max(b, loosen(c.st.opCost*float64(c.st.tree.opCount(c.st.counts[i], c.st.counts[j]))))
 }
 
 // Distance returns the exact edit distance between runs i and j via

@@ -1,22 +1,28 @@
 // Package metricindex accelerates cohort analytics over the run edit
 // distance by exploiting that the distance is a true metric (the
 // identity/symmetry/triangle properties the differential suite in
-// internal/naive verifies). It maintains, per cohort, two cheap
-// per-run summaries:
+// internal/naive verifies). It keeps two summaries per run:
 //
 //   - distances to m landmark runs chosen by max-min (farthest-point)
 //     sampling, giving the triangle-inequality lower bound
 //     |d(q,L) - d(x,L)| <= d(q,x) for every landmark L; and
-//   - a spec-node status histogram (Q-leaf counts per specification
-//     node), whose L1 gap scaled by a model-derived rate is a provable
-//     lower bound on the edit distance (see bound.go).
+//   - the run's class counts (its nodes per specification node,
+//     sptree.Prepared.Size, shared with the run and never copied).
+//
+// The counts yield two provable lower bounds on the edit distance
+// (see bound.go): the histogram bound, the L1 gap of the Q-leaf counts
+// scaled by a model-derived rate, and the sharper op-count bound,
+// which counts the elementary operations any edit script needs. Bound
+// returns the landmark and histogram bounds, a few dozen arithmetic
+// operations per pair; Refine adds the op-count bound, one pass over
+// the specification tree.
 //
 // Nearest-neighbor, outlier and clustering queries (internal/cluster's
 // Indexed* entry points) consult these bounds before any exact dynamic
 // program, so a query over n runs performs O(n) cheap bound
-// evaluations but only a handful of exact diffs, taken in ascending
-// bound order until the bounds rule out the rest — sub-quadratic
-// cohort analytics where the dense matrix needs O(n²) diffs up front.
+// evaluations but only a handful of exact diffs, taken best-first
+// until the bounds rule out the rest — sub-quadratic cohort analytics
+// where the dense matrix needs O(n²) diffs up front.
 //
 // Mutations (Reset, Add, Remove) serialize among themselves and
 // publish immutable state, so a Snapshot taken at any moment is
@@ -72,15 +78,37 @@ type anchor struct {
 // mutation builds fresh rows and swaps the whole struct in, so readers
 // holding a *state (via Cohort) never observe partial updates.
 type state struct {
-	sp   *spec.Spec
-	rate float64 // histogram lower-bound rate; 0 disables the bound
+	sp     *spec.Spec
+	tree   *specTree // sp's flattened tree, shared across states
+	rate   float64   // histogram lower-bound rate; 0 disables the bound
+	opCost float64   // μ, the op-count bound's price per operation; 0 disables it
 
 	labels  []string
 	index   map[string]int
 	runs    []*wfrun.Run
-	hists   [][]int32   // per run: Q-leaf counts per spec-node ID
+	counts  [][]int32   // per run: node counts per spec-node ID (Prepared.Size)
 	lm      [][]float64 // lm[i][j] = d(runs[i], anchors[j].run)
 	anchors []anchor
+}
+
+// bounds sets the state's specification and derives its bound inputs.
+func (st *state) bounds(m cost.Model, sp *spec.Spec) {
+	st.sp = sp
+	st.tree = newSpecTree(sp)
+	st.rate = costFloor(m, st.tree.maxLen, true)
+	st.opCost = costFloor(m, st.tree.maxLen, false)
+}
+
+// carry copies the per-specification bound inputs of old.
+func (st *state) carry(old *state) {
+	st.sp, st.tree, st.rate, st.opCost = old.sp, old.tree, old.rate, old.opCost
+}
+
+// classCounts returns a run's node counts per specification node,
+// preparing the run on first use.
+func classCounts(r *wfrun.Run) []int32 {
+	p, _ := wfrun.Prepare(r, r)
+	return p.Size
 }
 
 // Index is an incrementally maintained vantage-point/landmark index
@@ -236,7 +264,7 @@ func validateCohort(names []string, runs []*wfrun.Run) (*spec.Spec, error) {
 	return sp, nil
 }
 
-// Reset replaces the whole cohort: histograms for every run, then
+// Reset replaces the whole cohort: class counts for every run, then
 // landmarks chosen by max-min sampling with their distance columns
 // computed by a sharded fan-out (m·n exact diffs total — the only
 // quadratic-free build cost of the index).
@@ -263,11 +291,10 @@ func (ix *Index) Reset(names []string, runs []*wfrun.Run) error {
 		ix.publish(st)
 		return nil
 	}
-	st.rate = lowerBoundRate(ix.model, sp)
-	st.hists = make([][]int32, n)
-	specN := sp.Tree.CountNodes()
+	st.bounds(ix.model, sp)
+	st.counts = make([][]int32, n)
 	for i, r := range runs {
-		st.hists[i] = statusHistogram(r, specN)
+		st.counts[i] = classCounts(r)
 	}
 	st.lm = make([][]float64, n)
 	for i := range st.lm {
@@ -350,7 +377,7 @@ func (ix *Index) appendAnchorColumn(st *state, a anchor) error {
 	return nil
 }
 
-// Add appends a run to the cohort: one histogram walk plus one exact
+// Add appends a run to the cohort: its class counts plus one exact
 // diff per landmark (O(m), not O(n)). While the anchor set is below
 // target the new cohort may additionally promote one max-min landmark,
 // which costs that landmark's n-diff column — the amortized price of
@@ -370,20 +397,13 @@ func (ix *Index) Add(name string, run *wfrun.Run) error {
 	if old.sp != nil && run.Spec != old.sp {
 		return fmt.Errorf("metricindex: run %q belongs to a different specification", name)
 	}
-	sp := old.sp
-	if sp == nil {
-		sp = run.Spec
-	}
 
 	// Copy the surviving rows (dropping a replaced row), then append
 	// the new member.
-	st := &state{
-		sp:      sp,
-		rate:    old.rate,
-		anchors: old.anchors,
-	}
+	st := &state{anchors: old.anchors}
+	st.carry(old)
 	if old.sp == nil {
-		st.rate = lowerBoundRate(ix.model, sp)
+		st.bounds(ix.model, run.Spec)
 	}
 	drop := -1
 	if i, ok := old.index[name]; ok {
@@ -396,7 +416,7 @@ func (ix *Index) Add(name string, run *wfrun.Run) error {
 	}
 	st.labels = make([]string, 0, kept+1)
 	st.runs = make([]*wfrun.Run, 0, kept+1)
-	st.hists = make([][]int32, 0, kept+1)
+	st.counts = make([][]int32, 0, kept+1)
 	st.lm = make([][]float64, 0, kept+1)
 	for i := 0; i < n; i++ {
 		if i == drop {
@@ -404,7 +424,7 @@ func (ix *Index) Add(name string, run *wfrun.Run) error {
 		}
 		st.labels = append(st.labels, old.labels[i])
 		st.runs = append(st.runs, old.runs[i])
-		st.hists = append(st.hists, old.hists[i])
+		st.counts = append(st.counts, old.counts[i])
 		st.lm = append(st.lm, old.lm[i])
 	}
 
@@ -421,7 +441,7 @@ func (ix *Index) Add(name string, run *wfrun.Run) error {
 	}
 	st.labels = append(st.labels, name)
 	st.runs = append(st.runs, run)
-	st.hists = append(st.hists, statusHistogram(run, sp.Tree.CountNodes()))
+	st.counts = append(st.counts, classCounts(run))
 	st.lm = append(st.lm, row)
 	st.index = make(map[string]int, len(st.labels))
 	for i, l := range st.labels {
@@ -483,22 +503,21 @@ func (ix *Index) Remove(name string) bool {
 	}
 	n := len(old.labels) - 1
 	st := &state{
-		sp:      old.sp,
-		rate:    old.rate,
 		anchors: old.anchors,
 		labels:  make([]string, 0, n),
 		runs:    make([]*wfrun.Run, 0, n),
-		hists:   make([][]int32, 0, n),
+		counts:  make([][]int32, 0, n),
 		lm:      make([][]float64, 0, n),
 		index:   make(map[string]int, n),
 	}
+	st.carry(old)
 	for i := 0; i <= n; i++ {
 		if i == drop {
 			continue
 		}
 		st.labels = append(st.labels, old.labels[i])
 		st.runs = append(st.runs, old.runs[i])
-		st.hists = append(st.hists, old.hists[i])
+		st.counts = append(st.counts, old.counts[i])
 		st.lm = append(st.lm, old.lm[i])
 	}
 	for i, l := range st.labels {

@@ -1,14 +1,19 @@
 package metricindex
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/spec"
+	"repro/internal/sptree"
 	"repro/internal/wfrun"
 )
 
@@ -33,8 +38,9 @@ func testCohort(t testing.TB, seed int64, n int) ([]string, []*wfrun.Run) {
 }
 
 // TestBoundNeverExceedsDistance is the index's core soundness
-// property under every analyzable cost model: the published lower
-// bound of any pair never exceeds its exact distance.
+// property under every analyzable cost model: neither published lower
+// bound of any pair exceeds its exact distance, Refine never falls
+// below Bound, and both are symmetric.
 func TestBoundNeverExceedsDistance(t *testing.T) {
 	names, runs := testCohort(t, 21, 14)
 	for _, m := range []cost.Model{cost.Unit{}, cost.Length{}, cost.Power{Epsilon: 0.5}} {
@@ -59,8 +65,141 @@ func TestBoundNeverExceedsDistance(t *testing.T) {
 				if b != co.Bound(j, i) {
 					t.Fatalf("%s: asymmetric bound at (%d,%d)", m.Name(), i, j)
 				}
+				r := co.Refine(i, j)
+				if r > d || r < b {
+					t.Fatalf("%s: Refine(%d,%d) = %g outside [Bound %g, exact %g]", m.Name(), i, j, r, b, d)
+				}
+				if r != co.Refine(j, i) {
+					t.Fatalf("%s: asymmetric refined bound at (%d,%d)", m.Name(), i, j)
+				}
 			}
 		}
+	}
+}
+
+// forkDecider executes every parallel branch and one loop iteration,
+// and replicates each fork the number of times copies gives it.
+type forkDecider struct{ copies map[*sptree.Node]int }
+
+func (forkDecider) ParallelSubset(p *sptree.Node) []int {
+	all := make([]int, len(p.Children))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+func (d forkDecider) ForkCopies(f *sptree.Node) int { return max(d.copies[f], 1) }
+func (forkDecider) LoopIterations(*sptree.Node) int { return 1 }
+
+// TestOpCountBoundTightOnForkCopies is a hand-checked case: 1→2, two
+// parallel forked branches 2→3→6 and 2→4→6, then 6→7. Runs with fork
+// copies (3, 1) and (1, 3) differ by two deletions in the first branch
+// and two insertions in the second, each of one elementary path of
+// length 2, so the unit distance is 4. The op count sees it exactly:
+// f⁻ = 2 at the first fork, f⁺ = 2 at the second, and N⁺ + N⁻ = 4.
+// The histogram bound only sees the 8 unmatched leaves at rate
+// 1/Lmax = 1/4.
+func TestOpCountBoundTightOnForkCopies(t *testing.T) {
+	g := graph.New()
+	for _, id := range []graph.NodeID{"1", "2", "3", "4", "6", "7"} {
+		g.MustAddNode(id, string(id))
+	}
+	for _, e := range [][2]graph.NodeID{{"1", "2"}, {"2", "3"}, {"3", "6"}, {"2", "4"}, {"4", "6"}, {"6", "7"}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	fork := func(a, b graph.NodeID) spec.EdgeSet {
+		return spec.EdgeSet{{From: "2", To: a}, {From: a, To: b}}
+	}
+	sp, err := spec.New(g, []spec.EdgeSet{fork("3", "6"), fork("4", "6")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forks []*sptree.Node
+	sp.Tree.Walk(func(v *sptree.Node) bool {
+		if v.Type == sptree.F {
+			forks = append(forks, v)
+		}
+		return true
+	})
+	if len(forks) != 2 {
+		t.Fatalf("spec has %d forks, want 2", len(forks))
+	}
+	run := func(a, b int) *wfrun.Run {
+		r, err := wfrun.Execute(sp, forkDecider{map[*sptree.Node]int{forks[0]: a, forks[1]: b}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r1, r2 := run(3, 1), run(1, 3)
+	d, err := core.NewEngine(cost.Unit{}).Distance(r1, r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob, err := OpCountBound(cost.Unit{}, r1, r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := HistogramBound(cost.Unit{}, r1, r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != 4 || ob != 4 || hb != 2 {
+		t.Fatalf("distance %g, op-count bound %g, histogram bound %g; want 4, 4, 2", d, ob, hb)
+	}
+	if ob, err := OpCountBound(cost.Unit{}, r2, r1); err != nil || ob != 4 {
+		t.Fatalf("reversed op-count bound %g %v, want 4", ob, err)
+	}
+
+	// The landmark (2, 2) lies at distance 2 from both runs, so only
+	// the op count lifts Refine above the histogram bound.
+	ix := New(cost.Unit{}, Options{Landmarks: 1})
+	if err := ix.Reset([]string{"mid", "a", "b"}, []*wfrun.Run{run(2, 2), r1, r2}); err != nil {
+		t.Fatal(err)
+	}
+	co := ix.Snapshot()
+	if b, r := co.Bound(1, 2), co.Refine(1, 2); b != loosen(2) || r != loosen(4) {
+		t.Fatalf("Bound %g, Refine %g; want %g, %g", b, r, loosen(2), loosen(4))
+	}
+}
+
+// TestRefineConcurrent: one view serves Refine to several goroutines
+// at once (they share the op count's scratch pool) and every answer
+// equals the sequential one. Run it under -race.
+func TestRefineConcurrent(t *testing.T) {
+	names, runs := testCohort(t, 30, 12)
+	ix := New(cost.Unit{}, Options{Landmarks: 2, Workers: 2})
+	if err := ix.Reset(names, runs); err != nil {
+		t.Fatal(err)
+	}
+	co := ix.Snapshot()
+	n := co.Len()
+	want := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want[i*n+j] = co.Refine(i, j)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for p := range want {
+					if got := co.Refine(p/n, p%n); got != want[p] {
+						errs <- fmt.Sprintf("Refine(%d,%d) = %g, sequentially %g", p/n, p%n, got, want[p])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

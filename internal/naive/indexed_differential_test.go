@@ -53,9 +53,10 @@ func randomCohort(t *testing.T, rng *rand.Rand, n int) ([]string, []*wfrun.Run) 
 //
 //   - index-pruned kNN answers equal cluster.Nearest over the dense
 //     matrix exactly (reflect.DeepEqual), for every query item;
-//   - each kNN query diffs exactly the candidates whose (bound, index)
-//     is lexicographically at most the final k-th neighbor's
-//     (distance, index) — the fewest any bound-only search can diff;
+//   - each kNN query diffs exactly the candidates whose refined
+//     (bound, index) is lexicographically at most the final k-th
+//     neighbor's (distance, index) — the fewest any bound-only search
+//     can diff;
 //   - outlier scores and ranks equal cluster.Outliers bitwise;
 //   - SampledKMedoids with the sample covering the whole cohort stays
 //     within 5% of the full-PAM objective;
@@ -96,7 +97,7 @@ func TestIndexedAnalyticsMatchExhaustive(t *testing.T) {
 						}
 						kth, must := got[len(got)-1], 0
 						for j := 0; j < n; j++ {
-							if b := co.Bound(i, j); j != i && (b < kth.Distance || (b == kth.Distance && j <= kth.Index)) {
+							if b := co.Refine(i, j); j != i && (b < kth.Distance || (b == kth.Distance && j <= kth.Index)) {
 								must++
 							}
 						}
@@ -187,5 +188,63 @@ func TestHistogramBoundPropertyWeighted(t *testing.T) {
 	hb, err := metricindex.HistogramBound(f, runs[0], runs[1])
 	if err != nil || hb != 0 {
 		t.Fatalf("func-model bound should be vacuous: %g %v", hb, err)
+	}
+}
+
+// TestOpCountBoundProperty checks the op-count bound against the naive
+// oracle on random specifications, under every differential cost
+// model and a weighted one: OpCountBound and the index's Refine never
+// exceed the distance, and under unit cost the op count must beat the
+// histogram bound somewhere, or the property would hold vacuously. A
+// label-priced Func model must get a vacuous bound.
+func TestOpCountBoundProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	models := append([]cost.Model{cost.Weighted{Base: cost.Unit{}, W: map[string]float64{"a": 0.5, "b": 2}}}, differentialModels...)
+	sharper := 0
+	for trial := 0; trial < 10; trial++ {
+		names, runs := randomCohort(t, rng, 8)
+		for _, m := range models {
+			ix := metricindex.New(m, metricindex.Options{Landmarks: 2, Workers: 2})
+			if err := ix.Reset(names, runs); err != nil {
+				t.Fatal(err)
+			}
+			co := ix.Snapshot()
+			for i := range runs {
+				for j := i + 1; j < len(runs); j++ {
+					d, err := Distance(runs[i], runs[j], m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ob, err := metricindex.OpCountBound(m, runs[i], runs[j])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ob > d+1e-9 {
+						t.Fatalf("trial %d %s: op-count bound %g exceeds naive distance %g (pair %d,%d)", trial, m.Name(), ob, d, i, j)
+					}
+					if r := co.Refine(i, j); r > d+1e-9 {
+						t.Fatalf("trial %d %s: Refine %g exceeds naive distance %g (pair %d,%d)", trial, m.Name(), r, d, i, j)
+					}
+					if _, unit := m.(cost.Unit); unit {
+						hb, err := metricindex.HistogramBound(m, runs[i], runs[j])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ob > hb {
+							sharper++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("op-count bound above the histogram bound on %d unit-cost pairs", sharper)
+	if sharper == 0 {
+		t.Fatal("the op-count bound never beat the histogram bound under unit cost")
+	}
+	_, runs := randomCohort(t, rng, 2)
+	f := cost.Func{Fn: func(l int, s, d string) float64 { return 0.1 }, Label: "flat"}
+	if ob, err := metricindex.OpCountBound(f, runs[0], runs[1]); err != nil || ob != 0 {
+		t.Fatalf("func-model op-count bound should be vacuous: %g %v", ob, err)
 	}
 }
