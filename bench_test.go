@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/expt"
@@ -53,10 +54,17 @@ func fig11Pair(b *testing.B, name string, total int) (*wfrun.Run, *wfrun.Run) {
 	return r1, r2
 }
 
-// reportWork reports an engine's work counters per op.
-func reportWork(b *testing.B, w core.Work) {
-	b.ReportMetric(float64(w.Decisions)/float64(b.N), "decisions/op")
-	b.ReportMetric(float64(w.Cells)/float64(b.N), "cells/op")
+// reportWork reports work counters per op; totals maps each counter's
+// unit to its total over the b.N ops.
+func reportWork(b *testing.B, totals map[string]int64) {
+	for unit, total := range totals {
+		b.ReportMetric(float64(total)/float64(b.N), unit)
+	}
+}
+
+// engineWork names an engine's work counters for reportWork.
+func engineWork(w core.Work) map[string]int64 {
+	return map[string]int64{"decisions/op": w.Decisions, "cells/op": w.Cells}
 }
 
 // BenchmarkFig11 differences runs of each real workflow at a
@@ -78,7 +86,7 @@ func BenchmarkFig11(b *testing.B) {
 					work.Decisions += w.Decisions
 					work.Cells += w.Cells
 				}
-				reportWork(b, work)
+				reportWork(b, engineWork(work))
 			})
 		}
 	}
@@ -386,7 +394,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 			}
 		}
 		after := eng.Work()
-		reportWork(b, core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells})
+		reportWork(b, engineWork(core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells}))
 	})
 }
 
@@ -395,18 +403,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 // cohort Add or a metric-index query pays for. One warm-up row runs
 // before the timer, so allocs/op is the steady state.
 func BenchmarkCohortRow128(b *testing.B) {
-	sp, err := gen.Catalog("PA")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	runs := make([]*wfrun.Run, 129)
-	for i := range runs {
-		if runs[i], err = gen.RandomRun(sp, gen.DefaultRunParams(), rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-	query, members := runs[0], runs[1:]
+	query, members := cohort128(b)
 	eng := core.NewEngine(cost.Unit{})
 	row := func() {
 		for _, r := range members {
@@ -423,5 +420,65 @@ func BenchmarkCohortRow128(b *testing.B) {
 		row()
 	}
 	after := eng.Work()
-	reportWork(b, core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells})
+	reportWork(b, engineWork(core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells}))
+}
+
+// cohort128 draws a query run and 128 cohort members, all
+// default-parameter PA runs from seed 1.
+func cohort128(b *testing.B) (*wfrun.Run, []*wfrun.Run) {
+	b.Helper()
+	sp, err := gen.Catalog("PA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	runs := make([]*wfrun.Run, 129)
+	for i := range runs {
+		if runs[i], err = gen.RandomRun(sp, gen.DefaultRunParams(), rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return runs[0], runs[1:]
+}
+
+// BenchmarkDenseAnalytics128 runs the three dense cohort kernels over
+// the unit-cost matrix of BenchmarkCohortRow128's 128 members, the
+// work a dense cohort's /nearest (k=5), /outliers (k=3) and /cluster
+// (k=2, seed 1) do after their diffs. The matrix is built before the
+// timer. kmedoids reports its SWAP rounds per op.
+func BenchmarkDenseAnalytics128(b *testing.B) {
+	_, members := cohort128(b)
+	mx, err := analysis.DistanceMatrix(members, nil, cost.Unit{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := mx.D
+	b.Run("nearest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cluster.Nearest(d, i%len(d), 5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("outliers", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cluster.Outliers(d, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("kmedoids", func(b *testing.B) {
+		b.ReportAllocs()
+		var rounds int64
+		for i := 0; i < b.N; i++ {
+			cl, err := cluster.KMedoids(d, 2, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rounds += int64(cl.Iterations)
+		}
+		reportWork(b, map[string]int64{"rounds/op": rounds})
+	})
 }

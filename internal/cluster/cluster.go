@@ -15,10 +15,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -36,7 +38,10 @@ type Clustering struct {
 	Cost float64
 	// Silhouette is the mean silhouette coefficient over all items
 	// (0 when K == 1 or every cluster is a singleton): a [-1, 1]
-	// cohesion/separation score useful for choosing K.
+	// cohesion/separation score useful for choosing K. An item with no
+	// other non-empty cluster to compare against scores 0, as a
+	// singleton does; duplicate runs can leave every item in one
+	// cluster, since ties assign toward the earlier medoid.
 	Silhouette float64
 	// Iterations counts SWAP rounds until convergence.
 	Iterations int
@@ -55,7 +60,11 @@ func (c *Clustering) Members(cl int) []int {
 
 // validateMatrix rejects matrices the algorithms cannot run on:
 // non-square, asymmetric beyond float tolerance, negative or NaN
-// entries, or nonzero diagonals.
+// entries, or nonzero diagonals. Every entry is checked for NaN and
+// sign, but each pair's symmetry only once, from the upper triangle:
+// the lower-triangle check row i would make against an earlier row j
+// is the same comparison row j already passed. A short later row is
+// left to its own length check.
 func validateMatrix(d [][]float64) error {
 	n := len(d)
 	if n == 0 {
@@ -68,12 +77,18 @@ func validateMatrix(d [][]float64) error {
 		if row[i] != 0 {
 			return fmt.Errorf("cluster: nonzero self-distance %g at %d", row[i], i)
 		}
-		for j, v := range row {
+		for j, v := range row[:i] {
 			if math.IsNaN(v) || v < 0 {
 				return fmt.Errorf("cluster: invalid distance %g at (%d,%d)", v, i, j)
 			}
-			if math.Abs(v-d[j][i]) > 1e-9 {
-				return fmt.Errorf("cluster: asymmetric matrix: d[%d][%d]=%g, d[%d][%d]=%g", i, j, v, j, i, d[j][i])
+		}
+		for j := i + 1; j < n; j++ {
+			v, col := row[j], d[j]
+			if math.IsNaN(v) || v < 0 {
+				return fmt.Errorf("cluster: invalid distance %g at (%d,%d)", v, i, j)
+			}
+			if i < len(col) && math.Abs(v-col[i]) > 1e-9 {
+				return fmt.Errorf("cluster: asymmetric matrix: d[%d][%d]=%g, d[%d][%d]=%g", i, j, v, j, i, col[i])
 			}
 		}
 	}
@@ -91,12 +106,13 @@ func KMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
 	return KMedoidsContext(context.Background(), d, k, seed)
 }
 
-// KMedoidsContext is KMedoids with cancellation: the SWAP phase is
-// O(k·n²) per round and rounds can stack up on large cohorts, so the
-// context is polled before every medoid row and an abandoned request
-// (client gone, server shutting down) stops mid-SWAP instead of
-// running the exchange search to completion. Returns ctx.Err() when
-// cancelled.
+// KMedoidsContext is KMedoids with cancellation: a SWAP round prices
+// all k·(n−k) exchanges from each item's cached nearest and
+// second-nearest medoid distances in O(k·n²), and rounds can stack up
+// on large cohorts, so the context is polled before every item row of
+// a round and an abandoned request (client gone, server shutting
+// down) stops mid-SWAP instead of running the exchange search to
+// completion. Returns ctx.Err() when cancelled.
 func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Clustering, error) {
 	if err := validateMatrix(d); err != nil {
 		return nil, err
@@ -172,24 +188,57 @@ func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Cl
 	assign := make([]int, n)
 	cost := assignAll(d, medoids, assign)
 
-	// SWAP: best-improvement exchanges until a local optimum.
+	// SWAP: best-improvement exchanges until a local optimum. A round
+	// prices every exchange of medoid slot mi for non-medoid h at once.
+	// With d1[i] and d2[i] the distances from item i to its nearest
+	// and second-nearest medoid (d2 == d1 on a tie) and near[i] the
+	// nearest one's slot, the exchange leaves i at distance
+	// min(d[i][h], d2[i] if near[i] == mi else d1[i]). acc[mi·n+h]
+	// sums that over i in item order: the same float sum, term by
+	// term, that assignAll takes over the exchanged medoid set, so the
+	// exchange chosen and the cost reached are those of pricing each
+	// candidate with assignAll.
 	iters := 0
-	cand := make([]int, n)
+	d1 := make([]float64, n)
+	d2 := make([]float64, n)
+	near := make([]int, n)
+	acc := make([]float64, k*n)
 	for {
 		iters++
-		bestDelta := -1e-12 // require a strict improvement
-		bestM, bestH := -1, -1
-		for mi, m := range medoids {
+		for i, row := range d {
+			best, second, slot := math.Inf(1), math.Inf(1), 0
+			for c, m := range medoids {
+				if v := row[m]; v < best {
+					best, second, slot = v, best, c
+				} else if v < second {
+					second = v
+				}
+			}
+			d1[i], d2[i], near[i] = best, second, slot
+		}
+		clear(acc)
+		for i, row := range d {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			for h := 0; h < n; h++ {
+			for mi := range medoids {
+				keep := d1[i]
+				if near[i] == mi {
+					keep = d2[i]
+				}
+				sums := acc[mi*n : mi*n+n]
+				for h, v := range row {
+					sums[h] += min(v, keep)
+				}
+			}
+		}
+		bestDelta := -1e-12 // require a strict improvement
+		bestM, bestH := -1, -1
+		for mi := range medoids {
+			for h, c := range acc[mi*n : mi*n+n] {
 				if isMedoid[h] {
 					continue
 				}
-				medoids[mi] = h
-				c := assignAll(d, medoids, cand)
-				medoids[mi] = m
 				if delta := c - cost; delta < bestDelta {
 					bestDelta, bestM, bestH = delta, mi, h
 				}
@@ -289,6 +338,9 @@ func silhouette(d [][]float64, assign []int, k int) float64 {
 				b = v
 			}
 		}
+		if math.IsInf(b, 1) {
+			continue // no other non-empty cluster: 0, as a singleton
+		}
 		if den := math.Max(a, b); den > 0 {
 			sum += (b - a) / den
 		}
@@ -318,7 +370,10 @@ type OutlierScore struct {
 // Outliers scores every item by its mean distance to its k nearest
 // neighbors and returns the scores sorted most-anomalous first (ties
 // toward lower indices). k is clamped to [1, n-1]; a single-item
-// matrix yields one zero score.
+// matrix yields one zero score. Each row is scanned once into a k-slot
+// buffer of its smallest distances, summed in ascending order as a
+// sorted row's prefix would be: O(n²) for the matrix, plus the
+// buffer's insertions.
 func Outliers(d [][]float64, k int) ([]OutlierScore, error) {
 	if err := validateMatrix(d); err != nil {
 		return nil, err
@@ -334,20 +389,19 @@ func Outliers(d [][]float64, k int) ([]OutlierScore, error) {
 		k = n - 1
 	}
 	out := make([]OutlierScore, n)
-	row := make([]float64, 0, n-1)
-	for i := 0; i < n; i++ {
-		row = row[:0]
+	knn := make([]Neighbor, 0, k)
+	for i, row := range d {
+		knn = knn[:0]
 		sum := 0.0
-		for j := 0; j < n; j++ {
+		for j, v := range row {
 			if j != i {
-				row = append(row, d[i][j])
-				sum += d[i][j]
+				sum += v
+				knn = pushNearest(knn, k, j, v)
 			}
 		}
-		sort.Float64s(row)
 		knnSum := 0.0
-		for _, v := range row[:k] {
-			knnSum += v
+		for _, nb := range knn {
+			knnSum += nb.Distance
 		}
 		out[i] = OutlierScore{
 			Index:   i,
@@ -355,11 +409,11 @@ func Outliers(d [][]float64, k int) ([]OutlierScore, error) {
 			MeanAll: sum / float64(n-1),
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+	slices.SortFunc(out, func(a, b OutlierScore) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[a].Index < out[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 	return out, nil
 }
@@ -372,7 +426,8 @@ type Neighbor struct {
 
 // Nearest returns the k items closest to item i, ascending by distance
 // (ties toward lower indices), excluding i itself. k is clamped to
-// [0, n-1].
+// [0, n-1]. Row i is scanned once into a k-slot buffer: O(n) plus the
+// buffer's insertions.
 func Nearest(d [][]float64, i, k int) ([]Neighbor, error) {
 	if err := validateMatrix(d); err != nil {
 		return nil, err
@@ -387,17 +442,33 @@ func Nearest(d [][]float64, i, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	out := make([]Neighbor, 0, n-1)
-	for j := 0; j < n; j++ {
+	out := make([]Neighbor, 0, k)
+	for j, v := range d[i] {
 		if j != i {
-			out = append(out, Neighbor{Index: j, Distance: d[i][j]})
+			out = pushNearest(out, k, j, v)
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
+	return out, nil
+}
+
+// pushNearest offers item j at distance v to buf, the at most k
+// nearest items seen so far, sorted by (distance, index). Items must
+// be offered in ascending index order: a newcomer then goes after
+// every held entry at its distance and a tie never displaces the last
+// slot, which keeps lower indices first, as a stable sort would.
+func pushNearest(buf []Neighbor, k, j int, v float64) []Neighbor {
+	if len(buf) == k {
+		if !(v < buf[k-1].Distance) {
+			return buf
 		}
-		return out[a].Index < out[b].Index
-	})
-	return out[:k], nil
+		buf = buf[:k-1]
+	}
+	p := len(buf)
+	buf = append(buf, Neighbor{})
+	for p > 0 && buf[p-1].Distance > v {
+		buf[p] = buf[p-1]
+		p--
+	}
+	buf[p] = Neighbor{Index: j, Distance: v}
+	return buf
 }

@@ -248,3 +248,59 @@ func TestNearest(t *testing.T) {
 		t.Fatalf("tie order: %v", nt)
 	}
 }
+
+// TestKMedoidsIdenticalItemsSilhouette: over duplicate items every
+// distance ties at 0, so ties put every item in the first medoid's
+// cluster and the other cluster is empty. Such an item has no other
+// cluster to compare against and scores 0, as a singleton does; the
+// mean must not become NaN.
+func TestKMedoidsIdenticalItemsSilhouette(t *testing.T) {
+	zero := [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	cl, err := KMedoids(zero, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(cl.Silhouette) || math.IsInf(cl.Silhouette, 0) || cl.Silhouette != 0 {
+		t.Fatalf("silhouette over identical items = %g, want 0", cl.Silhouette)
+	}
+	if cl.Cost != 0 || len(cl.Medoids) != 2 {
+		t.Fatalf("clustering of identical items: %+v", cl)
+	}
+}
+
+// TestValidateMatrixMessages: each kind of bad matrix is refused with
+// the message of the first bad entry in row-major order, as the check
+// of every (i, j) pair reported it, although symmetry is now checked
+// from the upper triangle only.
+func TestValidateMatrixMessages(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		d    [][]float64
+		want string
+	}{
+		{"empty", nil, "cluster: empty distance matrix"},
+		{"row length", [][]float64{{0, 1}, {1}}, "cluster: row 1 has 1 entries in a 2-item matrix"},
+		{"short later row", [][]float64{{0, 1, 2}, {1, 0, 3}, {2}}, "cluster: row 2 has 1 entries in a 3-item matrix"},
+		{"self-distance", [][]float64{{0, 1}, {1, 2}}, "cluster: nonzero self-distance 2 at 1"},
+		{"NaN", [][]float64{{0, nan}, {nan, 0}}, "cluster: invalid distance NaN at (0,1)"},
+		{"NaN lower triangle", [][]float64{{0, 1, 2}, {1, 0, 3}, {2, nan, 0}}, "cluster: invalid distance NaN at (2,1)"},
+		{"negative", [][]float64{{0, 1, 2}, {1, 0, -3}, {2, -3, 0}}, "cluster: invalid distance -3 at (1,2)"},
+		{"asymmetric", [][]float64{{0, 1, 2}, {1, 0, 3}, {2, 4, 0}}, "cluster: asymmetric matrix: d[1][2]=3, d[2][1]=4"},
+		{"asymmetric before negative", [][]float64{{0, 1, 5}, {1, 0, -1}, {2, -1, 0}}, "cluster: asymmetric matrix: d[0][2]=5, d[2][0]=2"},
+	} {
+		err := validateMatrix(tc.d)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: validateMatrix = %v, want %q", tc.name, err, tc.want)
+		}
+		if tc.name == "short later row" {
+			continue // the every-pair check indexes the short row out of range
+		}
+		if old := oracleValidate(tc.d); old == nil || old.Error() != tc.want {
+			t.Errorf("%s: every-pair check = %v, want %q", tc.name, old, tc.want)
+		}
+	}
+	if err := validateMatrix([][]float64{{0, 1}, {1 + 1e-12, 0}}); err != nil {
+		t.Errorf("asymmetry within tolerance refused: %v", err)
+	}
+}

@@ -109,7 +109,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.cachedCohortAnswer(ns[0], key, exact); ok {
 		p := v.(clusterPayload)
 		p.Cached = true
-		writeJSON(w, p)
+		s.writeJSON(w, p)
 		return
 	}
 	v, in, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
@@ -144,7 +144,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if !exact {
 		s.cache.add(key, in, p)
 	}
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 type outlierJSON struct {
@@ -183,7 +183,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.cachedCohortAnswer(ns[0], key, exact); ok {
 		p := v.(outliersPayload)
 		p.Cached = true
-		writeJSON(w, p)
+		s.writeJSON(w, p)
 		return
 	}
 	v, in, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
@@ -205,7 +205,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if !exact {
 		s.cache.add(key, in, p)
 	}
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 type neighborJSON struct {
@@ -243,7 +243,7 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.cachedCohortAnswer(ns[0], key, exact); ok {
 		p := v.(nearestPayload)
 		p.Cached = true
-		writeJSON(w, p)
+		s.writeJSON(w, p)
 		return
 	}
 	v, in, ok := s.cohortViewFor(w, r, ns[0], m, 2, exact)
@@ -270,5 +270,5 @@ func (s *Server) handleNearest(w http.ResponseWriter, r *http.Request) {
 	if !exact {
 		s.cache.add(key, in, p)
 	}
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }

@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -96,6 +100,51 @@ func TestClusterEndpoint(t *testing.T) {
 	tiny, _ := seedServer(t, 1, Options{CacheSize: 8})
 	if rec := do(t, tiny, "GET", "/v1/specs/pa/cluster?k=1", nil, nil); rec.Code != 400 {
 		t.Fatalf("1-run cohort = %d, want 400", rec.Code)
+	}
+}
+
+// TestClusterIdenticalRuns: over three copies of one run every
+// distance ties at 0 and the second cluster comes out empty. The
+// answer must still be a 200 with a decodable body and a finite
+// silhouette, not a 200 with an empty body.
+func TestClusterIdenticalRuns(t *testing.T) {
+	srv, st := seedServer(t, 1, Options{CacheSize: 8})
+	r0, err := st.LoadRun("pa", "r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"r1", "r2"} {
+		if err := st.SaveRun("pa", name, r0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ { // the second answer is the cached one
+		var p clusterPayload
+		rec := do(t, srv, "GET", "/v1/specs/pa/cluster?k=2", nil, &p)
+		if rec.Code != 200 || rec.Body.Len() == 0 {
+			t.Fatalf("cluster over identical runs = %d %q", rec.Code, rec.Body.String())
+		}
+		if math.IsNaN(p.Silhouette) || math.IsInf(p.Silhouette, 0) || p.Silhouette != 0 {
+			t.Fatalf("silhouette over identical runs = %g, want 0", p.Silhouette)
+		}
+		if p.K != 2 || p.Cost_ != 0 {
+			t.Fatalf("payload: %+v", p)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot carry answers the 500
+// envelope, never a 200 with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	srv, _ := seedServer(t, 0, Options{CacheSize: 8})
+	rec := httptest.NewRecorder()
+	srv.writeJSON(rec, map[string]float64{"silhouette": math.NaN()})
+	var env errorEnvelope
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "internal" {
+		t.Fatalf("body %q is not the internal envelope: %v", rec.Body.String(), err)
 	}
 }
 

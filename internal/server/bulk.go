@@ -87,7 +87,7 @@ func (s *Server) handleBulkImport(w http.ResponseWriter, r *http.Request) {
 	// Content-Type must precede WriteHeader or it is dropped.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{
+	s.writeJSON(w, map[string]any{
 		"spec":     specName,
 		"imported": len(stats.Imported),
 		"runs":     stats.Imported,

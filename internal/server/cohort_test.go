@@ -88,7 +88,7 @@ func TestCohortServedFromSharedCohort(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh := httptest.NewRecorder()
-		writeJSON(fresh, cohortPayload{
+		srv.writeJSON(fresh, cohortPayload{
 			Spec:       "pa",
 			Cost:       m.model.Name(),
 			Labels:     mx.Labels,

@@ -68,7 +68,7 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.cache.get(key, inputs{}); ok {
 		p := v.(evolvePayload)
 		p.Cached = true
-		writeJSON(w, p)
+		s.writeJSON(w, p)
 		return
 	}
 	m, linked, err := s.st.SpecMapping(ns[0], ns[1])
@@ -102,7 +102,7 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 	}
 	sortModules(p.Modules)
 	s.cache.add(key, inputs{}, p)
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 func sortModules(ms []moduleAlignment) {
@@ -192,7 +192,7 @@ func (s *Server) crossDiff(w http.ResponseWriter, r *http.Request, specA, runA, 
 	if v, ok := s.cache.get(key, in); ok {
 		p := v.(xdiffPayload)
 		p.Cached = true
-		writeJSON(w, p)
+		s.writeJSON(w, p)
 		return
 	}
 	// Reject unlinked pairs before the mapping: the linkage walk reads
@@ -234,7 +234,7 @@ func (s *Server) crossDiff(w http.ResponseWriter, r *http.Request, specA, runA, 
 		ProjectedEdges: res.Projected.NumEdges(),
 	}
 	s.cache.add(key, in, p)
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 func validateAcross(name string) error {

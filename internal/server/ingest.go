@@ -109,7 +109,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if res.Hash != "" {
 		body201["hash"] = res.Hash
 	}
-	writeJSON(w, body201)
+	s.writeJSON(w, body201)
 }
 
 // enqueueError reports a job the pipeline would not take: 429 with a
@@ -128,7 +128,7 @@ func (s *Server) writeTicketAccepted(w http.ResponseWriter, t *ingest.Ticket) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/tickets/"+t.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, map[string]any{
+	s.writeJSON(w, map[string]any{
 		"ticket":     t.ID,
 		"spec":       t.Spec,
 		"state":      ingest.StatePending,
@@ -144,7 +144,7 @@ func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, fmt.Errorf("unknown ticket %q (resolved tickets are retained for a bounded window)", id), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, t.Snapshot())
+	s.writeJSON(w, t.Snapshot())
 }
 
 // commitBatch is the pipeline's CommitFunc. Parse errors are

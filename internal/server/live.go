@@ -337,7 +337,7 @@ func (s *Server) handleLiveEvents(w http.ResponseWriter, r *http.Request) {
 		p.Drift = u
 	}
 	s.watch.publish(ns[0], u)
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 // handleWatch streams drift updates for a specification as NDJSON: a

@@ -42,5 +42,5 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, verr, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }

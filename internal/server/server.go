@@ -170,11 +170,17 @@ func (s *Server) names(w http.ResponseWriter, r *http.Request, keys ...string) (
 	return out, true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers v as JSON. A value that does not encode (a NaN or
+// an infinity) answers the 500 envelope, never an empty 2xx: Encode
+// writes nothing when it fails, so a handler that left the status to
+// writeJSON has sent nothing yet.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		s.httpError(w, fmt.Errorf("encode response: %w", err), http.StatusInternalServerError)
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -204,7 +210,7 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, specInfo{Name: n, Runs: len(runs)})
 	}
-	writeJSON(w, map[string]any{"specs": out})
+	s.writeJSON(w, map[string]any{"specs": out})
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
@@ -224,7 +230,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if runs == nil {
 		runs = []string{}
 	}
-	writeJSON(w, map[string]any{"spec": ns[0], "runs": runs})
+	s.writeJSON(w, map[string]any{"spec": ns[0], "runs": runs})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -245,7 +251,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, err, code)
 		return
 	}
-	writeJSON(w, map[string]any{"deleted": ns[0] + "/" + ns[1]})
+	s.writeJSON(w, map[string]any{"deleted": ns[0] + "/" + ns[1]})
 }
 
 // --- differencing ---------------------------------------------------
@@ -368,7 +374,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.storeError(w, err)
 		return
 	}
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 // handleDiffSVG serves the PDiffView rendering — source and target
@@ -498,7 +504,7 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"type": "result", "cohort": p})
 		return
 	}
-	writeJSON(w, p)
+	s.writeJSON(w, p)
 }
 
 // byName permutes a cohort matrix into run-name order. The shared
@@ -621,5 +627,5 @@ func (s *Server) Stats() statsPayload {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
+	s.writeJSON(w, s.Stats())
 }
