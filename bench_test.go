@@ -64,7 +64,16 @@ func reportWork(b *testing.B, totals map[string]int64) {
 
 // engineWork names an engine's work counters for reportWork.
 func engineWork(w core.Work) map[string]int64 {
-	return map[string]int64{"decisions/op": w.Decisions, "cells/op": w.Cells}
+	return map[string]int64{"decisions/op": w.Decisions, "cells/op": w.Cells, "solves/op": w.Solves}
+}
+
+// workSince returns the work an engine did between two readings.
+func workSince(before, after core.Work) core.Work {
+	return core.Work{
+		Decisions: after.Decisions - before.Decisions,
+		Cells:     after.Cells - before.Cells,
+		Solves:    after.Solves - before.Solves,
+	}
 }
 
 // BenchmarkFig11 differences runs of each real workflow at a
@@ -85,6 +94,7 @@ func BenchmarkFig11(b *testing.B) {
 					w := eng.Work()
 					work.Decisions += w.Decisions
 					work.Cells += w.Cells
+					work.Solves += w.Solves
 				}
 				reportWork(b, engineWork(work))
 			})
@@ -393,8 +403,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		after := eng.Work()
-		reportWork(b, engineWork(core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells}))
+		reportWork(b, engineWork(workSince(before, eng.Work())))
 	})
 }
 
@@ -419,8 +428,7 @@ func BenchmarkCohortRow128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		row()
 	}
-	after := eng.Work()
-	reportWork(b, engineWork(core.Work{Decisions: after.Decisions - before.Decisions, Cells: after.Cells - before.Cells}))
+	reportWork(b, engineWork(workSince(before, eng.Work())))
 }
 
 // cohort128 draws a query run and 128 cohort members, all

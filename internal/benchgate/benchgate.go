@@ -13,7 +13,8 @@
 // loop) rather than micro-drift. Work counters — every other
 // `<value> <unit>/op` column a benchmark reports, such as exact/op or
 // decisions/op — count the algorithm's own steps, which no host noise
-// moves, so they fail on any growth past 1%: a lost bound or a lost
+// moves, so they fail on any growth past 1%, and a counter whose
+// baseline is 0 fails at any positive value: a lost bound or a lost
 // shortcut reds CI even when timings stay green. New benchmarks absent
 // from the baseline pass trivially until `benchgate -update` records
 // them.
@@ -24,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -141,7 +143,8 @@ func (f Finding) String() string {
 
 // Compare gates current results against the baseline. A benchmark
 // fails when its ns/op or allocs/op exceeds baseline*(1+threshold), or
-// a work counter exceeds baseline*(1+WorkThreshold).
+// a work counter exceeds baseline*(1+WorkThreshold) (any positive
+// value, for a baseline of 0).
 // Benchmarks missing from either side are skipped (new benchmarks
 // enter the baseline via -update; retired ones leave it the same
 // way). Returns all findings (for the report) and whether any failed.
@@ -181,10 +184,16 @@ func Compare(base *Baseline, current map[string]Result, threshold float64) (find
 		for _, unit := range units {
 			bv := b.Work[unit]
 			cv, ok := c.Work[unit]
-			if bv <= 0 || !ok {
+			if bv < 0 || !ok {
 				continue
 			}
 			f := Finding{Name: name, Metric: unit, Base: bv, Cur: cv, Ratio: cv / bv}
+			if bv == 0 {
+				f.Ratio = 1
+				if cv > 0 {
+					f.Ratio = math.Inf(1)
+				}
+			}
 			f.Failed = f.Ratio > 1+WorkThreshold
 			findings = append(findings, f)
 			failed = failed || f.Failed

@@ -150,7 +150,7 @@ BenchmarkPlain-2                100      1000 ns/op   8 B/op   1 allocs/op
 
 func TestCompareWorkCounters(t *testing.T) {
 	base := &Baseline{Benchmarks: map[string]Result{
-		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, Work: map[string]float64{"exact/op": 100, "cells/op": 35}},
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, Work: map[string]float64{"exact/op": 100, "cells/op": 35, "solves/op": 0}},
 	}}
 	gate := func(work map[string]float64) []string {
 		findings, failed := Compare(base, map[string]Result{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, Work: work}}, 0.30)
@@ -173,6 +173,12 @@ func TestCompareWorkCounters(t *testing.T) {
 	}
 	if bad := gate(map[string]float64{"cells/op": 35}); len(bad) != 0 {
 		t.Fatalf("a counter the run did not report failed the gate: %v", bad)
+	}
+	if bad := gate(map[string]float64{"exact/op": 100, "solves/op": 0}); len(bad) != 0 {
+		t.Fatalf("a zero counter at its zero baseline failed the gate: %v", bad)
+	}
+	if bad := gate(map[string]float64{"exact/op": 100, "solves/op": 0.01}); len(bad) != 1 || bad[0] != "solves/op" {
+		t.Fatalf("a zero-baseline counter turning positive: failing = %v, want solves/op", bad)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Space is a metric cohort answering queries through lower bounds: the
@@ -14,7 +15,11 @@ import (
 // slack), and Distance must agree bitwise with the distances a dense
 // matrix of the same cohort would hold — that is what lets the
 // Indexed* queries return byte-identical answers to their matrix
-// counterparts while skipping most exact evaluations. Bound is the
+// counterparts while skipping most exact evaluations. A bound may be
+// rounded up to the next value Distance can take (metricindex rounds
+// to the integers under the unit and length models); a bound equal to
+// a distance already found then lets the queries' tie rules prune
+// without a diff. Bound is the
 // cheap bound every query evaluates against every candidate; Refine is
 // a sharper, dearer one, never below Bound, that a kNN query asks for
 // only when a candidate reaches the front of its search (an
@@ -46,7 +51,9 @@ func (s *knnState) worst() Neighbor { return s.top[len(s.top)-1] }
 // j's true pair (d_j, j) is lexicographically ≥ (lb, j); when that is
 // strictly beyond (wd, wi) the candidate can never enter the final
 // top-k (indices are unique, so the comparison is strict whenever
-// lb > wd, or lb == wd with j on the far side of wi).
+// lb > wd, or lb == wd with j on the far side of wi). The tie case is
+// what integral bounds feed: a slacked bound sits just below the
+// distance it matches and never ties it, a rounded one equals it.
 func (s *knnState) prunable(lb float64, j int) bool {
 	if !s.full() {
 		return false
@@ -180,8 +187,18 @@ func IndexedNearest(sp Space, i, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	return indexedNearest(sp, i, k, make([]candidate, 0, n-1))
+	bp, _ := candBufs.Get().(*[]candidate)
+	if bp == nil || cap(*bp) < n-1 {
+		buf := make([]candidate, 0, n-1)
+		bp = &buf
+	}
+	defer candBufs.Put(bp)
+	return indexedNearest(sp, i, k, *bp)
 }
+
+// candBufs recycles IndexedNearest's candidate heaps (16 bytes per
+// cohort member) across queries; the answer never aliases one.
+var candBufs sync.Pool
 
 // IndexedOutliers answers Outliers over a metric index view: every
 // item scored by mean distance to its k nearest neighbors, sorted
@@ -364,10 +381,11 @@ func SampledKMedoids(ctx context.Context, sp Space, k int, seed int64, opts Samp
 
 // nearestMedoid finds item i's closest medoid exactly while pruning:
 // medoids are tried in ascending lower-bound order and the scan stops
-// once the next bound strictly exceeds the best exact distance found
-// (a bound equal to the best could still win its tie by list position,
-// so equality keeps evaluating). Ties on exact distance resolve toward
-// the earlier medoid in the list, matching assignAll.
+// once the next medoid cannot win: its bound exceeds the best exact
+// distance found, or equals it from a later list position (the stable
+// sort keeps equal bounds in list order, so every medoid after it is
+// out too). Ties on exact distance resolve toward the earlier medoid
+// in the list, matching assignAll.
 func nearestMedoid(sp Space, dist func(int, int) (float64, error), medoids []int, i int) (float64, int, error) {
 	type cand struct {
 		c  int // medoid list position
@@ -380,7 +398,7 @@ func nearestMedoid(sp Space, dist func(int, int) (float64, error), medoids []int
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].lb < cands[b].lb })
 	bestD, bestC := math.Inf(1), -1
 	for at, cd := range cands {
-		if bestC >= 0 && cd.lb > bestD {
+		if bestC >= 0 && (cd.lb > bestD || (cd.lb == bestD && cd.c > bestC)) {
 			sp.Pruned(int64(len(cands) - at))
 			break
 		}

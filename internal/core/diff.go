@@ -14,7 +14,8 @@ import (
 // decision records the outcome of the minimum-cost well-formed mapping
 // computation for one pair of homologous nodes (v1, v2): its cost
 // γ(M(v1, v2)) and which of their children are matched. Matched child
-// pairs live in the engine's pair arena as the span [off, off+n).
+// pairs live in the engine's pair arena as the span [off, off+n), each
+// a pair of child indices (into v1.Children, v2.Children).
 type decision struct {
 	cost     float64
 	off, n   int32
@@ -30,6 +31,9 @@ type Work struct {
 	// Cells is the number of pair costs handed to the matchers: m·n
 	// per Bipartite or NonCrossing call.
 	Cells int64
+	// Solves is the number of Hungarian solves: Bipartite calls with
+	// both sides non-empty (match.Scratch.Solves).
+	Solves int64
 }
 
 // Engine computes edit distances between valid runs of one (or many)
@@ -76,7 +80,7 @@ type Engine struct {
 	blockOff  []int // per homology class: offset of its memo block
 	memo      []decision
 	memoGen   []uint32
-	pairArena [][2]*sptree.Node
+	pairArena [][2]int32
 	zero      decision // the decision of every equal-shape pair
 	stack     []int32  // matchCase frames: pre-pairing and residue lists
 
@@ -127,7 +131,11 @@ func metricModel(m cost.Model) bool {
 }
 
 // Work returns the work the engine has done since it was built.
-func (e *Engine) Work() Work { return e.work }
+func (e *Engine) Work() Work {
+	w := e.work
+	w.Solves = e.ms.Solves()
+	return w
+}
 
 // Result is the outcome of differencing two runs.
 type Result struct {
@@ -234,9 +242,9 @@ func (e *Engine) memoIndex(p1, p2 *sptree.Prepared, v1, v2 *sptree.Node) int {
 	return e.blockOff[s] + int(p1.Rank[v1.ID])*int(p2.Size[s]) + int(p2.Rank[v2.ID])
 }
 
-// pairsOf returns the matched child pairs of a decision from the
+// pairsOf returns the matched child index pairs of a decision from the
 // engine's arena.
-func (e *Engine) pairsOf(dec *decision) [][2]*sptree.Node {
+func (e *Engine) pairsOf(dec *decision) [][2]int32 {
 	return e.pairArena[dec.off : dec.off+dec.n]
 }
 
@@ -280,7 +288,7 @@ func (r *Result) Mapping() [][2]*sptree.Node {
 			return
 		}
 		for _, p := range e.pairsOf(r.lookup(v1, v2)) {
-			rec(p[0], p[1])
+			rec(v1.Children[p[0]], v2.Children[p[1]])
 		}
 	}
 	rec(r.r1.Tree, r.r2.Tree)
@@ -352,7 +360,7 @@ func (e *Engine) c(v1, v2 *sptree.Node) *decision {
 		}
 		off := int32(len(e.pairArena))
 		for i := range v1.Children {
-			e.pairArena = append(e.pairArena, [2]*sptree.Node{v1.Children[i], v2.Children[i]})
+			e.pairArena = append(e.pairArena, [2]int32{int32(i), int32(i)})
 		}
 		dec.cost, dec.off, dec.n = sum, off, int32(len(v1.Children))
 
@@ -390,7 +398,7 @@ func (e *Engine) parallelCase(v1, v2 *sptree.Node, dec *decision) {
 			dec.cost = mapped
 			dec.off = int32(len(e.pairArena))
 			dec.n = 1
-			e.pairArena = append(e.pairArena, [2]*sptree.Node{c1, c2})
+			e.pairArena = append(e.pairArena, [2]int32{0, 0})
 			return
 		}
 		dec.cost = swap
@@ -402,21 +410,22 @@ func (e *Engine) parallelCase(v1, v2 *sptree.Node, dec *decision) {
 	// Force child decisions first: the decide loop below then appends
 	// matched pairs to the arena without interleaved recursion.
 	for _, c2 := range v2.Children {
-		if c1 := branch(v1, c2.Spec); c1 != nil {
-			e.c(c1, c2)
+		if i := branch(v1, c2.Spec); i >= 0 {
+			e.c(v1.Children[i], c2)
 		}
 	}
 	off := int32(len(e.pairArena))
-	for _, c2 := range v2.Children {
-		c1 := branch(v1, c2.Spec)
-		if c1 == nil {
+	for j, c2 := range v2.Children {
+		i := branch(v1, c2.Spec)
+		if i < 0 {
 			dec.cost += e.x2(c2)
 			continue
 		}
+		c1 := v1.Children[i]
 		mapped := e.c(c1, c2).cost
 		if mapped == 0 || mapped <= e.x1(c1)+e.x2(c2) {
 			dec.cost += mapped
-			e.pairArena = append(e.pairArena, [2]*sptree.Node{c1, c2})
+			e.pairArena = append(e.pairArena, [2]int32{int32(i), int32(j)})
 			dec.n++
 		} else {
 			dec.cost += e.x1(c1) + e.x2(c2)
@@ -425,21 +434,21 @@ func (e *Engine) parallelCase(v1, v2 *sptree.Node, dec *decision) {
 	dec.off = off
 	// Unpaired T1 branches, in child order.
 	for _, c1 := range v1.Children {
-		if branch(v2, c1.Spec) == nil {
+		if branch(v2, c1.Spec) < 0 {
 			dec.cost += e.x1(c1)
 		}
 	}
 }
 
-// branch returns the child of P node v on specification branch s, or
-// nil when v does not execute that branch.
-func branch(v, s *sptree.Node) *sptree.Node {
-	for _, c := range v.Children {
+// branch returns the index of the child of P node v on specification
+// branch s, or -1 when v does not execute that branch.
+func branch(v, s *sptree.Node) int {
+	for i, c := range v.Children {
 		if c.Spec == s {
-			return c
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // matchCase handles F nodes (minimum-cost bipartite matching over
@@ -503,35 +512,34 @@ func (e *Engine) matchCase(v1, v2 *sptree.Node, ordered bool, dec *decision) {
 		}
 	}
 	rm, rn := res2-res1, len(e.stack)-res2
-	child1 := func(a int) *sptree.Node { return v1.Children[e.stack[res1+a]] }
-	child2 := func(b int) *sptree.Node { return v2.Children[e.stack[res2+b]] }
-	for a := 0; a < rm; a++ {
-		for b := 0; b < rn; b++ {
-			e.c(child1(a), child2(b))
+	res1s, res2s := e.stack[res1:res2], e.stack[res2:]
+	for _, a := range res1s {
+		for _, b := range res2s {
+			e.c(v1.Children[a], v2.Children[b])
 		}
 	}
 	if cap(e.rows) < rm*rn {
 		e.rows = make([]float64, rm*rn)
 	}
 	rows := e.rows[:rm*rn]
-	for a := 0; a < rm; a++ {
-		for b := 0; b < rn; b++ {
-			rows[a*rn+b] = e.c(child1(a), child2(b)).cost
+	for a, i := range res1s {
+		for b, j := range res2s {
+			rows[a*rn+b] = e.c(v1.Children[i], v2.Children[j]).cost
 		}
 	}
 	if cap(e.delCost) < rm {
 		e.delCost = make([]float64, rm)
 	}
 	dels := e.delCost[:rm]
-	for a := range dels {
-		dels[a] = e.x1(child1(a))
+	for a, i := range res1s {
+		dels[a] = e.x1(v1.Children[i])
 	}
 	if cap(e.insCost) < rn {
 		e.insCost = make([]float64, rn)
 	}
 	inss := e.insCost[:rn]
-	for b := range inss {
-		inss[b] = e.x2(child2(b))
+	for b, j := range res2s {
+		inss[b] = e.x2(v2.Children[j])
 	}
 	e.work.Cells += int64(rm * rn)
 	var res match.Result
@@ -544,11 +552,11 @@ func (e *Engine) matchCase(v1, v2 *sptree.Node, ordered bool, dec *decision) {
 	dec.off = int32(len(e.pairArena))
 	for i := 0; i < m; i++ {
 		if j := e.stack[mate+i]; j >= 0 {
-			e.pairArena = append(e.pairArena, [2]*sptree.Node{v1.Children[i], v2.Children[j]})
+			e.pairArena = append(e.pairArena, [2]int32{int32(i), j})
 		}
 	}
 	for _, p := range res.Pairs {
-		e.pairArena = append(e.pairArena, [2]*sptree.Node{child1(p[0]), child2(p[1])})
+		e.pairArena = append(e.pairArena, [2]int32{res1s[p[0]], res2s[p[1]]})
 	}
 	dec.n = int32(len(e.pairArena)) - dec.off
 	e.stack = e.stack[:base]

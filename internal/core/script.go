@@ -159,7 +159,7 @@ func (b *scriptBuilder) emit(v1, v2 *sptree.Node) error {
 
 	case sptree.S:
 		for _, p := range b.eng.pairsOf(dec) {
-			if err := b.emit(p[0], p[1]); err != nil {
+			if err := b.emit(v1.Children[p[0]], v2.Children[p[1]]); err != nil {
 				return err
 			}
 		}
@@ -187,20 +187,20 @@ func (b *scriptBuilder) emit(v1, v2 *sptree.Node) error {
 func (b *scriptBuilder) emitUnordered(v1, v2 *sptree.Node, dec *decision) error {
 	w1 := b.m1[v1]
 	pairs := b.eng.pairsOf(dec)
-	matched1 := make(map[*sptree.Node]bool, len(pairs))
-	matched2 := make(map[*sptree.Node]bool, len(pairs))
+	matched1 := make([]bool, len(v1.Children))
+	matched2 := make([]bool, len(v2.Children))
 	for _, p := range pairs {
 		matched1[p[0]] = true
 		matched2[p[1]] = true
 	}
 	var oldDel, newIns []*sptree.Node
-	for _, c := range v1.Children {
-		if !matched1[c] {
+	for i, c := range v1.Children {
+		if !matched1[i] {
 			oldDel = append(oldDel, c)
 		}
 	}
-	for _, c := range v2.Children {
-		if !matched2[c] {
+	for j, c := range v2.Children {
+		if !matched2[j] {
 			newIns = append(newIns, c)
 		}
 	}
@@ -242,7 +242,7 @@ func (b *scriptBuilder) emitUnordered(v1, v2 *sptree.Node, dec *decision) error 
 		}
 	}
 	for _, p := range pairs {
-		if err := b.emit(p[0], p[1]); err != nil {
+		if err := b.emit(v1.Children[p[0]], v2.Children[p[1]]); err != nil {
 			return err
 		}
 	}
@@ -257,28 +257,24 @@ func (b *scriptBuilder) emitOrdered(v1, v2 *sptree.Node, dec *decision) error {
 	w1 := b.m1[v1]
 	pairs := b.eng.pairsOf(dec)
 	// anchor[j] = the working node matched to T2 child index j.
-	anchor := make(map[int]*sptree.Node, len(pairs))
-	matched1 := make(map[*sptree.Node]bool, len(pairs))
-	matched2 := make(map[*sptree.Node]bool, len(pairs))
-	idx2 := make(map[*sptree.Node]int, len(v2.Children))
-	for j, c := range v2.Children {
-		idx2[c] = j
-	}
+	anchor := make([]*sptree.Node, len(v2.Children))
+	matched1 := make([]bool, len(v1.Children))
+	matched2 := make([]bool, len(v2.Children))
 	for _, p := range pairs {
 		matched1[p[0]] = true
 		matched2[p[1]] = true
-		anchor[idx2[p[1]]] = b.m1[p[0]]
+		anchor[p[1]] = b.m1[v1.Children[p[0]]]
 	}
 	for j, c2 := range v2.Children {
-		if matched2[c2] {
+		if matched2[j] {
 			continue
 		}
 		// Insert before the working child matched to the next
 		// matched T2 index; append if there is none.
 		pos := -1
 		for j2 := j + 1; j2 < len(v2.Children); j2++ {
-			if a, ok := anchor[j2]; ok {
-				pos = w1.ChildIndex(a)
+			if matched2[j2] {
+				pos = w1.ChildIndex(anchor[j2])
 				break
 			}
 		}
@@ -286,8 +282,8 @@ func (b *scriptBuilder) emitOrdered(v1, v2 *sptree.Node, dec *decision) error {
 			return err
 		}
 	}
-	for _, c1 := range v1.Children {
-		if matched1[c1] {
+	for i, c1 := range v1.Children {
+		if matched1[i] {
 			continue
 		}
 		if err := b.deleteWhole(c1); err != nil {
@@ -295,7 +291,7 @@ func (b *scriptBuilder) emitOrdered(v1, v2 *sptree.Node, dec *decision) error {
 		}
 	}
 	for _, p := range pairs {
-		if err := b.emit(p[0], p[1]); err != nil {
+		if err := b.emit(v1.Children[p[0]], v2.Children[p[1]]); err != nil {
 			return err
 		}
 	}

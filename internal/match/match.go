@@ -81,8 +81,9 @@ type Scratch struct {
 
 	dp []float64 // non-crossing DP table, (m+1)×(n+1) row-major
 
-	pairs [][2]int
-	left  []int
+	pairs  [][2]int
+	left   []int
+	solves int64 // padded Hungarian solves run
 
 	pairBuf, delBuf, insBuf []float64 // closure-API staging
 }
@@ -103,17 +104,44 @@ func grow[T any](s []T, n int) []T {
 // is the bipartite graph of Fig. 9 with the special "−" and "+" nodes,
 // reduced to an (m+n) × (m+n) assignment problem: left items and n
 // insertion slots on one side, right items and m deletion slots on the
-// other; slot-to-slot cells cost zero.
+// other; slot-to-slot cells cost zero. Deletion and insertion costs
+// must be finite.
+//
+// A residue with one side empty skips the Hungarian step: the padded
+// solve there assigns the rows in index order and sums the cells in
+// column order, so Cost is the index-order sum of del (or of ins), bit
+// for bit. Solves counts the padded solves that remain.
 func (s *Scratch) Bipartite(m, n int, pairCost, del, ins []float64) Result {
-	size := m + n
+	if m+n == 0 {
+		return Result{}
+	}
+	s.reset(m)
+	switch {
+	case m == 0:
+		return Result{Cost: sum(ins), Pairs: s.pairs, left: s.left}
+	case n == 0:
+		return Result{Cost: sum(del), Pairs: s.pairs, left: s.left}
+	}
+	return s.padded(m, n, pairCost, del, ins)
+}
+
+// Solves reports how many padded Hungarian solves the Scratch has run.
+func (s *Scratch) Solves() int64 { return s.solves }
+
+// reset empties the pair list and the match index for m left items.
+func (s *Scratch) reset(m int) {
 	s.pairs = s.pairs[:0]
 	s.left = grow(s.left, m)
 	for i := range s.left {
 		s.left[i] = -1
 	}
-	if size == 0 {
-		return Result{}
-	}
+}
+
+// padded solves the (m+n)² assignment problem Bipartite describes with
+// the Hungarian method, on a reset Scratch.
+func (s *Scratch) padded(m, n int, pairCost, del, ins []float64) Result {
+	s.solves++
+	size := m + n
 	s.cost = grow(s.cost, size*size)
 	for i := 0; i < size; i++ {
 		row := s.cost[i*size : (i+1)*size]
@@ -138,6 +166,16 @@ func (s *Scratch) Bipartite(m, n int, pairCost, del, ins []float64) Result {
 		}
 	}
 	return Result{Cost: total, Pairs: s.pairs, left: s.left}
+}
+
+// sum adds xs in index order from 0, as the padded solve's column
+// scan does.
+func sum(xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 // hungarian solves the square assignment problem over s.cost (n×n,
@@ -241,11 +279,7 @@ func (s *Scratch) NonCrossing(m, n int, pairCost, del, ins []float64) Result {
 			dp[i*stride+j] = best
 		}
 	}
-	s.pairs = s.pairs[:0]
-	s.left = grow(s.left, m)
-	for i := range s.left {
-		s.left[i] = -1
-	}
+	s.reset(m)
 	// Backtrack, preferring matches so ties yield maximal pairings.
 	const eps = 1e-9
 	i, j := m, n

@@ -5,8 +5,10 @@ package metricindex
 // distances in floating point, so a mathematically tight triangle
 // bound can exceed the exact distance by a few ulps; slacking the
 // bound keeps pruning strictly conservative, preserving byte-identity
-// with the exhaustive oracle, at the cost of a vanishing number of
-// extra exact diffs.
+// with the exhaustive oracle. Under a model whose distances are all
+// integers the slacked bound is then rounded up (state.lower), so the
+// slack costs nothing there; under any other model it costs a
+// candidate whose bound ties the k-th distance an exact diff.
 const boundSlack = 1e-9
 
 // loosen applies the float-safety slack to a lower bound.
@@ -49,7 +51,8 @@ func (c *Cohort) Landmarks() int { return len(c.st.anchors) }
 // Bound returns a lower bound on the exact distance between runs i
 // and j: the best of the landmark triangle bound
 // max_m |d(i,L_m) - d(j,L_m)| and the histogram bound rate·L1(h_i,h_j),
-// slacked for float safety. Never above Distance(i, j).
+// slacked for float safety and, under an integral model, rounded up to
+// the next integer. Never above Distance(i, j).
 func (c *Cohort) Bound(i, j int) float64 {
 	if i == j {
 		return 0
@@ -68,12 +71,12 @@ func (c *Cohort) Bound(i, j int) float64 {
 	if c.st.rate > 0 {
 		b = max(b, c.st.rate*c.st.tree.leafL1(c.st.counts[i], c.st.counts[j]))
 	}
-	return loosen(b)
+	return c.st.lower(b)
 }
 
 // Refine returns a sharper lower bound on the exact distance between
 // runs i and j: the best of Bound and the op-count bound μ·(N⁺ + N⁻)
-// (see bound.go), slacked alike. It costs one pass over the
+// (see bound.go), slacked and rounded alike. It costs one pass over the
 // specification tree and allocates nothing, so queries call it only
 // for the candidates that reach the front of their search. Never
 // below Bound(i, j) nor above Distance(i, j); symmetric.
@@ -82,7 +85,7 @@ func (c *Cohort) Refine(i, j int) float64 {
 	if i == j || c.st.opCost == 0 {
 		return b
 	}
-	return max(b, loosen(c.st.opCost*float64(c.st.tree.opCount(c.st.counts[i], c.st.counts[j]))))
+	return max(b, c.st.lower(c.st.opCost*float64(c.st.tree.opCount(c.st.counts[i], c.st.counts[j]))))
 }
 
 // Distance returns the exact edit distance between runs i and j via

@@ -38,6 +38,7 @@ package metricindex
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -82,6 +83,9 @@ type state struct {
 	tree   *specTree // sp's flattened tree, shared across states
 	rate   float64   // histogram lower-bound rate; 0 disables the bound
 	opCost float64   // μ, the op-count bound's price per operation; 0 disables it
+	// integral: every exact distance is an integer (see integralModel),
+	// so a lower bound may be rounded up to the next one.
+	integral bool
 
 	labels  []string
 	index   map[string]int
@@ -97,11 +101,39 @@ func (st *state) bounds(m cost.Model, sp *spec.Spec) {
 	st.tree = newSpecTree(sp)
 	st.rate = costFloor(m, st.tree.maxLen, true)
 	st.opCost = costFloor(m, st.tree.maxLen, false)
+	st.integral = integralModel(m)
 }
 
 // carry copies the per-specification bound inputs of old.
 func (st *state) carry(old *state) {
-	st.sp, st.tree, st.rate, st.opCost = old.sp, old.tree, old.rate, old.opCost
+	st.sp, st.tree, st.rate, st.opCost, st.integral = old.sp, old.tree, old.rate, old.opCost, old.integral
+}
+
+// lower turns a computed lower bound into the one queries compare:
+// slacked for float safety, then, when every exact distance is an
+// integer, rounded up, since d ≥ b implies d ≥ ⌈b⌉ for integral d.
+// The slack still absorbs float error (the histogram rate 1/Lmax, for
+// one) before the rounding, so a bound a few ulps above an integer
+// never rounds past it.
+func (st *state) lower(b float64) float64 {
+	b = loosen(b)
+	if st.integral {
+		return math.Ceil(b)
+	}
+	return b
+}
+
+// integralModel reports whether every exact distance under m is an
+// integer. Under the unit and length models every PathCost is an
+// integer, and the engine only sums them and takes minima, all far
+// below 2^53, so no float rounding ever leaves the integers. Power,
+// Weighted and Func prices are not integers in general.
+func integralModel(m cost.Model) bool {
+	switch m.(type) {
+	case cost.Unit, cost.Length:
+		return true
+	}
+	return false
 }
 
 // classCounts returns a run's node counts per specification node,

@@ -2,6 +2,7 @@ package metricindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -71,6 +72,66 @@ func TestBoundNeverExceedsDistance(t *testing.T) {
 				}
 				if r != co.Refine(j, i) {
 					t.Fatalf("%s: asymmetric refined bound at (%d,%d)", m.Name(), i, j)
+				}
+			}
+		}
+	}
+}
+
+// rawBounds recomputes Bound's and the op-count bound's inputs for a
+// pair from the view's state, before any slack or rounding.
+func rawBounds(co *Cohort, i, j int) (bound, ops float64) {
+	st := co.st
+	for m := range st.lm[i] {
+		bound = max(bound, math.Abs(st.lm[i][m]-st.lm[j][m]))
+	}
+	if st.rate > 0 {
+		bound = max(bound, st.rate*st.tree.leafL1(st.counts[i], st.counts[j]))
+	}
+	return bound, st.opCost * float64(st.tree.opCount(st.counts[i], st.counts[j]))
+}
+
+// TestBoundLattice: under the unit and length models every Bound and
+// Refine is an integer — the slacked bound rounded up — and still at
+// most the exact distance; under a power model both keep the slacked
+// value bit for bit.
+func TestBoundLattice(t *testing.T) {
+	for seed := int64(40); seed < 43; seed++ {
+		names, runs := testCohort(t, seed, 12)
+		for _, tc := range []struct {
+			m        cost.Model
+			integral bool
+		}{{cost.Unit{}, true}, {cost.Length{}, true}, {cost.Power{Epsilon: 0.5}, false}} {
+			m, integral := tc.m, tc.integral
+			ix := New(m, Options{Landmarks: 3, Workers: 2})
+			if err := ix.Reset(names, runs); err != nil {
+				t.Fatal(err)
+			}
+			co := ix.Snapshot()
+			for i := 0; i < co.Len(); i++ {
+				for j := 0; j < co.Len(); j++ {
+					if i == j {
+						continue
+					}
+					raw, ops := rawBounds(co, i, j)
+					wantB, wantR := loosen(raw), max(loosen(raw), loosen(ops))
+					if integral {
+						wantB, wantR = math.Ceil(wantB), max(math.Ceil(loosen(raw)), math.Ceil(loosen(ops)))
+					}
+					b, r := co.Bound(i, j), co.Refine(i, j)
+					if b != wantB || r != wantR {
+						t.Fatalf("%s seed %d (%d,%d): Bound %v, Refine %v; want %v, %v", m.Name(), seed, i, j, b, r, wantB, wantR)
+					}
+					d, err := co.Distance(i, j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if integral && (d != math.Trunc(d) || b != math.Trunc(b) || r != math.Trunc(r)) {
+						t.Fatalf("%s seed %d (%d,%d): distance %v, Bound %v, Refine %v not all integers", m.Name(), seed, i, j, d, b, r)
+					}
+					if b > d || r > d {
+						t.Fatalf("%s seed %d (%d,%d): Bound %v or Refine %v exceeds exact %v", m.Name(), seed, i, j, b, r, d)
+					}
 				}
 			}
 		}
@@ -152,14 +213,15 @@ func TestOpCountBoundTightOnForkCopies(t *testing.T) {
 	}
 
 	// The landmark (2, 2) lies at distance 2 from both runs, so only
-	// the op count lifts Refine above the histogram bound.
+	// the op count lifts Refine above the histogram bound. Unit
+	// distances are integers, so both bounds are exact integers.
 	ix := New(cost.Unit{}, Options{Landmarks: 1})
 	if err := ix.Reset([]string{"mid", "a", "b"}, []*wfrun.Run{run(2, 2), r1, r2}); err != nil {
 		t.Fatal(err)
 	}
 	co := ix.Snapshot()
-	if b, r := co.Bound(1, 2), co.Refine(1, 2); b != loosen(2) || r != loosen(4) {
-		t.Fatalf("Bound %g, Refine %g; want %g, %g", b, r, loosen(2), loosen(4))
+	if b, r := co.Bound(1, 2), co.Refine(1, 2); b != 2 || r != 4 {
+		t.Fatalf("Bound %g, Refine %g; want 2, 4", b, r)
 	}
 }
 
