@@ -8,6 +8,7 @@ package provdiff
 // experiment code path.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/spgraph"
 	"repro/internal/wfrun"
+	"repro/internal/wfxml"
 )
 
 // BenchmarkTable1 regenerates Table I (catalog construction and
@@ -272,6 +274,37 @@ func BenchmarkDerive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wfrun.Derive(sp, r.Graph, refs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRun measures a sync import's parse: one run XML
+// document to an annotated run (token stream, run graph, checks, SP
+// reduction, f″), cycling through 64 PA documents drawn with the
+// default run parameters, the size the e2ebench workloads import.
+func BenchmarkDecodeRun(b *testing.B) {
+	sp, err := gen.Catalog("PA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	docs := make([][]byte, 64)
+	for i := range docs {
+		r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := wfxml.EncodeRun(&buf, r, fmt.Sprintf("r%02d", i)); err != nil {
+			b.Fatal(err)
+		}
+		docs[i] = buf.Bytes()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wfxml.DecodeRun(bytes.NewReader(docs[i%len(docs)]), sp); err != nil {
 			b.Fatal(err)
 		}
 	}

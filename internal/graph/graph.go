@@ -32,26 +32,24 @@ func (e Edge) String() string {
 	return fmt.Sprintf("(%s,%s)#%d", e.From, e.To, e.Key)
 }
 
-// Graph is a node-labeled directed multigraph. The zero value is an
-// empty graph ready to use.
+// Graph is a node-labeled directed multigraph. Nodes and edges are
+// numbered in insertion order: node v is Nodes()[v], edge i is
+// Edges()[i], and the index accessors (NodeIndex, LabelAt, EdgeAt,
+// Ends) let a caller keep per-node and per-edge facts in slices. The
+// zero value is an empty graph ready to use.
 type Graph struct {
-	nodes  []NodeID
-	labels map[NodeID]string
+	ids    []NodeID
+	labels []string
+	index  map[NodeID]int32
 	edges  []Edge
-	out    map[NodeID][]Edge
-	in     map[NodeID][]Edge
-	keySeq map[[2]NodeID]int
+	ends   [][2]int32 // node indices of each edge's endpoints
+	out    [][]int32  // per node, its outgoing edges' indices
+	in     [][]int32  // per node, its incoming edges' indices
+	keySeq map[[2]int32]int
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		labels: make(map[NodeID]string),
-		out:    make(map[NodeID][]Edge),
-		in:     make(map[NodeID][]Edge),
-		keySeq: make(map[[2]NodeID]int),
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // AddNode inserts a node with the given label. Adding an existing node
 // with the same label is a no-op; with a different label it is an error.
@@ -59,14 +57,20 @@ func (g *Graph) AddNode(id NodeID, label string) error {
 	if id == "" {
 		return fmt.Errorf("graph: empty node id")
 	}
-	if have, ok := g.labels[id]; ok {
-		if have != label {
+	if v, ok := g.index[id]; ok {
+		if have := g.labels[v]; have != label {
 			return fmt.Errorf("graph: node %s already exists with label %q (got %q)", id, have, label)
 		}
 		return nil
 	}
-	g.nodes = append(g.nodes, id)
-	g.labels[id] = label
+	if g.index == nil {
+		g.index = make(map[NodeID]int32)
+	}
+	g.index[id] = int32(len(g.ids))
+	g.ids = append(g.ids, id)
+	g.labels = append(g.labels, label)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	return nil
 }
 
@@ -80,19 +84,26 @@ func (g *Graph) MustAddNode(id NodeID, label string) {
 // AddEdge inserts a directed edge and returns it. Both endpoints must
 // already exist. Parallel edges receive increasing keys.
 func (g *Graph) AddEdge(from, to NodeID) (Edge, error) {
-	if _, ok := g.labels[from]; !ok {
+	u, ok := g.index[from]
+	if !ok {
 		return Edge{}, fmt.Errorf("graph: unknown node %s", from)
 	}
-	if _, ok := g.labels[to]; !ok {
+	v, ok := g.index[to]
+	if !ok {
 		return Edge{}, fmt.Errorf("graph: unknown node %s", to)
 	}
-	pair := [2]NodeID{from, to}
+	if g.keySeq == nil {
+		g.keySeq = make(map[[2]int32]int)
+	}
+	pair := [2]int32{u, v}
 	key := g.keySeq[pair]
 	g.keySeq[pair] = key + 1
 	e := Edge{From: from, To: to, Key: key}
+	i := int32(len(g.edges))
 	g.edges = append(g.edges, e)
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
+	g.ends = append(g.ends, pair)
+	g.out[u] = append(g.out[u], i)
+	g.in[v] = append(g.in[v], i)
 	return e, nil
 }
 
@@ -105,61 +116,9 @@ func (g *Graph) MustAddEdge(from, to NodeID) Edge {
 	return e
 }
 
-// RemoveEdge deletes a specific edge. It reports whether the edge was
-// present.
-func (g *Graph) RemoveEdge(e Edge) bool {
-	idx := -1
-	for i, have := range g.edges {
-		if have == e {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false
-	}
-	g.edges = append(g.edges[:idx], g.edges[idx+1:]...)
-	g.out[e.From] = removeEdge(g.out[e.From], e)
-	g.in[e.To] = removeEdge(g.in[e.To], e)
-	return true
-}
-
-// RemoveNode deletes a node and all incident edges. It reports whether
-// the node was present.
-func (g *Graph) RemoveNode(id NodeID) bool {
-	if _, ok := g.labels[id]; !ok {
-		return false
-	}
-	for _, e := range append([]Edge(nil), g.out[id]...) {
-		g.RemoveEdge(e)
-	}
-	for _, e := range append([]Edge(nil), g.in[id]...) {
-		g.RemoveEdge(e)
-	}
-	delete(g.labels, id)
-	delete(g.out, id)
-	delete(g.in, id)
-	for i, n := range g.nodes {
-		if n == id {
-			g.nodes = append(g.nodes[:i], g.nodes[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-func removeEdge(s []Edge, e Edge) []Edge {
-	for i, have := range s {
-		if have == e {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // Nodes returns the node IDs in insertion order. The slice is a copy.
 func (g *Graph) Nodes() []NodeID {
-	return append([]NodeID(nil), g.nodes...)
+	return append([]NodeID(nil), g.ids...)
 }
 
 // Edges returns all edges in insertion order. The slice is a copy.
@@ -168,172 +127,228 @@ func (g *Graph) Edges() []Edge {
 }
 
 // NumNodes returns |V(G)|.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.ids) }
 
 // NumEdges returns |E(G)|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // HasNode reports whether id is a node of g.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.labels[id]
+	_, ok := g.index[id]
 	return ok
 }
 
+// NodeIndex returns the position of id in Nodes(), or -1 if id is not
+// a node of g.
+func (g *Graph) NodeIndex(id NodeID) int {
+	if v, ok := g.index[id]; ok {
+		return int(v)
+	}
+	return -1
+}
+
 // Label returns the label on a node; empty if the node is unknown.
-func (g *Graph) Label(id NodeID) string { return g.labels[id] }
+func (g *Graph) Label(id NodeID) string {
+	if v, ok := g.index[id]; ok {
+		return g.labels[v]
+	}
+	return ""
+}
+
+// LabelAt returns the label of node Nodes()[v].
+func (g *Graph) LabelAt(v int) string { return g.labels[v] }
+
+// EdgeAt returns Edges()[i].
+func (g *Graph) EdgeAt(i int) Edge { return g.edges[i] }
+
+// Ends returns the node indices of the endpoints of Edges()[i].
+func (g *Graph) Ends(i int) (from, to int) {
+	return int(g.ends[i][0]), int(g.ends[i][1])
+}
 
 // Out returns the outgoing edges of a node (copy).
-func (g *Graph) Out(id NodeID) []Edge { return append([]Edge(nil), g.out[id]...) }
-
-// In returns the incoming edges of a node (copy).
-func (g *Graph) In(id NodeID) []Edge { return append([]Edge(nil), g.in[id]...) }
+func (g *Graph) Out(id NodeID) []Edge {
+	var out []Edge
+	if v, ok := g.index[id]; ok {
+		for _, i := range g.out[v] {
+			out = append(out, g.edges[i])
+		}
+	}
+	return out
+}
 
 // OutDegree returns the number of outgoing edges of a node.
-func (g *Graph) OutDegree(id NodeID) int { return len(g.out[id]) }
+func (g *Graph) OutDegree(id NodeID) int {
+	if v, ok := g.index[id]; ok {
+		return len(g.out[v])
+	}
+	return 0
+}
 
 // InDegree returns the number of incoming edges of a node.
-func (g *Graph) InDegree(id NodeID) int { return len(g.in[id]) }
+func (g *Graph) InDegree(id NodeID) int {
+	if v, ok := g.index[id]; ok {
+		return len(g.in[v])
+	}
+	return 0
+}
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New()
-	for _, n := range g.nodes {
-		c.MustAddNode(n, g.labels[n])
+	for v, n := range g.ids {
+		c.MustAddNode(n, g.labels[v])
 	}
 	for _, e := range g.edges {
-		// Preserve keys by replaying insertions in order: AddEdge
-		// assigns keys sequentially per endpoint pair, matching the
-		// original assignment order.
+		// Replaying insertions in order reassigns every key:
+		// AddEdge numbers parallel edges sequentially per pair.
 		c.MustAddEdge(e.From, e.To)
 	}
 	return c
 }
 
+// terminal returns the index of the unique node with an empty list in
+// adj: the source for in lists, the sink for out lists.
+func (g *Graph) terminal(adj [][]int32, what string) (int32, error) {
+	found, n := int32(-1), 0
+	for v := len(g.ids) - 1; v >= 0; v-- {
+		if len(adj[v]) == 0 {
+			found, n = int32(v), n+1
+		}
+	}
+	if n != 1 {
+		return -1, fmt.Errorf("graph: want exactly one %s, have %d", what, n)
+	}
+	return found, nil
+}
+
 // Source returns the unique node with in-degree zero, or an error if
 // there is not exactly one.
 func (g *Graph) Source() (NodeID, error) {
-	var srcs []NodeID
-	for _, n := range g.nodes {
-		if len(g.in[n]) == 0 {
-			srcs = append(srcs, n)
-		}
+	v, err := g.terminal(g.in, "source")
+	if err != nil {
+		return "", err
 	}
-	if len(srcs) != 1 {
-		return "", fmt.Errorf("graph: want exactly one source, have %d", len(srcs))
-	}
-	return srcs[0], nil
+	return g.ids[v], nil
 }
 
 // Sink returns the unique node with out-degree zero, or an error if
 // there is not exactly one.
 func (g *Graph) Sink() (NodeID, error) {
-	var sinks []NodeID
-	for _, n := range g.nodes {
-		if len(g.out[n]) == 0 {
-			sinks = append(sinks, n)
-		}
+	v, err := g.terminal(g.out, "sink")
+	if err != nil {
+		return "", err
 	}
-	if len(sinks) != 1 {
-		return "", fmt.Errorf("graph: want exactly one sink, have %d", len(sinks))
-	}
-	return sinks[0], nil
+	return g.ids[v], nil
 }
 
 // IsAcyclic reports whether the graph has no directed cycle.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoOrder()
-	return err == nil
-}
+func (g *Graph) IsAcyclic() bool { return g.topo() != nil }
 
 // TopoOrder returns the nodes in a topological order, or an error if
 // the graph has a cycle.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for _, n := range g.nodes {
-		indeg[n] = len(g.in[n])
+	order := g.topo()
+	if order == nil {
+		return nil, fmt.Errorf("graph: cycle detected")
 	}
-	var queue []NodeID
-	for _, n := range g.nodes {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
+	ids := make([]NodeID, len(order))
+	for k, v := range order {
+		ids[k] = g.ids[v]
+	}
+	return ids, nil
+}
+
+// topo returns the node indices in Kahn order, sources first in
+// insertion order, or nil if the graph has a cycle.
+func (g *Graph) topo() []int32 {
+	indeg := make([]int32, len(g.ids))
+	order := make([]int32, 0, len(g.ids))
+	for v := range g.ids {
+		indeg[v] = int32(len(g.in[v]))
+		if indeg[v] == 0 {
+			order = append(order, int32(v))
 		}
 	}
-	order := make([]NodeID, 0, len(g.nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range g.out[n] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+	for head := 0; head < len(order); head++ {
+		for _, e := range g.out[order[head]] {
+			w := g.ends[e][1]
+			if indeg[w]--; indeg[w] == 0 {
+				order = append(order, w)
 			}
 		}
 	}
-	if len(order) != len(g.nodes) {
-		return nil, fmt.Errorf("graph: cycle detected")
+	if len(order) != len(g.ids) {
+		return nil
 	}
-	return order, nil
+	return order
+}
+
+// reach marks the nodes reachable from start (including start) along
+// adj, stepping to endpoint end (1 follows edges forward from out
+// lists, 0 backward from in lists).
+func (g *Graph) reach(start int32, adj [][]int32, end int) []bool {
+	seen := make([]bool, len(g.ids))
+	seen[start] = true
+	stack := []int32{start}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range adj[v] {
+			if w := g.ends[e][end]; !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
+}
+
+func (g *Graph) reachSet(start NodeID, adj [][]int32, end int) map[NodeID]bool {
+	v, ok := g.index[start]
+	if !ok {
+		return map[NodeID]bool{start: true}
+	}
+	set := make(map[NodeID]bool)
+	for w, in := range g.reach(v, adj, end) {
+		if in {
+			set[g.ids[w]] = true
+		}
+	}
+	return set
 }
 
 // ReachableFrom returns the set of nodes reachable from start
 // (including start) following edge direction.
-func (g *Graph) ReachableFrom(start NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{start: true}
-	stack := []NodeID{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[n] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}
+func (g *Graph) ReachableFrom(start NodeID) map[NodeID]bool { return g.reachSet(start, g.out, 1) }
 
 // CoReachableTo returns the set of nodes that can reach end (including
 // end) following edge direction.
-func (g *Graph) CoReachableTo(end NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{end: true}
-	stack := []NodeID{end}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.in[n] {
-			if !seen[e.From] {
-				seen[e.From] = true
-				stack = append(stack, e.From)
-			}
-		}
-	}
-	return seen
-}
+func (g *Graph) CoReachableTo(end NodeID) map[NodeID]bool { return g.reachSet(end, g.in, 0) }
 
 // CheckFlowNetwork verifies Definition 3.1: a unique source s, a unique
 // sink t, and every node on some s-t path. It returns (s, t, nil) on
 // success.
 func (g *Graph) CheckFlowNetwork() (s, t NodeID, err error) {
-	if len(g.nodes) == 0 {
+	if len(g.ids) == 0 {
 		return "", "", fmt.Errorf("graph: empty graph is not a flow network")
 	}
-	s, err = g.Source()
+	si, err := g.terminal(g.in, "source")
 	if err != nil {
 		return "", "", err
 	}
-	t, err = g.Sink()
+	ti, err := g.terminal(g.out, "sink")
 	if err != nil {
 		return "", "", err
 	}
-	if s == t && len(g.nodes) > 1 {
+	s, t = g.ids[si], g.ids[ti]
+	if si == ti && len(g.ids) > 1 {
 		return "", "", fmt.Errorf("graph: source equals sink in multi-node graph")
 	}
-	fromS := g.ReachableFrom(s)
-	toT := g.CoReachableTo(t)
-	for _, n := range g.nodes {
-		if !fromS[n] || !toT[n] {
+	fromS := g.reach(si, g.out, 1)
+	toT := g.reach(ti, g.in, 0)
+	for v, n := range g.ids {
+		if !fromS[v] || !toT[v] {
 			return "", "", fmt.Errorf("graph: node %s is not on any %s-%s path", n, s, t)
 		}
 	}
@@ -343,9 +358,8 @@ func (g *Graph) CheckFlowNetwork() (s, t NodeID, err error) {
 // UniqueLabels reports whether all node labels are distinct, as the
 // workflow specification model requires.
 func (g *Graph) UniqueLabels() bool {
-	seen := make(map[string]bool, len(g.nodes))
-	for _, n := range g.nodes {
-		l := g.labels[n]
+	seen := make(map[string]bool, len(g.labels))
+	for _, l := range g.labels {
 		if seen[l] {
 			return false
 		}
@@ -358,9 +372,9 @@ func (g *Graph) UniqueLabels() bool {
 // zero or multiple nodes carry it.
 func (g *Graph) NodeByLabel(label string) (NodeID, error) {
 	var found []NodeID
-	for _, n := range g.nodes {
-		if g.labels[n] == label {
-			found = append(found, n)
+	for v, l := range g.labels {
+		if l == label {
+			found = append(found, g.ids[v])
 		}
 	}
 	if len(found) != 1 {
@@ -377,7 +391,7 @@ func (g *Graph) String() string {
 	var b strings.Builder
 	b.WriteString("nodes:")
 	for _, n := range nodes {
-		fmt.Fprintf(&b, " %s[%s]", n, g.labels[n])
+		fmt.Fprintf(&b, " %s[%s]", n, g.Label(n))
 	}
 	edges := g.Edges()
 	sort.Slice(edges, func(i, j int) bool {

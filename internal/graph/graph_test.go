@@ -65,31 +65,6 @@ func TestParallelEdgeKeys(t *testing.T) {
 	}
 }
 
-func TestRemoveEdgeAndNode(t *testing.T) {
-	g := diamond(t)
-	e := g.Out("s")[0]
-	if !g.RemoveEdge(e) {
-		t.Fatal("RemoveEdge returned false for present edge")
-	}
-	if g.RemoveEdge(e) {
-		t.Fatal("RemoveEdge returned true for absent edge")
-	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
-	}
-	if !g.RemoveNode("a") {
-		t.Fatal("RemoveNode returned false")
-	}
-	if g.HasNode("a") {
-		t.Fatal("node a still present")
-	}
-	for _, e := range g.Edges() {
-		if e.From == "a" || e.To == "a" {
-			t.Fatalf("dangling edge %s", e)
-		}
-	}
-}
-
 func TestSourceSink(t *testing.T) {
 	g := diamond(t)
 	s, err := g.Source()

@@ -38,6 +38,8 @@ type Result struct {
 	// Hash is the hex content hash of the committed codec frame, as
 	// attested to the provenance ledger.
 	Hash string
+	// Parse is the time the commit spent decoding the job's document.
+	Parse time.Duration
 }
 
 // Job is one run import traveling through the pipeline. Exactly one

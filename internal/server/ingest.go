@@ -91,10 +91,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Park until the batch carrying this job commits. The batcher
 	// always delivers (Close drains), so no context select is needed;
-	// a client that hangs up simply never reads the response.
+	// a client that hangs up simply never reads the response. The
+	// batch's decode of this document is parse time; the rest of the
+	// wait is the commit's.
 	t0 = time.Now()
 	res := <-job.Resp
-	observeStage(r.Context(), stageStore, t0)
+	wait := time.Since(t0)
+	parse := min(res.Parse, wait)
+	chargeStage(r.Context(), stageParse, parse)
+	chargeStage(r.Context(), stageStore, wait-parse)
 	if res.Err != nil {
 		s.httpError(w, res.Err, ingestStatus(res.Err))
 		return
@@ -178,7 +183,9 @@ func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 					results[i].Err = err
 					continue
 				}
+				t0 := time.Now()
 				r, err := wfxml.DecodeRun(bytes.NewReader(jobs[i].XML), sp)
+				results[i].Parse = time.Since(t0)
 				if err != nil {
 					results[i].Err = err
 					continue
@@ -228,7 +235,8 @@ func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 					results[i].Err = commitError{err}
 					continue
 				}
-				results[i] = ingest.Result{Nodes: parsed[i].NumNodes(), Edges: parsed[i].NumEdges(), Hash: stats.Hashes[k]}
+				results[i].Nodes, results[i].Edges = parsed[i].NumNodes(), parsed[i].NumEdges()
+				results[i].Hash = stats.Hashes[k]
 			}
 			pending = rest
 		}

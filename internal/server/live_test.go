@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/store"
 	"repro/internal/wfrun"
+	"repro/internal/wfxml"
 )
 
 // seedLiveServer is seedServer with the store directory exposed, so a
@@ -411,6 +413,56 @@ func TestRequestTimingHook(t *testing.T) {
 	rt = <-mu
 	if rt.Route != "runs" || rt.Status != 404 {
 		t.Fatalf("404 timing record = %+v", rt)
+	}
+}
+
+// TestSyncImportChargesDecodeToParse checks that a sync import's
+// timing record charges the batch's decode of its document to parse,
+// not to the commit wait it happens in, and that parse and store
+// still fit within the handler's total.
+func TestSyncImportChargesDecodeToParse(t *testing.T) {
+	timings := make(chan RequestTiming, 16)
+	srv, st, _ := seedLiveServer(t, 1, Options{
+		CacheSize:       16,
+		OnRequestTiming: func(rt *RequestTiming) { timings <- *rt },
+	})
+	defer srv.Close()
+	sp, err := st.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := gen.RunParams{ProbP: 1, ProbF: 1, MaxF: 12, ProbL: 1, MaxL: 12}
+	run, err := gen.RandomRun(sp, big, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := wfxml.EncodeRun(&doc, run, "big"); err != nil {
+		t.Fatal(err)
+	}
+	decodeMS := math.Inf(1)
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		if _, err := wfxml.DecodeRun(bytes.NewReader(doc.Bytes()), sp); err != nil {
+			t.Fatal(err)
+		}
+		decodeMS = min(decodeMS, float64(time.Since(t0).Nanoseconds())/1e6)
+	}
+	if rec := do(t, srv, "POST", "/v1/specs/pa/runs/big", doc.Bytes(), nil); rec.Code != http.StatusCreated {
+		t.Fatalf("POST = %d %q", rec.Code, rec.Body.String())
+	}
+	rt := <-timings
+	if rt.Route != "import" {
+		t.Fatalf("timing record = %+v", rt)
+	}
+	// The server decodes the same document once more; half the
+	// fastest local decode leaves room for scheduling noise, while the
+	// body read alone is orders of magnitude shorter.
+	if rt.ParseMS < decodeMS/2 {
+		t.Fatalf("parse charged %.3f ms; decoding the document takes %.3f ms: %+v", rt.ParseMS, decodeMS, rt)
+	}
+	if rt.ParseMS+rt.StoreMS > rt.TotalMS {
+		t.Fatalf("parse %.3f + store %.3f ms exceed the %.3f ms total: %+v", rt.ParseMS, rt.StoreMS, rt.TotalMS, rt)
 	}
 }
 

@@ -23,10 +23,10 @@ type RequestTiming struct {
 	Status   int       // response status code
 	Start    time.Time // arrival time
 	TotalMS  float64   // end-to-end handler time
-	ParseMS  float64   // request-body decode (XML/JSON/events)
+	ParseMS  float64   // request-body read and decode (XML/JSON/events)
 	DiffMS   float64   // differencing / drift computation
 	CacheMS  float64   // result-cache lookups
-	StoreMS  float64   // store reads/writes incl. ingest commit waits
+	StoreMS  float64   // store reads/writes incl. ingest commit waits, less the batch's decode
 	LedgerMS float64   // Merkle proof construction
 }
 
@@ -69,11 +69,16 @@ const (
 //
 // Handlers run on one goroutine per request, so no locking is needed.
 func observeStage(ctx context.Context, stage string, start time.Time) {
+	chargeStage(ctx, stage, time.Since(start))
+}
+
+// chargeStage charges a measured duration to a stage.
+func chargeStage(ctx context.Context, stage string, d time.Duration) {
 	t := timingFrom(ctx)
 	if t == nil {
 		return
 	}
-	ms := float64(time.Since(start).Nanoseconds()) / 1e6
+	ms := float64(d.Nanoseconds()) / 1e6
 	switch stage {
 	case stageParse:
 		t.ParseMS += ms

@@ -35,12 +35,21 @@ type Spec struct {
 
 	leafIndex  map[graph.Edge]int
 	leafOrder  []graph.Edge
+	pairs      map[[2]string]labelPair
 	interval   map[*sptree.Node][2]int
 	qByEdge    map[graph.Edge]*sptree.Node
 	lengthMu   sync.Mutex
 	lengths    map[*sptree.Node][]int // guarded by lengthMu
 	shapes     *sptree.Shapes
 	shapesOnce sync.Once
+}
+
+// labelPair is what a run edge between two labels can instantiate:
+// the specification edges between nodes carrying them, and whether the
+// pair is the implicit back edge (t(L), s(L)) of a loop L.
+type labelPair struct {
+	edges    []graph.Edge
+	loopBack bool
 }
 
 // New validates the specification and builds its annotated SP-tree.
@@ -103,7 +112,28 @@ func New(g *graph.Graph, forks, loops []EdgeSet) (*Spec, error) {
 	// annotation inserts; intervals gain the new internal nodes).
 	s.interval = make(map[*sptree.Node][2]int)
 	s.indexIntervals(s.Tree)
+	s.pairs = make(map[[2]string]labelPair)
+	for _, e := range g.Edges() {
+		k := [2]string{g.Label(e.From), g.Label(e.To)}
+		s.pairs[k] = labelPair{edges: append(s.pairs[k].edges, e)}
+	}
+	s.Tree.Walk(func(n *sptree.Node) bool {
+		if k := [2]string{n.Dst, n.Src}; n.Type == sptree.L {
+			s.pairs[k] = labelPair{s.pairs[k].edges, true}
+		}
+		return true
+	})
 	return s, nil
+}
+
+// LabelPair returns the specification edges between the nodes labeled
+// from and to, in graph order, and whether (from, to) is the implicit
+// back edge (t(L), s(L)) of a loop L. A run edge whose labels get
+// neither has no image under the label homomorphism of Section III-B
+// extended with the loop back edges.
+func (s *Spec) LabelPair(from, to string) (edges []graph.Edge, loopBack bool) {
+	p := s.pairs[[2]string{from, to}]
+	return p.edges, p.loopBack
 }
 
 // Shapes returns the hash-consing table shared by the runs of the

@@ -6,55 +6,39 @@
 // node other than the terminals with in-degree and out-degree one is
 // series-reduced, and two parallel edges between the same endpoints
 // are parallel-reduced. A flow network is series-parallel iff the
-// reductions terminate with the single edge (s, t). The reduction
-// history yields a binary decomposition tree, which is compressed into
-// the canonical SP-tree (unique up to reordering of P children).
+// reductions terminate with the single edge (s, t). Each reduction
+// builds its piece of the canonical SP-tree (unique up to reordering
+// of P children) directly, absorbing the children of an operand of the
+// same type.
 package spgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/sptree"
 )
 
-// redEdge is an edge of the shrinking reduction multigraph together
-// with the SP-tree it represents.
-type redEdge struct {
-	id       int
-	from, to graph.NodeID
-	tree     *sptree.Node
-	dead     bool
-}
-
+// reducer is the shrinking reduction multigraph over the node indices
+// of g. Edge ids follow creation order: g's edges first, in g's order,
+// then one per reduction. Each live edge carries the canonical SP-tree
+// it stands for; a reduced-away edge carries nil.
 type reducer struct {
-	edges map[int]*redEdge
-	out   map[graph.NodeID]map[int]bool
-	in    map[graph.NodeID]map[int]bool
-	next  int
-}
+	from, to []int32
+	tree     []*sptree.Node
+	out, in  [][]int32 // live edge ids at each node
+	live     int
+	nodes    []sptree.Node // every tree node, indexed by its ID
+	used     int
+	scratch  []int32
 
-func (r *reducer) add(from, to graph.NodeID, t *sptree.Node) *redEdge {
-	e := &redEdge{id: r.next, from: from, to: to, tree: t}
-	r.next++
-	r.edges[e.id] = e
-	if r.out[from] == nil {
-		r.out[from] = make(map[int]bool)
-	}
-	if r.in[to] == nil {
-		r.in[to] = make(map[int]bool)
-	}
-	r.out[from][e.id] = true
-	r.in[to][e.id] = true
-	return e
-}
-
-func (r *reducer) remove(e *redEdge) {
-	e.dead = true
-	delete(r.edges, e.id)
-	delete(r.out[e.from], e.id)
-	delete(r.in[e.to], e.id)
+	// Worklists, popped last-in first-out: nodes to test for series
+	// reduction, endpoint pairs to test for parallel reduction.
+	nodeWork   []int32
+	nodeQueued []bool
+	pairWork   [][2]int32
+	pairQueued map[[2]int32]bool
 }
 
 // Decompose returns the canonical SP-tree of g, or an error if g is
@@ -68,122 +52,163 @@ func Decompose(g *graph.Graph) (*sptree.Node, error) {
 	if !g.IsAcyclic() {
 		return nil, fmt.Errorf("spgraph: graph has a cycle")
 	}
-	r := &reducer{
-		edges: make(map[int]*redEdge),
-		out:   make(map[graph.NodeID]map[int]bool),
-		in:    make(map[graph.NodeID]map[int]bool),
+	root, err := Reduce(g, s, t)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range g.Edges() {
-		r.add(e.From, e.To, sptree.NewQ(e, g.Label(e.From), g.Label(e.To)))
-	}
-
-	// Worklists: nodes to test for series reduction, endpoint pairs
-	// to test for parallel reduction.
-	nodeWork := make([]graph.NodeID, 0, g.NumNodes())
-	nodeQueued := make(map[graph.NodeID]bool)
-	pairWork := make([][2]graph.NodeID, 0, g.NumEdges())
-	pairQueued := make(map[[2]graph.NodeID]bool)
-	pushNode := func(n graph.NodeID) {
-		if !nodeQueued[n] {
-			nodeQueued[n] = true
-			nodeWork = append(nodeWork, n)
-		}
-	}
-	pushPair := func(a, b graph.NodeID) {
-		p := [2]graph.NodeID{a, b}
-		if !pairQueued[p] {
-			pairQueued[p] = true
-			pairWork = append(pairWork, p)
-		}
-	}
-	for _, n := range g.Nodes() {
-		pushNode(n)
-	}
-	for _, e := range g.Edges() {
-		pushPair(e.From, e.To)
-	}
-
-	for len(nodeWork) > 0 || len(pairWork) > 0 {
-		if len(pairWork) > 0 {
-			p := pairWork[len(pairWork)-1]
-			pairWork = pairWork[:len(pairWork)-1]
-			pairQueued[p] = false
-			r.parallelReduce(p[0], p[1], pushPair, pushNode)
-			continue
-		}
-		n := nodeWork[len(nodeWork)-1]
-		nodeWork = nodeWork[:len(nodeWork)-1]
-		nodeQueued[n] = false
-		if n == s || n == t {
-			continue
-		}
-		r.seriesReduce(n, pushPair, pushNode)
-	}
-
-	if len(r.edges) != 1 {
-		return nil, fmt.Errorf("spgraph: graph is not series-parallel (%d edges remain after reduction)", len(r.edges))
-	}
-	var last *redEdge
-	for _, e := range r.edges {
-		last = e
-	}
-	if last.from != s || last.to != t {
-		return nil, fmt.Errorf("spgraph: reduction terminated at (%s,%s), want (%s,%s)", last.from, last.to, s, t)
-	}
-	root := sptree.Canonicalize(last.tree)
+	root.Finalize()
 	return root, nil
 }
 
-// parallelReduce merges all parallel edges between (a, b) into one.
-// Candidates are processed in edge-id order so decompositions are
-// deterministic.
-func (r *reducer) parallelReduce(a, b graph.NodeID, pushPair func(x, y graph.NodeID), pushNode func(n graph.NodeID)) {
-	var parallel []*redEdge
-	for id := range r.out[a] {
-		e := r.edges[id]
-		if e != nil && e.to == b {
-			parallel = append(parallel, e)
+// Reduce is Decompose for a graph the caller has already checked to be
+// an acyclic flow network with source s and sink t. The tree is not
+// finalized: every node's ID is its creation index, so Q leaf i carries
+// Edges()[i] and ID i, internal nodes carry IDs from NumEdges() up to
+// below 2·NumEdges(), and a caller can keep per-node facts in a slice.
+// Parent pointers are not set.
+func Reduce(g *graph.Graph, s, t graph.NodeID) (*sptree.Node, error) {
+	m, n := g.NumEdges(), g.NumNodes()
+	r := &reducer{
+		from: make([]int32, m, 2*m), to: make([]int32, m, 2*m),
+		tree: make([]*sptree.Node, m, 2*m), live: m,
+		// A reduction replaces two or more live edges by one and
+		// creates at most one tree node: m leaves and at most m-1
+		// reductions fit.
+		nodes: make([]sptree.Node, 2*m), used: m,
+		nodeQueued: make([]bool, n), pairQueued: make(map[[2]int32]bool, m),
+	}
+	// adj[v] is node v's out list and adj[n+v] its in list. A list
+	// never outgrows v's degree in g (a reduction at a node removes at
+	// least as many of its edges as it adds), so all share one array.
+	deg := make([]int, 2*n)
+	for i := 0; i < m; i++ {
+		u, v := g.Ends(i)
+		deg[u]++
+		deg[n+v]++
+	}
+	adj, buf := make([][]int32, 2*n), make([]int32, 2*m)
+	for v, d := range deg {
+		adj[v], buf = buf[:0:d], buf[d:]
+	}
+	r.out, r.in = adj[:n], adj[n:]
+	for i := 0; i < m; i++ {
+		u, v := g.Ends(i)
+		r.nodes[i] = sptree.Node{Type: sptree.Q, Edge: g.EdgeAt(i), Src: g.LabelAt(u), Dst: g.LabelAt(v), ID: i}
+		r.from[i], r.to[i], r.tree[i] = int32(u), int32(v), &r.nodes[i]
+		r.out[u] = append(r.out[u], int32(i))
+		r.in[v] = append(r.in[v], int32(i))
+	}
+	for v := 0; v < n; v++ {
+		r.pushNode(int32(v))
+	}
+	for i := 0; i < m; i++ {
+		r.pushPair(r.from[i], r.to[i])
+	}
+	si, ti := int32(g.NodeIndex(s)), int32(g.NodeIndex(t))
+	for len(r.nodeWork) > 0 || len(r.pairWork) > 0 {
+		if k := len(r.pairWork) - 1; k >= 0 {
+			p := r.pairWork[k]
+			r.pairWork, r.pairQueued[p] = r.pairWork[:k], false
+			r.parallelReduce(p[0], p[1])
+			continue
+		}
+		k := len(r.nodeWork) - 1
+		v := r.nodeWork[k]
+		r.nodeWork, r.nodeQueued[v] = r.nodeWork[:k], false
+		if v != si && v != ti {
+			r.seriesReduce(v)
 		}
 	}
-	if len(parallel) < 2 {
-		return
+	if r.live != 1 {
+		return nil, fmt.Errorf("spgraph: graph is not series-parallel (%d edges remain after reduction)", r.live)
 	}
-	sort.Slice(parallel, func(i, j int) bool { return parallel[i].id < parallel[j].id })
-	trees := make([]*sptree.Node, len(parallel))
-	for i, e := range parallel {
-		trees[i] = e.tree
-		r.remove(e)
-	}
-	merged := sptree.NewInternal(sptree.P, trees...)
-	r.add(a, b, merged)
-	// Endpoint degrees dropped; they may now be series-reducible.
-	pushNode(a)
-	pushNode(b)
+	// Every reduction kills older edges only, so the newest edge is
+	// the survivor; s and t keep an out- and an in-edge throughout, so
+	// it runs from s to t.
+	return r.tree[len(r.tree)-1], nil
 }
 
-// seriesReduce contracts n if it has exactly one incoming and one
+func (r *reducer) pushNode(v int32) {
+	if !r.nodeQueued[v] {
+		r.nodeQueued[v] = true
+		r.nodeWork = append(r.nodeWork, v)
+	}
+}
+
+func (r *reducer) pushPair(a, b int32) {
+	if p := [2]int32{a, b}; !r.pairQueued[p] {
+		r.pairQueued[p] = true
+		r.pairWork = append(r.pairWork, p)
+	}
+}
+
+// merge replaces the live edges ids, all from a to b, by one carrying
+// their composition of type typ. The tree stays canonical: an operand
+// of type typ is spliced in child by child, and the first operand's
+// node is reused when it has the type.
+func (r *reducer) merge(typ sptree.Type, a, b int32, ids []int32) {
+	first := r.tree[ids[0]]
+	n, rest := first, ids[1:]
+	if first.Type != typ {
+		n, rest = &r.nodes[r.used], ids
+		*n = sptree.Node{Type: typ, Children: make([]*sptree.Node, 0, len(ids)), Src: first.Src, ID: r.used}
+		r.used++
+	}
+	for _, id := range rest {
+		if t := r.tree[id]; t.Type == typ {
+			n.Children = append(n.Children, t.Children...)
+		} else {
+			n.Children = append(n.Children, t)
+		}
+	}
+	n.Dst = r.tree[ids[len(ids)-1]].Dst
+	for _, id := range ids {
+		r.tree[id] = nil
+	}
+	r.live -= len(ids) - 1
+	id := int32(len(r.tree))
+	r.from, r.to, r.tree = append(r.from, a), append(r.to, b), append(r.tree, n)
+	r.out[a] = append(r.out[a], id)
+	r.in[b] = append(r.in[b], id)
+}
+
+// parallelReduce merges all parallel edges between a and b into one.
+// Candidates are merged in edge-id order so decompositions are
+// deterministic.
+func (r *reducer) parallelReduce(a, b int32) {
+	par := r.scratch[:0]
+	for _, id := range r.out[a] {
+		if r.to[id] == b {
+			par = append(par, id)
+		}
+	}
+	if r.scratch = par; len(par) < 2 {
+		return
+	}
+	slices.Sort(par)
+	r.out[a] = slices.DeleteFunc(r.out[a], func(id int32) bool { return r.to[id] == b })
+	r.in[b] = slices.DeleteFunc(r.in[b], func(id int32) bool { return r.from[id] == a })
+	r.merge(sptree.P, a, b, par)
+	// Endpoint degrees dropped; they may now be series-reducible.
+	r.pushNode(a)
+	r.pushNode(b)
+}
+
+// seriesReduce contracts v if it has exactly one incoming and one
 // outgoing edge.
-func (r *reducer) seriesReduce(n graph.NodeID, pushPair func(x, y graph.NodeID), pushNode func(m graph.NodeID)) {
-	if len(r.in[n]) != 1 || len(r.out[n]) != 1 {
+func (r *reducer) seriesReduce(v int32) {
+	if len(r.in[v]) != 1 || len(r.out[v]) != 1 {
 		return
 	}
-	var ein, eout *redEdge
-	for id := range r.in[n] {
-		ein = r.edges[id]
-	}
-	for id := range r.out[n] {
-		eout = r.edges[id]
-	}
-	if ein == nil || eout == nil || ein == eout {
-		return
-	}
-	r.remove(ein)
-	r.remove(eout)
-	merged := sptree.NewInternal(sptree.S, ein.tree, eout.tree)
-	r.add(ein.from, eout.to, merged)
-	pushPair(ein.from, eout.to)
-	pushNode(ein.from)
-	pushNode(eout.to)
+	ein, eout := r.in[v][0], r.out[v][0]
+	a, b := r.from[ein], r.to[eout]
+	r.out[a] = slices.DeleteFunc(r.out[a], func(id int32) bool { return id == ein })
+	r.in[b] = slices.DeleteFunc(r.in[b], func(id int32) bool { return id == eout })
+	r.in[v], r.out[v] = r.in[v][:0], r.out[v][:0]
+	r.merge(sptree.S, a, b, []int32{ein, eout})
+	r.pushPair(a, b)
+	r.pushNode(a)
+	r.pushNode(b)
 }
 
 // IsSP reports whether g is a series-parallel flow network.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/spec"
+	"repro/internal/spgraph"
 	"repro/internal/sptree"
 )
 
@@ -15,34 +16,32 @@ import (
 // homomorphism into the specification (extended with loop back edges).
 //
 // For specifications whose graph has parallel edges between the same
-// pair of labels, edgeRef must map each run edge to its specification
-// edge; otherwise it may be nil and the mapping is inferred from
-// labels.
+// pair of labels, edgeRef[i] must name the specification edge that run
+// edge g.Edges()[i] instantiates; otherwise edgeRef may be nil, and an
+// edge whose entry is the zero Edge is mapped by its labels.
 //
 // Note that a bare graph does not always determine the fork structure
 // uniquely (two fork copies taking complementary parallel branches
 // yield the same graph as one copy taking both); f″ resolves the
 // ambiguity canonically by assigning each parallel component its own
 // fork copy, exactly as Algorithm 2 prescribes.
-func Derive(sp *spec.Spec, g *graph.Graph, edgeRef map[graph.Edge]graph.Edge) (*Run, error) {
-	if _, _, err := g.CheckFlowNetwork(); err != nil {
+func Derive(sp *spec.Spec, g *graph.Graph, edgeRef []graph.Edge) (*Run, error) {
+	s, t, err := g.CheckFlowNetwork()
+	if err != nil {
 		return nil, fmt.Errorf("wfrun: %w", err)
 	}
 	if !g.IsAcyclic() {
 		return nil, fmt.Errorf("wfrun: run graph has a cycle")
 	}
-	if err := checkHomomorphism(g, sp); err != nil {
-		return nil, err
-	}
-	d := &deriver{sp: sp, g: g, specOf: make(map[graph.Edge]graph.Edge), implicit: make(map[graph.Edge]bool)}
+	d := &deriver{sp: sp, g: g}
 	if err := d.classifyEdges(edgeRef); err != nil {
 		return nil, err
 	}
-	canon, err := decomposeRunGraph(g)
+	canon, err := spgraph.Reduce(g, s, t)
 	if err != nil {
 		return nil, fmt.Errorf("wfrun: run graph is not series-parallel: %w", err)
 	}
-	d.info = make(map[*sptree.Node]span)
+	d.info = make([]span, 2*g.NumEdges())
 	d.scan(canon)
 	root, err := d.derive(sp.Tree, canon)
 	if err != nil {
@@ -53,29 +52,26 @@ func Derive(sp *spec.Spec, g *graph.Graph, edgeRef map[graph.Edge]graph.Edge) (*
 		return nil, fmt.Errorf("wfrun: derived tree is invalid: %w", err)
 	}
 	run := &Run{Spec: sp, Tree: root, Graph: g}
-	// Graph insertion order, not map order: ImplicitEdges feeds the
-	// snapshot codec, so two parses of the same document must list the
-	// implicit edges identically for frames to be byte-stable.
-	for _, e := range g.Edges() {
-		if d.implicit[e] {
-			run.ImplicitEdges = append(run.ImplicitEdges, e)
+	// Graph insertion order: ImplicitEdges feeds the snapshot codec,
+	// so two parses of the same document must list the implicit edges
+	// identically for frames to be byte-stable.
+	for i, imp := range d.implicit {
+		if imp {
+			run.ImplicitEdges = append(run.ImplicitEdges, g.EdgeAt(i))
 		}
 	}
 	return run, nil
 }
 
-// decomposeRunGraph is a seam for spgraph.Decompose, split out for
-// testability.
-func decomposeRunGraph(g *graph.Graph) (*sptree.Node, error) {
-	return decomposeFn(g)
-}
-
+// deriver holds one derivation's per-edge and per-node facts in
+// slices: run edges by their index in the graph, canonical tree nodes
+// by ID (spgraph.Reduce numbers a leaf by its edge's index).
 type deriver struct {
 	sp       *spec.Spec
 	g        *graph.Graph
-	specOf   map[graph.Edge]graph.Edge // run edge -> specification edge
-	implicit map[graph.Edge]bool       // run edges that are loop back edges
-	info     map[*sptree.Node]span
+	specOf   []graph.Edge // run edge -> specification edge
+	implicit []bool       // run edges that are loop back edges
+	info     []span
 }
 
 // span summarizes the specification leaf indices covered by the real
@@ -85,86 +81,80 @@ type span struct {
 	hasReal bool
 }
 
-// classifier is the specification side of edge classification, the
-// one rule every ingest path applies: a run edge instantiates the
-// unique specification edge carrying its (source, target) labels and,
-// when no specification edge carries them, is the implicit back edge
+// classify is the rule every ingest path applies to a run edge whose
+// endpoints carry the labels from and to, given the specification's
+// candidates for that pair (spec.LabelPair): the edge instantiates the
+// unique specification edge carrying its labels and, when no
+// specification edge carries them, is the implicit back edge
 // (t(L), s(L)) between two iterations of a loop L.
-type classifier struct {
-	byLabels map[[2]string][]graph.Edge
-	loopBack map[[2]string]bool
-}
-
-func newClassifier(sp *spec.Spec) *classifier {
-	c := &classifier{byLabels: make(map[[2]string][]graph.Edge), loopBack: make(map[[2]string]bool)}
-	for _, e := range sp.G.Edges() {
-		k := [2]string{sp.G.Label(e.From), sp.G.Label(e.To)}
-		c.byLabels[k] = append(c.byLabels[k], e)
-	}
-	sp.Tree.Walk(func(n *sptree.Node) bool {
-		if n.Type == sptree.L {
-			c.loopBack[[2]string{n.Dst, n.Src}] = true
-		}
-		return true
-	})
-	return c
-}
-
-// classify resolves a run edge with the given endpoint labels to its
-// specification edge, or reports it implicit.
-func (c *classifier) classify(from, to string) (ref graph.Edge, implicit bool, err error) {
-	k := [2]string{from, to}
-	switch cands := c.byLabels[k]; {
+func classify(cands []graph.Edge, loopBack bool, from, to string) (ref graph.Edge, implicit bool, err error) {
+	switch {
 	case len(cands) == 1:
 		return cands[0], false, nil
 	case len(cands) > 1:
 		return ref, false, fmt.Errorf("labels (%s,%s) are ambiguous (parallel specification edges); supply a specification reference", from, to)
-	case c.loopBack[k]:
+	case loopBack:
 		return ref, true, nil
 	}
 	return ref, false, fmt.Errorf("labels (%s,%s) have no specification image", from, to)
 }
 
-// classifyEdges resolves every run edge to a specification edge or
-// marks it implicit.
-func (d *deriver) classifyEdges(edgeRef map[graph.Edge]graph.Edge) error {
-	c := newClassifier(d.sp)
-	for _, e := range d.g.Edges() {
-		if ref, ok := edgeRef[e]; ok {
-			if _, valid := d.sp.LeafIndex(ref); !valid {
-				return fmt.Errorf("wfrun: edge reference %s -> %s names an unknown specification edge", e, ref)
-			}
-			d.specOf[e] = ref
+// noImage is the label homomorphism's rejection of run edge e.
+func noImage(e graph.Edge, from, to string) error {
+	return fmt.Errorf("wfrun: run edge %s maps to (%s,%s), absent from the specification", e, from, to)
+}
+
+// classifyEdges checks the label homomorphism of Section III-B, where
+// the specification edge set is extended with the implicit back edge
+// of every loop, and resolves every run edge to a specification edge
+// or marks it implicit. A homomorphism violation on any edge outranks
+// a resolution error on an earlier one.
+func (d *deriver) classifyEdges(edgeRef []graph.Edge) error {
+	m := d.g.NumEdges()
+	d.specOf = make([]graph.Edge, m)
+	d.implicit = make([]bool, m)
+	var first error
+	for i := 0; i < m; i++ {
+		e := d.g.EdgeAt(i)
+		u, v := d.g.Ends(i)
+		from, to := d.g.LabelAt(u), d.g.LabelAt(v)
+		cands, loopBack := d.sp.LabelPair(from, to)
+		if len(cands) == 0 && !loopBack {
+			return noImage(e, from, to)
+		}
+		if first != nil {
 			continue
 		}
-		ref, implicit, err := c.classify(d.g.Label(e.From), d.g.Label(e.To))
+		if i < len(edgeRef) && edgeRef[i].From != "" {
+			if _, valid := d.sp.LeafIndex(edgeRef[i]); !valid {
+				first = fmt.Errorf("wfrun: edge reference %s -> %s names an unknown specification edge", e, edgeRef[i])
+			}
+			d.specOf[i] = edgeRef[i]
+			continue
+		}
+		ref, implicit, err := classify(cands, loopBack, from, to)
 		if err != nil {
-			return fmt.Errorf("wfrun: run edge %s: %w", e, err)
+			first = fmt.Errorf("wfrun: run edge %s: %w", e, err)
 		}
-		if implicit {
-			d.implicit[e] = true
-		} else {
-			d.specOf[e] = ref
-		}
+		d.specOf[i], d.implicit[i] = ref, implicit
 	}
-	return nil
+	return first
 }
 
 // scan computes span info bottom-up over the canonical run tree.
 func (d *deriver) scan(n *sptree.Node) span {
 	var s span
 	if n.Type == sptree.Q {
-		if d.implicit[n.Edge] {
-			d.info[n] = s
+		if d.implicit[n.ID] {
 			return s
 		}
-		i, ok := d.sp.LeafIndex(d.specOf[n.Edge])
+		i, ok := d.sp.LeafIndex(d.specOf[n.ID])
 		if !ok {
 			// classifyEdges guarantees this cannot happen.
 			panic(fmt.Sprintf("wfrun: unclassified run edge %s", n.Edge))
 		}
 		s = span{lo: i, hi: i + 1, hasReal: true}
-		d.info[n] = s
+		d.info[n.ID] = s
 		return s
 	}
 	for _, c := range n.Children {
@@ -183,7 +173,7 @@ func (d *deriver) scan(n *sptree.Node) span {
 			s.hi = cs.hi
 		}
 	}
-	d.info[n] = s
+	d.info[n.ID] = s
 	return s
 }
 
@@ -197,7 +187,7 @@ func (d *deriver) bundle(t sptree.Type, group []*sptree.Node) *sptree.Node {
 	n := sptree.NewInternal(t, group...)
 	s := span{}
 	for _, c := range group {
-		cs := d.info[c]
+		cs := d.info[c.ID]
 		if !cs.hasReal {
 			continue
 		}
@@ -212,7 +202,8 @@ func (d *deriver) bundle(t sptree.Type, group []*sptree.Node) *sptree.Node {
 			s.hi = cs.hi
 		}
 	}
-	d.info[n] = s
+	n.ID = len(d.info)
+	d.info = append(d.info, s)
 	return n
 }
 
@@ -234,7 +225,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 		if tr.Type != sptree.Q {
 			return nil, fmt.Errorf("wfrun: expected a single edge for specification edge %s, found %s subtree", tg.Edge, tr.Type)
 		}
-		if d.specOf[tr.Edge] != tg.Edge {
+		if d.specOf[tr.ID] != tg.Edge {
 			return nil, fmt.Errorf("wfrun: run edge %s does not instantiate specification edge %s", tr.Edge, tg.Edge)
 		}
 		n := sptree.NewQ(tr.Edge, tg.Src, tg.Dst)
@@ -248,7 +239,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 		groups := make([][]*sptree.Node, len(tg.Children))
 		current := -1
 		for _, c := range tr.Children {
-			cs := d.info[c]
+			cs := d.info[c.ID]
 			if !cs.hasReal {
 				// An implicit loop edge between iterations; both its
 				// neighbors belong to the same (loop) group.
@@ -268,7 +259,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 			current = idx
 			groups[idx] = append(groups[idx], c)
 		}
-		n := &sptree.Node{Type: sptree.S, Spec: tg, Src: tg.Src, Dst: tg.Dst}
+		n := &sptree.Node{Type: sptree.S, Spec: tg, Src: tg.Src, Dst: tg.Dst, Children: make([]*sptree.Node, 0, len(groups))}
 		for i, g := range groups {
 			if len(g) == 0 {
 				return nil, fmt.Errorf("wfrun: series child %d of %s..%s was not executed", i, tg.Src, tg.Dst)
@@ -285,7 +276,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 		if tr.Type == sptree.P {
 			groups := make([][]*sptree.Node, len(tg.Children))
 			for _, c := range tr.Children {
-				cs := d.info[c]
+				cs := d.info[c.ID]
 				if !cs.hasReal {
 					return nil, fmt.Errorf("wfrun: implicit loop edge cannot form a parallel branch")
 				}
@@ -295,7 +286,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 				}
 				groups[idx] = append(groups[idx], c)
 			}
-			n := &sptree.Node{Type: sptree.P, Spec: tg, Src: tg.Src, Dst: tg.Dst}
+			n := &sptree.Node{Type: sptree.P, Spec: tg, Src: tg.Src, Dst: tg.Dst, Children: make([]*sptree.Node, 0, len(groups))}
 			for i, g := range groups {
 				if len(g) == 0 {
 					continue
@@ -312,7 +303,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 			return n, nil
 		}
 		// A single branch was taken (tr is S or Q).
-		cs := d.info[tr]
+		cs := d.info[tr.ID]
 		if !cs.hasReal {
 			return nil, fmt.Errorf("wfrun: implicit loop edge cannot form a parallel branch")
 		}
@@ -355,8 +346,7 @@ func (d *deriver) derive(tg, tr *sptree.Node) (*sptree.Node, error) {
 			var groups [][]*sptree.Node
 			cur := []*sptree.Node{}
 			for _, c := range tr.Children {
-				if c.Type == sptree.Q && d.implicit[c.Edge] &&
-					d.g.Label(c.Edge.From) == tg.Dst && d.g.Label(c.Edge.To) == tg.Src {
+				if c.Type == sptree.Q && d.implicit[c.ID] && c.Src == tg.Dst && c.Dst == tg.Src {
 					groups = append(groups, cur)
 					cur = []*sptree.Node{}
 					continue

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/sptree"
 )
 
@@ -25,14 +26,13 @@ func TestDeriveRobustAgainstCorruption(t *testing.T) {
 		for m := 0; m < mutations; m++ {
 			switch rng.Intn(3) {
 			case 0: // drop a random edge
-				es := g.Edges()
-				if len(es) > 0 {
-					g.RemoveEdge(es[rng.Intn(len(es))])
+				if n := g.NumEdges(); n > 0 {
+					g = without(g, rng.Intn(n), "")
 				}
 			case 1: // drop a random node with its edges
 				ns := g.Nodes()
 				if len(ns) > 0 {
-					g.RemoveNode(ns[rng.Intn(len(ns))])
+					g = without(g, -1, ns[rng.Intn(len(ns))])
 				}
 			case 2: // add an edge between random existing nodes
 				ns := g.Nodes()
@@ -60,6 +60,23 @@ func TestDeriveRobustAgainstCorruption(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// without returns a copy of g lacking edge Edges()[edge] (none if
+// edge is -1) and node (none if empty) with the node's edges.
+func without(g *graph.Graph, edge int, node graph.NodeID) *graph.Graph {
+	c := graph.New()
+	for _, n := range g.Nodes() {
+		if n != node {
+			c.MustAddNode(n, g.Label(n))
+		}
+	}
+	for i, e := range g.Edges() {
+		if i != edge && e.From != node && e.To != node {
+			c.MustAddEdge(e.From, e.To)
+		}
+	}
+	return c
 }
 
 // TestExecutePanicsNever drives Execute with adversarial deciders that

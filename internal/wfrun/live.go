@@ -36,8 +36,7 @@ type liveEdge struct {
 // Derive call an XML import makes. Events may arrive in any order. Live
 // is not safe for concurrent use.
 type Live struct {
-	sp  *spec.Spec
-	cls *classifier
+	sp *spec.Spec
 
 	nodeOrder []graph.NodeID
 	labels    map[graph.NodeID]string
@@ -53,7 +52,6 @@ func NewLive(sp *spec.Spec) *Live {
 	_, total := sp.Interval(sp.Tree)
 	return &Live{
 		sp:     sp,
-		cls:    newClassifier(sp),
 		labels: make(map[graph.NodeID]string),
 		keySeq: make(map[[2]graph.NodeID]int),
 		counts: make([]int, total),
@@ -64,14 +62,15 @@ func NewLive(sp *spec.Spec) *Live {
 // implicit loop back edge, by the rule Derive applies; an explicit
 // specification reference must carry the event's labels.
 func (l *Live) resolve(ev Event, fromLabel, toLabel string) (ref graph.Edge, implicit bool, err error) {
+	cands, loopBack := l.sp.LabelPair(fromLabel, toLabel)
 	if ev.Implicit {
-		if _, implicit, err := l.cls.classify(fromLabel, toLabel); err != nil || !implicit {
+		if _, implicit, err := classify(cands, loopBack, fromLabel, toLabel); err != nil || !implicit {
 			return ref, false, fmt.Errorf("wfrun: implicit event (%s,%s) matches no loop back edge", fromLabel, toLabel)
 		}
 		return ref, true, nil
 	}
 	if ev.SpecFrom == "" {
-		ref, implicit, err = l.cls.classify(fromLabel, toLabel)
+		ref, implicit, err = classify(cands, loopBack, fromLabel, toLabel)
 		if err != nil {
 			return ref, false, fmt.Errorf("wfrun: event %s->%s: %w", ev.From, ev.To, err)
 		}
@@ -192,11 +191,11 @@ func (l *Live) Complete() (*Run, error) {
 	}
 	// Parallel edges sort adjacent in key order and AddEdge assigns
 	// keys sequentially per endpoint pair, so each edge keeps its key.
-	refs := make(map[graph.Edge]graph.Edge, len(l.edges))
-	for _, le := range l.edges {
-		e := g.MustAddEdge(le.e.From, le.e.To)
+	refs := make([]graph.Edge, len(l.edges))
+	for i, le := range l.edges {
+		g.MustAddEdge(le.e.From, le.e.To)
 		if !le.implicit {
-			refs[e] = le.ref
+			refs[i] = le.ref
 		}
 	}
 	run, err := Derive(l.sp, g, refs)
@@ -218,8 +217,8 @@ func Events(r *Run) []Event {
 	for _, e := range r.ImplicitEdges {
 		implicit[e] = true
 	}
-	out := make([]Event, 0, len(r.Graph.Edges()))
-	for _, e := range r.Graph.Edges() {
+	out := make([]Event, 0, r.Graph.NumEdges())
+	for i, e := range r.Graph.Edges() {
 		ev := Event{
 			From:      string(e.From),
 			To:        string(e.To),
@@ -228,7 +227,7 @@ func Events(r *Run) []Event {
 		}
 		if implicit[e] {
 			ev.Implicit = true
-		} else if ref, ok := refs[e]; ok {
+		} else if ref := refs[i]; ref.From != "" {
 			ev.SpecFrom = string(ref.From)
 			ev.SpecTo = string(ref.To)
 			ev.SpecKey = ref.Key

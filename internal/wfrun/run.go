@@ -214,19 +214,23 @@ func (r *Run) execute(tg *sptree.Node, d Decider, nm *namer, src, dst graph.Node
 	return nil, fmt.Errorf("wfrun: unknown specification node type %s", tg.Type)
 }
 
-// EdgeRefs returns the mapping from run edges to the specification
-// edges they instantiate, read off the annotated tree. It is the
+// EdgeRefs returns, for each run edge in graph order, the
+// specification edge it instantiates, read off the annotated tree: the
 // edgeRef argument Derive needs to disambiguate runs of multigraph
-// specifications. Implicit loop edges are absent (they instantiate no
-// specification edge).
-func (r *Run) EdgeRefs() map[graph.Edge]graph.Edge {
-	refs := make(map[graph.Edge]graph.Edge)
+// specifications. Implicit loop edges get the zero Edge (they
+// instantiate no specification edge).
+func (r *Run) EdgeRefs() []graph.Edge {
+	byEdge := make(map[graph.Edge]graph.Edge, r.Graph.NumEdges())
 	r.Tree.Walk(func(n *sptree.Node) bool {
 		if n.Type == sptree.Q && n.Spec != nil {
-			refs[n.Edge] = n.Spec.Edge
+			byEdge[n.Edge] = n.Spec.Edge
 		}
 		return true
 	})
+	refs := make([]graph.Edge, r.Graph.NumEdges())
+	for i := range refs {
+		refs[i] = byEdge[r.Graph.EdgeAt(i)]
+	}
 	return refs
 }
 
@@ -276,29 +280,12 @@ func (r *Run) Validate() error {
 // where the specification edge set is extended with the implicit back
 // edge (t(H), s(H)) of every loop subgraph H ∈ L.
 func checkHomomorphism(run *graph.Graph, sp *spec.Spec) error {
-	allowed := make(map[[2]string]bool, sp.G.NumEdges())
-	for _, e := range sp.G.Edges() {
-		allowed[[2]string{sp.G.Label(e.From), sp.G.Label(e.To)}] = true
-	}
-	for _, loop := range loopNodes(sp.Tree) {
-		allowed[[2]string{loop.Dst, loop.Src}] = true
-	}
-	for _, e := range run.Edges() {
-		key := [2]string{run.Label(e.From), run.Label(e.To)}
-		if !allowed[key] {
-			return fmt.Errorf("wfrun: run edge %s maps to (%s,%s), absent from the specification", e, key[0], key[1])
+	for i := 0; i < run.NumEdges(); i++ {
+		u, v := run.Ends(i)
+		from, to := run.LabelAt(u), run.LabelAt(v)
+		if cands, loopBack := sp.LabelPair(from, to); len(cands) == 0 && !loopBack {
+			return noImage(run.EdgeAt(i), from, to)
 		}
 	}
 	return nil
-}
-
-func loopNodes(tree *sptree.Node) []*sptree.Node {
-	var out []*sptree.Node
-	tree.Walk(func(n *sptree.Node) bool {
-		if n.Type == sptree.L {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
 }

@@ -316,15 +316,12 @@ func TestDeriveAmbiguousMultigraphNeedsRefs(t *testing.T) {
 	run := graph.New()
 	run.MustAddNode("sa", "s")
 	run.MustAddNode("ta", "t")
-	re0 := run.MustAddEdge("sa", "ta")
-	re1 := run.MustAddEdge("sa", "ta")
+	run.MustAddEdge("sa", "ta")
+	run.MustAddEdge("sa", "ta")
 	if _, err := Derive(sp, run, nil); err == nil {
 		t.Fatal("ambiguous parallel edges must require references")
 	}
-	refs := map[graph.Edge]graph.Edge{
-		re0: e0,
-		re1: {From: "s", To: "t", Key: 1},
-	}
+	refs := []graph.Edge{e0, {From: "s", To: "t", Key: 1}}
 	r, err := Derive(sp, run, refs)
 	if err != nil {
 		t.Fatal(err)

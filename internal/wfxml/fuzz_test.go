@@ -2,8 +2,11 @@ package wfxml
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/gen"
 )
 
@@ -59,7 +62,10 @@ func FuzzParseWorkflowXML(f *testing.F) {
 }
 
 // FuzzParseRunXML: DecodeRun against a fixed specification must be
-// total too, and accepted runs must round-trip through EncodeRun.
+// total too, must agree with the Unmarshal-based reference decoder on
+// every input (the same acceptance, the same error text, and the same
+// snapshot frame for an accepted run), and accepted runs must
+// round-trip through EncodeRun.
 func FuzzParseRunXML(f *testing.F) {
 	sp, err := gen.Catalog("PA")
 	if err != nil {
@@ -68,11 +74,46 @@ func FuzzParseRunXML(f *testing.F) {
 	f.Add([]byte(`<run><node id="s" label="S"/><node id="t" label="T"/><edge from="s" to="t"/></run>`))
 	f.Add([]byte(`<run/>`))
 	f.Add([]byte(`garbage`))
+	// Generated documents, whole and with the damage a decoder must
+	// treat exactly as Unmarshal does.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeRun(&buf, r, "seed"); err != nil {
+			f.Fatal(err)
+		}
+		doc := buf.String()
+		f.Add([]byte(doc))
+		f.Add([]byte(doc[:len(doc)/2]))
+		f.Add([]byte(strings.Replace(doc, "<node ", `<meta><edge from="x" to="y"/></meta><node color="red" `, 1)))
+		f.Add([]byte(strings.Replace(doc, `specKey="`, `specKey=" x`, 1)))
+		f.Add([]byte(strings.Replace(doc, "<edge ", `<edge implicit="1" `, 1)))
+		f.Add([]byte(strings.Replace(doc, "</run>", "</run><trailing", 1)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRun(bytes.NewReader(data), sp)
+		ref, refErr := referenceDecodeRun(bytes.NewReader(data), sp)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("DecodeRun error %v, reference %v\ninput: %q", err, refErr, data)
+		}
 		if err != nil {
 			return
+		}
+		frame, err := codec.EncodeRun(r)
+		if err != nil {
+			t.Fatalf("accepted run failed to frame: %v", err)
+		}
+		refFrame, err := codec.EncodeRun(ref)
+		if err != nil {
+			t.Fatalf("reference run failed to frame: %v", err)
+		}
+		if !bytes.Equal(frame, refFrame) {
+			t.Fatalf("frame differs from the reference decoder's\ninput: %q", data)
 		}
 		if err := r.Validate(); err != nil {
 			t.Fatalf("DecodeRun accepted an invalid run: %v\ninput: %q", err, data)

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/spec"
@@ -153,27 +155,23 @@ func EncodeRun(w io.Writer, r *wfrun.Run, name string) error {
 	for _, e := range r.ImplicitEdges {
 		implicit[e] = true
 	}
-	edges := r.Graph.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		return edges[i].Key < edges[j].Key
-	})
-	for _, e := range edges {
+	for i, e := range r.Graph.Edges() {
 		re := xmlRunEdge{From: string(e.From), To: string(e.To)}
 		if implicit[e] {
 			re.Implicit = true
-		} else if ref, ok := refs[e]; ok {
+		} else if ref := refs[i]; ref.From != "" {
 			re.SpecFrom = string(ref.From)
 			re.SpecTo = string(ref.To)
 			re.SpecKey = ref.Key
 		}
 		x.Edges = append(x.Edges, re)
 	}
+	// Sort by (From, To, Key): parallel edges are in key order in the
+	// graph, and the sort is stable.
+	sort.SliceStable(x.Edges, func(i, j int) bool {
+		a, b := x.Edges[i], x.Edges[j]
+		return a.From < b.From || a.From == b.From && a.To < b.To
+	})
 	return encode(w, x)
 }
 
@@ -181,7 +179,7 @@ func EncodeRun(w io.Writer, r *wfrun.Run, name string) error {
 // against sp (Algorithms 2 and 5).
 func DecodeRun(r io.Reader, sp *spec.Spec) (*wfrun.Run, error) {
 	var x xmlRun
-	if err := xml.NewDecoder(r).Decode(&x); err != nil {
+	if err := decodeRunTokens(xml.NewDecoder(r), &x); err != nil {
 		return nil, fmt.Errorf("wfxml: %w", err)
 	}
 	g := graph.New()
@@ -190,20 +188,104 @@ func DecodeRun(r io.Reader, sp *spec.Spec) (*wfrun.Run, error) {
 			return nil, fmt.Errorf("wfxml: %w", err)
 		}
 	}
-	refs := make(map[graph.Edge]graph.Edge)
-	for _, re := range x.Edges {
-		e, err := g.AddEdge(graph.NodeID(re.From), graph.NodeID(re.To))
-		if err != nil {
+	refs := make([]graph.Edge, len(x.Edges))
+	for i, re := range x.Edges {
+		if _, err := g.AddEdge(graph.NodeID(re.From), graph.NodeID(re.To)); err != nil {
 			return nil, fmt.Errorf("wfxml: %w", err)
 		}
-		if re.Implicit {
-			continue
-		}
-		if re.SpecFrom != "" {
-			refs[e] = graph.Edge{From: graph.NodeID(re.SpecFrom), To: graph.NodeID(re.SpecTo), Key: re.SpecKey}
+		if !re.Implicit && re.SpecFrom != "" {
+			refs[i] = graph.Edge{From: graph.NodeID(re.SpecFrom), To: graph.NodeID(re.SpecTo), Key: re.SpecKey}
 		}
 	}
 	return wfrun.Derive(sp, g, refs)
+}
+
+// decodeRunTokens reads a run document into x from its token stream,
+// by the rules xml.Unmarshal applies to xmlRun: the first element must
+// be <run>; its <node> and <edge> children are read by attribute local
+// name, the last one winning; any other element, and anything inside a
+// node or edge, is skipped; nothing after </run> is read.
+func decodeRunTokens(d *xml.Decoder, x *xmlRun) error {
+	var start xml.StartElement
+	for start.Name.Local == "" {
+		tok, err := d.Token()
+		if err != nil {
+			return err
+		}
+		start, _ = tok.(xml.StartElement)
+	}
+	if start.Name.Local != "run" {
+		return xml.UnmarshalError("expected element type <run> but have <" + start.Name.Local + ">")
+	}
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return err
+		}
+		if _, end := tok.(xml.EndElement); end {
+			return nil // </run>: Token pairs every end with its start
+		}
+		t, ok := tok.(xml.StartElement)
+		if !ok {
+			continue
+		}
+		switch t.Name.Local {
+		case "node":
+			var n xmlRunNode
+			for _, a := range t.Attr {
+				switch a.Name.Local {
+				case "id":
+					n.ID = a.Value
+				case "label":
+					n.Label = a.Value
+				}
+			}
+			x.Nodes = append(x.Nodes, n)
+		case "edge":
+			var e xmlRunEdge
+			for _, a := range t.Attr {
+				switch a.Name.Local {
+				case "from":
+					e.From = a.Value
+				case "to":
+					e.To = a.Value
+				case "specFrom":
+					e.SpecFrom = a.Value
+				case "specTo":
+					e.SpecTo = a.Value
+				case "specKey":
+					err = attr(a.Value, &e.SpecKey, func(v string) (int, error) {
+						k, err := strconv.ParseInt(v, 10, strconv.IntSize)
+						return int(k), err
+					})
+				case "implicit":
+					err = attr(a.Value, &e.Implicit, strconv.ParseBool)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			x.Edges = append(x.Edges, e)
+		}
+		if err := d.Skip(); err != nil {
+			return err
+		}
+	}
+}
+
+// attr sets *dst from an attribute value as Unmarshal sets an int or
+// bool field: empty means zero, anything else parses with surrounding
+// space trimmed.
+func attr[T any](v string, dst *T, parse func(string) (T, error)) error {
+	var zero T
+	if *dst = zero; v == "" {
+		return nil
+	}
+	val, err := parse(strings.TrimSpace(v))
+	if err == nil {
+		*dst = val
+	}
+	return err
 }
 
 // ValidateRunTree re-exported check (round-trip convenience for

@@ -101,9 +101,10 @@ type (
 func Execute(sp *Spec, d Decider) (*Run, error) { return wfrun.Execute(sp, d) }
 
 // DeriveRun computes the annotated SP-tree of a run given as a bare
-// graph (Algorithms 2 and 5). edgeRefs may be nil unless the
-// specification has parallel edges between the same labels.
-func DeriveRun(sp *Spec, g *Graph, edgeRefs map[Edge]Edge) (*Run, error) {
+// graph (Algorithms 2 and 5). edgeRefs[i], when set, is the
+// specification edge that g.Edges()[i] instantiates; it may be nil
+// unless the specification has parallel edges between the same labels.
+func DeriveRun(sp *Spec, g *Graph, edgeRefs []Edge) (*Run, error) {
 	return wfrun.Derive(sp, g, edgeRefs)
 }
 
