@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/expt"
@@ -305,6 +306,43 @@ func BenchmarkDecodeRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wfxml.DecodeRun(bytes.NewReader(docs[i%len(docs)]), sp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeFrame measures a warm start's per-run cost: one
+// stored codec frame decoded back to an annotated run (graph, implicit
+// edges, tree aligned to the specification), over the 64 documents of
+// BenchmarkDecodeRun parsed and encoded as frames.
+func BenchmarkDecodeFrame(b *testing.B) {
+	sp, err := gen.Catalog("PA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	frames := make([][]byte, 64)
+	for i := range frames {
+		r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := wfxml.EncodeRun(&buf, r, fmt.Sprintf("r%02d", i)); err != nil {
+			b.Fatal(err)
+		}
+		parsed, err := wfxml.DecodeRun(&buf, sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if frames[i], err = codec.EncodeRun(parsed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.DecodeRun(frames[i%len(frames)], sp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -163,12 +163,16 @@ func warmStart(st *store.Store, handler *server.Server) {
 	for _, ps := range stats {
 		runs += ps.Runs
 	}
+	t1 := time.Now()
 	checkpoint(st)
+	t2 := time.Now()
 	if err := handler.Warm(); err != nil {
 		log.Printf("provserved: cohort warm-up: %v", err)
 	}
-	log.Printf("provserved: warm start: %d specs, %d runs in %s",
-		len(stats), runs, time.Since(t0).Round(time.Millisecond))
+	t3 := time.Now()
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	log.Printf("provserved: warm start: %d specs, %d runs in %s (preload %s, checkpoint %s, cohort warm-up %s)",
+		len(stats), runs, ms(t3.Sub(t0)), ms(t1.Sub(t0)), ms(t2.Sub(t1)), ms(t3.Sub(t2)))
 }
 
 // seedDemo populates the repository with the protein annotation

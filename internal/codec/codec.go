@@ -13,6 +13,15 @@
 // re-parsing it yields the same frame byte for byte, so XML can be
 // rendered from a stored frame on demand.
 //
+// A decode allocates only what the run keeps: one string per node ID,
+// exact-size tables for the graph (graph.Build, which keeps no map
+// from IDs to nodes), one node per tree node and one exact-size child
+// slice per internal node. Node labels are the specification's own
+// strings, and the specification's tree is indexed once, by spec.New.
+// The working memory of a decode (an ID map, the frame-to-node index
+// table, the open nodes' children) is pooled, and the run shares no
+// byte with the frame it came from.
+//
 // Safety does not rest on trusting the bytes: every frame carries a
 // CRC-32 checksum and a format version, and decoders bound every count
 // against the frame they are reading. A frame that fails any check is
@@ -24,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/spec"
@@ -159,17 +169,19 @@ func (r *reader) byteVal() (byte, error) {
 	return b, nil
 }
 
-func (r *reader) str() (string, error) {
+// str reads a length-prefixed string as a slice of the payload; a
+// caller that keeps it must copy it.
+func (r *reader) str() ([]byte, error) {
 	n, err := r.intv()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if r.pos+n > len(r.buf) {
-		return "", fmt.Errorf("codec: string of %d bytes overruns payload", n)
+		return nil, fmt.Errorf("codec: string of %d bytes overruns payload", n)
 	}
-	s := string(r.buf[r.pos : r.pos+n])
+	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	return s, nil
+	return b, nil
 }
 
 func (r *reader) done() error {
@@ -182,76 +194,108 @@ func (r *reader) done() error {
 // --- graph ----------------------------------------------------------
 
 // encodeGraph writes nodes (id, label) in insertion order and edges as
-// node-index pairs in insertion order. Replaying AddEdge in that order
-// reproduces parallel-edge keys exactly, so edges can be referenced by
-// their position in this list.
+// node-index pairs in insertion order. Rebuilding the graph from these
+// indices reproduces parallel-edge keys exactly, so edges can be
+// referenced by their position in this list.
 func encodeGraph(w *writer, g *graph.Graph) map[graph.Edge]int {
-	nodes := g.Nodes()
-	nodeIdx := make(map[graph.NodeID]int, len(nodes))
-	w.intv(len(nodes))
-	for i, n := range nodes {
-		nodeIdx[n] = i
+	w.intv(g.NumNodes())
+	for v, n := range g.Nodes() {
 		w.str(string(n))
-		w.str(g.Label(n))
+		w.str(g.LabelAt(v))
 	}
 	edges := g.Edges()
 	edgeIdx := make(map[graph.Edge]int, len(edges))
 	w.intv(len(edges))
 	for i, e := range edges {
 		edgeIdx[e] = i
-		w.intv(nodeIdx[e.From])
-		w.intv(nodeIdx[e.To])
+		u, v := g.Ends(i)
+		w.intv(u)
+		w.intv(v)
 	}
 	return edgeIdx
 }
 
-// decodeGraph replays an encoded graph, returning it with the edge
-// list in encoding order.
-func decodeGraph(r *reader) (*graph.Graph, []graph.Edge, error) {
-	g := graph.New()
+// scratch is the working memory of one decode, pooled so that a decode
+// allocates only what the run keeps.
+type scratch struct {
+	seen   map[string]int32 // node id → graph node index
+	nodeOf []int32          // frame node index → graph node index
+	stack  []*sptree.Node   // decoded children of the open tree nodes
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{seen: make(map[string]int32)} }}
+
+// maxPooledNodes bounds the id map a pooled scratch keeps: clearing a
+// map costs its peak size, so one outsized frame must not tax every
+// later decode.
+const maxPooledNodes = 1 << 12
+
+func (sc *scratch) release() {
+	if len(sc.seen) > maxPooledNodes {
+		sc.seen = make(map[string]int32)
+	} else {
+		clear(sc.seen)
+	}
+	clear(sc.stack) // what a failed decode left
+	sc.nodeOf, sc.stack = sc.nodeOf[:0], sc.stack[:0]
+	scratchPool.Put(sc)
+}
+
+// decodeGraph rebuilds an encoded graph by node index. A node id
+// listed twice names one node, as repeated AddNode calls would, and
+// the errors are AddNode's; labels are the specification's strings.
+func decodeGraph(r *reader, sp *spec.Spec, sc *scratch) (*graph.Graph, error) {
 	nn, err := r.intv()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	nodes := make([]graph.NodeID, nn)
+	ids := make([]graph.NodeID, 0, nn)
+	labels := make([]string, 0, nn)
 	for i := 0; i < nn; i++ {
 		id, err := r.str()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		label, err := r.str()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if err := g.AddNode(graph.NodeID(id), label); err != nil {
-			return nil, nil, fmt.Errorf("codec: %w", err)
+		if len(id) == 0 {
+			return nil, fmt.Errorf("codec: graph: empty node id")
 		}
-		nodes[i] = graph.NodeID(id)
+		if v, ok := sc.seen[string(id)]; ok {
+			if labels[v] != string(label) {
+				return nil, fmt.Errorf("codec: graph: node %s already exists with label %q (got %q)", id, labels[v], label)
+			}
+			sc.nodeOf = append(sc.nodeOf, v)
+			continue
+		}
+		v := int32(len(ids))
+		ids = append(ids, graph.NodeID(id))
+		labels = append(labels, sp.InternLabel(label))
+		sc.seen[string(ids[v])] = v
+		sc.nodeOf = append(sc.nodeOf, v)
 	}
 	ne, err := r.intv()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	edges := make([]graph.Edge, ne)
-	for i := 0; i < ne; i++ {
+	ends := make([][2]int32, ne)
+	for i := range ends {
 		fi, err := r.intv()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ti, err := r.intv()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if fi >= nn || ti >= nn {
-			return nil, nil, fmt.Errorf("codec: edge %d references node %d/%d of %d", i, fi, ti, nn)
+			return nil, fmt.Errorf("codec: edge %d references node %d/%d of %d", i, fi, ti, nn)
 		}
-		e, err := g.AddEdge(nodes[fi], nodes[ti])
-		if err != nil {
-			return nil, nil, fmt.Errorf("codec: %w", err)
-		}
-		edges[i] = e
+		ends[i] = [2]int32{sc.nodeOf[fi], sc.nodeOf[ti]}
 	}
-	return g, edges, nil
+	return graph.Build(ids, labels, ends), nil
 }
 
 // --- run ------------------------------------------------------------
@@ -276,7 +320,7 @@ func EncodeRun(r *wfrun.Run) ([]byte, error) {
 		}
 		w.intv(i)
 	}
-	w.intv(r.Spec.Tree.CountNodes())
+	w.intv(len(r.Spec.TreeNodes()))
 	if err := encodeTree(w, r.Tree, edgeIdx); err != nil {
 		return nil, err
 	}
@@ -315,7 +359,8 @@ func encodeTree(w *writer, n *sptree.Node, edgeIdx map[graph.Edge]int) error {
 // bounds below (every spec ID in range and of the expected node type,
 // every edge index valid) keep a corrupt or mismatched frame from
 // producing a malformed Run; the store reports any error it returns
-// as damage to the stored run.
+// as damage to the stored run. The run keeps nothing of data, so the
+// caller may reuse it.
 func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 	if sp == nil || sp.Tree == nil {
 		return nil, fmt.Errorf("codec: nil specification")
@@ -325,7 +370,9 @@ func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 		return nil, err
 	}
 	r := &reader{buf: payload}
-	g, edges, err := decodeGraph(r)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	g, err := decodeGraph(r, sp, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -339,14 +386,12 @@ func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ei >= len(edges) {
-			return nil, fmt.Errorf("codec: implicit edge index %d of %d", ei, len(edges))
+		if ei >= g.NumEdges() {
+			return nil, fmt.Errorf("codec: implicit edge index %d of %d", ei, g.NumEdges())
 		}
-		implicit[i] = edges[ei]
+		implicit[i] = g.EdgeAt(ei)
 	}
-	// Specification-tree nodes indexed by preorder ID (Finalize
-	// guarantees ID == preorder position).
-	specNodes := flattenSpecTree(sp.Tree)
+	specNodes := sp.TreeNodes()
 	wantSpecNodes, err := r.intv()
 	if err != nil {
 		return nil, err
@@ -354,7 +399,7 @@ func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 	if wantSpecNodes != len(specNodes) {
 		return nil, fmt.Errorf("codec: snapshot expects a %d-node specification tree, have %d", wantSpecNodes, len(specNodes))
 	}
-	d := &treeDecoder{r: r, specNodes: specNodes, edges: edges}
+	d := &treeDecoder{r: r, specNodes: specNodes, g: g, sc: sc}
 	root, err := d.decode(0)
 	if err != nil {
 		return nil, err
@@ -362,23 +407,14 @@ func DecodeRun(data []byte, sp *spec.Spec) (*wfrun.Run, error) {
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	root.Finalize()
 	return &wfrun.Run{Spec: sp, Tree: root, Graph: g, ImplicitEdges: implicit}, nil
-}
-
-func flattenSpecTree(root *sptree.Node) []*sptree.Node {
-	out := make([]*sptree.Node, 0, 64)
-	root.Walk(func(n *sptree.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
 }
 
 type treeDecoder struct {
 	r         *reader
 	specNodes []*sptree.Node
-	edges     []graph.Edge
+	g         *graph.Graph
+	sc        *scratch
 	nodes     int
 }
 
@@ -387,6 +423,10 @@ type treeDecoder struct {
 // nesting, far below this.
 const maxTreeDepth = 10_000
 
+// decode reads the subtree at the reader's position. Nodes are numbered
+// in the order they are read, which is preorder, and a node's children
+// collect on the scratch stack until the last is read, then move to a
+// slice of exactly their number.
 func (d *treeDecoder) decode(depth int) (*sptree.Node, error) {
 	if depth > maxTreeDepth {
 		return nil, fmt.Errorf("codec: tree deeper than %d", maxTreeDepth)
@@ -417,16 +457,16 @@ func (d *treeDecoder) decode(depth int) (*sptree.Node, error) {
 	if tg.Type != typ {
 		return nil, fmt.Errorf("codec: run %s node aligned to specification %s node", typ, tg.Type)
 	}
-	n := &sptree.Node{Type: typ, Spec: tg, Src: tg.Src, Dst: tg.Dst}
+	n := &sptree.Node{Type: typ, Spec: tg, Src: tg.Src, Dst: tg.Dst, ID: d.nodes - 1}
 	if typ == sptree.Q {
 		ei, err := d.r.intv()
 		if err != nil {
 			return nil, err
 		}
-		if ei >= len(d.edges) {
-			return nil, fmt.Errorf("codec: leaf edge index %d of %d", ei, len(d.edges))
+		if ei >= d.g.NumEdges() {
+			return nil, fmt.Errorf("codec: leaf edge index %d of %d", ei, d.g.NumEdges())
 		}
-		n.Edge = d.edges[ei]
+		n.Edge = d.g.EdgeAt(ei)
 		return n, nil
 	}
 	nc, err := d.r.intv()
@@ -436,12 +476,18 @@ func (d *treeDecoder) decode(depth int) (*sptree.Node, error) {
 	if nc == 0 {
 		return nil, fmt.Errorf("codec: internal %s node with no children", typ)
 	}
+	base := len(d.sc.stack)
 	for i := 0; i < nc; i++ {
 		c, err := d.decode(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		n.Adopt(c)
+		c.Parent = n
+		d.sc.stack = append(d.sc.stack, c)
 	}
+	n.Children = make([]*sptree.Node, nc)
+	copy(n.Children, d.sc.stack[base:])
+	clear(d.sc.stack[base:])
+	d.sc.stack = d.sc.stack[:base]
 	return n, nil
 }

@@ -37,19 +37,102 @@ func (e Edge) String() string {
 // Edges()[i], and the index accessors (NodeIndex, LabelAt, EdgeAt,
 // Ends) let a caller keep per-node and per-edge facts in slices. The
 // zero value is an empty graph ready to use.
+//
+// A graph made by Build keeps no map from node IDs to indices until
+// AddNode or AddEdge needs one; until then a lookup by ID scans the
+// nodes, so a caller that visits every node should use the index
+// accessors.
 type Graph struct {
 	ids    []NodeID
 	labels []string
-	index  map[NodeID]int32
+	index  map[NodeID]int32 // nil until a mutation needs it
 	edges  []Edge
 	ends   [][2]int32 // node indices of each edge's endpoints
 	out    [][]int32  // per node, its outgoing edges' indices
 	in     [][]int32  // per node, its incoming edges' indices
-	keySeq map[[2]int32]int
 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// Build returns the graph whose node v has ID ids[v] and label
+// labels[v], and whose edge i runs from node ends[i][0] to node
+// ends[i][1], keyed exactly as AddEdge calls in that order would key
+// them. It takes ownership of the three slices and checks nothing: the
+// caller guarantees distinct non-empty IDs, equal lengths of ids and
+// labels, and endpoints that index ids. Every node's edge lists are
+// cut at their exact size from one array shared by the whole graph.
+func Build(ids []NodeID, labels []string, ends [][2]int32) *Graph {
+	n := len(ids)
+	g := &Graph{ids: ids, labels: labels, ends: ends, edges: make([]Edge, len(ends))}
+	g.out, g.in = make([][]int32, n), make([][]int32, n)
+	// Count each degree in the length of a list spanning the whole
+	// arena, then cut every list to a span of its own.
+	arena := make([]int32, 2*len(ends))
+	for v := range ids {
+		g.out[v], g.in[v] = arena[:0], arena[:0]
+	}
+	for _, uv := range ends {
+		g.out[uv[0]] = g.out[uv[0]][:len(g.out[uv[0]])+1]
+		g.in[uv[1]] = g.in[uv[1]][:len(g.in[uv[1]])+1]
+	}
+	for _, lists := range [2][][]int32{g.out, g.in} {
+		for v, l := range lists {
+			d := len(l)
+			lists[v], arena = arena[:0:d], arena[d:]
+		}
+	}
+	for i, uv := range ends {
+		u, v := uv[0], uv[1]
+		g.edges[i] = Edge{From: ids[u], To: ids[v], Key: g.nextKey(u, v)}
+		g.out[u] = append(g.out[u], int32(i))
+		g.in[v] = append(g.in[v], int32(i))
+	}
+	return g
+}
+
+// nextKey returns the key of a new edge from node u to node v: one
+// past the key of the newest such edge, or 0 if there is none. It
+// scans the shorter of u's outgoing and v's incoming list from its
+// newest end, so a high fan-out node costs no more per edge than the
+// fan-in of the edge's other end.
+func (g *Graph) nextKey(u, v int32) int {
+	list := g.out[u]
+	if len(g.in[v]) < len(list) {
+		list = g.in[v]
+	}
+	for k := len(list) - 1; k >= 0; k-- {
+		if e := list[k]; g.ends[e] == [2]int32{u, v} {
+			return g.edges[e].Key + 1
+		}
+	}
+	return 0
+}
+
+// lookup returns the index of node id.
+func (g *Graph) lookup(id NodeID) (int32, bool) {
+	if g.index == nil {
+		for v, n := range g.ids {
+			if n == id {
+				return int32(v), true
+			}
+		}
+		return -1, false
+	}
+	v, ok := g.index[id]
+	return v, ok
+}
+
+// ensureIndex builds the ID map a mutation keeps up to date.
+func (g *Graph) ensureIndex() {
+	if g.index != nil {
+		return
+	}
+	g.index = make(map[NodeID]int32, len(g.ids))
+	for v, n := range g.ids {
+		g.index[n] = int32(v)
+	}
+}
 
 // AddNode inserts a node with the given label. Adding an existing node
 // with the same label is a no-op; with a different label it is an error.
@@ -57,14 +140,12 @@ func (g *Graph) AddNode(id NodeID, label string) error {
 	if id == "" {
 		return fmt.Errorf("graph: empty node id")
 	}
+	g.ensureIndex()
 	if v, ok := g.index[id]; ok {
 		if have := g.labels[v]; have != label {
 			return fmt.Errorf("graph: node %s already exists with label %q (got %q)", id, have, label)
 		}
 		return nil
-	}
-	if g.index == nil {
-		g.index = make(map[NodeID]int32)
 	}
 	g.index[id] = int32(len(g.ids))
 	g.ids = append(g.ids, id)
@@ -84,6 +165,7 @@ func (g *Graph) MustAddNode(id NodeID, label string) {
 // AddEdge inserts a directed edge and returns it. Both endpoints must
 // already exist. Parallel edges receive increasing keys.
 func (g *Graph) AddEdge(from, to NodeID) (Edge, error) {
+	g.ensureIndex()
 	u, ok := g.index[from]
 	if !ok {
 		return Edge{}, fmt.Errorf("graph: unknown node %s", from)
@@ -92,16 +174,10 @@ func (g *Graph) AddEdge(from, to NodeID) (Edge, error) {
 	if !ok {
 		return Edge{}, fmt.Errorf("graph: unknown node %s", to)
 	}
-	if g.keySeq == nil {
-		g.keySeq = make(map[[2]int32]int)
-	}
-	pair := [2]int32{u, v}
-	key := g.keySeq[pair]
-	g.keySeq[pair] = key + 1
-	e := Edge{From: from, To: to, Key: key}
+	e := Edge{From: from, To: to, Key: g.nextKey(u, v)}
 	i := int32(len(g.edges))
 	g.edges = append(g.edges, e)
-	g.ends = append(g.ends, pair)
+	g.ends = append(g.ends, [2]int32{u, v})
 	g.out[u] = append(g.out[u], i)
 	g.in[v] = append(g.in[v], i)
 	return e, nil
@@ -134,14 +210,14 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // HasNode reports whether id is a node of g.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.index[id]
+	_, ok := g.lookup(id)
 	return ok
 }
 
 // NodeIndex returns the position of id in Nodes(), or -1 if id is not
 // a node of g.
 func (g *Graph) NodeIndex(id NodeID) int {
-	if v, ok := g.index[id]; ok {
+	if v, ok := g.lookup(id); ok {
 		return int(v)
 	}
 	return -1
@@ -149,7 +225,7 @@ func (g *Graph) NodeIndex(id NodeID) int {
 
 // Label returns the label on a node; empty if the node is unknown.
 func (g *Graph) Label(id NodeID) string {
-	if v, ok := g.index[id]; ok {
+	if v, ok := g.lookup(id); ok {
 		return g.labels[v]
 	}
 	return ""
@@ -169,7 +245,7 @@ func (g *Graph) Ends(i int) (from, to int) {
 // Out returns the outgoing edges of a node (copy).
 func (g *Graph) Out(id NodeID) []Edge {
 	var out []Edge
-	if v, ok := g.index[id]; ok {
+	if v, ok := g.lookup(id); ok {
 		for _, i := range g.out[v] {
 			out = append(out, g.edges[i])
 		}
@@ -179,7 +255,7 @@ func (g *Graph) Out(id NodeID) []Edge {
 
 // OutDegree returns the number of outgoing edges of a node.
 func (g *Graph) OutDegree(id NodeID) int {
-	if v, ok := g.index[id]; ok {
+	if v, ok := g.lookup(id); ok {
 		return len(g.out[v])
 	}
 	return 0
@@ -187,7 +263,7 @@ func (g *Graph) OutDegree(id NodeID) int {
 
 // InDegree returns the number of incoming edges of a node.
 func (g *Graph) InDegree(id NodeID) int {
-	if v, ok := g.index[id]; ok {
+	if v, ok := g.lookup(id); ok {
 		return len(g.in[v])
 	}
 	return 0
@@ -305,7 +381,7 @@ func (g *Graph) reach(start int32, adj [][]int32, end int) []bool {
 }
 
 func (g *Graph) reachSet(start NodeID, adj [][]int32, end int) map[NodeID]bool {
-	v, ok := g.index[start]
+	v, ok := g.lookup(start)
 	if !ok {
 		return map[NodeID]bool{start: true}
 	}
@@ -386,12 +462,15 @@ func (g *Graph) NodeByLabel(label string) (NodeID, error) {
 // String renders a deterministic multi-line description, useful in
 // tests and error messages.
 func (g *Graph) String() string {
-	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	nodes := make([]int, len(g.ids))
+	for v := range nodes {
+		nodes[v] = v
+	}
+	sort.Slice(nodes, func(i, j int) bool { return g.ids[nodes[i]] < g.ids[nodes[j]] })
 	var b strings.Builder
 	b.WriteString("nodes:")
-	for _, n := range nodes {
-		fmt.Fprintf(&b, " %s[%s]", n, g.Label(n))
+	for _, v := range nodes {
+		fmt.Fprintf(&b, " %s[%s]", g.ids[v], g.labels[v])
 	}
 	edges := g.Edges()
 	sort.Slice(edges, func(i, j int) bool {

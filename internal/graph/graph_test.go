@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -252,5 +254,78 @@ func TestElementaryPath(t *testing.T) {
 	}
 	if err := ElementaryPath(g, []NodeID{"s", "y", "t"}); err == nil {
 		t.Fatal("path with missing edge should be rejected")
+	}
+}
+
+// TestBuildMatchesAddEdge: a graph built from index tables has the
+// edges, keys, adjacency and ID lookups of the same graph replayed
+// through AddNode and AddEdge, and AddEdge on it keys new parallel
+// edges as it would on the replayed one.
+func TestBuildMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(6)
+		ids := make([]NodeID, n)
+		labels := make([]string, n)
+		replay := New()
+		for v := range ids {
+			ids[v] = NodeID(fmt.Sprintf("n%d", v))
+			labels[v] = fmt.Sprintf("l%d", v%3)
+			replay.MustAddNode(ids[v], labels[v])
+		}
+		ends := make([][2]int32, rng.Intn(40))
+		count := make(map[[2]int32]int)
+		for i := range ends {
+			ends[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+			e := replay.MustAddEdge(ids[ends[i][0]], ids[ends[i][1]])
+			if e.Key != count[ends[i]] {
+				t.Fatalf("AddEdge keyed edge %d as %d, want %d", i, e.Key, count[ends[i]])
+			}
+			count[ends[i]]++
+		}
+		built := Build(append([]NodeID(nil), ids...), append([]string(nil), labels...), append([][2]int32(nil), ends...))
+		if built.String() != replay.String() {
+			t.Fatalf("built graph\n%s\nreplayed\n%s", built, replay)
+		}
+		for i := range ends {
+			if built.EdgeAt(i) != replay.EdgeAt(i) {
+				t.Fatalf("edge %d built as %s, replayed as %s", i, built.EdgeAt(i), replay.EdgeAt(i))
+			}
+		}
+		for v, id := range ids {
+			if built.NodeIndex(id) != v || built.Label(id) != labels[v] || built.OutDegree(id) != replay.OutDegree(id) ||
+				built.InDegree(id) != replay.InDegree(id) || fmt.Sprint(built.Out(id)) != fmt.Sprint(replay.Out(id)) {
+				t.Fatalf("node %s: built and replayed graphs disagree", id)
+			}
+		}
+		u, v := ids[rng.Intn(n)], ids[rng.Intn(n)]
+		if a, b := built.MustAddEdge(u, v), replay.MustAddEdge(u, v); a != b {
+			t.Fatalf("AddEdge after Build = %s, after replay %s", a, b)
+		}
+		built.MustAddNode("extra", "x")
+		replay.MustAddNode("extra", "x")
+		if a, b := built.MustAddEdge("extra", u), replay.MustAddEdge("extra", u); a != b || built.String() != replay.String() {
+			t.Fatalf("AddNode and AddEdge after Build = %s, after replay %s", a, b)
+		}
+	}
+}
+
+// TestParallelKeysAtHighFanOut keys a fork node's edges to many
+// targets, each target also fed by many sources, and many parallel
+// copies of one edge.
+func TestParallelKeysAtHighFanOut(t *testing.T) {
+	g := New()
+	const k = 2000
+	g.MustAddNode("hub", "hub")
+	for i := 0; i < k; i++ {
+		g.MustAddNode(NodeID(fmt.Sprint(i)), "leaf")
+		if e := g.MustAddEdge("hub", NodeID(fmt.Sprint(i))); e.Key != 0 {
+			t.Fatalf("first hub edge to %d keyed %d", i, e.Key)
+		}
+	}
+	for i := 0; i < k; i++ {
+		if e := g.MustAddEdge("hub", "0"); e.Key != i+1 {
+			t.Fatalf("parallel copy %d keyed %d", i+1, e.Key)
+		}
 	}
 }

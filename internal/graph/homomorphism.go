@@ -36,10 +36,10 @@ func FindHomomorphism(run, spec *Graph) (Homomorphism, error) {
 		byLabel[spec.Label(n)] = n
 	}
 	h := make(Homomorphism, run.NumNodes())
-	for _, v := range run.Nodes() {
-		g, ok := byLabel[run.Label(v)]
+	for i, v := range run.ids {
+		g, ok := byLabel[run.labels[i]]
 		if !ok {
-			return nil, fmt.Errorf("graph: run node %s has label %q absent from specification", v, run.Label(v))
+			return nil, fmt.Errorf("graph: run node %s has label %q absent from specification", v, run.labels[i])
 		}
 		h[v] = g
 	}

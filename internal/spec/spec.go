@@ -35,6 +35,8 @@ type Spec struct {
 
 	leafIndex  map[graph.Edge]int
 	leafOrder  []graph.Edge
+	nodes      []*sptree.Node    // Tree in preorder: nodes[n.ID] == n
+	labels     map[string]string // every node label, keyed by itself
 	pairs      map[[2]string]labelPair
 	interval   map[*sptree.Node][2]int
 	qByEdge    map[graph.Edge]*sptree.Node
@@ -112,18 +114,38 @@ func New(g *graph.Graph, forks, loops []EdgeSet) (*Spec, error) {
 	// annotation inserts; intervals gain the new internal nodes).
 	s.interval = make(map[*sptree.Node][2]int)
 	s.indexIntervals(s.Tree)
+	s.labels = make(map[string]string, g.NumNodes())
+	for v := range g.NumNodes() {
+		s.labels[g.LabelAt(v)] = g.LabelAt(v)
+	}
 	s.pairs = make(map[[2]string]labelPair)
 	for _, e := range g.Edges() {
 		k := [2]string{g.Label(e.From), g.Label(e.To)}
 		s.pairs[k] = labelPair{edges: append(s.pairs[k].edges, e)}
 	}
 	s.Tree.Walk(func(n *sptree.Node) bool {
+		s.nodes = append(s.nodes, n)
 		if k := [2]string{n.Dst, n.Src}; n.Type == sptree.L {
 			s.pairs[k] = labelPair{s.pairs[k].edges, true}
 		}
 		return true
 	})
 	return s, nil
+}
+
+// TreeNodes returns the nodes of Tree in preorder, so that
+// TreeNodes()[n.ID] == n. The slice is shared: callers must not
+// modify it.
+func (s *Spec) TreeNodes() []*sptree.Node { return s.nodes }
+
+// InternLabel returns the string b spells: the specification's own
+// copy when a node carries that label, so runs decoded against the
+// specification share its label strings, and a fresh copy otherwise.
+func (s *Spec) InternLabel(b []byte) string {
+	if l, ok := s.labels[string(b)]; ok {
+		return l
+	}
+	return string(b)
 }
 
 // LabelPair returns the specification edges between the nodes labeled
@@ -141,7 +163,7 @@ func (s *Spec) LabelPair(from, to string) (edges []graph.Edge, loopBack bool) {
 // all of them. It is built on first use, so a load that never diffs
 // does not pay for it.
 func (s *Spec) Shapes() *sptree.Shapes {
-	s.shapesOnce.Do(func() { s.shapes = sptree.NewShapes(s.Tree.CountNodes()) })
+	s.shapesOnce.Do(func() { s.shapes = sptree.NewShapes(len(s.nodes)) })
 	return s.shapes
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -434,19 +435,22 @@ func parseSegmentRecord(buf []byte) (runName string, frame []byte, err error) {
 	return string(buf[w : w+int(n)]), buf[w+int(n):], nil
 }
 
-// readFrame reads a manifest entry's segment record and returns its
-// frame, checking that the record names this very run: a reader
-// racing a compaction may land its stale offset on a different,
-// equal-length record whose checksum verifies, and only the embedded
-// name catches that.
-func (s *Store) readFrame(specName, runName string, e snapEntry) ([]byte, error) {
-	buf := make([]byte, e.Length)
-	if err := s.be.ReadAt(segmentKey(specName), buf, e.Offset); err != nil {
+// readFrame reads a manifest entry's segment record into *buf, grown
+// to fit, and returns its frame, checking that the record names this
+// very run: a reader racing a compaction may land its stale offset on
+// a different, equal-length record whose checksum verifies, and only
+// the embedded name catches that.
+func (s *Store) readFrame(specName, runName string, e snapEntry, buf *[]byte) ([]byte, error) {
+	if int64(cap(*buf)) < e.Length {
+		*buf = make([]byte, e.Length)
+	}
+	rec := (*buf)[:e.Length]
+	if err := s.be.ReadAt(segmentKey(specName), rec, e.Offset); err != nil {
 		// Not wrapped: a listed run whose frame is unreadable is damage,
 		// not a missing run.
 		return nil, fmt.Errorf("reading segment: %v", err)
 	}
-	name, frame, err := parseSegmentRecord(buf)
+	name, frame, err := parseSegmentRecord(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +472,14 @@ func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (cachedRun
 	if err != nil {
 		return cachedRun{}, err
 	}
-	r, ferr := s.decodeFrame(specName, runName, e, sp)
+	var buf []byte
+	return s.loadEntry(specName, runName, e, sp, &buf)
+}
+
+// loadEntry is loadRunFrame from a manifest entry already looked up,
+// reading the frame into *buf.
+func (s *Store) loadEntry(specName, runName string, e snapEntry, sp *spec.Spec, buf *[]byte) (cachedRun, error) {
+	r, ferr := s.decodeFrame(specName, runName, e, sp, buf)
 	if ferr == nil {
 		return cachedRun{r, e.Hash}, nil
 	}
@@ -477,15 +488,15 @@ func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (cachedRun
 		return cachedRun{}, err
 	}
 	if again != e {
-		if r, ferr = s.decodeFrame(specName, runName, again, sp); ferr == nil {
+		if r, ferr = s.decodeFrame(specName, runName, again, sp, buf); ferr == nil {
 			return cachedRun{r, again.Hash}, nil
 		}
 	}
 	return cachedRun{}, damaged(fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr))
 }
 
-func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec) (*wfrun.Run, error) {
-	frame, err := s.readFrame(specName, runName, e)
+func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec, buf *[]byte) (*wfrun.Run, error) {
+	frame, err := s.readFrame(specName, runName, e, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -929,36 +940,94 @@ type PreloadStats struct {
 // Preload warms the in-memory caches of one specification: the spec
 // itself plus every stored run, decoded from its frame. After Preload
 // returns, LoadRun and the cohort paths serve existing runs from
-// memory. Runs deleted while it runs are skipped.
+// memory. Runs deleted while it runs are skipped and not counted.
+//
+// The runs not yet cached are decoded by up to GOMAXPROCS workers, each
+// reading frames into one reused buffer. A failure is reported for the
+// first failing run in name order; once one run fails no worker starts
+// another, but runs already started still finish and may be cached.
 func (s *Store) Preload(specName string) (PreloadStats, error) {
 	stats := PreloadStats{Spec: specName}
 	sp, err := s.LoadSpec(specName)
 	if err != nil {
 		return stats, err
 	}
-	names, err := s.ListRuns(specName)
-	if err != nil {
+	var todo []namedEntry
+	if stats.Runs, todo, err = s.uncachedEntries(specName); err != nil {
 		return stats, err
 	}
-	stats.Runs = len(names)
-	for _, name := range names {
-		s.mu.RLock()
-		_, cached := s.runs[runKey(specName, name)]
-		s.mu.RUnlock()
-		if cached {
-			continue
+	// Each outcome is written by the one worker that took its run and
+	// read after Wait.
+	type outcome struct {
+		gone bool
+		err  error
+	}
+	outcomes := make([]outcome, len(todo))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(todo) {
+					return
+				}
+				name := todo[i].name
+				c, err := s.loadEntry(specName, name, todo[i].entry, sp, &buf)
+				switch {
+				case isNotExist(err):
+					outcomes[i].gone = true
+				case err != nil:
+					outcomes[i].err = err
+					failed.Store(true)
+				default:
+					_, listed := s.cacheRun(specName, name, c)
+					outcomes[i].gone = !listed
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, o := range outcomes {
+		if o.err != nil {
+			return stats, o.err
 		}
-		c, err := s.loadRunFrame(specName, name, sp)
-		if isNotExist(err) {
+		if o.gone {
 			stats.Runs--
-			continue
 		}
-		if err != nil {
-			return stats, err
-		}
-		s.cacheRun(specName, name, c)
 	}
 	return stats, nil
+}
+
+// namedEntry is a run's manifest entry under its name.
+type namedEntry struct {
+	name  string
+	entry snapEntry
+}
+
+// uncachedEntries returns how many runs a spec's manifest lists and,
+// in name order, the entries of those with no decoded copy cached.
+func (s *Store) uncachedEntries(specName string) (int, []namedEntry, error) {
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := s.loadManifestLocked(specName, st); err != nil {
+		return 0, nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []namedEntry
+	for name, e := range st.manifest.Runs {
+		if _, ok := s.runs[runKey(specName, name)]; !ok {
+			out = append(out, namedEntry{name, e})
+		}
+	}
+	slices.SortFunc(out, func(a, b namedEntry) int { return strings.Compare(a.name, b.name) })
+	return len(st.manifest.Runs), out, nil
 }
 
 // PreloadAll preloads every specification in the repository — the

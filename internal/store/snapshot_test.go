@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ledger"
 	"repro/internal/sptree"
+	"repro/internal/wfrun"
 	"repro/internal/wfxml"
 )
 
@@ -722,6 +723,116 @@ func TestPreloadRacesDelete(t *testing.T) {
 	}
 	if _, err := s.LoadRun("pa", "r2"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("LoadRun of the deleted run = %v, want not-exist", err)
+	}
+}
+
+// TestPreloadReportsFirstDamagedRun: with two damaged frames among 64
+// runs, Preload fails naming the one first in name order, with the
+// error LoadRun gives for it, and counts every listed run.
+func TestPreloadReportsFirstDamagedRun(t *testing.T) {
+	dir := seedDir(t, 64)
+	if _, err := reopen(t, dir).Snapshot("pa"); err != nil {
+		t.Fatal(err)
+	}
+	// Neighbours in name order, so that two workers can fail at once.
+	corruptFrame(t, dir, "r43")
+	first := corruptFrame(t, dir, "r42")
+	pre, err := reopen(t, dir).Preload("pa")
+	want := fmt.Sprintf(`store: run "r42" of "pa" (batch %d): codec: checksum mismatch`, first.Batch)
+	if err == nil || err.Error() != want || !errors.Is(err, ErrDamaged) {
+		t.Fatalf("Preload error %v, want %q marked damaged", err, want)
+	}
+	if pre != (PreloadStats{Spec: "pa", Runs: 64}) {
+		t.Fatalf("Preload stats %+v", pre)
+	}
+}
+
+// TestPreloadRacesLoadAndDelete runs Preload alongside loaders of
+// every run and a deleter of some: every load answers with the stored
+// run, all loads of a kept run share one cached copy, and deleted runs
+// stay deleted.
+func TestPreloadRacesLoadAndDelete(t *testing.T) {
+	const n, loaders = 64, 4
+	dir := seedDir(t, n)
+	names := make([]string, n)
+	want := make([]string, n)
+	cold := reopen(t, dir)
+	for i := range names {
+		names[i] = fmt.Sprintf("r%d", i)
+		r, err := cold.LoadRun("pa", names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.Tree.LabelSignature()
+	}
+	doomed := map[string]bool{"r3": true, "r11": true, "r17": true, "r20": true}
+	s := reopen(t, dir)
+	got := make([][]*wfrun.Run, loaders)
+	var pre PreloadStats
+	var preErr error
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	wg.Add(2 + loaders)
+	go func() {
+		defer wg.Done()
+		<-start
+		pre, preErr = s.Preload("pa")
+	}()
+	go func() {
+		defer wg.Done()
+		<-start
+		for name := range doomed {
+			if err := s.DeleteRun("pa", name); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for l := 0; l < loaders; l++ {
+		got[l] = make([]*wfrun.Run, n)
+		go func(l int) {
+			defer wg.Done()
+			<-start
+			for k := range names {
+				i := (k + l*n/loaders) % n // each loader starts elsewhere
+				r, err := s.LoadRun("pa", names[i])
+				switch {
+				case err == nil:
+					got[l][i] = r
+				case !doomed[names[i]] || !errors.Is(err, fs.ErrNotExist):
+					t.Errorf("LoadRun(%s): %v", names[i], err)
+				}
+			}
+		}(l)
+	}
+	close(start)
+	wg.Wait()
+	if preErr != nil {
+		t.Fatalf("Preload: %v", preErr)
+	}
+	if pre.Runs < n-len(doomed) || pre.Runs > n {
+		t.Fatalf("Preload counted %d runs, want %d to %d", pre.Runs, n-len(doomed), n)
+	}
+	for i, name := range names {
+		final, err := s.LoadRun("pa", name)
+		if doomed[name] {
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("deleted run %s loads: %v", name, err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		for l := range got {
+			r := got[l][i]
+			if r == nil {
+				continue
+			}
+			if r.Tree.LabelSignature() != want[i] {
+				t.Fatalf("loader %d got another run for %s", l, name)
+			}
+			if !doomed[name] && r != final {
+				t.Fatalf("loader %d holds a copy of %s that is not the cached one", l, name)
+			}
+		}
 	}
 }
 

@@ -292,29 +292,34 @@ func (s *Store) LoadRunHash(specName, runName string) (*wfrun.Run, string, error
 	if err != nil {
 		return nil, "", err
 	}
-	return s.cacheRun(specName, runName, c), c.hash, nil
+	r, _ := s.cacheRun(specName, runName, c)
+	return r, c.hash, nil
 }
 
 // cacheRun publishes a decoded run, keeping the first copy if another
 // goroutine raced the load so all readers share one tree. It publishes
 // under the state lock and only while the manifest still holds the
 // decoded hash: a load that raced a delete or an overwrite returns
-// what it read, but never caches it.
-func (s *Store) cacheRun(specName, runName string, c cachedRun) *wfrun.Run {
+// what it read, but never caches it. listed is false when the manifest
+// no longer lists the run at all.
+func (s *Store) cacheRun(specName, runName string, c cachedRun) (r *wfrun.Run, listed bool) {
 	st := s.snap(specName)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.loaded || st.manifest.Runs[runName].Hash != c.hash {
-		return c.run
+	if !st.loaded {
+		return c.run, true
+	}
+	if e, ok := st.manifest.Runs[runName]; !ok || e.Hash != c.hash {
+		return c.run, ok
 	}
 	key := runKey(specName, runName)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if have, ok := s.runs[key]; ok {
-		return have.run
+		return have.run, true
 	}
 	s.runs[key] = c
-	return c.run
+	return c.run, true
 }
 
 // ListRuns returns the run names stored under a specification, sorted:

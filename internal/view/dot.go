@@ -17,9 +17,14 @@ func RenderDOT(r *wfrun.Run, status map[graph.Edge]Status) string {
 	var b strings.Builder
 	b.WriteString("digraph run {\n  rankdir=TB;\n  node [shape=circle fontsize=10];\n")
 	nodes := r.Graph.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
-		fmt.Fprintf(&b, "  %q [label=\"%s\\n%s\"];\n", string(n), string(n), r.Graph.Label(n))
+	order := make([]int, len(nodes))
+	for v := range order {
+		order[v] = v
+	}
+	sort.Slice(order, func(i, j int) bool { return nodes[order[i]] < nodes[order[j]] })
+	for _, v := range order {
+		n := nodes[v]
+		fmt.Fprintf(&b, "  %q [label=\"%s\\n%s\"];\n", string(n), string(n), r.Graph.LabelAt(v))
 	}
 	edges := r.Graph.Edges()
 	sort.Slice(edges, func(i, j int) bool {

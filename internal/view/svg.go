@@ -23,9 +23,13 @@ func layoutRun(g *graph.Graph) layout {
 	if err != nil {
 		return layout{pos: map[graph.NodeID][2]int{}}
 	}
+	out := make(map[graph.NodeID][]graph.Edge, len(order))
+	for _, e := range g.Edges() {
+		out[e.From] = append(out[e.From], e)
+	}
 	depth := make(map[graph.NodeID]int, len(order))
 	for _, n := range order {
-		for _, e := range g.Out(n) {
+		for _, e := range out[n] {
 			if d := depth[n] + 1; d > depth[e.To] {
 				depth[e.To] = d
 			}

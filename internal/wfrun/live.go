@@ -219,11 +219,12 @@ func Events(r *Run) []Event {
 	}
 	out := make([]Event, 0, r.Graph.NumEdges())
 	for i, e := range r.Graph.Edges() {
+		u, v := r.Graph.Ends(i)
 		ev := Event{
 			From:      string(e.From),
 			To:        string(e.To),
-			FromLabel: r.Graph.Label(e.From),
-			ToLabel:   r.Graph.Label(e.To),
+			FromLabel: r.Graph.LabelAt(u),
+			ToLabel:   r.Graph.LabelAt(v),
 		}
 		if implicit[e] {
 			ev.Implicit = true

@@ -147,8 +147,8 @@ func DecodeSpec(r io.Reader) (*spec.Spec, error) {
 // reference of every non-implicit edge.
 func EncodeRun(w io.Writer, r *wfrun.Run, name string) error {
 	x := xmlRun{Name: name}
-	for _, n := range r.Graph.Nodes() {
-		x.Nodes = append(x.Nodes, xmlRunNode{ID: string(n), Label: r.Graph.Label(n)})
+	for v, n := range r.Graph.Nodes() {
+		x.Nodes = append(x.Nodes, xmlRunNode{ID: string(n), Label: r.Graph.LabelAt(v)})
 	}
 	refs := r.EdgeRefs()
 	implicit := make(map[graph.Edge]bool, len(r.ImplicitEdges))
