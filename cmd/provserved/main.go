@@ -21,8 +21,10 @@
 // distance matrix below that.
 //
 // -backend selects the storage engine: a local directory tree under
-// DIR, or an in-memory store for ephemeral demos. Any other value, or
-// a DIR that cannot be created, is a usage error.
+// DIR, or an in-memory store for ephemeral demos. Any other value, a
+// DIR that cannot be created, or a repository an older release wrote
+// that cannot be upgraded to the current format (the open upgrades it
+// once, before anything is served) exits 2.
 //
 // -demo N seeds an empty repository with the paper's protein
 // annotation workflow ("demo") and N random runs, plus a mutated,
@@ -30,12 +32,11 @@
 // service can be exercised immediately — including the cross-version
 // endpoints (CI smoke-tests do exactly this).
 // -preload (default on) boots warm: every specification is parsed from
-// its spec.xml and every stored run decoded from its frame, a
-// repository written in the older one-XML-file-per-run layout is
-// migrated, run indexes behind their ledger are checkpointed, and
-// cohort matrices are prebuilt, so a restarted service answers its
-// first diff at steady-state speed. On a repository checkpointed at
-// its last clean shutdown the warm start writes nothing.
+// its spec.xml and every stored run decoded from its frame, run
+// indexes behind their ledger are checkpointed, and cohort matrices
+// are prebuilt, so a restarted service answers its first diff at
+// steady-state speed. On a repository checkpointed at its last clean
+// shutdown the warm start writes nothing.
 // SIGINT/SIGTERM trigger a graceful drain before exit.
 package main
 
@@ -70,13 +71,13 @@ func main() {
 		timing  = flag.String("timing-log", "", "append per-request stage timings as CSV to this file")
 	)
 	flag.Parse()
-	be, err := store.NewBackend(*backend, *dir)
+	t0 := time.Now()
+	st, err := store.OpenRepository(*dir, *backend, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "provserved:", err)
-		flag.Usage()
 		os.Exit(2)
 	}
-	st := store.OpenBackend(be)
+	opened := time.Since(t0)
 	defer st.Close()
 	if *demo > 0 {
 		if err := seedDemo(st, *demo, *seed); err != nil {
@@ -98,7 +99,7 @@ func main() {
 	}
 	handler := server.New(st, opts)
 	if *preload {
-		warmStart(st, handler)
+		warmStart(st, handler, opened)
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -148,20 +149,24 @@ func checkpoint(st *store.Store) {
 }
 
 // warmStart rebuilds the in-memory caches before the listener opens:
-// every stored run is decoded from its frame, repositories written in
-// the older layout are migrated (Snapshot), and the per-spec cohort
-// matrices are built — so the first request after a restart is as
-// fast as the thousandth before it. Failures only cost warmth, never
-// availability.
-func warmStart(st *store.Store, handler *server.Server) {
+// every stored run is decoded from its frame, run indexes behind their
+// ledger are checkpointed, and the per-spec cohort matrices are built —
+// so the first request after a restart is as fast as the thousandth
+// before it. Its log line also reports opened, the time the open took
+// (the upgrade pass), and how many specs that pass upgraded. Failures
+// only cost warmth, never availability.
+func warmStart(st *store.Store, handler *server.Server, opened time.Duration) {
 	t0 := time.Now()
 	stats, err := st.PreloadAll()
 	if err != nil {
 		log.Printf("provserved: preload: %v", err)
 	}
-	var runs int
+	var runs, upgraded int
 	for _, ps := range stats {
 		runs += ps.Runs
+		if ps.Upgraded {
+			upgraded++
+		}
 	}
 	t1 := time.Now()
 	checkpoint(st)
@@ -171,8 +176,8 @@ func warmStart(st *store.Store, handler *server.Server) {
 	}
 	t3 := time.Now()
 	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-	log.Printf("provserved: warm start: %d specs, %d runs in %s (preload %s, checkpoint %s, cohort warm-up %s)",
-		len(stats), runs, ms(t3.Sub(t0)), ms(t1.Sub(t0)), ms(t2.Sub(t1)), ms(t3.Sub(t2)))
+	log.Printf("provserved: warm start: %d specs, %d runs in %s (preload %s, checkpoint %s, cohort warm-up %s) after an upgrade pass of %s that upgraded %d specs",
+		len(stats), runs, ms(t3.Sub(t0)), ms(t1.Sub(t0)), ms(t2.Sub(t1)), ms(t3.Sub(t2)), ms(opened), upgraded)
 }
 
 // seedDemo populates the repository with the protein annotation

@@ -26,9 +26,9 @@
 // and all its runs as a tar archive that round-trips through
 // import-dir or the service's POST /v1/specs/{spec}/runs:bulk endpoint.
 // "snapshot" checkpoints each spec's run index when the ledger is
-// ahead of it and migrates a repository written in the older layout
-// (one XML file per run) to frames, reporting the segment's live and
-// dead bytes.
+// ahead of it, reporting the segment's live and dead bytes. Every
+// command opens DIR with store.Open, which first upgrades a repository
+// an older release wrote (one XML file per run, older checkpoints).
 // "verify" re-hashes every live snapshot frame against the Merkle
 // provenance ledger and exits nonzero naming the first divergent
 // batch if anything — a flipped byte, a rewritten record, a dropped

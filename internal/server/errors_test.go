@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ingest"
@@ -311,6 +312,35 @@ func TestListSpecsReadFaultAnswers500(t *testing.T) {
 	srv, fb := faultedServer(t)
 	fb.Fail(faultfs.Rule{Op: faultfs.OpStat, KeySuffix: "spec.xml", N: 1, Mode: faultfs.ErrIO})
 	wantEnvelope(t, do(t, srv, "GET", "/v1/specs", nil, nil), http.StatusInternalServerError, "internal")
+}
+
+// TestSpecReadFaultAnswers500: a spec.xml that exists but cannot be
+// read is the repository's fault, not an unknown specification. On a
+// cold server, a read fault on pa/spec.xml answers 500 internal for
+// pa's run list, while a spec that does not exist still answers 404.
+func TestSpecReadFaultAnswers500(t *testing.T) {
+	for _, kind := range []string{"fs", "memory"} {
+		t.Run(kind, func(t *testing.T) {
+			be, err := store.NewBackend(kind, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeded, _ := seedServerOn(t, be, 2, Options{})
+			seeded.Close()
+			fb := faultfs.Wrap(be)
+			fb.Fail(faultfs.Rule{Op: faultfs.OpRead, KeySuffix: "pa/spec.xml", Mode: faultfs.ErrIO})
+			srv := New(store.OpenBackend(fb), Options{})
+			t.Cleanup(srv.Close)
+			d := wantEnvelope(t, do(t, srv, "GET", "/v1/specs/pa/runs", nil, nil), http.StatusInternalServerError, "internal")
+			if len(fb.Injected()) == 0 {
+				t.Fatal("no fault fired")
+			}
+			if strings.Contains(d.Message, "unknown specification") {
+				t.Fatalf("a failed read is reported as a missing spec: %q", d.Message)
+			}
+			wantEnvelope(t, do(t, srv, "GET", "/v1/specs/nosuch/runs", nil, nil), http.StatusNotFound, "not_found")
+		})
+	}
 }
 
 // TestExportAbortsOnMidStreamFault: once the archive has started, a

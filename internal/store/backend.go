@@ -20,7 +20,8 @@ import (
 //	<spec>/live/<run>.events            live-run event journal
 //
 // Repositories written before runs were stored only as frames also
-// hold <spec>/runs/<run>.xml; the store migrates and removes them.
+// hold <spec>/runs/<run>.xml; the upgrade pass at open migrates and
+// removes them.
 // Older releases also cached binary specification and lineage-mapping
 // frames as <spec>/snapshot/*.bin files; the store ignores them.
 //

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -53,10 +54,7 @@ type SpecLedger struct {
 
 // RunProof builds the inclusion proof of one run's current frame.
 func (s *Store) RunProof(specName, runName string) (*RunProof, error) {
-	if err := ValidateName(specName); err != nil {
-		return nil, err
-	}
-	if err := ValidateName(runName); err != nil {
+	if err := validateNames(specName, runName); err != nil {
 		return nil, err
 	}
 	e, err := s.manifestEntry(specName, runName)
@@ -67,23 +65,12 @@ func (s *Store) RunProof(specName, runName string) (*RunProof, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: ledger of %q: %w", specName, err)
 	}
-	var rec *ledger.Record
-	for i := range recs {
-		if recs[i].Seq == e.Batch {
-			rec = &recs[i]
-			break
-		}
-	}
-	if rec == nil {
+	i := slices.IndexFunc(recs, func(r ledger.Record) bool { return r.Seq == e.Batch })
+	if i < 0 {
 		return nil, fmt.Errorf("store: ledger of %q has no batch %d attesting run %q", specName, e.Batch, runName)
 	}
-	idx := -1
-	for i, l := range rec.Runs {
-		if l.Run == runName && l.Hash == e.Hash {
-			idx = i
-			break
-		}
-	}
+	rec := &recs[i]
+	idx := slices.IndexFunc(rec.Runs, func(l ledger.BatchLeaf) bool { return l.Run == runName && l.Hash == e.Hash })
 	if idx < 0 {
 		return nil, fmt.Errorf("store: batch %d of %q does not attest run %q with hash %s", e.Batch, specName, runName, e.Hash)
 	}
@@ -257,9 +244,8 @@ func (s *Store) VerifyLedger(specNames ...string) (VerifyReport, error) {
 
 func (s *Store) verifySpecLedger(specName string, report *VerifyReport) {
 	// The index is loaded before the ledger is read, and both under the
-	// spec's lock: the first load of a spec an older release wrote
-	// appends its upgrade record, and a commit in between would show a
-	// ledger ahead of the index.
+	// spec's lock: a commit in between would show a ledger ahead of the
+	// index.
 	st := s.snap(specName)
 	st.mu.Lock()
 	merr := s.loadManifestLocked(specName, st)

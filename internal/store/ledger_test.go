@@ -568,9 +568,9 @@ func TestDeleteIsOneAppend(t *testing.T) {
 
 // TestOldFormatLedgerUpgrades: a repository an older release wrote —
 // format-0 records, and a version-4 checkpoint that alone records the
-// deletion of r1 — opens serving the checkpoint's runs. Its first load
-// appends exactly one current-format record, which tombstones r1, and
-// writes a current checkpoint; from then on the ledger decides the run
+// deletion of r1 — opens serving the checkpoint's runs. Its upgrade at
+// open appends exactly one current-format record, which tombstones r1,
+// and writes a current checkpoint; from then on the ledger decides the run
 // set, so a lost checkpoint is rebuilt without r1. Proofs of runs that
 // format-0 records attest keep their leaf form and verify, before and
 // after later commits, and so do proofs of new commits.
@@ -598,9 +598,9 @@ func TestOldFormatLedgerUpgrades(t *testing.T) {
 	}
 
 	// Verify as the first call on the older repository, as
-	// `provstore verify` makes it: the load's upgrade record counts, and
-	// the run it tombstones is not reported missing.
-	if rep, err := reopen(t, dir).VerifyLedger(); err != nil || !rep.OK() || rep.Batches != 4 || rep.Runs != 2 {
+	// `provstore verify` makes it after store.Open: the upgrade record
+	// counts, and the run it tombstones is not reported missing.
+	if rep, err := reopenUpgraded(t, dir).VerifyLedger(); err != nil || !rep.OK() || rep.Batches != 4 || rep.Runs != 2 {
 		t.Fatalf("first VerifyLedger of an older repository = %+v, %v; want OK over 4 batches and 2 runs", rep, err)
 	}
 

@@ -430,9 +430,9 @@ func testV3Manifest(t *testing.T) {
 	}
 }
 
-// TestLegacyRepositoryThroughOpen covers the other entry points: Open
-// followed by a plain LoadRun, Diff and DeleteRun, each of which loads
-// the manifest and so migrates on first touch.
+// TestLegacyRepositoryThroughOpen covers the other entry points: Open,
+// which migrates every spec before it returns, followed by a plain
+// LoadRun, Diff and DeleteRun.
 func TestLegacyRepositoryThroughOpen(t *testing.T) {
 	dir := t.TempDir()
 	docs := writeLegacyRepo(t, dir).docs
@@ -467,5 +467,25 @@ func TestLegacyRepositoryThroughOpen(t *testing.T) {
 	requireNoRunDocuments(t, st)
 	if matches, _ := filepath.Glob(filepath.Join(dir, "pa", "runs", "*")); len(matches) != 0 {
 		t.Fatalf("files left under pa/runs: %v", matches)
+	}
+}
+
+// TestPreloadReportsUpgrade: the open that migrates a legacy
+// repository marks its spec upgraded in the preload stats (what
+// provserved's warm-start line counts), and a later open of the now
+// current repository does not.
+func TestPreloadReportsUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	writeLegacyRepo(t, dir)
+	for i, want := range []bool{true, false} {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := st.PreloadAll()
+		if err != nil || len(stats) != 1 || stats[0].Upgraded != want {
+			t.Fatalf("open %d: PreloadAll = %+v, %v; want Upgraded %v", i+1, stats, err, want)
+		}
+		st.Close()
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cost"
@@ -40,10 +41,7 @@ func lineageKey(specName string) string { return specName + "/lineage.json" }
 // edit mapping is computed (under evolve.DefaultCosts) and cached in
 // memory.
 func (s *Store) PutSpecVersion(parentName, childName string, child *spec.Spec) error {
-	if err := ValidateName(parentName); err != nil {
-		return err
-	}
-	if err := ValidateName(childName); err != nil {
+	if err := validateNames(parentName, childName); err != nil {
 		return err
 	}
 	if parentName == childName {
@@ -59,11 +57,9 @@ func (s *Store) PutSpecVersion(parentName, childName string, child *spec.Spec) e
 	if err != nil {
 		return err
 	}
-	for _, anc := range parentChain {
-		if anc == childName {
-			return fmt.Errorf("store: linking %q under %q would create a lineage cycle (%q descends from %q)",
-				childName, parentName, parentName, childName)
-		}
+	if slices.Contains(parentChain, childName) {
+		return fmt.Errorf("store: linking %q under %q would create a lineage cycle (%q descends from %q)",
+			childName, parentName, parentName, childName)
 	}
 	parent, err := s.LoadSpec(parentName)
 	if err != nil {
@@ -179,10 +175,7 @@ func (s *Store) dropMappings(specName string) {
 // (equal, or one descends from the other) — the cheap pre-check for
 // cross-version diffing, walking only lineage records.
 func (s *Store) Linked(aName, bName string) (bool, error) {
-	if err := ValidateName(aName); err != nil {
-		return false, err
-	}
-	if err := ValidateName(bName); err != nil {
+	if err := validateNames(aName, bName); err != nil {
 		return false, err
 	}
 	if aName == bName {
@@ -192,45 +185,39 @@ func (s *Store) Linked(aName, bName string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	for _, anc := range chain {
-		if anc == aName {
-			return true, nil
-		}
+	if slices.Contains(chain, aName) {
+		return true, nil
 	}
-	chain, err = s.Lineage(aName)
-	if err != nil {
+	if chain, err = s.Lineage(aName); err != nil {
 		return false, err
 	}
-	for _, anc := range chain {
-		if anc == bName {
-			return true, nil
-		}
-	}
-	return false, nil
+	return slices.Contains(chain, bName), nil
 }
 
-// stepMapping returns the parent→child mapping of one lineage step,
-// from the in-memory cache or computed from the stored specifications.
-func (s *Store) stepMapping(parentName, childName string) (*evolve.SpecMapping, error) {
+// directMapping returns the edit mapping from a to b computed directly
+// (evolve.SpecDiff) from the two stored specifications, from the
+// in-memory cache when it holds one: one lineage step's mapping, or an
+// unlinked pair's.
+func (s *Store) directMapping(aName, bName string) (*evolve.SpecMapping, error) {
 	s.mapMu.Lock()
-	if m, ok := s.mappings[mappingKey(parentName, childName)]; ok {
+	if m, ok := s.mappings[mappingKey(aName, bName)]; ok {
 		s.mapMu.Unlock()
 		return m, nil
 	}
 	s.mapMu.Unlock()
-	parent, err := s.LoadSpec(parentName)
+	a, err := s.LoadSpec(aName)
 	if err != nil {
 		return nil, err
 	}
-	child, err := s.LoadSpec(childName)
+	b, err := s.LoadSpec(bName)
 	if err != nil {
 		return nil, err
 	}
-	m, err := evolve.SpecDiff(parent, child, evolve.DefaultCosts())
+	m, err := evolve.SpecDiff(a, b, evolve.DefaultCosts())
 	if err != nil {
 		return nil, err
 	}
-	return s.cacheMapping(mappingKey(parentName, childName), m), nil
+	return s.cacheMapping(mappingKey(aName, bName), m), nil
 }
 
 // SpecMapping returns the edit mapping from specification version a to
@@ -238,10 +225,7 @@ func (s *Store) stepMapping(parentName, childName string) (*evolve.SpecMapping, 
 // compose the per-step mappings (inverted when a descends from b);
 // unlinked pairs are mapped directly and cached in memory.
 func (s *Store) SpecMapping(aName, bName string) (m *evolve.SpecMapping, linked bool, err error) {
-	if err := ValidateName(aName); err != nil {
-		return nil, false, err
-	}
-	if err := ValidateName(bName); err != nil {
+	if err := validateNames(aName, bName); err != nil {
 		return nil, false, err
 	}
 	if aName == bName {
@@ -261,12 +245,12 @@ func (s *Store) SpecMapping(aName, bName string) (m *evolve.SpecMapping, linked 
 			continue
 		}
 		// chain[i] == a ... chain[0] == b; compose steps downward.
-		m, err := s.stepMapping(chain[i], chain[i-1])
+		m, err := s.directMapping(chain[i], chain[i-1])
 		if err != nil {
 			return nil, false, err
 		}
 		for j := i - 1; j > 0; j-- {
-			step, err := s.stepMapping(chain[j], chain[j-1])
+			step, err := s.directMapping(chain[j], chain[j-1])
 			if err != nil {
 				return nil, false, err
 			}
@@ -281,34 +265,16 @@ func (s *Store) SpecMapping(aName, bName string) (m *evolve.SpecMapping, linked 
 	if err != nil {
 		return nil, false, err
 	}
-	for _, anc := range chain[1:] {
-		if anc == bName {
-			rev, _, err := s.SpecMapping(bName, aName)
-			if err != nil {
-				return nil, false, err
-			}
-			return rev.Invert(), true, nil
+	if slices.Contains(chain[1:], bName) {
+		rev, _, err := s.SpecMapping(bName, aName)
+		if err != nil {
+			return nil, false, err
 		}
+		return rev.Invert(), true, nil
 	}
 	// Unlinked: map directly, cache in memory only.
-	s.mapMu.Lock()
-	if m, ok := s.mappings[mappingKey(aName, bName)]; ok {
-		s.mapMu.Unlock()
-		return m, false, nil
-	}
-	s.mapMu.Unlock()
-	a, err := s.LoadSpec(aName)
-	if err != nil {
-		return nil, false, err
-	}
-	b, err := s.LoadSpec(bName)
-	if err != nil {
-		return nil, false, err
-	}
-	if m, err = evolve.SpecDiff(a, b, evolve.DefaultCosts()); err != nil {
-		return nil, false, err
-	}
-	return s.cacheMapping(mappingKey(aName, bName), m), false, nil
+	m, err = s.directMapping(aName, bName)
+	return m, false, err
 }
 
 // CrossDiff compares a run of specification version a with a run of

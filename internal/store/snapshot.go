@@ -45,7 +45,8 @@ import (
 // themselves). A lost or unparsable checkpoint is rebuilt by replaying
 // the whole ledger. The checkpoint is written only by Snapshot when the
 // ledger is ahead of it, by compaction, by frame relocation, and by the
-// first load of a spec an older release wrote (migrateLegacyLocked).
+// upgrade pass that opening a repository runs over a spec an older
+// release wrote (upgrade).
 //
 // Every stored frame equals codec.EncodeRun of the run that parsing
 // the run's canonical XML produces, so export followed by re-import
@@ -61,9 +62,10 @@ import (
 // the last ledger batch covered) the checkpoint decided the deletes.
 // Version 3 and 2 manifests were saved after every commit, so they
 // cover the whole ledger; version 2 also carried XML fingerprints.
-// Versions 2 to 4 are upgraded in place on first load. A version-1
-// manifest (no content hashes) is discarded: its repository still
-// keeps every run as XML, which the legacy migration re-commits.
+// A load reads version 5 only; versions 2 to 4 are upgraded in place
+// by the upgrade pass at open. A version-1 manifest (no content
+// hashes) is discarded: its repository still keeps every run as XML,
+// which the upgrade re-commits.
 const manifestVersion = 5
 
 // compactMinDeadBytes and compactMinDeadRatio bound segment garbage:
@@ -113,6 +115,8 @@ type snapState struct {
 	ledgerLoaded bool
 	ledgerSeq    int64
 	ledgerHead   ledger.Hash
+	// upgraded is set once the upgrade pass has migrated the spec.
+	upgraded bool
 	// version is the run-set version (Store.RunsVersion). It advances
 	// under mu and is read without it.
 	version atomic.Uint64
@@ -137,8 +141,11 @@ func (s *Store) snap(specName string) *snapState {
 }
 
 // loadManifestLocked loads a spec's run index on first use: the
-// checkpoint, then the ledger records after it (replay), then whatever
-// an older release left (migrateLegacyLocked). Caller holds st.mu.
+// checkpoint, then the ledger records after it (replay). It reads the
+// current format only, and refuses a spec an older release wrote as
+// damage until an open upgrades it (upgrade). The ledger records
+// every delete, so a missing or unparsable checkpoint is an empty
+// index at seq 0, which the replay rebuilds. Caller holds st.mu.
 func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	if st.loaded {
 		return nil
@@ -147,105 +154,54 @@ func (s *Store) loadManifestLocked(specName string, st *snapState) error {
 	if err != nil {
 		return err
 	}
-	// This release appends only current-format records, so a ledger
-	// holds one exactly when its last record is one.
-	decided := last.Format == ledger.Format
-	m, legacy, err := s.readManifest(specName, last.Seq, decided)
-	if err != nil {
-		return damaged(err)
+	// This release appends only current-format records.
+	if last.Seq > 0 && last.Format != ledger.Format {
+		return damaged(fmt.Errorf("store: spec %q: ledger ends in a format-%d record: %w", specName, last.Format, errOldFormat))
 	}
+	m := &snapManifest{}
+	data, err := s.be.ReadFile(manifestKey(specName))
+	switch {
+	case isNotExist(err):
+	case err != nil:
+		return damaged(fmt.Errorf("store: spec %q: reading manifest: %v", specName, err))
+	case json.Unmarshal(data, m) != nil:
+		m = &snapManifest{}
+	case m.Version < manifestVersion:
+		return damaged(fmt.Errorf("store: spec %q: manifest version %d: %w", specName, m.Version, errOldFormat))
+	case m.Version > manifestVersion:
+		return damaged(fmt.Errorf("store: spec %q: manifest version %d, want %d", specName, m.Version, manifestVersion))
+	case m.Seq < 0 || m.Seq > last.Seq:
+		return damaged(fmt.Errorf("store: spec %q: manifest covers ledger batch %d, but the ledger ends at batch %d", specName, m.Seq, last.Seq))
+	}
+	if err := s.replay(specName, m, ledgerLog); err != nil {
+		return err
+	}
+	st.manifest, st.loaded = m, true
+	return nil
+}
+
+// errOldFormat marks a spec that only the upgrade pass reads.
+var errOldFormat = errors.New("written by an older release; opening the repository with store.Open upgrades it")
+
+// replay brings a freshly read checkpoint m up to the ledger tail: the
+// records of ledgerLog after its seq. Only the last event of each run
+// matters (foldLedger) — an earlier frame of the same run may already
+// have been compacted away. A tombstoned run loses its entry. A run
+// whose entry already carries its last attested frame's hash (the
+// dedup case) keeps its entry; every other run is found by one scan of
+// the segment. A frame the segment does not hold gets an entry at
+// offset -1, so loading the run fails naming its batch and VerifyLedger
+// reports it. Live and dead byte counts are recomputed from the
+// segment's size, so the bytes of a commit whose ledger append never
+// landed count as dead. Every error it returns is ErrDamaged.
+func (s *Store) replay(specName string, m *snapManifest, ledgerLog []byte) error {
 	recs, _, err := ledgerTail(ledgerLog, m.Seq)
 	if err != nil {
 		return damaged(fmt.Errorf("store: spec %q: %w", specName, err))
 	}
-	if err := s.replay(specName, m, recs); err != nil {
-		return damaged(err)
-	}
-	st.manifest = m
-	if err := s.migrateLegacyLocked(specName, st, legacy, decided); err != nil {
-		st.manifest = nil
-		return err
-	}
-	st.loaded = true
-	return nil
-}
-
-// readManifest parses a spec's checkpoint against last, the seq of its
-// ledger's last record. A decided ledger (one holding a current-format
-// record) records every delete, so a missing or unparsable checkpoint
-// is an empty one at seq 0 and the load replays the whole ledger. Over
-// an older ledger the checkpoint decided the deletes: a missing one is
-// an empty index while the ledger holds at most one batch (a crashed
-// first commit), and damage otherwise. legacy reports a manifest whose
-// run list was the XML listing rather than its own entries (version 1
-// or 2, or a lost one of such a repository). Every error it returns is
-// damage, which loadManifestLocked marks ErrDamaged.
-func (s *Store) readManifest(specName string, last int64, decided bool) (m *snapManifest, legacy bool, err error) {
-	empty := func(seq int64) *snapManifest {
-		return &snapManifest{Seq: seq, Runs: map[string]snapEntry{}}
-	}
-	data, err := s.be.ReadFile(manifestKey(specName))
-	if isNotExist(err) {
-		if decided {
-			return empty(0), false, nil
-		}
-		if last <= 1 {
-			return empty(last), false, nil
-		}
-		// An older release wrote the checkpoint at a spec's first
-		// commit, so a ledger past its first batch proves one was lost;
-		// only a legacy repository's run documents can rebuild it.
-		docs, err := s.be.List(legacyRunsDir(specName))
-		if err != nil {
-			return nil, false, fmt.Errorf("store: spec %q: %w", specName, err)
-		}
-		if len(docs) == 0 {
-			return nil, false, fmt.Errorf("store: spec %q: manifest missing although the ledger attests %d batches", specName, last)
-		}
-		return empty(last), true, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: spec %q: reading manifest: %v", specName, err)
-	}
-	m = &snapManifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		if decided {
-			return empty(0), false, nil
-		}
-		return nil, false, fmt.Errorf("store: spec %q: corrupt manifest: %v", specName, err)
-	}
-	switch m.Version {
-	case 1:
-		return empty(last), true, nil
-	case 2, 3:
-		legacy = m.Version == 2
-		m.Seq = last
-	case 4, manifestVersion:
-		if m.Seq < 0 || m.Seq > last {
-			return nil, false, fmt.Errorf("store: spec %q: manifest covers ledger batch %d, but the ledger ends at batch %d", specName, m.Seq, last)
-		}
-	default:
-		return nil, false, fmt.Errorf("store: spec %q: manifest version %d, want %d", specName, m.Version, manifestVersion)
-	}
 	if m.Runs == nil {
 		m.Runs = map[string]snapEntry{}
 	}
-	return m, legacy, nil
-}
-
-// replay brings a freshly read checkpoint m up to the ledger tail;
-// recs are the ledger records after its seq. Only the last event of
-// each run matters (foldLedger) — an earlier frame of the same run may
-// already have been compacted away. A tombstoned run loses its entry. A
-// run whose entry already carries its last attested frame's hash (the
-// dedup case) keeps its entry; every other run is found by one scan of
-// the segment. A frame the segment does not hold gets an entry
-// that points nowhere, so loading the run fails naming its batch and
-// VerifyLedger reports it. Live and dead byte counts are recomputed
-// from the segment's size, so the bytes of a commit whose ledger append
-// never landed count as dead. loadManifestLocked marks its errors
-// ErrDamaged.
-func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) error {
 	var found map[string]map[string]segLoc
 	for name, a := range foldLedger(recs) {
 		if a.Hash == "" {
@@ -257,7 +213,7 @@ func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) e
 			if found == nil {
 				seg, err := s.be.ReadFile(segmentKey(specName))
 				if err != nil && !isNotExist(err) {
-					return fmt.Errorf("store: spec %q: replaying ledger: %w", specName, err)
+					return damaged(fmt.Errorf("store: spec %q: replaying ledger: %w", specName, err))
 				}
 				found = scanSegment(seg)
 			}
@@ -273,7 +229,7 @@ func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) e
 	if fi, err := s.be.Stat(segmentKey(specName)); err == nil {
 		size = fi.Size
 	} else if !isNotExist(err) {
-		return fmt.Errorf("store: spec %q: %w", specName, err)
+		return damaged(fmt.Errorf("store: spec %q: %w", specName, err))
 	}
 	m.Live = 0
 	for _, e := range m.Runs {
@@ -283,26 +239,115 @@ func (s *Store) replay(specName string, m *snapManifest, recs []ledger.Record) e
 	return nil
 }
 
+// upgrade brings a spec an older release wrote to the current format:
+// the format history lives here, and a spec load reads only the
+// current format (loadManifestLocked). Open and OpenRepository run it
+// over every spec before they return; OpenBackend does not. The spec
+// is loaded as any read would load it, and stays loaded. Only a spec
+// that load refuses as an older format (errOldFormat), or whose
+// <spec>/runs still holds run documents, is migrated; a spec whose
+// load fails otherwise is left to report its damage on every read.
+func (s *Store) upgrade(specName string) error {
+	st := s.snap(specName)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	legacy, undecided := false, false
+	if err := s.loadManifestLocked(specName, st); errors.Is(err, errOldFormat) {
+		ledgerLog, last, err := s.loadLedgerLocked(specName, st)
+		if err != nil {
+			return err
+		}
+		undecided = last.Seq > 0 && last.Format != ledger.Format
+		if st.manifest, legacy, err = s.readManifest(specName, last.Seq); err != nil {
+			return damaged(err)
+		}
+		if err := s.replay(specName, st.manifest, ledgerLog); err != nil {
+			return err
+		}
+	} else if err != nil {
+		return nil
+	}
+	if err := s.migrateLegacyLocked(specName, st, legacy, undecided); err != nil {
+		st.manifest, st.loaded = nil, false
+		return err
+	}
+	st.loaded = true
+	return nil
+}
+
+// readManifest parses the checkpoint of a spec the strict load refused,
+// against last, the seq of its ledger's last record. Over an older
+// ledger the checkpoint decided the deletes: a missing one is an empty
+// index while the ledger holds at most one batch (a crashed first
+// commit), and damage otherwise. Version 3 and 2 manifests cover the
+// whole ledger. legacy reports a manifest whose run list was the XML
+// listing rather than its own entries (version 1 or 2, or a lost one
+// of such a repository).
+func (s *Store) readManifest(specName string, last int64) (m *snapManifest, legacy bool, err error) {
+	m = &snapManifest{Seq: last}
+	data, err := s.be.ReadFile(manifestKey(specName))
+	if isNotExist(err) {
+		if last <= 1 {
+			return m, false, nil
+		}
+		// An older release wrote the checkpoint at a spec's first
+		// commit, so a ledger past its first batch proves one was lost;
+		// only a legacy repository's run documents can rebuild it.
+		docs, err := s.be.List(legacyRunsDir(specName))
+		if err != nil {
+			return nil, false, fmt.Errorf("store: spec %q: %w", specName, err)
+		}
+		if len(docs) == 0 {
+			return nil, false, fmt.Errorf("store: spec %q: manifest missing although the ledger attests %d batches", specName, last)
+		}
+		return m, true, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("store: spec %q: reading manifest: %v", specName, err)
+	}
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, false, fmt.Errorf("store: spec %q: corrupt manifest: %v", specName, err)
+	}
+	switch m.Version {
+	case 1: // no content hashes: the documents are the runs
+		return &snapManifest{Seq: last}, true, nil
+	case 2, 3:
+		legacy, m.Seq = m.Version == 2, last
+	case 4, manifestVersion:
+		if m.Seq < 0 || m.Seq > last {
+			return nil, false, fmt.Errorf("store: spec %q: manifest covers ledger batch %d, but the ledger ends at batch %d", specName, m.Seq, last)
+		}
+	default:
+		return nil, false, fmt.Errorf("store: spec %q: manifest version %d, want %d", specName, m.Version, manifestVersion)
+	}
+	return m, legacy, nil
+}
+
 // legacyRunsDir is where repositories written before frames became
 // the only copy kept one XML document per run.
 func legacyRunsDir(specName string) string { return specName + "/runs" }
 
-// migrateLegacyLocked brings a spec an older release wrote to the
-// current format on its first load: one ledger record, then a current
-// checkpoint. The record attests every leftover run document of the
-// layout that kept each run twice (<spec>/runs/<run>.xml; an identical
-// live frame is deduped), which then goes. It tombstones every run the
-// ledger attests that the index lacks, since format-0 records never
-// recorded a delete and the old checkpoint did; under a legacy manifest
-// the documents were the run list, so it also tombstones every indexed
-// run without one (every such entry is attested: version-2 manifests
-// were written alongside the ledger).
-// Over such a ledger the record is appended even when empty: holding a
+func legacyRunKey(specName, runName string) string {
+	return legacyRunsDir(specName) + "/" + runName + ".xml"
+}
+
+// migrateLegacyLocked brings a loaded spec to the current format: one
+// ledger record, then a current checkpoint. The record attests every
+// leftover run document of the layout that kept each run twice
+// (<spec>/runs/<run>.xml; an identical live frame is deduped), which
+// then goes. It tombstones every run the ledger attests that the index
+// lacks, since format-0 records never recorded a delete and the old
+// checkpoint did; under a legacy manifest the documents were the run
+// list, so it also tombstones every indexed run without one (every
+// such entry is attested: version-2 manifests were written alongside
+// the ledger). Over an undecided ledger (one ending in a format-0
+// record) the record is appended even when empty: holding a
 // current-format record is what makes the ledger decide the run set.
-// Interrupted migrations resume on the next load: commits are
-// idempotent and the documents go only after the checkpoint. Caller
-// holds st.mu.
-func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy, decided bool) error {
+// A spec the strict load read (st.loaded) is left alone unless
+// documents are left. Interrupted migrations resume at the next open:
+// commits are idempotent and the documents go only after the
+// checkpoint. A spec it changes is marked upgraded. Caller holds st.mu.
+func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy, undecided bool) error {
 	entries, err := s.be.List(legacyRunsDir(specName))
 	if err != nil {
 		return fmt.Errorf("store: spec %q: %w", specName, err)
@@ -315,9 +360,7 @@ func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy, deci
 			docs[name] = true
 		}
 	}
-	undecided := st.ledgerSeq > 0 && !decided
-	stale := st.manifest.Version != 0 && st.manifest.Version != manifestVersion
-	if len(names) == 0 && !legacy && !undecided && !stale {
+	if len(names) == 0 && st.loaded {
 		return nil
 	}
 	var items []snapBatchItem
@@ -367,11 +410,8 @@ func (s *Store) migrateLegacyLocked(specName string, st *snapState, legacy, deci
 			return fmt.Errorf("store: spec %q: %w", specName, err)
 		}
 	}
+	st.upgraded = true
 	return nil
-}
-
-func legacyRunKey(specName, runName string) string {
-	return legacyRunsDir(specName) + "/" + runName + ".xml"
 }
 
 // saveManifestLocked writes the in-memory run index as the checkpoint
@@ -435,49 +475,14 @@ func parseSegmentRecord(buf []byte) (runName string, frame []byte, err error) {
 	return string(buf[w : w+int(n)]), buf[w+int(n):], nil
 }
 
-// readFrame reads a manifest entry's segment record into *buf, grown
-// to fit, and returns its frame, checking that the record names this
-// very run: a reader racing a compaction may land its stale offset on
-// a different, equal-length record whose checksum verifies, and only
-// the embedded name catches that.
-func (s *Store) readFrame(specName, runName string, e snapEntry, buf *[]byte) ([]byte, error) {
-	if int64(cap(*buf)) < e.Length {
-		*buf = make([]byte, e.Length)
-	}
-	rec := (*buf)[:e.Length]
-	if err := s.be.ReadAt(segmentKey(specName), rec, e.Offset); err != nil {
-		// Not wrapped: a listed run whose frame is unreadable is damage,
-		// not a missing run.
-		return nil, fmt.Errorf("reading segment: %v", err)
-	}
-	name, frame, err := parseSegmentRecord(rec)
-	if err != nil {
-		return nil, err
-	}
-	if name != runName {
-		return nil, fmt.Errorf("segment record at offset %d holds run %q", e.Offset, name)
-	}
-	return frame, nil
-}
-
-// loadRunFrame decodes a stored run from its segment frame. A frame
-// that is not where the manifest says is looked for again by content
-// (relocatedEntry): a compaction may have moved it since the manifest
-// lookup, or crashed after rewriting the segment but before writing
-// the checkpoint that records the new offsets. Any other failure (a
-// checksum mismatch, a frame from another codec version) is an error
-// naming the run and the batch that committed it.
-func (s *Store) loadRunFrame(specName, runName string, sp *spec.Spec) (cachedRun, error) {
-	e, err := s.manifestEntry(specName, runName)
-	if err != nil {
-		return cachedRun{}, err
-	}
-	var buf []byte
-	return s.loadEntry(specName, runName, e, sp, &buf)
-}
-
-// loadEntry is loadRunFrame from a manifest entry already looked up,
-// reading the frame into *buf.
+// loadEntry decodes a stored run from the segment frame of its
+// manifest entry, reading the frame into *buf. A frame that is not
+// where the entry says is looked for again (relocatedEntry): a
+// compaction may have moved it since the manifest lookup, or crashed
+// after rewriting the segment but before writing the checkpoint that
+// records the new offsets. Any other failure (a checksum mismatch, a
+// frame from another codec version, a frame the segment does not hold)
+// is an error naming the run and the batch that committed it.
 func (s *Store) loadEntry(specName, runName string, e snapEntry, sp *spec.Spec, buf *[]byte) (cachedRun, error) {
 	r, ferr := s.decodeFrame(specName, runName, e, sp, buf)
 	if ferr == nil {
@@ -495,20 +500,45 @@ func (s *Store) loadEntry(specName, runName string, e snapEntry, sp *spec.Spec, 
 	return cachedRun{}, damaged(fmt.Errorf("store: run %q of %q (batch %d): %v", runName, specName, e.Batch, ferr))
 }
 
+// decodeFrame reads a manifest entry's segment record into *buf, grown
+// to fit, and decodes its frame, checking that the record names this
+// very run: a reader racing a compaction may land its stale offset on
+// a different, equal-length record whose checksum verifies, and only
+// the embedded name catches that. An entry at offset -1 fails without
+// a read.
 func (s *Store) decodeFrame(specName, runName string, e snapEntry, sp *spec.Spec, buf *[]byte) (*wfrun.Run, error) {
-	frame, err := s.readFrame(specName, runName, e, buf)
+	if e.Offset < 0 {
+		return nil, errors.New("frame not found in the segment")
+	}
+	if int64(cap(*buf)) < e.Length {
+		*buf = make([]byte, e.Length)
+	}
+	rec := (*buf)[:e.Length]
+	if err := s.be.ReadAt(segmentKey(specName), rec, e.Offset); err != nil {
+		// Not wrapped: a listed run whose frame is unreadable is damage,
+		// not a missing run.
+		return nil, fmt.Errorf("reading segment: %v", err)
+	}
+	name, frame, err := parseSegmentRecord(rec)
 	if err != nil {
 		return nil, err
+	}
+	if name != runName {
+		return nil, fmt.Errorf("segment record at offset %d holds run %q", e.Offset, name)
 	}
 	return codec.DecodeRun(frame, sp)
 }
 
 // relocatedEntry returns a run's current manifest entry. When that
-// entry's frame is not intact where it points, every entry is matched
-// against the frames actually in the segment by run name and content
-// hash, moved to where its frame now lives, and the repaired index
-// checkpointed — the recovery from a compaction that crashed between
-// its segment rewrite and its checkpoint.
+// entry's frame is not intact where it points, the index is rebuilt by
+// replaying the whole ledger over an empty one, which finds every frame
+// by run name and content hash — the recovery from a compaction that
+// crashed between its segment rewrite and its checkpoint. The rebuilt
+// index is installed and checkpointed only if it finds this very frame
+// (the entry's content hash) in the segment: otherwise the frame is
+// damaged, not moved, and the index stays as it was. An entry at
+// offset -1 is returned as it is: the replay that built it found no
+// frame either.
 func (s *Store) relocatedEntry(specName, runName string) (snapEntry, error) {
 	st := s.snap(specName)
 	st.mu.Lock()
@@ -520,35 +550,22 @@ func (s *Store) relocatedEntry(specName, runName string) (snapEntry, error) {
 	if !ok {
 		return snapEntry{}, fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, notExist("load", runName))
 	}
-	if s.segmentFrameIntact(specName, runName, e) {
+	if e.Offset < 0 || s.segmentFrameIntact(specName, runName, e) {
 		return e, nil
 	}
-	seg, err := s.be.ReadFile(segmentKey(specName))
-	if err != nil {
+	ledgerLog, _, err := s.loadLedgerLocked(specName, st)
+	m := &snapManifest{}
+	if err != nil || s.replay(specName, m, ledgerLog) != nil {
 		return e, nil // the caller reports the original failure
 	}
-	found := scanSegment(seg)
-	moved := false
-	for name, old := range st.manifest.Runs {
-		if old.Offset >= 0 && old.Offset+old.Length <= int64(len(seg)) &&
-			recordHolds(seg[old.Offset:old.Offset+old.Length], name, old.Hash) {
-			continue
-		}
-		if loc, ok := found[name][old.Hash]; ok {
-			old.Offset, old.Length = loc.Offset, loc.Length
-			st.manifest.Runs[name] = old
-			moved = true
-		}
+	again, ok := m.Runs[runName]
+	if !ok || again.Hash != e.Hash || again.Offset < 0 {
+		return e, nil
 	}
-	if moved {
-		st.manifest.Live = 0
-		for _, e := range st.manifest.Runs {
-			st.manifest.Live += e.Length
-		}
-		st.manifest.Dead = int64(len(seg)) - st.manifest.Live
-		_ = s.saveManifestLocked(specName, st) // the next load repeats the repair if this fails
-	}
-	return st.manifest.Runs[runName], nil
+	m.Version, m.Seq = st.manifest.Version, st.manifest.Seq
+	st.manifest = m
+	_ = s.saveManifestLocked(specName, st) // the next load repeats the rebuild if this fails
+	return again, nil
 }
 
 // snapBatchItem is one run of a batched commit.
@@ -714,6 +731,9 @@ func (s *Store) commitLocked(specName string, st *snapState, items []snapBatchIt
 // therefore always backed by verified bytes; a failed check simply
 // costs a fresh append.
 func (s *Store) segmentFrameIntact(specName, runName string, e snapEntry) bool {
+	if e.Offset < 0 {
+		return false
+	}
 	buf := make([]byte, e.Length)
 	return s.be.ReadAt(segmentKey(specName), buf, e.Offset) == nil && recordHolds(buf, runName, e.Hash)
 }
@@ -808,10 +828,7 @@ func ledgerTail(data []byte, after int64) (recs []ledger.Record, last ledger.Rec
 // bytes become dead weight until compaction. A run with no entry is an
 // error satisfying errors.Is(err, fs.ErrNotExist).
 func (s *Store) DeleteRun(specName, runName string) error {
-	if err := ValidateName(specName); err != nil {
-		return err
-	}
-	if err := ValidateName(runName); err != nil {
+	if err := validateNames(specName, runName); err != nil {
 		return err
 	}
 	st := s.snap(specName)
@@ -868,7 +885,7 @@ func (s *Store) Compact(specName string) error {
 // reader that raced the atomic replacement sees offsets that no
 // longer line up — the record it lands on either fails the frame
 // checksum or names a different run — and retries against the
-// updated entry (loadRunFrame); compaction needs no reader
+// updated entry (loadEntry); compaction needs no reader
 // coordination.
 func (s *Store) compactLocked(specName string, st *snapState) error {
 	m := st.manifest
@@ -904,11 +921,12 @@ type SnapshotStats struct {
 }
 
 // Snapshot brings one specification's snapshot layer up to date: it
-// loads the spec and its manifest (which migrates a repository written
-// in the older layout), and checkpoints the run index when the ledger
-// is ahead of the checkpoint, so the next load replays nothing. On a
-// current-format repository whose checkpoint is current it writes
-// nothing; it is idempotent.
+// loads the spec and its run index, and checkpoints the index when the
+// ledger is ahead of the checkpoint, so the next load replays nothing.
+// On a spec whose checkpoint is current it writes nothing; it is
+// idempotent. It
+// does not upgrade a spec an older release wrote: opening the
+// repository does (upgrade).
 func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 	var stats SnapshotStats
 	if _, err := s.LoadSpec(specName); err != nil {
@@ -935,6 +953,9 @@ func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 type PreloadStats struct {
 	Spec string
 	Runs int
+	// Upgraded reports that opening the repository upgraded the spec
+	// from an older release's format.
+	Upgraded bool
 }
 
 // Preload warms the in-memory caches of one specification: the spec
@@ -952,8 +973,8 @@ func (s *Store) Preload(specName string) (PreloadStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	var todo []namedEntry
-	if stats.Runs, todo, err = s.uncachedEntries(specName); err != nil {
+	todo, err := s.uncachedEntries(&stats)
+	if err != nil {
 		return stats, err
 	}
 	// Each outcome is written by the one worker that took its run and
@@ -1009,15 +1030,18 @@ type namedEntry struct {
 	entry snapEntry
 }
 
-// uncachedEntries returns how many runs a spec's manifest lists and,
-// in name order, the entries of those with no decoded copy cached.
-func (s *Store) uncachedEntries(specName string) (int, []namedEntry, error) {
+// uncachedEntries counts the runs a spec's manifest lists into stats,
+// notes whether the spec was upgraded, and returns, in name order, the
+// entries of the runs with no decoded copy cached.
+func (s *Store) uncachedEntries(stats *PreloadStats) ([]namedEntry, error) {
+	specName := stats.Spec
 	st := s.snap(specName)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := s.loadManifestLocked(specName, st); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
+	stats.Runs, stats.Upgraded = len(st.manifest.Runs), st.upgraded
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []namedEntry
@@ -1027,7 +1051,7 @@ func (s *Store) uncachedEntries(specName string) (int, []namedEntry, error) {
 		}
 	}
 	slices.SortFunc(out, func(a, b namedEntry) int { return strings.Compare(a.name, b.name) })
-	return len(st.manifest.Runs), out, nil
+	return out, nil
 }
 
 // PreloadAll preloads every specification in the repository — the

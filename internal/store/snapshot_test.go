@@ -429,8 +429,10 @@ func downgradeLedger(t *testing.T, be Backend) {
 // were deleted, so the same damage must fail every read of its spec
 // with an error naming the spec — never read as an empty run list,
 // since the segment holds the only copy of each run — and VerifyLedger
-// must report it. There a manifest missing after a single batch is a
-// crashed first commit: an empty spec whose segment bytes are dead.
+// must report it, and the upgrade pass at open must fail. There a
+// manifest missing after a single batch is a crashed first commit,
+// which the upgrade reads as an empty spec whose segment bytes are
+// dead.
 func TestCorruptManifestRefuses(t *testing.T) {
 	damages := []func(be Backend) error{
 		func(be Backend) error { return be.WriteFile(manifestKey("pa"), []byte("{corrupt")) },
@@ -493,6 +495,9 @@ func TestCorruptManifestRefuses(t *testing.T) {
 		if report.OK() {
 			t.Fatal("VerifyLedger is green over a damaged manifest")
 		}
+		if err := upgradeAll(reopen(t, dir)); err == nil || !errors.Is(err, ErrDamaged) {
+			t.Fatalf("upgrade over a damaged manifest = %v, want ErrDamaged", err)
+		}
 	}
 
 	first := seedDir(t, 1)
@@ -504,7 +509,7 @@ func TestCorruptManifestRefuses(t *testing.T) {
 	if err := be.Remove(manifestKey("pa")); err != nil {
 		t.Fatal(err)
 	}
-	s := reopen(t, first)
+	s := reopenUpgraded(t, first)
 	if names, err := s.ListRuns("pa"); err != nil || len(names) != 0 {
 		t.Fatalf("ListRuns after a crashed first commit = %v, %v; want empty", names, err)
 	}

@@ -61,18 +61,16 @@ type Store struct {
 }
 
 // Open opens (creating if needed) a repository rooted at dir on the
-// filesystem backend — the historical constructor, byte-compatible
-// with repositories written before backends existed.
-func Open(dir string) (*Store, error) {
-	be, err := NewFSBackend(dir)
-	if err != nil {
-		return nil, err
-	}
-	return OpenBackend(be), nil
-}
+// filesystem backend. Before it returns, it upgrades every spec an
+// older release wrote to the current format (upgrade) and leaves
+// every spec's run index loaded; a failed upgrade fails the open.
+func Open(dir string) (*Store, error) { return OpenRepository(dir, "fs", 1) }
 
 // OpenBackend opens a repository over an explicit storage backend.
-// The store takes ownership: Close closes the backend.
+// The store takes ownership: Close closes the backend. It loads
+// nothing and does not upgrade: a spec an older release wrote is
+// refused as damage by every read of it until Open or OpenRepository
+// upgrades the repository.
 func OpenBackend(be Backend) *Store {
 	return &Store{
 		be:       be,
@@ -84,10 +82,11 @@ func OpenBackend(be Backend) *Store {
 	}
 }
 
-// OpenRepository opens dir over the named backend kind (NewBackend).
-// shards is accepted for callers of the older three-argument form:
-// 0 and 1 mean one backend, and anything more is refused because
-// sharded repositories are no longer supported.
+// OpenRepository opens dir over the named backend kind (NewBackend)
+// and upgrades it as Open does. shards is accepted for callers of the
+// older three-argument form: 0 and 1 mean one backend, and anything
+// more is refused because sharded repositories are no longer
+// supported.
 func OpenRepository(dir, kind string, shards int) (*Store, error) {
 	if shards > 1 {
 		return nil, fmt.Errorf("store: sharding was removed; %d shards requested, want 1", shards)
@@ -96,7 +95,16 @@ func OpenRepository(dir, kind string, shards int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OpenBackend(be), nil
+	s := OpenBackend(be)
+	specs, err := s.ListSpecs()
+	for i := 0; err == nil && i < len(specs); i++ {
+		err = s.upgrade(specs[i])
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // Backend returns the storage backend the repository lives on.
@@ -139,6 +147,16 @@ func ValidateName(name string) error {
 	return nil
 }
 
+// validateNames is ValidateName over each name in turn.
+func validateNames(names ...string) error {
+	for _, name := range names {
+		if err := ValidateName(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Backend keys of the repository layout.
 func specXMLKey(name string) string { return name + "/spec.xml" }
 
@@ -174,6 +192,8 @@ func (s *Store) SaveSpec(name string, sp *spec.Spec) error {
 }
 
 // LoadSpec returns the named specification, cached after first load.
+// Only a spec.xml that does not exist makes it an unknown
+// specification; one that cannot be read or parsed is ErrDamaged.
 func (s *Store) LoadSpec(name string) (*spec.Spec, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -185,12 +205,15 @@ func (s *Store) LoadSpec(name string) (*spec.Spec, error) {
 	}
 	s.mu.RUnlock()
 	data, err := s.be.ReadFile(specXMLKey(name))
-	if err != nil {
+	if isNotExist(err) {
 		return nil, fmt.Errorf("store: unknown specification %q: %w", name, err)
+	}
+	if err != nil {
+		return nil, damaged(fmt.Errorf("store: specification %q: %w", name, err))
 	}
 	sp, err := wfxml.DecodeSpec(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return nil, damaged(fmt.Errorf("store: specification %q: %w", name, err))
 	}
 	s.mu.Lock()
 	// Another goroutine may have raced the load; keep the first.
@@ -233,10 +256,7 @@ func (s *Store) ListSpecs() ([]string, error) {
 // importing the exported XML would store. The commit is the one-run
 // form of ImportParsed.
 func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
-	if err := ValidateName(specName); err != nil {
-		return err
-	}
-	if err := ValidateName(runName); err != nil {
+	if err := validateNames(specName, runName); err != nil {
 		return err
 	}
 	sp, err := s.LoadSpec(specName)
@@ -272,10 +292,7 @@ func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
 // frame the run was decoded from — its ledger identity, which changes
 // exactly when the stored run does.
 func (s *Store) LoadRunHash(specName, runName string) (*wfrun.Run, string, error) {
-	if err := ValidateName(specName); err != nil {
-		return nil, "", err
-	}
-	if err := ValidateName(runName); err != nil {
+	if err := validateNames(specName, runName); err != nil {
 		return nil, "", err
 	}
 	s.mu.RLock()
@@ -288,8 +305,12 @@ func (s *Store) LoadRunHash(specName, runName string) (*wfrun.Run, string, error
 	if err != nil {
 		return nil, "", err
 	}
-	c, err = s.loadRunFrame(specName, runName, sp)
+	e, err := s.manifestEntry(specName, runName)
 	if err != nil {
+		return nil, "", err
+	}
+	var buf []byte
+	if c, err = s.loadEntry(specName, runName, e, sp, &buf); err != nil {
 		return nil, "", err
 	}
 	r, _ := s.cacheRun(specName, runName, c)

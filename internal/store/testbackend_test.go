@@ -63,3 +63,24 @@ func openStore(t *testing.T) *Store {
 // reopenStore builds a fresh *Store (empty caches) over the same
 // backend — the backend-agnostic stand-in for "restart the process".
 func reopenStore(s *Store) *Store { return OpenBackend(s.Backend()) }
+
+// upgradeAll runs the upgrade pass of Open and OpenRepository over
+// every spec of s, for tests that build an older release's state over
+// the backend under test.
+func upgradeAll(s *Store) error {
+	specs, err := s.ListSpecs()
+	for i := 0; err == nil && i < len(specs); i++ {
+		err = s.upgrade(specs[i])
+	}
+	return err
+}
+
+// reopenUpgraded is reopen followed by the upgrade pass.
+func reopenUpgraded(t testing.TB, dir string) *Store {
+	t.Helper()
+	s := openTestStore(t, dir)
+	if err := upgradeAll(s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
