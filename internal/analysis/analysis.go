@@ -274,24 +274,3 @@ func (d *Dendrogram) Render() string {
 	rec(d, 0)
 	return b.String()
 }
-
-// CutAt slices the dendrogram at a height threshold, returning the
-// clusters (as run index sets) whose merge heights are all <= h.
-func (d *Dendrogram) CutAt(h float64) [][]int {
-	var out [][]int
-	var rec func(n *Dendrogram)
-	rec = func(n *Dendrogram) {
-		if n.Run >= 0 || n.Height <= h {
-			out = append(out, n.Leaves())
-			return
-		}
-		rec(n.Left)
-		rec(n.Right)
-	}
-	rec(d)
-	for _, c := range out {
-		sort.Ints(c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}

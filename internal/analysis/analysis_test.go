@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -109,29 +110,14 @@ func TestClusterSeparatesGroups(t *testing.T) {
 	if len(leaves) != 4 {
 		t.Fatalf("leaves = %v", leaves)
 	}
-	// Cutting just above zero separates {a1,a2} from {b1,b2}.
-	clusters := root.CutAt(0)
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %v, want two groups", clusters)
-	}
-	want := map[int]int{0: 0, 1: 0, 2: 1, 3: 1}
-	for ci, c := range clusters {
-		for _, r := range c {
-			if want[r] != ci && want[r] != 1-ci {
-				t.Fatalf("run %d in wrong cluster: %v", r, clusters)
-			}
+	// The root's two subtrees are the two groups: each pair merges at
+	// distance 0, below the root's merge.
+	for _, sub := range []*Dendrogram{root.Left, root.Right} {
+		c := sub.Leaves()
+		sort.Ints(c)
+		if len(c) != 2 || c[0]/2 != c[1]/2 || sub.Height != 0 {
+			t.Fatalf("subtree %v at height %g, want one group merged at 0", c, sub.Height)
 		}
-		// Members of one cluster must share a group.
-		g := want[c[0]]
-		for _, r := range c {
-			if want[r] != g {
-				t.Fatalf("mixed cluster: %v", clusters)
-			}
-		}
-	}
-	// Cutting above the root yields one cluster.
-	if all := root.CutAt(1e9); len(all) != 1 || len(all[0]) != 4 {
-		t.Fatalf("CutAt(inf) = %v", all)
 	}
 	text := root.Render()
 	for _, l := range []string{"a1", "b2", "merged at distance"} {

@@ -19,17 +19,23 @@ import (
 // rounded up to the next value Distance can take (metricindex rounds
 // to the integers under the unit and length models); a bound equal to
 // a distance already found then lets the queries' tie rules prune
-// without a diff. Bound is the
-// cheap bound every query evaluates against every candidate; Refine is
-// a sharper, dearer one, never below Bound, that a kNN query asks for
-// only when a candidate reaches the front of its search (an
-// implementation without one returns Bound). Pruned receives the count
-// of candidate pairs a query eliminated without calling Distance, for
-// the implementation's instrumentation.
+// without a diff. Bound is the cheap bound a query evaluates against
+// each candidate it admits; Refine is a sharper, dearer one, never
+// below Bound, that a kNN query asks for only when a candidate reaches
+// the front of its search (an implementation without one returns
+// Bound). Ring hands a kNN query for item i its candidates, every item
+// but i once, in batches: from cursor at (the zero value at the start)
+// it appends the next batch to buf and returns it, the advanced cursor
+// and a floor no later candidate's Bound is below, +Inf once none
+// remain; an implementation with no order hands out all of them in
+// one batch. Pruned receives the count of candidate pairs a query
+// eliminated without calling Distance, for the implementation's
+// instrumentation.
 type Space interface {
 	Len() int
 	Bound(i, j int) float64
 	Refine(i, j int) float64
+	Ring(i int, at [2]int, buf []int32) ([]int32, [2]int, float64)
 	Distance(i, j int) (float64, error)
 	Pruned(n int64)
 }
@@ -95,9 +101,20 @@ func (a candidate) before(b candidate) bool {
 	return a.lb < b.lb || (a.lb == b.lb && a.j < b.j)
 }
 
-// candHeap is a binary min-heap of candidates under before. The search
-// only ever replaces or removes the minimum, so it needs no sift-up.
+// candHeap is a binary min-heap of candidates under before.
 type candHeap []candidate
+
+// up restores the heap order above position at.
+func (h candHeap) up(at int) {
+	for at > 0 {
+		p := (at - 1) / 2
+		if !h[at].before(h[p]) {
+			return
+		}
+		h[at], h[p] = h[p], h[at]
+		at = p
+	}
+}
 
 // down restores the heap order below position at.
 func (h candHeap) down(at int) {
@@ -118,35 +135,43 @@ func (h candHeap) down(at int) {
 }
 
 // indexedNearest answers one kNN query over sp best-first, in the
-// manner of Hjaltason & Samet's incremental search (TODS 2003):
-// every candidate's Bound is evaluated once and heaped by (bound,
-// index). The search pops the minimum; a candidate not yet refined
-// gets Refine, and goes back into the heap if its bound rose, while a
-// refined one (or one Refine could not raise) is diffed. The first
-// minimum prunable against the running top-k ends the query — every
-// candidate still heaped is lexicographically further, so the rest
-// are pruned in bulk. Popped bounds never decrease, so the query diffs
-// exactly the candidates whose refined (bound, index) precedes the
-// final k-th neighbor, beyond the first k: no search that sees only
-// these bounds diffs fewer. buf (capacity n-1) is scratch reused
-// across the queries of an outlier scan. k must already be clamped to
-// [1, n-1].
-func indexedNearest(sp Space, i, k int, buf []candidate) ([]Neighbor, error) {
-	h := candHeap(buf[:0])
-	for j := 0; j < sp.Len(); j++ {
-		if j != i {
-			h = append(h, candidate{lb: sp.Bound(i, j), j: int32(j)})
-		}
-	}
-	for at := len(h)/2 - 1; at >= 0; at-- {
-		h.down(at)
-	}
+// manner of Hjaltason & Samet's incremental search (TODS 2003): the
+// candidates sp.Ring hands out are bounded and heaped by (bound,
+// index). While the heap's minimum lies below the floor of the
+// candidates not yet handed out, it is the minimum of them all: the
+// search pops it, and a candidate not yet refined gets Refine and goes
+// back into the heap if its bound rose, while a refined one (or one
+// Refine could not raise) is diffed. The first such minimum prunable
+// against the running top-k ends the query, as does a floor past the
+// k-th distance — every candidate left is lexicographically further.
+// Otherwise the next batch is admitted: the pivot-table search of
+// Chávez et al. (ACM Computing Surveys 2001), which bounds only the
+// candidates near the query's pivot distance. Popped bounds never
+// decrease, so the query diffs exactly the candidates whose refined
+// (bound, index) precedes the final k-th neighbor, beyond the first
+// k: no search that sees only these bounds diffs fewer. sc's buffers
+// (capacity n-1) are reused across the queries of an outlier scan. k
+// must already be clamped to [1, n-1].
+func indexedNearest(sp Space, i, k int, sc *knnScratch) ([]Neighbor, error) {
+	h := candHeap(sc.heap[:0])
 	st := &knnState{top: make([]Neighbor, 0, k), k: k}
-	for len(h) > 0 {
+	var at [2]int
+	floor, diffed := math.Inf(-1), 0
+	for {
+		if len(h) == 0 || h[0].lb >= floor && !math.IsInf(floor, 1) {
+			if math.IsInf(floor, 1) || st.full() && floor > st.worst().Distance {
+				break
+			}
+			sc.ring, at, floor = sp.Ring(i, at, sc.ring[:0])
+			for _, j := range sc.ring {
+				h = append(h, candidate{lb: sp.Bound(i, int(j)), j: j})
+				h.up(len(h) - 1)
+			}
+			continue
+		}
 		c := h[0]
 		j := int(c.j)
 		if st.prunable(c.lb, j) {
-			sp.Pruned(int64(len(h)))
 			break
 		}
 		if !c.refined {
@@ -163,9 +188,22 @@ func indexedNearest(sp Space, i, k int, buf []candidate) ([]Neighbor, error) {
 		if err != nil {
 			return nil, err
 		}
+		diffed++
 		st.add(d, j)
 	}
+	sp.Pruned(int64(sp.Len() - 1 - diffed))
 	return st.top, nil
+}
+
+// knnScratch is the reusable storage of kNN queries over n items: the
+// candidate heap and the ring buffer, each of capacity n-1.
+type knnScratch struct {
+	heap []candidate
+	ring []int32
+}
+
+func newKNNScratch(n int) *knnScratch {
+	return &knnScratch{heap: make([]candidate, 0, n-1), ring: make([]int32, 0, n-1)}
 }
 
 // IndexedNearest answers Nearest over a metric index view instead of a
@@ -187,18 +225,17 @@ func IndexedNearest(sp Space, i, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	bp, _ := candBufs.Get().(*[]candidate)
-	if bp == nil || cap(*bp) < n-1 {
-		buf := make([]candidate, 0, n-1)
-		bp = &buf
+	sc, _ := scratch.Get().(*knnScratch)
+	if sc == nil || cap(sc.heap) < n-1 {
+		sc = newKNNScratch(n)
 	}
-	defer candBufs.Put(bp)
-	return indexedNearest(sp, i, k, *bp)
+	defer scratch.Put(sc)
+	return indexedNearest(sp, i, k, sc)
 }
 
-// candBufs recycles IndexedNearest's candidate heaps (16 bytes per
-// cohort member) across queries; the answer never aliases one.
-var candBufs sync.Pool
+// scratch recycles IndexedNearest's buffers (20 bytes per cohort
+// member) across queries; the answer never aliases one.
+var scratch sync.Pool
 
 // IndexedOutliers answers Outliers over a metric index view: every
 // item scored by mean distance to its k nearest neighbors, sorted
@@ -222,9 +259,9 @@ func IndexedOutliers(sp Space, k int) ([]OutlierScore, error) {
 		k = n - 1
 	}
 	out := make([]OutlierScore, n)
-	buf := make([]candidate, 0, n-1)
+	sc := newKNNScratch(n)
 	for i := 0; i < n; i++ {
-		nb, err := indexedNearest(sp, i, k, buf)
+		nb, err := indexedNearest(sp, i, k, sc)
 		if err != nil {
 			return nil, err
 		}

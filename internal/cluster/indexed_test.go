@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -14,11 +15,14 @@ import (
 // bounds, so pruning and exactness are both exercised. Refine returns
 // Bound unless sharp is set; then it adds the gap of the second
 // coordinate, so the best-first search's refinement step is exercised
-// too.
+// too. Ring hands out every candidate in one batch, as a Space with no
+// order does, unless rings is set; then it hands them out one at a
+// time.
 type euclidSpace struct {
 	pts    [][2]float64
 	lm     []float64 // distance to point 0
 	sharp  bool
+	rings  bool
 	dcalls int
 	pruned int64
 }
@@ -52,6 +56,31 @@ func (s *euclidSpace) Refine(i, j int) float64 {
 		return b
 	}
 	return math.Max(b, math.Abs(s.pts[i][1]-s.pts[j][1])*(1-1e-9)-1e-9)
+}
+
+// Ring's single-candidate rings come in ascending Bound, equal bounds
+// from the highest index down, each with the next candidate's Bound as
+// its floor: a floor the next Bound ties, from a lower index, so the
+// search must admit that ring before it may stop.
+func (s *euclidSpace) Ring(i int, at [2]int, buf []int32) ([]int32, [2]int, float64) {
+	var cands []int32
+	for j := range s.pts {
+		if j != i {
+			cands = append(cands, int32(j))
+		}
+	}
+	if !s.rings {
+		return append(buf, cands...), at, math.Inf(1)
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		ba, bb := s.Bound(i, int(cands[a])), s.Bound(i, int(cands[b]))
+		return ba < bb || (ba == bb && cands[a] > cands[b])
+	})
+	buf = append(buf, cands[at[0]])
+	if at[0]++; at[0] == len(cands) {
+		return buf, at, math.Inf(1)
+	}
+	return buf, at, s.Bound(i, int(cands[at[0]]))
 }
 
 func (s *euclidSpace) Distance(i, j int) (float64, error) {
@@ -102,9 +131,9 @@ func optimalDiffs(sp Space, i int, nb []Neighbor) int {
 }
 
 // TestIndexedNearestMatchesDense: for every query item and several k,
-// the index-guided kNN answer equals Nearest over the dense matrix
-// exactly, while diffing exactly the candidates no bound-only search
-// could skip.
+// with and without a sharp Refine and rings, the index-guided kNN
+// answer equals Nearest over the dense matrix exactly, while diffing
+// exactly the candidates no bound-only search could skip.
 func TestIndexedNearestMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := clusteredPoints(40, rng)
@@ -112,13 +141,14 @@ func TestIndexedNearestMatchesDense(t *testing.T) {
 	n := len(pts)
 	var diffs [2]int // total exact diffs without and with sharp Refine
 	for _, k := range []int{1, 3, 7, n - 1} {
-		for i := 0; i < 2*n; i++ {
+		for i := 0; i < 4*n; i++ {
 			want, err := Nearest(d, i%n, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := newEuclidSpace(pts)
-			s.sharp = i >= n
+			s.sharp = i/n%2 == 1
+			s.rings = i >= 2*n
 			got, err := IndexedNearest(s, i%n, k)
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +164,7 @@ func TestIndexedNearestMatchesDense(t *testing.T) {
 			if opt := optimalDiffs(s, i%n, got); s.dcalls != opt {
 				t.Fatalf("i=%d k=%d: %d exact diffs, the bound-only optimum is %d", i, k, s.dcalls, opt)
 			}
-			diffs[i/n] += s.dcalls
+			diffs[i/n%2] += s.dcalls
 		}
 	}
 	if diffs[1] >= diffs[0] {
@@ -182,6 +212,81 @@ func TestIndexedOutliersMatchesDense(t *testing.T) {
 		}
 		if got[0].Index != len(pts)-1 {
 			t.Fatalf("planted outlier not ranked first: %+v", got[0])
+		}
+	}
+}
+
+// tableSpace is a Space over explicit distance and bound tables whose
+// candidates come in the rings and with the floors it is given, the
+// same for every query.
+type tableSpace struct {
+	d, lb  [][]float64
+	rings  [][]int32
+	floors []float64
+	dcalls int
+}
+
+func (s *tableSpace) Len() int                { return len(s.d) }
+func (s *tableSpace) Bound(i, j int) float64  { return s.lb[i][j] }
+func (s *tableSpace) Refine(i, j int) float64 { return s.lb[i][j] }
+func (s *tableSpace) Pruned(int64)            {}
+
+func (s *tableSpace) Ring(i int, at [2]int, buf []int32) ([]int32, [2]int, float64) {
+	return append(buf, s.rings[at[0]]...), [2]int{at[0] + 1}, s.floors[at[0]]
+}
+
+func (s *tableSpace) Distance(i, j int) (float64, error) {
+	s.dcalls++
+	return s.d[i][j], nil
+}
+
+// TestIndexedNearestRingTies: the ring floor equals the current k-th
+// distance while a candidate of lower index, whose Bound equals that
+// floor, is still to come; the search must admit it rather than stop,
+// and answer as the dense path does. In the table, item 2 (bound 1) is
+// handed out first and diffed at 3, filling the top-1 at the next
+// ring's floor 3; that ring's item 1 ties it from a lower index and
+// is the answer. On cohorts of points whose duplicates tie at 0, the
+// same holds for every query and k.
+func TestIndexedNearestRingTies(t *testing.T) {
+	s := &tableSpace{
+		d:      [][]float64{{0, 3, 3}, {3, 0, 2}, {3, 2, 0}},
+		lb:     [][]float64{{0, 3, 1}, {3, 0, 0}, {1, 0, 0}},
+		rings:  [][]int32{{2}, {1}},
+		floors: []float64{3, math.Inf(1)},
+	}
+	got, err := IndexedNearest(s, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Neighbor{{Index: 1, Distance: 3}}; !reflect.DeepEqual(got, want) || s.dcalls != 2 {
+		t.Fatalf("table: got %v after %d diffs, want %v after 2", got, s.dcalls, want)
+	}
+	for _, pts := range [][][2]float64{
+		{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}},
+		{{0, 0}, {1, 0}, {2, 0}, {2, 0}, {3, 0}, {1, 0}, {0, 0}},
+		{{0, 0}, {0, 0}},
+	} {
+		d := denseFrom(newEuclidSpace(pts))
+		for i := range pts {
+			for k := 1; k < len(pts); k++ {
+				want, err := Nearest(d, i, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newEuclidSpace(pts)
+				s.rings = true
+				got, err := IndexedNearest(s, i, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v i=%d k=%d:\n got %v\nwant %v", pts, i, k, got, want)
+				}
+				if s.dcalls+int(s.pruned) != len(pts)-1 {
+					t.Fatalf("accounting: %d diffs + %d pruned != %d", s.dcalls, s.pruned, len(pts)-1)
+				}
+			}
 		}
 	}
 }

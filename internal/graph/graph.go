@@ -380,28 +380,6 @@ func (g *Graph) reach(start int32, adj [][]int32, end int) []bool {
 	return seen
 }
 
-func (g *Graph) reachSet(start NodeID, adj [][]int32, end int) map[NodeID]bool {
-	v, ok := g.lookup(start)
-	if !ok {
-		return map[NodeID]bool{start: true}
-	}
-	set := make(map[NodeID]bool)
-	for w, in := range g.reach(v, adj, end) {
-		if in {
-			set[g.ids[w]] = true
-		}
-	}
-	return set
-}
-
-// ReachableFrom returns the set of nodes reachable from start
-// (including start) following edge direction.
-func (g *Graph) ReachableFrom(start NodeID) map[NodeID]bool { return g.reachSet(start, g.out, 1) }
-
-// CoReachableTo returns the set of nodes that can reach end (including
-// end) following edge direction.
-func (g *Graph) CoReachableTo(end NodeID) map[NodeID]bool { return g.reachSet(end, g.in, 0) }
-
 // CheckFlowNetwork verifies Definition 3.1: a unique source s, a unique
 // sink t, and every node on some s-t path. It returns (s, t, nil) on
 // success.

@@ -122,18 +122,6 @@ func TestCheckFlowNetwork(t *testing.T) {
 	}
 }
 
-func TestReachability(t *testing.T) {
-	g := diamond(t)
-	from := g.ReachableFrom("a")
-	if !from["t"] || from["b"] || !from["a"] {
-		t.Fatalf("ReachableFrom(a) = %v", from)
-	}
-	to := g.CoReachableTo("a")
-	if !to["s"] || to["b"] {
-		t.Fatalf("CoReachableTo(a) = %v", to)
-	}
-}
-
 func TestUniqueLabelsAndNodeByLabel(t *testing.T) {
 	g := diamond(t)
 	if !g.UniqueLabels() {

@@ -89,27 +89,70 @@ func setup10k(b *testing.B) *Index {
 	return bench10k.ix
 }
 
+// boundCounter is a cohort view that counts the Bound evaluations the
+// queries run against it make.
+type boundCounter struct {
+	*Cohort
+	n int64
+}
+
+func (c *boundCounter) Bound(i, j int) float64 {
+	c.n++
+	return c.Cohort.Bound(i, j)
+}
+
+// passCounts is the work of one pass of kNN queries.
+type passCounts struct {
+	queries, exact, pruned, bounds int64
+}
+
+// warmPass runs one kNN query (k = 5) per entry of queries, so the
+// engine tables reach their steady size before the timer starts, and
+// counts the pass's work.
+func warmPass(b *testing.B, ix *Index, queries []int) passCounts {
+	b.Helper()
+	co := &boundCounter{Cohort: ix.Snapshot()}
+	exact0, pruned0 := ix.ExactDiffs(), ix.PrunedPairs()
+	for _, q := range queries {
+		if _, err := cluster.IndexedNearest(co, q, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return passCounts{
+		queries: int64(len(queries)),
+		exact:   ix.ExactDiffs() - exact0,
+		pruned:  ix.PrunedPairs() - pruned0,
+		bounds:  co.n,
+	}
+}
+
+// report reports the pass's exact diffs and Bound evaluations per
+// query and its pruned share, which it returns. It must follow
+// b.ResetTimer, which clears reported metrics.
+func (p passCounts) report(b *testing.B) float64 {
+	ratio := float64(p.pruned) / float64(p.exact+p.pruned)
+	b.ReportMetric(ratio*100, "%pruned")
+	b.ReportMetric(float64(p.exact)/float64(p.queries), "exact/op")
+	b.ReportMetric(float64(p.bounds)/float64(p.queries), "bounds/op")
+	return ratio
+}
+
 // BenchmarkIndexedNearest10k: one kNN query against the 10k cohort per
 // op. The dense alternative pays ~n²/2 diffs up front; the index pays
 // a few dozen per query. The ops cycle a fixed query set, each query
 // run once before the timer starts, so allocs/op counts the steady
-// state and does not depend on b.N. exact/op and %pruned are counted
-// over that one pass of the whole set, so they do not depend on b.N
+// state and does not depend on b.N. exact/op, bounds/op and %pruned
+// are counted over that one pass of the whole set, so they do not depend on b.N
 // either. Fails if the set prunes less than 99% of candidates — the
 // sub-quadratic claim, enforced.
 func BenchmarkIndexedNearest10k(b *testing.B) {
 	ix := setup10k(b)
 	co := ix.Snapshot()
 	queries := make([]int, 16)
-	exact0, pruned0 := ix.ExactDiffs(), ix.PrunedPairs()
 	for q := range queries {
 		queries[q] = (q * 1237) % co.Len()
-		if _, err := cluster.IndexedNearest(co, queries[q], 5); err != nil {
-			b.Fatal(err)
-		}
 	}
-	exact := ix.ExactDiffs() - exact0
-	pruned := ix.PrunedPairs() - pruned0
+	pass := warmPass(b, ix, queries)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.IndexedNearest(co, queries[i%len(queries)], 5); err != nil {
@@ -117,12 +160,61 @@ func BenchmarkIndexedNearest10k(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	ratio := float64(pruned) / float64(exact+pruned)
-	b.ReportMetric(ratio*100, "%pruned")
-	b.ReportMetric(float64(exact)/float64(len(queries)), "exact/op")
-	if ratio < 0.99 {
-		b.Fatalf("pruning ratio %.2f%% below the 99%% gate (%d exact, %d pruned)", ratio*100, exact, pruned)
+	if ratio := pass.report(b); ratio < 0.99 {
+		b.Fatalf("pruning ratio %.2f%% below the 99%% gate (%d exact, %d pruned)", ratio*100, pass.exact, pass.pruned)
 	}
+}
+
+var benchPA struct {
+	once sync.Once
+	ix   *Index
+	err  error
+}
+
+// BenchmarkIndexedNearestPA: one kNN query (k = 5) per op against
+// 1,350 PA runs under unit cost, drawn from fixture seed 1 with the
+// default run parameters: the cohort and the queries of the end-to-end
+// nearest-indexed workload, served in-process. The ops cycle every
+// member as the query, after one counted pass of all of them.
+func BenchmarkIndexedNearestPA(b *testing.B) {
+	benchPA.once.Do(func() {
+		sp, err := gen.Catalog("PA")
+		if err != nil {
+			benchPA.err = err
+			return
+		}
+		rng := rand.New(rand.NewSource(1))
+		names := make([]string, 1350)
+		runs := make([]*wfrun.Run, len(names))
+		for i := range runs {
+			names[i] = fmt.Sprintf("f%05d", i)
+			if runs[i], err = gen.RandomRun(sp, gen.DefaultRunParams(), rng); err != nil {
+				benchPA.err = err
+				return
+			}
+		}
+		ix := New(cost.Unit{}, Options{})
+		benchPA.err = ix.Reset(names, runs)
+		benchPA.ix = ix
+	})
+	if benchPA.err != nil {
+		b.Fatal(benchPA.err)
+	}
+	ix := benchPA.ix
+	co := ix.Snapshot()
+	queries := make([]int, co.Len())
+	for q := range queries {
+		queries[q] = q
+	}
+	pass := warmPass(b, ix, queries)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.IndexedNearest(co, i%len(queries), 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	pass.report(b)
 }
 
 // BenchmarkIndexedOutliers300: one outlier scan (k=3, the service
@@ -149,8 +241,10 @@ func BenchmarkIndexedOutliers300(b *testing.B) {
 	}
 	co := ix.Snapshot()
 	// One warm-up scan grows the index's engine tables, so allocs/op
-	// counts the steady state and does not depend on b.N.
-	if _, err := cluster.IndexedOutliers(co, 3); err != nil {
+	// counts the steady state and does not depend on b.N; it also
+	// counts the scan's Bound evaluations.
+	bc := &boundCounter{Cohort: co}
+	if _, err := cluster.IndexedOutliers(bc, 3); err != nil {
 		b.Fatal(err)
 	}
 	exact0 := ix.ExactDiffs()
@@ -162,6 +256,7 @@ func BenchmarkIndexedOutliers300(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(ix.ExactDiffs()-exact0)/float64(b.N), "exact/op")
+	b.ReportMetric(float64(bc.n), "bounds/op")
 }
 
 // BenchmarkSampledKMedoids10k: cluster the 10k cohort per op. Exact

@@ -1,5 +1,10 @@
 package metricindex
 
+import (
+	"math"
+	"sort"
+)
+
 // boundSlack is the relative slack subtracted from every lower bound
 // before it is compared against an exact distance. The engine computes
 // distances in floating point, so a mathematically tight triangle
@@ -72,6 +77,36 @@ func (c *Cohort) Bound(i, j int) float64 {
 		b = max(b, c.st.rate*c.st.tree.leafL1(c.st.counts[i], c.st.counts[j]))
 	}
 	return c.st.lower(b)
+}
+
+// Ring hands out run i's kNN candidates ring by ring, in growing gap
+// g(j) = |d(i,L₀) − d(j,L₀)| to the first landmark, walking the anchor
+// order outward from i; a ring is every next candidate whose gap gives
+// the same floor lower(g). at counts the candidates handed out below
+// and above i in that order, the zero value at the start. Ring appends
+// the next ring to buf and returns it with the advanced cursor and the
+// next ring's floor: since Bound takes the maximum over the landmarks
+// and lower is monotone, no candidate not yet handed out has a Bound
+// below it. The floor is +Inf once none remain. (A cohort always has
+// an anchor: the first member added or reset becomes one.)
+func (c *Cohort) Ring(i int, at [2]int, buf []int32) ([]int32, [2]int, float64) {
+	st := c.st
+	p := sort.Search(len(st.order), func(x int) bool { return !st.precedes(int(st.order[x]), i) })
+	lo, hi := p-1-at[0], p+1+at[1]
+	floor := func(x int) float64 {
+		if x < 0 || x >= len(st.order) {
+			return math.Inf(1)
+		}
+		return st.lower(math.Abs(st.lm[i][0] - st.lm[st.order[x]][0]))
+	}
+	f := min(floor(lo), floor(hi))
+	for ; lo >= 0 && floor(lo) == f; lo-- {
+		buf = append(buf, st.order[lo])
+	}
+	for ; hi < len(st.order) && floor(hi) == f; hi++ {
+		buf = append(buf, st.order[hi])
+	}
+	return buf, [2]int{p - 1 - lo, hi - p - 1}, min(floor(lo), floor(hi))
 }
 
 // Refine returns a sharper lower bound on the exact distance between

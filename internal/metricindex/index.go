@@ -40,6 +40,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -93,6 +95,36 @@ type state struct {
 	counts  [][]int32   // per run: node counts per spec-node ID (Prepared.Size)
 	lm      [][]float64 // lm[i][j] = d(runs[i], anchors[j].run)
 	anchors []anchor
+	// order lists the members by (distance to anchor 0, index), the
+	// order Cohort.Ring walks; empty while there is no anchor.
+	order []int32
+}
+
+// precedes reports whether member a comes before member b in order.
+func (st *state) precedes(a, b int) bool {
+	da, db := st.lm[a][0], st.lm[b][0]
+	return da < db || (da == db && a < b)
+}
+
+// reorder sets st.order to old without member drop (-1 for none),
+// renumbering the members after it as the rows were, and with member
+// add (-1 for none) inserted at its place: one binary search and one
+// copy, never a sort.
+func (st *state) reorder(old []int32, drop, add int) {
+	st.order = make([]int32, 0, len(st.runs))
+	for _, j := range old {
+		if drop >= 0 && int(j) >= drop {
+			if int(j) == drop {
+				continue
+			}
+			j--
+		}
+		st.order = append(st.order, j)
+	}
+	if add >= 0 {
+		at := sort.Search(len(st.order), func(p int) bool { return st.precedes(add, int(st.order[p])) })
+		st.order = slices.Insert(st.order, at, int32(add))
+	}
 }
 
 // bounds sets the state's specification and derives its bound inputs.
@@ -406,6 +438,13 @@ func (ix *Index) appendAnchorColumn(st *state, a anchor) error {
 		st.lm[i] = append(st.lm[i], col[i])
 	}
 	st.anchors = append(st.anchors, a)
+	if len(st.anchors) == 1 {
+		st.order = make([]int32, 0, n)
+		for i := range st.lm {
+			st.order = append(st.order, int32(i))
+		}
+		sort.Slice(st.order, func(a, b int) bool { return st.precedes(int(st.order[a]), int(st.order[b])) })
+	}
 	return nil
 }
 
@@ -478,6 +517,9 @@ func (ix *Index) Add(name string, run *wfrun.Run) error {
 	st.index = make(map[string]int, len(st.labels))
 	for i, l := range st.labels {
 		st.index[l] = i
+	}
+	if len(st.anchors) > 0 {
+		st.reorder(old.order, drop, kept)
 	}
 
 	if len(st.anchors) < ix.landmarks && len(st.anchors) < len(st.runs) {
@@ -555,6 +597,7 @@ func (ix *Index) Remove(name string) bool {
 	for i, l := range st.labels {
 		st.index[l] = i
 	}
+	st.reorder(old.order, drop, -1)
 	ix.publish(st)
 	return true
 }

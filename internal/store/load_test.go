@@ -10,9 +10,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 // callLog is a Backend that records every call as "Op key".
@@ -332,6 +335,84 @@ func TestMissingFrameNamesBatch(t *testing.T) {
 			t.Fatalf("Preload = %v, want %q marked damaged", err, want)
 		}
 		report, err := reopen(t, dir).VerifyLedger("pa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.OK() || report.Issues[0].Batch != e.Batch || report.Issues[0].Run != "r2" {
+			t.Fatalf("VerifyLedger = %+v, want an issue naming r2's batch %d", report, e.Batch)
+		}
+	})
+}
+
+// TestCompactionCarriesMissingFrame: compaction moves the frames the
+// segment holds and carries an entry whose frame is missing (offset
+// -1) through unchanged, so a lost frame stays that one run's damage.
+// After more commits and a delete, Compact reclaims every dead byte,
+// the other runs load, r2 still fails naming its batch, and
+// VerifyLedger still names that batch.
+func TestCompactionCarriesMissingFrame(t *testing.T) {
+	onBothBackends(t, func(t *testing.T) {
+		dir := seedDir(t, 3)
+		e, err := reopen(t, dir).manifestEntry("pa", "r2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := openTestBackend(t, dir)
+		seg, err := be.ReadFile(segmentKey("pa"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteFile(segmentKey("pa"), seg[:e.Offset]); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.Remove(manifestKey("pa")); err != nil && !isNotExist(err) {
+			t.Fatal(err)
+		}
+
+		s := reopen(t, dir)
+		sp, err := s.LoadSpec("pa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for _, name := range []string{"r3", "r0"} {
+			r, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SaveRun("pa", name, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.DeleteRun("pa", "r1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact("pa"); err != nil {
+			t.Fatalf("Compact = %v", err)
+		}
+		stats, err := s.Snapshot("pa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := s.Backend().Stat(segmentKey("pa"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DeadBytes != 0 || fi.Size != stats.LiveBytes {
+			t.Fatalf("after Compact: %+v over a %d-byte segment, want no dead bytes", stats, fi.Size)
+		}
+
+		cold := reopen(t, dir)
+		for _, name := range []string{"r0", "r3"} {
+			if _, err := cold.LoadRun("pa", name); err != nil {
+				t.Fatalf("LoadRun %s after Compact = %v", name, err)
+			}
+		}
+		want := fmt.Sprintf(`store: run "r2" of "pa" (batch %d): frame not found in the segment`, e.Batch)
+		if _, err := cold.LoadRun("pa", "r2"); err == nil || err.Error() != want || !errors.Is(err, ErrDamaged) {
+			t.Fatalf("LoadRun r2 = %v, want %q marked damaged", err, want)
+		}
+		report, err := cold.VerifyLedger("pa")
 		if err != nil {
 			t.Fatal(err)
 		}

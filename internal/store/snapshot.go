@@ -896,12 +896,16 @@ func (s *Store) compactLocked(specName string, st *snapState) error {
 	fresh := make(map[string]snapEntry, len(m.Runs))
 	var out bytes.Buffer
 	for name, e := range m.Runs {
-		if e.Offset < 0 || e.Offset+e.Length > int64(len(old)) {
-			return fmt.Errorf("store: segment entry %q out of bounds", name)
+		// An entry at offset -1 has no frame to move: it is carried
+		// through as it is, and its run keeps failing as damaged.
+		if e.Offset >= 0 {
+			if e.Offset+e.Length > int64(len(old)) {
+				return fmt.Errorf("store: segment entry %q out of bounds", name)
+			}
+			rec := old[e.Offset : e.Offset+e.Length]
+			e.Offset = int64(out.Len())
+			out.Write(rec)
 		}
-		rec := old[e.Offset : e.Offset+e.Length]
-		e.Offset = int64(out.Len())
-		out.Write(rec)
 		fresh[name] = e
 	}
 	if err := s.be.WriteFile(segmentKey(specName), out.Bytes()); err != nil {

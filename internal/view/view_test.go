@@ -174,26 +174,3 @@ func TestHTMLInteractiveStepping(t *testing.T) {
 		t.Fatalf("script items = %d, want %d", got, len(d.Script.Ops))
 	}
 }
-
-func TestRenderDOT(t *testing.T) {
-	d := fig2Diff(t)
-	dot := RenderDOT(d.R1, d.EdgeStatus1())
-	if !strings.HasPrefix(dot, "digraph run {") || !strings.HasSuffix(dot, "}\n") {
-		t.Fatalf("not a dot document:\n%s", dot)
-	}
-	if !strings.Contains(dot, `"2a" -> "3b"`) {
-		t.Fatalf("missing edge:\n%s", dot)
-	}
-	if !strings.Contains(dot, "#cc2222") {
-		t.Fatal("deleted edges should be red in dot output")
-	}
-	sp := fixtures.Fig2SpecWithLoop()
-	r3 := fixtures.Fig2R3(sp)
-	dv, err := New(r3, fixtures.Fig2R3(sp), cost.Unit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(RenderDOT(dv.R1, dv.EdgeStatus1()), "style=dashed") {
-		t.Fatal("implicit loop edges should be dashed in dot output")
-	}
-}
