@@ -535,7 +535,7 @@ func BenchmarkDenseAnalytics128(b *testing.B) {
 	b.Run("nearest", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cluster.Nearest(d, i%len(d), 5); err != nil {
+			if _, err := cluster.Nearest(d, i%d.Len(), 5); err != nil {
 				b.Fatal(err)
 			}
 		}

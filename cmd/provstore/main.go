@@ -489,26 +489,20 @@ func matrix(st *store.Store, args []string) {
 	if err := fs.Parse(args[1:]); err != nil {
 		fatal(err)
 	}
-	model, err := cost.Parse(*costName)
+	_, v := analyticsCohort(st, args[0], "", *costName, false, true)
+	medoid, _, err := v.Medoid(context.Background())
 	if err != nil {
 		fatal(err)
 	}
-	names, err := st.ListRuns(args[0])
+	scores, err := v.Outliers(3) // the outliers command's default k
 	if err != nil {
 		fatal(err)
 	}
-	if len(names) < 2 {
-		fatal(fmt.Errorf("need at least two stored runs, have %d", len(names)))
-	}
-	mx, err := st.Cohort(args[0], names, model)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(stdout, mx)
-	fmt.Fprintf(stdout, "medoid:  %s\n", names[mx.Medoid()])
-	fmt.Fprintf(stdout, "outlier: %s\n\n", names[mx.Outlier()])
+	fmt.Fprintln(stdout, v.Matrix)
+	fmt.Fprintf(stdout, "medoid:  %s\n", v.Label(medoid))
+	fmt.Fprintf(stdout, "outlier: %s\n\n", v.Label(scores[0].Index))
 	fmt.Fprintln(stdout, "clustering:")
-	fmt.Fprint(stdout, mx.Cluster().Render())
+	fmt.Fprint(stdout, v.Matrix.Cluster().Render())
 }
 
 // cohortFlags registers the flags cluster, outliers and nearest share.
@@ -537,7 +531,7 @@ func analyticsCohort(st *store.Store, specName, run, costName string, indexed, e
 		fatal(err)
 	}
 	if len(names) < 2 {
-		fatal(fmt.Errorf("need at least 2 stored runs, have %d", len(names)))
+		fatal(fmt.Errorf("need at least two stored runs, have %d", len(names)))
 	}
 	if i := sort.SearchStrings(names, run); run != "" && (i == len(names) || names[i] != run) {
 		fatal(fmt.Errorf("unknown run %q of %q", run, specName))

@@ -294,6 +294,11 @@ func TestAnalyticsSubcommands(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "medoid:") || !strings.Contains(out, "clustering:") {
 		t.Fatalf("matrix: code %d out %q err %q", code, out, errOut)
 	}
+	// matrix names the run outliers ranks first at its default k.
+	_, ranked, _ := runCLI(t, "-dir", repo, "outliers", "pa")
+	if top := strings.Fields(strings.Split(ranked, "\n")[1])[0]; !strings.Contains(out, "outlier: "+top+"\n") {
+		t.Fatalf("matrix outlier differs from the top of outliers %q:\n%s", ranked, out)
+	}
 
 	dense := []string{clusterDense, outliersDense, nearestDense}
 	indexed := []string{clusterIndexed, outliersIndexed, nearestIndexed}

@@ -54,8 +54,15 @@ func main() {
 	fmt.Println("pairwise edit distances (unit cost):")
 	fmt.Println(mx)
 
-	fmt.Printf("medoid (most typical run):   %s\n", names[mx.Medoid()])
-	fmt.Printf("outlier (most unusual run):  %s\n\n", names[mx.Outlier()])
+	// knn outlier scores: the outlier is the execution that behaves
+	// least like any neighborhood of the cohort.
+	scores, err := provdiff.Outliers(mx.D, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	medoid := provdiff.Medoid(mx.D)
+	fmt.Printf("medoid (most typical run):   %s\n", names[medoid])
+	fmt.Printf("outlier (most unusual run):  %s (knn score %.2f)\n\n", names[scores[0].Index], scores[0].Score)
 
 	root := mx.Cluster()
 	fmt.Println("hierarchical clustering (UPGMA):")
@@ -78,18 +85,13 @@ func main() {
 		fmt.Println()
 	}
 
-	// knn outlier scores: which execution behaves least like any
-	// neighborhood of the cohort?
-	scores, err := provdiff.Outliers(mx.D, 3)
+	// A data-level difference between the medoid and its nearest run.
+	nn, err := provdiff.NearestNeighbors(mx.D, medoid, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nmost anomalous run: %s (knn score %.2f)\n", names[scores[0].Index], scores[0].Score)
-
-	// A data-level difference between the two most similar runs.
-	i := mx.Medoid()
-	j, d := mx.Nearest(i)
-	fmt.Printf("\nclosest pair: %s and %s (control-flow distance %g)\n", names[i], names[j], d)
+	i, j := medoid, nn[0].Index
+	fmt.Printf("\nclosest pair: %s and %s (control-flow distance %g)\n", names[i], names[j], nn[0].Distance)
 	a1 := provdiff.NewAnnotations()
 	a2 := provdiff.NewAnnotations()
 	// Annotate the shared first module with the protocol parameters.

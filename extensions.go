@@ -22,8 +22,9 @@ import (
 // Multi-run analysis (the paper's motivating workflow: compare many
 // executions of an experiment).
 type (
-	// DistanceMatrixResult is a symmetric pairwise distance matrix
-	// over a run cohort with medoid/outlier/clustering helpers.
+	// DistanceMatrixResult is a labelled pairwise distance matrix over
+	// a run cohort, with UPGMA clustering; its D field is the matrix
+	// the cohort analytics below take.
 	DistanceMatrixResult = analysis.Matrix
 	// Dendrogram is a UPGMA hierarchical clustering tree.
 	Dendrogram = analysis.Dendrogram
@@ -35,9 +36,13 @@ func DistanceMatrix(runs []*Run, names []string, m CostModel) (*DistanceMatrixRe
 }
 
 // Cohort analytics over a distance matrix (internal/cluster): which
-// executions behave alike, which are anomalous, which resemble a
-// given run.
+// execution is most typical, which behave alike, which are anomalous,
+// which resemble a given run. They take a Distances, checked once when
+// it is built (DistanceMatrix's D, or NewDistances), and never check
+// it again.
 type (
+	// Distances is a validated, immutable symmetric distance matrix.
+	Distances = cluster.Matrix
 	// Clustering is a k-medoids (PAM) partition of a cohort.
 	Clustering = cluster.Clustering
 	// OutlierScore ranks one run by its knn-distance outlier score.
@@ -46,18 +51,28 @@ type (
 	Neighbor = cluster.Neighbor
 )
 
+// NewDistances checks a square matrix (zero diagonal, symmetric,
+// entries neither negative nor NaN) and copies it into a Distances.
+func NewDistances(rows [][]float64) (*Distances, error) { return cluster.NewMatrix(rows) }
+
+// Medoid returns the cohort member with the least total distance to
+// the others, ties toward the lower index.
+func Medoid(d *Distances) int { return cluster.Medoid(d) }
+
 // KMedoids partitions a cohort into k clusters by PAM over its
 // distance matrix; deterministic for a fixed seed.
-func KMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
+func KMedoids(d *Distances, k int, seed int64) (*Clustering, error) {
 	return cluster.KMedoids(d, k, seed)
 }
 
 // Outliers scores every cohort member by mean distance to its k
-// nearest neighbors, most anomalous first.
-func Outliers(d [][]float64, k int) ([]OutlierScore, error) { return cluster.Outliers(d, k) }
+// nearest neighbors, most anomalous first: the first entry is the
+// cohort's outlier.
+func Outliers(d *Distances, k int) ([]OutlierScore, error) { return cluster.Outliers(d, k) }
 
-// NearestNeighbors returns the k cohort members closest to item i.
-func NearestNeighbors(d [][]float64, i, k int) ([]Neighbor, error) {
+// NearestNeighbors returns the k cohort members closest to item i, in
+// one O(n) scan of its row.
+func NearestNeighbors(d *Distances, i, k int) ([]Neighbor, error) {
 	return cluster.Nearest(d, i, k)
 }
 
@@ -105,7 +120,7 @@ func NewHybridCohort(m CostModel, workers int, opts HybridCohortOptions) *Hybrid
 
 // KMedoidsContext is KMedoids with cooperative cancellation: the SWAP
 // loop polls ctx between medoid rows.
-func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Clustering, error) {
+func KMedoidsContext(ctx context.Context, d *Distances, k int, seed int64) (*Clustering, error) {
 	return cluster.KMedoidsContext(ctx, d, k, seed)
 }
 
@@ -190,7 +205,7 @@ const (
 // Provenance repository (the prototype's store/import/export layer).
 
 // Store is an on-disk repository of specifications and runs. Beyond
-// save/load/diff/cohort it carries warm starts (Preload, PreloadAll,
+// save/load/diff it carries warm starts (Preload, PreloadAll,
 // Snapshot — runs are stored as binary frames, so cold starts decode
 // them instead of re-parsing run XML) and streaming bulk I/O
 // (ImportRuns, ImportDir, ExportSpec), each batch one step of the
@@ -325,9 +340,9 @@ func MutateSpec(sp *Spec, n int, rng *rand.Rand) ([]*SpecMutation, error) {
 // events one at a time; Complete derives the run once, through the
 // same Derive call an XML import makes, so the result is byte-stable
 // under XML round trips. The Store counterparts
-// (AppendLiveEvents, LiveStatusOf, ListLiveRuns, CompleteLiveRun,
-// AbandonLiveRun) persist the event stream and promote finished runs
-// through the group-commit import path.
+// (AppendLiveEvents, LiveStatusOf, ListLiveRuns, CompleteLiveRun)
+// persist the event stream and promote finished runs through the
+// group-commit import path.
 type (
 	// LiveEvent is one node-status event: a run edge appearing, named
 	// by endpoint labels with optional explicit specification refs.

@@ -2,10 +2,12 @@
 // paper's motivating workflow: a scientist executes an experiment many
 // times with different parameter settings and wants to see which
 // executions behave alike (Section I: "identify parameter settings and
-// approaches which lead to good biological results"). It provides
-// distance matrices over run cohorts, medoid selection,
-// nearest-neighbor queries and average-linkage (UPGMA) hierarchical
-// clustering with a text dendrogram.
+// approaches which lead to good biological results"). It computes and
+// incrementally maintains labelled distance matrices over run cohorts,
+// switching large cohorts to the metric index, and provides
+// average-linkage (UPGMA) hierarchical clustering with a text
+// dendrogram. The cohort statistics (medoid, outliers, nearest
+// neighbors, k-medoids) have one definition each, in internal/cluster.
 package analysis
 
 import (
@@ -16,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/wfrun"
@@ -32,10 +35,10 @@ func fanOut(workers, shards int) int {
 }
 
 // Matrix is a symmetric pairwise edit-distance matrix over a cohort of
-// runs of the same specification.
+// runs of the same specification, with each run's label.
 type Matrix struct {
 	Labels []string
-	D      [][]float64
+	D      *cluster.Matrix
 }
 
 // Options tunes DistanceMatrixWith and the dense rebuilds of
@@ -96,49 +99,6 @@ func DistanceMatrixWith(runs []*wfrun.Run, names []string, m cost.Model, opts Op
 	return &Matrix{Labels: labels, D: d}, nil
 }
 
-// Medoid returns the index of the run with minimum total distance to
-// the rest of the cohort — the "most typical" execution.
-func (mx *Matrix) Medoid() int {
-	best, bestSum := 0, math.Inf(1)
-	for i := range mx.D {
-		sum := 0.0
-		for j := range mx.D[i] {
-			sum += mx.D[i][j]
-		}
-		if sum < bestSum {
-			best, bestSum = i, sum
-		}
-	}
-	return best
-}
-
-// Outlier returns the index of the run with maximum total distance to
-// the rest of the cohort.
-func (mx *Matrix) Outlier() int {
-	worst, worstSum := 0, -1.0
-	for i := range mx.D {
-		sum := 0.0
-		for j := range mx.D[i] {
-			sum += mx.D[i][j]
-		}
-		if sum > worstSum {
-			worst, worstSum = i, sum
-		}
-	}
-	return worst
-}
-
-// Nearest returns the index and distance of the run closest to run i.
-func (mx *Matrix) Nearest(i int) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	for j := range mx.D[i] {
-		if j != i && mx.D[i][j] < bestD {
-			best, bestD = j, mx.D[i][j]
-		}
-	}
-	return best, bestD
-}
-
 // String renders the matrix as an aligned table.
 func (mx *Matrix) String() string {
 	var b strings.Builder
@@ -153,9 +113,9 @@ func (mx *Matrix) String() string {
 		fmt.Fprintf(&b, "%*s", w+1, l)
 	}
 	b.WriteByte('\n')
-	for i, row := range mx.D {
-		fmt.Fprintf(&b, "%*s", w+1, mx.Labels[i])
-		for _, v := range row {
+	for i, l := range mx.Labels {
+		fmt.Fprintf(&b, "%*s", w+1, l)
+		for _, v := range mx.D.Row(i) {
 			fmt.Fprintf(&b, "%*s", w+1, trimFloat(v))
 		}
 		b.WriteByte('\n')
@@ -191,7 +151,7 @@ func (d *Dendrogram) Leaves() []int {
 // Cluster performs average-linkage (UPGMA) agglomerative clustering of
 // the cohort and returns the dendrogram root.
 func (mx *Matrix) Cluster() *Dendrogram {
-	n := len(mx.D)
+	n := mx.D.Len()
 	active := make([]*Dendrogram, n)
 	for i := range active {
 		active[i] = &Dendrogram{Run: i, Label: mx.Labels[i], size: 1}
@@ -199,7 +159,7 @@ func (mx *Matrix) Cluster() *Dendrogram {
 	// dist holds the current inter-cluster distances.
 	dist := make([][]float64, n)
 	for i := range dist {
-		dist[i] = append([]float64(nil), mx.D[i]...)
+		dist[i] = append([]float64(nil), mx.D.Row(i)...)
 	}
 	alive := make([]bool, n)
 	for i := range alive {

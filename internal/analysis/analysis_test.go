@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/fixtures"
 	"repro/internal/gen"
@@ -35,14 +36,14 @@ func TestDistanceMatrixProperties(t *testing.T) {
 	}
 	n := len(runs)
 	for i := 0; i < n; i++ {
-		if mx.D[i][i] != 0 {
+		if mx.D.At(i, i) != 0 {
 			t.Fatalf("diagonal not zero at %d", i)
 		}
 		for j := 0; j < n; j++ {
-			if mx.D[i][j] != mx.D[j][i] {
+			if mx.D.At(i, j) != mx.D.At(j, i) {
 				t.Fatalf("asymmetric at (%d,%d)", i, j)
 			}
-			if mx.D[i][j] < 0 {
+			if mx.D.At(i, j) < 0 {
 				t.Fatalf("negative distance at (%d,%d)", i, j)
 			}
 		}
@@ -69,6 +70,8 @@ func TestDistanceMatrixErrors(t *testing.T) {
 	}
 }
 
+// TestMedoidAndOutlier: the cohort statistics the service reports
+// come from internal/cluster over the matrix DistanceMatrix builds.
 func TestMedoidAndOutlier(t *testing.T) {
 	// Three identical runs plus one very different run: the outlier
 	// must be the different one, the medoid one of the identical.
@@ -81,14 +84,15 @@ func TestMedoidAndOutlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mx.Outlier(); got != 2 {
-		t.Fatalf("outlier = %d, want 2\n%s", got, mx)
+	scores, err := cluster.Outliers(mx.D, 3)
+	if err != nil || scores[0].Index != 2 {
+		t.Fatalf("outlier = %v (%v), want 2\n%s", scores, err, mx)
 	}
-	if got := mx.Medoid(); got == 2 {
+	if got := cluster.Medoid(mx.D); got == 2 {
 		t.Fatalf("medoid must not be the outlier\n%s", mx)
 	}
-	if j, d := mx.Nearest(0); d != 0 || (j != 1 && j != 3) {
-		t.Fatalf("nearest(0) = %d,%g", j, d)
+	if nn, err := cluster.Nearest(mx.D, 0, 1); err != nil || nn[0].Distance != 0 || (nn[0].Index != 1 && nn[0].Index != 3) {
+		t.Fatalf("nearest(0) = %v, %v", nn, err)
 	}
 }
 
@@ -167,9 +171,9 @@ func TestDistanceMatrixProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range plain.D {
-		for j := range plain.D[i] {
-			if mx.D[i][j] != plain.D[i][j] {
+	for i := range plain.D.Len() {
+		for j := range plain.D.Len() {
+			if mx.D.At(i, j) != plain.D.At(i, j) {
 				t.Fatalf("matrix differs at %d,%d", i, j)
 			}
 		}

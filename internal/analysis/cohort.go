@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/wfrun"
 )
@@ -13,15 +14,15 @@ import (
 // in matrix order, name → row, the runs and the n×n distance matrix.
 // A published generation is never written again. without and with
 // build the next one, so a view handed out by HybridCohort.View shares
-// the rows instead of copying them.
+// the matrix instead of copying it.
 type dense struct {
 	labels []string
 	index  map[string]int
 	runs   []*wfrun.Run
-	d      [][]float64
+	d      *cluster.Matrix
 }
 
-func newDense(labels []string, runs []*wfrun.Run, d [][]float64) *dense {
+func newDense(labels []string, runs []*wfrun.Run, d *cluster.Matrix) *dense {
 	return &dense{labels: labels, index: indexNames(labels), runs: runs, d: d}
 }
 
@@ -46,45 +47,35 @@ func (g *dense) without(name string) *dense {
 	labels = append(append(labels, g.labels[:i]...), g.labels[i+1:]...)
 	runs := make([]*wfrun.Run, 0, n)
 	runs = append(append(runs, g.runs[:i]...), g.runs[i+1:]...)
-	d := make([][]float64, n)
-	for r := range d {
-		src := r
-		if r >= i {
-			src++
-		}
-		d[r] = make([]float64, 0, n)
-		d[r] = append(append(d[r], g.d[src][:i]...), g.d[src][i+1:]...)
-	}
-	return newDense(labels, runs, d)
+	return newDense(labels, runs, g.d.Without(i))
 }
 
 // with returns the generation plus one run, whose distances to the
 // current members, in matrix order, are row. The name must be absent.
-func (g *dense) with(name string, run *wfrun.Run, row []float64) *dense {
-	n := len(g.labels)
-	d := make([][]float64, n+1)
-	for i, src := range g.d {
-		d[i] = append(append(make([]float64, 0, n+1), src...), row[i])
+func (g *dense) with(name string, run *wfrun.Run, row []float64) (*dense, error) {
+	d, err := g.d.With(row)
+	if err != nil {
+		return nil, err
 	}
-	d[n] = append(append(make([]float64, 0, n+1), row...), 0)
-	labels := append(g.labels[:n:n], name)
-	runs := append(g.runs[:n:n], run)
-	return newDense(labels, runs, d)
+	n := len(g.labels)
+	return newDense(append(g.labels[:n:n], name), append(g.runs[:n:n], run), d), nil
 }
 
 // pairwise differences every pair i < j of runs into a fresh n×n
-// matrix. It is the package's one O(n²) fan-out, shared by
+// matrix, checked once when it is complete. It is the package's one
+// O(n²) fan-out, shared by
 // DistanceMatrixWith and the dense side of HybridCohort.Reset. The
 // unit of work is a row of the upper triangle: each worker claims the
 // next unclaimed row, longest first, and differences it with its own
 // engine, so the shards balance to within one row's work and an engine
 // that claims no row never pays its warm-up. Each successful diff
 // bumps diffs when it is non-nil.
-func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts Options, diffs *atomic.Int64) ([][]float64, error) {
+func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts Options, diffs *atomic.Int64) (*cluster.Matrix, error) {
 	n := len(runs)
 	d := make([][]float64, n)
+	cells := make([]float64, n*n)
 	for i := range d {
-		d[i] = make([]float64, n)
+		d[i] = cells[i*n : (i+1)*n]
 	}
 	// A nil context means no cancellation: a nil channel never fires.
 	var cancelled <-chan struct{}
@@ -145,7 +136,10 @@ func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts O
 			return nil, fmt.Errorf("analysis: cohort aborted: %w", err)
 		}
 	}
-	return d, nil
+	if n == 0 {
+		return &cluster.Matrix{}, nil
+	}
+	return cluster.NewMatrix(d)
 }
 
 // row differences run against every member of g, striping the cells

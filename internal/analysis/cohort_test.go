@@ -2,12 +2,14 @@ package analysis
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/gen"
 	"repro/internal/wfrun"
@@ -52,7 +54,7 @@ func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 		}
 		got := cm.View().Matrix
 		if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.D, want.D) {
-			t.Fatalf("workers=%d: matrix mismatch\ngot  %v\nwant %v", workers, got.D, want.D)
+			t.Fatalf("workers=%d: matrix mismatch\ngot  %v\nwant %v", workers, got, want)
 		}
 	}
 }
@@ -71,14 +73,7 @@ func TestCohortMatrixIncrementalAdd(t *testing.T) {
 		if got, want := cm.DiffCalls()-before, int64(i); got != want {
 			t.Fatalf("adding run %d performed %d diffs, want exactly %d", i, got, want)
 		}
-	}
-	want, err := DistanceMatrix(runs, names, cost.Unit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cm.View().Matrix
-	if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.D, want.D) {
-		t.Fatalf("incremental matrix diverged from full recompute\ngot  %v\nwant %v", got.D, want.D)
+		checkPublished(t, cm, runs[:i+1], names[:i+1], cost.Unit{})
 	}
 	// Total incremental work: n(n-1)/2 diffs, same as one full build —
 	// but each import only paid its own row.
@@ -96,6 +91,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	if err := cm.Reset(names[:5], runs[:5], Options{}); err != nil {
 		t.Fatal(err)
 	}
+	checkPublished(t, cm, runs[:5], names[:5], cost.Length{})
 	// Replace rb's run with a different one.
 	before := cm.DiffCalls()
 	if err := cm.Add(names[1], runs[5]); err != nil {
@@ -108,14 +104,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	// same member set (order differs: replaced rows move to the end).
 	swapped := append(append([]*wfrun.Run(nil), runs[0]), runs[2], runs[3], runs[4], runs[5])
 	labels := []string{names[0], names[2], names[3], names[4], names[1]}
-	want, err := DistanceMatrix(swapped, labels, cost.Length{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cm.View().Matrix
-	if !reflect.DeepEqual(got.Labels, want.Labels) || !reflect.DeepEqual(got.D, want.D) {
-		t.Fatalf("after replace:\ngot  %v %v\nwant %v %v", got.Labels, got.D, want.Labels, want.D)
-	}
+	checkPublished(t, cm, swapped, labels, cost.Length{})
 
 	// Remove a middle member.
 	before = cm.DiffCalls()
@@ -130,14 +119,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	}
 	kept := []*wfrun.Run{runs[0], runs[3], runs[4], runs[5]}
 	keptNames := []string{names[0], names[3], names[4], names[1]}
-	want2, err := DistanceMatrix(kept, keptNames, cost.Length{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2 := cm.View().Matrix
-	if !reflect.DeepEqual(got2.Labels, want2.Labels) || !reflect.DeepEqual(got2.D, want2.D) {
-		t.Fatalf("after remove:\ngot  %v %v\nwant %v %v", got2.Labels, got2.D, want2.Labels, want2.D)
-	}
+	checkPublished(t, cm, kept, keptNames, cost.Length{})
 	v := cm.View()
 	_, has2 := v.IndexOf(names[2])
 	_, has0 := v.IndexOf(names[0])
@@ -168,16 +150,51 @@ func TestCohortMatrixIncrementalSavesDiffs(t *testing.T) {
 		fullDiffs, incDiffs, float64(fullDiffs)/float64(incDiffs))
 }
 
+// rows returns a matrix's rows, shared with it.
+func rows(d *cluster.Matrix) [][]float64 {
+	out := make([][]float64, d.Len())
+	for i := range out {
+		out[i] = d.Row(i)
+	}
+	return out
+}
+
+// checkPublished: the cohort's published matrix equals a fresh
+// DistanceMatrix of runs bit for bit, and NewMatrix accepts its own
+// rows, so the generations With and Without build are symmetric with a
+// zero diagonal by construction.
+func checkPublished(t *testing.T, cm *HybridCohort, runs []*wfrun.Run, names []string, m cost.Model) {
+	t.Helper()
+	want, err := DistanceMatrix(runs, names, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cm.View().Matrix
+	if !reflect.DeepEqual(got.Labels, want.Labels) || got.D.Len() != want.D.Len() {
+		t.Fatalf("published %v, want %v", got, want)
+	}
+	for i, row := range rows(got.D) {
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(want.D.At(i, j)) {
+				t.Fatalf("published (%d,%d) = %v, fresh %v\n%v", i, j, v, want.D.At(i, j), got)
+			}
+		}
+	}
+	if _, err := cluster.NewMatrix(rows(got.D)); err != nil {
+		t.Fatalf("NewMatrix refuses the published matrix: %v", err)
+	}
+}
+
 // cloneMatrix deep-copies a view's matrix (nil for an empty cohort).
 func cloneMatrix(mx *Matrix) *Matrix {
 	if mx == nil {
 		return nil
 	}
-	c := &Matrix{Labels: append([]string(nil), mx.Labels...), D: make([][]float64, len(mx.D))}
-	for i, row := range mx.D {
-		c.D[i] = append([]float64(nil), row...)
+	d, err := cluster.NewMatrix(rows(mx.D))
+	if err != nil {
+		panic(err)
 	}
-	return c
+	return &Matrix{Labels: append([]string(nil), mx.Labels...), D: d}
 }
 
 // TestCohortMatrixConcurrentReads: views taken while Add and Remove
@@ -209,17 +226,17 @@ func TestCohortMatrixConcurrentReads(t *testing.T) {
 				if mx == nil {
 					continue
 				}
-				if len(mx.Labels) != len(mx.D) {
-					t.Errorf("view: %d labels, %d rows", len(mx.Labels), len(mx.D))
+				if len(mx.Labels) != mx.D.Len() {
+					t.Errorf("view: %d labels, %d rows", len(mx.Labels), mx.D.Len())
 					return
 				}
-				for i, row := range mx.D {
-					if len(row) != len(mx.D) || row[i] != 0 {
+				for i, row := range rows(mx.D) {
+					if row[i] != 0 {
 						t.Errorf("view row %d inconsistent", i)
 						return
 					}
 					for j := range row {
-						if row[j] != mx.D[j][i] {
+						if row[j] != mx.D.At(j, i) {
 							t.Errorf("view asymmetric at (%d,%d)", i, j)
 							return
 						}
@@ -264,8 +281,7 @@ func TestDenseViewSurvivesMutations(t *testing.T) {
 		t.Helper()
 		for i := range views {
 			if !reflect.DeepEqual(views[i], copies[i]) {
-				t.Fatalf("after %s: view %d changed\ngot  %v %v\nwant %v %v",
-					step, i, views[i].Labels, views[i].D, copies[i].Labels, copies[i].D)
+				t.Fatalf("after %s: view %d changed\ngot\n%v\nwant\n%v", step, i, views[i], copies[i])
 			}
 		}
 		take()

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,7 @@ func NewHybridCohort(m cost.Model, workers int, opts HybridOptions) *HybridCohor
 		model:     m,
 		workers:   workers,
 		threshold: th,
-		dn:        newDense(nil, nil, nil),
+		dn:        newDense(nil, nil, &cluster.Matrix{}),
 	}
 }
 
@@ -231,40 +232,43 @@ func (v *CohortView) Indexed() bool { return v != nil && v.Index != nil }
 // indexed nearest and outlier answers are byte-identical to the dense
 // ones, apart from OutlierScore.MeanAll, which stays 0; clustering an
 // indexed view runs sampled k-medoids, whose Silhouette is 0. An
-// empty view answers with the dense functions' empty-matrix error.
+// empty view answers errEmptyView.
 
-// dist returns the dense distances, nil for an empty view.
-func (v *CohortView) dist() [][]float64 {
-	if v.Matrix == nil {
-		return nil
-	}
-	return v.Matrix.D
-}
+var errEmptyView = errors.New("analysis: empty cohort")
 
 // Nearest returns the k runs closest to run i, nearest first.
 func (v *CohortView) Nearest(i, k int) ([]cluster.Neighbor, error) {
-	if v.Index != nil {
+	switch {
+	case v.Index != nil:
 		return cluster.IndexedNearest(v.Index, i, k)
+	case v.Matrix == nil:
+		return nil, errEmptyView
 	}
-	return cluster.Nearest(v.dist(), i, k)
+	return cluster.Nearest(v.Matrix.D, i, k)
 }
 
 // Outliers scores every run by its mean distance to its k nearest
 // neighbors, most anomalous first.
 func (v *CohortView) Outliers(k int) ([]cluster.OutlierScore, error) {
-	if v.Index != nil {
+	switch {
+	case v.Index != nil:
 		return cluster.IndexedOutliers(v.Index, k)
+	case v.Matrix == nil:
+		return nil, errEmptyView
 	}
-	return cluster.Outliers(v.dist(), k)
+	return cluster.Outliers(v.Matrix.D, k)
 }
 
 // Cluster partitions the cohort into k clusters: full PAM over a dense
 // view, sampled k-medoids over an indexed one.
 func (v *CohortView) Cluster(ctx context.Context, k int, seed int64) (*cluster.Clustering, error) {
-	if v.Index != nil {
+	switch {
+	case v.Index != nil:
 		return cluster.SampledKMedoids(ctx, v.Index, k, seed, cluster.SampleOptions{})
+	case v.Matrix == nil:
+		return nil, errEmptyView
 	}
-	return cluster.KMedoidsContext(ctx, v.dist(), k, seed)
+	return cluster.KMedoidsContext(ctx, v.Matrix.D, k, seed)
 }
 
 // Medoid returns the position of the cohort's most typical run: the
@@ -281,12 +285,12 @@ func (v *CohortView) Medoid(ctx context.Context) (i int, ok bool, err error) {
 		}
 		return cl.Medoids[0], true, nil
 	}
-	return v.Matrix.Medoid(), true, nil
+	return cluster.Medoid(v.Matrix.D), true, nil
 }
 
 // View returns an immutable view of the cohort in its current
 // representation (a CohortView with both fields nil when empty). A
-// dense view shares the published generation's rows.
+// dense view shares the published generation's matrix.
 func (hc *HybridCohort) View() *CohortView {
 	hc.mu.RLock()
 	defer hc.mu.RUnlock()
@@ -347,7 +351,10 @@ func (hc *HybridCohort) Add(name string, run *wfrun.Run) error {
 	if err != nil {
 		return err
 	}
-	dn := base.with(name, run, row)
+	dn, err := base.with(name, run, row)
+	if err != nil {
+		return err
+	}
 	if hc.indexEligible(len(dn.labels)) {
 		ix := hc.newIndex()
 		if err := ix.Reset(dn.labels, dn.runs); err != nil {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -141,8 +142,8 @@ func TestHybridViewMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d != want.D[i][j] {
-				t.Fatalf("d(%d,%d): index %g, dense %g", i, j, d, want.D[i][j])
+			if d != want.D.At(i, j) {
+				t.Fatalf("d(%d,%d): index %g, dense %g", i, j, d, want.D.At(i, j))
 			}
 			if b := v.Index.Bound(i, j); b > d {
 				t.Fatalf("bound(%d,%d)=%g > exact %g", i, j, b, d)
@@ -163,7 +164,7 @@ func TestHybridViewMatchesDense(t *testing.T) {
 	v2 := hc.View()
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if v2.Matrix.D[i][j] != want.D[i][j] {
+			if v2.Matrix.D.At(i, j) != want.D.At(i, j) {
 				t.Fatalf("dense rebuild drifted at (%d,%d)", i, j)
 			}
 		}
@@ -283,7 +284,17 @@ func TestCohortViewQueries(t *testing.T) {
 			t.Fatalf("Medoid (indexed=%v): %d %v %v", v.Indexed(), m, ok, err)
 		}
 	}
-	if m, _, _ := dense.Medoid(context.Background()); m != dense.Matrix.Medoid() {
-		t.Fatalf("dense Medoid %d, matrix medoid %d", m, dense.Matrix.Medoid())
+	best, bestSum := 0, math.Inf(1)
+	for i := range names {
+		sum := 0.0
+		for _, v := range dense.Matrix.D.Row(i) {
+			sum += v
+		}
+		if sum < bestSum {
+			best, bestSum = i, sum
+		}
+	}
+	if m, _, _ := dense.Medoid(context.Background()); m != best {
+		t.Fatalf("dense Medoid %d, least row sum at %d", m, best)
 	}
 }

@@ -8,15 +8,17 @@
 // (Section I) — and its edit distance is a metric, so medoids are
 // genuinely the most representative executions of their cluster.
 //
-// All functions consume a symmetric pairwise distance matrix (the
-// analysis package computes and incrementally maintains one per
-// cohort); none of them differences runs themselves, so they run in
-// time polynomial in the cohort size regardless of run sizes.
+// The dense functions consume a Matrix, a symmetric pairwise distance
+// matrix checked once when it is built (the analysis package computes
+// and incrementally maintains one per cohort); none of them
+// differences runs themselves, so they run in time polynomial in the
+// cohort size regardless of run sizes.
 package cluster
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,6 +60,88 @@ func (c *Clustering) Members(cl int) []int {
 	return out
 }
 
+// Matrix is a symmetric distance matrix over n items, held row-major
+// in one array. Only NewMatrix, With and Without build one, each
+// checking what it adds, and none is written after it is built, so
+// the kernels below never check their matrix again. The zero value is
+// the empty matrix.
+type Matrix struct {
+	n int
+	d []float64
+}
+
+// NewMatrix validates a whole matrix and copies it: the one full check,
+// for external input and for each O(n²) build.
+func NewMatrix(rows [][]float64) (*Matrix, error) {
+	if err := validateMatrix(rows); err != nil {
+		return nil, err
+	}
+	m := &Matrix{n: len(rows), d: make([]float64, 0, len(rows)*len(rows))}
+	for _, row := range rows {
+		m.d = append(m.d, row...)
+	}
+	return m, nil
+}
+
+// Len returns the number of items.
+func (m *Matrix) Len() int { return m.n }
+
+// At returns the distance between items i and j.
+func (m *Matrix) At(i, j int) float64 { return m.d[i*m.n+j] }
+
+// Row returns item i's distances. The row is shared: callers must not
+// write to it.
+func (m *Matrix) Row(i int) []float64 { return m.d[i*m.n : (i+1)*m.n : (i+1)*m.n] }
+
+// With returns the matrix plus one item, whose distances to the
+// current items, in order, are row. Only the new row is checked: its
+// length, and each entry for NaN and sign.
+func (m *Matrix) With(row []float64) (*Matrix, error) {
+	n := m.n
+	if len(row) != n {
+		return nil, fmt.Errorf("cluster: new row has %d entries in a %d-item matrix", len(row), n)
+	}
+	for j, v := range row {
+		if math.IsNaN(v) || v < 0 {
+			return nil, fmt.Errorf("cluster: invalid distance %g at (%d,%d)", v, n, j)
+		}
+	}
+	out := &Matrix{n: n + 1, d: make([]float64, 0, (n+1)*(n+1))}
+	for i := 0; i < n; i++ {
+		out.d = append(append(out.d, m.Row(i)...), row[i])
+	}
+	out.d = append(append(out.d, row...), 0)
+	return out, nil
+}
+
+// Without returns the matrix minus item i.
+func (m *Matrix) Without(i int) *Matrix {
+	out := &Matrix{n: m.n - 1, d: make([]float64, 0, (m.n-1)*(m.n-1))}
+	for r := 0; r < m.n; r++ {
+		if r != i {
+			row := m.Row(r)
+			out.d = append(append(out.d, row[:i]...), row[i+1:]...)
+		}
+	}
+	return out
+}
+
+// Permute returns the matrix with its items reordered: item i of the
+// result is item perm[i] of m, which must be a permutation of [0, n).
+func (m *Matrix) Permute(perm []int) *Matrix {
+	out := &Matrix{n: m.n, d: make([]float64, 0, len(m.d))}
+	for _, pi := range perm {
+		row := m.Row(pi)
+		for _, pj := range perm {
+			out.d = append(out.d, row[pj])
+		}
+	}
+	return out
+}
+
+// errEmpty is what every kernel answers on an empty matrix.
+var errEmpty = errors.New("cluster: empty distance matrix")
+
 // validateMatrix rejects matrices the algorithms cannot run on:
 // non-square, asymmetric beyond float tolerance, negative or NaN
 // entries, or nonzero diagonals. Every entry is checked for NaN and
@@ -68,7 +152,7 @@ func (c *Clustering) Members(cl int) []int {
 func validateMatrix(d [][]float64) error {
 	n := len(d)
 	if n == 0 {
-		return fmt.Errorf("cluster: empty distance matrix")
+		return errEmpty
 	}
 	for i, row := range d {
 		if len(row) != n {
@@ -102,7 +186,7 @@ func validateMatrix(d [][]float64) error {
 // then repeated best-improvement SWAP until no single medoid/non-medoid
 // exchange lowers the objective. Results are deterministic for a fixed
 // seed; ties break toward lower item indices.
-func KMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
+func KMedoids(d *Matrix, k int, seed int64) (*Clustering, error) {
 	return KMedoidsContext(context.Background(), d, k, seed)
 }
 
@@ -113,11 +197,11 @@ func KMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
 // a round and an abandoned request (client gone, server shutting
 // down) stops mid-SWAP instead of running the exchange search to
 // completion. Returns ctx.Err() when cancelled.
-func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Clustering, error) {
-	if err := validateMatrix(d); err != nil {
-		return nil, err
+func KMedoidsContext(ctx context.Context, d *Matrix, k int, seed int64) (*Clustering, error) {
+	n := d.n
+	if n == 0 {
+		return nil, errEmpty
 	}
-	n := len(d)
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("cluster: k=%d outside [1, %d]", k, n)
 	}
@@ -127,21 +211,12 @@ func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Cl
 	// distance — the cohort medoid — independent of the seed.
 	medoids := make([]int, 0, k)
 	isMedoid := make([]bool, n)
-	best, bestSum := 0, math.Inf(1)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for j := 0; j < n; j++ {
-			sum += d[i][j]
-		}
-		if sum < bestSum {
-			best, bestSum = i, sum
-		}
-	}
+	best := Medoid(d)
 	medoids = append(medoids, best)
 	isMedoid[best] = true
 	nearest := make([]float64, n) // distance to the closest chosen medoid
 	for i := 0; i < n; i++ {
-		nearest[i] = d[i][best]
+		nearest[i] = d.At(i, best)
 	}
 	for len(medoids) < k {
 		total := 0.0
@@ -179,8 +254,8 @@ func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Cl
 		medoids = append(medoids, pick)
 		isMedoid[pick] = true
 		for i := 0; i < n; i++ {
-			if d[i][pick] < nearest[i] {
-				nearest[i] = d[i][pick]
+			if v := d.At(i, pick); v < nearest[i] {
+				nearest[i] = v
 			}
 		}
 	}
@@ -205,7 +280,8 @@ func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Cl
 	acc := make([]float64, k*n)
 	for {
 		iters++
-		for i, row := range d {
+		for i := 0; i < n; i++ {
+			row := d.Row(i)
 			best, second, slot := math.Inf(1), math.Inf(1), 0
 			for c, m := range medoids {
 				if v := row[m]; v < best {
@@ -217,7 +293,8 @@ func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Cl
 			d1[i], d2[i], near[i] = best, second, slot
 		}
 		clear(acc)
-		for i, row := range d {
+		for i := 0; i < n; i++ {
+			row := d.Row(i)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -264,6 +341,23 @@ func KMedoidsContext(ctx context.Context, d [][]float64, k int, seed int64) (*Cl
 	}, nil
 }
 
+// Medoid returns the item with the least total distance to the others,
+// the most typical one, ties toward the lower index; 0 for an empty
+// matrix.
+func Medoid(d *Matrix) int {
+	best, bestSum := 0, math.Inf(1)
+	for i := 0; i < d.n; i++ {
+		sum := 0.0
+		for _, v := range d.Row(i) {
+			sum += v
+		}
+		if sum < bestSum {
+			best, bestSum = i, sum
+		}
+	}
+	return best
+}
+
 // canonicalClusters sorts the medoids ascending and renumbers the
 // assignment to match, so equal partitions always render identically.
 // The inputs are rewritten in place and returned.
@@ -289,13 +383,14 @@ func canonicalClusters(medoids, assign []int) ([]int, []int) {
 
 // assignAll assigns every item to its closest medoid (ties toward the
 // earlier medoid in the list) and returns the total assignment cost.
-func assignAll(d [][]float64, medoids []int, assign []int) float64 {
+func assignAll(d *Matrix, medoids []int, assign []int) float64 {
 	total := 0.0
 	for i := range assign {
+		row := d.Row(i)
 		bestC, bestD := 0, math.Inf(1)
 		for c, m := range medoids {
-			if d[i][m] < bestD {
-				bestC, bestD = c, d[i][m]
+			if row[m] < bestD {
+				bestC, bestD = c, row[m]
 			}
 		}
 		assign[i] = bestC
@@ -305,7 +400,7 @@ func assignAll(d [][]float64, medoids []int, assign []int) float64 {
 }
 
 // silhouette computes the mean silhouette coefficient of a partition.
-func silhouette(d [][]float64, assign []int, k int) float64 {
+func silhouette(d *Matrix, assign []int, k int) float64 {
 	if k < 2 {
 		return 0
 	}
@@ -320,12 +415,10 @@ func silhouette(d [][]float64, assign []int, k int) float64 {
 		if sizes[assign[i]] < 2 {
 			continue // silhouette of a singleton is defined as 0
 		}
-		for c := range meanTo {
-			meanTo[c] = 0
-		}
-		for j := 0; j < n; j++ {
+		clear(meanTo)
+		for j, v := range d.Row(i) {
 			if j != i {
-				meanTo[assign[j]] += d[i][j]
+				meanTo[assign[j]] += v
 			}
 		}
 		a := meanTo[assign[i]] / float64(sizes[assign[i]]-1)
@@ -374,11 +467,11 @@ type OutlierScore struct {
 // buffer of its smallest distances, summed in ascending order as a
 // sorted row's prefix would be: O(n²) for the matrix, plus the
 // buffer's insertions.
-func Outliers(d [][]float64, k int) ([]OutlierScore, error) {
-	if err := validateMatrix(d); err != nil {
-		return nil, err
+func Outliers(d *Matrix, k int) ([]OutlierScore, error) {
+	n := d.n
+	if n == 0 {
+		return nil, errEmpty
 	}
-	n := len(d)
 	if n == 1 {
 		return []OutlierScore{{Index: 0}}, nil
 	}
@@ -390,10 +483,10 @@ func Outliers(d [][]float64, k int) ([]OutlierScore, error) {
 	}
 	out := make([]OutlierScore, n)
 	knn := make([]Neighbor, 0, k)
-	for i, row := range d {
+	for i := 0; i < n; i++ {
 		knn = knn[:0]
 		sum := 0.0
-		for j, v := range row {
+		for j, v := range d.Row(i) {
 			if j != i {
 				sum += v
 				knn = pushNearest(knn, k, j, v)
@@ -428,11 +521,11 @@ type Neighbor struct {
 // (ties toward lower indices), excluding i itself. k is clamped to
 // [0, n-1]. Row i is scanned once into a k-slot buffer: O(n) plus the
 // buffer's insertions.
-func Nearest(d [][]float64, i, k int) ([]Neighbor, error) {
-	if err := validateMatrix(d); err != nil {
-		return nil, err
+func Nearest(d *Matrix, i, k int) ([]Neighbor, error) {
+	n := d.n
+	if n == 0 {
+		return nil, errEmpty
 	}
-	n := len(d)
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("cluster: item %d outside matrix of %d items", i, n)
 	}
@@ -443,7 +536,7 @@ func Nearest(d [][]float64, i, k int) ([]Neighbor, error) {
 		return nil, nil
 	}
 	out := make([]Neighbor, 0, k)
-	for j, v := range d[i] {
+	for j, v := range d.Row(i) {
 		if j != i {
 			out = pushNearest(out, k, j, v)
 		}

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// mustMatrix is NewMatrix for rows a test built valid.
+func mustMatrix(t testing.TB, rows [][]float64) *Matrix {
+	t.Helper()
+	m, err := NewMatrix(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // twoBlobs builds a distance matrix of two well-separated groups:
 // items [0, split) are mutually close, items [split, n) are mutually
 // close, and cross-group distances are large.
@@ -31,7 +41,7 @@ func twoBlobs(n, split int, rng *rand.Rand) [][]float64 {
 
 func TestKMedoidsRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := twoBlobs(12, 5, rng)
+	d := mustMatrix(t, twoBlobs(12, 5, rng))
 	cl, err := KMedoids(d, 2, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +81,7 @@ func TestKMedoidsRecoversBlobs(t *testing.T) {
 // identical clusterings, call after call.
 func TestKMedoidsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	d := twoBlobs(16, 7, rng)
+	d := mustMatrix(t, twoBlobs(16, 7, rng))
 	first, err := KMedoids(d, 3, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +99,7 @@ func TestKMedoidsDeterministic(t *testing.T) {
 
 func TestKMedoidsDegenerate(t *testing.T) {
 	// k = n: every item its own medoid, zero cost.
-	d := twoBlobs(4, 2, rand.New(rand.NewSource(3)))
+	d := mustMatrix(t, twoBlobs(4, 2, rand.New(rand.NewSource(3))))
 	cl, err := KMedoids(d, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +123,7 @@ func TestKMedoidsDegenerate(t *testing.T) {
 	for i := range zero {
 		zero[i] = make([]float64, 3)
 	}
-	if _, err := KMedoids(zero, 2, 5); err != nil {
+	if _, err := KMedoids(mustMatrix(t, zero), 2, 5); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid inputs.
@@ -123,16 +133,8 @@ func TestKMedoidsDegenerate(t *testing.T) {
 	if _, err := KMedoids(d, 5, 1); err == nil {
 		t.Fatal("k>n must error")
 	}
-	if _, err := KMedoids(nil, 1, 1); err == nil {
+	if _, err := KMedoids(&Matrix{}, 1, 1); err == nil {
 		t.Fatal("empty matrix must error")
-	}
-	bad := [][]float64{{0, 1}, {2, 0}}
-	if _, err := KMedoids(bad, 1, 1); err == nil {
-		t.Fatal("asymmetric matrix must error")
-	}
-	neg := [][]float64{{0, -1}, {-1, 0}}
-	if _, err := KMedoids(neg, 1, 1); err == nil {
-		t.Fatal("negative distance must error")
 	}
 }
 
@@ -140,13 +142,13 @@ func TestKMedoidsDegenerate(t *testing.T) {
 // on a configuration where greedy init alone is suboptimal.
 func TestKMedoidsObjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	d := twoBlobs(10, 5, rng)
+	d := mustMatrix(t, twoBlobs(10, 5, rng))
 	cl, err := KMedoids(d, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exhaustive check: no medoid pair beats the PAM result.
-	n := len(d)
+	n := d.Len()
 	bestCost := math.Inf(1)
 	assign := make([]int, n)
 	for a := 0; a < n; a++ {
@@ -166,16 +168,16 @@ func TestOutliers(t *testing.T) {
 	// Two tight blobs plus one far-away item: total-distance ranking
 	// would also flag blob members of the smaller blob; knn scoring
 	// must single out item 8.
-	d := twoBlobs(8, 4, rng)
+	rows := twoBlobs(8, 4, rng)
 	n := 9
-	for i := range d {
-		d[i] = append(d[i], 500)
+	for i := range rows {
+		rows[i] = append(rows[i], 500)
 	}
 	last := make([]float64, n)
 	for j := 0; j < n-1; j++ {
 		last[j] = 500
 	}
-	d = append(d, last)
+	d := mustMatrix(t, append(rows, last))
 	scores, err := Outliers(d, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -205,19 +207,19 @@ func TestOutliers(t *testing.T) {
 			t.Fatalf("k>=n-1 score %g != mean %g", s.Score, s.MeanAll)
 		}
 	}
-	one, err := Outliers([][]float64{{0}}, 3)
+	one, err := Outliers(mustMatrix(t, [][]float64{{0}}), 3)
 	if err != nil || len(one) != 1 || one[0].Score != 0 {
 		t.Fatalf("singleton: %v %v", one, err)
 	}
 }
 
 func TestNearest(t *testing.T) {
-	d := [][]float64{
+	d := mustMatrix(t, [][]float64{
 		{0, 1, 4, 2},
 		{1, 0, 5, 3},
 		{4, 5, 0, 6},
 		{2, 3, 6, 0},
-	}
+	})
 	nn, err := Nearest(d, 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +241,7 @@ func TestNearest(t *testing.T) {
 		t.Fatal("out-of-range index must error")
 	}
 	// Equal distances break ties toward lower indices.
-	tie := [][]float64{{0, 2, 2}, {2, 0, 2}, {2, 2, 0}}
+	tie := mustMatrix(t, [][]float64{{0, 2, 2}, {2, 0, 2}, {2, 2, 0}})
 	nt, err := Nearest(tie, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +257,7 @@ func TestNearest(t *testing.T) {
 // cluster to compare against and scores 0, as a singleton does; the
 // mean must not become NaN.
 func TestKMedoidsIdenticalItemsSilhouette(t *testing.T) {
-	zero := [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	zero := mustMatrix(t, [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
 	cl, err := KMedoids(zero, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +270,11 @@ func TestKMedoidsIdenticalItemsSilhouette(t *testing.T) {
 	}
 }
 
-// TestValidateMatrixMessages: each kind of bad matrix is refused with
-// the message of the first bad entry in row-major order, as the check
-// of every (i, j) pair reported it, although symmetry is now checked
-// from the upper triangle only.
+// TestValidateMatrixMessages: NewMatrix refuses each kind of bad
+// matrix with the message of the first bad entry in row-major order, as
+// the check of every (i, j) pair reported it, although symmetry is
+// checked from the upper triangle only. With checks only the row it
+// adds.
 func TestValidateMatrixMessages(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -289,9 +292,9 @@ func TestValidateMatrixMessages(t *testing.T) {
 		{"asymmetric", [][]float64{{0, 1, 2}, {1, 0, 3}, {2, 4, 0}}, "cluster: asymmetric matrix: d[1][2]=3, d[2][1]=4"},
 		{"asymmetric before negative", [][]float64{{0, 1, 5}, {1, 0, -1}, {2, -1, 0}}, "cluster: asymmetric matrix: d[0][2]=5, d[2][0]=2"},
 	} {
-		err := validateMatrix(tc.d)
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("%s: validateMatrix = %v, want %q", tc.name, err, tc.want)
+		m, err := NewMatrix(tc.d)
+		if m != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NewMatrix = %v, %v, want %q", tc.name, m, err, tc.want)
 		}
 		if tc.name == "short later row" {
 			continue // the every-pair check indexes the short row out of range
@@ -300,7 +303,64 @@ func TestValidateMatrixMessages(t *testing.T) {
 			t.Errorf("%s: every-pair check = %v, want %q", tc.name, old, tc.want)
 		}
 	}
-	if err := validateMatrix([][]float64{{0, 1}, {1 + 1e-12, 0}}); err != nil {
+	if _, err := NewMatrix([][]float64{{0, 1}, {1 + 1e-12, 0}}); err != nil {
 		t.Errorf("asymmetry within tolerance refused: %v", err)
+	}
+
+	m := mustMatrix(t, [][]float64{{0, 1}, {1, 0}})
+	for _, tc := range []struct {
+		name string
+		row  []float64
+		want string
+	}{
+		{"short row", []float64{1}, "cluster: new row has 1 entries in a 2-item matrix"},
+		{"NaN", []float64{1, nan}, "cluster: invalid distance NaN at (2,1)"},
+		{"negative", []float64{-2, 1}, "cluster: invalid distance -2 at (2,0)"},
+	} {
+		got, err := m.With(tc.row)
+		if got != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("With(%s) = %v, %v, want %q", tc.name, got, err, tc.want)
+		}
+	}
+}
+
+// TestMatrixWithWithout: growing a matrix item by item with With and
+// dropping items with Without gives the matrix NewMatrix builds from
+// the same rows, and never writes to the matrix it started from.
+func TestMatrixWithWithout(t *testing.T) {
+	rows := twoBlobs(6, 3, rand.New(rand.NewSource(9)))
+	full := mustMatrix(t, rows)
+	m := &Matrix{}
+	for i := range rows {
+		var err error
+		if m, err = m.With(rows[i][:i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(m, full) {
+		t.Fatalf("grown matrix %v, want %v", m, full)
+	}
+	kept := [][]float64{}
+	for _, i := range []int{0, 2, 3, 5} {
+		var row []float64
+		for _, j := range []int{0, 2, 3, 5} {
+			row = append(row, rows[i][j])
+		}
+		kept = append(kept, row)
+	}
+	if got := full.Without(4).Without(1); !reflect.DeepEqual(got, mustMatrix(t, kept)) {
+		t.Fatalf("Without(4).Without(1) = %v, want %v", got, kept)
+	}
+	if !reflect.DeepEqual(full, mustMatrix(t, rows)) {
+		t.Fatal("With or Without wrote to the matrix it started from")
+	}
+	perm := []int{5, 0, 3, 1, 4, 2}
+	p := full.Permute(perm)
+	for i, pi := range perm {
+		for j, pj := range perm {
+			if p.At(i, j) != full.At(pi, pj) {
+				t.Fatalf("Permute: (%d,%d) = %g, want %g", i, j, p.At(i, j), full.At(pi, pj))
+			}
+		}
 	}
 }

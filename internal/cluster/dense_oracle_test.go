@@ -14,7 +14,8 @@ import (
 // the straightforward forms they replaced: a stable sort of every row
 // for Nearest and Outliers, assignAll per candidate exchange for the
 // SWAP phase, and a symmetry check of every (i, j) for validateMatrix.
-// The differential test requires the two forms to agree exactly.
+// The differential test feeds both forms the same Matrix and requires
+// them to agree exactly.
 
 func oracleValidate(d [][]float64) error {
 	n := len(d)
@@ -40,11 +41,8 @@ func oracleValidate(d [][]float64) error {
 	return nil
 }
 
-func oracleNearest(d [][]float64, i, k int) ([]Neighbor, error) {
-	if err := oracleValidate(d); err != nil {
-		return nil, err
-	}
-	n := len(d)
+func oracleNearest(d *Matrix, i, k int) ([]Neighbor, error) {
+	n := d.Len()
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("cluster: item %d outside matrix of %d items", i, n)
 	}
@@ -57,7 +55,7 @@ func oracleNearest(d [][]float64, i, k int) ([]Neighbor, error) {
 	out := make([]Neighbor, 0, n-1)
 	for j := 0; j < n; j++ {
 		if j != i {
-			out = append(out, Neighbor{Index: j, Distance: d[i][j]})
+			out = append(out, Neighbor{Index: j, Distance: d.At(i, j)})
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool {
@@ -69,11 +67,8 @@ func oracleNearest(d [][]float64, i, k int) ([]Neighbor, error) {
 	return out[:k], nil
 }
 
-func oracleOutliers(d [][]float64, k int) ([]OutlierScore, error) {
-	if err := oracleValidate(d); err != nil {
-		return nil, err
-	}
-	n := len(d)
+func oracleOutliers(d *Matrix, k int) ([]OutlierScore, error) {
+	n := d.Len()
 	if n == 1 {
 		return []OutlierScore{{Index: 0}}, nil
 	}
@@ -90,8 +85,8 @@ func oracleOutliers(d [][]float64, k int) ([]OutlierScore, error) {
 		sum := 0.0
 		for j := 0; j < n; j++ {
 			if j != i {
-				row = append(row, d[i][j])
-				sum += d[i][j]
+				row = append(row, d.At(i, j))
+				sum += d.At(i, j)
 			}
 		}
 		sort.Float64s(row)
@@ -114,11 +109,8 @@ func oracleOutliers(d [][]float64, k int) ([]OutlierScore, error) {
 	return out, nil
 }
 
-func oracleKMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
-	if err := oracleValidate(d); err != nil {
-		return nil, err
-	}
-	n := len(d)
+func oracleKMedoids(d *Matrix, k int, seed int64) (*Clustering, error) {
+	n := d.Len()
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("cluster: k=%d outside [1, %d]", k, n)
 	}
@@ -130,7 +122,7 @@ func oracleKMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
 	for i := 0; i < n; i++ {
 		sum := 0.0
 		for j := 0; j < n; j++ {
-			sum += d[i][j]
+			sum += d.At(i, j)
 		}
 		if sum < bestSum {
 			best, bestSum = i, sum
@@ -140,7 +132,7 @@ func oracleKMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
 	isMedoid[best] = true
 	nearest := make([]float64, n)
 	for i := 0; i < n; i++ {
-		nearest[i] = d[i][best]
+		nearest[i] = d.At(i, best)
 	}
 	for len(medoids) < k {
 		total := 0.0
@@ -175,8 +167,8 @@ func oracleKMedoids(d [][]float64, k int, seed int64) (*Clustering, error) {
 		medoids = append(medoids, pick)
 		isMedoid[pick] = true
 		for i := 0; i < n; i++ {
-			if d[i][pick] < nearest[i] {
-				nearest[i] = d[i][pick]
+			if d.At(i, pick) < nearest[i] {
+				nearest[i] = d.At(i, pick)
 			}
 		}
 	}
@@ -283,7 +275,11 @@ func TestDenseKernelsMatchOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 1200; trial++ {
 		n := 1 + rng.Intn(60)
-		d, kind := randomMatrix(rng, n)
+		rows, kind := randomMatrix(rng, n)
+		d, err := NewMatrix(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := 1 + rng.Intn(5)
 		seed := rng.Int63n(1000)
 		where := fmt.Sprintf("trial %d (%s, n=%d, k=%d, seed=%d)", trial, kind, n, k, seed)

@@ -365,17 +365,16 @@ func SampledKMedoids(ctx context.Context, sp Space, k int, seed int64, opts Samp
 			sort.Ints(sample)
 		}
 
-		sub := make([][]float64, s)
-		for a := range sub {
-			sub[a] = make([]float64, s)
-		}
+		// The sample's submatrix is symmetric with a zero diagonal by
+		// construction, and a Space's distances are a metric's.
+		sub := &Matrix{n: s, d: make([]float64, s*s)}
 		for a := 0; a < s; a++ {
 			for b := a + 1; b < s; b++ {
 				d, err := dist(sample[a], sample[b])
 				if err != nil {
 					return nil, err
 				}
-				sub[a][b], sub[b][a] = d, d
+				sub.d[a*s+b], sub.d[b*s+a] = d, d
 			}
 		}
 		cl, err := KMedoidsContext(ctx, sub, k, seed+int64(r))

@@ -103,7 +103,7 @@ func clusteredPoints(n int, rng *rand.Rand) [][2]float64 {
 	return pts
 }
 
-func denseFrom(s *euclidSpace) [][]float64 {
+func denseFrom(t testing.TB, s *euclidSpace) *Matrix {
 	n := s.Len()
 	d := make([][]float64, n)
 	for i := range d {
@@ -112,7 +112,7 @@ func denseFrom(s *euclidSpace) [][]float64 {
 			d[i][j] = euclid(s.pts[i], s.pts[j])
 		}
 	}
-	return d
+	return mustMatrix(t, d)
 }
 
 // optimalDiffs is the fewest exact diffs any bound-only kNN query
@@ -137,7 +137,7 @@ func optimalDiffs(sp Space, i int, nb []Neighbor) int {
 func TestIndexedNearestMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := clusteredPoints(40, rng)
-	d := denseFrom(newEuclidSpace(pts))
+	d := denseFrom(t, newEuclidSpace(pts))
 	n := len(pts)
 	var diffs [2]int // total exact diffs without and with sharp Refine
 	for _, k := range []int{1, 3, 7, n - 1} {
@@ -189,7 +189,7 @@ func TestIndexedOutliersMatchesDense(t *testing.T) {
 	// One genuine outlier far from every center.
 	pts = append(pts, [2]float64{200, 200})
 	s := newEuclidSpace(pts)
-	d := denseFrom(s)
+	d := denseFrom(t, s)
 	for _, k := range []int{1, 3, 5} {
 		want, err := Outliers(d, k)
 		if err != nil {
@@ -267,7 +267,7 @@ func TestIndexedNearestRingTies(t *testing.T) {
 		{{0, 0}, {1, 0}, {2, 0}, {2, 0}, {3, 0}, {1, 0}, {0, 0}},
 		{{0, 0}, {0, 0}},
 	} {
-		d := denseFrom(newEuclidSpace(pts))
+		d := denseFrom(t, newEuclidSpace(pts))
 		for i := range pts {
 			for k := 1; k < len(pts); k++ {
 				want, err := Nearest(d, i, k)
@@ -326,7 +326,7 @@ func TestSampledKMedoidsFullSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := clusteredPoints(30, rng)
 	s := newEuclidSpace(pts)
-	d := denseFrom(s)
+	d := denseFrom(t, s)
 	pam, err := KMedoids(d, 3, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestSampledKMedoidsSubsample(t *testing.T) {
 	}
 	// Compared against exact PAM on the full matrix the subsampled
 	// objective stays close on clearly clustered data.
-	pam, err := KMedoids(denseFrom(s), 3, 9)
+	pam, err := KMedoids(denseFrom(t, s), 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func (c *countdownCtx) Err() error {
 // consumed and the call wrongly succeeds.
 func TestKMedoidsContextCancelsMidSwap(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	d := twoBlobs(14, 6, rng)
+	d := mustMatrix(t, twoBlobs(14, 6, rng))
 	ctx := &countdownCtx{Context: context.Background(), after: 1}
 	cl, err := KMedoidsContext(ctx, d, 3, 1)
 	if err != context.Canceled {

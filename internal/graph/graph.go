@@ -308,16 +308,6 @@ func (g *Graph) Source() (NodeID, error) {
 	return g.ids[v], nil
 }
 
-// Sink returns the unique node with out-degree zero, or an error if
-// there is not exactly one.
-func (g *Graph) Sink() (NodeID, error) {
-	v, err := g.terminal(g.out, "sink")
-	if err != nil {
-		return "", err
-	}
-	return g.ids[v], nil
-}
-
 // IsAcyclic reports whether the graph has no directed cycle.
 func (g *Graph) IsAcyclic() bool { return g.topo() != nil }
 

@@ -55,9 +55,6 @@ const Format = 2
 // Hex renders the digest as lowercase hex.
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 
-// IsZero reports whether h is the zero (seed) hash.
-func (h Hash) IsZero() bool { return h == Zero }
-
 // Parse decodes a lowercase-hex digest.
 func Parse(s string) (Hash, error) {
 	var h Hash

@@ -113,7 +113,7 @@ func TestRepoRootOrderIndependence(t *testing.T) {
 	if r1 == r2 {
 		t.Fatal("repo root must depend on canonical spec order")
 	}
-	if !RepoRoot(nil, nil).IsZero() {
+	if RepoRoot(nil, nil) != Zero {
 		t.Fatal("empty repository root should be zero")
 	}
 	// Length-prefixed names: ("ab","c") must differ from ("a","bc").

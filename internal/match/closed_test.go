@@ -76,7 +76,7 @@ func TestBipartiteClosedFormsMatchPadded(t *testing.T) {
 			pairCost, del, ins := modelInstance(rng, tc.m, tc.zeros, m, n)
 			solves := s.Solves()
 			got := s.Bipartite(m, n, pairCost, del, ins).Clone()
-			ref.reset(m)
+			ref.pairs = ref.pairs[:0]
 			want := ref.padded(m, n, pairCost, del, ins)
 			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
 				t.Fatalf("%s %d×%d: cost %v, padded %v\npairs %v del %v ins %v", tc.m.Name(), m, n, got.Cost, want.Cost, pairCost, del, ins)
@@ -87,13 +87,6 @@ func TestBipartiteClosedFormsMatchPadded(t *testing.T) {
 			for p := range got.Pairs {
 				if got.Pairs[p] != want.Pairs[p] {
 					t.Fatalf("%s %d×%d: pairs %v, padded %v", tc.m.Name(), m, n, got.Pairs, want.Pairs)
-				}
-			}
-			for i := 0; i < m; i++ {
-				gj, gok := got.Matched(i)
-				wj, wok := want.Matched(i)
-				if gj != wj || gok != wok {
-					t.Fatalf("%s %d×%d: Matched(%d) = (%d,%v), padded (%d,%v)", tc.m.Name(), m, n, i, gj, gok, wj, wok)
 				}
 			}
 			if ran := s.Solves() - solves; (m == 0 || n == 0) && ran != 0 {

@@ -30,47 +30,20 @@ type Result struct {
 	Cost float64
 	// Pairs lists matched (left, right) index pairs.
 	Pairs [][2]int
-
-	// left[i] is the right index matched to left item i, or -1; it
-	// makes Matched O(1). Results built by this package always carry
-	// it; zero-value Results fall back to scanning Pairs.
-	left []int
 }
 
-// Matched reports whether left index i is matched and to which right
-// index. It is O(1) for Results produced by this package.
-func (r *Result) Matched(i int) (int, bool) {
-	if r.left != nil {
-		if i < 0 || i >= len(r.left) {
-			return 0, false
-		}
-		if j := r.left[i]; j >= 0 {
-			return j, true
-		}
-		return 0, false
-	}
-	for _, p := range r.Pairs {
-		if p[0] == i {
-			return p[1], true
-		}
-	}
-	return 0, false
-}
-
-// Clone returns a Result whose Pairs and match index are detached from
-// any Scratch buffers.
+// Clone returns a Result whose Pairs are detached from any Scratch
+// buffers.
 func (r Result) Clone() Result {
 	r.Pairs = append([][2]int(nil), r.Pairs...)
-	r.left = append([]int(nil), r.left...)
 	return r
 }
 
 // Scratch holds the reusable working state of both matchers. The
-// Result returned by its methods aliases Scratch buffers (Pairs and
-// the Matched index): it is valid until the next call on the same
-// Scratch, so copy (Clone) anything that must outlive it. A Scratch
-// must not be used from several goroutines at once; its zero value is
-// ready to use.
+// Result returned by its methods aliases Scratch buffers (Pairs): it
+// is valid until the next call on the same Scratch, so copy (Clone)
+// anything that must outlive it. A Scratch must not be used from
+// several goroutines at once; its zero value is ready to use.
 type Scratch struct {
 	cost   []float64 // (m+n)² assignment matrix, row-major
 	u, v   []float64 // Hungarian potentials
@@ -82,7 +55,6 @@ type Scratch struct {
 	dp []float64 // non-crossing DP table, (m+1)×(n+1) row-major
 
 	pairs  [][2]int
-	left   []int
 	solves int64 // padded Hungarian solves run
 
 	pairBuf, delBuf, insBuf []float64 // closure-API staging
@@ -115,12 +87,12 @@ func (s *Scratch) Bipartite(m, n int, pairCost, del, ins []float64) Result {
 	if m+n == 0 {
 		return Result{}
 	}
-	s.reset(m)
+	s.pairs = s.pairs[:0]
 	switch {
 	case m == 0:
-		return Result{Cost: sum(ins), Pairs: s.pairs, left: s.left}
+		return Result{Cost: sum(ins), Pairs: s.pairs}
 	case n == 0:
-		return Result{Cost: sum(del), Pairs: s.pairs, left: s.left}
+		return Result{Cost: sum(del), Pairs: s.pairs}
 	}
 	return s.padded(m, n, pairCost, del, ins)
 }
@@ -128,17 +100,8 @@ func (s *Scratch) Bipartite(m, n int, pairCost, del, ins []float64) Result {
 // Solves reports how many padded Hungarian solves the Scratch has run.
 func (s *Scratch) Solves() int64 { return s.solves }
 
-// reset empties the pair list and the match index for m left items.
-func (s *Scratch) reset(m int) {
-	s.pairs = s.pairs[:0]
-	s.left = grow(s.left, m)
-	for i := range s.left {
-		s.left[i] = -1
-	}
-}
-
 // padded solves the (m+n)² assignment problem Bipartite describes with
-// the Hungarian method, on a reset Scratch.
+// the Hungarian method, appending to an emptied pair list.
 func (s *Scratch) padded(m, n int, pairCost, del, ins []float64) Result {
 	s.solves++
 	size := m + n
@@ -162,10 +125,9 @@ func (s *Scratch) padded(m, n int, pairCost, del, ins []float64) Result {
 	for i := 0; i < m; i++ {
 		if j := s.assign[i]; j < n {
 			s.pairs = append(s.pairs, [2]int{i, j})
-			s.left[i] = j
 		}
 	}
-	return Result{Cost: total, Pairs: s.pairs, left: s.left}
+	return Result{Cost: total, Pairs: s.pairs}
 }
 
 // sum adds xs in index order from 0, as the padded solve's column
@@ -279,7 +241,7 @@ func (s *Scratch) NonCrossing(m, n int, pairCost, del, ins []float64) Result {
 			dp[i*stride+j] = best
 		}
 	}
-	s.reset(m)
+	s.pairs = s.pairs[:0]
 	// Backtrack, preferring matches so ties yield maximal pairings.
 	const eps = 1e-9
 	i, j := m, n
@@ -288,7 +250,6 @@ func (s *Scratch) NonCrossing(m, n int, pairCost, del, ins []float64) Result {
 		switch {
 		case i > 0 && j > 0 && cur >= dp[(i-1)*stride+j-1]+pairCost[(i-1)*n+j-1]-eps && cur <= dp[(i-1)*stride+j-1]+pairCost[(i-1)*n+j-1]+eps:
 			s.pairs = append(s.pairs, [2]int{i - 1, j - 1})
-			s.left[i-1] = j - 1
 			i, j = i-1, j-1
 		case i > 0 && cur >= dp[(i-1)*stride+j]+del[i-1]-eps && cur <= dp[(i-1)*stride+j]+del[i-1]+eps:
 			i--
@@ -300,7 +261,7 @@ func (s *Scratch) NonCrossing(m, n int, pairCost, del, ins []float64) Result {
 	for a, b := 0, len(s.pairs)-1; a < b; a, b = a+1, b-1 {
 		s.pairs[a], s.pairs[b] = s.pairs[b], s.pairs[a]
 	}
-	return Result{Cost: dp[m*stride+n], Pairs: s.pairs, left: s.left}
+	return Result{Cost: dp[m*stride+n], Pairs: s.pairs}
 }
 
 // fill stages closure-provided costs into the Scratch's flat row

@@ -56,33 +56,6 @@ func TestScratchMatchesClosureAPI(t *testing.T) {
 	}
 }
 
-// TestMatchedIndex: Matched must agree with a scan of Pairs for every
-// left index, including out-of-range queries.
-func TestMatchedIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 50; iter++ {
-		m, n := 1+rng.Intn(7), 1+rng.Intn(7)
-		pairCost, del, ins := randInstance(rng, m, n)
-		var s Scratch
-		for _, res := range []Result{
-			s.Bipartite(m, n, pairCost, del, ins).Clone(),
-			s.NonCrossing(m, n, pairCost, del, ins).Clone(),
-		} {
-			for i := -1; i <= m; i++ {
-				wantJ, wantOK := 0, false
-				for _, p := range res.Pairs {
-					if p[0] == i {
-						wantJ, wantOK = p[1], true
-					}
-				}
-				if j, ok := res.Matched(i); j != wantJ || ok != wantOK {
-					t.Fatalf("Matched(%d) = (%d,%v), want (%d,%v); pairs %v", i, j, ok, wantJ, wantOK, res.Pairs)
-				}
-			}
-		}
-	}
-}
-
 // TestScratchResultAliasing documents the Scratch contract: results
 // are invalidated by the next call, so Clone detaches them.
 func TestScratchResultAliasing(t *testing.T) {

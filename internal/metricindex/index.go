@@ -223,14 +223,6 @@ func (ix *Index) Labels() []string {
 	return append([]string(nil), ix.st.labels...)
 }
 
-// Has reports whether a run name is in the cohort.
-func (ix *Index) Has(name string) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, ok := ix.st.index[name]
-	return ok
-}
-
 // Members returns the cohort's names and runs in index order (the runs
 // are the shared immutable objects, not copies).
 func (ix *Index) Members() ([]string, []*wfrun.Run) {

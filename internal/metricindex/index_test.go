@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -304,8 +305,12 @@ func TestIncrementalAddMatchesReset(t *testing.T) {
 		}
 	}
 	coB, coI := bulk.Snapshot(), inc.Snapshot()
+	dm, err := cluster.NewMatrix(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
-		want, err := cluster.Nearest(d, i, 4)
+		want, err := cluster.Nearest(dm, i, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +374,8 @@ func TestReplaceRemoveAndSnapshotImmutability(t *testing.T) {
 	if ix.Remove(names[0]) {
 		t.Fatal("second Remove returned true")
 	}
-	if ix.Len() != 9 || ix.Has(names[0]) {
-		t.Fatalf("after remove: len %d, has %v", ix.Len(), ix.Has(names[0]))
+	if has := slices.Contains(ix.Labels(), names[0]); ix.Len() != 9 || has {
+		t.Fatalf("after remove: len %d, has %v", ix.Len(), has)
 	}
 	if ix.Landmarks() != marks {
 		t.Fatalf("anchors dropped with their member: %d -> %d", marks, ix.Landmarks())

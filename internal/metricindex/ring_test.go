@@ -79,10 +79,14 @@ func TestRingNearestMatchesDense(t *testing.T) {
 					}
 				}
 			}
+			dm, err := cluster.NewMatrix(d)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < n; i++ {
 				checkStream(t, co, i)
 				for k := 1; k < n; k++ {
-					want, err := cluster.Nearest(d, i, k)
+					want, err := cluster.Nearest(dm, i, k)
 					if err != nil {
 						t.Fatal(err)
 					}

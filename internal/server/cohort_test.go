@@ -10,10 +10,63 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/store"
 	"repro/internal/store/faultfs"
 )
+
+// pairDiffMatrix is the reference cohort matrix: the named stored runs
+// of "pa" (all of them, in name order, when names is nil), each pair
+// differenced by Store.Diff.
+func pairDiffMatrix(t *testing.T, st *store.Store, names []string, m cost.Model) *analysis.Matrix {
+	t.Helper()
+	if names == nil {
+		var err error
+		if names, err = st.ListRuns("pa"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := make([][]float64, len(names))
+	for i := range rows {
+		rows[i] = make([]float64, len(names))
+		for j := 0; j < i; j++ {
+			res, err := st.Diff("pa", names[i], names[j], m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[i][j], rows[j][i] = res.Distance, res.Distance
+		}
+	}
+	d, err := cluster.NewMatrix(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &analysis.Matrix{Labels: names, D: d}
+}
+
+// cohortOf is the /cohort payload a fresh computation over mx gives.
+func cohortOf(t *testing.T, mx *analysis.Matrix, m cost.Model) cohortPayload {
+	t.Helper()
+	scores, err := cluster.Outliers(mx.D, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, mx.D.Len())
+	for i := range rows {
+		rows[i] = mx.D.Row(i)
+	}
+	return cohortPayload{
+		Spec:       "pa",
+		Cost:       m.Name(),
+		Labels:     mx.Labels,
+		Matrix:     rows,
+		Medoid:     mx.Labels[cluster.Medoid(mx.D)],
+		Outlier:    mx.Labels[scores[0].Index],
+		Dendrogram: mx.Cluster().Render(),
+	}
+}
 
 // TestCohortServedFromSharedCohort: /cohort answers from the cohort
 // the analytics endpoints maintain. On a cohort grown by a bulk import,
@@ -52,9 +105,11 @@ func TestCohortServedFromSharedCohort(t *testing.T) {
 	for _, m := range models {
 		cohort(m.query)
 	}
-	// Grow and shrink the cohorts incrementally.
-	for i := 0; i < 3; i++ {
-		target := fmt.Sprintf("/v1/specs/pa/runs/s%d", i)
+	// Grow and shrink the cohorts incrementally. A run whose name
+	// sorts first arrives last, so the shared matrix is not in name
+	// order and /cohort must permute it.
+	for i, name := range []string{"s0", "s1", "a2"} {
+		target := "/v1/specs/pa/runs/" + name
 		if rec := do(t, srv, "POST", target, encodeRun(t, st, int64(300+i)), nil); rec.Code != 201 {
 			t.Fatalf("import %s = %d %q", target, rec.Code, rec.Body.String())
 		}
@@ -83,20 +138,9 @@ func TestCohortServedFromSharedCohort(t *testing.T) {
 			t.Fatalf("%s: cohort rebuilt %d times, want only the initial build", m.query, e.hc.Rebuilds())
 		}
 
-		mx, err := st.Cohort("pa", nil, m.model)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mx := pairDiffMatrix(t, st, nil, m.model)
 		fresh := httptest.NewRecorder()
-		srv.writeJSON(fresh, cohortPayload{
-			Spec:       "pa",
-			Cost:       m.model.Name(),
-			Labels:     mx.Labels,
-			Matrix:     mx.D,
-			Medoid:     mx.Labels[mx.Medoid()],
-			Outlier:    mx.Labels[mx.Outlier()],
-			Dendrogram: mx.Cluster().Render(),
-		})
+		srv.writeJSON(fresh, cohortOf(t, mx, m.model))
 		if m.exact {
 			if string(got) != fresh.Body.String() {
 				t.Fatalf("%s: /cohort differs from a fresh computation:\n%s\nwant\n%s", m.query, got, fresh.Body.String())
@@ -110,10 +154,10 @@ func TestCohortServedFromSharedCohort(t *testing.T) {
 		if fmt.Sprint(p.Labels) != fmt.Sprint(mx.Labels) {
 			t.Fatalf("%s: labels %v, want %v", m.query, p.Labels, mx.Labels)
 		}
-		for i := range mx.D {
-			for j := range mx.D[i] {
-				if d := math.Abs(p.Matrix[i][j] - mx.D[i][j]); d > 1e-9 {
-					t.Fatalf("%s: cell (%d,%d) = %v, want %v", m.query, i, j, p.Matrix[i][j], mx.D[i][j])
+		for i := range mx.D.Len() {
+			for j := range mx.D.Len() {
+				if d := math.Abs(p.Matrix[i][j] - mx.D.At(i, j)); d > 1e-9 {
+					t.Fatalf("%s: cell (%d,%d) = %v, want %v", m.query, i, j, p.Matrix[i][j], mx.D.At(i, j))
 				}
 			}
 		}

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cluster"
 	"repro/internal/cost"
 	"repro/internal/edit"
 	"repro/internal/ingest"
@@ -426,9 +427,10 @@ type cohortPayload struct {
 }
 
 // handleCohort serves the pairwise distance matrix over all stored
-// runs of a specification plus the UPGMA dendrogram, from the cohort
-// the analytics endpoints share (cohortcache.go), ordered by run name
-// like ListRuns. With ?stream=1 the response is NDJSON: progress
+// runs of a specification, its medoid, its top outlier as /outliers
+// ranks them at the default k = 3, and the UPGMA dendrogram, from the
+// cohort the analytics endpoints share (cohortcache.go), ordered by
+// run name like ListRuns. With ?stream=1 the response is NDJSON: progress
 // objects while a full build of the cohort runs, then the final result
 // object.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
@@ -474,6 +476,11 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	mx, err := s.exactCohortMatrix(ns[0], m, build)
+	var outliers []cluster.OutlierScore
+	if err == nil && mx != nil {
+		mx = byName(mx)
+		outliers, err = cluster.Outliers(mx.D, 3) // /outliers' default k
+	}
 	switch {
 	case err != nil && stream:
 		// Status is already committed; report in-band.
@@ -489,14 +496,17 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, fmt.Errorf("cohort of %q needs at least two stored runs", ns[0]), http.StatusBadRequest)
 		return
 	}
-	mx = byName(mx)
+	rows := make([][]float64, len(mx.Labels))
+	for i := range rows {
+		rows[i] = mx.D.Row(i)
+	}
 	p := cohortPayload{
 		Spec:       ns[0],
 		Cost:       m.Name(),
 		Labels:     mx.Labels,
-		Matrix:     mx.D,
-		Medoid:     mx.Labels[mx.Medoid()],
-		Outlier:    mx.Labels[mx.Outlier()],
+		Matrix:     rows,
+		Medoid:     mx.Labels[cluster.Medoid(mx.D)],
+		Outlier:    mx.Labels[outliers[0].Index],
 		Dendrogram: mx.Cluster().Render(),
 	}
 	if stream {
@@ -519,15 +529,11 @@ func byName(mx *analysis.Matrix) *analysis.Matrix {
 		perm[i] = i
 	}
 	sort.Slice(perm, func(a, b int) bool { return mx.Labels[perm[a]] < mx.Labels[perm[b]] })
-	out := &analysis.Matrix{Labels: make([]string, len(perm)), D: make([][]float64, len(perm))}
+	labels := make([]string, len(perm))
 	for i, pi := range perm {
-		out.Labels[i] = mx.Labels[pi]
-		out.D[i] = make([]float64, len(perm))
-		for j, pj := range perm {
-			out.D[i][j] = mx.D[pi][pj]
-		}
+		labels[i] = mx.Labels[pi]
 	}
-	return out
+	return &analysis.Matrix{Labels: labels, D: mx.D.Permute(perm)}
 }
 
 // --- stats ----------------------------------------------------------

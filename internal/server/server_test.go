@@ -548,19 +548,31 @@ func TestCohortEndpoint(t *testing.T) {
 	if len(p.Labels) != 4 || len(p.Matrix) != 4 || len(p.Matrix[0]) != 4 {
 		t.Fatalf("cohort shape: %d labels, %dx%d matrix", len(p.Labels), len(p.Matrix), len(p.Matrix[0]))
 	}
-	mx, err := st.Cohort("pa", nil, cost.Unit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mx.D {
-		for j := range mx.D[i] {
-			if p.Matrix[i][j] != mx.D[i][j] {
-				t.Fatalf("matrix[%d][%d] = %g, want %g", i, j, p.Matrix[i][j], mx.D[i][j])
+	mx := pairDiffMatrix(t, st, nil, cost.Unit{})
+	for i := range mx.D.Len() {
+		for j := range mx.D.Len() {
+			if p.Matrix[i][j] != mx.D.At(i, j) {
+				t.Fatalf("matrix[%d][%d] = %g, want %g", i, j, p.Matrix[i][j], mx.D.At(i, j))
 			}
 		}
 	}
 	if p.Dendrogram == "" || p.Medoid == "" || p.Outlier == "" {
 		t.Fatalf("cohort payload incomplete: %+v", p)
+	}
+	// /cohort names the outlier /outliers ranks first at its default
+	// k = 3; of runs tied at the top score, the first by name.
+	var o outliersPayload
+	if rec := do(t, srv, "GET", "/v1/specs/pa/outliers?k=3", nil, &o); rec.Code != 200 {
+		t.Fatalf("outliers = %d %q", rec.Code, rec.Body.String())
+	}
+	top := o.Outliers[0].Run
+	for _, sc := range o.Outliers {
+		if sc.Score == o.Outliers[0].Score {
+			top = min(top, sc.Run)
+		}
+	}
+	if p.Outlier != top {
+		t.Fatalf("/cohort outlier %q, /outliers ranks %+v", p.Outlier, o.Outliers)
 	}
 
 	if rec := do(t, srv, "GET", "/v1/specs/zz/cohort", nil, nil); rec.Code != 404 {

@@ -151,10 +151,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 	if len(final.Neighbors) != len(runs)-1 {
 		t.Fatalf("settled cohort has %d neighbors for %d runs", len(final.Neighbors), len(runs))
 	}
-	fresh, err := st.Cohort("pa", runs, cost.Unit{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := pairDiffMatrix(t, st, runs, cost.Unit{})
 	freshIdx := make(map[string]int, len(fresh.Labels))
 	for i, l := range fresh.Labels {
 		freshIdx[l] = i
@@ -164,7 +161,7 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 		if !ok {
 			t.Fatalf("served neighbor %q not on disk (stale row retained)", n.Run)
 		}
-		if want := fresh.D[freshIdx["r0"]][j]; math.Abs(n.Distance-want) > 1e-9 {
+		if want := fresh.D.At(freshIdx["r0"], j); math.Abs(n.Distance-want) > 1e-9 {
 			t.Fatalf("stale distance for %q: served %g, recompute %g", n.Run, n.Distance, want)
 		}
 	}
@@ -176,8 +173,8 @@ func TestCohortAnalyticsRaceStress(t *testing.T) {
 	}
 	for i, a := range mx.Labels {
 		for j, b := range mx.Labels {
-			if want := fresh.D[freshIdx[a]][freshIdx[b]]; math.Abs(mx.D[i][j]-want) > 1e-9 {
-				t.Fatalf("stale cell (%s,%s): %g vs %g", a, b, mx.D[i][j], want)
+			if want := fresh.D.At(freshIdx[a], freshIdx[b]); math.Abs(mx.D.At(i, j)-want) > 1e-9 {
+				t.Fatalf("stale cell (%s,%s): %g vs %g", a, b, mx.D.At(i, j), want)
 			}
 		}
 	}

@@ -39,7 +39,6 @@ type Spec struct {
 	labels     map[string]string // every node label, keyed by itself
 	pairs      map[[2]string]labelPair
 	interval   map[*sptree.Node][2]int
-	qByEdge    map[graph.Edge]*sptree.Node
 	lengthMu   sync.Mutex
 	lengths    map[*sptree.Node][]int // guarded by lengthMu
 	shapes     *sptree.Shapes
@@ -74,7 +73,6 @@ func New(g *graph.Graph, forks, loops []EdgeSet) (*Spec, error) {
 		Loops:     append([]EdgeSet(nil), loops...),
 		leafIndex: make(map[graph.Edge]int),
 		interval:  make(map[*sptree.Node][2]int),
-		qByEdge:   make(map[graph.Edge]*sptree.Node),
 		lengths:   make(map[*sptree.Node][]int),
 	}
 	for i, leaf := range tree.Leaves() {
@@ -225,12 +223,11 @@ func (s *Spec) checkLaminar() error {
 }
 
 // indexIntervals records, for every tree node, the half-open interval
-// of leaf indices its subtree spans, and the Q node for every edge.
+// of leaf indices its subtree spans.
 func (s *Spec) indexIntervals(n *sptree.Node) (lo, hi int) {
 	if n.Type == sptree.Q {
 		i := s.leafIndex[n.Edge]
 		s.interval[n] = [2]int{i, i + 1}
-		s.qByEdge[n.Edge] = n
 		return i, i + 1
 	}
 	lo, hi = -1, -1
@@ -359,9 +356,6 @@ func (s *Spec) deepestCovering(n *sptree.Node, lo, hi int) *sptree.Node {
 	}
 }
 
-// QNode returns the specification-tree leaf representing edge e.
-func (s *Spec) QNode(e graph.Edge) *sptree.Node { return s.qByEdge[e] }
-
 // LeafIndex returns the position of edge e in the tree's leaf order.
 func (s *Spec) LeafIndex(e graph.Edge) (int, bool) {
 	i, ok := s.leafIndex[e]
@@ -373,14 +367,6 @@ func (s *Spec) LeafIndex(e graph.Edge) (int, bool) {
 func (s *Spec) Interval(n *sptree.Node) (lo, hi int) {
 	iv := s.interval[n]
 	return iv[0], iv[1]
-}
-
-// EdgeByLabels resolves a specification edge by the labels of its
-// endpoints and parallel key.
-func (s *Spec) EdgeByLabels(src, dst string, key int) (graph.Edge, bool) {
-	e := graph.Edge{From: graph.NodeID(src), To: graph.NodeID(dst), Key: key}
-	_, ok := s.leafIndex[e]
-	return e, ok
 }
 
 // AchievableLengths returns, in increasing order, the lengths of

@@ -270,18 +270,8 @@ func TestIntervalsAndQNodes(t *testing.T) {
 		t.Fatalf("root interval [%d,%d), want [0,8)", lo, hi)
 	}
 	e := graph.Edge{From: "2", To: "4"}
-	q := sp.QNode(e)
-	if q == nil || q.Edge != e {
-		t.Fatal("QNode lookup failed")
-	}
 	if i, ok := sp.LeafIndex(e); !ok || i < 0 || i >= 8 {
 		t.Fatalf("LeafIndex = %d,%v", i, ok)
-	}
-	if _, ok := sp.EdgeByLabels("2", "4", 0); !ok {
-		t.Fatal("EdgeByLabels failed")
-	}
-	if _, ok := sp.EdgeByLabels("2", "9", 0); ok {
-		t.Fatal("EdgeByLabels should fail for unknown edge")
 	}
 }
 

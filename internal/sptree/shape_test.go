@@ -51,10 +51,10 @@ func TestShapeRolloverKeepsDistances(t *testing.T) {
 		if p, _ := wfrun.Prepare(runs[0], runs[0]); p.Gen == 0 {
 			t.Fatal("the small cap never started a new generation")
 		}
-		for i := range want.D {
-			for j := range want.D[i] {
-				if got.D[i][j] != want.D[i][j] {
-					t.Fatalf("%s: d(%d,%d) = %g after rollovers, %g without", m.Name(), i, j, got.D[i][j], want.D[i][j])
+		for i := range want.D.Len() {
+			for j := range want.D.Len() {
+				if got.D.At(i, j) != want.D.At(i, j) {
+					t.Fatalf("%s: d(%d,%d) = %g after rollovers, %g without", m.Name(), i, j, got.D.At(i, j), want.D.At(i, j))
 				}
 			}
 		}

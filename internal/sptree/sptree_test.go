@@ -178,20 +178,6 @@ func TestBranchFreeAndElementary(t *testing.T) {
 	if BranchFree(truP) {
 		t.Fatal("true P is not branch-free")
 	}
-	// Elementary: branch-free child of a true P/F/L node.
-	root := NewInternal(P, q("a", "b"), q("a", "b"))
-	root.Finalize()
-	if !Elementary(root.Children[0]) {
-		t.Fatal("child of true P should be elementary")
-	}
-	sRoot := NewInternal(S, q("a", "b"), q("b", "c"))
-	sRoot.Finalize()
-	if Elementary(sRoot.Children[0]) {
-		t.Fatal("child of S node is not elementary")
-	}
-	if Elementary(root) {
-		t.Fatal("root is never elementary")
-	}
 }
 
 func TestValidateSpecTree(t *testing.T) {

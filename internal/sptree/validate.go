@@ -166,17 +166,3 @@ func BranchFree(n *Node) bool {
 	})
 	return free
 }
-
-// Elementary reports whether T[n] is an elementary subtree: branch-free
-// with a parent that is a true P, F or L node (Definition 4.1).
-func Elementary(n *Node) bool {
-	if n.Parent == nil {
-		return false
-	}
-	switch n.Parent.Type {
-	case P, F, L:
-	default:
-		return false
-	}
-	return n.Parent.True() && BranchFree(n)
-}

@@ -2,12 +2,15 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gen"
+	"repro/internal/wfrun"
 )
 
 // seedCohort stores a spec and n runs, returning the reopened store
@@ -62,15 +65,26 @@ func TestRunCache(t *testing.T) {
 	}
 }
 
-// TestCohortMatchesPairwiseDiff: the cohort matrix equals per-pair
-// store Diff results, and engine-threaded DiffWith agrees with Diff.
+// TestCohortMatchesPairwiseDiff: the cohort matrix over the stored
+// runs equals per-pair store Diff results, and engine-threaded DiffWith
+// agrees with Diff.
 func TestCohortMatchesPairwiseDiff(t *testing.T) {
 	s, names := seedCohort(t, 4)
-	mx, err := s.Cohort("pa", nil, cost.Unit{})
+	listed, err := s.ListRuns("pa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mx.Labels) != len(names) {
+	runs := make([]*wfrun.Run, len(listed))
+	for i, name := range listed {
+		if runs[i], err = s.LoadRun("pa", name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mx, err := analysis.DistanceMatrix(runs, listed, cost.Unit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(mx.Labels, names) {
 		t.Fatalf("labels = %v", mx.Labels)
 	}
 	eng := core.NewEngine(cost.Unit{})
@@ -80,8 +94,8 @@ func TestCohortMatchesPairwiseDiff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Distance != mx.D[i][j] {
-				t.Fatalf("matrix[%d][%d] = %g, Diff = %g", i, j, mx.D[i][j], res.Distance)
+			if res.Distance != mx.D.At(i, j) {
+				t.Fatalf("matrix[%d][%d] = %g, Diff = %g", i, j, mx.D.At(i, j), res.Distance)
 			}
 			res2, err := s.DiffWith(eng, "pa", names[i], names[j])
 			if err != nil {
@@ -96,13 +110,20 @@ func TestCohortMatchesPairwiseDiff(t *testing.T) {
 
 // TestCohortEnginePerGoroutineRace exercises the intended concurrency
 // model under -race: parsed runs are shared via the store cache while
-// every goroutine differences them with its own engine (Cohort does
-// the same internally via analysis.DistanceMatrix).
+// every goroutine differences them with its own engine, as a cohort
+// matrix build does.
 func TestCohortEnginePerGoroutineRace(t *testing.T) {
 	s, names := seedCohort(t, 5)
-	want, err := s.Cohort("pa", names, cost.Unit{})
-	if err != nil {
-		t.Fatal(err)
+	want := make([][]float64, len(names))
+	for i := range names {
+		want[i] = make([]float64, len(names))
+		for j := range names {
+			res, err := s.Diff("pa", names[i], names[j], cost.Unit{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][j] = res.Distance
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -118,8 +139,8 @@ func TestCohortEnginePerGoroutineRace(t *testing.T) {
 						errs <- err
 						return
 					}
-					if res.Distance != want.D[i][j] {
-						t.Errorf("goroutine %d: pair (%d,%d) = %g, want %g", g, i, j, res.Distance, want.D[i][j])
+					if res.Distance != want[i][j] {
+						t.Errorf("goroutine %d: pair (%d,%d) = %g, want %g", g, i, j, res.Distance, want[i][j])
 						return
 					}
 				}

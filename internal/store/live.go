@@ -273,25 +273,3 @@ func (s *Store) LiveCount() int {
 	defer s.liveMu.Unlock()
 	return len(s.live)
 }
-
-// AbandonLiveRun discards a live run's state and event log.
-func (s *Store) AbandonLiveRun(specName, runName string) error {
-	if err := validateNames(specName, runName); err != nil {
-		return err
-	}
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	key := runKey(specName, runName)
-	_, ok := s.live[key]
-	if ok {
-		delete(s.live, key)
-	}
-	err := s.be.Remove(liveKey(specName, runName))
-	if !ok && isNotExist(err) {
-		return fmt.Errorf("store: no live run %s/%s: %w", specName, runName, os.ErrNotExist)
-	}
-	if err != nil && !isNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}

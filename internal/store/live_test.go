@@ -114,21 +114,9 @@ func TestLiveRunLifecycle(t *testing.T) {
 	}
 }
 
-func TestLiveRunAbandonAndErrors(t *testing.T) {
+func TestLiveRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	st, evs := seedLiveSpec(t, dir)
-	if _, err := st.AppendLiveEvents("s", "r", evs[:3]); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := st.AbandonLiveRun("s", "r"); err != nil {
-		t.Fatalf("abandon: %v", err)
-	}
-	if _, ok, _ := st.LiveStatusOf("s", "r"); ok {
-		t.Fatal("live state survived abandon")
-	}
-	if err := st.AbandonLiveRun("s", "r"); err == nil {
-		t.Fatal("expected abandoning a missing run to fail")
-	}
 	if _, err := st.CompleteLiveRun("s", "missing"); err == nil {
 		t.Fatal("expected completing a missing run to fail")
 	}
@@ -265,12 +253,9 @@ func TestCompleteLiveRunRacesAppend(t *testing.T) {
 
 	if completeErr != nil {
 		// The append won: the live run is still there, still serving
-		// status, and can be abandoned cleanly.
+		// status.
 		if _, ok, err := st.LiveStatusOf("s", "r"); err != nil || !ok {
 			t.Fatalf("live run gone after failed completion: ok=%v err=%v", ok, err)
-		}
-		if err := st.AbandonLiveRun("s", "r"); err != nil {
-			t.Fatalf("abandon after failed completion: %v", err)
 		}
 		return
 	}

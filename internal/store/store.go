@@ -28,7 +28,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/evolve"
@@ -280,7 +279,7 @@ func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 
 // LoadRun loads a stored run, decoding its frame against the cached
 // specification. Decoded runs are cached: repeated loads (and every
-// Diff/Cohort call) share one *wfrun.Run, which callers must treat as
+// Diff call) share one *wfrun.Run, which callers must treat as
 // read-only. A frame that fails its checksum or names another run is
 // an error naming the run and its batch.
 func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
@@ -400,8 +399,8 @@ func (s *Store) RunHashes(specName string) (uint64, map[string]string, error) {
 
 // Diff loads two stored runs (cached after first parse) and
 // differences them. The Result owns a fresh engine, so its Mapping and
-// Script stay valid indefinitely; batch callers should prefer DiffWith
-// or Cohort.
+// Script stay valid indefinitely; batch callers should prefer
+// DiffWith.
 func (s *Store) Diff(specName, runA, runB string, m cost.Model) (*core.Result, error) {
 	return s.DiffWith(core.NewEngine(m), specName, runA, runB)
 }
@@ -421,26 +420,4 @@ func (s *Store) DiffWith(eng *core.Engine, specName, runA, runB string) (*core.R
 		return nil, err
 	}
 	return eng.Diff(a, b)
-}
-
-// Cohort loads the named stored runs of a specification (all of them
-// when runNames is nil) and computes their pairwise edit-distance
-// matrix, fanning the differencing out with one engine per worker.
-func (s *Store) Cohort(specName string, runNames []string, m cost.Model) (*analysis.Matrix, error) {
-	if runNames == nil {
-		var err error
-		runNames, err = s.ListRuns(specName)
-		if err != nil {
-			return nil, err
-		}
-	}
-	runs := make([]*wfrun.Run, len(runNames))
-	for i, name := range runNames {
-		r, err := s.LoadRun(specName, name)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = r
-	}
-	return analysis.DistanceMatrix(runs, runNames, m)
 }
