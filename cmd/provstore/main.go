@@ -549,7 +549,7 @@ func analyticsCohort(st *store.Store, specName, run, costName string, indexed, e
 	case indexed:
 		opts.IndexThreshold = 1
 	}
-	hc := analysis.NewHybridCohort(model, 0, opts)
+	hc := analysis.NewHybridCohort(model, opts)
 	if err := hc.Reset(names, runs, analysis.Options{}); err != nil {
 		fatal(err)
 	}

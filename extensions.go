@@ -88,8 +88,7 @@ type (
 	// MetricIndex is an incrementally maintained vantage-point index
 	// over a run cohort.
 	MetricIndex = metricindex.Index
-	// MetricIndexOptions tunes landmark count and differencing
-	// fan-out.
+	// MetricIndexOptions tunes the landmark count.
 	MetricIndexOptions = metricindex.Options
 	// MetricCohort is an immutable snapshot of a MetricIndex, the
 	// query substrate for the Indexed* analytics.
@@ -113,9 +112,9 @@ func NewMetricIndex(m CostModel, opts MetricIndexOptions) *MetricIndex {
 }
 
 // NewHybridCohort returns an empty hybrid cohort for the given cost
-// model; workers caps the differencing fan-out (<= 0 for all cores).
-func NewHybridCohort(m CostModel, workers int, opts HybridCohortOptions) *HybridCohort {
-	return analysis.NewHybridCohort(m, workers, opts)
+// model; its differencing fans out over one worker per core.
+func NewHybridCohort(m CostModel, opts HybridCohortOptions) *HybridCohort {
+	return analysis.NewHybridCohort(m, opts)
 }
 
 // KMedoidsContext is KMedoids with cooperative cancellation: the SWAP

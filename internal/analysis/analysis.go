@@ -14,25 +14,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/par"
 	"repro/internal/wfrun"
 )
-
-// fanOut resolves a differencing fan-out: the configured worker count
-// (GOMAXPROCS when <= 0), capped at the number of shards the work
-// splits into, and at least one.
-func fanOut(workers, shards int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, shards))
-}
 
 // Matrix is a symmetric pairwise edit-distance matrix over a cohort of
 // runs of the same specification, with each run's label.
@@ -42,11 +32,10 @@ type Matrix struct {
 }
 
 // Options tunes DistanceMatrixWith and the dense rebuilds of
-// HybridCohort.Reset. The zero value means "all cores, no progress
-// reporting, no cancellation".
+// HybridCohort.Reset. The zero value means "no progress reporting, no
+// cancellation". The fan-out always runs one worker per core (see
+// internal/par), each with its own engine.
 type Options struct {
-	// Workers caps the differencing fan-out; <= 0 means GOMAXPROCS.
-	Workers int
 	// Progress, when non-nil, is called after each pair is
 	// differenced with the number of completed pairs and the total
 	// pair count. Calls are serialized (never concurrent), but arrive
@@ -69,10 +58,9 @@ func DistanceMatrix(runs []*wfrun.Run, names []string, m cost.Model) (*Matrix, e
 	return DistanceMatrixWith(runs, names, m, Options{})
 }
 
-// DistanceMatrixWith is DistanceMatrix with explicit worker,
-// progress-reporting and cancellation control. It runs the same
-// row-sharded fan-out as a dense HybridCohort.Reset, with fresh
-// engines.
+// DistanceMatrixWith is DistanceMatrix with progress reporting and
+// cancellation. It runs the same row-by-row fan-out as a dense
+// HybridCohort.Reset, with fresh engines.
 func DistanceMatrixWith(runs []*wfrun.Run, names []string, m cost.Model, opts Options) (*Matrix, error) {
 	n := len(runs)
 	if n == 0 {
@@ -88,7 +76,7 @@ func DistanceMatrixWith(runs []*wfrun.Run, names []string, m cost.Model, opts Op
 	if len(labels) != n {
 		return nil, fmt.Errorf("analysis: %d labels for %d runs", len(labels), n)
 	}
-	engines := make([]*core.Engine, fanOut(opts.Workers, n-1))
+	engines := make([]*core.Engine, par.Workers(n-1))
 	for w := range engines {
 		engines[w] = core.NewEngine(m)
 	}

@@ -150,8 +150,8 @@ func TestDistanceMatrixProgress(t *testing.T) {
 	runs := cohort(t, 5, 3)
 	total := len(runs) * (len(runs) - 1) / 2
 	var events [][2]int
+	withProcs(t, 3)
 	mx, err := DistanceMatrixWith(runs, nil, cost.Unit{}, Options{
-		Workers: 3,
 		Progress: func(done, tot int) {
 			events = append(events, [2]int{done, tot})
 		},

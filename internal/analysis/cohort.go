@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/wfrun"
 )
 
@@ -82,6 +83,7 @@ func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts O
 	if opts.Context != nil {
 		cancelled = opts.Context.Done()
 	}
+	aborted := func() error { return fmt.Errorf("analysis: cohort aborted: %w", opts.Context.Err()) }
 	report := func() {}
 	if opts.Progress != nil {
 		var mu sync.Mutex
@@ -93,48 +95,34 @@ func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts O
 			mu.Unlock()
 		}
 	}
-	var next atomic.Int64 // the next row to claim
-	var wg sync.WaitGroup
-	errs := make([]error, len(engines))
-	for w, eng := range engines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				for j := i + 1; j < n; j++ {
-					select {
-					case <-cancelled:
-						return
-					default:
-					}
-					dist, err := eng.Distance(runs[i], runs[j])
-					if err != nil {
-						errs[w] = fmt.Errorf("analysis: runs %q and %q: %w", labels[i], labels[j], err)
-						return
-					}
-					if diffs != nil {
-						diffs.Add(1)
-					}
-					// Each row has one owner, so workers write disjoint cells.
-					d[i][j] = dist
-					d[j][i] = dist
-					report()
-				}
+	err := par.For(len(engines), n-1, func(w, i int) error {
+		for j := i + 1; j < n; j++ {
+			select {
+			case <-cancelled:
+				return aborted()
+			default:
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			dist, err := engines[w].Distance(runs[i], runs[j])
+			if err != nil {
+				return fmt.Errorf("analysis: runs %q and %q: %w", labels[i], labels[j], err)
+			}
+			if diffs != nil {
+				diffs.Add(1)
+			}
+			// Each row has one owner, so workers write disjoint cells.
+			d[i][j] = dist
+			d[j][i] = dist
+			report()
 		}
-	}
+		return nil
+	})
 	// A cancellation that raced the last pairs still fails the call, so
 	// a caller never mistakes an aborted matrix for a complete one.
-	if opts.Context != nil {
-		if err := opts.Context.Err(); err != nil {
-			return nil, fmt.Errorf("analysis: cohort aborted: %w", err)
-		}
+	if err == nil && opts.Context != nil && opts.Context.Err() != nil {
+		err = aborted()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return &cluster.Matrix{}, nil
@@ -142,34 +130,22 @@ func pairwise(engines []*core.Engine, runs []*wfrun.Run, labels []string, opts O
 	return cluster.NewMatrix(d)
 }
 
-// row differences run against every member of g, striping the cells
-// across the engines: the n new pairs an Add pays for. Each successful
-// diff bumps diffs.
+// row differences run against every member of g, each worker claiming
+// the next cell: the n new pairs an Add pays for. Each successful diff
+// bumps diffs.
 func (g *dense) row(engines []*core.Engine, name string, run *wfrun.Run, diffs *atomic.Int64) ([]float64, error) {
-	n, workers := len(g.runs), len(engines)
-	row := make([]float64, n)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w, eng := range engines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := w; j < n; j += workers {
-				dist, err := eng.Distance(run, g.runs[j])
-				if err != nil {
-					errs[w] = fmt.Errorf("analysis: runs %q and %q: %w", name, g.labels[j], err)
-					return
-				}
-				diffs.Add(1)
-				row[j] = dist
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	row := make([]float64, len(g.runs))
+	err := par.For(len(engines), len(row), func(w, j int) error {
+		dist, err := engines[w].Distance(run, g.runs[j])
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("analysis: runs %q and %q: %w", name, g.labels[j], err)
 		}
+		diffs.Add(1)
+		row[j] = dist
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return row, nil
 }

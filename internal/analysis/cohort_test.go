@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -35,12 +36,20 @@ func cohortRuns(t testing.TB, n int) ([]string, []*wfrun.Run) {
 }
 
 // denseCohort is a cohort that stays dense at any size.
-func denseCohort(m cost.Model, workers int) *HybridCohort {
-	return NewHybridCohort(m, workers, HybridOptions{IndexThreshold: -1})
+func denseCohort(m cost.Model) *HybridCohort {
+	return NewHybridCohort(m, HybridOptions{IndexThreshold: -1})
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS k, so its
+// fan-outs run up to k workers on any host.
+func withProcs(t *testing.T, k int) {
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // TestCohortMatrixMatchesDistanceMatrix: a Reset-built cohort matrix
-// equals the one-shot DistanceMatrix, whatever the shard count.
+// equals the one-shot DistanceMatrix, whatever the worker count (0
+// keeps the host's).
 func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 	names, runs := cohortRuns(t, 7)
 	want, err := DistanceMatrix(runs, names, cost.Unit{})
@@ -48,7 +57,10 @@ func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		cm := denseCohort(cost.Unit{}, workers)
+		if workers > 0 {
+			withProcs(t, workers)
+		}
+		cm := denseCohort(cost.Unit{})
 		if err := cm.Reset(names, runs, Options{}); err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +76,8 @@ func TestCohortMatrixMatchesDistanceMatrix(t *testing.T) {
 // new pairs — O(n) per import, asserted through the diff-call counter.
 func TestCohortMatrixIncrementalAdd(t *testing.T) {
 	names, runs := cohortRuns(t, 8)
-	cm := denseCohort(cost.Unit{}, 2)
+	withProcs(t, 2)
+	cm := denseCohort(cost.Unit{})
 	for i := range runs {
 		before := cm.DiffCalls()
 		if err := cm.Add(names[i], runs[i]); err != nil {
@@ -87,7 +100,7 @@ func TestCohortMatrixIncrementalAdd(t *testing.T) {
 // row/column with zero diffs.
 func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 	names, runs := cohortRuns(t, 6)
-	cm := denseCohort(cost.Length{}, 0)
+	cm := denseCohort(cost.Length{})
 	if err := cm.Reset(names[:5], runs[:5], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +146,7 @@ func TestCohortMatrixReplaceAndRemove(t *testing.T) {
 // diffs than recomputing the whole matrix.
 func TestCohortMatrixIncrementalSavesDiffs(t *testing.T) {
 	names, runs := cohortRuns(t, 33)
-	cm := denseCohort(cost.Unit{}, 0)
+	cm := denseCohort(cost.Unit{})
 	if err := cm.Reset(names[:32], runs[:32], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +218,8 @@ func cloneMatrix(mx *Matrix) *Matrix {
 // the readers.
 func TestCohortMatrixConcurrentReads(t *testing.T) {
 	names, runs := cohortRuns(t, 8)
-	cm := denseCohort(cost.Unit{}, 2)
+	withProcs(t, 2)
+	cm := denseCohort(cost.Unit{})
 	if err := cm.Reset(names[:4], runs[:4], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +281,8 @@ func TestCohortMatrixConcurrentReads(t *testing.T) {
 // copy taken when it was handed out.
 func TestDenseViewSurvivesMutations(t *testing.T) {
 	names, runs := cohortRuns(t, 7)
-	cm := denseCohort(cost.Unit{}, 2)
+	withProcs(t, 2)
+	cm := denseCohort(cost.Unit{})
 	if err := cm.Reset(names[:4], runs[:4], Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +331,8 @@ func TestDenseViewSurvivesMutations(t *testing.T) {
 
 func TestCohortMatrixErrors(t *testing.T) {
 	names, runs := cohortRuns(t, 3)
-	cm := denseCohort(cost.Unit{}, 1)
+	withProcs(t, 1)
+	cm := denseCohort(cost.Unit{})
 	if err := cm.Reset([]string{"a"}, runs[:2], Options{}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
@@ -339,8 +355,8 @@ func TestDistanceMatrixCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
+	withProcs(t, 2)
 	_, err := DistanceMatrixWith(runs, names, cost.Unit{}, Options{
-		Workers: 2,
 		Context: ctx,
 		Progress: func(done, total int) {
 			once.Do(func() {
@@ -375,7 +391,8 @@ func TestDistanceMatrixCancellation(t *testing.T) {
 // a cancelled Reset fails without touching the published cohort.
 func TestCohortMatrixResetProgressAndAbort(t *testing.T) {
 	names, runs := cohortRuns(t, 9)
-	cm := denseCohort(cost.Unit{}, 3)
+	withProcs(t, 3)
+	cm := denseCohort(cost.Unit{})
 	last, calls := 0, 0
 	err := cm.Reset(names[:6], runs[:6], Options{Progress: func(done, total int) {
 		if total != 15 || done != last+1 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/metricindex"
+	"repro/internal/par"
 	"repro/internal/wfrun"
 )
 
@@ -43,7 +44,6 @@ type HybridOptions struct {
 // View is never written afterwards and survives any later mutation.
 type HybridCohort struct {
 	model     cost.Model
-	workers   int
 	threshold int // <= 0: indexing disabled
 
 	mu sync.RWMutex
@@ -62,16 +62,15 @@ type HybridCohort struct {
 }
 
 // NewHybridCohort returns an empty hybrid cohort (dense until the
-// threshold is reached) for the given cost model. workers caps the
-// differencing fan-out; <= 0 means GOMAXPROCS.
-func NewHybridCohort(m cost.Model, workers int, opts HybridOptions) *HybridCohort {
+// threshold is reached) for the given cost model. Its differencing
+// fans out over one worker per core.
+func NewHybridCohort(m cost.Model, opts HybridOptions) *HybridCohort {
 	th := opts.IndexThreshold
 	if th == 0 {
 		th = DefaultIndexThreshold
 	}
 	return &HybridCohort{
 		model:     m,
-		workers:   workers,
 		threshold: th,
 		dn:        newDense(nil, nil, &cluster.Matrix{}),
 	}
@@ -82,13 +81,13 @@ func (hc *HybridCohort) indexEligible(n int) bool {
 }
 
 func (hc *HybridCohort) newIndex() *metricindex.Index {
-	return metricindex.New(hc.model, metricindex.Options{Workers: hc.workers})
+	return metricindex.New(hc.model, metricindex.Options{})
 }
 
 // denseEngines returns the engines for a dense fan-out over shards
 // units of work, growing the pool as needed. Caller holds hc.mu.
 func (hc *HybridCohort) denseEngines(shards int) []*core.Engine {
-	w := fanOut(hc.workers, shards)
+	w := par.Workers(shards)
 	for len(hc.engines) < w {
 		hc.engines = append(hc.engines, core.NewEngine(hc.model))
 	}
@@ -307,8 +306,7 @@ func (hc *HybridCohort) View() *CohortView {
 // new size. The old representation is only retired once the new build
 // succeeds; on error the cohort is unchanged. A dense build honours
 // opts.Context and opts.Progress as in DistanceMatrixWith, with the
-// cohort's own engines and worker count (opts.Workers is ignored); an
-// index build ignores opts.
+// cohort's own engines; an index build ignores opts.
 func (hc *HybridCohort) Reset(names []string, runs []*wfrun.Run, opts Options) error {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()

@@ -38,7 +38,8 @@ func hybridRuns(t testing.TB, n int) ([]string, []*wfrun.Run) {
 // dense matrix, and the cumulative counters survive both switches.
 func TestHybridSwitchesUpAndDown(t *testing.T) {
 	names, runs := hybridRuns(t, 10)
-	hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: 6})
+	withProcs(t, 2)
+	hc := NewHybridCohort(cost.Unit{}, HybridOptions{IndexThreshold: 6})
 	for i := 0; i < 5; i++ {
 		if err := hc.Add(names[i], runs[i]); err != nil {
 			t.Fatal(err)
@@ -116,7 +117,8 @@ func TestHybridSwitchesUpAndDown(t *testing.T) {
 // distances identical to a dense matrix of the same cohort.
 func TestHybridViewMatchesDense(t *testing.T) {
 	names, runs := hybridRuns(t, 8)
-	hc := NewHybridCohort(cost.Length{}, 2, HybridOptions{IndexThreshold: 4})
+	withProcs(t, 2)
+	hc := NewHybridCohort(cost.Length{}, HybridOptions{IndexThreshold: 4})
 	if err := hc.Reset(names, runs, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,8 @@ func TestHybridViewMatchesDense(t *testing.T) {
 // cohort to the dense representation at any size.
 func TestHybridDisabledNeverIndexes(t *testing.T) {
 	names, runs := hybridRuns(t, 6)
-	hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: -1})
+	withProcs(t, 2)
+	hc := NewHybridCohort(cost.Unit{}, HybridOptions{IndexThreshold: -1})
 	if err := hc.Reset(names, runs, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,8 @@ func TestHybridDisabledNeverIndexes(t *testing.T) {
 // Remove leaves it empty again.
 func TestHybridVersionAndEmptyView(t *testing.T) {
 	names, runs := hybridRuns(t, 2)
-	hc := NewHybridCohort(cost.Unit{}, 1, HybridOptions{})
+	withProcs(t, 1)
+	hc := NewHybridCohort(cost.Unit{}, HybridOptions{})
 	checkEmpty := func() {
 		t.Helper()
 		v := hc.View()
@@ -236,8 +240,9 @@ func TestHybridVersionAndEmptyView(t *testing.T) {
 func TestCohortViewQueries(t *testing.T) {
 	names, runs := hybridRuns(t, 8)
 	views := make([]*CohortView, 2)
+	withProcs(t, 2)
 	for i, th := range []int{-1, 1} {
-		hc := NewHybridCohort(cost.Unit{}, 2, HybridOptions{IndexThreshold: th})
+		hc := NewHybridCohort(cost.Unit{}, HybridOptions{IndexThreshold: th})
 		if err := hc.Reset(names, runs, Options{}); err != nil {
 			t.Fatal(err)
 		}

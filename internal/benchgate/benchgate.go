@@ -57,7 +57,7 @@ type Baseline struct {
 //
 //	BenchmarkName-8  123  4567 ns/op  89 B/op  10 allocs/op
 //
-// The -8 GOMAXPROCS suffix is stripped so baselines transfer between
+// The -8 CPU-count suffix is stripped so baselines transfer between
 // machines with different core counts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(.*)$`)
 

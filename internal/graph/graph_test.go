@@ -215,32 +215,6 @@ func TestFindHomomorphismRejectsUnknownLabel(t *testing.T) {
 	}
 }
 
-func TestElementaryPath(t *testing.T) {
-	g := New()
-	for _, n := range []string{"s", "x", "y", "t", "z"} {
-		g.MustAddNode(NodeID(n), n)
-	}
-	// Two parallel paths s->x->y->t and s->z->t make the internal
-	// nodes degree-1 and the terminals branch.
-	g.MustAddEdge("s", "x")
-	g.MustAddEdge("x", "y")
-	g.MustAddEdge("y", "t")
-	g.MustAddEdge("s", "z")
-	g.MustAddEdge("z", "t")
-	if err := ElementaryPath(g, []NodeID{"s", "x", "y", "t"}); err != nil {
-		t.Fatalf("valid elementary path rejected: %v", err)
-	}
-	if err := ElementaryPath(g, []NodeID{"s", "x"}); err == nil {
-		t.Fatal("path ending at degree-1 node x should be rejected")
-	}
-	if err := ElementaryPath(g, []NodeID{"s"}); err == nil {
-		t.Fatal("zero-edge path should be rejected")
-	}
-	if err := ElementaryPath(g, []NodeID{"s", "y", "t"}); err == nil {
-		t.Fatal("path with missing edge should be rejected")
-	}
-}
-
 // TestBuildMatchesAddEdge: a graph built from index tables has the
 // edges, keys, adjacency and ID lookups of the same graph replayed
 // through AddNode and AddEdge, and AddEdge on it keys new parallel

@@ -61,41 +61,3 @@ func FindHomomorphism(run, spec *Graph) (Homomorphism, error) {
 	}
 	return h, nil
 }
-
-// ElementaryPath reports whether the node sequence p = v0, v1, ..., vk
-// is an elementary path in g per Definition 3.4: every internal node
-// has exactly one incoming and one outgoing edge, the start has at
-// least two outgoing edges, and the end has at least two incoming
-// edges. Paths must have at least one edge.
-func ElementaryPath(g *Graph, p []NodeID) error {
-	if len(p) < 2 {
-		return fmt.Errorf("graph: elementary path needs at least one edge")
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !hasAnyEdge(g, p[i], p[i+1]) {
-			return fmt.Errorf("graph: missing edge (%s,%s)", p[i], p[i+1])
-		}
-	}
-	for i := 1; i+1 < len(p); i++ {
-		if g.InDegree(p[i]) != 1 || g.OutDegree(p[i]) != 1 {
-			return fmt.Errorf("graph: internal node %s has degree (in=%d,out=%d), want (1,1)",
-				p[i], g.InDegree(p[i]), g.OutDegree(p[i]))
-		}
-	}
-	if g.OutDegree(p[0]) < 2 {
-		return fmt.Errorf("graph: path start %s has out-degree %d, want >= 2", p[0], g.OutDegree(p[0]))
-	}
-	if g.InDegree(p[len(p)-1]) < 2 {
-		return fmt.Errorf("graph: path end %s has in-degree %d, want >= 2", p[len(p)-1], g.InDegree(p[len(p)-1]))
-	}
-	return nil
-}
-
-func hasAnyEdge(g *Graph, from, to NodeID) bool {
-	for _, e := range g.Out(from) {
-		if e.To == to {
-			return true
-		}
-	}
-	return false
-}

@@ -39,7 +39,6 @@ package metricindex
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -47,6 +46,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/par"
 	"repro/internal/spec"
 	"repro/internal/wfrun"
 )
@@ -57,15 +57,12 @@ import (
 const DefaultLandmarks = 8
 
 // Options tunes an Index. The zero value means DefaultLandmarks
-// anchors and a GOMAXPROCS build fan-out.
+// anchors. Reset and landmark promotion fan out over one worker per
+// core (see internal/par).
 type Options struct {
 	// Landmarks is the target number of landmark anchors; <= 0 means
 	// DefaultLandmarks.
 	Landmarks int
-	// Workers caps the differencing fan-out of Reset and landmark
-	// promotion; <= 0 means GOMAXPROCS (the analysis.HybridCohort
-	// default).
-	Workers int
 }
 
 // anchor is one landmark: a run kept as a pure reference point. An
@@ -180,7 +177,6 @@ func classCounts(r *wfrun.Run) []int32 {
 type Index struct {
 	model     cost.Model
 	landmarks int
-	workers   int
 
 	// computeMu serializes mutations and exact diffs; the engines are
 	// owned by whoever holds it.
@@ -204,7 +200,6 @@ func New(m cost.Model, opts Options) *Index {
 	return &Index{
 		model:     m,
 		landmarks: lm,
-		workers:   opts.Workers,
 		st:        &state{index: map[string]int{}},
 	}
 }
@@ -278,22 +273,6 @@ func (ix *Index) growEngines(n int) {
 	}
 }
 
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-func (ix *Index) workerCount(jobs int) int {
-	w := ix.workers
-	if w <= 0 {
-		w = defaultWorkers()
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // validateCohort rejects member lists the index cannot hold: length
 // mismatch, duplicate names, nil runs, or runs of mixed specifications.
 func validateCohort(names []string, runs []*wfrun.Run) (*spec.Spec, error) {
@@ -322,7 +301,7 @@ func validateCohort(names []string, runs []*wfrun.Run) (*spec.Spec, error) {
 
 // Reset replaces the whole cohort: class counts for every run, then
 // landmarks chosen by max-min sampling with their distance columns
-// computed by a sharded fan-out (m·n exact diffs total — the only
+// computed by one fan-out each (m·n exact diffs total — the only
 // quadratic-free build cost of the index).
 func (ix *Index) Reset(names []string, runs []*wfrun.Run) error {
 	sp, err := validateCohort(names, runs)
@@ -395,36 +374,24 @@ func (ix *Index) Reset(names []string, runs []*wfrun.Run) error {
 }
 
 // appendAnchorColumn registers a new landmark and fills every item's
-// distance to it with a sharded fan-out. Caller must hold computeMu
-// and own st exclusively (rows are extended in place).
+// distance to it in one fan-out, one engine per worker. Caller must
+// hold computeMu and own st exclusively (rows are extended in place).
 func (ix *Index) appendAnchorColumn(st *state, a anchor) error {
 	n := len(st.runs)
 	col := make([]float64, n)
-	workers := ix.workerCount(n)
+	workers := par.Workers(n)
 	ix.growEngines(workers)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eng := ix.engines[w]
-			for i := w; i < n; i += workers {
-				d, err := eng.Distance(st.runs[i], a.run)
-				if err != nil {
-					errs[w] = fmt.Errorf("metricindex: runs %q and %q: %w", st.labels[i], a.name, err)
-					return
-				}
-				ix.exact.Add(1)
-				col[i] = d
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.For(workers, n, func(w, i int) error {
+		d, err := ix.engines[w].Distance(st.runs[i], a.run)
 		if err != nil {
-			return err
+			return fmt.Errorf("metricindex: runs %q and %q: %w", st.labels[i], a.name, err)
 		}
+		ix.exact.Add(1)
+		col[i] = d
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i := range st.lm {
 		st.lm[i] = append(st.lm[i], col[i])

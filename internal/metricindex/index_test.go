@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -44,9 +45,10 @@ func testCohort(t testing.TB, seed int64, n int) ([]string, []*wfrun.Run) {
 // bound of any pair exceeds its exact distance, Refine never falls
 // below Bound, and both are symmetric.
 func TestBoundNeverExceedsDistance(t *testing.T) {
+	withProcs(t, 2)
 	names, runs := testCohort(t, 21, 14)
 	for _, m := range []cost.Model{cost.Unit{}, cost.Length{}, cost.Power{Epsilon: 0.5}} {
-		ix := New(m, Options{Landmarks: 4, Workers: 2})
+		ix := New(m, Options{Landmarks: 4})
 		if err := ix.Reset(names, runs); err != nil {
 			t.Fatal(err)
 		}
@@ -97,6 +99,7 @@ func rawBounds(co *Cohort, i, j int) (bound, ops float64) {
 // most the exact distance; under a power model both keep the slacked
 // value bit for bit.
 func TestBoundLattice(t *testing.T) {
+	withProcs(t, 2)
 	for seed := int64(40); seed < 43; seed++ {
 		names, runs := testCohort(t, seed, 12)
 		for _, tc := range []struct {
@@ -104,7 +107,7 @@ func TestBoundLattice(t *testing.T) {
 			integral bool
 		}{{cost.Unit{}, true}, {cost.Length{}, true}, {cost.Power{Epsilon: 0.5}, false}} {
 			m, integral := tc.m, tc.integral
-			ix := New(m, Options{Landmarks: 3, Workers: 2})
+			ix := New(m, Options{Landmarks: 3})
 			if err := ix.Reset(names, runs); err != nil {
 				t.Fatal(err)
 			}
@@ -230,8 +233,9 @@ func TestOpCountBoundTightOnForkCopies(t *testing.T) {
 // at once (they share the op count's scratch pool) and every answer
 // equals the sequential one. Run it under -race.
 func TestRefineConcurrent(t *testing.T) {
+	withProcs(t, 2)
 	names, runs := testCohort(t, 30, 12)
-	ix := New(cost.Unit{}, Options{Landmarks: 2, Workers: 2})
+	ix := New(cost.Unit{}, Options{Landmarks: 2})
 	if err := ix.Reset(names, runs); err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +274,13 @@ func TestRefineConcurrent(t *testing.T) {
 // answers kNN queries identically to one built by a single Reset, and
 // both match the brute-force engine answer.
 func TestIncrementalAddMatchesReset(t *testing.T) {
+	withProcs(t, 2)
 	names, runs := testCohort(t, 22, 12)
-	bulk := New(cost.Length{}, Options{Landmarks: 3, Workers: 2})
+	bulk := New(cost.Length{}, Options{Landmarks: 3})
 	if err := bulk.Reset(names, runs); err != nil {
 		t.Fatal(err)
 	}
-	inc := New(cost.Length{}, Options{Landmarks: 3, Workers: 2})
+	inc := New(cost.Length{}, Options{Landmarks: 3})
 	for i, name := range names {
 		if err := inc.Add(name, runs[i]); err != nil {
 			t.Fatal(err)
@@ -335,8 +340,9 @@ func TestIncrementalAddMatchesReset(t *testing.T) {
 // either exactly diffed or counted pruned — the counters the CI bench
 // gate and /stats rely on must partition the candidate set.
 func TestQueryAccounting(t *testing.T) {
+	withProcs(t, 2)
 	names, runs := testCohort(t, 23, 16)
-	ix := New(cost.Length{}, Options{Landmarks: 4, Workers: 2})
+	ix := New(cost.Length{}, Options{Landmarks: 4})
 	if err := ix.Reset(names, runs); err != nil {
 		t.Fatal(err)
 	}
@@ -496,4 +502,11 @@ func TestHistogramBoundBasics(t *testing.T) {
 	if _, err := HistogramBound(cost.Unit{}, runs[0], other[0]); err == nil {
 		t.Fatal("cross-spec bound should fail")
 	}
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS k, so its
+// fan-outs run up to k workers on any host.
+func withProcs(t *testing.T, k int) {
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }

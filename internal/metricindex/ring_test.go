@@ -58,12 +58,13 @@ func checkStream(t *testing.T, co *Cohort, i int) {
 // while the ring holds a candidate of lower index at that bound; a
 // search that stopped there instead of admitting the ring fails here.
 func TestRingNearestMatchesDense(t *testing.T) {
+	withProcs(t, 2)
 	names, runs := testCohort(t, 33, 16)
 	dup := []*wfrun.Run{runs[3], runs[3], runs[3], runs[3], runs[3]}
 	cohorts := map[string][]*wfrun.Run{"one": runs[:1], "two": runs[:2], "dup": dup, "sixteen": runs}
 	for _, m := range []cost.Model{cost.Unit{}, cost.Length{}, cost.Power{Epsilon: 0.5}} {
 		for label, rs := range cohorts {
-			ix := New(m, Options{Landmarks: 3, Workers: 2})
+			ix := New(m, Options{Landmarks: 3})
 			if err := ix.Reset(names[:len(rs)], rs); err != nil {
 				t.Fatal(err)
 			}
@@ -117,8 +118,9 @@ func sortedOrder(st *state) []int32 {
 // Removes and a Reset keep the anchor order equal to a from-scratch
 // sort after every step.
 func TestOrderKeptAcrossMutations(t *testing.T) {
+	withProcs(t, 2)
 	names, runs := testCohort(t, 34, 20)
-	ix := New(cost.Unit{}, Options{Landmarks: 3, Workers: 2})
+	ix := New(cost.Unit{}, Options{Landmarks: 3})
 	rng := rand.New(rand.NewSource(9))
 	for step := 0; step < 120; step++ {
 		name := names[rng.Intn(len(names))]

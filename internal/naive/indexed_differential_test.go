@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
@@ -63,6 +64,7 @@ func randomCohort(t *testing.T, rng *rand.Rand, n int) ([]string, []*wfrun.Run) 
 //   - the histogram lower bound never exceeds the naive-oracle
 //     distance (the property the pruning soundness rests on).
 func TestIndexedAnalyticsMatchExhaustive(t *testing.T) {
+	withProcs(t, 2)
 	rng := rand.New(rand.NewSource(20260807))
 	cohorts := 0
 	for trial := 0; trial < 13; trial++ {
@@ -71,7 +73,7 @@ func TestIndexedAnalyticsMatchExhaustive(t *testing.T) {
 		for _, m := range differentialModels {
 			cohorts++
 			t.Run(fmt.Sprintf("trial%d-%s", trial, m.Name()), func(t *testing.T) {
-				ix := metricindex.New(m, metricindex.Options{Landmarks: 3, Workers: 2})
+				ix := metricindex.New(m, metricindex.Options{Landmarks: 3})
 				if err := ix.Reset(names, runs); err != nil {
 					t.Fatal(err)
 				}
@@ -198,13 +200,14 @@ func TestHistogramBoundPropertyWeighted(t *testing.T) {
 // histogram bound somewhere, or the property would hold vacuously. A
 // label-priced Func model must get a vacuous bound.
 func TestOpCountBoundProperty(t *testing.T) {
+	withProcs(t, 2)
 	rng := rand.New(rand.NewSource(20261019))
 	models := append([]cost.Model{cost.Weighted{Base: cost.Unit{}, W: map[string]float64{"a": 0.5, "b": 2}}}, differentialModels...)
 	sharper := 0
 	for trial := 0; trial < 10; trial++ {
 		names, runs := randomCohort(t, rng, 8)
 		for _, m := range models {
-			ix := metricindex.New(m, metricindex.Options{Landmarks: 2, Workers: 2})
+			ix := metricindex.New(m, metricindex.Options{Landmarks: 2})
 			if err := ix.Reset(names, runs); err != nil {
 				t.Fatal(err)
 			}
@@ -247,4 +250,11 @@ func TestOpCountBoundProperty(t *testing.T) {
 	if ob, err := metricindex.OpCountBound(f, runs[0], runs[1]); err != nil || ob != 0 {
 		t.Fatalf("func-model op-count bound should be vacuous: %g %v", ob, err)
 	}
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS k, so its
+// fan-outs run up to k workers on any host.
+func withProcs(t *testing.T, k int) {
+	old := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }

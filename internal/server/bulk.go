@@ -75,7 +75,7 @@ func (s *Server) handleBulkImport(w http.ResponseWriter, r *http.Request) {
 		// Partial imports report what landed inside the envelope.
 		s.errCount.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		code := storeStatus(err)
+		code := errorStatus(err)
 		w.WriteHeader(code)
 		json.NewEncoder(w).Encode(errorEnvelope{Error: errorDetail{
 			Code:     errorCode(code),

@@ -57,7 +57,7 @@ func (cc *cohortCaches) entry(specName string, m cost.Model) *cohortEntry {
 		if len(cc.entries) >= maxCohortEntries {
 			return nil
 		}
-		e = &cohortEntry{hc: analysis.NewHybridCohort(m, 0, cc.hybrid)}
+		e = &cohortEntry{hc: analysis.NewHybridCohort(m, cc.hybrid)}
 		cc.entries[key] = e
 	}
 	return e
@@ -133,7 +133,7 @@ func (s *Server) cohortView(specName string, m cost.Model, build analysis.Option
 		if err != nil {
 			return nil, 0, err
 		}
-		hc := analysis.NewHybridCohort(m, 0, s.cohorts.hybrid)
+		hc := analysis.NewHybridCohort(m, s.cohorts.hybrid)
 		if err := hc.Reset(names, runs, build); err != nil {
 			return nil, 0, err
 		}

@@ -67,40 +67,16 @@ func (s *Server) httpError(w http.ResponseWriter, err error, code int) {
 	enc.Encode(errorEnvelope{Error: errorDetail{Code: errorCode(code), Message: err.Error()}})
 }
 
-// storeError maps store-layer errors onto statuses: a damaged
-// repository is 500, missing specs/runs are 404, duplicate names in a
-// batch 409, everything else a caller can fix is 400.
+// storeError answers a store-layer error with its errorStatus.
 func (s *Server) storeError(w http.ResponseWriter, err error) {
-	s.httpError(w, err, storeStatus(err))
+	s.httpError(w, err, errorStatus(err))
 }
 
-func storeStatus(err error) int {
-	switch {
-	case errors.Is(err, store.ErrDamaged):
-		return http.StatusInternalServerError
-	case errors.Is(err, fs.ErrNotExist):
-		return http.StatusNotFound
-	case errors.Is(err, store.ErrDuplicateRun):
-		return http.StatusConflict
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// commitError tags a storage-side failure of a batched ingest commit:
-// the document was fine but the repository write was not, which is
-// the service's fault (500), not the client's (400).
-type commitError struct{ err error }
-
-func (e commitError) Error() string { return e.err.Error() }
-func (e commitError) Unwrap() error { return e.err }
-
-// ingestStatus maps a pipeline result error (or enqueue error) onto a
-// status: client-side document problems 400/404/409/413, backpressure
-// 429, shutdown 503, storage faults and damage 500.
-func ingestStatus(err error) int {
+// errorStatus maps a store, pipeline or enqueue error onto a status:
+// client-side document problems 400/404/409/413, backpressure 429,
+// shutdown 503, storage faults and damage 500.
+func errorStatus(err error) int {
 	var tooBig *http.MaxBytesError
-	var ce commitError
 	switch {
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
@@ -108,12 +84,12 @@ func ingestStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ingest.ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, store.ErrDamaged), errors.Is(err, store.ErrCommitFailed):
+		return http.StatusInternalServerError
 	case errors.Is(err, fs.ErrNotExist):
 		return http.StatusNotFound
 	case errors.Is(err, store.ErrDuplicateRun):
 		return http.StatusConflict
-	case errors.As(err, &ce), errors.Is(err, store.ErrDamaged):
-		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

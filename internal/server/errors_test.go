@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,9 +18,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/store"
 	"repro/internal/store/faultfs"
+	"repro/internal/wfrun"
 )
 
 // wantEnvelope asserts a response is exactly the error envelope with
@@ -302,6 +305,59 @@ func TestStorageWriteFaultsAnswer500(t *testing.T) {
 	fb.Clear()
 	if got := listedRuns(t, srv); got != "[r0 r1 r2]" {
 		t.Fatalf("runs after a failed import = %s", got)
+	}
+}
+
+// TestCommitAppendFaultsAnswer500: a commit whose segment or ledger
+// append fails is the service's failure on every route that commits.
+// Under each append fault, a sync NDJSON bulk import and a live-run
+// completion answer 500 internal and leave the run list as it was.
+func TestCommitAppendFaultsAnswer500(t *testing.T) {
+	for _, key := range []string{"runs.seg", "ledger.log"} {
+		for _, mode := range []faultfs.Mode{faultfs.ErrIO, faultfs.ENOSPC, faultfs.PartialThenErr} {
+			t.Run(key+"/"+mode.String(), func(t *testing.T) {
+				srv, fb := faultedServer(t)
+				fired := 0
+				fail := func(rec *httptest.ResponseRecorder, what string) {
+					t.Helper()
+					wantEnvelope(t, rec, http.StatusInternalServerError, "internal")
+					if fired++; len(fb.Injected()) != fired {
+						t.Fatalf("%s: faults fired: %v", what, fb.Injected())
+					}
+					fb.Clear()
+					if got := listedRuns(t, srv); got != "[r0 r1 r2]" {
+						t.Fatalf("runs after a failed %s = %s", what, got)
+					}
+				}
+				rule := faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: key, N: 1, Mode: mode}
+
+				line, err := json.Marshal(bulkRunJSON{Name: "x0", XML: string(encodeRun(t, srv.st, 778))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fb.Fail(rule)
+				req := httptest.NewRequest("POST", "/v1/specs/pa/runs:bulk", strings.NewReader(string(line)+"\n"))
+				req.Header.Set("Content-Type", "application/x-ndjson")
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				fail(rec, "bulk import")
+
+				sp, err := srv.st.LoadSpec("pa")
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := gen.RandomRun(sp, gen.DefaultRunParams(), rand.New(rand.NewSource(779)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				target := "/v1/specs/pa/runs/live0/events"
+				if rec := do(t, srv, "PATCH", target, eventBody(t, wfrun.Events(run)...), nil); rec.Code != http.StatusOK {
+					t.Fatalf("PATCH %s = %d %q", target, rec.Code, rec.Body.String())
+				}
+				fb.Fail(rule)
+				fail(do(t, srv, "PATCH", target+"?complete=1", nil, nil), "live completion")
+			})
+		}
 	}
 }
 

@@ -19,12 +19,10 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/wfrun"
 	"repro/internal/wfxml"
@@ -101,7 +99,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	chargeStage(r.Context(), stageParse, parse)
 	chargeStage(r.Context(), stageStore, wait-parse)
 	if res.Err != nil {
-		s.httpError(w, res.Err, ingestStatus(res.Err))
+		s.httpError(w, res.Err, errorStatus(res.Err))
 		return
 	}
 	// Content-Type must precede WriteHeader or it is dropped.
@@ -120,7 +118,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // enqueueError reports a job the pipeline would not take: 429 with a
 // Retry-After hint under backpressure, 503 during shutdown.
 func (s *Server) enqueueError(w http.ResponseWriter, err error) {
-	code := ingestStatus(err)
+	code := errorStatus(err)
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
@@ -154,47 +152,31 @@ func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
 
 // commitBatch is the pipeline's CommitFunc. Parse errors are
 // per-item: one malformed document fails only its own job, unlike the
-// all-or-nothing runs:bulk endpoint. Commit errors from the store are
-// wrapped as commitError so they surface as 500s; a store commit is
-// all-or-nothing, so a failed one fails every job of its wave.
+// all-or-nothing runs:bulk endpoint. A store commit is all-or-nothing,
+// so a failed one fails every job of its wave.
 func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 	results := make([]ingest.Result, len(jobs))
 	parsed := make([]*wfrun.Run, len(jobs))
 
 	// Parse phase: concurrent across the batch; spec objects come from
-	// the store's cache after the first load.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				sp, err := s.st.LoadSpec(jobs[i].Spec)
-				if err != nil {
-					results[i].Err = err
-					continue
-				}
-				t0 := time.Now()
-				r, err := wfxml.DecodeRun(bytes.NewReader(jobs[i].XML), sp)
-				results[i].Parse = time.Since(t0)
-				if err != nil {
-					results[i].Err = err
-					continue
-				}
-				parsed[i] = r
-			}
-		}()
-	}
-	wg.Wait()
+	// the store's cache after the first load. Errors are per job, kept
+	// in results, so no call fails the loop.
+	_ = par.For(par.Workers(len(jobs)), len(jobs), func(_, i int) error {
+		sp, err := s.st.LoadSpec(jobs[i].Spec)
+		if err != nil {
+			results[i].Err = err
+			return nil
+		}
+		t0 := time.Now()
+		r, err := wfxml.DecodeRun(bytes.NewReader(jobs[i].XML), sp)
+		results[i].Parse = time.Since(t0)
+		if err != nil {
+			results[i].Err = err
+			return nil
+		}
+		parsed[i] = r
+		return nil
+	})
 
 	// Commit phase: group the surviving jobs by spec in arrival
 	// order. A name repeated within one group is split into
@@ -232,7 +214,7 @@ func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 			stats, err := s.st.ImportParsed(specName, prs)
 			for k, i := range wave {
 				if err != nil {
-					results[i].Err = commitError{err}
+					results[i].Err = err
 					continue
 				}
 				results[i].Nodes, results[i].Edges = parsed[i].NumNodes(), parsed[i].NumEdges()

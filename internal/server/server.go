@@ -246,7 +246,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// The names passed the boundary check, so anything but a
 		// missing run is the store's failure.
 		code := http.StatusInternalServerError
-		if storeStatus(err) == http.StatusNotFound {
+		if errorStatus(err) == http.StatusNotFound {
 			code = http.StatusNotFound
 		}
 		s.httpError(w, err, code)

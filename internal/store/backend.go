@@ -92,14 +92,20 @@ func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 // onto 500.
 var ErrDamaged = errors.New("store: repository damaged")
 
+// ErrCommitFailed marks a commit whose repository write failed: the
+// runs were valid, the storage was not. Like ErrDamaged it is the
+// store's fault, not the caller's; HTTP callers map it onto 500.
+var ErrCommitFailed = errors.New("store: commit failed")
+
 // damaged tags err with ErrDamaged, keeping its message.
-func damaged(err error) error { return damagedError{err} }
+func damaged(err error) error { return taggedError{err, ErrDamaged} }
 
-type damagedError struct{ err error }
+// taggedError keeps err's message and also matches tag under errors.Is.
+type taggedError struct{ err, tag error }
 
-func (e damagedError) Error() string        { return e.err.Error() }
-func (e damagedError) Unwrap() error        { return e.err }
-func (e damagedError) Is(target error) bool { return target == ErrDamaged }
+func (e taggedError) Error() string        { return e.err.Error() }
+func (e taggedError) Unwrap() error        { return e.err }
+func (e taggedError) Is(target error) bool { return target == e.tag }
 
 // truncateTornTail repairs an append-only line log (the ledger, a live
 // event journal) read from key: an unterminated final line is debris

@@ -9,13 +9,11 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/wfrun"
 	"repro/internal/wfxml"
 )
@@ -51,7 +49,7 @@ type ImportStats struct {
 
 // ImportRuns imports a batch of runs into a specification in one
 // pass: every document is parsed and derived concurrently (workers
-// goroutines; <= 0 means GOMAXPROCS), committed as frames in one
+// goroutines; <= 0 means one per core), committed as frames in one
 // segment append, and published to the decoded-run cache. The batch
 // advances the spec's run-set version once, however many runs it
 // carries.
@@ -84,38 +82,19 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 
 	// Phase 1: parse everything concurrently, nothing written yet.
 	parsed := make([]*wfrun.Run, len(runs))
-	errs := make([]error, len(runs))
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = par.Workers(len(runs))
 	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				r, err := wfxml.DecodeRun(bytes.NewReader(runs[i].XML), sp)
-				if err != nil {
-					errs[i] = fmt.Errorf("store: run %q: %w", runs[i].Name, err)
-					continue
-				}
-				parsed[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = par.For(workers, len(runs), func(_, i int) error {
+		r, err := wfxml.DecodeRun(bytes.NewReader(runs[i].XML), sp)
 		if err != nil {
-			return stats, err
+			return fmt.Errorf("store: run %q: %w", runs[i].Name, err)
 		}
+		parsed[i] = r
+		return nil
+	})
+	if err != nil {
+		return stats, err
 	}
 
 	// Phase 2 is the shared batched commit.
@@ -163,7 +142,7 @@ func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, er
 	}
 	hashes, err := s.writeRunSnapshotBatch(specName, items)
 	if err != nil {
-		return stats, fmt.Errorf("store: committing %d runs of %q: %w", len(runs), specName, err)
+		return stats, taggedError{fmt.Errorf("store: committing %d runs of %q: %w", len(runs), specName, err), ErrCommitFailed}
 	}
 	for _, pr := range runs {
 		stats.Imported = append(stats.Imported, pr.Name)

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/ledger"
+	"repro/internal/par"
 	"repro/internal/spec"
 	"repro/internal/wfrun"
 	"repro/internal/wfxml"
@@ -967,7 +967,7 @@ type PreloadStats struct {
 // returns, LoadRun and the cohort paths serve existing runs from
 // memory. Runs deleted while it runs are skipped and not counted.
 //
-// The runs not yet cached are decoded by up to GOMAXPROCS workers, each
+// The runs not yet cached are decoded by one worker per core, each
 // reading frames into one reused buffer. A failure is reported for the
 // first failing run in name order; once one run fails no worker starts
 // another, but runs already started still finish and may be cached.
@@ -981,50 +981,28 @@ func (s *Store) Preload(specName string) (PreloadStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	// Each outcome is written by the one worker that took its run and
-	// read after Wait.
-	type outcome struct {
-		gone bool
-		err  error
-	}
-	outcomes := make([]outcome, len(todo))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(todo) {
-					return
-				}
-				name := todo[i].name
-				c, err := s.loadEntry(specName, name, todo[i].entry, sp, &buf)
-				switch {
-				case isNotExist(err):
-					outcomes[i].gone = true
-				case err != nil:
-					outcomes[i].err = err
-					failed.Store(true)
-				default:
-					_, listed := s.cacheRun(specName, name, c)
-					outcomes[i].gone = !listed
-				}
+	workers := par.Workers(len(todo))
+	bufs := make([][]byte, workers)
+	var gone atomic.Int64
+	err = par.For(workers, len(todo), func(w, i int) error {
+		name := todo[i].name
+		c, err := s.loadEntry(specName, name, todo[i].entry, sp, &bufs[w])
+		switch {
+		case isNotExist(err):
+			gone.Add(1)
+		case err != nil:
+			return err
+		default:
+			if _, listed := s.cacheRun(specName, name, c); !listed {
+				gone.Add(1)
 			}
-		}()
-	}
-	wg.Wait()
-	for _, o := range outcomes {
-		if o.err != nil {
-			return stats, o.err
 		}
-		if o.gone {
-			stats.Runs--
-		}
+		return nil
+	})
+	if err != nil {
+		return stats, err
 	}
+	stats.Runs -= int(gone.Load())
 	return stats, nil
 }
 

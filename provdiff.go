@@ -159,7 +159,7 @@ func EvaluateScript(s *Script, m CostModel) float64 { return core.EvaluateScript
 // Serving (the provserved HTTP layer over a Store — see extensions.go
 // for the Store itself).
 type (
-	// AnalysisOptions tunes cohort fan-out and progress reporting.
+	// AnalysisOptions sets cohort progress reporting and cancellation.
 	AnalysisOptions = analysis.Options
 	// ServerOptions configures the HTTP service handler.
 	ServerOptions = server.Options
